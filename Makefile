@@ -22,8 +22,12 @@ STATICCHECK_VERSION ?= 2025.1.1
 # per-link fabric charging), the
 # simulator stress test that hammers Machine.Access from one goroutine
 # per core (exercises the coherence directory and the lock-free tag
-# arrays under -race), and a short fuzz pass over the corpus-backed
-# fuzzers.
+# arrays under -race), the lockstep baton's golden/model/liveness tests
+# ten times under -race with a timeout (a worker left asleep on its wake
+# slot is a hang, not a failure), the sampling-order test that used to
+# flake on 2 cores, the benchmark's own module (bench/ is nested, so
+# ./... does not reach it) plus its smoke run, and a short fuzz pass over
+# the corpus-backed fuzzers.
 verify:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -37,6 +41,10 @@ verify:
 	$(GO) test -race -run TestMachineAccessRaceStress ./internal/sim/
 	$(GO) test -race -count=2 -run TestPowerReplayBitIdentical ./internal/core/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
+	$(GO) test -race -count=10 -timeout 300s -run 'Lockstep' ./internal/core/
+	$(GO) test -count=20 -cpu 1,2 -run TestSamplingConcurrentShards ./internal/obs/
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+	bash bench/run.sh -smoke >/dev/null
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-smoke
 
@@ -69,29 +77,34 @@ fuzz-smoke:
 # bench runs the tier-1 benchmarks (-benchmem) and records the simulator
 # access-path numbers (directory vs broadcast-scan) into
 # BENCH_directory.json, the placement decision-plane numbers into
-# BENCH_placement.json, and the engine fast-path numbers — plus a measured
-# charm-bench wall clock via -time-cmd — into BENCH_engine.json, all via
-# cmd/benchjson.
+# BENCH_placement.json, and the engine fast-path and lockstep-handoff
+# numbers — plus a measured charm-bench wall clock via -time-cmd — into
+# BENCH_engine.json, all via cmd/benchjson. Recorded and gated runs pin
+# -cpu $(BENCH_CPU): the checked-in records are 1-proc runs (task/* costs
+# 2x at 2 procs on the same machine), and benchjson drops the -N name
+# suffix, so a record matches a run on any host.
+BENCH_CPU ?= 1
+
 bench:
 	$(GO) test ./internal/core/ -run xxx -bench . -benchtime 1s -benchmem
-	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem \
+	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro); each pair is the same workload with the optimization toggled" \
+		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding, turn/self = the no-wakeup path (15 of 16 workers blocked in a barrier)" \
 		-time-cmd "$(GO) run ./cmd/charm-bench all"
-	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem \
+	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_directory.json \
 		-note "Machine.Access: coherence directory (dir) vs broadcast L3 scan (scan), AMDMilan7713x2" \
 		-end-to-end "charm-bench all (default scale, sequential): ~53s before the directory, ~40s after (~1.3x)"
-	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem \
+	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_placement.json \
 		-note "internal/place decision plane on AMDMilan7713x2: rank build (one-time), per-decision view build and Select/ordering queries"
-	$(GO) test ./internal/core/ -run xxx -bench BenchmarkTracing -benchtime 1s -benchmem \
+	$(GO) test ./internal/core/ -run xxx -bench BenchmarkTracing -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_obs.json \
 		-note "causal job tracing on the admission/dispatch path: off = disabled atomic gate, on = admit/stage/task span recording per job, emit = raw sharded span append"
-	$(GO) test ./internal/core/ -run xxx -bench BenchmarkPower -benchtime 1s -benchmem \
+	$(GO) test ./internal/core/ -run xxx -bench BenchmarkPower -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_power.json \
 		-note "closed-loop thermal/energy plane: access = hot-line read loop with the plane off vs armed-but-idle (per-access PMU cost), tick = one governor evaluation (energy integration, RC step, tier logic) per chiplet tick"
-	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem \
+	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_fabric.json \
 		-note "per-transfer charge cost of each interconnect fabric (route lookup + per-hop token-bucket charging) on a 2-socket 4x2 machine with a uniform-random transfer mix"
 
@@ -102,11 +115,11 @@ bench:
 GATE_THRESHOLD ?= 15
 
 bench-gate:
-	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem \
+	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_engine.json -gate-threshold $(GATE_THRESHOLD)
-	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem \
+	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_placement.json -gate-threshold $(GATE_THRESHOLD)
-	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem \
+	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_fabric.json -gate-threshold $(GATE_THRESHOLD)
 
 # Observability smoke runs: a Chrome trace and a Prometheus metrics dump

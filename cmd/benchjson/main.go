@@ -41,8 +41,9 @@ import (
 
 // Bench is one parsed benchmark result line.
 type Bench struct {
-	// Name is the full benchmark name including sub-benchmark path and
-	// the -N GOMAXPROCS suffix, e.g. "BenchmarkMachineAccess/dir/readhot-8".
+	// Name is the full benchmark name including sub-benchmark path, with
+	// the -N GOMAXPROCS suffix stripped so records and runs match on any
+	// host, e.g. "BenchmarkMachineAccess/dir/readhot".
 	Name string `json:"name"`
 	// Pkg is the most recent "pkg:" context line, when present.
 	Pkg string `json:"pkg,omitempty"`
@@ -244,7 +245,8 @@ func measureCmd(cmd string) string {
 
 // parseBench parses one "Benchmark... N metrics" line. Metrics come in
 // value-unit pairs ("1234 ns/op", "89.5 MB/s"); unknown units are skipped
-// so new testing metrics don't break the parser.
+// so new testing metrics don't break the parser. The trailing -N
+// GOMAXPROCS suffix (absent on a 1-proc host) is dropped from the name.
 func parseBench(line string) (Bench, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
@@ -254,7 +256,7 @@ func parseBench(line string) (Bench, bool) {
 	if err != nil {
 		return Bench{}, false
 	}
-	b := Bench{Name: f[0], Iterations: iters}
+	b := Bench{Name: stripProcs(f[0]), Iterations: iters}
 	seen := false
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
@@ -274,4 +276,19 @@ func parseBench(line string) (Bench, bool) {
 		}
 	}
 	return b, seen
+}
+
+// stripProcs removes the "-N" GOMAXPROCS suffix go test appends to
+// benchmark names when N > 1.
+func stripProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

@@ -11,7 +11,8 @@ import (
 // the identical workload with the optimization on and off, so the recorded
 // BENCH_engine.json carries its own before/after. The access pair is the
 // per-access microbench the PR's >=1.5x target applies to; the task and
-// coro pairs are about allocs/op (run with -benchmem).
+// coro pairs are about allocs/op (run with -benchmem). The turn rows are
+// the lockstep baton's ns/handoff record.
 func BenchmarkEngine(b *testing.B) {
 	engineRT := func(b *testing.B, workers int, opts Options) *Runtime {
 		b.Helper()
@@ -91,4 +92,38 @@ func BenchmarkEngine(b *testing.B) {
 	}
 	b.Run("coro/pool", func(b *testing.B) { coro(b, false) })
 	b.Run("coro/nopool", func(b *testing.B) { coro(b, true) })
+
+	// Lockstep baton: one op is one turn (ns/op = host ns per handoff).
+	// Every worker yields in a loop, so each turn ends by waking another
+	// worker through its wake slot.
+	turn := func(b *testing.B, workers int) {
+		rt := engineRT(b, workers, Options{Deterministic: true})
+		per := (b.N + workers - 1) / workers
+		b.ResetTimer()
+		rt.AllDo(func(ctx *Ctx) {
+			for i := 0; i < per; i++ {
+				ctx.Yield()
+			}
+		})
+	}
+	b.Run("turn/16", func(b *testing.B) { turn(b, 16) })
+	b.Run("turn/32", func(b *testing.B) { turn(b, 32) })
+
+	// The no-wakeup path: fifteen of sixteen workers sit in a barrier, so
+	// every grant scans the fleet, consults their predicates, and hands
+	// the turn straight back to the one worker that yields.
+	b.Run("turn/self", func(b *testing.B) {
+		const workers = 16
+		rt := engineRT(b, workers, Options{Deterministic: true})
+		bar := rt.NewBarrier(workers)
+		b.ResetTimer()
+		rt.AllDo(func(ctx *Ctx) {
+			if ctx.Worker() == 0 {
+				for i := 0; i < b.N; i++ {
+					ctx.Yield()
+				}
+			}
+			ctx.Barrier(bar)
+		})
+	})
 }

@@ -20,18 +20,35 @@ import "sync"
 // the lockstep mutex in worker-id order, which makes wake-ups
 // deterministic too.
 //
+// The turn is handed over directly: a grant wakes the one worker it picked
+// through that worker's wake slot, and wakes nobody when it picks the
+// worker that is handing the turn over.
+//
 // External submitters (submitWait) pause the fleet between turns to
 // distribute tasks, and converge all waiting workers' clocks to the fleet
 // maximum first, so the number of idle turns a run happened to take before
 // the pause cannot leak into subsequent virtual times.
 type lockstep struct {
-	rt   *Runtime
-	mu   sync.Mutex
+	rt *Runtime
+	mu sync.Mutex
+	// cond serves external pause/resume callers only; workers never wait
+	// on it.
 	cond *sync.Cond
 	// state[id] is the worker's check-in state; pred[id] the wake
 	// predicate of a blocked worker (evaluated with mu held).
 	state []lsState
 	pred  []func() bool
+	// wake[id] is worker id's wake slot (1-buffered). A grant to a worker
+	// other than the caller drops a token into it, after setting holder
+	// under mu. A waiter checks holder == id under mu before every sleep
+	// and after every receive, so no wakeup is lost — a token sent while
+	// the waiter is between that check and its receive waits in the buffer,
+	// and a send that finds the buffer full means a token is already there
+	// to wake it — and a stale token costs one spurious re-check.
+	wake []chan struct{}
+	// busy counts workers that are not checked in (lsStart or lsRunning);
+	// the fleet is quiescent at zero.
+	busy int
 	// holder is the worker id holding the turn, -1 when free, -2 while an
 	// external submitter holds the fleet paused.
 	holder    int
@@ -60,120 +77,117 @@ func newLockstep(rt *Runtime, workers int) *lockstep {
 		rt:     rt,
 		state:  make([]lsState, workers),
 		pred:   make([]func() bool, workers),
+		wake:   make([]chan struct{}, workers),
+		busy:   workers,
 		holder: -1,
 		last:   -1,
+	}
+	for i := range ls.wake {
+		ls.wake[i] = make(chan struct{}, 1)
 	}
 	ls.cond = sync.NewCond(&ls.mu)
 	return ls
 }
 
-// grantLocked hands the turn to the next runner if the fleet is quiescent.
-// Caller holds mu.
-func (ls *lockstep) grantLocked() {
-	if ls.holder != -1 {
-		return
-	}
-	for _, s := range ls.state {
-		if s == lsStart || s == lsRunning {
-			return // someone is mid-turn or not checked in yet
-		}
-	}
-	stopping := ls.rt.stop.Load()
-	for id, s := range ls.state {
-		if s == lsBlocked && (stopping || ls.pred[id]()) {
-			ls.state[id] = lsWaiting
-			ls.pred[id] = nil
-		}
-	}
-	if ls.pauseWant {
-		ls.holder = -2
-		ls.cond.Broadcast()
-		return
-	}
-	n := len(ls.state)
-	best, bestRank := -1, 0
+// pickTurn is the grant rule, the contract every deterministic digest
+// rests on. On a quiescent fleet it walks the workers once in id order:
+// a blocked worker whose predicate holds (or any blocked worker once the
+// runtime is stopping) becomes waiting, and the waiting worker with the
+// smallest clock is picked, ties going to the id cyclically after last.
+// In an ascending walk a later id outranks an equal-clock earlier one only
+// when last lies between them. It returns -1 when nobody waits; stuck
+// reports that a blocked worker remains.
+func pickTurn(state []lsState, pred []func() bool, workers []*Worker, last int, stopping bool) (best int, stuck bool) {
+	best = -1
 	var bestClock int64
-	for id, s := range ls.state {
-		if s != lsWaiting {
+	for id, s := range state {
+		if s == lsBlocked {
+			if !stopping && !pred[id]() {
+				stuck = true
+				continue
+			}
+			state[id], pred[id] = lsWaiting, nil
+		} else if s != lsWaiting {
 			continue
 		}
-		c := ls.rt.workers[id].clock.Now()
-		// Round-robin tie-break: among equal clocks, the id cyclically
-		// after the previous holder runs next.
-		rank := (id - ls.last - 1 + n) % n
-		if best == -1 || c < bestClock || (c == bestClock && rank < bestRank) {
-			best, bestClock, bestRank = id, c, rank
+		c := workers[id].clock.Now()
+		if best == -1 || c < bestClock || (c == bestClock && best <= last && id > last) {
+			best, bestClock = id, c
 		}
 	}
+	return best, stuck
+}
+
+// grantLocked hands the turn to the next runner if the fleet is quiescent,
+// waking it unless it is the caller (which is about to look for itself).
+// Caller holds mu; external callers pass -1.
+func (ls *lockstep) grantLocked(caller int) {
+	if ls.holder != -1 || ls.busy > 0 {
+		return // someone is mid-turn or not checked in yet
+	}
+	stopping := ls.rt.stop.Load()
+	best, stuck := pickTurn(ls.state, ls.pred, ls.rt.workers, ls.last, stopping)
+	if ls.pauseWant {
+		ls.holder = -2
+		ls.cond.Broadcast() // the pauser, and pausers queued behind it
+		return
+	}
 	if best == -1 {
-		if stopping {
-			return
-		}
-		for _, s := range ls.state {
-			if s == lsBlocked {
-				// No predicate fired and nothing can run: the workload
-				// deadlocked (e.g. a cycle of synchronous Calls). Failing
-				// loudly beats hanging the deterministic run forever.
-				panic("core: lockstep deadlock: every worker is blocked and no wake predicate holds")
-			}
+		if stuck && !stopping {
+			// No predicate fired and nothing can run: the workload
+			// deadlocked (e.g. a cycle of synchronous Calls). Failing
+			// loudly beats hanging the deterministic run forever.
+			panic("core: lockstep deadlock: every worker is blocked and no wake predicate holds")
 		}
 		return // all done
 	}
-	ls.holder = best
-	ls.last = best
-	ls.cond.Broadcast()
-}
-
-// acquire blocks until worker id holds the turn (or the runtime stops).
-func (ls *lockstep) acquire(id int) {
-	ls.mu.Lock()
-	ls.state[id] = lsWaiting
-	ls.grantLocked()
-	for ls.holder != id && !ls.rt.stop.Load() {
-		ls.cond.Wait()
+	ls.holder, ls.last = best, best
+	if best != caller {
+		ls.post(best)
 	}
-	ls.state[id] = lsRunning
-	ls.mu.Unlock()
 }
 
-// release ends worker id's turn.
-func (ls *lockstep) release(id int) {
+// post drops a token into worker id's wake slot without blocking; a full
+// slot already holds a token that will wake the worker just as well.
+func (ls *lockstep) post(id int) {
+	select {
+	case ls.wake[id] <- struct{}{}:
+	default:
+	}
+}
+
+// handoff is the one worker-side critical section: worker id checks in as
+// s (ending its turn if it holds one), the turn is granted on, and — unless
+// the worker is done — it sleeps on its wake slot until the turn comes back
+// (or the runtime stops). It reports whether the worker had to wait, i.e.
+// the turn did not come straight back to it. pred is the wake predicate of
+// a blocked worker; it runs with mu held and must not take locks.
+func (ls *lockstep) handoff(id int, s lsState, pred func() bool) (waited bool) {
 	ls.mu.Lock()
+	ls.state[id], ls.pred[id] = s, pred
+	ls.busy--
 	if ls.holder == id {
 		ls.holder = -1
 	}
-	ls.state[id] = lsWaiting
-	ls.grantLocked()
-	ls.mu.Unlock()
-}
-
-// blockOn parks worker id until pred holds (pred runs with mu held and
-// must not take locks), then re-acquires the turn before returning.
-func (ls *lockstep) blockOn(id int, pred func() bool) {
-	ls.mu.Lock()
-	ls.state[id] = lsBlocked
-	ls.pred[id] = pred
-	if ls.holder == id {
-		ls.holder = -1
+	ls.grantLocked(id)
+	if s != lsDone {
+		for ls.holder != id && !ls.rt.stop.Load() {
+			ls.mu.Unlock()
+			// Give up the P before sleeping: the successor the grant just
+			// woke sits in this P's run-next slot, and a goroutine that is
+			// still runnable when the turn comes back finds its token
+			// without a park/unpark round trip (svc-tenants wall_s 0.82 s
+			// without this yield, 0.68 s with it).
+			yieldHost()
+			<-ls.wake[id]
+			ls.mu.Lock()
+			waited = true
+		}
+		ls.state[id], ls.pred[id] = lsRunning, nil
+		ls.busy++
 	}
-	ls.grantLocked()
-	for !(ls.holder == id && ls.state[id] != lsBlocked) && !ls.rt.stop.Load() {
-		ls.cond.Wait()
-	}
-	ls.pred[id] = nil
-	ls.state[id] = lsRunning
 	ls.mu.Unlock()
-}
-
-// exit marks worker id's loop as finished.
-func (ls *lockstep) exit(id int) {
-	ls.mu.Lock()
-	if ls.holder == id {
-		ls.holder = -1
-	}
-	ls.state[id] = lsDone
-	ls.grantLocked()
-	ls.mu.Unlock()
+	return waited
 }
 
 // othersBlockedLocked reports whether every worker but id is blocked or
@@ -198,7 +212,7 @@ func (ls *lockstep) pause() {
 		ls.cond.Wait() // one external pause at a time
 	}
 	ls.pauseWant = true
-	ls.grantLocked()
+	ls.grantLocked(-1)
 	for ls.holder != -2 && !ls.rt.stop.Load() {
 		ls.cond.Wait()
 	}
@@ -219,44 +233,43 @@ func (ls *lockstep) resume() {
 	if ls.holder == -2 {
 		ls.holder = -1
 	}
-	ls.grantLocked()
+	ls.grantLocked(-1)
 	ls.cond.Broadcast()
 	ls.mu.Unlock()
 }
 
-// stopAll wakes every goroutine blocked in the lockstep so they can
-// observe Runtime.stop and exit.
+// stopAll wakes every goroutine parked in the lockstep — workers on their
+// wake slots, pausers on cond — so they can observe Runtime.stop and exit.
 func (ls *lockstep) stopAll() {
 	ls.mu.Lock()
+	for id := range ls.wake {
+		ls.post(id)
+	}
 	ls.cond.Broadcast()
 	ls.mu.Unlock()
 }
+
+// blockOn parks worker id until pred holds, then takes the turn back
+// before returning.
+func (ls *lockstep) blockOn(id int, pred func() bool) { ls.handoff(id, lsBlocked, pred) }
 
 // Worker-side helpers; all are no-ops when deterministic mode is off.
 
-func (w *Worker) turnAcquire() {
-	if ls := w.rt.ls; ls != nil {
-		ls.acquire(w.id)
-	}
-}
-
-func (w *Worker) turnRelease() {
-	if ls := w.rt.ls; ls != nil {
-		ls.release(w.id)
-	}
-}
-
+// turnExit marks the worker's loop as finished.
 func (w *Worker) turnExit() {
 	if ls := w.rt.ls; ls != nil {
-		ls.exit(w.id)
+		ls.handoff(w.id, lsDone, nil)
 	}
 }
 
-// yieldTurn cycles the turn at a cooperative scheduling point, letting the
-// virtually-furthest-behind worker interleave mid-task.
-func (w *Worker) yieldTurn() {
+// yieldTurn ends the worker's turn (if it has one: the loop's first call
+// only checks in) and waits for its next one: between loop steps, and at a
+// cooperative scheduling point mid-task, where it lets the
+// virtually-furthest-behind worker interleave. It reports whether another
+// worker ran in between.
+func (w *Worker) yieldTurn() bool {
 	if ls := w.rt.ls; ls != nil {
-		ls.release(w.id)
-		ls.acquire(w.id)
+		return ls.handoff(w.id, lsWaiting, nil)
 	}
+	return false
 }

@@ -1,0 +1,676 @@
+package core
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"charm/internal/admit"
+	"charm/internal/fault"
+	"charm/internal/mem"
+	"charm/internal/pmu"
+	"charm/internal/sim"
+	"charm/internal/topology"
+)
+
+var updateLockstepGolden = flag.Bool("update-lockstep-golden", false,
+	"rewrite testdata/lockstep_golden.txt from this run instead of comparing against it")
+
+// lsGolden accumulates the text digest of the lockstep golden scenarios:
+// one section per scenario holding the run's Stats, the full PMU (every
+// non-zero counter of every core), worker clocks, and per-job outcomes.
+// The file is compared byte for byte, so a baton change that moves a
+// single grant shows up as a readable one-line diff.
+type lsGolden struct{ b strings.Builder }
+
+func (g *lsGolden) section(name string) { fmt.Fprintf(&g.b, "== %s\n", name) }
+
+func (g *lsGolden) linef(format string, a ...any) { fmt.Fprintf(&g.b, format+"\n", a...) }
+
+func (g *lsGolden) stats(label string, st Stats) {
+	g.linef("stats %s makespan=%d tasks=%d steals=%d remote=%d migrations=%d",
+		label, st.Makespan, st.Tasks, st.Steals, st.RemoteSteals, st.Migrations)
+}
+
+// machine records the PMU and the worker clocks. The clocks are read
+// under an external pause: a finished run leaves idle workers drifting
+// toward the fleet maximum one host-scheduled turn at a time, and the
+// pause converges them, so what is recorded is the quiesced fleet — the
+// maximum for every runnable worker, its own clock for a parked one.
+func (g *lsGolden) machine(rt *Runtime) {
+	snap := rt.M.PMU.Snapshot()
+	for core, row := range snap.Counts {
+		var sb strings.Builder
+		for e, v := range row {
+			if v != 0 {
+				fmt.Fprintf(&sb, " %s=%d", pmu.Event(e), v)
+			}
+		}
+		if sb.Len() > 0 {
+			g.linef("pmu core=%d%s", core, sb.String())
+		}
+	}
+	rt.ls.pause()
+	clocks := make([]int64, len(rt.workers))
+	for i, w := range rt.workers {
+		clocks[i] = w.clock.Now()
+	}
+	rt.ls.resume()
+	g.linef("clocks %v", clocks)
+}
+
+func (g *lsGolden) jobs(svc *JobService) {
+	g.linef("jobstats %+v", svc.Stats())
+	for _, j := range svc.Jobs() {
+		g.linef("job %d %s state=%s arrival=%d latency=%d met=%v",
+			j.ID(), j.Name(), j.State(), j.Arrival(), j.Latency(), j.MetDeadline())
+	}
+}
+
+// lsRuntime is jobRuntime (4x2 synthetic machine, 8 workers unless set) in
+// Deterministic mode with the metric counters on.
+func lsRuntime(t *testing.T, opts Options) *Runtime {
+	t.Helper()
+	opts.Deterministic = true
+	if opts.SchedulerTimer == 0 {
+		opts.SchedulerTimer = 50_000
+	}
+	rt := jobRuntime(t, opts)
+	rt.met.reg.SetEnabled(true) // the fault scenarios digest park/re-enqueue counters
+	return rt
+}
+
+// lsServe installs the job service under an external pause. ServeJobs
+// itself does not stop the fleet, so installed bare on a running
+// Deterministic runtime the first arrivals are pumped by whichever idle
+// worker the host lets see the service first; paused, the fleet is
+// quiescent at the converged clock and the install is part of the replay.
+func lsServe(t *testing.T, rt *Runtime, opts JobServiceOptions) *JobService {
+	t.Helper()
+	rt.ls.pause()
+	svc, err := rt.ServeJobs(opts)
+	rt.ls.resume()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// lsYieldScenario: ParallelFor bodies that Yield mid-task (release+acquire
+// in one step), with uneven costs so the smallest-clock rule and the
+// rotating tie-break both decide grants. The per-task finish clocks pin
+// the interleaving itself, not just its totals.
+func lsYieldScenario(t *testing.T, g *lsGolden) {
+	g.section("parallelfor-yield")
+	rt := lsRuntime(t, Options{})
+	addr := rt.Alloc(1<<16, 0)
+	for phase := 0; phase < 2; phase++ {
+		finish := make([]int64, 64)
+		st := rt.ParallelFor(0, 64, 2, func(ctx *Ctx, i0, i1 int) {
+			for i := i0; i < i1; i++ {
+				a := addr + mem.Addr((i*7+phase)%128)*256
+				ctx.Read(a, 256)
+				ctx.Compute(int64(1_000 * (i%5 + 1)))
+				ctx.Yield()
+				ctx.Write(a, 64)
+				if i%3 == 0 {
+					ctx.Yield()
+				}
+				finish[i] = ctx.Now()
+			}
+		})
+		g.stats(fmt.Sprintf("phase%d", phase), st)
+		g.linef("finish %v", finish)
+	}
+	g.machine(rt)
+}
+
+// lsCallScenario: synchronous Calls (blockOn(done.Load)). Even workers
+// call their odd neighbour, which only computes and yields, so no cycle
+// of blocked callers can form.
+func lsCallScenario(t *testing.T, g *lsGolden) {
+	g.section("sync-call")
+	rt := lsRuntime(t, Options{})
+	addr := rt.Alloc(1<<14, 0)
+	finish := make([]int64, rt.Workers())
+	st := rt.AllDo(func(ctx *Ctx) {
+		w := ctx.Worker()
+		for r := 0; r < 3; r++ {
+			ctx.Compute(int64(500 * (w + 1)))
+			if w%2 == 0 {
+				ctx.Call(w+1, func(c *Ctx) {
+					c.Read(addr+mem.Addr(w)*512, 128)
+					c.Compute(700)
+				})
+			} else {
+				ctx.Yield()
+			}
+		}
+		finish[w] = ctx.Now()
+	})
+	g.stats("alldo", st)
+	g.linef("finish %v", finish)
+	g.machine(rt)
+}
+
+// lsBarrierScenario: AllDo + Barrier with a task re-homed mid-barrier.
+// Chiplet 1 (workers 2 and 3) dies at t=30µs. Worker 2's instance is not
+// a barrier party: it computes across the fault, spawns children onto its
+// own deque and returns, so its next loop step drains them to worker 4 —
+// which is parked inside the barrier and must wake on its inbox, spill
+// the strays to its deque and block again. Worker 0 arrives last, after a
+// run of yields, so the fleet really is mid-barrier when that happens.
+// Workers 2 and 3 then sit in fault parks (the static policy never
+// re-homes a worker) until the revival at 400µs.
+func lsBarrierScenario(t *testing.T, g *lsGolden) {
+	g.section("barrier-rehome")
+	topo := topology.Synthetic(4, 2)
+	plan := compilePlan(t, fault.New("ls-barrier", 5).OfflineChiplet(1, 30_000, 400_000), topo)
+	rt := lsRuntime(t, Options{Faults: plan, Policy: NewStaticPolicy(Compact)})
+	bar := rt.NewBarrier(6)
+	finish := make([]int64, rt.Workers())
+	var children atomic.Int64
+	st := rt.AllDo(func(ctx *Ctx) {
+		w := ctx.Worker()
+		switch w {
+		case 2:
+			ctx.Compute(40_000)
+			for i := 0; i < 4; i++ {
+				ctx.Spawn(func(c *Ctx) {
+					c.Compute(3_000)
+					children.Add(1)
+				})
+			}
+		case 3:
+			ctx.Compute(1_000)
+		default:
+			if w == 0 {
+				for i := 0; i < 10; i++ {
+					ctx.Compute(20_000)
+					ctx.Yield()
+				}
+			} else {
+				ctx.Compute(int64(2_000 * w))
+			}
+			ctx.Barrier(bar)
+			ctx.Compute(1_000)
+		}
+		finish[w] = ctx.Now()
+	})
+	if children.Load() != 4 {
+		t.Errorf("barrier-rehome: %d of 4 re-homed children ran", children.Load())
+	}
+	g.stats("alldo", st)
+	g.linef("finish %v", finish)
+	g.linef("fault parks=%d reenqueues=%d", rt.met.faultParks.Value(), rt.met.faultReenqueues.Value())
+	// A second phase past the revival: the parked workers resume and run.
+	st = rt.ParallelFor(0, 32, 1, func(ctx *Ctx, i0, i1 int) {
+		ctx.Compute(120_000)
+		ctx.Yield()
+	})
+	g.stats("revive", st)
+	g.machine(rt)
+}
+
+// lsParkScenario: four workers packed onto chiplets 0 and 1, which both go
+// offline for the same window, so the whole fleet parks with queued work
+// and only othersBlockedLocked — nobody can advance virtual time — lets a
+// parked worker jump to the revival.
+func lsParkScenario(t *testing.T, g *lsGolden) {
+	g.section("park-all-blocked")
+	topo := topology.Synthetic(4, 2)
+	plan := compilePlan(t, fault.New("ls-park", 9).
+		OfflineChiplet(0, 50_000, 150_000).
+		OfflineChiplet(1, 50_000, 150_000), topo)
+	rt := lsRuntime(t, Options{Workers: 4, Faults: plan, Policy: NewStaticPolicy(Compact)})
+	finish := make([]int64, 48)
+	st := rt.ParallelFor(0, 48, 1, func(ctx *Ctx, i0, i1 int) {
+		ctx.Compute(int64(9_000 + 500*(i0%4)))
+		ctx.Yield()
+		ctx.Compute(2_000)
+		finish[i0] = ctx.Now()
+	})
+	g.stats("parallelfor", st)
+	g.linef("finish %v", finish)
+	g.linef("fault parks=%d", rt.met.faultParks.Value())
+	g.machine(rt)
+}
+
+// lsServeScenario: an open-loop source (installed under a pause, see
+// lsServe) drained to exhaustion, then external SubmitJobs against the
+// idle fleet — each one pauses the baton, admits at the converged fleet
+// clock and resumes (last reset to -1).
+func lsServeScenario(t *testing.T, g *lsGolden) {
+	g.section("serve-submit")
+	rt := lsRuntime(t, Options{})
+	svc := lsServe(t, rt, JobServiceOptions{
+		Policy:        admit.Shed,
+		QueueCapacity: 8,
+		MaxInFlight:   4,
+		Source: &SpecSource{
+			Arrivals: admit.NewPoisson(13, 4_000, 40),
+			Gen: func(i int) JobSpec {
+				s := computeJob(3, int64(2_000+500*(i%4)), nil)
+				s.Name = fmt.Sprintf("src%d", i)
+				s.Deadline = 60_000
+				return s
+			},
+		},
+	})
+	svc.Drain()
+	for i := 0; i < 5; i++ {
+		s := computeJob(2+i%2, 1_500, nil)
+		s.Name = fmt.Sprintf("ext%d", i)
+		s.Deadline = 50_000
+		j, err := rt.SubmitJob(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	g.jobs(svc)
+	g.machine(rt)
+}
+
+// lsStopScenario: Stop lands mid-stream, while workers are taking turns
+// on an unfinished open-loop source. Where the stream is cut depends on
+// the host, so the digest holds only what does not: Stop returned, work
+// had been done, and later submissions are refused.
+func lsStopScenario(t *testing.T, g *lsGolden) {
+	g.section("stop-midrun")
+	rt := lsRuntime(t, Options{})
+	svc := lsServe(t, rt, JobServiceOptions{
+		Policy: admit.Shed,
+		Source: &SpecSource{
+			Arrivals: admit.NewPoisson(17, 2_000, 1<<20),
+			Gen: func(i int) JobSpec {
+				return JobSpec{Stages: []JobStage{{
+					func(ctx *Ctx) { ctx.Compute(1_000); ctx.Yield(); ctx.Compute(1_000) },
+					func(ctx *Ctx) { ctx.Compute(1_500) },
+				}}}
+			},
+		},
+	})
+	for svc.Stats().Completed < 50 {
+		yieldHost()
+	}
+	rt.Stop()
+	st := svc.Stats()
+	_, err := rt.SubmitJob(computeJob(1, 1_000, nil))
+	g.linef("stopped completed>=50=%v exhausted=%v resubmit=%v",
+		st.Completed >= 50, st.Submitted == 1<<20, errors.Is(err, ErrFinalized))
+}
+
+// TestLockstepGolden pins Deterministic-mode behaviour across commits:
+// six small scenarios that together enter the baton through every door
+// (acquire/release from the loop, Yield, blockOn from Call, Barrier and
+// park, pause/resume from submitWait and SubmitJob, stopAll) are digested
+// into testdata/lockstep_golden.txt. The engine may get faster; this file
+// may not change. Regenerate deliberately with -update-lockstep-golden.
+func TestLockstepGolden(t *testing.T) {
+	var g lsGolden
+	lsYieldScenario(t, &g)
+	lsCallScenario(t, &g)
+	lsBarrierScenario(t, &g)
+	lsParkScenario(t, &g)
+	lsServeScenario(t, &g)
+	lsStopScenario(t, &g)
+	got := g.b.String()
+
+	path := filepath.Join("testdata", "lockstep_golden.txt")
+	if *updateLockstepGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-lockstep-golden): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("golden mismatch at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("golden mismatch: got %d lines, want %d", len(gl), len(wl))
+}
+
+// refGrant is the grant rule as the broadcast baton wrote it — three scans
+// of state and an explicit rotation rank — kept here, and only here, as
+// the oracle for pickTurn/grantLocked. It mutates state like the original
+// (fired predicates turn blocked into waiting) and returns the pick, or -1.
+func refGrant(state []lsState, pred []func() bool, clocks []int64, last int) int {
+	for _, s := range state {
+		if s == lsStart || s == lsRunning {
+			return -1
+		}
+	}
+	for id, s := range state {
+		if s == lsBlocked && pred[id]() {
+			state[id] = lsWaiting
+		}
+	}
+	n := len(state)
+	best, bestRank, bestClock := -1, 0, int64(0)
+	for id, s := range state {
+		if s != lsWaiting {
+			continue
+		}
+		rank := (id - last - 1 + n) % n
+		if c := clocks[id]; best == -1 || c < bestClock || (c == bestClock && rank < bestRank) {
+			best, bestClock, bestRank = id, c, rank
+		}
+	}
+	return best
+}
+
+// lsVector is one input of the grant-order model test.
+type lsVector struct {
+	state  []lsState
+	clocks []int64
+	fires  []bool // blocked worker's predicate result
+	others []bool // blocked worker's predicate is othersBlocked instead
+	last   int
+	caller int // -1 for an external caller
+}
+
+func randLsVector(r *rand.Rand) lsVector {
+	n := 1 + r.Intn(12)
+	v := lsVector{
+		state: make([]lsState, n), clocks: make([]int64, n),
+		fires: make([]bool, n), others: make([]bool, n),
+		last: r.Intn(n+1) - 1, caller: -1,
+	}
+	shape := r.Intn(8)
+	span := int64(1 + r.Intn(4)) // few distinct clocks: ties are the norm
+	for id := range v.state {
+		switch k := r.Intn(10); {
+		case k < 5:
+			v.state[id] = lsWaiting
+		case k < 8:
+			v.state[id] = lsBlocked
+		default:
+			v.state[id] = lsDone
+		}
+		v.clocks[id] = r.Int63n(span)
+		v.fires[id] = r.Intn(2) == 0
+		v.others[id] = r.Intn(6) == 0
+	}
+	switch shape {
+	case 0: // all-equal clocks: the rotation alone decides
+		for id := range v.clocks {
+			v.clocks[id] = 7
+		}
+	case 1: // fresh after resume
+		v.last = -1
+	case 2: // a single waiter among blocked/done workers
+		for id := range v.state {
+			if v.state[id] == lsWaiting {
+				v.state[id] = lsDone
+			}
+		}
+		v.state[r.Intn(n)] = lsWaiting
+	case 3: // a fleet that is not quiescent
+		if r.Intn(2) == 0 {
+			v.state[r.Intn(n)] = lsRunning
+		} else {
+			v.state[r.Intn(n)] = lsStart
+		}
+	case 4: // a blocked worker whose predicate fires below the caller's clock
+		c, b := r.Intn(n), r.Intn(n)
+		v.state[c], v.clocks[c] = lsWaiting, 5
+		if b != c {
+			v.state[b], v.clocks[b], v.fires[b], v.others[b] = lsBlocked, r.Int63n(5), true, false
+		}
+		v.caller = c
+	}
+	if v.caller == -1 && r.Intn(2) == 0 {
+		if c := r.Intn(n); v.state[c] == lsWaiting {
+			v.caller = c // a worker handing its turn on
+		}
+	}
+	return v
+}
+
+// TestLockstepGrantOrderModel drives grantLocked over random fleets and
+// demands the reference's answer on each: the same pick, the same blocked →
+// waiting transitions, predicates consulted only on a quiescent fleet and
+// in worker-id order, last advanced, exactly one wake token for a picked
+// worker other than the caller and none otherwise, and the deadlock panic
+// exactly when every live worker is blocked with no predicate holding.
+func TestLockstepGrantOrderModel(t *testing.T) {
+	const maxWorkers = 12
+	rt := NewRuntime(sim.New(sim.Config{Topo: topology.Synthetic(8, 2)}),
+		Options{Workers: maxWorkers, Deterministic: true})
+	r := rand.New(rand.NewSource(20260930))
+	for iter := 0; iter < 20_000; iter++ {
+		v := randLsVector(r)
+		n := len(v.state)
+		ls := newLockstep(rt, n)
+		ls.last = v.last
+		ls.busy = 0
+		copy(ls.state, v.state)
+		for id, s := range v.state {
+			rt.workers[id].clock.Set(v.clocks[id])
+			if s == lsStart || s == lsRunning {
+				ls.busy++
+			}
+		}
+		var order []int
+		mkPreds := func(state []lsState, log *[]int) []func() bool {
+			preds := make([]func() bool, n)
+			for id := range preds {
+				id := id
+				if state[id] != lsBlocked {
+					continue
+				}
+				preds[id] = func() bool {
+					if log != nil {
+						*log = append(*log, id)
+					}
+					if v.others[id] { // park's fallback: reads the live state array
+						for j, s := range state {
+							if j != id && s != lsBlocked && s != lsDone {
+								return false
+							}
+						}
+						return true
+					}
+					return v.fires[id]
+				}
+			}
+			return preds
+		}
+		copy(ls.pred, mkPreds(ls.state, &order))
+
+		wantState := append([]lsState(nil), v.state...)
+		want := refGrant(wantState, mkPreds(wantState, nil), v.clocks, v.last)
+		wantPanic := want == -1 && ls.busy == 0
+		if wantPanic {
+			wantPanic = false
+			for _, s := range wantState {
+				wantPanic = wantPanic || s == lsBlocked
+			}
+		}
+
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			ls.mu.Lock()
+			defer ls.mu.Unlock()
+			ls.grantLocked(v.caller)
+			return false
+		}()
+		desc := fmt.Sprintf("iter %d: state=%v clocks=%v fires=%v others=%v last=%d caller=%d",
+			iter, v.state, v.clocks, v.fires, v.others, v.last, v.caller)
+		if panicked != wantPanic {
+			t.Fatalf("%s: deadlock panic = %v, want %v", desc, panicked, wantPanic)
+		}
+		if panicked {
+			continue
+		}
+		if ls.holder != want {
+			t.Fatalf("%s: picked %d, reference picks %d", desc, ls.holder, want)
+		}
+		if ls.busy > 0 {
+			if len(order) != 0 {
+				t.Fatalf("%s: predicates %v consulted on a fleet that is not quiescent", desc, order)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(ls.state, wantState) {
+			t.Fatalf("%s: states %v, reference %v", desc, ls.state, wantState)
+		}
+		if !sort.IntsAreSorted(order) {
+			t.Fatalf("%s: predicates consulted out of id order: %v", desc, order)
+		}
+		if want != -1 && ls.last != want {
+			t.Fatalf("%s: last = %d after granting %d", desc, ls.last, want)
+		}
+		for id, c := range ls.wake {
+			if got, wantTok := len(c), b2i(id == want && want != v.caller); got != wantTok {
+				t.Fatalf("%s: wake[%d] holds %d tokens, want %d", desc, id, got, wantTok)
+			}
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestLockstepDeadlockPanics: a cycle of synchronous Calls blocks every
+// worker with no predicate able to fire; the baton must fail loudly on the
+// worker that closes the cycle instead of hanging the run.
+func TestLockstepDeadlockPanics(t *testing.T) {
+	rt := NewRuntime(sim.New(sim.Config{Topo: topology.Synthetic(2, 2)}),
+		Options{Workers: 3, Deterministic: true})
+	ls := rt.ls
+	never := func() bool { return false }
+	ls.busy = 1 // worker 2 is mid-turn, about to block as well
+	ls.state[0], ls.pred[0] = lsBlocked, never
+	ls.state[1] = lsDone
+	ls.state[2], ls.holder = lsRunning, 2
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "lockstep deadlock") {
+			t.Fatalf("recovered %q, want the lockstep deadlock panic", msg)
+		}
+	}()
+	ls.blockOn(2, never)
+	t.Fatal("blockOn returned from a deadlocked fleet")
+}
+
+// TestLockstepStress is the liveness gate, meant for -race -count=10 under
+// a -timeout: sixteen workers cycle the baton from inside AllDo bodies while
+// two external goroutines hammer SubmitJob (pause/resume) with jobs whose
+// tasks Yield and make synchronous Calls, and then Stop lands with workers
+// asleep on their wake slots in both the waiting and the blocked state. The
+// run must return, and every goroutine the runtime started must be gone —
+// a worker left parked on its slot would show up in NumGoroutine.
+func TestLockstepStress(t *testing.T) {
+	before := runtime.NumGoroutine()
+	const workers = 16
+	rt := NewRuntime(sim.New(sim.Config{Topo: topology.Synthetic(8, 2)}),
+		Options{Workers: workers, Deterministic: true, SchedulerTimer: 50_000})
+	rt.Start()
+	svc, err := rt.ServeJobs(JobServiceOptions{Policy: admit.Reject, QueueCapacity: 64, MaxInFlight: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One job parks its worker in a barrier whose second party never
+	// comes, so Stop is certain to find a worker asleep in blockOn.
+	stuck := rt.NewBarrier(2)
+	if _, err := rt.SubmitJob(JobSpec{Stages: []JobStage{{func(ctx *Ctx) { ctx.Barrier(stuck) }}}}); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Stages: []JobStage{{
+		func(ctx *Ctx) { ctx.Compute(500); ctx.Yield(); ctx.Compute(500) },
+		func(ctx *Ctx) {
+			ctx.Compute(300)
+			// Even workers call their odd neighbour, which never blocks in
+			// a Call itself, so no cycle of callers can form.
+			if w := ctx.Worker(); w%2 == 0 {
+				ctx.Call(w+1, func(c *Ctx) { c.Compute(200) })
+			}
+		},
+	}}}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the yielding fleet
+		defer wg.Done()
+		defer func() {
+			if p := recover(); p != nil && p != ErrFinalized {
+				t.Errorf("AllDo panicked: %v", p)
+			}
+		}()
+		for {
+			rt.AllDo(func(ctx *Ctx) {
+				for i := 0; i < 50; i++ {
+					ctx.Compute(100)
+					ctx.Yield()
+				}
+			})
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() { // the hammering submitters
+			defer wg.Done()
+			for {
+				if _, err := rt.SubmitJob(spec); errors.Is(err, ErrFinalized) {
+					return
+				}
+				yieldHost()
+			}
+		}()
+	}
+	blocked := func() bool {
+		rt.ls.mu.Lock()
+		defer rt.ls.mu.Unlock()
+		for _, s := range rt.ls.state {
+			if s == lsBlocked {
+				return true
+			}
+		}
+		return false
+	}
+	for svc.Stats().Completed < 100 || !blocked() {
+		yieldHost()
+	}
+	rt.Stop()
+	wg.Wait()
+	if st := svc.Stats(); st.Completed < 100 {
+		t.Errorf("completed %d jobs before Stop, want >= 100", st.Completed)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before Start, %d after Stop:\n%s",
+				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		yieldHost()
+	}
+}

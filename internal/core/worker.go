@@ -217,13 +217,11 @@ func (w *Worker) loop() {
 	defer w.turnExit()
 	defer w.closeCoPool()
 	idle := 0
+	w.yieldTurn() // check in and wait for the first turn
 	for !w.rt.stop.Load() {
-		w.turnAcquire()
-		if !w.rt.stop.Load() {
-			w.step(&idle)
-		}
-		w.turnRelease()
-		if idle > 16 {
+		w.step(&idle)
+		if !w.yieldTurn() && idle > 16 {
+			// Idle and nobody else took a turn (always so when free-running).
 			yieldHost()
 		}
 	}

@@ -556,22 +556,28 @@ func (r *Registry) EnableSampling(interval int64, maxSamples int) {
 
 // MaybeSample records a traced-metric snapshot when at least the sampling
 // interval has elapsed since the last one. Safe for concurrent use from
-// every worker: one caller wins the CAS, the rest return immediately. The
-// fast path (sampling off or not yet due) is two atomic loads.
+// every worker. The fast path (sampling off or not yet due) is two atomic
+// loads; a due caller re-checks, snapshots and appends inside one histMu
+// section, so snapshots enter the ring in the order their timestamps were
+// accepted and History is time-ordered by construction — a claimer
+// preempted between claiming and filing can no longer land behind a later
+// one. Func metrics therefore run with histMu held and must not call back
+// into History, DroppedSamples or EnableSampling.
 func (r *Registry) MaybeSample(now int64) bool {
 	iv := r.sampleEvery.Load()
 	if iv <= 0 || !r.enabled.Load() {
 		return false
 	}
-	last := r.lastSample.Load()
-	if now-last < iv {
+	if now-r.lastSample.Load() < iv {
 		return false
 	}
-	if !r.lastSample.CompareAndSwap(last, now) {
-		return false
-	}
-	snap := r.snapshotTraced(now)
 	r.histMu.Lock()
+	defer r.histMu.Unlock()
+	if now-r.lastSample.Load() < iv {
+		return false // another caller filed this interval while we waited
+	}
+	r.lastSample.Store(now)
+	snap := r.snapshotTraced(now)
 	if len(r.history) < r.histCap {
 		r.history = append(r.history, snap)
 	} else {
@@ -579,7 +585,6 @@ func (r *Registry) MaybeSample(now int64) bool {
 		r.histStart = (r.histStart + 1) % r.histCap
 		r.dropped++
 	}
-	r.histMu.Unlock()
 	return true
 }
 
