@@ -23,11 +23,13 @@ STATICCHECK_VERSION ?= 2025.1.1
 # simulator stress test that hammers Machine.Access from one goroutine
 # per core (exercises the coherence directory and the lock-free tag
 # arrays under -race), the lockstep baton's golden/model/liveness tests
-# ten times under -race with a timeout (a worker left asleep on its wake
-# slot is a hang, not a failure), the sampling-order test that used to
-# flake on 2 cores, the benchmark's own module (bench/ is nested, so
-# ./... does not reach it) plus its smoke run, and a short fuzz pass over
-# the corpus-backed fuzzers.
+# and the idle-turn predicate's soundness test ten times under -race with
+# a timeout (a worker left asleep on its wake slot is a hang, not a
+# failure), the two replay tests that used to read an unsettled fleet
+# fifty times plain and ten under -race at one and two procs, the
+# sampling-order test that used to flake on 2 cores, the benchmark's own
+# module (bench/ is nested, so ./... does not reach it) plus its smoke
+# run, and a short fuzz pass over the corpus-backed fuzzers.
 verify:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -39,9 +41,10 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/...
 	$(GO) test -race -run TestMachineAccessRaceStress ./internal/sim/
-	$(GO) test -race -count=2 -run TestPowerReplayBitIdentical ./internal/core/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
 	$(GO) test -race -count=10 -timeout 300s -run 'Lockstep' ./internal/core/
+	$(GO) test -count=50 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
+	$(GO) test -race -count=10 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
 	$(GO) test -count=20 -cpu 1,2 -run TestSamplingConcurrentShards ./internal/obs/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke >/dev/null
@@ -89,7 +92,7 @@ bench:
 	$(GO) test ./internal/core/ -run xxx -bench . -benchtime 1s -benchmem
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding, turn/self = the no-wakeup path (15 of 16 workers blocked in a barrier)" \
+		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding, turn/self = the no-wakeup path (15 of 16 workers blocked in a barrier), turn/idle = one inline idle turn of 8 workers drifting toward a far arrival" \
 		-time-cmd "$(GO) run ./cmd/charm-bench all"
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_directory.json \

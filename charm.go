@@ -630,9 +630,21 @@ func (r *Runtime) Run(fn func(*Ctx)) Stats { return r.rt.Run(fn) }
 // bounded queue under the configured backpressure policy, dispatched while
 // the machine runs, optionally driven by a seeded arrival source and
 // guarded by per-chiplet circuit breakers. At most one service per
-// runtime.
+// runtime. On a started Deterministic runtime install with
+// ServeJobsFromTask instead, or the first arrivals are not part of the
+// replay.
 func (r *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	return r.rt.ServeJobs(opts)
+}
+
+// ServeJobsFromTask is ServeJobs called from inside a root task. ServeJobs
+// publishes the service without stopping the lockstep fleet, so from outside
+// a task the rotation the service starts from depends on how many idle turns
+// the host ran since Init; a task holds the turn. Not for use inside a task
+// (a nested Run never returns).
+func (r *Runtime) ServeJobsFromTask(opts JobServiceOptions) (svc *JobService, err error) {
+	r.Run(func(*Ctx) { svc, err = r.rt.ServeJobs(opts) })
+	return svc, err
 }
 
 // SubmitJob submits one job through the admission pipeline (installing a
@@ -734,6 +746,15 @@ func (r *Runtime) EnableMetrics(on bool) { r.rt.EnableMetrics(on) }
 // MetricsRegistry exposes the runtime's metrics registry for custom
 // instrumentation or exporters.
 func (r *Runtime) MetricsRegistry() *obs.Registry { return r.rt.Metrics() }
+
+// TurnStats counts a Deterministic runtime's lockstep grants by how the
+// turn was delivered (woke a goroutine, idle turn played inline, came
+// straight back). Host-paced: not part of any replay.
+type TurnStats = core.TurnStats
+
+// TurnStats returns the lockstep grant counts so far (zero when
+// free-running).
+func (r *Runtime) TurnStats() TurnStats { return r.rt.TurnStats() }
 
 // MetricsSnapshot merges all metric shards at the current virtual time.
 func (r *Runtime) MetricsSnapshot() MetricsSnapshot { return r.rt.MetricsSnapshot() }

@@ -439,7 +439,7 @@ func TestJobServicePublicAPI(t *testing.T) {
 	}
 	const jobs = 25
 	var ran atomic.Int64
-	svc, err := rt.ServeJobs(JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(JobServiceOptions{
 		Policy: AdmitShed,
 		Source: &SpecSource{
 			Arrivals: NewPoissonArrivals(3, 10_000, jobs),

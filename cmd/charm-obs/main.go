@@ -486,7 +486,7 @@ func runOverload(load float64, thermal bool) (*charm.Runtime, *charm.JobService)
 	}
 	rt.EnableMetrics(true)
 	rt.EnableTracing(true)
-	svc, err := rt.ServeJobs(charm.JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
 		Policy:        charm.AdmitShed,
 		QueueCapacity: ovQueueCap,
 		Breakers:      true,
@@ -651,7 +651,7 @@ func cmdPower(args []string) {
 		fatal(err)
 	}
 	defer rt.Finalize()
-	svc, err := rt.ServeJobs(charm.JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
 		Policy:        charm.AdmitShed,
 		QueueCapacity: ovQueueCap,
 		Placement:     placement,
@@ -757,7 +757,7 @@ func cmdTenants(args []string) {
 			}
 		}
 	}
-	svc, err := rt.ServeJobs(charm.JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
 		MaxInFlight:  256,
 		EvalInterval: 50_000,
 		Tenants: []charm.TenantConfig{

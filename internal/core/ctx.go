@@ -135,7 +135,7 @@ func (c *Ctx) Yield() {
 		// tasks interleave at window granularity even mid-task) and run
 		// the Alg. 1 timer. Under lockstep the turn cycles instead, which
 		// interleaves workers in virtual-clock order.
-		c.w.yieldTurn()
+		c.w.rt.ls.handoff(c.w.id, lsWaiting, false, nil)
 		c.w.throttle()
 		c.w.maybeTick()
 		return
@@ -236,7 +236,7 @@ func (c *Ctx) Call(target int, fn func(*Ctx)) {
 	} else if ls := rt.ls; ls != nil {
 		// Deterministic mode: hand the turn away until the reply lands.
 		c.w.blocked.Store(true)
-		ls.blockOn(c.w.id, done.Load)
+		ls.handoff(c.w.id, lsBlocked, false, done.Load)
 		c.w.blocked.Store(false)
 	} else {
 		// Run-to-completion task: the worker itself blocks.
@@ -282,7 +282,7 @@ func (c *Ctx) Barrier(b *RtBarrier) {
 		g := b.enter(c.Now())
 		c.w.blocked.Store(true)
 		for {
-			ls.blockOn(c.w.id, func() bool {
+			ls.handoff(c.w.id, lsBlocked, false, func() bool {
 				return g.released() || !c.w.inbox.Empty()
 			})
 			if g.released() || c.w.rt.stop.Load() {

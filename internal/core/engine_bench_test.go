@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"charm/internal/admit"
 	"charm/internal/sim"
 	"charm/internal/topology"
 )
@@ -12,7 +14,7 @@ import (
 // BENCH_engine.json carries its own before/after. The access pair is the
 // per-access microbench the PR's >=1.5x target applies to; the task and
 // coro pairs are about allocs/op (run with -benchmem). The turn rows are
-// the lockstep baton's ns/handoff record.
+// the lockstep baton's ns/turn record.
 func BenchmarkEngine(b *testing.B) {
 	engineRT := func(b *testing.B, workers int, opts Options) *Runtime {
 		b.Helper()
@@ -125,5 +127,29 @@ func BenchmarkEngine(b *testing.B) {
 			}
 			ctx.Barrier(bar)
 		})
+	})
+
+	// The idle stretch: eight workers with empty queues drift toward an
+	// arrival an hour of virtual time ahead (1.4e10 turns away; one second
+	// is only 4e6), so every turn is an idle turn, whichever goroutine
+	// plays it. The fleet paces itself; ns/op is the elapsed time over the
+	// turns TurnStats counted.
+	b.Run("turn/idle", func(b *testing.B) {
+		rt := engineRT(b, 8, Options{Deterministic: true})
+		rt.ls.pause()
+		_, err := rt.ServeJobs(JobServiceOptions{Source: &SpecSource{
+			Arrivals: admit.NewTrace([]int64{3_600_000_000_000}),
+			Gen:      func(int) JobSpec { return JobSpec{} },
+		}})
+		rt.ls.resume()
+		if err != nil {
+			b.Fatal(err)
+		}
+		turns := func() int64 { st := rt.TurnStats(); return st.Handoff + st.Inline + st.Self }
+		start, t0 := turns(), time.Now()
+		for turns()-start < int64(b.N) {
+			yieldHost()
+		}
+		b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(turns()-start), "ns/op")
 	})
 }

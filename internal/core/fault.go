@@ -209,7 +209,7 @@ func (w *Worker) park(c topology.CoreID) {
 	w.blocked.Store(true)
 	defer w.blocked.Store(false)
 	if ls := w.rt.ls; ls != nil {
-		ls.blockOn(w.id, func() bool {
+		ls.handoff(w.id, lsBlocked, false, func() bool {
 			return !w.inbox.Empty() || w.rt.MaxWorkerClock() >= upAt ||
 				ls.othersBlockedLocked(w.id)
 		})

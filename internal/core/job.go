@@ -399,7 +399,10 @@ type JobService struct {
 
 // ServeJobs installs an open-loop job service on the runtime. At most one
 // service per runtime; a second call returns an error. May be called
-// before or after Start, but not after Stop.
+// before or after Start, but not after Stop. It does not stop a running
+// Deterministic fleet (a pause here would deadlock a caller that holds the
+// turn), so for a replayable run call it from inside a root task, or before
+// Start: from outside, the rotation the first arrivals meet is the host's.
 func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	if rt.lifecycle.Load() == lcStopped {
 		return nil, ErrFinalized

@@ -50,7 +50,7 @@ func TestOpenLoopPoissonDrain(t *testing.T) {
 	rt := jobRuntime(t, Options{Deterministic: true})
 	var ran atomic.Int64
 	const jobs = 40
-	svc, err := rt.ServeJobs(JobServiceOptions{
+	svc := lsServe(t, rt, JobServiceOptions{
 		Policy: admit.Reject,
 		Source: &SpecSource{
 			Arrivals: admit.NewPoisson(7, 5_000, jobs),
@@ -62,9 +62,6 @@ func TestOpenLoopPoissonDrain(t *testing.T) {
 			},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.Drain()
 	st := svc.Stats()
 	if st.Submitted != jobs || st.Admitted != jobs || st.Completed != jobs {
@@ -309,7 +306,7 @@ func overloadRun(t *testing.T, seed uint64) (JobStats, []int64, [4]int64) {
 	rt := NewRuntime(m, Options{Workers: 8, Deterministic: true, Faults: plan})
 	rt.Start()
 	defer rt.Stop()
-	svc, err := rt.ServeJobs(JobServiceOptions{
+	svc := lsServe(t, rt, JobServiceOptions{
 		Policy:       admit.Shed,
 		Breakers:     true,
 		EvalInterval: 50_000,
@@ -324,9 +321,6 @@ func overloadRun(t *testing.T, seed uint64) (JobStats, []int64, [4]int64) {
 			},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.Drain()
 	lats := make([]int64, 0, 120)
 	for _, j := range svc.Jobs() {

@@ -21,8 +21,8 @@ import "sync"
 // deterministic too.
 //
 // The turn is handed over directly: a grant wakes the one worker it picked
-// through that worker's wake slot, and wakes nobody when it picks the
-// worker that is handing the turn over.
+// through that worker's wake slot; it wakes nobody when it picks the caller,
+// or an idle worker, whose turn the caller plays itself (grantLocked).
 //
 // External submitters (submitWait) pause the fleet between turns to
 // distribute tasks, and converge all waiting workers' clocks to the fleet
@@ -38,6 +38,9 @@ type lockstep struct {
 	// predicate of a blocked worker (evaluated with mu held).
 	state []lsState
 	pred  []func() bool
+	// top[id]: the check-in came from the top of loop(), so the worker's
+	// next turn is a whole step(), not the rest of a task.
+	top []bool
 	// wake[id] is worker id's wake slot (1-buffered). A grant to a worker
 	// other than the caller drops a token into it, after setting holder
 	// under mu. A waiter checks holder == id under mu before every sleep
@@ -59,7 +62,24 @@ type lockstep struct {
 	// (which only its owner may drain) holds the remaining work. Reset on
 	// resume so the host-dependent number of idle turns before an external
 	// pause cannot leak into the post-pause grant order.
-	last int
+	last  int
+	turns TurnStats
+}
+
+// TurnStats counts lockstep grants by how the turn reached its worker: it
+// woke the worker's goroutine (Handoff), was an idle turn the granting worker
+// played itself (Inline), or came straight back (Self). Host-paced — an idle
+// fleet turns for as long as the host lets it — so it belongs in no replay.
+type TurnStats struct{ Handoff, Inline, Self int64 }
+
+// TurnStats returns the grant counts so far (zero when free-running).
+func (rt *Runtime) TurnStats() (t TurnStats) {
+	if ls := rt.ls; ls != nil {
+		ls.mu.Lock()
+		t = ls.turns
+		ls.mu.Unlock()
+	}
+	return t
 }
 
 type lsState uint8
@@ -77,6 +97,7 @@ func newLockstep(rt *Runtime, workers int) *lockstep {
 		rt:     rt,
 		state:  make([]lsState, workers),
 		pred:   make([]func() bool, workers),
+		top:    make([]bool, workers),
 		wake:   make([]chan struct{}, workers),
 		busy:   workers,
 		holder: -1,
@@ -120,30 +141,54 @@ func pickTurn(state []lsState, pred []func() bool, workers []*Worker, last int, 
 
 // grantLocked hands the turn to the next runner if the fleet is quiescent,
 // waking it unless it is the caller (which is about to look for itself).
-// Caller holds mu; external callers pass -1.
+// A pick at its loop top whose step() would only drift its idle clock
+// (idleTurn) is not woken: a worker caller plays that turn — the same
+// idleDrift, in the same grant order — checks it back in and picks again,
+// honouring pauseWant and stop between any two turns. External callers pass
+// -1 and never play turns: they have no wake slot to get the turn back on.
+// Caller holds mu, released around an inline turn (power and obs locks).
 func (ls *lockstep) grantLocked(caller int) {
-	if ls.holder != -1 || ls.busy > 0 {
-		return // someone is mid-turn or not checked in yet
-	}
-	stopping := ls.rt.stop.Load()
-	best, stuck := pickTurn(ls.state, ls.pred, ls.rt.workers, ls.last, stopping)
-	if ls.pauseWant {
-		ls.holder = -2
-		ls.cond.Broadcast() // the pauser, and pausers queued behind it
-		return
-	}
-	if best == -1 {
-		if stuck && !stopping {
-			// No predicate fired and nothing can run: the workload
-			// deadlocked (e.g. a cycle of synchronous Calls). Failing
-			// loudly beats hanging the deterministic run forever.
-			panic("core: lockstep deadlock: every worker is blocked and no wake predicate holds")
+	for n := 1; ls.holder == -1 && ls.busy == 0; n++ {
+		stopping := ls.rt.stop.Load()
+		best, stuck := pickTurn(ls.state, ls.pred, ls.rt.workers, ls.last, stopping)
+		if ls.pauseWant {
+			ls.holder = -2
+			ls.cond.Broadcast() // the pauser, and pausers queued behind it
+			return
 		}
-		return // all done
-	}
-	ls.holder, ls.last = best, best
-	if best != caller {
-		ls.post(best)
+		if best == -1 {
+			if stuck && !stopping {
+				// No predicate fired and nothing can run: the workload
+				// deadlocked (e.g. a cycle of synchronous Calls). Failing
+				// loudly beats hanging the deterministic run forever.
+				panic("core: lockstep deadlock: every worker is blocked and no wake predicate holds")
+			}
+			return // all done
+		}
+		ls.holder, ls.last = best, best
+		w := ls.rt.workers[best]
+		if caller < 0 || stopping || !ls.top[best] || !w.idleTurn() {
+			if best != caller {
+				ls.turns.Handoff++
+				ls.post(best)
+			} else {
+				ls.turns.Self++
+			}
+			return
+		}
+		ls.turns.Inline++
+		ls.state[best] = lsRunning
+		ls.busy++
+		ls.mu.Unlock()
+		w.idleDrift()
+		if n%256 == 0 {
+			// An idle fleet turns forever on this goroutine; at GOMAXPROCS=1
+			// an external caller needs the P (turn/idle: 71 ns at 16, 56 here).
+			yieldHost()
+		}
+		ls.mu.Lock()
+		ls.state[best], ls.holder = lsWaiting, -1
+		ls.busy--
 	}
 }
 
@@ -160,11 +205,18 @@ func (ls *lockstep) post(id int) {
 // s (ending its turn if it holds one), the turn is granted on, and — unless
 // the worker is done — it sleeps on its wake slot until the turn comes back
 // (or the runtime stops). It reports whether the worker had to wait, i.e.
-// the turn did not come straight back to it. pred is the wake predicate of
-// a blocked worker; it runs with mu held and must not take locks.
-func (ls *lockstep) handoff(id int, s lsState, pred func() bool) (waited bool) {
+// the turn did not come straight back to it. loop() checks in between steps
+// as lsWaiting with top set, and as lsDone when it exits; a task checks in
+// mid-turn, as lsWaiting at a cooperative scheduling point (the virtually-
+// furthest-behind worker interleaves) or as lsBlocked with the predicate
+// that wakes it, which runs with mu held and must not take locks. A no-op
+// on the nil lockstep of a free-running runtime.
+func (ls *lockstep) handoff(id int, s lsState, top bool, pred func() bool) (waited bool) {
+	if ls == nil {
+		return false
+	}
 	ls.mu.Lock()
-	ls.state[id], ls.pred[id] = s, pred
+	ls.state[id], ls.pred[id], ls.top[id] = s, pred, top
 	ls.busy--
 	if ls.holder == id {
 		ls.holder = -1
@@ -247,29 +299,4 @@ func (ls *lockstep) stopAll() {
 	}
 	ls.cond.Broadcast()
 	ls.mu.Unlock()
-}
-
-// blockOn parks worker id until pred holds, then takes the turn back
-// before returning.
-func (ls *lockstep) blockOn(id int, pred func() bool) { ls.handoff(id, lsBlocked, pred) }
-
-// Worker-side helpers; all are no-ops when deterministic mode is off.
-
-// turnExit marks the worker's loop as finished.
-func (w *Worker) turnExit() {
-	if ls := w.rt.ls; ls != nil {
-		ls.handoff(w.id, lsDone, nil)
-	}
-}
-
-// yieldTurn ends the worker's turn (if it has one: the loop's first call
-// only checks in) and waits for its next one: between loop steps, and at a
-// cooperative scheduling point mid-task, where it lets the
-// virtually-furthest-behind worker interleave. It reports whether another
-// worker ran in between.
-func (w *Worker) yieldTurn() bool {
-	if ls := w.rt.ls; ls != nil {
-		return ls.handoff(w.id, lsWaiting, nil)
-	}
-	return false
 }

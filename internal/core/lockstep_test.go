@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,6 +22,7 @@ import (
 	"charm/internal/mem"
 	"charm/internal/pmu"
 	"charm/internal/sim"
+	"charm/internal/tenant"
 	"charm/internal/topology"
 )
 
@@ -107,6 +109,179 @@ func lsServe(t *testing.T, rt *Runtime, opts JobServiceOptions) *JobService {
 	return svc
 }
 
+// lsSettle returns once the fleet sits at its idle fixed point, so what the
+// caller reads next does not depend on when the host lets it read. A run
+// that has returned leaves idle workers drifting up to the fleet maximum one
+// turn at a time, ticking the governor and the samplers on the way; an
+// external pause would cut that short (it moves waiting clocks to the
+// maximum without ticking), so the helper only watches: every worker that
+// is not parked is at the maximum, and since then each has had one more
+// turn (equal clocks rotate round-robin) to file the tick and the samples
+// that were still due at that clock. Needs a fleet with nothing queued and
+// no arrival pending, or the clocks never stop.
+func lsSettle(rt *Runtime) {
+	ls := rt.ls
+	since := int64(-1)
+	for {
+		ls.mu.Lock()
+		settled, max := true, rt.MaxWorkerClock()
+		for id, w := range rt.workers {
+			settled = settled && (ls.state[id] == lsBlocked || w.clock.Now() == max)
+		}
+		n := ls.turns.Handoff + ls.turns.Inline + ls.turns.Self
+		ls.mu.Unlock()
+		switch {
+		case !settled:
+			since = -1
+		case since < 0:
+			since = n
+		case n-since >= int64(len(rt.workers)):
+			return
+		}
+		yieldHost()
+	}
+}
+
+// power records the governor's published state: the clock it integrated up
+// to, temperatures, energy ledgers and tier events per chiplet.
+func (g *lsGolden) power(rt *Runtime) { g.linef("power %+v", *rt.Power().Stats()) }
+
+// series records what the idle turns file besides clock drift: worker 0's
+// concurrency samples, the fault actions (offline, park, resume) with the
+// clocks they fired at, and the times the metrics sampler accepted.
+func (g *lsGolden) series(rt *Runtime) {
+	for _, ps := range []struct {
+		name string
+		s    ProfSeries
+	}{{"concurrency", ProfConcurrency}, {"fault", ProfFault}} {
+		var sb strings.Builder
+		for _, x := range rt.Profiler().Samples(ps.s) {
+			fmt.Fprintf(&sb, " w%d@%d=%d", x.Worker, x.T, x.V)
+		}
+		g.linef("%s%s", ps.name, sb.String())
+	}
+	var at []int64
+	for _, h := range rt.Metrics().History() {
+		at = append(at, h.T)
+	}
+	g.linef("sampled %v", at)
+}
+
+// lsIdleRuntime is lsRuntime with the power plane (10 µs governor tick
+// under the 50 µs SchedulerTimer), the metrics sampler and the profiler on:
+// everything an idle turn can fire besides the clock add.
+func lsIdleRuntime(t *testing.T, opts Options) *Runtime {
+	t.Helper()
+	if opts.Power == nil {
+		opts.Power = hotPowerConfig()
+	}
+	rt := lsRuntime(t, opts)
+	rt.EnableMetrics(true)
+	rt.Profiler().Enable(true)
+	return rt
+}
+
+// lsIdleTenantsScenario: two tenants whose arrival gaps (90 µs and 140 µs
+// mean) span several governor ticks and sampler boundaries, so most ticks,
+// concurrency samples and metric samples fire from idle turns while the
+// fleet drifts toward the next arrival.
+func lsIdleTenantsScenario(t *testing.T, g *lsGolden) {
+	g.section("idle-power-tenants")
+	rt := lsIdleRuntime(t, Options{})
+	gen := func(name string, tasks int, cost int64) func(i int) JobSpec {
+		return func(i int) JobSpec {
+			s := computeJob(tasks, cost+1_000*int64(i%3), nil)
+			s.Name = fmt.Sprintf("%s%d", name, i)
+			s.Deadline = 120_000
+			s.Cost = int64(tasks) * cost
+			return s
+		}
+	}
+	svc := lsServe(t, rt, JobServiceOptions{
+		MaxInFlight:  16,
+		EvalInterval: 50_000,
+		Tenants: []TenantConfig{
+			{
+				Spec:   tenant.Spec{Name: "A", Weight: 1, Quota: 2, Policy: admit.Shed, QueueCap: 16},
+				Source: &SpecSource{Arrivals: admit.NewPoisson(21, 90_000, 10), Gen: gen("a", 3, 12_000)},
+			},
+			{
+				Spec:   tenant.Spec{Name: "B", Weight: 1, Quota: 2, Policy: admit.Shed, QueueCap: 16},
+				Source: &SpecSource{Arrivals: admit.NewPoisson(22, 140_000, 8), Gen: gen("b", 6, 20_000)},
+			},
+		},
+	})
+	svc.Drain()
+	lsSettle(rt)
+	g.jobs(svc)
+	g.power(rt)
+	g.series(rt)
+	g.machine(rt)
+}
+
+// lsIdleFaultScenario: fault windows that open and expire with nobody
+// mid-task. A burst of compute drives the governor into 60 µs emergency
+// parks, then nothing arrives for most of a millisecond: the last parks
+// expire in that gap (the park predicate — fleet maximum reached the
+// revival — is satisfied by idle drift alone), chiplet 3's static offline
+// window opens and closes inside it (checkFault fires from idle turns at
+// the window's first idle clock), and the job at 900 µs heats the dies
+// into a park that opens after it has finished, again on an idle fleet.
+func lsIdleFaultScenario(t *testing.T, g *lsGolden) {
+	g.section("idle-fault-park")
+	topo := topology.Synthetic(4, 2)
+	plan := compilePlan(t, fault.New("ls-idle", 3).OfflineChiplet(3, 300_000, 460_000), topo)
+	pc := hotPowerConfig()
+	pc.ParkNS = 60_000
+	rt := lsIdleRuntime(t, Options{Faults: plan, Power: pc, Policy: NewStaticPolicy(Compact)})
+	at := []int64{1_000, 2_000, 3_000, 4_000, 5_000, 6_000, 900_000, 950_000}
+	svc := lsServe(t, rt, JobServiceOptions{
+		Policy:       admit.Block,
+		MaxInFlight:  16,
+		EvalInterval: 50_000,
+		Source: &SpecSource{
+			Arrivals: admit.NewTrace(at),
+			Gen: func(i int) JobSpec {
+				s := computeJob(8, 25_000, nil)
+				s.Name = fmt.Sprintf("burst%d", i)
+				return s
+			},
+		},
+	})
+	svc.Drain()
+	lsSettle(rt)
+	g.jobs(svc)
+	g.linef("fault parks=%d reenqueues=%d", rt.met.faultParks.Value(), rt.met.faultReenqueues.Value())
+	g.power(rt)
+	g.series(rt)
+	g.machine(rt)
+}
+
+// lsIdleSubmitScenario: external SubmitJobs against a fleet that has idled
+// through a long gap. Each job holds one worker in a 300 µs compute while
+// the other seven have nothing to do, so once it ends they drift up to its
+// clock through thirty governor ticks; the next SubmitJob pauses the
+// settled fleet, admits at that clock and resumes with the rotation reset.
+func lsIdleSubmitScenario(t *testing.T, g *lsGolden) {
+	g.section("idle-gap-submit")
+	rt := lsIdleRuntime(t, Options{})
+	for i := 0; i < 3; i++ {
+		s := computeJob(2, 4_000, nil)
+		s.Stages[0] = append(s.Stages[0], func(ctx *Ctx) { ctx.Compute(300_000) })
+		s.Name = fmt.Sprintf("ext%d", i)
+		j, err := rt.SubmitJob(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		lsSettle(rt)
+	}
+	g.jobs(rt.JobServer())
+	g.power(rt)
+	g.series(rt)
+	g.machine(rt)
+}
+
 // lsYieldScenario: ParallelFor bodies that Yield mid-task (release+acquire
 // in one step), with uneven costs so the smallest-clock rule and the
 // rotating tie-break both decide grants. The per-task finish clocks pin
@@ -136,7 +311,7 @@ func lsYieldScenario(t *testing.T, g *lsGolden) {
 	g.machine(rt)
 }
 
-// lsCallScenario: synchronous Calls (blockOn(done.Load)). Even workers
+// lsCallScenario: synchronous Calls (handoff as lsBlocked on done.Load). Even workers
 // call their odd neighbour, which only computes and yields, so no cycle
 // of blocked callers can form.
 func lsCallScenario(t *testing.T, g *lsGolden) {
@@ -314,7 +489,7 @@ func lsStopScenario(t *testing.T, g *lsGolden) {
 
 // TestLockstepGolden pins Deterministic-mode behaviour across commits:
 // six small scenarios that together enter the baton through every door
-// (acquire/release from the loop, Yield, blockOn from Call, Barrier and
+// (acquire/release from the loop, Yield, blocking from Call, Barrier and
 // park, pause/resume from submitWait and SubmitJob, stopAll) are digested
 // into testdata/lockstep_golden.txt. The engine may get faster; this file
 // may not change. Regenerate deliberately with -update-lockstep-golden.
@@ -325,6 +500,9 @@ func TestLockstepGolden(t *testing.T) {
 	lsBarrierScenario(t, &g)
 	lsParkScenario(t, &g)
 	lsServeScenario(t, &g)
+	lsIdleTenantsScenario(t, &g)
+	lsIdleFaultScenario(t, &g)
+	lsIdleSubmitScenario(t, &g)
 	lsStopScenario(t, &g)
 	got := g.b.String()
 
@@ -560,6 +738,160 @@ func b2i(b bool) int {
 	return 0
 }
 
+// TestLockstepIdleTurnSound is the soundness gate of the inline-turn
+// predicate: over random fleets — queue contents (pinned, tenant-fenced and
+// plain tasks in deques and inboxes), the job service's next work before, at
+// and after the worker's clock, clocks inside and outside core-down windows,
+// blocked victims, stale steal-order caches — whenever idleTurn says yes, a
+// real step() of that worker must be nothing but idleDrift: queues, PMU,
+// metrics, job ledgers and every other clock untouched, its own clock at
+// min(c+Q, max(fleet max, next work)). The predicate may say no on a step
+// that would idle; the counts at the end keep the test from passing on a
+// predicate that always does. The runtime is never started: the test plays
+// the turns, so no goroutine races it.
+func TestLockstepIdleTurnSound(t *testing.T) {
+	topo := topology.Synthetic(4, 2)
+	plan := compilePlan(t, fault.New("idle-sound", 1).
+		OfflineChiplet(1, 10_000, 20_000).OfflineCore(5, 30_000, 40_000), topo)
+	rt := NewRuntime(sim.New(sim.Config{Topo: topo}),
+		Options{Workers: 8, Deterministic: true, Faults: plan, SchedulerTimer: 50_000})
+	defer rt.Stop()
+	rt.met.reg.SetEnabled(true)
+	svc, err := rt.ServeJobs(JobServiceOptions{Tenants: []TenantConfig{
+		{Spec: tenant.Spec{Name: "A", Weight: 1, Quota: 2, Policy: admit.Shed, QueueCap: 8}},
+		{Spec: tenant.Spec{Name: "B", Weight: 1, Quota: 2, Policy: admit.Shed, QueueCap: 8}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []*Job{nil, {ten: 0}, {ten: 1}}
+	queued := func() (n int64) {
+		for _, w := range rt.workers {
+			n += int64(w.deque.Len()) + w.inbox.Len()
+		}
+		return n
+	}
+	observe := func(self int) (pmu.Snapshot, any, JobStats, []TenantStats, []int64) {
+		var clocks []int64
+		for id, w := range rt.workers {
+			if id != self {
+				clocks = append(clocks, w.clock.Now())
+			}
+		}
+		return rt.M.PMU.Snapshot(), rt.met.reg.Snapshot(0), svc.Stats(), svc.TenantStats(), clocks
+	}
+
+	r := rand.New(rand.NewSource(14))
+	var yes, down, due, stale, busy int
+	for iter := 0; iter < 12_000; iter++ {
+		for _, w := range rt.workers {
+			for w.deque.Pop() != nil || w.inbox.Take() != nil {
+			}
+			w.clock.Set(r.Int63n(50_000))
+			w.blocked.Store(r.Intn(8) == 0)
+			rt.opts.Policy.StealOrder(w) // fill the cache
+		}
+		if r.Intn(8) == 0 {
+			rt.placeEpoch.Add(1) // every cached steal order is stale
+		}
+		for n := r.Intn(3) * r.Intn(4); n > 0; n-- {
+			task := &Task{pinned: r.Intn(3) == 0, home: r.Intn(8), job: jobs[r.Intn(len(jobs))]}
+			if v := rt.workers[r.Intn(8)]; r.Intn(2) == 0 {
+				v.deque.Push(task)
+			} else {
+				v.inbox.Put(task)
+			}
+		}
+		w := rt.workers[r.Intn(8)]
+		c := w.clock.Now()
+		next := int64(math.MaxInt64)
+		if k := r.Intn(4); k > 0 {
+			next = c + int64(k-2)*(1+r.Int63n(5_000)) // before, at, after the clock
+		}
+		svc.nextWork.Store(next)
+
+		isDown, isDue := plan.CoreDown(w.Core(), c), next <= c
+		isStale, isBusy := w.soEpoch != rt.placeEpoch.Load(), queued() > 0
+		if !w.idleTurn() {
+			if !isDown && !isDue && !isStale && !isBusy {
+				t.Fatalf("iter %d: worker %d at %d refused an idle turn for no reason the test knows", iter, w.id, c)
+			}
+			down, due, stale, busy = down+b2i(isDown), due+b2i(isDue), stale+b2i(isStale), busy+b2i(isBusy)
+			continue
+		}
+		yes++
+		if isDown {
+			t.Fatalf("iter %d: idle on core %d, which is down at %d (step would park)", iter, w.Core(), c)
+		}
+		want := c + rt.opts.IdleQuantum
+		if lim := rt.MaxWorkerClock(); next != math.MaxInt64 && next > lim {
+			want = min(want, next)
+		} else {
+			want = min(want, lim)
+		}
+		pm0, met0, js0, ts0, clk0 := observe(w.id)
+		idle := 0
+		w.step(&idle)
+		pm1, met1, js1, ts1, clk1 := observe(w.id)
+		switch {
+		case idle != 1:
+			t.Fatalf("iter %d: step of worker %d did not end in idleDrift", iter, w.id)
+		case w.clock.Now() != want:
+			t.Fatalf("iter %d: clock %d -> %d, idleDrift moves it to %d (next work %d)", iter, c, w.clock.Now(), want, next)
+		case queued() != 0:
+			t.Fatalf("iter %d: step touched a queue", iter)
+		case !reflect.DeepEqual(pm0, pm1):
+			t.Fatalf("iter %d: step moved the PMU", iter)
+		case !reflect.DeepEqual(met0, met1):
+			t.Fatalf("iter %d: step moved a metric:\n%+v\n%+v", iter, met0, met1)
+		case js0 != js1 || !reflect.DeepEqual(ts0, ts1) || svc.everServed:
+			t.Fatalf("iter %d: step reached the job service", iter)
+		case !reflect.DeepEqual(clk0, clk1):
+			t.Fatalf("iter %d: step moved another worker's clock: %v -> %v", iter, clk0, clk1)
+		}
+	}
+	if yes < 2_000 || down == 0 || due == 0 || stale == 0 || busy == 0 {
+		t.Fatalf("coverage: idle %d, refused for core down %d, work due %d, stale order %d, queued work %d",
+			yes, down, due, stale, busy)
+	}
+}
+
+// TestLockstepIdleFleetLive is the liveness gate of the inline turns, meant
+// for -race -count=10 at -cpu 1,2 under a -timeout: with the next arrival an
+// hour of virtual time away the whole fleet idles on whichever goroutine
+// ended the last real turn, and an external SubmitJob must still get its
+// pause (pauseWant seen between two inline turns, the P given up at
+// GOMAXPROCS=1), the resume must wake a worker instead of playing turns on
+// the submitter's goroutine, the job must run, and Stop must land.
+func TestLockstepIdleFleetLive(t *testing.T) {
+	rt := lsRuntime(t, Options{})
+	lsServe(t, rt, JobServiceOptions{Policy: admit.Reject, Source: &SpecSource{
+		Arrivals: admit.NewTrace([]int64{3_600_000_000_000}),
+		Gen:      func(int) JobSpec { return computeJob(1, 1_000, nil) },
+	}})
+	var ran atomic.Int64
+	for i := 0; i < 100; i++ {
+		j, err := rt.SubmitJob(computeJob(3, 1_000, &ran))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	if ran.Load() != 300 {
+		t.Errorf("%d of 300 tasks ran", ran.Load())
+	}
+	inline := -1.0
+	for _, m := range rt.MetricsSnapshot().Samples {
+		if m.Name == "charm_host_lockstep_turns_total" && m.Labels["kind"] == "inline" {
+			inline = m.Value
+		}
+	}
+	if st := rt.TurnStats(); st.Inline == 0 || st.Handoff == 0 || inline <= 0 {
+		t.Errorf("turns %+v, metric inline=%v: want idle turns played inline and real turns handed off", st, inline)
+	}
+	rt.Stop()
+}
+
 // TestLockstepDeadlockPanics: a cycle of synchronous Calls blocks every
 // worker with no predicate able to fire; the baton must fail loudly on the
 // worker that closes the cycle instead of hanging the run.
@@ -578,8 +910,8 @@ func TestLockstepDeadlockPanics(t *testing.T) {
 			t.Fatalf("recovered %q, want the lockstep deadlock panic", msg)
 		}
 	}()
-	ls.blockOn(2, never)
-	t.Fatal("blockOn returned from a deadlocked fleet")
+	ls.handoff(2, lsBlocked, false, never)
+	t.Fatal("handoff returned from a deadlocked fleet")
 }
 
 // TestLockstepStress is the liveness gate, meant for -race -count=10 under
@@ -600,7 +932,7 @@ func TestLockstepStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One job parks its worker in a barrier whose second party never
-	// comes, so Stop is certain to find a worker asleep in blockOn.
+	// comes, so Stop is certain to find a worker asleep as lsBlocked.
 	stuck := rt.NewBarrier(2)
 	if _, err := rt.SubmitJob(JobSpec{Stages: []JobStage{{func(ctx *Ctx) { ctx.Barrier(stuck) }}}}); err != nil {
 		t.Fatal(err)

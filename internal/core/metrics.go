@@ -143,6 +143,14 @@ func newRTMetrics(rt *Runtime, workers int) *rtMetrics {
 			func(t int64) float64 { return float64(rt.opts.Faults.CoresDown(t)) },
 			obs.Traced())
 	}
+	for i, kind := range []string{"handoff", "inline", "self"} {
+		// Host-paced (see TurnStats), so not Traced: in no sampled history or trace.
+		reg.Func("charm_host_lockstep_turns_total", "Lockstep grants by how the turn was delivered (host-paced).",
+			obs.KindCounter, obs.Labels{"kind": kind}, func(int64) float64 {
+				t := rt.TurnStats()
+				return float64([...]int64{t.Handoff, t.Inline, t.Self}[i])
+			})
+	}
 	return m
 }
 

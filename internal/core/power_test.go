@@ -134,6 +134,9 @@ func powerRun(t *testing.T, workers int, noBatch, noPool bool) (Stats, pmu.Snaps
 	// the idle hook rather than the reload hook.
 	add(rt.Run(func(ctx *Ctx) { ctx.Compute(400_000) }))
 
+	// Run returns while the idle workers are still drifting up to the
+	// computing worker's clock, ticking the governor as they go.
+	lsSettle(rt)
 	return total, rt.M.PMU.Snapshot(), rt.MaxWorkerClock(), *rt.Power().Stats()
 }
 

@@ -46,7 +46,7 @@ func tenantReplayRun(t *testing.T) tenantLedger {
 			return s
 		}
 	}
-	svc, err := rt.ServeJobs(JobServiceOptions{
+	svc := lsServe(t, rt, JobServiceOptions{
 		MaxInFlight:  256,
 		EvalInterval: 50_000,
 		Tenants: []TenantConfig{
@@ -68,9 +68,6 @@ func tenantReplayRun(t *testing.T) tenantLedger {
 			},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.Drain()
 
 	led := tenantLedger{

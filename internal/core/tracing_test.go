@@ -16,7 +16,9 @@ import (
 // experiment: 400 one-stage Poisson jobs at 2x capacity under deadline-aware
 // shedding) on a deterministic runtime with tracing, metrics, and
 // per-priority SLOs enabled. thermal throttles chiplet 1 by 3x mid-run with
-// the circuit breakers on.
+// the circuit breakers on. The service is installed under a pause and the
+// fleet has settled when the run returns, so what a test reads next is part
+// of the replay.
 func tracedOverloadRun(t *testing.T, thermal bool) (*Runtime, *JobService) {
 	t.Helper()
 	topo := topology.Synthetic(4, 2)
@@ -35,7 +37,7 @@ func tracedOverloadRun(t *testing.T, thermal bool) (*Runtime, *JobService) {
 	t.Cleanup(rt.Stop)
 	rt.EnableTracing(true)
 	rt.EnableMetrics(true)
-	svc, err := rt.ServeJobs(JobServiceOptions{
+	svc := lsServe(t, rt, JobServiceOptions{
 		Policy:        admit.Shed,
 		QueueCapacity: 64,
 		Breakers:      thermal,
@@ -54,10 +56,8 @@ func tracedOverloadRun(t *testing.T, thermal bool) (*Runtime, *JobService) {
 			},
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	svc.Drain()
+	lsSettle(rt)
 	return rt, svc
 }
 

@@ -211,16 +211,17 @@ func (w *Worker) FillsSinceDecision() int64 {
 }
 
 // loop is the worker's main scheduling loop. Under deterministic lockstep
-// each iteration is one turn; otherwise the turn calls are no-ops.
+// each iteration is one turn; otherwise the handoffs are no-ops.
 func (w *Worker) loop() {
+	ls := w.rt.ls
 	defer w.rt.wg.Done()
-	defer w.turnExit()
+	defer ls.handoff(w.id, lsDone, false, nil)
 	defer w.closeCoPool()
 	idle := 0
-	w.yieldTurn() // check in and wait for the first turn
+	ls.handoff(w.id, lsWaiting, true, nil) // check in and wait for the first turn
 	for !w.rt.stop.Load() {
 		w.step(&idle)
-		if !w.yieldTurn() && idle > 16 {
+		if !ls.handoff(w.id, lsWaiting, true, nil) && idle > 16 {
 			// Idle and nobody else took a turn (always so when free-running).
 			yieldHost()
 		}
@@ -261,6 +262,27 @@ func (w *Worker) step(idle *int) {
 	// and give the host scheduler room.
 	w.idleDrift()
 	*idle++
+}
+
+// idleTurn reports whether a step() of w now is certain to be idleDrift and
+// nothing else: its core is up at its clock, the job service has nothing due
+// by then, its steal order is cached, and every deque and inbox of the fleet
+// is empty, so the drain, the pop and every steal probe find nothing. It
+// may refuse a step that would idle, never accept one that would not.
+// Lockstep only: other workers' queues hold still only on a quiescent fleet.
+func (w *Worker) idleTurn() bool {
+	rt, now := w.rt, w.clock.Now()
+	if s := rt.svc.Load(); s != nil && s.nextWork.Load() <= now ||
+		rt.opts.Faults.CoreDown(w.Core(), now) ||
+		w.soCache == nil || w.soEpoch != rt.placeEpoch.Load() {
+		return false
+	}
+	for _, v := range rt.workers {
+		if !v.deque.Empty() || !v.inbox.Empty() {
+			return false
+		}
+	}
+	return true
 }
 
 // throttle pauses the worker while its virtual clock runs more than the

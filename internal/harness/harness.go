@@ -124,6 +124,9 @@ type Table struct {
 	Rows   [][]string
 	// Notes records the paper's expected shape for EXPERIMENTS.md.
 	Notes string
+	// Footer is a host-side remark printed under the rows (not in the CSV):
+	// it may differ between two runs of the same experiment.
+	Footer string
 }
 
 // Fprint renders the table as aligned text.
@@ -153,6 +156,9 @@ func (t *Table) Fprint(w io.Writer) {
 	line(t.Header)
 	for _, r := range t.Rows {
 		line(r)
+	}
+	if t.Footer != "" {
+		fmt.Fprintf(w, "# %s\n", t.Footer)
 	}
 	fmt.Fprintln(w)
 }

@@ -60,7 +60,7 @@ func (o Options) overloadRun(policy charm.AdmitPolicy, queueCap int, load float6
 	}
 	o.observe(rt)
 	defer rt.Finalize()
-	svc, err := rt.ServeJobs(charm.JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
 		Policy:        policy,
 		QueueCapacity: queueCap,
 		Breakers:      breakers,

@@ -149,7 +149,7 @@ func (r tenantResult) p99us() float64 {
 // tenantRun drives one configuration and splits the outcome by tenant.
 // isolated=false runs the shared-heap baseline (one Block queue, merged
 // streams, tenants distinguished only by name prefix).
-func (o Options) tenantRun(isolated, soloA bool, faults *charm.FaultSchedule) map[string]tenantResult {
+func (o Options) tenantRun(isolated, soloA bool, faults *charm.FaultSchedule, turns *charm.TurnStats) map[string]tenantResult {
 	rt, err := charm.Init(charm.Config{
 		Topology:      topology.Synthetic(4, 2),
 		Workers:       tnWorkers,
@@ -160,7 +160,13 @@ func (o Options) tenantRun(isolated, soloA bool, faults *charm.FaultSchedule) ma
 		panic(fmt.Sprintf("harness: tenants: %v", err))
 	}
 	o.observe(rt)
-	defer rt.Finalize()
+	defer func() {
+		ts := rt.TurnStats()
+		turns.Handoff += ts.Handoff
+		turns.Inline += ts.Inline
+		turns.Self += ts.Self
+		rt.Finalize()
+	}()
 
 	opts := charm.JobServiceOptions{
 		MaxInFlight:  tnMaxInFlight,
@@ -179,7 +185,7 @@ func (o Options) tenantRun(isolated, soloA bool, faults *charm.FaultSchedule) ma
 		opts.QueueCapacity = 4 * (tnAJobs + tnBJobs)
 		opts.Source = &mergedSource{a: tnSourceA(), b: tnSourceB()}
 	}
-	svc, err := rt.ServeJobs(opts)
+	svc, err := rt.ServeJobsFromTask(opts)
 	if err != nil {
 		panic(fmt.Sprintf("harness: tenants: %v", err))
 	}
@@ -244,11 +250,18 @@ func (o Options) Tenants() *Table {
 			"the fault row offlines one of A's leased chiplets mid-run (lease " +
 			"rebalance, not starvation); repro compares a full replay byte for byte",
 	}
-	solo := o.tenantRun(true, true, nil)
-	base := o.tenantRun(false, false, nil)
-	iso := o.tenantRun(true, false, nil)
-	isoAgain := o.tenantRun(true, false, nil)
-	flt := o.tenantRun(true, false, tnFault())
+	var turns charm.TurnStats
+	solo := o.tenantRun(true, true, nil, &turns)
+	base := o.tenantRun(false, false, nil, &turns)
+	iso := o.tenantRun(true, false, nil, &turns)
+	isoAgain := o.tenantRun(true, false, nil, &turns)
+	flt := o.tenantRun(true, false, tnFault(), &turns)
+	if n := turns.Handoff + turns.Inline + turns.Self; n > 0 {
+		tab.Footer = fmt.Sprintf("lockstep turns over the five runs (host-paced): %d, %.1f%% idle turns "+
+			"played inline, %.1f%% goroutine handoffs, %.1f%% straight back", n,
+			100*float64(turns.Inline)/float64(n), 100*float64(turns.Handoff)/float64(n),
+			100*float64(turns.Self)/float64(n))
+	}
 
 	soloP99 := solo["A"].p99us()
 	repro := "no"

@@ -93,7 +93,7 @@ func (o Options) thermalRun(placement charm.JobPlacement, pcfg *charm.PowerConfi
 	}
 	o.observe(rt)
 	defer rt.Finalize()
-	svc, err := rt.ServeJobs(charm.JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
 		Policy:        charm.AdmitShed,
 		QueueCapacity: thQueueCap,
 		Placement:     placement,

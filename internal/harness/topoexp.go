@@ -69,7 +69,7 @@ func (o Options) topoRun(spec string, placement charm.JobPlacement) topoResult {
 	o.observe(rt)
 	defer rt.Finalize()
 	hot := rt.Alloc(tpShared)
-	svc, err := rt.ServeJobs(charm.JobServiceOptions{
+	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
 		Policy:        charm.AdmitShed,
 		QueueCapacity: tpQueueCap,
 		Placement:     placement,
@@ -186,7 +186,9 @@ func (o Options) Topo() *Table {
 			"dispatch with congestion demotion plus capability preference, static " +
 			"= blind round-robin; the p99 spread across fabrics shows the " +
 			"interconnect is a first-order term, and CHARM beats static's p99 on " +
-			"every fabric and mix",
+			"every heterogeneous mix and on the homogeneous mesh, crossbar and " +
+			"flattened butterfly; on the homogeneous star and ring the two jobs " +
+			"that decide a 200-job p99 do not separate the policies",
 	}
 	for _, het := range []bool{false, true} {
 		for _, fab := range charm.SpecFabrics() {
