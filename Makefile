@@ -61,19 +61,21 @@ bench-smoke:
 	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 10x -benchmem
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 6 targets keeps the CI
-# step ~1.5 minutes while still churning fresh inputs past the saved corpus.
+# FUZZTIME bounds each fuzz-smoke target; 15s x 7 targets keeps the CI
+# step under 2 minutes while still churning fresh inputs past the saved corpus.
 FUZZTIME ?= 15s
 
 # fuzz-smoke runs every fuzz target briefly (go test -fuzz accepts one
 # target per invocation): the task-queue fuzzers, Alg. 2's collision
-# property, the simulator memory-access fuzzer, and the spec-grammar
-# parsers (tenant shares and topo specs).
+# property, the simulator memory-access fuzzer, the cache's Fill vs
+# Lookup+Insert differential, and the spec-grammar parsers (tenant shares
+# and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzInboxSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzUpdateLocationCollisionFree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzMachineAccess$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run xxx -fuzz '^FuzzParseTopoSpec$$' -fuzztime $(FUZZTIME)
 
@@ -96,8 +98,7 @@ bench:
 		-time-cmd "$(GO) run ./cmd/charm-bench all"
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_directory.json \
-		-note "Machine.Access: coherence directory (dir) vs broadcast L3 scan (scan), AMDMilan7713x2" \
-		-end-to-end "charm-bench all (default scale, sequential): ~53s before the directory, ~40s after (~1.3x)"
+		-note "Machine.Access: coherence directory (dir) vs broadcast L3 scan (scan); readhot, writeshared, streamingmiss on AMDMilan7713x2, remotefill = one 32 KiB read (512 lines) of the topo experiment's shared-array traffic on mesh:4x2,fast=2,eff=4,accel=2"
 	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_placement.json \
 		-note "internal/place decision plane on AMDMilan7713x2: rank build (one-time), per-decision view build and Select/ordering queries"
@@ -111,15 +112,18 @@ bench:
 		| $(GO) run ./cmd/benchjson -o BENCH_fabric.json \
 		-note "per-transfer charge cost of each interconnect fabric (route lookup + per-hop token-bucket charging) on a 2-socket 4x2 machine with a uniform-random transfer mix"
 
-# bench-gate reruns the engine, placement, and fabric benchmarks and diffs
-# them against the checked-in records, failing on any >15% ns/op regression
-# (override with GATE_THRESHOLD). Run it before committing changes to the
-# hot paths; make bench refreshes the records when a delta is deliberate.
+# bench-gate reruns the engine, access-path, placement, and fabric
+# benchmarks and diffs them against the checked-in records, failing on any
+# >15% ns/op regression (override with GATE_THRESHOLD). Run it before
+# committing changes to the hot paths; make bench refreshes the records when
+# a delta is deliberate.
 GATE_THRESHOLD ?= 15
 
 bench-gate:
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_engine.json -gate-threshold $(GATE_THRESHOLD)
+	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
+		| $(GO) run ./cmd/benchjson -gate BENCH_directory.json -gate-threshold $(GATE_THRESHOLD)
 	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_placement.json -gate-threshold $(GATE_THRESHOLD)
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem -cpu $(BENCH_CPU) \

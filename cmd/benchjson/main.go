@@ -73,14 +73,13 @@ type Doc struct {
 func main() {
 	out := flag.String("o", "", "write JSON to FILE (default stdout only)")
 	note := flag.String("note", "", "free-form note recorded in the document")
-	endToEnd := flag.String("end-to-end", "", "end-to-end measurement note recorded in the document")
 	baseline := flag.String("baseline", "", "compare against a prior BENCH_*.json and print per-bench deltas")
 	timeCmd := flag.String("time-cmd", "", "run CMD via the shell, record its wall time as the end_to_end measurement")
 	gate := flag.String("gate", "", "fail (exit 1) when any ns/op regresses past -gate-threshold vs this BENCH_*.json")
 	gateThreshold := flag.Float64("gate-threshold", 15, "allowed ns/op regression percentage for -gate")
 	flag.Parse()
 
-	doc := Doc{Note: *note, EndToEnd: *endToEnd}
+	doc := Doc{Note: *note}
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -121,9 +120,6 @@ func main() {
 	}
 	if *timeCmd != "" {
 		doc.EndToEnd = measureCmd(*timeCmd)
-		if *endToEnd != "" {
-			doc.EndToEnd += "; " + *endToEnd
-		}
 	}
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -160,7 +160,12 @@ func (c *Cache) Insert(line uint64, now int64) (evicted uint64, ok bool) {
 			victim = base + i
 		}
 	}
-	w := &c.sets[victim]
+	return c.replace(&c.sets[victim], tag, now)
+}
+
+// replace puts tag into way w and reports the line it displaced, if any.
+// The swap is what makes eviction reporting exact (see Insert).
+func (c *Cache) replace(w *way, tag uint64, now int64) (evicted uint64, ok bool) {
 	old := w.tag.Swap(tag)
 	w.use.Store(now)
 	if old == 0 || old == tag {
@@ -168,6 +173,53 @@ func (c *Cache) Insert(line uint64, now int64) (evicted uint64, ok bool) {
 	}
 	c.evicts.Add(1)
 	return old - 1, true
+}
+
+// Fill is Lookup and, on a miss, Insert in one scan of the set: the miss
+// path of the simulator probes and fills the same set back to back, and the
+// second scan was 8% of a cross-chiplet fill. It returns hit when line was
+// resident (LRU stamp refreshed, nothing inserted); otherwise line now
+// occupies the first empty way or replaces the LRU way, and (evicted, ok)
+// report the victim exactly as Insert does. Counters, victim choice and the
+// exactly-once eviction claim are Insert's; FuzzCacheFill holds the two
+// spellings to the same tags, stamps and statistics.
+func (c *Cache) Fill(line uint64, now int64) (hit bool, evicted uint64, ok bool) {
+	tag := line + 1
+	base := c.setOf(line) * c.ways
+	empty := -1
+	victim := base
+	victimUse := int64(1<<63 - 1)
+	for i := 0; i < c.ways; i++ {
+		w := &c.sets[base+i]
+		switch t := w.tag.Load(); {
+		case t == tag:
+			w.use.Store(now)
+			c.hits.Add(1)
+			return true, 0, false
+		case t == 0:
+			if empty < 0 {
+				empty = base + i
+			}
+		case empty < 0:
+			if u := w.use.Load(); u < victimUse {
+				victimUse = u
+				victim = base + i
+			}
+		}
+	}
+	c.misses.Add(1)
+	if empty >= 0 {
+		w := &c.sets[empty]
+		if !w.tag.CompareAndSwap(0, tag) {
+			// A concurrent fill took the way: Insert rescans.
+			evicted, ok = c.Insert(line, now)
+			return false, evicted, ok
+		}
+		w.use.Store(now)
+		return false, 0, false
+	}
+	evicted, ok = c.replace(&c.sets[victim], tag, now)
+	return false, evicted, ok
 }
 
 // Invalidate removes line if present and reports whether it was. The

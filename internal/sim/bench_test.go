@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"charm/internal/fabric"
 	"charm/internal/mem"
 	"charm/internal/topology"
 )
@@ -20,6 +21,11 @@ import (
 //	                holder transfer + ownership-upgrade invalidation per op.
 //	streamingmiss — a region far beyond L3 streamed sequentially: every
 //	                line misses everywhere, fills, and eventually evicts.
+//	remotefill    — the topo experiment's traffic on its heterogeneous
+//	                routed 4x2 machine: every chiplet streams one shared
+//	                array that fits the aggregate L3 but no single slice,
+//	                so nearly every line is a cross-chiplet fill that
+//	                evicts a line some other chiplet will want back.
 func BenchmarkMachineAccess(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -29,6 +35,7 @@ func BenchmarkMachineAccess(b *testing.B) {
 			b.Run("readhot", func(b *testing.B) { benchReadHot(b, mode.noDir) })
 			b.Run("writeshared", func(b *testing.B) { benchWriteShared(b, mode.noDir) })
 			b.Run("streamingmiss", func(b *testing.B) { benchStreamingMiss(b, mode.noDir) })
+			b.Run("remotefill", func(b *testing.B) { benchRemoteFill(b, mode.noDir) })
 		})
 	}
 }
@@ -89,5 +96,35 @@ func benchStreamingMiss(b *testing.B, noDir bool) {
 		if off >= size {
 			off = 0
 		}
+	}
+}
+
+// benchRemoteFill: a 256 KiB array (4x one chiplet's 64 KiB L3, half the
+// machine's 512 KiB) swept in 32 KiB reads at MLP 32, each read issued by
+// the next chiplet round-robin over a mesh fabric. One op is one read of
+// 512 lines.
+func benchRemoteFill(b *testing.B, noDir bool) {
+	topo := hetSpecTopo(b)
+	m := New(Config{Topo: topo, Fabric: fabric.KindMesh, MLP: 32, NoDirectory: noDir})
+	const size = 256 << 10
+	const chunk = 32 << 10
+	region := m.Space.Alloc(size, mem.Bind, 0)
+	readers := make([]topology.CoreID, topo.NumChiplets())
+	for ch := range readers {
+		readers[ch] = topo.FirstCoreOf(topology.ChipletID(ch))
+	}
+	var now int64
+	for _, core := range readers { // warm: every slice holds a share
+		now += m.Read(core, now, region, size)
+	}
+	b.SetBytes(chunk)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each reader sweeps the whole array at its own phase, one chunk
+		// per turn: four slices' worth, so its L3 never keeps a chunk
+		// until it comes round again.
+		r := i % len(readers)
+		off := (i/len(readers) + 3*r) % (size / chunk) * chunk
+		now += m.Read(readers[r], now, region+mem.Addr(off), chunk)
 	}
 }

@@ -13,15 +13,22 @@
 // exclusive lock and performs one atomic word operation per event.
 //
 //   - Lines group into pages of dirPageLines consecutive lines. A page is
-//     a flat array of per-line presence bitmasks (uint64, so any topology
-//     up to 64 chiplets is covered — every preset is 16 or fewer), each
-//     updated with lock-free atomics. Contiguous streaming runs therefore
-//     walk one hot page sequentially instead of hashing every line.
+//     its key (line >> dirPageShift, immutable once the page is created)
+//     followed by a flat array of per-line presence bitmasks (uint64, so
+//     any topology up to 64 chiplets is covered — every preset is 16 or
+//     fewer), each updated with lock-free atomics. Contiguous streaming
+//     runs therefore walk one hot page sequentially instead of hashing
+//     every line.
 //   - Page keys hash onto dirShards shards, each a small RWMutex-guarded
 //     map from page key to page. Lookups take the read lock only; the
 //     write lock is taken once per page lifetime (creation) and on reset.
 //     Sharding keeps concurrent simulated cores from serializing on one
 //     lock even when they fault pages in simultaneously.
+//   - Each simulated core keeps two one-entry page caches in front of the
+//     registry (dirCache): one for the line being accessed, one for the
+//     capacity victims its fills push out. Every directory operation goes
+//     through pageFor, so a streaming sweep takes a shard lock once per
+//     page per stream, not once per evicted line.
 //
 // Memory: pages are created on first touch of their address range and
 // reclaimed only by reset (FlushCaches), so the directory footprint is
@@ -31,7 +38,7 @@
 //
 // Exactness: the directory is a mirror of L3 tag-array state, not an
 // approximation. Every mutation of an L3 goes through exactly one of
-// Insert (which reports its victim exactly once, see cache.Insert),
+// Fill (which reports its victim exactly once, see cache.Insert),
 // Invalidate, or Clear, and the Machine updates the directory at each of
 // those points with an atomic read-modify-write of the line's mask. Under
 // a single-threaded access sequence the directory is therefore
@@ -70,7 +77,10 @@ const dirPageLines = 1 << dirPageShift
 const maxDirChiplets = 64
 
 // dirPage holds the presence bitmasks of dirPageLines consecutive lines.
+// key is the page's line >> dirPageShift, written once before the page is
+// published, so a pointer to a page carries its own identity.
 type dirPage struct {
+	key   uint64
 	masks [dirPageLines]atomic.Uint64
 }
 
@@ -101,9 +111,11 @@ func newDirectory() *directory {
 // valid for the machine's whole run; Machine.FlushCaches clears the
 // caches together with the directory. It turns the per-access page lookup
 // into a key compare for the common case (consecutive or repeated lines).
+// The entry is one word — the key lives in the page — so SMT siblings
+// sharing a core's scratch can never pair one page's key with another's
+// pointer and write presence bits into the wrong page.
 type dirCache struct {
-	key  uint64
-	page *dirPage
+	p atomic.Pointer[dirPage]
 }
 
 // page returns the page covering line, creating it when create is set and
@@ -120,23 +132,22 @@ func (d *directory) page(line uint64, create bool) *dirPage {
 	}
 	s.mu.Lock()
 	if p = s.pages[pk]; p == nil {
-		p = new(dirPage)
+		p = &dirPage{key: pk}
 		s.pages[pk] = p
 	}
 	s.mu.Unlock()
 	return p
 }
 
-// pageFor is page with a per-core cache in front: the hot path of every
-// directory operation that targets the line currently being accessed.
+// pageFor is page with a per-core cache entry in front: the hot path of
+// every directory operation.
 func (d *directory) pageFor(line uint64, create bool, c *dirCache) *dirPage {
-	pk := line >> dirPageShift
-	if c.page != nil && c.key == pk {
-		return c.page
+	if p := c.p.Load(); p != nil && p.key == line>>dirPageShift {
+		return p
 	}
 	p := d.page(line, create)
 	if p != nil {
-		c.key, c.page = pk, p
+		c.p.Store(p)
 	}
 	return p
 }
@@ -152,11 +163,11 @@ func (d *directory) add(line uint64, ch int, c *dirCache) {
 	atomicOr(d.pageFor(line, true, c).slot(line), 1<<uint(ch))
 }
 
-// remove records that chiplet ch no longer holds line (eviction or
-// invalidation). Removing an absent bit is a no-op. Uncached: victims are
-// scattered lines, caching them would only thrash the caller's entry.
-func (d *directory) remove(line uint64, ch int) {
-	if p := d.page(line, false); p != nil {
+// remove records that chiplet ch no longer holds line (a capacity
+// eviction). Removing an absent bit is a no-op. c is the calling core's
+// victim entry, kept apart from the one its fills use.
+func (d *directory) remove(line uint64, ch int, c *dirCache) {
+	if p := d.pageFor(line, false, c); p != nil {
 		atomicAndNot(p.slot(line), 1<<uint(ch))
 	}
 }

@@ -237,3 +237,50 @@ func TestMachineAccessRaceStress(t *testing.T) {
 		}
 	})
 }
+
+// TestStreamingSweepPageLookups checks that a streaming sweep with capacity
+// evictions reaches the page registry (directory.page: shard lock + map
+// lookup) once per 256-line page per stream, not once per line. A core's
+// two entries are its only way there, and page is called exactly when an
+// entry changes — pageFor calls it on a key mismatch and stores what it
+// returns, and every page asked for here exists — so counting the changes
+// across single-line reads counts the lookups: one per page the sweep
+// enters on the fill entry, one per page the victims enter on the victim
+// entry.
+func TestStreamingSweepPageLookups(t *testing.T) {
+	// Synthetic(2,2): 64 KiB 8-way L3 slices, so the second sweep of a
+	// 256 KiB region evicts one line per fill, 1024 lines behind it.
+	m := New(Config{Topo: topology.Synthetic(2, 2)})
+	const size = 256 << 10
+	const lines = size >> cache.LineShift
+	const pages = lines / dirPageLines
+	region := m.Space.Alloc(size, mem.Bind, 0)
+	now := m.Read(0, 0, region, size)
+	evictedBefore := m.L3(0).Evictions()
+
+	sc := &m.avg[0]
+	fill, vic := sc.dir.p.Load(), sc.vic.p.Load()
+	fillChanges, vicChanges := 0, 0
+	for i := 0; i < lines; i++ {
+		now += m.Read(0, now, region+mem.Addr(i<<cache.LineShift), 64)
+		if p := sc.dir.p.Load(); p != fill {
+			fill = p
+			fillChanges++
+		}
+		if p := sc.vic.p.Load(); p != vic {
+			vic = p
+			vicChanges++
+		}
+	}
+	if got := m.L3(0).Evictions() - evictedBefore; got != lines {
+		t.Fatalf("sweep evicted %d lines, want one per fill (%d)", got, lines)
+	}
+	// The region need not start on a page boundary, so a sweep can enter
+	// one page more than it covers.
+	if fillChanges < pages || fillChanges > pages+1 {
+		t.Errorf("fill entry changed %d times over %d lines, want one per page (%d)", fillChanges, lines, pages)
+	}
+	if vicChanges < pages || vicChanges > pages+1 {
+		t.Errorf("victim entry changed %d times over %d victims, want one per page (%d)", vicChanges, lines, pages)
+	}
+}

@@ -82,9 +82,23 @@ type Machine struct {
 	// path is arithmetically untouched.
 	accMilli []int64
 
+	// Layout tables New precomputes from the Topology methods (which stay
+	// the single source of truth; TestLayoutTablesMatchTopology compares
+	// every entry), so the miss path indexes instead of dividing — the
+	// divisions were 15% of a cross-chiplet fill. chipletOf and nodeOf are
+	// per core; l3Lat and remoteEv are [requester chiplet][holder chiplet]
+	// flattened row-major (the L3HitLatency and the remote-fill PMU event
+	// of that pair); dramLat is [home node][requester chiplet].
+	chipletOf []topology.ChipletID
+	nodeOf    []topology.NodeID
+	l3Lat     []int64
+	remoteEv  []pmu.Event
+	dramLat   []int64
+
 	// avg holds per-core scratch state — the EWMA cost of recent sampled
-	// line accesses (charged to unsampled lines) and the core's directory
-	// page cache. Owner-core access only; padded against false sharing.
+	// line accesses (charged to unsampled lines) and the core's two
+	// directory page-cache entries. Owner-core access only; padded against
+	// false sharing.
 	avg []coreScratch
 
 	// faults is the compiled fault plan armed via SetFaultPlan (nil = a
@@ -108,9 +122,14 @@ func (m *Machine) SetFaultPlan(p *fault.Plan) {
 func (m *Machine) FaultPlan() *fault.Plan { return m.faults }
 
 type coreScratch struct {
-	v   int64
+	v int64
+	// dir caches the directory page of the line being accessed, vic the
+	// page of the last capacity victim: the victims of a streaming fill
+	// are as sequential as the fill, but run a cache's worth of lines
+	// behind it, so one shared entry would thrash.
 	dir dirCache
-	_   [64 - 8 - 16]byte
+	vic dirCache
+	_   [64 - 8 - 8 - 8]byte
 }
 
 // New builds a Machine. It panics on an invalid topology, which indicates a
@@ -157,10 +176,46 @@ func New(cfg Config) *Machine {
 			m.accMilli[ch] = t.AccessMilli(topology.ChipletID(ch))
 		}
 	}
+	m.buildLayoutTables()
 	for i := range m.avg {
 		m.avg[i].v = scaleAccess(t.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i)))
 	}
 	return m
+}
+
+// buildLayoutTables fills the per-core and per-pair tables from the
+// Topology methods. Every quantity depends on the requesting core only
+// through its chiplet, so the chiplet's first core stands in for all of
+// them; the diagonal of remoteEv is never read (a holder is never self).
+func (m *Machine) buildLayoutTables() {
+	t := m.Topo
+	nch, nn := t.NumChiplets(), t.NumNodes()
+	m.chipletOf = make([]topology.ChipletID, t.NumCores())
+	m.nodeOf = make([]topology.NodeID, t.NumCores())
+	for c := range m.chipletOf {
+		m.chipletOf[c] = t.ChipletOf(topology.CoreID(c))
+		m.nodeOf[c] = t.NodeOfCore(topology.CoreID(c))
+	}
+	m.l3Lat = make([]int64, nch*nch)
+	m.remoteEv = make([]pmu.Event, nch*nch)
+	m.dramLat = make([]int64, nch*nn)
+	for ch := 0; ch < nch; ch++ {
+		core := t.FirstCoreOf(topology.ChipletID(ch))
+		for o := 0; o < nch; o++ {
+			m.l3Lat[ch*nch+o] = t.L3HitLatency(core, topology.ChipletID(o))
+			switch t.ClassOf(core, t.FirstCoreOf(topology.ChipletID(o))) {
+			case topology.InterChipletNear:
+				m.remoteEv[ch*nch+o] = pmu.FillL3RemoteNear
+			case topology.InterChipletFar:
+				m.remoteEv[ch*nch+o] = pmu.FillL3RemoteFar
+			default:
+				m.remoteEv[ch*nch+o] = pmu.FillL3RemoteSocket
+			}
+		}
+		for n := 0; n < nn; n++ {
+			m.dramLat[n*nch+ch] = t.DRAMLatency(core, topology.NodeID(n))
+		}
+	}
 }
 
 // coreAccMilli returns the access-cost multiplier of the chiplet hosting
@@ -169,7 +224,7 @@ func (m *Machine) coreAccMilli(core topology.CoreID) int64 {
 	if m.accMilli == nil {
 		return 1000
 	}
-	return m.accMilli[m.Topo.ChipletOf(core)]
+	return m.accMilli[m.chipletOf[core]]
 }
 
 // scaleAccess applies a chiplet kind's access multiplier to a cost. The
@@ -241,18 +296,33 @@ func (m *Machine) Access(core topology.CoreID, t int64, addr mem.Addr, size int6
 	var cost int64
 	mask := uint64(m.sampleFactor - 1)
 	acc := m.coreAccMilli(core)
+	a := &m.avg[core]
 	// Contiguous multi-line accesses pipeline their misses (hardware
 	// prefetch + MLP): only the first line pays the full latency.
 	streamRun := last-first >= 3
+	// Fill events are counted run-length-wise: the lines of a streamed
+	// read mostly fill from one source, so equal consecutive events share
+	// one PMU add instead of paying a locked add each.
+	var runEv pmu.Event
+	var runLen int64
 	for line := first; line <= last; line++ {
 		if line&mask == 0 {
-			c := scaleAccess(m.accessLine(core, t+cost, line, addr, write, streamRun && line != first), acc)
-			a := &m.avg[core]
+			c, ev := m.accessLine(core, t+cost, line, addr, write, streamRun && line != first)
+			c = scaleAccess(c, acc)
 			a.v += (c - a.v) / 8
 			cost += c
+			if ev != runEv && runLen > 0 {
+				m.PMU.Add(int(core), runEv, runLen*m.sampleFactor)
+				runLen = 0
+			}
+			runEv = ev
+			runLen++
 		} else {
-			cost += m.avg[core].v
+			cost += a.v
 		}
+	}
+	if runLen > 0 {
+		m.PMU.Add(int(core), runEv, runLen*m.sampleFactor)
 	}
 	if write {
 		m.PMU.Add(int(core), pmu.BytesWritten, size)
@@ -301,14 +371,14 @@ func (m *Machine) AccessRepeat(core topology.CoreID, lastT int64, addr mem.Addr,
 		if l2 := m.l2[core]; l2 != nil {
 			// Same inclusivity rule as the L2-hit path in accessLine: the
 			// hit only counts while the local L3 still holds the line.
-			if !m.l3Holds(m.Topo.ChipletOf(core), line, &m.avg[core].dir) ||
+			if !m.l3Holds(m.chipletOf[core], line, &m.avg[core].dir) ||
 				!l2.Touch(line, lastT, n) {
 				return false
 			}
 			m.PMU.Add(int(core), pmu.FillL2, n*m.sampleFactor)
 			c = scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(core))
 		} else {
-			if !m.l3[m.Topo.ChipletOf(core)].Touch(line, lastT, n) {
+			if !m.l3[m.chipletOf[core]].Touch(line, lastT, n) {
 				return false
 			}
 			m.PMU.Add(int(core), pmu.FillL3Local, n*m.sampleFactor)
@@ -344,14 +414,21 @@ func (m *Machine) Write(core topology.CoreID, t int64, addr mem.Addr, size int64
 	return m.Access(core, t, addr, size, true)
 }
 
-// accessLine simulates one sampled line access exactly. streaming marks a
-// non-leading line of a contiguous run: its miss latency overlaps with its
-// predecessors (divided by MLP) while bandwidth charges stay whole. Under
-// sampling, each sampled line represents sampleFactor real lines, so
-// bandwidth is charged for all of them.
-func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr mem.Addr, write bool, streaming bool) int64 {
+// accessLine simulates one sampled line access exactly and returns its
+// cost and the fill event naming where the line came from (Access counts
+// it). streaming marks a non-leading line of a contiguous run: its miss
+// latency overlaps with its predecessors (divided by MLP) while bandwidth
+// charges stay whole. Under sampling, each sampled line represents
+// sampleFactor real lines, so bandwidth is charged for all of them.
+//
+// Each cache level is probed and filled by one cache.Fill, so on a miss the
+// line is in the local L2 and L3 before the holder search rather than after
+// it. No outcome depends on that order: the holder search and the
+// invalidation both exclude the local chiplet, the capacity victim is never
+// the line being filled, and the line's own directory bit is still set last.
+func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr mem.Addr, write bool, streaming bool) (int64, pmu.Event) {
 	topo := m.Topo
-	ch := topo.ChipletOf(core)
+	ch := m.chipletOf[core]
 	l3 := m.l3[ch]
 	l2 := m.l2[core]
 	sc := &m.avg[core].dir
@@ -378,64 +455,60 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	}
 
 	// L2 hit, valid only while the local L3 still holds the line
-	// (functional inclusivity) — a single directory bit test.
-	if l2 != nil && l2.Lookup(line, t) && m.l3Holds(ch, line, sc) {
-		cost := pipelined(topo.Cost.L2Hit)
-		if write {
-			cost += invalidationCost(m.invalidateOthers(ch, line, sc))
+	// (functional inclusivity) — a single directory bit test. Every path
+	// below leaves the line in the L2, so a miss fills it here.
+	if l2 != nil {
+		if hit, _, _ := l2.Fill(line, t); hit && m.l3Holds(ch, line, sc) {
+			cost := pipelined(topo.Cost.L2Hit)
+			if write {
+				cost += invalidationCost(m.invalidateOthers(ch, line, sc))
+			}
+			return cost, pmu.FillL2
 		}
-		m.PMU.Add(int(core), pmu.FillL2, m.sampleFactor)
-		return cost
 	}
 
-	// Local L3 hit.
-	if l3.Lookup(line, t) {
+	// Local L3 hit, or fill: the victim's presence bit goes at once (this
+	// is the eviction-notification plumbing that keeps the directory an
+	// exact mirror), the line's own bit once its source is settled.
+	hit, victim, evicted := l3.Fill(line, t)
+	if hit {
 		cost := pipelined(topo.Cost.L3LocalHit)
-		if l2 != nil {
-			l2.Insert(line, t)
-		}
 		if write {
 			cost += invalidationCost(m.invalidateOthers(ch, line, sc))
 		}
-		m.PMU.Add(int(core), pmu.FillL3Local, m.sampleFactor)
-		return cost
+		return cost, pmu.FillL3Local
+	}
+	if evicted && m.dir != nil {
+		m.dir.remove(victim, int(ch), &m.avg[core].vic)
 	}
 
 	// Local miss: find the topologically closest chiplet holding the line.
-	holder, lat := m.closestHolder(core, ch, line, sc)
+	holder, lat := m.closestHolder(ch, line, sc)
 	var cost int64
 	var ev pmu.Event
 	if holder >= 0 {
 		q := m.Fabric.ChargeTransfer(topology.ChipletID(holder), ch, t, xfer)
 		cost = pipelined(lat) + q
-		switch topo.ClassOf(core, topo.FirstCoreOf(topology.ChipletID(holder))) {
-		case topology.InterChipletNear:
-			ev = pmu.FillL3RemoteNear
-		case topology.InterChipletFar:
-			ev = pmu.FillL3RemoteFar
-		default:
-			ev = pmu.FillL3RemoteSocket
-		}
+		ev = m.remoteEv[int(ch)*len(m.l3)+holder]
 		if write {
 			cost += invalidationCost(m.invalidateOthers(ch, line, sc))
 		}
 	} else {
-		node := m.Space.HomeOf(addr, topo.NodeOfCore(core))
+		local := m.nodeOf[core]
+		node := m.Space.HomeOf(addr, local)
 		qd := m.DRAM.Charge(node, t, xfer)
 		qf := m.Fabric.ChargeMemory(ch, node, t, xfer)
-		cost = pipelined(topo.DRAMLatency(core, node)) + qd + qf
-		if node == topo.NodeOfCore(core) {
+		cost = pipelined(m.dramLat[int(node)*len(m.l3)+int(ch)]) + qd + qf
+		if node == local {
 			ev = pmu.FillDRAMLocal
 		} else {
 			ev = pmu.FillDRAMRemote
 		}
 	}
-	m.insertL3(ch, l3, line, t, sc)
-	if l2 != nil {
-		l2.Insert(line, t)
+	if m.dir != nil {
+		m.dir.add(line, int(ch), sc)
 	}
-	m.PMU.Add(int(core), ev, m.sampleFactor)
-	return cost
+	return cost, ev
 }
 
 // l3Holds reports whether chiplet ch's L3 holds line: a directory bit test,
@@ -447,37 +520,21 @@ func (m *Machine) l3Holds(ch topology.ChipletID, line uint64, sc *dirCache) bool
 	return m.l3[ch].Contains(line)
 }
 
-// insertL3 fills line into chiplet ch's L3 and keeps the directory exact:
-// the inserted line gains ch's presence bit and the capacity victim (if
-// any) loses it. This is the eviction-notification plumbing — the
-// (evicted, ok) return of cache.Insert is what lets the directory observe
-// capacity evictions at all.
-func (m *Machine) insertL3(ch topology.ChipletID, l3 *cache.Cache, line uint64, t int64, sc *dirCache) {
-	evicted, ok := l3.Insert(line, t)
-	if m.dir == nil {
-		return
-	}
-	if ok {
-		m.dir.remove(evicted, int(ch))
-	}
-	m.dir.add(line, int(ch), sc)
-}
-
 // closestHolder finds the cached copy of line with the lowest transfer
-// latency, or (-1, 0) when no other chiplet holds it. With the directory
-// it walks only the set bits of the presence mask; in scan mode it
-// broadcast-probes every chiplet's tag array. Ties resolve to the lowest
-// chiplet id in both modes (bits iterate LSB-first, the scan ascends).
-func (m *Machine) closestHolder(core topology.CoreID, self topology.ChipletID, line uint64, sc *dirCache) (int, int64) {
+// latency to chiplet self, or (-1, 0) when no other chiplet holds it. With
+// the directory it walks only the set bits of the presence mask; in scan
+// mode it broadcast-probes every chiplet's tag array. Ties resolve to the
+// lowest chiplet id in both modes (bits iterate LSB-first, the scan ascends).
+func (m *Machine) closestHolder(self topology.ChipletID, line uint64, sc *dirCache) (int, int64) {
 	best := -1
 	var bestLat int64
+	lats := m.l3Lat[int(self)*len(m.l3):][:len(m.l3)]
 	if m.dir != nil {
 		mask := m.dir.holders(line, sc) &^ (1 << uint(self))
 		for mask != 0 {
 			i := bits.TrailingZeros64(mask)
 			mask &= mask - 1
-			lat := m.Topo.L3HitLatency(core, topology.ChipletID(i))
-			if best < 0 || lat < bestLat {
+			if lat := lats[i]; best < 0 || lat < bestLat {
 				best, bestLat = i, lat
 			}
 		}
@@ -487,8 +544,7 @@ func (m *Machine) closestHolder(core topology.CoreID, self topology.ChipletID, l
 		if topology.ChipletID(i) == self || !m.l3[i].Contains(line) {
 			continue
 		}
-		lat := m.Topo.L3HitLatency(core, topology.ChipletID(i))
-		if best < 0 || lat < bestLat {
+		if lat := lats[i]; best < 0 || lat < bestLat {
 			best, bestLat = i, lat
 		}
 	}
@@ -543,7 +599,8 @@ func (m *Machine) FlushCaches() {
 	}
 	for i := range m.avg {
 		m.avg[i].v = scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i)))
-		m.avg[i].dir = dirCache{}
+		m.avg[i].dir.p.Store(nil)
+		m.avg[i].vic.p.Store(nil)
 	}
 }
 

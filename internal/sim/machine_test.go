@@ -293,3 +293,71 @@ func TestStreamingCheaperThanRandom(t *testing.T) {
 		t.Errorf("streamed read (%d) should be well under serialized reads (%d)", streamed, single)
 	}
 }
+
+// hetSpecTopo builds the heterogeneous 4x2 machine of the topo experiment.
+func hetSpecTopo(tb testing.TB) *topology.Topology {
+	tb.Helper()
+	sp, err := topology.ParseTopoSpec("mesh:4x2,fast=2,eff=4,accel=2")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo, err := sp.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return topo
+}
+
+// TestLayoutTablesMatchTopology compares every entry of the tables New
+// precomputes with the Topology method it stands for, for every (core,
+// chiplet) and (core, node) pair: the methods stay the single source of
+// truth, the tables only spare the miss path their divisions.
+func TestLayoutTablesMatchTopology(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.AMDMilan7713x2(),
+		topology.AMDMilanNPS4(),
+		topology.IntelSPR8488Cx2(),
+		topology.Synthetic(4, 2),
+		hetSpecTopo(t),
+	} {
+		t.Run(topo.Name, func(t *testing.T) {
+			m := New(Config{Topo: topo})
+			nch := topo.NumChiplets()
+			for c := 0; c < topo.NumCores(); c++ {
+				core := topology.CoreID(c)
+				ch := m.chipletOf[c]
+				if ch != topo.ChipletOf(core) || m.nodeOf[c] != topo.NodeOfCore(core) {
+					t.Fatalf("core %d: tables say chiplet %d node %d, topology chiplet %d node %d",
+						c, ch, m.nodeOf[c], topo.ChipletOf(core), topo.NodeOfCore(core))
+				}
+				if got, want := m.coreAccMilli(core), topo.AccessMilli(ch); got != want {
+					t.Fatalf("core %d: access multiplier %d, topology %d", c, got, want)
+				}
+				for o := 0; o < nch; o++ {
+					owner := topology.ChipletID(o)
+					if got, want := m.l3Lat[int(ch)*nch+o], topo.L3HitLatency(core, owner); got != want {
+						t.Fatalf("core %d owner %d: l3Lat %d, L3HitLatency %d", c, o, got, want)
+					}
+					if owner == ch {
+						continue
+					}
+					want := pmu.FillL3RemoteSocket
+					switch topo.ClassOf(core, topo.FirstCoreOf(owner)) {
+					case topology.InterChipletNear:
+						want = pmu.FillL3RemoteNear
+					case topology.InterChipletFar:
+						want = pmu.FillL3RemoteFar
+					}
+					if got := m.remoteEv[int(ch)*nch+o]; got != want {
+						t.Fatalf("core %d holder %d: remote-fill event %v, ClassOf gives %v", c, o, got, want)
+					}
+				}
+				for n := 0; n < topo.NumNodes(); n++ {
+					if got, want := m.dramLat[n*nch+int(ch)], topo.DRAMLatency(core, topology.NodeID(n)); got != want {
+						t.Fatalf("core %d node %d: dramLat %d, DRAMLatency %d", c, n, got, want)
+					}
+				}
+			}
+		})
+	}
+}
