@@ -60,22 +60,24 @@ bench-smoke:
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 10x -benchmem
 	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 10x -benchmem
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
+	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 7 targets keeps the CI
-# step under 2 minutes while still churning fresh inputs past the saved corpus.
+# FUZZTIME bounds each fuzz-smoke target; 15s x 8 targets keeps the CI
+# step near 2 minutes while still churning fresh inputs past the saved corpus.
 FUZZTIME ?= 15s
 
 # fuzz-smoke runs every fuzz target briefly (go test -fuzz accepts one
 # target per invocation): the task-queue fuzzers, Alg. 2's collision
 # property, the simulator memory-access fuzzer, the cache's Fill vs
-# Lookup+Insert differential, and the spec-grammar parsers (tenant shares
-# and topo specs).
+# Lookup+Insert differential, the span pipeline against its reference
+# model, and the spec-grammar parsers (tenant shares and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzInboxSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzUpdateLocationCollisionFree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzMachineAccess$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/ -run xxx -fuzz '^FuzzBuildReport$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run xxx -fuzz '^FuzzParseTopoSpec$$' -fuzztime $(FUZZTIME)
 
@@ -102,9 +104,9 @@ bench:
 	$(GO) test ./internal/place/ -run xxx -bench BenchmarkPlacement -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_placement.json \
 		-note "internal/place decision plane on AMDMilan7713x2: rank build (one-time), per-decision view build and Select/ordering queries"
-	$(GO) test ./internal/core/ -run xxx -bench BenchmarkTracing -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
+	$(GO) test ./internal/core/ ./internal/obs/ -run xxx -bench 'BenchmarkTracing|BenchmarkTracer' -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_obs.json \
-		-note "causal job tracing on the admission/dispatch path: off = disabled atomic gate, on = admit/stage/task span recording per job, emit = raw sharded span append"
+		-note "causal job tracing. BenchmarkTracing, on the admission/dispatch path: off = disabled atomic gate, on = admit/stage/task span recording per job, emit = raw append to one shard. BenchmarkTracer, the span pipeline on a synthetic svc-tenants buffer (9 shards, 126 168 spans, 42 001 traces), one op = the whole buffer: emit fills it, compact releases and reclaims the 16 800 completed jobs, traces = Tracer.Traces, report = BuildReport"
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkPower -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_power.json \
 		-note "closed-loop thermal/energy plane: access = hot-line read loop with the plane off vs armed-but-idle (per-access PMU cost), tick = one governor evaluation (energy integration, RC step, tier logic) per chiplet tick"

@@ -16,11 +16,14 @@ var estBounds = func() []int64 {
 // Estimator predicts a job's service time from the distribution of
 // completed service times, as the q-quantile of an obs histogram. It keeps
 // its own always-enabled registry so admission estimates keep working when
-// the runtime's user-facing metrics are switched off.
+// the runtime's user-facing metrics are switched off. Observe may run beside
+// anything; Estimate and Count share a merge scratch, so their callers must
+// be serialised (the job service calls them under its mutex).
 type Estimator struct {
-	h   *obs.Histogram
-	q   float64
-	min int64
+	h       *obs.Histogram
+	q       float64
+	min     int64
+	scratch []int64 // merged bucket counts, reused across calls
 }
 
 // NewEstimator builds an estimator reporting the q-quantile (clamped to
@@ -52,7 +55,8 @@ func (e *Estimator) Observe(v int64) {
 
 // Count returns how many observations have been recorded.
 func (e *Estimator) Count() int64 {
-	_, _, n := e.h.Merged()
+	var n int64
+	e.scratch, _, n = e.h.MergedInto(e.scratch)
 	return n
 }
 
@@ -60,7 +64,8 @@ func (e *Estimator) Count() int64 {
 // caller's hint (the job spec's declared cost) until enough samples have
 // accumulated or when the quantile degenerates to zero.
 func (e *Estimator) Estimate(hint int64) int64 {
-	counts, sum, count := e.h.Merged()
+	counts, sum, count := e.h.MergedInto(e.scratch)
+	e.scratch = counts
 	if count < e.min {
 		return hint
 	}

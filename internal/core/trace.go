@@ -147,7 +147,8 @@ func (p *Profiler) WriteChromeTrace(w io.Writer) error {
 		brkNames := map[int64]string{
 			0: "breaker-closed", 1: "breaker-open", 2: "breaker-half-open",
 		}
-		for _, s := range p.tracer.Spans() {
+		// Both kinds are runtime-scope spans (trace 0).
+		for _, s := range p.tracer.TraceOf(0).Spans {
 			switch s.Kind {
 			case obs.SpanBreaker:
 				name := brkNames[s.Arg]

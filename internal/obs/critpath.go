@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // Post-hoc critical-path attribution. A completed job's trace is a
@@ -65,21 +68,15 @@ func (b Breakdown) AttributedFraction() float64 {
 // dispatch — its breakdown is pure admit-queue time).
 func Analyze(tr Trace) (Breakdown, bool) {
 	b := Breakdown{Trace: tr.ID}
-	var stages []Span
 	var admit, term *Span
-	tasksByStage := map[int32][]Span{}
-	retriesByStage := map[int32][]Span{}
+	nStages := 0
 	for i := range tr.Spans {
 		s := &tr.Spans[i]
 		switch s.Kind {
 		case SpanAdmitQueue:
 			admit = s
 		case SpanStage:
-			stages = append(stages, *s)
-		case SpanTask:
-			tasksByStage[s.Stage] = append(tasksByStage[s.Stage], *s)
-		case SpanRetry:
-			retriesByStage[s.Stage] = append(retriesByStage[s.Stage], *s)
+			nStages++
 		case SpanShed, SpanExpire, SpanReject, SpanCancel, SpanFail:
 			if term == nil || s.End > term.End {
 				term = s
@@ -98,7 +95,7 @@ func Analyze(tr Trace) (Breakdown, bool) {
 		b.Arrival = term.Start
 		b.Priority = term.Arg
 	}
-	if len(stages) == 0 {
+	if nStages == 0 {
 		b.Total = b.Finish - b.Arrival
 		if b.Total < 0 {
 			b.Total = 0
@@ -110,19 +107,34 @@ func Analyze(tr Trace) (Breakdown, bool) {
 		}
 		return b, false
 	}
-	sort.Slice(stages, func(i, j int) bool { return stages[i].Stage < stages[j].Stage })
-	for _, st := range stages {
+	b.Stages = make([]StageBreakdown, 0, nStages)
+	for i := range tr.Spans {
+		st := &tr.Spans[i]
+		if st.Kind != SpanStage {
+			continue
+		}
 		sb := StageBreakdown{Stage: st.Stage, Start: st.Start, End: st.End,
 			Tasks: st.Arg, Chiplet: -1, Worker: -1}
 		wall := st.End - st.Start
 		// The critical task is the one that released the barrier: the
 		// latest End in the stage (ties broken by the canonical order the
-		// spans already carry).
+		// spans already carry). Retry backoff windows for this stage that
+		// overlap its pre-exec wait are the fault-induced share. A trace
+		// is a handful of spans, so each stage rescans it in place.
 		var crit *Span
-		tasks := tasksByStage[st.Stage]
-		for i := range tasks {
-			if crit == nil || tasks[i].End > crit.End {
-				crit = &tasks[i]
+		var retry int64
+		for j := range tr.Spans {
+			s := &tr.Spans[j]
+			if s.Stage != st.Stage {
+				continue
+			}
+			switch s.Kind {
+			case SpanTask:
+				if crit == nil || s.End > crit.End {
+					crit = s
+				}
+			case SpanRetry:
+				retry += s.End - s.Start
 			}
 		}
 		if crit != nil {
@@ -135,12 +147,6 @@ func Analyze(tr Trace) (Breakdown, bool) {
 			compute := crit.End - execStart - stall
 			if compute < 0 {
 				compute = 0
-			}
-			// Retry backoff windows for this stage that overlap the
-			// critical task's pre-exec wait are the fault-induced share.
-			var retry int64
-			for _, r := range retriesByStage[st.Stage] {
-				retry += r.End - r.Start
 			}
 			if retry > queue {
 				retry = queue
@@ -182,8 +188,11 @@ func Analyze(tr Trace) (Breakdown, bool) {
 			b.Finish = st.End
 		}
 	}
+	// Stages are reported by index; two stage spans with one index (only a
+	// hand-built trace has them) stay in canonical span order.
+	slices.SortStableFunc(b.Stages, func(x, y StageBreakdown) int { return cmp.Compare(x.Stage, y.Stage) })
 	if b.Arrival == 0 && admit == nil {
-		b.Arrival = stages[0].Start
+		b.Arrival = b.Stages[0].Start
 	}
 	b.Total = b.Finish - b.Arrival
 	attributed := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall + b.Retry
@@ -219,40 +228,33 @@ type Report struct {
 // BuildReport analyzes every job trace the tracer holds (trace 0, the
 // runtime scope, feeds only the fault table).
 func BuildReport(t *Tracer) Report {
+	traces := t.Traces()
 	var rep Report
-	faults := map[string]*Culprit{}
-	chiplets := map[string]*Culprit{}
-	stages := map[string]*Culprit{}
-	bump := func(m map[string]*Culprit, key string, ns int64) {
-		c := m[key]
-		if c == nil {
-			c = &Culprit{Key: key}
-			m[key] = c
-		}
-		c.NS += ns
-		c.Count++
-	}
-	for _, tr := range t.Traces() {
+	var faults, stages, chiplets culpritTable // keyed by span kind, stage index, chiplet
+	for _, tr := range traces {
 		if tr.ID == 0 {
-			for _, s := range tr.Spans {
-				switch s.Kind {
+			for i := range tr.Spans {
+				switch k := tr.Spans[i].Kind; k {
 				case SpanRehome, SpanPark, SpanBreaker:
-					bump(faults, s.Kind.String(), 0)
+					faults.bump(int32(k), 0)
 				}
 			}
 			continue
 		}
-		for _, s := range tr.Spans {
-			switch s.Kind {
+		for i := range tr.Spans {
+			switch s := &tr.Spans[i]; s.Kind {
 			case SpanRetry:
-				bump(faults, "retry", s.End-s.Start)
+				faults.bump(int32(SpanRetry), s.End-s.Start)
 			case SpanShed, SpanExpire, SpanFail, SpanCancel:
-				bump(faults, s.Kind.String(), 0)
+				faults.bump(int32(s.Kind), 0)
 			}
 		}
 		b, ok := Analyze(tr)
 		if !ok && b.Total == 0 {
 			continue
+		}
+		if rep.Jobs == nil {
+			rep.Jobs = make([]Breakdown, 0, len(traces))
 		}
 		rep.Jobs = append(rep.Jobs, b)
 		rep.TotalNS += b.Total
@@ -263,15 +265,15 @@ func BuildReport(t *Tracer) Report {
 		rep.RetryNS += b.Retry
 		rep.UnattribNS += b.Unattributed
 		for _, st := range b.Stages {
-			bump(stages, fmt.Sprintf("stage-%d", st.Stage), st.End-st.Start)
+			stages.bump(st.Stage, st.End-st.Start)
 			if st.Chiplet >= 0 {
-				bump(chiplets, fmt.Sprintf("chiplet-%d", st.Chiplet), st.Compute+st.Stall)
+				chiplets.bump(st.Chiplet, st.Compute+st.Stall)
 			}
 		}
 	}
-	rep.ByChiplet = sortCulprits(chiplets)
-	rep.ByStage = sortCulprits(stages)
-	rep.ByFault = sortCulprits(faults)
+	rep.ByChiplet = chiplets.sorted(func(i int32) string { return "chiplet-" + strconv.Itoa(int(i)) })
+	rep.ByStage = stages.sorted(func(i int32) string { return "stage-" + strconv.Itoa(int(i)) })
+	rep.ByFault = faults.sorted(func(k int32) string { return SpanKind(k).String() })
 	// Slowest jobs first — the tail is what the report is for.
 	sort.Slice(rep.Jobs, func(i, j int) bool {
 		if rep.Jobs[i].Total != rep.Jobs[j].Total {
@@ -282,21 +284,36 @@ func BuildReport(t *Tracer) Report {
 	return rep
 }
 
-func sortCulprits(m map[string]*Culprit) []Culprit {
-	out := make([]Culprit, 0, len(m))
-	for _, c := range m {
-		out = append(out, *c)
+// culpritTable accumulates culprit rows keyed by a small integer: a span
+// kind, a stage index, a chiplet. A run has a handful of each, so a row is
+// found by scanning the index list, and its key is formatted once, at the
+// end, rather than once per job.
+type culpritTable struct {
+	idx  []int32
+	rows []Culprit
+}
+
+func (t *culpritTable) bump(idx int32, ns int64) {
+	i := slices.Index(t.idx, idx)
+	if i < 0 {
+		i = len(t.idx)
+		t.idx, t.rows = append(t.idx, idx), append(t.rows, Culprit{})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NS != out[j].NS {
-			return out[i].NS > out[j].NS
-		}
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
+	t.rows[i].NS += ns
+	t.rows[i].Count++
+}
+
+// sorted names the rows and returns them, heaviest first (an empty table
+// is an empty slice, not nil).
+func (t *culpritTable) sorted(key func(idx int32) string) []Culprit {
+	rows := append([]Culprit{}, t.rows...)
+	for i := range rows {
+		rows[i].Key = key(t.idx[i])
+	}
+	slices.SortFunc(rows, func(x, y Culprit) int {
+		return cmp.Or(cmp.Compare(y.NS, x.NS), cmp.Compare(y.Count, x.Count), cmp.Compare(x.Key, y.Key))
 	})
-	return out
+	return rows
 }
 
 // WriteText renders the report as aligned tables.

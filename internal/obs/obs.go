@@ -356,7 +356,18 @@ func (h *Histogram) Bounds() []int64 { return h.bounds }
 // Merged returns the merged per-bucket counts (last entry is +Inf), the
 // sum of observations, and the total count.
 func (h *Histogram) Merged() (counts []int64, sum, count int64) {
-	counts = make([]int64, len(h.bounds)+1)
+	return h.MergedInto(nil)
+}
+
+// MergedInto is Merged with the counts written over buf (reallocated when
+// too small), for a caller that merges often and owns a scratch slice.
+func (h *Histogram) MergedInto(buf []int64) (counts []int64, sum, count int64) {
+	if n := len(h.bounds) + 1; cap(buf) >= n {
+		counts = buf[:n]
+		clear(counts)
+	} else {
+		counts = make([]int64, n)
+	}
 	for s := range h.shards {
 		sh := &h.shards[s]
 		for i := range counts {

@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -23,6 +24,9 @@ import (
 // only so post-run collection and mid-run compaction are race-free — in
 // steady state every shard has exactly one writer and the lock is never
 // contended.
+// Each span is touched a constant number of times: appended to a fixed-size
+// chunk, packed chunk by chunk by compaction, gathered once and grouped by
+// a counting scatter on its TraceID (DESIGN.md §4.15).
 
 // TraceID identifies one job's causal trace. 0 is the runtime scope:
 // spans that belong to the machine (re-homes, parks, breaker flaps, SLO
@@ -131,13 +135,20 @@ type Span struct {
 	Arg2    int64
 }
 
-// traceShard is one writer's private span buffer. The mutex is only ever
+// spanChunk is the length of one buffer chunk: 1024 spans = 64 KiB, so a
+// shard grows by one fixed-size allocation at a time.
+const spanChunk = 1 << 10
+
+// traceShard is one writer's private span buffer: a list of chunks of cap
+// spanChunk of which every one but the last is full, so span k of the
+// shard is chunks[k/spanChunk][k%spanChunk]. The mutex is only ever
 // contended by post-run collection and compaction; steady-state appends
-// come from the shard's single owner.
+// come from the shard's single owner. 64 bytes: one cache line a shard.
 type traceShard struct {
-	mu    sync.Mutex
-	spans []Span
-	_     [40]byte
+	mu     sync.Mutex
+	chunks [][]Span
+	free   [][]Span // emptied by compaction, reused before allocating
+	n      int      // buffered spans
 }
 
 // DefaultSpanCap is the per-shard span bound when NewTracer is given 0.
@@ -152,19 +163,21 @@ const DefaultFlightRecorderCap = 256
 // writes, so traced and untraced runs have identical virtual-time
 // results.
 type Tracer struct {
-	enabled  atomic.Bool
-	shardCap int
-	shards   []traceShard
-	dropped  atomic.Int64
+	enabled     atomic.Bool
+	shardCap    int
+	shards      []traceShard
+	dropped     atomic.Int64
+	compactions atomic.Int64
 
 	// Flight-recorder state: a bounded FIFO of retained TraceIDs plus
-	// the set of explicitly released (healthy, completed) traces that
-	// compaction may reclaim.
+	// the log of released (healthy and completed, or ring-evicted) traces
+	// that the next compaction may reclaim. Append-only, so finishing a
+	// job edits no set; Compact skips the ones retained since.
 	recMu     sync.Mutex
 	retainCap int
 	retained  map[TraceID]struct{}
 	ring      []TraceID
-	released  map[TraceID]struct{}
+	released  []TraceID
 }
 
 // NewTracer builds a tracer with the given shard count (one per worker
@@ -182,7 +195,6 @@ func NewTracer(shards, shardCap int) *Tracer {
 		shards:    make([]traceShard, shards),
 		retainCap: DefaultFlightRecorderCap,
 		retained:  map[TraceID]struct{}{},
-		released:  map[TraceID]struct{}{},
 	}
 }
 
@@ -210,12 +222,21 @@ func (t *Tracer) Emit(shard int, s Span) {
 	}
 	sh := &t.shards[shard]
 	sh.mu.Lock()
-	if len(sh.spans) >= t.shardCap {
+	if sh.n >= t.shardCap {
 		sh.mu.Unlock()
 		t.dropped.Add(1)
 		return
 	}
-	sh.spans = append(sh.spans, s)
+	k := sh.n / spanChunk
+	if k == len(sh.chunks) { // every chunk is full
+		c := make([]Span, 0, spanChunk)
+		if f := len(sh.free); f > 0 {
+			c, sh.free = sh.free[f-1][:0], sh.free[:f-1]
+		}
+		sh.chunks = append(sh.chunks, c)
+	}
+	sh.chunks[k] = append(sh.chunks[k], s)
+	sh.n++
 	sh.mu.Unlock()
 }
 
@@ -235,11 +256,10 @@ func (t *Tracer) Retain(id TraceID) {
 			old := t.ring[0]
 			t.ring = t.ring[1:]
 			delete(t.retained, old)
-			t.released[old] = struct{}{}
+			t.released = append(t.released, old)
 		}
 		t.retained[id] = struct{}{}
 		t.ring = append(t.ring, id)
-		delete(t.released, id)
 	}
 	t.recMu.Unlock()
 }
@@ -252,9 +272,7 @@ func (t *Tracer) Release(id TraceID) {
 		return
 	}
 	t.recMu.Lock()
-	if _, ok := t.retained[id]; !ok {
-		t.released[id] = struct{}{}
-	}
+	t.released = append(t.released, id)
 	t.recMu.Unlock()
 }
 
@@ -281,77 +299,101 @@ func (t *Tracer) RetainedIDs() []TraceID {
 // therefore deterministic.
 func (t *Tracer) Compact() {
 	t.recMu.Lock()
-	if len(t.released) == 0 {
-		t.recMu.Unlock()
+	drop := make(map[TraceID]struct{}, len(t.released))
+	for _, id := range t.released {
+		if _, keep := t.retained[id]; !keep {
+			drop[id] = struct{}{}
+		}
+	}
+	t.released = t.released[:0]
+	t.recMu.Unlock()
+	if len(drop) == 0 {
 		return
 	}
-	released := t.released
-	t.released = map[TraceID]struct{}{}
-	t.recMu.Unlock()
+	t.compactions.Add(1)
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		kept := sh.spans[:0]
-		for _, s := range sh.spans {
-			if _, drop := released[s.Trace]; !drop {
-				kept = append(kept, s)
+		// Pack the survivors toward the front, chunk by chunk; the write
+		// position never passes the read position.
+		kept := 0
+		for _, c := range sh.chunks {
+			for j := range c {
+				if _, ok := drop[c[j].Trace]; !ok {
+					sh.chunks[kept/spanChunk][:spanChunk][kept%spanChunk] = c[j]
+					kept++
+				}
 			}
 		}
-		sh.spans = kept
+		used := (kept + spanChunk - 1) / spanChunk
+		sh.free = append(sh.free, sh.chunks[used:]...)
+		sh.chunks = sh.chunks[:used]
+		if used > 0 {
+			sh.chunks[used-1] = sh.chunks[used-1][:kept-(used-1)*spanChunk]
+		}
+		sh.n = kept
 		sh.mu.Unlock()
 	}
+}
+
+// Size returns how many spans are buffered and how many chunks (spanChunk
+// spans, 64 KiB each; recycled ones included) the shards hold.
+func (t *Tracer) Size() (spans, chunks int) {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		spans += sh.n
+		chunks += len(sh.chunks) + len(sh.free)
+		sh.mu.Unlock()
+	}
+	return spans, chunks
 }
 
 // SpanCount returns the number of buffered spans across all shards.
 func (t *Tracer) SpanCount() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.spans)
-		sh.mu.Unlock()
-	}
+	n, _ := t.Size()
 	return n
 }
 
-// spanLess is the canonical span order: a total order over every field,
-// so any two runs that produced the same span multiset serialize
-// byte-identically regardless of shard placement.
-func spanLess(a, b *Span) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
+// Compactions reports how many Compact calls found something to drop.
+func (t *Tracer) Compactions() int64 { return t.compactions.Load() }
+
+// spanCmp is the canonical span order, so any two runs that produced the
+// same span multiset serialize byte-identically regardless of shard
+// placement. Chiplet is not a key: where spans that differ in it alone
+// (lease grants at one instant) end up is each sort's business.
+func spanCmp(a, b Span) int {
+	return cmp.Or(
+		cmp.Compare(a.Start, b.Start), cmp.Compare(a.Trace, b.Trace),
+		cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Stage, b.Stage),
+		cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.End, b.End),
+		cmp.Compare(a.Arg, b.Arg), cmp.Compare(a.Arg2, b.Arg2))
+}
+
+// eachChunk calls f on every buffered chunk, shard by shard in emission
+// order, holding the shard's lock.
+func (t *Tracer) eachChunk(f func([]Span)) {
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.Lock()
+		for _, c := range sh.chunks {
+			f(c)
+		}
+		sh.mu.Unlock()
 	}
-	if a.Trace != b.Trace {
-		return a.Trace < b.Trace
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Stage != b.Stage {
-		return a.Stage < b.Stage
-	}
-	if a.Worker != b.Worker {
-		return a.Worker < b.Worker
-	}
-	if a.End != b.End {
-		return a.End < b.End
-	}
-	if a.Arg != b.Arg {
-		return a.Arg < b.Arg
-	}
-	return a.Arg2 < b.Arg2
+}
+
+// gather copies every buffered span into one presized slice.
+func (t *Tracer) gather() []Span {
+	out := make([]Span, 0, t.SpanCount())
+	t.eachChunk(func(c []Span) { out = append(out, c...) })
+	return out
 }
 
 // Spans merges every shard's buffer in canonical order.
 func (t *Tracer) Spans() []Span {
-	var out []Span
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		out = append(out, sh.spans...)
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return spanLess(&out[i], &out[j]) })
+	out := t.gather()
+	slices.SortFunc(out, spanCmp)
 	return out
 }
 
@@ -361,35 +403,76 @@ type Trace struct {
 	Spans []Span
 }
 
-// TraceOf collects the spans of a single trace.
+// TraceOf collects the spans of a single trace: only the matches are
+// copied and sorted (equal spans in gathered order, as in Traces).
 func (t *Tracer) TraceOf(id TraceID) Trace {
 	tr := Trace{ID: id}
-	for _, s := range t.Spans() {
-		if s.Trace == id {
-			tr.Spans = append(tr.Spans, s)
+	t.eachChunk(func(c []Span) {
+		for i := range c {
+			if c[i].Trace == id {
+				tr.Spans = append(tr.Spans, c[i])
+			}
 		}
-	}
+	})
+	slices.SortStableFunc(tr.Spans, spanCmp)
 	return tr
 }
 
 // Traces groups every buffered span by TraceID, ascending (the runtime
-// scope, trace 0, comes first when present).
+// scope, trace 0, comes first when present). The traces are cap-limited
+// windows of one array that belongs to the caller: appending to one's
+// Spans reallocates it and cannot reach its neighbour.
 func (t *Tracer) Traces() []Trace {
-	spans := t.Spans()
-	byID := map[TraceID][]Span{}
-	for _, s := range spans {
-		byID[s.Trace] = append(byID[s.Trace], s)
+	spans := groupByTrace(t.gather())
+	n := 0
+	for i := range spans {
+		if i == 0 || spans[i].Trace != spans[i-1].Trace {
+			n++
+		}
 	}
-	ids := make([]TraceID, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Trace, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, Trace{ID: id, Spans: byID[id]})
+	out := make([]Trace, 0, n)
+	for lo, hi := 0, 0; lo < len(spans); lo = hi {
+		for hi = lo + 1; hi < len(spans) && spans[hi].Trace == spans[lo].Trace; hi++ {
+		}
+		// A job's run is a handful of spans: an insertion sort. Stable, so
+		// spans equal under spanCmp stay in gathered order.
+		slices.SortStableFunc(spans[lo:hi], spanCmp)
+		out = append(out, Trace{ID: spans[lo].Trace, Spans: spans[lo:hi:hi]})
 	}
 	return out
+}
+
+// groupByTrace returns the spans reordered so that TraceIDs ascend and a
+// trace's spans keep their relative order: a stable counting scatter per
+// 16-bit digit of the TraceID, least significant first, skipping the
+// digits no two spans differ in. Job ids are small and dense, so this is
+// one pass over the buffer; sparse or huge ids cost up to four.
+func groupByTrace(spans []Span) []Span {
+	var vary TraceID
+	for i := range spans {
+		vary |= spans[i].Trace ^ spans[0].Trace
+	}
+	tmp, pos := make([]Span, len(spans)), make([]int32, 1<<16)
+	for shift := 0; shift < 64; shift += 16 {
+		if vary>>shift&0xffff == 0 {
+			continue
+		}
+		clear(pos)
+		for i := range spans {
+			pos[spans[i].Trace>>shift&0xffff]++
+		}
+		at := int32(0)
+		for d, c := range pos {
+			pos[d], at = at, at+c
+		}
+		for i := range spans {
+			d := spans[i].Trace >> shift & 0xffff
+			tmp[pos[d]] = spans[i]
+			pos[d]++
+		}
+		spans, tmp = tmp, spans
+	}
+	return spans
 }
 
 // jsonSpan is the serialized span form: stable field order, symbolic

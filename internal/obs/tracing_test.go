@@ -190,6 +190,115 @@ func TestTracerRetainReleaseCompact(t *testing.T) {
 	if n := len(tr.TraceOf(9).Spans); n != 1 {
 		t.Errorf("in-flight trace compacted away (%d spans)", n)
 	}
+
+	// Across chunk boundaries: three traces laid out as one full chunk, one
+	// full chunk, half a chunk. Releasing the middle one empties a middle
+	// chunk; the survivors are packed (every chunk but the last full), the
+	// emptied chunk is recycled, and later emits land behind the survivors.
+	tr = NewTracer(1, 0)
+	tr.SetEnabled(true)
+	emit := func(id TraceID, n int) {
+		for i := 0; i < n; i++ {
+			tr.Emit(0, Span{Trace: id, Kind: SpanTask, Start: int64(tr.SpanCount())})
+		}
+	}
+	emit(1, spanChunk)
+	emit(2, spanChunk)
+	emit(3, spanChunk/2)
+	tr.Release(2)
+	tr.Compact()
+	if got := tr.SpanCount(); got != spanChunk+spanChunk/2 {
+		t.Fatalf("span count after emptying the middle chunk = %d, want %d", got, spanChunk+spanChunk/2)
+	}
+	sh := &tr.shards[0]
+	if len(sh.chunks) != 2 || len(sh.chunks[0]) != spanChunk || len(sh.chunks[1]) != spanChunk/2 || len(sh.free) != 1 {
+		t.Fatalf("layout after compaction: %d chunks (last %d long), %d free; want 2 (%d), 1",
+			len(sh.chunks), len(sh.chunks[len(sh.chunks)-1]), len(sh.free), spanChunk/2)
+	}
+	emit(4, spanChunk) // fills the last chunk, then takes the recycled one
+	if _, got := tr.Size(); got != 3 {
+		t.Errorf("chunks held after refilling = %d, want 3 (the recycled chunk reused, none allocated)", got)
+	}
+	for id, want := range map[TraceID]int{1: spanChunk, 2: 0, 3: spanChunk / 2, 4: spanChunk} {
+		spans := tr.TraceOf(id).Spans
+		if len(spans) != want {
+			t.Errorf("trace %d holds %d spans after compact+emit, want %d", id, len(spans), want)
+		}
+		for i := 1; i < len(spans); i++ {
+			if spans[i].Start <= spans[i-1].Start {
+				t.Fatalf("trace %d: span %d repeated or lost by the packing", id, i)
+			}
+		}
+	}
+	if got := tr.Compactions(); got != 1 {
+		t.Errorf("Compactions() = %d, want 1", got)
+	}
+	tr.Compact() // nothing released since: not a compaction
+	if got := tr.Compactions(); got != 1 {
+		t.Errorf("Compactions() = %d after an empty Compact, want 1", got)
+	}
+}
+
+// TestTracerConcurrentEmitCompactCollect: one writer per shard emitting
+// across chunk boundaries while another goroutine releases, compacts and
+// collects must be race-free, and must never lose a span of a trace that
+// was not released.
+func TestTracerConcurrentEmitCompactCollect(t *testing.T) {
+	const writers, perWriter = 4, 3*spanChunk + 7
+	tr := NewTracer(writers, 0)
+	tr.SetEnabled(true)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				// Odd traces are released below, even ones are kept.
+				tr.Emit(w, Span{Trace: TraceID(1 + i%8), Kind: SpanTask, Start: int64(i), Worker: int32(w)})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for id := TraceID(1); id <= 8; id += 2 {
+			tr.Release(id)
+		}
+		tr.Compact()
+		for _, x := range tr.Traces() {
+			for _, s := range x.Spans {
+				if s.Trace != x.ID {
+					t.Fatalf("trace %d was handed a span of trace %d", x.ID, s.Trace)
+				}
+			}
+		}
+		tr.Size()
+	}
+	tr.Compact()
+	for id := TraceID(2); id <= 8; id += 2 {
+		var want int
+		for i := 0; i < perWriter; i++ {
+			if TraceID(1+i%8) == id {
+				want += writers
+			}
+		}
+		if got := len(tr.TraceOf(id).Spans); got != want {
+			t.Errorf("unreleased trace %d holds %d spans, want %d", id, got, want)
+		}
+	}
+	for id := TraceID(1); id <= 8; id += 2 {
+		if got := len(tr.TraceOf(id).Spans); got != 0 {
+			t.Errorf("released trace %d still holds %d spans after the last Compact", id, got)
+		}
+	}
 }
 
 // TestTracerRingEviction: retaining past the flight-recorder cap must
@@ -225,6 +334,61 @@ func TestTracerShardOverflowDrops(t *testing.T) {
 	}
 	if got := tr.DroppedSpans(); got != 6 {
 		t.Errorf("dropped = %d, want 6", got)
+	}
+
+	// A cap that is not a multiple of the chunk: the bound is on spans, the
+	// last chunk stays partly empty, and compaction makes room again.
+	const cap = 2*spanChunk + 100
+	tr = NewTracer(2, cap)
+	tr.SetEnabled(true)
+	for i := 0; i < cap+50; i++ {
+		tr.Emit(1, Span{Trace: TraceID(1 + i%2), Kind: SpanTask, Start: int64(i)})
+	}
+	if got, chunks := tr.Size(); got != cap || chunks != 3 {
+		t.Errorf("span count / chunks = %d / %d, want %d / 3", got, chunks, cap)
+	}
+	if got := tr.DroppedSpans(); got != 50 {
+		t.Errorf("dropped = %d, want 50", got)
+	}
+	tr.Release(1)
+	tr.Compact()
+	for i := 0; i < cap; i++ {
+		tr.Emit(1, Span{Trace: 3, Kind: SpanTask, Start: int64(i)})
+	}
+	if got, chunks := tr.Size(); got != cap || chunks != 3 {
+		t.Errorf("after compact+refill: span count / chunks = %d / %d, want %d / 3", got, chunks, cap)
+	}
+	if got := tr.DroppedSpans(); got != 50+cap/2 {
+		t.Errorf("dropped after refill = %d, want %d", got, 50+cap/2)
+	}
+}
+
+// TestTracesDoNotAlias: the traces Traces() returns are windows of one
+// array; appending to one must reallocate it, not write into the next.
+func TestTracesDoNotAlias(t *testing.T) {
+	tr := NewTracer(2, 0)
+	tr.SetEnabled(true)
+	for id := TraceID(0); id < 4; id++ {
+		for k := 0; k < 3; k++ {
+			tr.Emit(k%2, Span{Trace: id, Kind: SpanTask, Start: int64(k)})
+		}
+	}
+	traces := tr.Traces()
+	if len(traces) != 4 {
+		t.Fatalf("%d traces, want 4", len(traces))
+	}
+	for i := range traces {
+		if len(traces[i].Spans) != 3 || cap(traces[i].Spans) != 3 {
+			t.Fatalf("trace %d: len/cap = %d/%d, want 3/3", traces[i].ID, len(traces[i].Spans), cap(traces[i].Spans))
+		}
+		traces[i].Spans = append(traces[i].Spans, Span{Trace: 99, Kind: SpanFail})
+	}
+	for i := range traces {
+		for _, s := range traces[i].Spans[:3] {
+			if s.Trace != traces[i].ID {
+				t.Fatalf("trace %d was overwritten by an append to its neighbour: %+v", traces[i].ID, s)
+			}
+		}
 	}
 }
 
