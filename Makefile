@@ -25,11 +25,11 @@ STATICCHECK_VERSION ?= 2025.1.1
 # arrays under -race), the lockstep baton's golden/model/liveness tests
 # and the idle-turn predicate's soundness test ten times under -race with
 # a timeout (a worker left asleep on its wake slot is a hang, not a
-# failure), the two replay tests that used to read an unsettled fleet
-# fifty times plain and ten under -race at one and two procs, the
-# sampling-order test that used to flake on 2 cores, the benchmark's own
-# module (bench/ is nested, so ./... does not reach it) plus its smoke
-# run, and a short fuzz pass over the corpus-backed fuzzers.
+# failure), the two replay tests that used to read an unsettled fleet ten
+# times under -race at one and two procs, a flake sweep of the whole core
+# and obs suites three times at 1, 2 and 8 procs (~80 s on 2 cores), the
+# benchmark's own module (bench/ is nested, so ./... does not reach it)
+# plus its smoke run, and a short fuzz pass over the corpus-backed fuzzers.
 verify:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -43,9 +43,8 @@ verify:
 	$(GO) test -race -run TestMachineAccessRaceStress ./internal/sim/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
 	$(GO) test -race -count=10 -timeout 300s -run 'Lockstep' ./internal/core/
-	$(GO) test -count=50 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
 	$(GO) test -race -count=10 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
-	$(GO) test -count=20 -cpu 1,2 -run TestSamplingConcurrentShards ./internal/obs/
+	$(GO) test -count=3 -cpu 1,2,8 ./internal/core/ ./internal/obs/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke >/dev/null
 	$(MAKE) bench-smoke

@@ -367,9 +367,6 @@ type Config struct {
 	// accesses (0 = default 8; 1 serializes every miss — the cost-model
 	// ablation in DESIGN.md).
 	MLP int64
-	// ThrottleWindow overrides the virtual-time skew bound between the
-	// fastest and slowest unblocked worker (0 = default).
-	ThrottleWindow int64
 	// Faults injects a fault schedule: the machine's links and memory
 	// channels degrade per the compiled plan, and workers on offlined
 	// cores drain their queues and re-home or park (see internal/fault).
@@ -426,7 +423,6 @@ func (cfg *Config) validate() error {
 		{"SchedulerTimer", cfg.SchedulerTimer},
 		{"RemoteFillThreshold", cfg.RemoteFillThreshold},
 		{"MLP", cfg.MLP},
-		{"ThrottleWindow", cfg.ThrottleWindow},
 		{"MaxTaskRetries", int64(cfg.MaxTaskRetries)},
 		{"RetryBackoff", cfg.RetryBackoff},
 		{"StarvationDeadline", cfg.StarvationDeadline},
@@ -545,60 +541,37 @@ func Init(cfg Config) (*Runtime, error) {
 			}
 		}
 	}
-	// Knobs orthogonal to the system/policy choice, applied to every
-	// construction path below.
-	extras := func(o *core.Options) {
-		o.ThrottleWindow = cfg.ThrottleWindow
-		o.Faults = plan
-		o.Power = pcfg
-		o.MaxTaskRetries = cfg.MaxTaskRetries
-		o.RetryBackoff = cfg.RetryBackoff
-		o.StarvationDeadline = cfg.StarvationDeadline
-		o.Deterministic = cfg.Deterministic
-		o.NoAccessBatch = cfg.NoAccessBatch
-		o.NoPooling = cfg.NoPooling
-	}
-
 	m := sim.New(sim.Config{Topo: topo, Fabric: fabKind, SampleShift: cfg.SampleShift, MLP: cfg.MLP})
-	var rt *core.Runtime
+	// RemoteFillThreshold only parameterizes CharmPolicy's Alg. 1, and
+	// UseSMT only the non-oversubscribed worker limit: on the arms that
+	// read neither they are inert.
+	opts := core.Options{
+		Workers:             cfg.Workers,
+		SchedulerTimer:      cfg.SchedulerTimer,
+		RemoteFillThreshold: cfg.RemoteFillThreshold,
+		UseSMT:              cfg.UseSMT,
+		Faults:              plan,
+		Power:               pcfg,
+		MaxTaskRetries:      cfg.MaxTaskRetries,
+		RetryBackoff:        cfg.RetryBackoff,
+		StarvationDeadline:  cfg.StarvationDeadline,
+		Deterministic:       cfg.Deterministic,
+		NoAccessBatch:       cfg.NoAccessBatch,
+		NoPooling:           cfg.NoPooling,
+	}
 	switch {
 	case cfg.Naive:
 		p := core.NewStaticPolicy(core.SpreadSockets)
 		p.Churn = true
-		opts := core.Options{
-			Workers:        cfg.Workers,
-			Policy:         p,
-			SchedulerTimer: cfg.SchedulerTimer,
-			UseSMT:         cfg.UseSMT,
-		}
-		extras(&opts)
-		rt = core.NewRuntime(m, opts)
+		opts.Policy = p
 	case system == baselines.CHARM && cfg.NoAdapt:
-		opts := core.Options{
-			Workers:        cfg.Workers,
-			Policy:         core.NewStaticPolicy(core.Compact),
-			SchedulerTimer: cfg.SchedulerTimer,
-			UseSMT:         cfg.UseSMT,
-		}
-		extras(&opts)
-		rt = core.NewRuntime(m, opts)
-	case system == baselines.OSAsync:
-		rt = baselines.NewRuntime(m, system, cfg.Workers, cfg.SchedulerTimer, extras)
+		opts.Policy = core.NewStaticPolicy(core.Compact)
+	case system == baselines.CHARM && cfg.ObliviousSteal:
+		opts.Policy = &core.CharmPolicy{ObliviousSteal: true}
 	default:
-		policy := system.Policy()
-		if cfg.ObliviousSteal && system == baselines.CHARM {
-			policy = &core.CharmPolicy{ObliviousSteal: true}
-		}
-		opts := core.Options{
-			Workers:             cfg.Workers,
-			Policy:              policy,
-			SchedulerTimer:      cfg.SchedulerTimer,
-			RemoteFillThreshold: cfg.RemoteFillThreshold,
-			UseSMT:              cfg.UseSMT,
-		}
-		extras(&opts)
-		rt = core.NewRuntime(m, opts)
+		system.Configure(m, &opts)
 	}
+	rt := core.NewRuntime(m, opts)
 	rt.Start()
 	return &Runtime{rt: rt, m: m}, nil
 }

@@ -35,7 +35,6 @@ func TestInitValidation(t *testing.T) {
 		{"negative scheduler timer", Config{Workers: 2, Topology: small, SchedulerTimer: -1}, false},
 		{"negative remote fill threshold", Config{Workers: 2, Topology: small, RemoteFillThreshold: -5}, false},
 		{"negative MLP", Config{Workers: 2, Topology: small, MLP: -1}, false},
-		{"negative throttle window", Config{Workers: 2, Topology: small, ThrottleWindow: -1}, false},
 		{"negative retries", Config{Workers: 2, Topology: small, MaxTaskRetries: -1}, false},
 		{"negative retry backoff", Config{Workers: 2, Topology: small, RetryBackoff: -1}, false},
 		{"negative starvation deadline", Config{Workers: 2, Topology: small, StarvationDeadline: -1}, false},

@@ -54,6 +54,11 @@
 //	    -blind switches dispatch from thermal-aware load-aware placement
 //	    to round-robin, which rides the governor through its tiers.
 //
+//	charm-obs topo    [-machine amd|intel|amd-nps4|small] [-cdf] [-matrix] [-diagram]
+//	    Inspects a machine model without running anything: the topology
+//	    summary, the chiplet-to-chiplet latency matrix, the core-to-core
+//	    latency CDF behind Fig. 3, and a Fig. 2 style package diagram.
+//
 // Workloads: quickstart (default; the examples/quickstart kernel), phases
 // (growing/shrinking working set), bfs (Kronecker graph BFS).
 package main
@@ -69,6 +74,7 @@ import (
 
 	"charm"
 	"charm/internal/obs"
+	"charm/internal/scenario"
 	"charm/internal/topology"
 	"charm/internal/workloads/graph"
 )
@@ -97,6 +103,8 @@ func main() {
 		cmdPower(os.Args[2:])
 	case "tenants":
 		cmdTenants(os.Args[2:])
+	case "topo":
+		cmdTopo(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -107,7 +115,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage: charm-obs <trace|metrics|top|fabric|slo|critpath|job|power|tenants> [flags]
+	fmt.Fprint(os.Stderr, `usage: charm-obs <trace|metrics|top|fabric|slo|critpath|job|power|tenants|topo> [flags]
 
   trace     write a Chrome trace-event JSON file (task spans + counter tracks)
   metrics   write the final metrics snapshot (Prometheus text and/or JSON)
@@ -119,10 +127,11 @@ func usage() {
   job <id>  run the overload scenario; print one job's trace and breakdown
   power     run the hot-die scenario; print the per-chiplet thermal/energy table
   tenants   run the multi-tenant scenario; print the per-tenant isolation table
+  topo      print a machine model: summary, latency matrix, latency CDF, diagram
 
 Common flags: -workers N, -workload quickstart|phases|bfs (trace/metrics/top/fabric);
 -load F, -thermal (slo/critpath/job); -load F, -blind (power);
--factor N, -fault (tenants).
+-factor N, -fault (tenants); -machine M, -cdf, -matrix, -diagram (topo).
 Run 'charm-obs <subcommand> -h' for subcommand flags.
 `)
 }
@@ -444,21 +453,6 @@ func linkEnds(topo *charm.Topology, l charm.FabricLink) string {
 	}
 }
 
-// Overload-scenario constants, mirroring the harness overload experiment
-// (PR 4): 400 Poisson jobs of 4 compute tasks each on a 4-chiplet machine,
-// deterministic mode so every run — and every trace — replays exactly.
-const (
-	ovWorkers  = 8
-	ovJobs     = 400
-	ovTasks    = 4
-	ovTaskCost = 10_000
-	ovWork     = ovTasks * ovTaskCost
-	ovGap1x    = ovWork / ovWorkers
-	ovDeadline = 200_000
-	ovSeed     = 7
-	ovQueueCap = 64
-)
-
 // ovFlags registers the flags the job-service subcommands share.
 func ovFlags(fs *flag.FlagSet) (load *float64, thermal *bool) {
 	load = fs.Float64("load", 2, "arrival rate as a multiple of machine capacity")
@@ -466,56 +460,31 @@ func ovFlags(fs *flag.FlagSet) (load *float64, thermal *bool) {
 	return
 }
 
-// runOverload serves the deterministic overload scenario with tracing and
-// per-priority SLOs enabled, drains it, and returns the still-live runtime
-// and its job service (caller finalizes).
-func runOverload(load float64, thermal bool) (*charm.Runtime, *charm.JobService) {
-	var faults *charm.FaultSchedule
-	if thermal {
-		faults = charm.NewFaultSchedule("overload-thermal", ovSeed).
-			ThermalThrottle(1, 100_000, 1_500_000, 3.0)
-	}
-	rt, err := charm.Init(charm.Config{
-		Topology:      topology.Synthetic(4, 2),
-		Workers:       ovWorkers,
-		Deterministic: true,
-		Faults:        faults,
-	})
+// serve runs one service scenario to the drain and returns it with the
+// runtime still live: the post-mortems read the tracer, the SLO log and the
+// lease map (caller finalizes).
+func serve(s scenario.Scenario, hook func(*charm.Runtime)) *scenario.Run {
+	run, err := s.Run(hook)
 	if err != nil {
 		fatal(err)
 	}
-	rt.EnableMetrics(true)
-	rt.EnableTracing(true)
-	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
-		Policy:        charm.AdmitShed,
-		QueueCapacity: ovQueueCap,
-		Breakers:      true,
-		EvalInterval:  50_000,
-		// Higher priority dispatches first, so it carries the tighter
-		// target; under overload the low classes burn their budgets first.
-		SLO: map[int]float64{0: 0.95, 1: 0.99, 2: 0.999},
-		Source: &charm.SpecSource{
-			Arrivals: charm.NewPoissonArrivals(ovSeed, int64(float64(ovGap1x)/load), ovJobs),
-			Gen: func(i int) charm.JobSpec {
-				stage := make(charm.JobStage, ovTasks)
-				for k := range stage {
-					stage[k] = func(ctx *charm.Ctx) { ctx.Compute(ovTaskCost) }
-				}
-				return charm.JobSpec{
-					Name:     fmt.Sprintf("job-%d", i),
-					Priority: i % 3,
-					Deadline: ovDeadline,
-					Cost:     ovWork,
-					Stages:   []charm.JobStage{stage},
-				}
-			},
-		},
+	return run
+}
+
+// serveOverload serves the harness overload scenario under deadline-aware
+// shedding with breakers, per-priority SLOs, metrics and tracing on.
+func serveOverload(load float64, thermal bool) *scenario.Run {
+	return serve(scenario.Overload(scenario.OverloadParams{
+		Policy:   charm.AdmitShed,
+		QueueCap: scenario.OverloadQueueCap,
+		Load:     load,
+		Breakers: true,
+		Thermal:  thermal,
+		SLO:      true,
+	}), func(rt *charm.Runtime) {
+		rt.EnableMetrics(true)
+		rt.EnableTracing(true)
 	})
-	if err != nil {
-		fatal(err)
-	}
-	svc.Drain()
-	return rt, svc
 }
 
 func cmdSLO(args []string) {
@@ -523,11 +492,11 @@ func cmdSLO(args []string) {
 	load, thermal := ovFlags(fs)
 	fs.Parse(args)
 
-	rt, svc := runOverload(*load, *thermal)
-	defer rt.Finalize()
-	now := rt.Engine().MaxWorkerClock()
-	st := svc.SLOStatus(now)
-	stats := svc.Stats()
+	run := serveOverload(*load, *thermal)
+	defer run.RT.Finalize()
+	now := run.RT.Engine().MaxWorkerClock()
+	st := run.Svc.SLOStatus(now)
+	stats := run.Stats
 
 	fmt.Printf("overload scenario: load %gx, thermal=%v, %d jobs "+
 		"(completed %d, met %d, shed %d, expired %d), virtual time %.3f ms\n\n",
@@ -539,7 +508,7 @@ func cmdSLO(args []string) {
 			s.Class, 100*s.Target, 100*s.Achieved, s.Good, s.Bad,
 			s.FastBurn, s.SlowBurn, s.Firing, s.Alerts)
 	}
-	alerts := svc.SLOAlerts()
+	alerts := run.Svc.SLOAlerts()
 	if len(alerts) > 0 {
 		fmt.Println("\nalert log (virtual time order):")
 		for _, a := range alerts {
@@ -559,7 +528,7 @@ func cmdCritpath(args []string) {
 	top := fs.Int("top", 10, "slowest jobs to list")
 	fs.Parse(args)
 
-	rt, _ := runOverload(*load, *thermal)
+	rt := serveOverload(*load, *thermal).RT
 	defer rt.Finalize()
 
 	fmt.Printf("overload scenario: load %gx, thermal=%v\n\n", *load, *thermal)
@@ -584,7 +553,7 @@ func cmdJob(args []string) {
 	}
 	fs.Parse(args[1:])
 
-	rt, _ := runOverload(*load, *thermal)
+	rt := serveOverload(*load, *thermal).RT
 	defer rt.Finalize()
 	tr := rt.Tracer().TraceOf(charm.TraceID(id))
 	if len(tr.Spans) == 0 {
@@ -608,32 +577,17 @@ func cmdJob(args []string) {
 	}
 }
 
-// cmdPower runs the job stream over a heterogeneous package with the
-// closed-loop thermal/energy plane and prints the per-chiplet post-mortem.
-// The scenario mirrors the harness thermal-cliff experiment: chiplet 0 is a
-// hot compute die (8x the dynamic energy per compute-ns of its efficient
-// siblings), so dispatch policy decides whether the governor stays in the
-// nominal band or rides its throttle/park tiers.
+// cmdPower runs the harness thermal-cliff scenario with the closed-loop
+// thermal/energy plane on and prints the per-chiplet post-mortem: the
+// default is the thermal table's closed-loop row, -blind its static-rr
+// row. Chiplet 0 is a hot compute die (8x the dynamic energy per
+// compute-ns of its efficient siblings), so dispatch policy decides whether
+// the governor stays in the nominal band or rides its throttle/park tiers.
 func cmdPower(args []string) {
 	fs := flag.NewFlagSet("charm-obs power", flag.ExitOnError)
 	load := fs.Float64("load", 0.7, "arrival rate as a multiple of machine capacity")
 	blind := fs.Bool("blind", false, "round-robin dispatch instead of thermal-aware load-aware placement")
 	fs.Parse(args)
-
-	hot := charm.DefaultPowerModel()
-	hot.Name = "hot"
-	hot.EnergyPJ[charm.ComputeNS] = 12000
-	hot.CThermal = 4e-5
-	cool := charm.DefaultPowerModel()
-	cool.Name = "cool"
-	cool.EnergyPJ[charm.ComputeNS] = 1500
-	cool.CThermal = 4e-5
-	pcfg := &charm.PowerConfig{
-		TDPWatts: 20,
-		SoftC:    65, HardC: 75, ParkC: 85,
-		TickNS: 20_000, ParkNS: 500_000,
-		Models: []charm.PowerModel{hot, cool, cool, cool},
-	}
 
 	placement := charm.PlaceLoadAware
 	name := "load-aware"
@@ -641,45 +595,11 @@ func cmdPower(args []string) {
 		placement = charm.PlaceRoundRobin
 		name = "round-robin"
 	}
-	rt, err := charm.Init(charm.Config{
-		Topology:      topology.Synthetic(4, 2),
-		Workers:       ovWorkers,
-		Deterministic: true,
-		Power:         pcfg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Finalize()
-	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
-		Policy:        charm.AdmitShed,
-		QueueCapacity: ovQueueCap,
-		Placement:     placement,
-		EvalInterval:  50_000,
-		Source: &charm.SpecSource{
-			Arrivals: charm.NewPoissonArrivals(ovSeed, int64(float64(ovGap1x)/(*load)), ovJobs),
-			Gen: func(i int) charm.JobSpec {
-				stage := make(charm.JobStage, ovTasks)
-				for k := range stage {
-					stage[k] = func(ctx *charm.Ctx) { ctx.Compute(ovTaskCost) }
-				}
-				return charm.JobSpec{
-					Name:     fmt.Sprintf("job-%d", i),
-					Priority: i % 3,
-					Deadline: 2 * ovDeadline,
-					Cost:     ovWork,
-					Stages:   []charm.JobStage{stage},
-				}
-			},
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	svc.Drain()
+	sc := scenario.Thermal(placement, true, *load)
+	run := serve(sc, nil)
+	defer run.RT.Finalize()
 
-	stats := svc.Stats()
-	snap := rt.Power().Stats()
+	stats, snap, pcfg := run.Stats, run.Power, sc.Config.Power
 	fmt.Printf("thermal/energy plane: load %gx, dispatch %s, %d jobs "+
 		"(completed %d, met %d, shed %d, expired %d), virtual time %.3f ms\n",
 		*load, name, stats.Submitted, stats.Completed, stats.Met,
@@ -701,110 +621,20 @@ func cmdPower(args []string) {
 	fmt.Printf("\ntotal energy: %.3f mJ\n", float64(totalPJ)/1e9)
 }
 
-// Tenant-scenario constants, mirroring the harness isolation experiment:
-// tenant A runs a diurnal stream well inside its 2-chiplet quota while
-// tenant B flash-crowds to -factor times its contracted rate, absorbed at
-// B's doorstep by its token bucket.
-const (
-	tnWorkers  = 8
-	tnTasks    = 4
-	tnTaskCost = 10_000
-	tnWork     = tnTasks * tnTaskCost
-	tnDeadline = 200_000
-	tnSeed     = 11
-	tnAJobs    = 240
-	tnAGap     = 26_000
-	tnBJobs    = 600
-	tnBGap     = 10_000
-)
-
-// cmdTenants runs the multi-tenant isolation scenario and prints the
-// per-tenant post-mortem: goodput, p99, quota utilization, dispatch
-// share, the lease map, and the shed/reject/rate-limit breakdown.
+// cmdTenants runs the harness multi-tenant isolation scenario (tenant A's
+// diurnal stream well inside its 2-chiplet quota, tenant B flash-crowding
+// to -factor times its contracted rate) and prints the per-tenant
+// post-mortem: goodput, p99, quota utilization, dispatch share, the lease
+// map, and the shed/reject/rate-limit breakdown.
 func cmdTenants(args []string) {
 	fs := flag.NewFlagSet("charm-obs tenants", flag.ExitOnError)
-	factor := fs.Int("factor", 10, "tenant B's flash-crowd rate as a multiple of its quota rate")
+	factor := fs.Int("factor", scenario.TenantBFactor, "tenant B's flash-crowd rate as a multiple of its quota rate")
 	withFault := fs.Bool("fault", false, "offline chiplet 0 (leased) mid-run to force a lease rebalance")
 	fs.Parse(args)
 
-	var faults *charm.FaultSchedule
-	if *withFault {
-		faults = charm.NewFaultSchedule("tenants-fault", tnSeed).
-			OfflineChiplet(0, 300_000, 1<<62)
-	}
-	rt, err := charm.Init(charm.Config{
-		Topology:      topology.Synthetic(4, 2),
-		Workers:       tnWorkers,
-		Deterministic: true,
-		Faults:        faults,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer rt.Finalize()
-
-	gen := func(prefix string) func(i int) charm.JobSpec {
-		return func(i int) charm.JobSpec {
-			stage := make(charm.JobStage, tnTasks)
-			for k := range stage {
-				stage[k] = func(ctx *charm.Ctx) { ctx.Compute(tnTaskCost) }
-			}
-			return charm.JobSpec{
-				Name:     fmt.Sprintf("%s-%d", prefix, i),
-				Deadline: tnDeadline,
-				Cost:     tnWork,
-				Stages:   []charm.JobStage{stage},
-			}
-		}
-	}
-	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
-		MaxInFlight:  256,
-		EvalInterval: 50_000,
-		Tenants: []charm.TenantConfig{
-			{
-				Spec: charm.TenantSpec{Name: "A", Weight: 1, Quota: 2,
-					Policy: charm.AdmitShed, QueueCap: 64},
-				Source: &charm.SpecSource{
-					Arrivals: charm.NewDiurnalArrivals(tnSeed, tnAGap, 1_000_000, 0.3, tnAJobs),
-					Gen:      gen("A"),
-				},
-			},
-			{
-				Spec: charm.TenantSpec{Name: "B", Weight: 1, Quota: 2,
-					GapNS: tnBGap, Burst: 4,
-					Policy: charm.AdmitShed, QueueCap: 64},
-				Source: &charm.SpecSource{
-					Arrivals: charm.NewFlashCrowdArrivals(tnSeed, tnBGap, 400_000, 200_000,
-						float64(*factor), tnBJobs),
-					Gen: gen("B"),
-				},
-			},
-		},
-	})
-	if err != nil {
-		fatal(err)
-	}
-	svc.Drain()
-
-	// Per-tenant latency distributions from the job ledger.
-	lats := map[string][]int64{}
-	for _, j := range svc.Jobs() {
-		if j.State() == charm.JobCompleted {
-			lats[j.Tenant()] = append(lats[j.Tenant()], j.Latency())
-		}
-	}
-	p99 := func(s []int64) float64 {
-		if len(s) == 0 {
-			return 0
-		}
-		c := append([]int64(nil), s...)
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		idx := (99*len(c) + 99) / 100
-		if idx > len(c) {
-			idx = len(c)
-		}
-		return float64(c[idx-1]) / 1000
-	}
+	run := serve(scenario.Tenants(scenario.Isolated, *withFault, float64(*factor)), nil)
+	defer run.RT.Finalize()
+	svc := run.Svc
 
 	stats := svc.TenantStats()
 	grants := svc.DispatchGrants()
@@ -814,7 +644,7 @@ func cmdTenants(args []string) {
 	}
 	fmt.Printf("multi-tenant isolation: B bursting at %dx quota, fault=%v, "+
 		"virtual time %.3f ms\n\n", *factor, *withFault,
-		float64(rt.Engine().MaxWorkerClock())/1e6)
+		float64(run.RT.Engine().MaxWorkerClock())/1e6)
 	fmt.Println("tenant  submitted  admitted  completed  met  goodput%  p99_us  " +
 		"shed  rejected  rate_lim  leases  quota_util%  dispatch%")
 	for i, st := range stats {
@@ -832,7 +662,7 @@ func cmdTenants(args []string) {
 		}
 		fmt.Printf("%6s  %9d  %8d  %9d  %4d  %7.1f  %6.1f  %4d  %8d  %8d  %6d  %10.0f  %8.1f\n",
 			st.Name, st.Submitted, st.Admitted, st.Completed, st.Met, goodput,
-			p99(lats[st.Name]), st.Shed, st.Rejected, st.RateLimited,
+			run.Tenants[st.Name].P99us(), st.Shed, st.Rejected, st.RateLimited,
 			st.Leases, quotaUtil, share)
 	}
 

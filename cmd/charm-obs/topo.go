@@ -1,10 +1,3 @@
-// Command charm-topo inspects the simulated machine models: the topology
-// summary, the core-to-core latency matrix by class, and the latency CDF
-// data behind Fig. 3.
-//
-// Usage:
-//
-//	charm-topo [-machine amd|intel|small] [-cdf] [-matrix]
 package main
 
 import (
@@ -12,16 +5,21 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"charm/internal/topology"
 )
 
-func main() {
-	machine := flag.String("machine", "amd", "machine model: amd, intel, amd-nps4, small")
-	cdf := flag.Bool("cdf", false, "print the core-to-core latency CDF (Fig. 3 data)")
-	matrix := flag.Bool("matrix", false, "print the chiplet-to-chiplet latency matrix")
-	diagram := flag.Bool("diagram", false, "print the package diagram (Fig. 2 style)")
-	flag.Parse()
+// cmdTopo inspects the simulated machine models: the topology summary, the
+// core-to-core latency matrix by class, and the latency CDF data behind
+// Fig. 3.
+func cmdTopo(args []string) {
+	fs := flag.NewFlagSet("charm-obs topo", flag.ExitOnError)
+	machine := fs.String("machine", "amd", "machine model: amd, intel, amd-nps4, small")
+	cdf := fs.Bool("cdf", false, "print the core-to-core latency CDF (Fig. 3 data)")
+	matrix := fs.Bool("matrix", false, "print the chiplet-to-chiplet latency matrix")
+	diagram := fs.Bool("diagram", false, "print the package diagram (Fig. 2 style)")
+	fs.Parse(args)
 
 	var topo *topology.Topology
 	switch *machine {
@@ -134,10 +132,5 @@ func center(s string, w int) string {
 	if len(s) >= w {
 		return s
 	}
-	pad := (w - len(s)) / 2
-	out := make([]byte, 0, w)
-	for i := 0; i < pad; i++ {
-		out = append(out, ' ')
-	}
-	return string(out) + s
+	return strings.Repeat(" ", (w-len(s))/2) + s
 }

@@ -55,32 +55,22 @@ func (s System) Policy() core.Policy {
 	}
 }
 
-// NewRuntime builds a runtime configured the way the system would run on
-// machine m with the given worker count. schedTimer parameterizes the
-// adaptation interval shared by all adaptive systems. mods run on the
-// assembled options before construction (fault plans, retry budgets,
-// deterministic mode — knobs orthogonal to the system identity).
-func NewRuntime(m *sim.Machine, s System, workers int, schedTimer int64, mods ...func(*core.Options)) *core.Runtime {
-	opts := core.Options{
-		Workers:        workers,
-		Policy:         s.Policy(),
-		SchedulerTimer: schedTimer,
-	}
+// Configure sets opts up the way the system would run on machine m: its
+// placement/adaptation policy and, for OSAsync, the thread-flood substrate.
+// Every other field of opts is the caller's.
+func (s System) Configure(m *sim.Machine, opts *core.Options) {
+	opts.Policy = s.Policy()
 	if s == OSAsync {
 		// std::async maps each task to an OS thread: thread spawn per
 		// task, OS context switches, and a thread flood oversubscribing
 		// the cores (§5.5: 641 threads on 32 cores).
 		opts.Oversubscribe = true
-		opts.Workers = workers * osAsyncThreadFactor
+		opts.Workers *= osAsyncThreadFactor
 		opts.Overheads = core.TaskOverheads{
 			Spawn:  m.Topo.Cost.ThreadSpawn,
 			Switch: m.Topo.Cost.ThreadSwitch,
 		}
 	}
-	for _, f := range mods {
-		f(&opts)
-	}
-	return core.NewRuntime(m, opts)
 }
 
 // osAsyncThreadFactor models how many OS threads std::async keeps alive per

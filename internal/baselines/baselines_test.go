@@ -10,6 +10,13 @@ import (
 	"charm/internal/topology"
 )
 
+// newRuntime builds a runtime for system s the way charm.Init does.
+func newRuntime(m *sim.Machine, s System, workers int, schedTimer int64) *core.Runtime {
+	opts := core.Options{Workers: workers, SchedulerTimer: schedTimer}
+	s.Configure(m, &opts)
+	return core.NewRuntime(m, opts)
+}
+
 func TestSystemPolicies(t *testing.T) {
 	for _, s := range []System{CHARM, RING, SHOAL, AsymSched, SAM, OSAsync} {
 		p := s.Policy()
@@ -83,7 +90,7 @@ func TestPlacementsCollisionFree(t *testing.T) {
 func TestAsymSchedMigratesTowardTraffic(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, AsymSched, 2, 20_000)
+	rt := newRuntime(m, AsymSched, 2, 20_000)
 	rt.Start()
 	defer rt.Stop()
 	// Workers are node-balanced: worker 1 starts on node 1. All data is
@@ -104,7 +111,7 @@ func TestAsymSchedMigratesTowardTraffic(t *testing.T) {
 func TestSAMSpreadsBandwidthBound(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, SAM, 4, 20_000)
+	rt := newRuntime(m, SAM, 4, 20_000)
 	rt.Start()
 	defer rt.Stop()
 	// DRAM-bound private working sets: SAM keeps workers spread across
@@ -127,7 +134,7 @@ func TestSAMSpreadsBandwidthBound(t *testing.T) {
 func TestOSAsyncOversubscribes(t *testing.T) {
 	topo := topology.Synthetic(2, 4) // 8 cores
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, OSAsync, 8, 1<<40)
+	rt := newRuntime(m, OSAsync, 8, 1<<40)
 	rt.Start()
 	defer rt.Stop()
 	if rt.Workers() != 8*osAsyncThreadFactor {
@@ -144,7 +151,7 @@ func TestOSAsyncOversubscribes(t *testing.T) {
 func TestOSAsyncChargesThreadSpawn(t *testing.T) {
 	topo := topology.Synthetic(2, 4)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, OSAsync, 8, 1<<40)
+	rt := newRuntime(m, OSAsync, 8, 1<<40)
 	rt.Start()
 	defer rt.Stop()
 	st := rt.ParallelFor(0, 64, 1, func(ctx *core.Ctx, i0, i1 int) {})
@@ -163,7 +170,7 @@ func TestCharmVsRingOnSharedData(t *testing.T) {
 	topo := topology.SyntheticDual(4, 2) // L3 64 KiB/chiplet
 	run := func(s System) int64 {
 		m := sim.New(sim.Config{Topo: topo})
-		rt := NewRuntime(m, s, 4, 50_000)
+		rt := newRuntime(m, s, 4, 50_000)
 		rt.Start()
 		defer rt.Stop()
 		shared := rt.AllocPolicy(32<<10, mem.Bind, 0) // fits one L3

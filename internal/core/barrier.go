@@ -32,7 +32,7 @@ func (rt *Runtime) NewBarrier(n int) *RtBarrier {
 	}
 	return &RtBarrier{
 		parties: n,
-		cost:    rt.opts.BarrierCost,
+		cost:    rt.barrierCost,
 		cur:     &barGen{release: make(chan struct{})},
 	}
 }

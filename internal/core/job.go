@@ -1279,7 +1279,7 @@ func (s *JobService) observeLatencyLocked(j *Job, lat int64) {
 // whatever worker finished it) advances the job — next stage, completion,
 // failure, or cancellation.
 func (s *JobService) stageDone(j *Job, g *group) {
-	end := g.bar.Release(s.rt.opts.BarrierCost)
+	end := g.bar.Release(s.rt.barrierCost)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if tr := s.rt.tracer; tr.Enabled() {

@@ -823,7 +823,7 @@ func TestLockstepIdleTurnSound(t *testing.T) {
 		if isDown {
 			t.Fatalf("iter %d: idle on core %d, which is down at %d (step would park)", iter, w.Core(), c)
 		}
-		want := c + rt.opts.IdleQuantum
+		want := c + idleQuantum
 		if lim := rt.MaxWorkerClock(); next != math.MaxInt64 && next > lim {
 			want = min(want, next)
 		} else {

@@ -36,8 +36,14 @@ import (
 const (
 	// DefaultSchedulerTimer is the Alg. 1 decision interval in virtual ns.
 	DefaultSchedulerTimer = 500_000 // 500 µs virtual
-	// DefaultBarrierCost is the virtual cost of one barrier release.
-	DefaultBarrierCost = 500
+	// throttleWindow bounds how far (in virtual ns) a free-running
+	// worker's clock may run ahead of the slowest unblocked worker before
+	// it pauses to let virtual laggards take work. It caps the virtual-time
+	// skew introduced by host scheduling.
+	throttleWindow = 5_000
+	// idleQuantum is the virtual time an idle worker drifts forward per
+	// fruitless steal round.
+	idleQuantum = 2_000
 )
 
 // TaskOverheads models the concurrency substrate a runtime uses for tasks.
@@ -70,8 +76,6 @@ type Options struct {
 	// Overheads selects the task substrate costs; zero values select the
 	// topology's coroutine costs.
 	Overheads TaskOverheads
-	// BarrierCost is the virtual cost of one barrier release (0=default).
-	BarrierCost int64
 	// Oversubscribe permits more workers than cores (used by the
 	// std::async baseline to model thread floods).
 	Oversubscribe bool
@@ -79,14 +83,6 @@ type Options struct {
 	// threads). CHARM itself never co-schedules hyperthread siblings
 	// (§4.6); this knob exists for baselines and ablations.
 	UseSMT bool
-	// ThrottleWindow bounds how far (in virtual ns) a worker's clock may
-	// run ahead of the slowest unblocked worker before it pauses to let
-	// virtual laggards take work. It caps the virtual-time skew
-	// introduced by host scheduling; 0 selects the default (20 µs).
-	ThrottleWindow int64
-	// IdleQuantum is the virtual time an idle worker drifts forward per
-	// fruitless steal round (0 = default 2 µs).
-	IdleQuantum int64
 	// Faults is a compiled fault plan (see internal/fault). The runtime
 	// arms it on the machine's fabric and memory channels and handles
 	// core-offline windows itself: offline workers drain their queues to
@@ -147,6 +143,8 @@ type Stats struct {
 type Runtime struct {
 	M    *sim.Machine
 	opts Options
+	// barrierCost is the virtual cost of one barrier release.
+	barrierCost int64
 
 	workers []*Worker
 	// workerOnCore[c] holds the worker ID currently pinned to core c,
@@ -238,18 +236,6 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 	if opts.Overheads.Switch == 0 {
 		opts.Overheads.Switch = m.Topo.Cost.CoroutineSwitch
 	}
-	if opts.BarrierCost <= 0 {
-		// Barrier release wakes every party: the cost grows with the
-		// worker count, which is what erodes fine-grained parallel
-		// regions at high core counts (§5.4's fragmentation effect).
-		opts.BarrierCost = DefaultBarrierCost + 20*int64(opts.Workers)
-	}
-	if opts.ThrottleWindow <= 0 {
-		opts.ThrottleWindow = 5_000
-	}
-	if opts.IdleQuantum <= 0 {
-		opts.IdleQuantum = 2_000
-	}
 	if opts.Faults != nil && opts.Faults.Empty() && opts.Power == nil {
 		opts.Faults = nil // an empty plan is a healthy machine; skip the hooks
 	}
@@ -287,6 +273,10 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 		power:        pw,
 		batch:        !opts.NoAccessBatch,
 		pool:         !opts.NoPooling,
+		// Barrier release wakes every party: the cost grows with the
+		// worker count, which is what erodes fine-grained parallel
+		// regions at high core counts (§5.4's fragmentation effect).
+		barrierCost: 500 + 20*int64(opts.Workers),
 	}
 	// The observability layer: a per-worker-sharded registry covering the
 	// runtime and the whole simulated machine, attached to the profiler
@@ -627,7 +617,7 @@ func (rt *Runtime) submitWait(fns []func(*Ctx), pinned, coro bool) Stats {
 		// error, carrying the original stack and attribution.
 		panic(p)
 	}
-	end := g.bar.Release(rt.opts.BarrierCost)
+	end := g.bar.Release(rt.barrierCost)
 	rt.phase.Store(end)
 	s1 := rt.snapshotCounters()
 	return Stats{

@@ -299,7 +299,7 @@ func (w *Worker) throttle() {
 		// clock order; the wall-clock gate would deadlock against it.
 		return
 	}
-	window := w.rt.opts.ThrottleWindow
+	const window = throttleWindow
 	now := w.clock.Now()
 	if now-w.lastThrottleOK < window/4 {
 		return
@@ -317,7 +317,7 @@ func (w *Worker) throttle() {
 // idleDrift advances an idle worker's clock by the idle quantum, capped at
 // the fleet maximum, modeling time spent waiting for stealable work.
 func (w *Worker) idleDrift() {
-	t := w.clock.Now() + w.rt.opts.IdleQuantum
+	t := w.clock.Now() + idleQuantum
 	gm := w.rt.MaxWorkerClock()
 	if s := w.rt.svc.Load(); s != nil {
 		// Open loop: an all-idle fleet must keep virtual time moving toward

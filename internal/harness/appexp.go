@@ -37,10 +37,19 @@ func (o Options) scConfig(replicate bool, workers int) streamcluster.Config {
 	}
 }
 
-// fig9Baseline measures the no-runtime-support execution: sequential core
-// placement, data touched only by worker 0's node, no adaptation.
+// scRuntime builds a streamcluster cell's runtime. The fig9/tab2 cells run
+// in lockstep, so each speedup is a fixed outcome and not one sample of a
+// host-scheduling window.
+func (o Options) scRuntime(sys charm.System, workers int) *charm.Runtime {
+	cfg := o.config(o.amd(), sys, workers)
+	cfg.Deterministic = true
+	return o.start(cfg)
+}
+
+// fig9Run measures one system's streamcluster makespan; SHOAL replicates
+// the points per NUMA node.
 func (o Options) fig9Run(sys charm.System, workers int) int64 {
-	rt := o.runtime(o.amd(), sys, workers)
+	rt := o.scRuntime(sys, workers)
 	defer rt.Finalize()
 	res := streamcluster.Run(rt, o.scConfig(sys == charm.SystemSHOAL, workers))
 	return res.Makespan
@@ -50,17 +59,14 @@ func (o Options) fig9Run(sys charm.System, workers int) int64 {
 // core count but without any architecture-aware runtime support (OS-style
 // scatter, churned assignment, main-thread allocation on node 0).
 func (o Options) fig9NoSupport(workers int) int64 {
-	rt, err := charm.Init(charm.Config{
-		Topology:    o.amd(),
-		CacheScale:  o.CacheScale,
-		Workers:     workers,
-		Naive:       true,
-		SampleShift: o.SampleShift,
+	rt := o.start(charm.Config{
+		Topology:      o.amd(),
+		CacheScale:    o.CacheScale,
+		Workers:       workers,
+		Naive:         true,
+		SampleShift:   o.SampleShift,
+		Deterministic: true,
 	})
-	if err != nil {
-		panic(err)
-	}
-	o.observe(rt)
 	defer rt.Finalize()
 	cfg := o.scConfig(false, workers)
 	cfg.CentralAlloc = true
@@ -104,7 +110,7 @@ func (o Options) Tab2() *Table {
 	for _, c := range []int{8, 16, 32, 64} {
 		var localchip, remotechip, mainmem [2]int64
 		for i, sys := range []charm.System{charm.SystemCHARM, charm.SystemSHOAL} {
-			rt := o.runtime(o.amd(), sys, c)
+			rt := o.scRuntime(sys, c)
 			streamcluster.Run(rt, o.scConfig(sys == charm.SystemSHOAL, c))
 			localchip[i] = rt.Counter(charm.FillL3Local)
 			remotechip[i] = rt.Counter(charm.FillL3RemoteNear) + rt.Counter(charm.FillL3RemoteFar)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"reflect"
 	"sync/atomic"
 
@@ -63,7 +62,7 @@ func chaosWorkload(rt *charm.Runtime) chaosResult {
 // chaosRun builds a deterministic runtime for sys on topo and runs the
 // workload under the given fault schedule (nil = healthy machine).
 func (o Options) chaosRun(topo *charm.Topology, sys charm.System, workers int, sched *charm.FaultSchedule) chaosResult {
-	rt, err := charm.Init(charm.Config{
+	rt := o.start(charm.Config{
 		Topology:       topo,
 		Workers:        workers,
 		System:         sys,
@@ -71,11 +70,7 @@ func (o Options) chaosRun(topo *charm.Topology, sys charm.System, workers int, s
 		Faults:         sched,
 		Deterministic:  true,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: chaos: %v", err))
-	}
 	rt.EnableMetrics(true)
-	o.observe(rt)
 	defer rt.Finalize()
 	return chaosWorkload(rt)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"charm"
+	"charm/internal/scenario"
 )
 
 var updateServiceGolden = flag.Bool("update-service-golden", false,
@@ -43,10 +44,10 @@ func TestServiceGolden(t *testing.T) {
 		}
 	}
 	const spec = "mesh:4x2,fast=2,eff=4,accel=2"
-	r := o.topoRun(spec, charm.PlaceLoadAware)
-	fmt.Fprintf(&b, "== topo\n%s load-aware %+v\n", spec, r.stats)
-	fmt.Fprintf(&b, "jobs=%d span=%d p99_us=%s goodput_pct=%s digest=%s\n", len(r.lats), r.span,
-		f1(r.p99us()), f1(r.goodputPct()), serviceDigest(r.stats, r.lats))
+	r := o.serve(scenario.Topo(spec, charm.PlaceLoadAware), nil)
+	fmt.Fprintf(&b, "== topo\n%s load-aware %+v\n", spec, r.Stats)
+	fmt.Fprintf(&b, "jobs=%d span=%d p99_us=%s goodput_pct=%s digest=%s\n", len(r.Lats), r.Span,
+		f1(r.P99us()), f1(r.GoodputPct()), serviceDigest(r.Stats, r.Lats))
 	got := b.String()
 
 	path := filepath.Join("testdata", "service_golden.txt")

@@ -17,17 +17,13 @@ func (o Options) Granularity() *Table {
 		Header: []string{"grain rows", "q3 ms", "q6 ms"},
 		Notes:  "a broad optimum in the middle; extremes degrade (paper: 2-4 MB morsels work well, no strict lower bound)",
 	}
-	rt, err := charm.Init(charm.Config{
+	rt := o.start(charm.Config{
 		Topology:       o.amd(),
 		CacheScale:     o.CacheScale,
 		Workers:        8,
 		SampleShift:    o.SampleShift,
 		SchedulerTimer: o.SchedulerTimer / 4,
 	})
-	if err != nil {
-		panic(err)
-	}
-	o.observe(rt)
 	defer rt.Finalize()
 	tb := olap.Generate(rt, olap.Config{LineitemRows: o.olapRows(), Seed: 3})
 	for _, grain := range []int{64, 256, 1024, 4096, 16384, 65536} {

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"charm"
+	"charm/internal/scenario"
 	"charm/internal/topology"
 )
 
@@ -86,9 +87,10 @@ func (o Options) intel() *charm.Topology { return charm.IntelSPR() }
 // topology4 returns the Milan machine in NPS4 mode (ablation target).
 func topology4() *charm.Topology { return topology.AMDMilanNPS4() }
 
-// runtime builds a runtime for a system on the selected machine.
-func (o Options) runtime(topo *charm.Topology, sys charm.System, workers int) *charm.Runtime {
-	rt, err := charm.Init(charm.Config{
+// config is the charm.Config of a system on the selected machine under
+// the option scaling.
+func (o Options) config(topo *charm.Topology, sys charm.System, workers int) charm.Config {
+	return charm.Config{
 		Topology:       topo,
 		CacheScale:     o.CacheScale,
 		Workers:        workers,
@@ -96,7 +98,17 @@ func (o Options) runtime(topo *charm.Topology, sys charm.System, workers int) *c
 		SampleShift:    o.SampleShift,
 		SchedulerTimer: o.SchedulerTimer,
 		FaultSpec:      o.Faults,
-	})
+	}
+}
+
+// runtime builds a runtime for a system on the selected machine.
+func (o Options) runtime(topo *charm.Topology, sys charm.System, workers int) *charm.Runtime {
+	return o.start(o.config(topo, sys, workers))
+}
+
+// start builds and observes a runtime from an explicit configuration.
+func (o Options) start(cfg charm.Config) *charm.Runtime {
+	rt, err := charm.Init(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
 	}
@@ -114,6 +126,24 @@ func (o Options) observe(rt *charm.Runtime) *charm.Runtime {
 		rt.SetFinalizeHook(func(r *charm.Runtime) { o.Obs.captureAs(exp, r) })
 	}
 	return rt
+}
+
+// serve runs one service scenario with the metrics sink attached and
+// returns what it measured. turns, when non-nil, accumulates the run's
+// lockstep grant counts.
+func (o Options) serve(s scenario.Scenario, turns *charm.TurnStats) scenario.Result {
+	run, err := s.Run(func(rt *charm.Runtime) { o.observe(rt) })
+	if err != nil {
+		panic(fmt.Sprintf("harness: %v", err))
+	}
+	if turns != nil {
+		ts := run.RT.TurnStats()
+		turns.Handoff += ts.Handoff
+		turns.Inline += ts.Inline
+		turns.Self += ts.Self
+	}
+	run.RT.Finalize()
+	return run.Result
 }
 
 // Table is one experiment's output.

@@ -105,7 +105,7 @@ func (o Options) Fig5() *Table {
 // fig5Run measures the mean virtual time of segmented writes with 8
 // workers placed compactly (local) or across chiplets (distributed).
 func (o Options) fig5Run(sys charm.System, local bool, size int64) int64 {
-	rt, err := charm.Init(charm.Config{
+	rt := o.start(charm.Config{
 		Topology:    o.amd(),
 		CacheScale:  o.CacheScale,
 		Workers:     8,
@@ -113,10 +113,6 @@ func (o Options) fig5Run(sys charm.System, local bool, size int64) int64 {
 		NoAdapt:     true, // static placement per the microbenchmark setup
 		SampleShift: o.SampleShift,
 	})
-	if err != nil {
-		panic(err)
-	}
-	o.observe(rt)
 	defer rt.Finalize()
 	if !local {
 		// Move each worker to its own chiplet (DistributedCache).

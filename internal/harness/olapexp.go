@@ -26,7 +26,7 @@ func (o Options) Fig13() *Table {
 		Notes:  "all queries benefit; join-heavy queries (Q3,4,5,7,9,10,21) gain 1.2-1.5x; Q18's hash group-by gains least",
 	}
 	run := func(naive bool) []float64 {
-		rt, err := charm.Init(charm.Config{
+		rt := o.start(charm.Config{
 			Topology:   o.amd(),
 			CacheScale: o.CacheScale,
 			Workers:    8,
@@ -37,10 +37,6 @@ func (o Options) Fig13() *Table {
 			SampleShift:    o.SampleShift,
 			SchedulerTimer: o.SchedulerTimer / 4,
 		})
-		if err != nil {
-			panic(err)
-		}
-		o.observe(rt)
 		defer rt.Finalize()
 		tb := olap.Generate(rt, olap.Config{LineitemRows: o.olapRows(), Seed: 3})
 		e := olap.NewEngine(rt, tb, 1024)

@@ -99,7 +99,7 @@ func (o Options) Sensitivity() *Table {
 	base := o.SchedulerTimer / 500
 	for _, mult := range []int64{1, 4, 16, 64, 256} {
 		thr := maxI64(base*mult/16, 1)
-		rt, err := charm.Init(charm.Config{
+		rt := o.start(charm.Config{
 			Topology:            o.amd(),
 			CacheScale:          o.CacheScale,
 			Workers:             32,
@@ -107,10 +107,6 @@ func (o Options) Sensitivity() *Table {
 			SchedulerTimer:      o.SchedulerTimer,
 			RemoteFillThreshold: thr,
 		})
-		if err != nil {
-			panic(err)
-		}
-		o.observe(rt)
 		b := graph.Bind(rt, g, 128)
 		_, res := b.BFS(0)
 		mig := rt.Counter(charm.Migration)
@@ -148,11 +144,7 @@ func (o Options) Ablation() *Table {
 			if mutate != nil {
 				mutate(&c)
 			}
-			rt, err := charm.Init(c)
-			if err != nil {
-				panic(err)
-			}
-			return o.observe(rt)
+			return o.start(c)
 		}
 	}
 	variants := []variant{
@@ -220,7 +212,7 @@ func (o Options) Ablation() *Table {
 	// Steal-order variant: full CHARM but with topology-oblivious
 	// (worker-ID ring) stealing instead of chiplet-first (§4.4).
 	mkSeq := func() *charm.Runtime {
-		rt, err := charm.Init(charm.Config{
+		return o.start(charm.Config{
 			Topology:       o.amd(),
 			CacheScale:     o.CacheScale,
 			Workers:        32,
@@ -228,10 +220,6 @@ func (o Options) Ablation() *Table {
 			SampleShift:    o.SampleShift,
 			SchedulerTimer: o.SchedulerTimer,
 		})
-		if err != nil {
-			panic(err)
-		}
-		return o.observe(rt)
 	}
 	rtQ := mkSeq()
 	bQ := graph.Bind(rtQ, g, 128)

@@ -1,13 +1,8 @@
 package harness
 
 import (
-	"fmt"
-	"math"
-	"reflect"
-	"sort"
-
 	"charm"
-	"charm/internal/topology"
+	"charm/internal/scenario"
 )
 
 // The thermal-cliff experiment serves one job stream over a package with a
@@ -27,158 +22,6 @@ import (
 // the only defense, and graceful degradation means every job is still
 // accounted for (completed, shed, or expired) instead of the service
 // collapsing.
-
-const (
-	thWorkers  = 8
-	thJobs     = 300
-	thTasks    = 4      // tasks per job (one stage)
-	thTaskCost = 10_000 // virtual ns of compute per task
-	thWork     = thTasks * thTaskCost
-	thDeadline = 400_000
-	thSeed     = 11
-	thQueueCap = 256
-)
-
-// thGap is the mean arrival gap at pct percent of machine capacity. The
-// main rows run at 70%: the three cool chiplets (six of eight cores) can
-// absorb the whole stream, so a dispatcher that sees temperatures has
-// real slack to steer into. The overdrive row runs at 130%: there is
-// nowhere left to steer, the hot die must work, and the governor's
-// emergency tiers are what keep the machine alive.
-func thGap(pct int) int64 { return int64(thWork * 100 / (thWorkers * pct)) }
-
-// thPowerConfig builds the heterogeneous package: chiplet 0 runs a hot
-// model (4x the dynamic energy per compute-ns of its three efficient
-// siblings) with a fast thermal time constant, so sustained full load
-// drives it through every governor tier while the cool chiplets never
-// leave the nominal band.
-func thPowerConfig() *charm.PowerConfig {
-	hot := charm.DefaultPowerModel()
-	hot.Name = "hot"
-	hot.EnergyPJ[charm.ComputeNS] = 12000
-	hot.CThermal = 4e-5 // tau = 200 us: ten governor ticks, so the tiers regulate instead of overshooting
-	cool := charm.DefaultPowerModel()
-	cool.Name = "cool"
-	cool.EnergyPJ[charm.ComputeNS] = 1500
-	cool.CThermal = 4e-5
-	return &charm.PowerConfig{
-		TDPWatts: 20,
-		SoftC:    65, HardC: 75, ParkC: 85,
-		TickNS: 20_000, ParkNS: 500_000,
-		Models: []charm.PowerModel{hot, cool, cool, cool},
-	}
-}
-
-// thermalResult is one measured run plus the plane's final snapshot.
-type thermalResult struct {
-	stats   charm.JobStats
-	lats    []int64 // completed-job latencies in arrival order
-	span    int64
-	metWork int64
-	power   *charm.PowerSnapshot // nil when the plane is off
-}
-
-// thermalRun serves thJobs Poisson arrivals at loadPct percent of machine
-// capacity under one dispatch placement, with or without the closed-loop
-// plane, and drains.
-func (o Options) thermalRun(placement charm.JobPlacement, pcfg *charm.PowerConfig, loadPct int) thermalResult {
-	rt, err := charm.Init(charm.Config{
-		Topology:      topology.Synthetic(4, 2),
-		Workers:       thWorkers,
-		Deterministic: true,
-		Power:         pcfg,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: thermal: %v", err))
-	}
-	o.observe(rt)
-	defer rt.Finalize()
-	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
-		Policy:        charm.AdmitShed,
-		QueueCapacity: thQueueCap,
-		Placement:     placement,
-		EvalInterval:  50_000,
-		Source: &charm.SpecSource{
-			Arrivals: charm.NewPoissonArrivals(thSeed, thGap(loadPct), thJobs),
-			Gen: func(i int) charm.JobSpec {
-				stage := make(charm.JobStage, thTasks)
-				for k := range stage {
-					stage[k] = func(ctx *charm.Ctx) { ctx.Compute(thTaskCost) }
-				}
-				return charm.JobSpec{
-					Name:     fmt.Sprintf("job-%d", i),
-					Priority: i % 3,
-					Deadline: thDeadline,
-					Cost:     thWork,
-					Stages:   []charm.JobStage{stage},
-				}
-			},
-		},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: thermal: %v", err))
-	}
-	svc.Drain()
-
-	var r thermalResult
-	r.stats = svc.Stats()
-	first, last := int64(math.MaxInt64), int64(0)
-	for _, j := range svc.Jobs() {
-		if j.Arrival() < first {
-			first = j.Arrival()
-		}
-		if j.State() != charm.JobCompleted {
-			continue
-		}
-		r.lats = append(r.lats, j.Latency())
-		if f := j.Finished(); f > last {
-			last = f
-		}
-		if j.MetDeadline() {
-			r.metWork += thWork
-		}
-	}
-	if last > first {
-		r.span = last - first
-	}
-	if pw := rt.Power(); pw != nil {
-		r.power = pw.Stats()
-	}
-	return r
-}
-
-func (r thermalResult) goodputPct() float64 {
-	if r.span <= 0 {
-		return 0
-	}
-	return 100 * float64(r.metWork) / float64(thWorkers*r.span)
-}
-
-func (r thermalResult) p99us() float64 {
-	if len(r.lats) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), r.lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (99*len(s) + 99) / 100
-	if idx > len(s) {
-		idx = len(s)
-	}
-	return float64(s[idx-1]) / 1000
-}
-
-// thermalSame reports bit-identical replays: ledger, per-job latencies,
-// and the plane's full final snapshot (temperatures, ledgers, tier
-// counts).
-func thermalSame(a, b thermalResult) bool {
-	if a.stats != b.stats || a.span != b.span || !reflect.DeepEqual(a.lats, b.lats) {
-		return false
-	}
-	if (a.power == nil) != (b.power == nil) {
-		return false
-	}
-	return a.power == nil || reflect.DeepEqual(*a.power, *b.power)
-}
 
 // sumI64 totals one per-chiplet counter slice.
 func sumI64(xs []int64) int64 {
@@ -208,30 +51,30 @@ func (o Options) Thermal() *Table {
 			"gracefully (every job completed, shed, or expired) instead of " +
 			"collapsing",
 	}
-	row := func(name string, r thermalResult, repro string) []string {
+	run := func(placement charm.JobPlacement, power bool, load float64) scenario.Result {
+		return o.serve(scenario.Thermal(placement, power, load), nil)
+	}
+	row := func(name string, r scenario.Result, repro string) []string {
 		soft, hard, parks, maxT, energy := "-", "-", "-", "-", "-"
-		if p := r.power; p != nil {
+		if p := r.Power; p != nil {
 			soft, hard, parks = i64(sumI64(p.SoftEvents)), i64(sumI64(p.HardEvents)), i64(sumI64(p.ParkEvents))
 			maxT = f1(float64(p.MaxTempMilliC) / 1000)
 			energy = f1(float64(sumI64(p.EnergyPJ)) / 1e9)
 		}
 		return []string{
-			name, i64(r.stats.Completed), i64(r.stats.Met), i64(r.stats.Shed),
-			i64(r.stats.Expired), f1(r.goodputPct()), f1(r.p99us()),
+			name, i64(r.Stats.Completed), i64(r.Stats.Met), i64(r.Stats.Shed),
+			i64(r.Stats.Expired), f1(r.GoodputPct()), f1(r.P99us()),
 			soft, hard, parks, maxT, energy, repro,
 		}
 	}
-	off := o.thermalRun(charm.PlaceLoadAware, nil, 70)
-	tab.Rows = append(tab.Rows, row("plane-off", off, "-"))
-	closed := o.thermalRun(charm.PlaceLoadAware, thPowerConfig(), 70)
+	tab.Rows = append(tab.Rows, row("plane-off", run(charm.PlaceLoadAware, false, 0.7), "-"))
+	closed := run(charm.PlaceLoadAware, true, 0.7)
 	repro := "no"
-	if thermalSame(closed, o.thermalRun(charm.PlaceLoadAware, thPowerConfig(), 70)) {
+	if scenario.Same(closed, run(charm.PlaceLoadAware, true, 0.7)) {
 		repro = "yes"
 	}
 	tab.Rows = append(tab.Rows, row("closed-loop", closed, repro))
-	rr := o.thermalRun(charm.PlaceRoundRobin, thPowerConfig(), 70)
-	tab.Rows = append(tab.Rows, row("static-rr", rr, "-"))
-	over := o.thermalRun(charm.PlaceRoundRobin, thPowerConfig(), 130)
-	tab.Rows = append(tab.Rows, row("overdrive-1.3x", over, "-"))
+	tab.Rows = append(tab.Rows, row("static-rr", run(charm.PlaceRoundRobin, true, 0.7), "-"))
+	tab.Rows = append(tab.Rows, row("overdrive-1.3x", run(charm.PlaceRoundRobin, true, 1.3), "-"))
 	return tab
 }

@@ -1,12 +1,8 @@
 package harness
 
 import (
-	"fmt"
-	"math"
-	"reflect"
-	"sort"
-
 	"charm"
+	"charm/internal/scenario"
 )
 
 // The topology-sensitivity experiment serves one mixed job stream over
@@ -24,151 +20,12 @@ import (
 // CHARM cell and compares the job ledger and every per-job latency byte
 // for byte.
 
-const (
-	tpWorkers  = 16
-	tpJobs     = 200
-	tpShared   = 256 << 10 // shared hot array: fits the aggregate L3, not any one chiplet's
-	tpChunk    = 32 << 10  // bytes per streamed read
-	tpSweeps   = 2         // full sweeps of the hot array per memory task
-	tpMLP      = 32        // DMA-like streaming: queueing, not latency, is the bottleneck
-	tpComputeN = 12_000    // virtual ns of compute per compute task
-	tpTasks    = 4         // tasks per job (one stage)
-	tpDeadline = 2_000_000
-	tpSeed     = 23
-	tpQueueCap = 256
-	tpGapNS    = 9_000 // mean arrival gap
-)
-
 // tpSpec renders the spec string for one fabric and chiplet mix.
 func tpSpec(fab string, het bool) string {
 	if het {
 		return fab + ":4x2,fast=2,eff=4,accel=2"
 	}
 	return fab + ":4x2"
-}
-
-// topoResult is one measured run.
-type topoResult struct {
-	stats charm.JobStats
-	lats  []int64
-	span  int64
-	met   int64 // met-deadline work in virtual ns
-}
-
-// topoRun serves the mixed stream on one (spec, placement) cell and drains.
-func (o Options) topoRun(spec string, placement charm.JobPlacement) topoResult {
-	rt, err := charm.Init(charm.Config{
-		TopoSpec:      spec,
-		Workers:       tpWorkers,
-		Deterministic: true,
-		MLP:           tpMLP,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: topo: %v", err))
-	}
-	o.observe(rt)
-	defer rt.Finalize()
-	hot := rt.Alloc(tpShared)
-	svc, err := rt.ServeJobsFromTask(charm.JobServiceOptions{
-		Policy:        charm.AdmitShed,
-		QueueCapacity: tpQueueCap,
-		Placement:     placement,
-		EvalInterval:  50_000,
-		Source: &charm.SpecSource{
-			Arrivals: charm.NewPoissonArrivals(tpSeed, tpGapNS, tpJobs),
-			Gen: func(i int) charm.JobSpec {
-				stage := make(charm.JobStage, tpTasks)
-				prefer := charm.KindAny
-				var cost int64
-				if i%2 == 0 {
-					// Memory-heavy: streaming sweeps over the shared hot
-					// array. The array lives spread across the package's
-					// L3s, so nearly every line is a cross-chiplet
-					// transfer — pure fabric traffic, no DRAM ceiling to
-					// equalize the interconnects.
-					for k := range stage {
-						k := k
-						stage[k] = func(ctx *charm.Ctx) {
-							start := charm.Addr((i*137 + k*61) % (tpShared / tpChunk) * tpChunk)
-							for s := 0; s < tpSweeps; s++ {
-								for off := 0; off < tpShared; off += tpChunk {
-									ctx.Read(hot+(start+charm.Addr(off))%tpShared, tpChunk)
-								}
-							}
-						}
-					}
-					prefer, cost = charm.KindEfficient, 120_000
-				} else {
-					// Compute-heavy: pure busy time that an accelerator die
-					// finishes 2.5x sooner than a fast one.
-					for k := range stage {
-						stage[k] = func(ctx *charm.Ctx) { ctx.Compute(tpComputeN) }
-					}
-					prefer, cost = charm.KindAccel, int64(tpTasks*tpComputeN)
-				}
-				return charm.JobSpec{
-					Name:     fmt.Sprintf("job-%d", i),
-					Deadline: tpDeadline,
-					Cost:     cost,
-					Prefer:   prefer,
-					Stages:   []charm.JobStage{stage},
-				}
-			},
-		},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("harness: topo: %v", err))
-	}
-	svc.Drain()
-
-	var r topoResult
-	r.stats = svc.Stats()
-	first, last := int64(math.MaxInt64), int64(0)
-	for _, j := range svc.Jobs() {
-		if j.Arrival() < first {
-			first = j.Arrival()
-		}
-		if j.State() != charm.JobCompleted {
-			continue
-		}
-		r.lats = append(r.lats, j.Latency())
-		if f := j.Finished(); f > last {
-			last = f
-		}
-		if j.MetDeadline() {
-			r.met += j.Spec().Cost
-		}
-	}
-	if last > first {
-		r.span = last - first
-	}
-	return r
-}
-
-func (r topoResult) goodputPct() float64 {
-	if r.span <= 0 {
-		return 0
-	}
-	return 100 * float64(r.met) / float64(tpWorkers*r.span)
-}
-
-func (r topoResult) p99us() float64 {
-	if len(r.lats) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), r.lats...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := (99*len(s) + 99) / 100
-	if idx > len(s) {
-		idx = len(s)
-	}
-	return float64(s[idx-1]) / 1000
-}
-
-// topoSame reports bit-identical replays: the admission ledger and every
-// completed job's latency.
-func topoSame(a, b topoResult) bool {
-	return a.stats == b.stats && a.span == b.span && reflect.DeepEqual(a.lats, b.lats)
 }
 
 // Topo regenerates the topology-sensitivity experiment: every fabric ×
@@ -193,15 +50,15 @@ func (o Options) Topo() *Table {
 	for _, het := range []bool{false, true} {
 		for _, fab := range charm.SpecFabrics() {
 			spec := tpSpec(fab, het)
-			cr := o.topoRun(spec, charm.PlaceLoadAware)
+			cr := o.serve(scenario.Topo(spec, charm.PlaceLoadAware), nil)
 			repro := "no"
-			if topoSame(cr, o.topoRun(spec, charm.PlaceLoadAware)) {
+			if scenario.Same(cr, o.serve(scenario.Topo(spec, charm.PlaceLoadAware), nil)) {
 				repro = "yes"
 			}
-			sr := o.topoRun(spec, charm.PlaceRoundRobin)
+			sr := o.serve(scenario.Topo(spec, charm.PlaceRoundRobin), nil)
 			tab.Rows = append(tab.Rows, []string{
-				spec, f1(cr.p99us()), f1(cr.goodputPct()),
-				f1(sr.p99us()), f1(sr.goodputPct()), repro,
+				spec, f1(cr.P99us()), f1(cr.GoodputPct()),
+				f1(sr.P99us()), f1(sr.GoodputPct()), repro,
 			})
 		}
 	}
