@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fuzz-smoke bench bench-smoke bench-gate trace metrics clean
+.PHONY: build test verify fuzz-smoke bench bench-smoke bench-gate loc trace metrics clean
 
 build:
 	$(GO) build ./...
@@ -129,6 +129,13 @@ bench-gate:
 		| $(GO) run ./cmd/benchjson -gate BENCH_placement.json -gate-threshold $(GATE_THRESHOLD)
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_fabric.json -gate-threshold $(GATE_THRESHOLD)
+
+# loc prints the two sizes ROADMAP quotes, so a simplicity PR's headline
+# figure is reproducible: non-test Go lines outside bench/ (comments and
+# blank lines included), then test lines.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
+	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
 
 # Observability smoke runs: a Chrome trace and a Prometheus metrics dump
 # from the quickstart workload.

@@ -75,49 +75,3 @@ func (e *Estimator) Estimate(hint int64) int64 {
 	}
 	return hint
 }
-
-// EstimatorBank keys service-time estimators by tenant. The isolation
-// property is the point: a new tenant with no completion history falls
-// back to its own jobs' Cost hints, never to the cross-tenant
-// distribution — one tenant running heavyweight jobs must not cause a
-// fresh tenant's first lightweight jobs to be mis-shed as hopeless (or
-// vice versa, admitted into certain deadline misses).
-type EstimatorBank struct {
-	q   float64
-	min int64
-	es  []*Estimator
-}
-
-// NewEstimatorBank builds n per-tenant estimators with the given quantile
-// and minimum sample count (NewEstimator semantics apply per tenant).
-func NewEstimatorBank(n int, q float64, minSamples int64) *EstimatorBank {
-	b := &EstimatorBank{q: q, min: minSamples, es: make([]*Estimator, n)}
-	for i := range b.es {
-		b.es[i] = NewEstimator(q, minSamples)
-	}
-	return b
-}
-
-// Observe records one completed service time against tenant ten.
-func (b *EstimatorBank) Observe(ten int, v int64) {
-	if ten >= 0 && ten < len(b.es) {
-		b.es[ten].Observe(v)
-	}
-}
-
-// Estimate returns tenant ten's service-time estimate, falling back to
-// hint while that tenant (and only that tenant) lacks history.
-func (b *EstimatorBank) Estimate(ten int, hint int64) int64 {
-	if ten < 0 || ten >= len(b.es) {
-		return hint
-	}
-	return b.es[ten].Estimate(hint)
-}
-
-// Count returns tenant ten's observation count.
-func (b *EstimatorBank) Count(ten int) int64 {
-	if ten < 0 || ten >= len(b.es) {
-		return 0
-	}
-	return b.es[ten].Count()
-}

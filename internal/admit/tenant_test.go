@@ -18,41 +18,6 @@ func emptyPlan(t *testing.T) *fault.Plan {
 	return plan
 }
 
-// TestEstimatorBankPerTenantFallback pins the per-tenant fallback fix: a
-// tenant with no history estimates from its own Cost hint even when other
-// tenants have accumulated a (very different) distribution.
-func TestEstimatorBankPerTenantFallback(t *testing.T) {
-	b := NewEstimatorBank(2, 0.5, 4)
-	// Tenant 0 runs heavyweight jobs: ~1ms service times.
-	for i := 0; i < 100; i++ {
-		b.Observe(0, 1_000_000)
-	}
-	// Tenant 1 is brand new with a 10µs hint. The estimate must be the
-	// hint, not tenant 0's megasample distribution.
-	if got := b.Estimate(1, 10_000); got != 10_000 {
-		t.Fatalf("fresh tenant estimate = %d, want the 10000 hint", got)
-	}
-	if got := b.Estimate(0, 10_000); got < 500_000 {
-		t.Fatalf("seasoned tenant estimate = %d, want ~1ms from its own history", got)
-	}
-	// Once tenant 1 has its own samples, they take over.
-	for i := 0; i < 10; i++ {
-		b.Observe(1, 20_000)
-	}
-	got := b.Estimate(1, 10_000)
-	if got < 10_000 || got > 100_000 {
-		t.Fatalf("seasoned tenant 1 estimate = %d, want ~20µs scale", got)
-	}
-	// Out-of-range tenants degrade to the hint, never panic.
-	if got := b.Estimate(7, 42); got != 42 {
-		t.Fatalf("unknown tenant estimate = %d, want hint", got)
-	}
-	b.Observe(-1, 1)
-	if b.Count(0) != 100 || b.Count(1) != 10 || b.Count(9) != 0 {
-		t.Fatalf("counts = %d/%d/%d", b.Count(0), b.Count(1), b.Count(9))
-	}
-}
-
 // TestArrivalShapes sanity-checks the tenant arrival processes: monotone
 // non-decreasing times, deterministic replay from the same seed, and the
 // shape property each models (diurnal wave, burst-window clumping, heavy

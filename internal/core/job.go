@@ -16,13 +16,17 @@ import (
 
 // This file implements the open-loop job service: jobs — multi-stage
 // groups of tasks with a priority and a virtual-time deadline — arrive
-// from a seeded arrival source (or external SubmitJob calls) while the
-// machine runs, pass a bounded admission queue with a pluggable
-// backpressure policy (block / reject / deadline-aware shed), and are
-// dispatched through the placement decision plane (internal/place): each
-// stage is co-located on the least-loaded live chiplet group whose
-// breaker admits it, with a legacy round-robin mode kept as the
-// comparison baseline. Cancellation is cooperative:
+// from seeded arrival sources (or external SubmitJob calls) while the
+// machine runs, pass their tenant's bounded admission queue with a
+// pluggable backpressure policy (block / reject / deadline-aware shed),
+// and are dispatched through the placement decision plane
+// (internal/place): each stage is co-located on the least-loaded live
+// chiplet group whose breaker admits it, with a legacy round-robin mode
+// kept as the comparison baseline. There is one pump for every service:
+// admission, evaluation, deficit-round-robin dispatch and re-admission run
+// over the tenant list in tenants.go, and a service configured without
+// Tenants is that list at length one (see setupTenants). Cancellation is
+// cooperative:
 // a cancelled job's queued tasks are discarded wherever a worker finds
 // them (deque, inbox, fault drain, retry), and its running coroutines
 // unwind at their next Yield point, so a dead job never consumes a fresh
@@ -58,9 +62,9 @@ type JobSpec struct {
 	// Coro runs the job's tasks as suspendable coroutines (cancellation
 	// points at every Yield).
 	Coro bool
-	// Tenant routes the job to a configured tenant on a multi-tenant
-	// service (empty selects the first tenant). Ignored — and must stay
-	// empty — on a single-tenant service.
+	// Tenant routes the job to one of JobServiceOptions.Tenants by name
+	// (empty selects the first; an unknown name is ErrUnknownTenant).
+	// Ignored on a service configured without Tenants.
 	Tenant string
 	// Prefer is the preferred chiplet kind for the job's stages on a
 	// heterogeneous machine (zero = KindAny = no preference). It is a
@@ -135,7 +139,7 @@ type Job struct {
 	started  int64        // dispatch time (set before state flips to Running)
 	finished atomic.Int64 // completion time (any terminal state)
 	stage    int          // next stage to dispatch; guarded by svc.mu
-	ten      int          // tenant index (-1 = single-tenant service)
+	ten      int          // index into svc.tens
 
 	// Trace bookkeeping for the currently running stage (guarded by
 	// svc.mu): dispatch time, index, and task count — the SpanStage
@@ -163,14 +167,9 @@ func (j *Job) Priority() int { return j.spec.Priority }
 // State returns the job's current lifecycle state.
 func (j *Job) State() JobState { return JobState(j.state.Load()) }
 
-// Tenant returns the owning tenant's name ("" on a single-tenant
-// service).
-func (j *Job) Tenant() string {
-	if j.ten >= 0 && j.svc != nil && j.ten < len(j.svc.tens) {
-		return j.svc.tens[j.ten].spec.Name
-	}
-	return ""
-}
+// Tenant returns the owning tenant's name ("" on a service configured
+// without Tenants).
+func (j *Job) Tenant() string { return j.svc.tens[j.ten].spec.Name }
 
 // Arrival returns the virtual arrival time.
 func (j *Job) Arrival() int64 { return j.arrival }
@@ -294,12 +293,14 @@ type JobServiceOptions struct {
 	SLO map[int]float64
 	// SLOBurn tunes the burn-rate windows (zero fields select defaults).
 	SLOBurn obs.BurnConfig
-	// Tenants enables the multi-tenant isolation plane: one admission
-	// queue, token bucket, and service-time estimator per tenant, a
-	// deficit-round-robin dispatch mux weighted by each tenant's share,
-	// and elastic chiplet-group leases with a guaranteed quota floor.
-	// Mutually exclusive with Source (each tenant carries its own);
-	// tenant quotas must not oversubscribe the machine's chiplets.
+	// Tenants declares the service's tenants: one admission queue, token
+	// bucket, and service-time estimator each, a deficit-round-robin
+	// dispatch mux weighted by each tenant's share, and elastic
+	// chiplet-group leases with a guaranteed quota floor. Mutually
+	// exclusive with Source (each tenant carries its own); tenant quotas
+	// must not oversubscribe the machine's chiplets. Empty means one
+	// unnamed tenant built from Policy, QueueCapacity and Source, with no
+	// rate limit, no leases and no per-tenant metrics.
 	Tenants []TenantConfig
 }
 
@@ -343,13 +344,8 @@ type JobService struct {
 	nextWork atomic.Int64
 
 	mu  sync.Mutex
-	q   *admit.Queue
-	est *admit.Estimator
 	brk *admit.Set // nil when breakers are off
 
-	// Arrival cursor: the next pending arrival pulled from Source.
-	pending   *Job
-	srcOK     bool
 	seq       uint64
 	rr        int // round-robin dispatch cursor
 	inflight  int
@@ -377,13 +373,16 @@ type JobService struct {
 	obsMilli   []int64
 	everServed bool
 
-	// Multi-tenant isolation plane (all nil/empty on a single-tenant
-	// service; immutable after ServeJobs, contents guarded by mu).
-	tens    []*tenantRt
-	tenIdx  map[string]int
-	drr     *tenant.DRR
-	leases  *tenant.LeaseTable
-	estBank *admit.EstimatorBank
+	// Tenants, in configuration order, and the dispatch mux over their
+	// queues (immutable after ServeJobs, contents guarded by mu). tenIdx
+	// and leases are nil on a service configured without Tenants, whose
+	// one tenant is unnamed: leases != nil is what turns on lease
+	// arbitration, the lease-restricted placement walk, the steal fence
+	// and the Tenant* accessors.
+	tens   []*tenantRt
+	tenIdx map[string]int
+	drr    *tenant.DRR
+	leases *tenant.LeaseTable
 	// leaseView is the lock-free chiplet→tenant ownership snapshot the
 	// steal path consults (republished after every Rebalance): a worker
 	// on a chiplet leased to one tenant does not import another tenant's
@@ -426,8 +425,6 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	s := &JobService{
 		rt:        rt,
 		opts:      opts,
-		q:         admit.NewQueue(opts.QueueCapacity, opts.Policy),
-		est:       admit.NewEstimator(opts.EstQuantile, opts.EstMinSamples),
 		drained:   make(chan struct{}),
 		maxDepth:  make([]int64, nch),
 		latByPrio: map[int]*obs.Histogram{},
@@ -459,13 +456,8 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		s.sloBurn = map[int]*obs.Gauge{}
 	}
 	s.thermMilli = 1000
-	if len(opts.Tenants) > 0 {
-		if err := s.setupTenants(opts.Tenants); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Source != nil {
-		s.advanceSource()
+	if err := s.setupTenants(opts.Tenants); err != nil {
+		return nil, err
 	}
 	s.updateNextWorkLocked()
 	if !rt.svc.CompareAndSwap(nil, s) {
@@ -552,7 +544,7 @@ func (s *JobService) Jobs() []*Job {
 func (s *JobService) QueueLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.q.Len()
+	return s.backlogLocked()
 }
 
 // BreakerState returns chiplet ch's breaker state (Closed with breakers
@@ -605,29 +597,15 @@ func (s *JobService) Drain() {
 	<-s.drained
 }
 
-// advanceSource pulls the next arrival from the source into the pending
-// cursor. Caller holds mu (or is still constructing the service).
-func (s *JobService) advanceSource() {
-	at, spec, ok := s.opts.Source.Next()
-	if !ok {
-		s.pending, s.srcOK = nil, false
-		return
-	}
-	if err := validateSpec(&spec); err != nil {
-		panic(err) // a source generating invalid specs is a programming error
-	}
-	s.srcOK = true
-	s.pending = s.newJobLocked(at, spec)
-}
-
-func (s *JobService) newJobLocked(arrival int64, spec JobSpec) *Job {
+// newJobLocked registers the handle of tenant ten's arrival.
+func (s *JobService) newJobLocked(arrival int64, spec JobSpec, ten int) *Job {
 	s.seq++
 	j := &Job{
 		id:      s.seq,
 		spec:    spec,
 		svc:     s,
 		arrival: arrival,
-		ten:     -1,
+		ten:     ten,
 		done:    make(chan struct{}),
 	}
 	if spec.Deadline > 0 {
@@ -640,66 +618,82 @@ func (s *JobService) newJobLocked(arrival int64, spec JobSpec) *Job {
 // admitLocked runs the admission decision for a job arriving at time at.
 // Returns the job handle and the typed refusal error, if any.
 func (s *JobService) admitLocked(at int64, spec JobSpec) (*Job, error) {
-	if s.tens != nil {
-		i, err := s.tenantOf(&spec)
-		if err != nil {
-			return nil, err
-		}
-		j := s.newJobLocked(at, spec)
-		j.ten = i
-		// A synchronous submission cannot be held upstream: a token-bucket
-		// miss refuses it outright under the tenant's policy.
-		if !s.tens[i].bucket.Take(at) {
-			s.rateLimitLocked(s.tens[i], j, at)
-			return j, ErrRateLimited
-		}
-		return j, s.offerTenantLocked(j)
+	i, err := s.tenantOf(&spec)
+	if err != nil {
+		return nil, err
 	}
-	j := s.newJobLocked(at, spec)
+	j := s.newJobLocked(at, spec, i)
+	// A synchronous submission cannot be held upstream: a token-bucket
+	// miss refuses it outright under the tenant's policy.
+	if tr := s.tens[i]; !tr.bucket.Take(at) {
+		s.rateLimitLocked(tr, j, at)
+		return j, ErrRateLimited
+	}
 	return j, s.offerLocked(j)
 }
 
-// offerLocked presents job j to the admission queue.
-func (s *JobService) offerLocked(j *Job) error {
-	s.stats.Submitted++
+// jobOutcome names one column of the admission ledger.
+type jobOutcome uint8
+
+const (
+	outSubmitted jobOutcome = iota
+	outAdmitted
+	outCompleted
+	outMet
+	outRejected
+	outShed
+	outExpired
+	outCancelled
+	outFailed
+	// A token-bucket refusal is a rejection or a shed in both ledgers and
+	// in the service's metric, but the tenant's metric files it under
+	// outcome="rate-limited" only.
+	outLimitedRejected
+	outLimitedShed
+)
+
+// countLocked is the one ledger funnel: it books outcome o of one of
+// tenant tr's jobs in the service ledger, the tenant's ledger and the
+// registry mirror of each. A tenant without metric handles (the unnamed
+// tenant of a service configured without Tenants) skips its mirror.
+func (s *JobService) countLocked(tr *tenantRt, o jobOutcome) {
 	m := s.rt.met
-	est := s.est.Estimate(j.spec.Cost)
-	if s.q.Policy() == admit.Shed && s.thermMilli > 1000 {
-		est = est * s.thermMilli / 1000
+	var svc, ten *int64
+	var mc, tc *obs.Counter
+	switch o {
+	case outSubmitted:
+		svc, ten = &s.stats.Submitted, &tr.stats.Submitted
+	case outAdmitted:
+		svc, ten, mc, tc = &s.stats.Admitted, &tr.stats.Admitted, m.jobsAdmitted, tr.mAdmit
+	case outCompleted:
+		svc, ten, mc, tc = &s.stats.Completed, &tr.stats.Completed, m.jobsCompleted, tr.mDone
+	case outMet:
+		svc, ten = &s.stats.Met, &tr.stats.Met
+	case outRejected:
+		svc, ten, mc, tc = &s.stats.Rejected, &tr.stats.Rejected, m.jobsRejected, tr.mReject
+	case outShed:
+		svc, ten, mc, tc = &s.stats.Shed, &tr.stats.Shed, m.jobsShed, tr.mShed
+	case outExpired:
+		svc, ten, mc = &s.stats.Expired, &tr.stats.Expired, m.jobsExpired
+	case outCancelled:
+		svc, ten, mc = &s.stats.Cancelled, &tr.stats.Cancelled, m.jobsCancelled
+	case outFailed:
+		svc, ten = &s.stats.Failed, &tr.stats.Failed
+	case outLimitedRejected:
+		svc, ten, mc, tc = &s.stats.Rejected, &tr.stats.Rejected, m.jobsRejected, tr.mLimited
+		tr.stats.RateLimited++
+	case outLimitedShed:
+		svc, ten, mc, tc = &s.stats.Shed, &tr.stats.Shed, m.jobsShed, tr.mLimited
+		tr.stats.RateLimited++
 	}
-	evicted, err := s.q.Offer(j.arrival, admit.Entry{
-		Seq:      j.id,
-		Priority: j.spec.Priority,
-		Arrival:  j.arrival,
-		Deadline: j.deadline,
-		Est:      est,
-		Payload:  j,
-	})
-	if evicted != nil {
-		v := evicted.Payload.(*Job)
-		s.stats.Shed++
-		m.jobsShed.Add(0, 1)
-		s.finalizeLocked(v, JobShed, j.arrival)
+	*svc++
+	*ten++
+	if mc != nil {
+		mc.Add(0, 1)
 	}
-	switch {
-	case err == nil:
-		s.stats.Admitted++
-		m.jobsAdmitted.Add(0, 1)
-		if n := s.q.Len(); n > s.stats.MaxQueue {
-			s.stats.MaxQueue = n
-		}
-		m.jobQueueDepth.Set(0, int64(s.q.Len()))
-		return nil
-	case err == admit.ErrHopeless:
-		s.stats.Shed++
-		m.jobsShed.Add(0, 1)
-		s.finalizeLocked(j, JobShed, j.arrival)
-	default: // ErrQueueFull, ErrWouldBlock
-		s.stats.Rejected++
-		m.jobsRejected.Add(0, 1)
-		s.finalizeLocked(j, JobRejected, j.arrival)
+	if tc != nil {
+		tc.Add(0, 1)
 	}
-	return err
 }
 
 // finalizeLocked moves j to a terminal state at virtual time now.
@@ -755,25 +749,38 @@ func (s *JobService) finalizeLocked(j *Job, st JobState, now int64) {
 	}
 }
 
-// updateNextWorkLocked recomputes the pump wake-up time. Caller holds mu.
+// updateNextWorkLocked recomputes the pump wake-up time: the earliest of
+// a dispatchable backlog (now), the earliest decidable pending arrival —
+// pushed out to its token-maturity time when the rate limiter holds it
+// upstream — and the next evaluation tick. Caller holds mu.
 func (s *JobService) updateNextWorkLocked() {
-	if s.tens != nil {
-		s.updateNextWorkTenantsLocked()
-		return
-	}
 	next := int64(math.MaxInt64)
-	if s.q.Len() > 0 && s.inflight < s.opts.MaxInFlight {
-		next = 0 // dispatchable right now
-	}
-	if s.pending != nil && (s.q.Len() < s.q.Cap() || s.q.Policy() != admit.Block) {
-		// The pending arrival can be decided at its arrival time. A
-		// Block-policy arrival facing a full queue waits for space, which
-		// only a dispatch or completion (nextWork=0 paths) can create.
-		if s.pending.arrival < next {
-			next = s.pending.arrival
+	backlog := 0
+	pending := false
+	for _, tr := range s.tens {
+		backlog += tr.q.Len()
+		if tr.pending == nil {
+			continue
+		}
+		pending = true
+		if tr.spec.Policy == admit.Block && tr.q.Len() >= tr.q.Cap() {
+			// A Block-policy arrival facing a full queue waits for space,
+			// which only a dispatch or completion (nextWork=0 paths) can
+			// create.
+			continue
+		}
+		t := tr.pending.arrival
+		if tr.bucketAt > t {
+			t = tr.bucketAt
+		}
+		if t < next {
+			next = t
 		}
 	}
-	if s.inflight > 0 || s.q.Len() > 0 || s.srcOK {
+	if backlog > 0 && s.inflight < s.opts.MaxInFlight {
+		next = 0 // dispatchable right now
+	}
+	if s.inflight > 0 || backlog > 0 || pending {
 		if due := s.lastEval + s.opts.EvalInterval; due < next {
 			next = due
 		}
@@ -783,18 +790,12 @@ func (s *JobService) updateNextWorkLocked() {
 
 // checkDrainedLocked closes the drained channel once nothing is pending.
 func (s *JobService) checkDrainedLocked() {
-	if s.tens != nil {
-		for _, tr := range s.tens {
-			if tr.srcOK || tr.pending != nil || tr.q.Len() > 0 {
-				return
-			}
+	for _, tr := range s.tens {
+		if tr.pending != nil || tr.q.Len() > 0 {
+			return
 		}
-		if s.inflight == 0 && s.everServed {
-			s.drainOnce.Do(func() { close(s.drained) })
-		}
-		return
 	}
-	if !s.srcOK && s.pending == nil && s.q.Len() == 0 && s.inflight == 0 && s.everServed {
+	if s.inflight == 0 && s.everServed {
 		s.drainOnce.Do(func() { close(s.drained) })
 	}
 }
@@ -811,81 +812,59 @@ func (w *Worker) pumpJobs() bool {
 	if s.nextWork.Load() > now {
 		return false
 	}
-	return s.pump(w, now)
+	return s.pump(now)
 }
 
-func (s *JobService) pump(w *Worker, now int64) bool {
+func (s *JobService) pump(now int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	did := false
 	s.everServed = true
-	if s.tens != nil {
-		did = s.pumpTenants(now)
-		s.updateNextWorkLocked()
-		s.checkDrainedLocked()
-		return did
-	}
 
 	// 1. Admit every arrival due by now. A Block-policy arrival that
-	// finds the queue full stays in the pending cursor — held upstream —
+	// finds its queue full stays in the pending cursor — held upstream —
 	// and re-offers when space frees.
-	for s.pending != nil && s.pending.arrival <= now {
-		j := s.pending
-		if s.q.Policy() == admit.Block && s.q.Len() == s.q.Cap() {
-			break
-		}
-		err := s.offerLocked(j)
-		if err == admit.ErrWouldBlock {
-			break
-		}
-		did = true
-		if s.opts.Source != nil {
-			s.advanceSource()
-		} else {
-			s.pending, s.srcOK = nil, false
-		}
-	}
+	did := s.admitDueLocked(now)
 
 	// 2. Periodic evaluation: per-chiplet queue-depth high-water marks,
-	// plus breaker state from fault-plan and observed slowdown.
+	// breaker state from fault-plan and observed slowdown, the thermal
+	// forecast, and lease arbitration.
 	if now-s.lastEval >= s.opts.EvalInterval {
 		s.evalLocked(now)
 		s.evalSLOLocked(now)
 		did = true
 	}
 
-	// 3. Dispatch while capacity allows.
+	// 3. Dispatch while capacity allows: the DRR mux grants one slot at a
+	// time, so over any backlogged window each tenant's share of dispatch
+	// slots tracks its weight regardless of how deep any one queue is.
 	for s.inflight < s.opts.MaxInFlight {
-		e, ok := s.q.Pop()
+		ti := s.drr.Next(func(i int) bool { return s.tens[i].q.Len() > 0 })
+		if ti < 0 {
+			break
+		}
+		tr := s.tens[ti]
+		e, ok := tr.q.Pop()
 		if !ok {
 			break
 		}
 		did = true
-		s.rt.met.jobQueueDepth.Set(0, int64(s.q.Len()))
+		s.rt.met.jobQueueDepth.Set(0, int64(s.backlogLocked()))
 		j := e.Payload.(*Job)
-		m := s.rt.met
 		if j.cancelled.Load() {
-			s.stats.Cancelled++
-			m.jobsCancelled.Add(0, 1)
+			s.countLocked(tr, outCancelled)
 			s.finalizeLocked(j, JobCancelled, now)
 			continue
 		}
-		if s.q.Policy() == admit.Shed {
+		if tr.q.Policy() == admit.Shed {
 			// Dispatch-time re-check: the queueing delay may have consumed
 			// the budget since admission.
 			if j.deadline != 0 && j.deadline <= now {
-				s.stats.Expired++
-				m.jobsExpired.Add(0, 1)
+				s.countLocked(tr, outExpired)
 				s.finalizeLocked(j, JobExpired, now)
 				continue
 			}
-			est := s.est.Estimate(j.spec.Cost)
-			if s.thermMilli > 1000 {
-				est = est * s.thermMilli / 1000
-			}
-			if j.deadline != 0 && j.deadline-now < est {
-				s.stats.Shed++
-				m.jobsShed.Add(0, 1)
+			if j.deadline != 0 && j.deadline-now < s.estimateLocked(tr, j) {
+				s.countLocked(tr, outShed)
 				s.finalizeLocked(j, JobShed, now)
 				continue
 			}
@@ -893,19 +872,10 @@ func (s *JobService) pump(w *Worker, now int64) bool {
 		s.startLocked(j, now)
 	}
 
-	// A Block-policy arrival may have been waiting on the space the
-	// dispatch loop just created.
-	for s.pending != nil && s.pending.arrival <= now && s.q.Len() < s.q.Cap() {
-		j := s.pending
-		if s.offerLocked(j) == admit.ErrWouldBlock {
-			break
-		}
+	// 4. A Block-policy arrival may have been waiting on the queue space
+	// the dispatch loop just created.
+	if s.admitDueLocked(now) {
 		did = true
-		if s.opts.Source != nil {
-			s.advanceSource()
-		} else {
-			s.pending, s.srcOK = nil, false
-		}
 	}
 
 	s.updateNextWorkLocked()
@@ -931,11 +901,11 @@ func (s *JobService) evalLocked(now int64) {
 			s.maxDepth[ch] = d
 		}
 	}
-	// Pre-cliff shedding pressure from the thermal forecast, then lease
-	// arbitration (both are no-ops without a power plane / tenants).
+	// Pre-cliff shedding pressure from the thermal forecast (a no-op
+	// without a power plane), then lease arbitration.
 	s.updateThermLocked()
-	if s.tens != nil {
-		s.evalTenantsLocked(now)
+	if s.leases != nil {
+		s.evalLeasesLocked(now)
 	}
 	if s.brk == nil {
 		return
@@ -1023,9 +993,7 @@ func (s *JobService) startLocked(j *Job, now int64) {
 	j.started = now
 	j.state.Store(int32(JobRunning))
 	s.inflight++
-	if t := s.tenantRtOf(j); t != nil {
-		t.inflight++
-	}
+	s.tens[j.ten].inflight++
 	prio := clampPrio(j.spec.Priority)
 	h, ok := s.qwByPrio[prio]
 	if !ok {
@@ -1079,12 +1047,12 @@ func (s *JobService) dispatchStageLocked(j *Job, now int64) {
 // The breaker's Allow remains the authoritative admission gate: it is
 // consulted (and its half-open probe budget consumed) per stage here.
 //
-// On a multi-tenant service (ten >= 0) the candidate walk is restricted
-// to the tenant's leased chiplets first: a bursting tenant stacks its own
-// lease's queues instead of its neighbors'. Only when the lease yields no
-// admissible live worker at all (every leased chiplet died or is breaker-
-// refused between rebalances) does the walk fall back to the whole
-// machine — isolation never starves a compliant tenant.
+// With leases (a service configured with Tenants) the candidate walk is
+// restricted to the tenant's leased chiplets first: a bursting tenant
+// stacks its own lease's queues instead of its neighbors'. Only when the
+// lease yields no admissible live worker at all (every leased chiplet died
+// or is breaker-refused between rebalances) does the walk run again over
+// the whole machine — isolation never starves a compliant tenant.
 //
 // When the job prefers a chiplet kind (kind != KindAny) on a
 // heterogeneous machine, matching-kind chiplets are moved to the front
@@ -1120,12 +1088,13 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 		}
 	}
 	var cand []int
-	if ten >= 0 && s.leases != nil && s.leases.Held(ten) > 0 {
+	leased := s.leases != nil && s.leases.Held(ten) > 0
+	for {
 		for _, ch := range chs {
 			if len(cand) >= n {
 				break
 			}
-			if s.leases.Owner(int(ch)) != ten {
+			if leased && s.leases.Owner(int(ch)) != ten {
 				continue
 			}
 			grp := v.LiveWorkersOn(ch)
@@ -1137,21 +1106,10 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 			}
 			cand = append(cand, grp...)
 		}
-	}
-	if len(cand) == 0 {
-		for _, ch := range chs {
-			if len(cand) >= n {
-				break
-			}
-			grp := v.LiveWorkersOn(ch)
-			if len(grp) == 0 {
-				continue
-			}
-			if s.brk != nil && !s.brk.Allow(int(ch)) {
-				continue
-			}
-			cand = append(cand, grp...)
+		if !leased || len(cand) > 0 {
+			break
 		}
+		leased = false
 	}
 	for k := 0; k < n; k++ {
 		if len(cand) == 0 {
@@ -1208,43 +1166,31 @@ func (s *JobService) placeFallbackLocked(v *place.View) int {
 
 // completeLocked finishes job j successfully at time now.
 func (s *JobService) completeLocked(j *Job, now int64) {
-	s.inflight--
-	s.stats.Completed++
-	m := s.rt.met
-	m.jobsCompleted.Add(0, 1)
-	t := s.tenantRtOf(j)
-	if t != nil {
-		// Per-tenant estimator: service times feed only the owning
-		// tenant's distribution.
-		t.inflight--
-		s.estBank.Observe(j.ten, now-j.started)
-	} else {
-		s.est.Observe(now - j.started)
-	}
+	tr := s.retireLocked(j, outCompleted)
+	// Service times feed only the owning tenant's distribution: one
+	// tenant's heavyweight jobs must not get a fresh tenant's first
+	// lightweight ones shed as hopeless, or the reverse.
+	tr.est.Observe(now - j.started)
 	s.finalizeLocked(j, JobCompleted, now)
 	if j.MetDeadline() {
-		s.stats.Met++
+		s.countLocked(tr, outMet)
 	}
-	if t != nil {
-		t.stats.Completed++
-		t.mDone.Add(0, 1)
-		if j.MetDeadline() {
-			t.stats.Met++
-		}
-		t.lat.ObserveT(0, now-j.arrival, obs.TraceID(j.id))
+	if tr.lat != nil {
+		tr.lat.ObserveT(0, now-j.arrival, obs.TraceID(j.id))
 	}
 	s.observeLatencyLocked(j, now-j.arrival)
 	s.updateNextWorkLocked()
 	s.checkDrainedLocked()
 }
 
-// tenantRtOf returns job j's tenant runtime, or nil on a single-tenant
-// service.
-func (s *JobService) tenantRtOf(j *Job) *tenantRt {
-	if j.ten >= 0 && j.ten < len(s.tens) {
-		return s.tens[j.ten]
-	}
-	return nil
+// retireLocked takes running job j out of flight under outcome o and
+// returns its tenant.
+func (s *JobService) retireLocked(j *Job, o jobOutcome) *tenantRt {
+	tr := s.tens[j.ten]
+	s.inflight--
+	tr.inflight--
+	s.countLocked(tr, o)
+	return tr
 }
 
 // clampPrio clamps a priority to the [0, 7] label range.
@@ -1289,33 +1235,20 @@ func (s *JobService) stageDone(j *Job, g *group) {
 		tr.Emit(s.trShard, obs.Span{Trace: obs.TraceID(j.id), Kind: obs.SpanStage,
 			Start: j.stageStart, End: end, Stage: j.curStage, Arg: j.stageTasks})
 	}
-	m := s.rt.met
 	switch {
 	case j.cancelled.Load():
-		s.inflight--
-		s.stats.Cancelled++
-		if t := s.tenantRtOf(j); t != nil {
-			t.inflight--
-			t.stats.Cancelled++
-		}
-		m.jobsCancelled.Add(0, 1)
+		s.retireLocked(j, outCancelled)
 		s.finalizeLocked(j, JobCancelled, end)
-		s.updateNextWorkLocked()
-		s.checkDrainedLocked()
 	case g.panicked.Load() != nil:
-		s.inflight--
-		s.stats.Failed++
-		if t := s.tenantRtOf(j); t != nil {
-			t.inflight--
-			t.stats.Failed++
-		}
+		s.retireLocked(j, outFailed)
 		j.err.Store(g.panicked.Load())
 		s.finalizeLocked(j, JobFailed, end)
-		s.updateNextWorkLocked()
-		s.checkDrainedLocked()
 	default:
 		s.dispatchStageLocked(j, end)
+		return
 	}
+	s.updateNextWorkLocked()
+	s.checkDrainedLocked()
 }
 
 // observeExec records a finished job task's execution time against its

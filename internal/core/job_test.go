@@ -2,20 +2,23 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"charm/internal/admit"
 	"charm/internal/fault"
+	"charm/internal/obs"
 	"charm/internal/sim"
 	"charm/internal/topology"
 )
 
-// jobRuntime builds a started deterministic runtime on a small synthetic
-// machine for open-loop tests.
-func jobRuntime(t *testing.T, opts Options) *Runtime {
+// startedRuntime builds a started runtime on a small synthetic machine for
+// open-loop tests.
+func startedRuntime(t *testing.T, opts Options) *Runtime {
 	t.Helper()
 	topo := topology.Synthetic(4, 2)
 	m := sim.New(sim.Config{Topo: topo})
@@ -26,6 +29,77 @@ func jobRuntime(t *testing.T, opts Options) *Runtime {
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	return rt
+}
+
+// jobRuntime is startedRuntime for tests that wait for every job they
+// submit before they return: the ledger such a test leaves behind must
+// balance, and the runtime checks it on the way out.
+func jobRuntime(t *testing.T, opts Options) *Runtime {
+	t.Helper()
+	rt := startedRuntime(t, opts)
+	t.Cleanup(func() {
+		if svc := rt.JobServer(); svc != nil {
+			checkLedger(t, svc)
+		}
+	})
+	return rt
+}
+
+// ledgerCols are the JobStats/TenantStats columns job conservation is
+// stated over: the first is every arrival presented to admission, the next
+// six are the ways out, the last two are counted on the way through.
+var ledgerCols = [...]string{"Submitted",
+	"Completed", "Shed", "Rejected", "Expired", "Cancelled", "Failed",
+	"Admitted", "Met"}
+
+// ledgerOf reads ledgerCols out of a JobStats or a TenantStats.
+func ledgerOf(stats any) (l [len(ledgerCols)]int64) {
+	v := reflect.ValueOf(stats)
+	for i, name := range ledgerCols {
+		l[i] = v.FieldByName(name).Int()
+	}
+	return l
+}
+
+// ledgerErr checks job conservation on a service whose jobs are all
+// terminal: every arrival presented to admission left through exactly one
+// outcome, in the service ledger and in each tenant's, and the tenant
+// ledgers add up to the service's.
+func (s *JobService) ledgerErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	balanced := func(who string, l [len(ledgerCols)]int64) error {
+		if out := l[1] + l[2] + l[3] + l[4] + l[5] + l[6]; l[0] != out {
+			return fmt.Errorf("%s: %d submitted, %d accounted for (%v = %v)", who, l[0], out, ledgerCols, l)
+		}
+		return nil
+	}
+	svc := ledgerOf(s.stats)
+	if err := balanced("service", svc); err != nil {
+		return err
+	}
+	var sum [len(ledgerCols)]int64
+	for _, tr := range s.tens {
+		l := ledgerOf(tr.stats)
+		if err := balanced(fmt.Sprintf("tenant %q", tr.stats.Name), l); err != nil {
+			return err
+		}
+		for i, v := range l {
+			sum[i] += v
+		}
+	}
+	if sum != svc {
+		return fmt.Errorf("tenant ledgers sum to %v, service ledger is %v (%v)", sum, svc, ledgerCols)
+	}
+	return nil
+}
+
+// checkLedger asserts ledger conservation on a quiescent service.
+func checkLedger(t *testing.T, svc *JobService) {
+	t.Helper()
+	if err := svc.ledgerErr(); err != nil {
+		t.Errorf("job ledger does not balance: %v", err)
+	}
 }
 
 // computeJob builds a one-stage job of n tasks, each charging cost virtual
@@ -263,8 +337,10 @@ func TestFinalizeIdempotentAndTyped(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		close(started)
 		rt.Run(func(ctx *Ctx) {
+			// From inside the task: a Stop that wins the race outright
+			// refuses the Run with ErrFinalized, which is not this case.
+			close(started)
 			ctx.Compute(200_000)
 			ran.Add(1)
 		})
@@ -322,6 +398,7 @@ func overloadRun(t *testing.T, seed uint64) (JobStats, []int64, [4]int64) {
 		},
 	})
 	svc.Drain()
+	checkLedger(t, svc)
 	lats := make([]int64, 0, 120)
 	for _, j := range svc.Jobs() {
 		lats = append(lats, j.Latency())
@@ -358,5 +435,60 @@ func TestBreakerTripsUnderThermalFault(t *testing.T) {
 	}
 	if st.Submitted != 120 {
 		t.Errorf("Submitted = %d, want 120", st.Submitted)
+	}
+}
+
+// TestImplicitTenantInvisible: a service configured without Tenants runs
+// the tenant pump over one unnamed tenant, and nothing a caller can reach
+// shows it — no tenant ledger, name, lease, DRR grant, SpanLease or
+// charm_tenant_* series — and JobSpec.Tenant is ignored, not looked up.
+func TestImplicitTenantInvisible(t *testing.T) {
+	rt := jobRuntime(t, Options{Deterministic: true})
+	rt.EnableTracing(true)
+	rt.EnableMetrics(true)
+	const jobs = 30
+	svc := lsServe(t, rt, JobServiceOptions{
+		EvalInterval: 20_000, // several lease-arbitration opportunities
+		Source: &SpecSource{
+			Arrivals: admit.NewPoisson(5, 4_000, jobs),
+			Gen: func(i int) JobSpec {
+				s := computeJob(2, 3_000, nil)
+				s.Tenant = "x"
+				return s
+			},
+		},
+	})
+	svc.Drain()
+	lsSettle(rt)
+
+	if st := svc.Stats(); st.Completed != jobs {
+		t.Fatalf("stats = %+v, want %d completed (Tenant \"x\" must be ignored)", st, jobs)
+	}
+	if ts := svc.TenantStats(); len(ts) != 0 {
+		t.Errorf("TenantStats = %+v, want none", ts)
+	}
+	if names := svc.TenantNames(); len(names) != 0 {
+		t.Errorf("TenantNames = %q, want none", names)
+	}
+	if o := svc.LeaseOwners(); o != nil {
+		t.Errorf("LeaseOwners = %v, want nil", o)
+	}
+	if g := svc.DispatchGrants(); g != nil {
+		t.Errorf("DispatchGrants = %v, want nil", g)
+	}
+	for _, j := range svc.Jobs() {
+		if j.Tenant() != "" {
+			t.Fatalf("job %d: Tenant() = %q, want \"\"", j.ID(), j.Tenant())
+		}
+	}
+	for _, sp := range rt.Tracer().Spans() {
+		if sp.Kind == obs.SpanLease {
+			t.Fatalf("SpanLease emitted without tenants: %+v", sp)
+		}
+	}
+	for _, sm := range rt.met.reg.Snapshot(0).Samples {
+		if strings.HasPrefix(sm.Name, "charm_tenant_") {
+			t.Errorf("registry holds %s without tenants", sm.Key())
+		}
 	}
 }

@@ -88,8 +88,8 @@ func lsRuntime(t *testing.T, opts Options) *Runtime {
 	if opts.SchedulerTimer == 0 {
 		opts.SchedulerTimer = 50_000
 	}
-	rt := jobRuntime(t, opts)
-	rt.met.reg.SetEnabled(true) // the fault scenarios digest park/re-enqueue counters
+	rt := startedRuntime(t, opts) // some scenarios stop mid-stream: no ledger check
+	rt.met.reg.SetEnabled(true)   // the fault scenarios digest park/re-enqueue counters
 	return rt
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"charm/internal/admit"
@@ -69,6 +70,7 @@ func tenantReplayRun(t *testing.T) tenantLedger {
 		},
 	})
 	svc.Drain()
+	checkLedger(t, svc)
 
 	led := tenantLedger{
 		Stats:  svc.Stats(),
@@ -203,4 +205,98 @@ func TestTenantUnknownSubmit(t *testing.T) {
 		t.Errorf("empty tenant routed to %q, want A", got)
 	}
 	svc.Drain()
+}
+
+// TestQueueLenCountsTenantBacklog: QueueLen is the backlog of every
+// tenant's queue. (It used to read a service-wide heap that a service with
+// Tenants created and never filled, and reported 0 under any backlog.)
+func TestQueueLenCountsTenantBacklog(t *testing.T) {
+	rt := jobRuntime(t, Options{Deterministic: true})
+	var deepest atomic.Int64
+	const jobs = 12
+	svc := lsServe(t, rt, JobServiceOptions{
+		MaxInFlight: 1, // the burst queues behind the one running job
+		Tenants: []TenantConfig{{
+			Spec: tenant.Spec{Name: "A", Weight: 1, Quota: 1, Policy: admit.Block, QueueCap: 4},
+			Source: &SpecSource{
+				Arrivals: admit.NewPoisson(3, 100, jobs),
+				Gen: func(i int) JobSpec {
+					return JobSpec{Stages: []JobStage{{func(ctx *Ctx) {
+						ctx.Compute(20_000)
+						if n := int64(rt.JobServer().QueueLen()); n > deepest.Load() {
+							deepest.Store(n)
+						}
+					}}}}
+				},
+			},
+		}},
+	})
+	svc.Drain()
+	if st := svc.Stats(); st.Completed != jobs {
+		t.Fatalf("stats = %+v, want %d completed", st, jobs)
+	}
+	if deepest.Load() == 0 {
+		t.Errorf("QueueLen stayed 0 mid-run with %d arrivals behind MaxInFlight 1", jobs)
+	}
+	if n := svc.QueueLen(); n != 0 {
+		t.Errorf("QueueLen = %d after Drain, want 0", n)
+	}
+}
+
+// TestTenantEstimatorIsolation: completions feed the owning tenant's
+// service-time estimator only. A tenant with no history estimates from its
+// own jobs' Cost hints even when a neighbor has accumulated a very
+// different distribution — one tenant running heavyweight jobs must not
+// get a fresh tenant's first lightweight jobs shed as hopeless.
+func TestTenantEstimatorIsolation(t *testing.T) {
+	rt := jobRuntime(t, Options{Deterministic: true})
+	mk := func(name string) TenantConfig {
+		return TenantConfig{Spec: tenant.Spec{Name: name, Weight: 1, Quota: 1,
+			Policy: admit.Shed, QueueCap: 64}}
+	}
+	svc := lsServe(t, rt, JobServiceOptions{
+		EstMinSamples: 4,
+		Tenants:       []TenantConfig{mk("heavy"), mk("fresh")},
+	})
+	var done []*Job
+	for i := 0; i < 12; i++ {
+		spec := computeJob(1, 1_000_000, nil)
+		spec.Tenant = "heavy"
+		j, err := rt.SubmitJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done = append(done, j)
+	}
+	for _, j := range done {
+		<-j.Done()
+	}
+	svc.mu.Lock()
+	heavy, fresh := svc.tens[0].est, svc.tens[1].est
+	if n := heavy.Count(); n != 12 {
+		t.Errorf("heavy tenant's estimator saw %d completions, want 12", n)
+	}
+	if got := heavy.Estimate(10_000); got < 500_000 {
+		t.Errorf("heavy tenant estimate = %d, want ~1ms from its own history", got)
+	}
+	if n := fresh.Count(); n != 0 {
+		t.Errorf("fresh tenant's estimator saw %d of its neighbor's completions", n)
+	}
+	if got := fresh.Estimate(10_000); got != 10_000 {
+		t.Errorf("fresh tenant estimate = %d, want its own 10000 hint", got)
+	}
+	svc.mu.Unlock()
+
+	// The fresh tenant's first lightweight job, with a budget far below
+	// the neighbor's ~1ms service times, is admitted and runs.
+	spec := computeJob(1, 10_000, nil)
+	spec.Tenant, spec.Cost, spec.Deadline = "fresh", 10_000, 200_000
+	j, err := rt.SubmitJob(spec)
+	if err != nil {
+		t.Fatalf("fresh tenant's first job refused: %v", err)
+	}
+	<-j.Done()
+	if j.State() != JobCompleted {
+		t.Errorf("fresh tenant's first job ended %v, want completed", j.State())
+	}
 }

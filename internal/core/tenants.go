@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	"charm/internal/admit"
@@ -11,15 +10,21 @@ import (
 	"charm/internal/tenant"
 )
 
-// This file is the multi-tenant isolation plane of the job service. With
-// JobServiceOptions.Tenants set, the single admission heap becomes one
-// bounded queue per tenant, drained by a deficit-round-robin mux so every
-// tenant holds a weighted fair share of dispatch slots; per-tenant token
-// buckets rate-limit arrivals under each tenant's own overflow policy; and
+// This file holds the tenants of the job service: the per-tenant state the
+// pump in job.go runs over, admission (arrival cursor → token bucket →
+// bounded queue, each under the tenant's own overflow policy), and what
+// only configured tenants have. Every service has at least one tenant. With
+// JobServiceOptions.Tenants set there is one bounded queue per tenant,
+// drained by a deficit-round-robin mux so every tenant holds a weighted fair
+// share of dispatch slots; per-tenant token buckets rate-limit arrivals; and
 // chiplet-group leases — arbitrated at every evaluation tick through the
-// placement plane's liveness view — partition the machine elastically, so
-// a bursting tenant floods its own lease instead of its neighbors'.
-// Single-tenant services (Tenants empty) take none of these paths.
+// placement plane's liveness view — partition the machine elastically, so a
+// bursting tenant floods its own lease instead of its neighbors'. Without
+// Tenants the same code runs one unnamed tenant, and tenancy is switched off
+// by data, not by a second path: no lease table (so no arbitration, no
+// lease-restricted placement, no steal fence, no SpanLease), no metric
+// handles (so no charm_tenant_* series), an unlimited bucket, and
+// JobSpec.Tenant ignored.
 //
 // All tenant state lives behind svc.mu like the rest of the service, so
 // deterministic runs arbitrate identically: queues are scanned in tenant
@@ -71,18 +76,24 @@ type TenantStats struct {
 
 // tenantRt is one tenant's runtime state, guarded by svc.mu.
 type tenantRt struct {
-	spec    tenant.Spec
-	q       *admit.Queue
-	bucket  *tenant.Bucket
-	src     JobSource
+	spec   tenant.Spec
+	q      *admit.Queue
+	bucket *tenant.Bucket
+	// est predicts service times from this tenant's completions only; with
+	// no history it falls back to the job's own Cost hint, never to another
+	// tenant's distribution.
+	est *admit.Estimator
+	src JobSource
+	// pending is the arrival cursor: the next arrival pulled from src, not
+	// yet decided (nil = source exhausted, or none).
 	pending *Job
-	srcOK   bool
 	// bucketAt is the virtual time the next token matures for a
 	// Block-policy arrival held upstream by the rate limiter (0 = none).
 	bucketAt int64
 	inflight int
 	stats    TenantStats
 
+	// Metric handles: nil on the unnamed tenant.
 	lat      *obs.Histogram
 	leases   *obs.Gauge
 	mAdmit   *obs.Counter
@@ -92,20 +103,63 @@ type tenantRt struct {
 	mLimited *obs.Counter
 }
 
-// setupTenants builds the multi-tenant plane during ServeJobs. Caller has
-// already defaulted the global options.
+// setupTenants builds the tenant list and the dispatch mux over it during
+// ServeJobs, plus what only configured tenants have: the name index, the
+// metric handles and the lease table. Caller has already defaulted the
+// global options.
 func (s *JobService) setupTenants(cfgs []TenantConfig) error {
+	named := len(cfgs) > 0
+	if !named {
+		cfgs = []TenantConfig{{Source: s.opts.Source, Spec: tenant.Spec{
+			Weight: 1, Policy: s.opts.Policy, QueueCap: s.opts.QueueCapacity}}}
+	} else if err := s.indexTenants(cfgs); err != nil {
+		return err
+	}
+	weights := make([]int64, len(cfgs))
+	quotas := make([]int, len(cfgs))
+	for i, c := range cfgs {
+		spec := c.Spec
+		weights[i] = spec.Weight
+		quotas[i] = spec.Quota
+		qcap := spec.QueueCap
+		if qcap <= 0 {
+			qcap = s.opts.QueueCapacity
+		}
+		tr := &tenantRt{
+			spec:   spec,
+			q:      admit.NewQueue(qcap, spec.Policy),
+			bucket: tenant.NewBucket(spec.GapNS, spec.Burst),
+			est:    admit.NewEstimator(s.opts.EstQuantile, s.opts.EstMinSamples),
+			src:    c.Source,
+			stats:  TenantStats{Name: spec.Name},
+		}
+		if named {
+			s.registerTenantMetrics(tr)
+		}
+		s.tens = append(s.tens, tr)
+	}
+	s.drr = tenant.NewDRR(weights)
+	if named {
+		s.leases = tenant.NewLeaseTable(s.rt.M.Topo.NumChiplets(), quotas, weights)
+		s.publishLeaseViewLocked()
+	}
+	for i, tr := range s.tens {
+		if tr.src != nil {
+			s.advanceSource(i)
+		}
+	}
+	return nil
+}
+
+// indexTenants validates the configured tenants and fills the name index.
+func (s *JobService) indexTenants(cfgs []TenantConfig) error {
 	if s.opts.Source != nil {
 		return errors.New("core: Tenants and a global Source are mutually exclusive (give each tenant its own)")
 	}
-	nch := s.rt.M.Topo.NumChiplets()
 	s.tenIdx = make(map[string]int, len(cfgs))
-	weights := make([]int64, len(cfgs))
-	quotas := make([]int, len(cfgs))
 	quotaSum := 0
-	reg := s.rt.met.reg
-	for i, c := range cfgs {
-		spec := c.Spec
+	for i := range cfgs {
+		spec := &cfgs[i].Spec
 		if err := spec.Validate(); err != nil {
 			return err
 		}
@@ -113,61 +167,39 @@ func (s *JobService) setupTenants(cfgs []TenantConfig) error {
 			return errors.New("core: duplicate tenant " + strconv.Quote(spec.Name))
 		}
 		s.tenIdx[spec.Name] = i
-		weights[i] = spec.Weight
-		quotas[i] = spec.Quota
 		quotaSum += spec.Quota
-		qcap := spec.QueueCap
-		if qcap <= 0 {
-			qcap = s.opts.QueueCapacity
-		}
-		l := obs.Labels{"tenant": spec.Name}
-		outcome := func(o string) obs.Labels {
-			return obs.Labels{"tenant": spec.Name, "outcome": o}
-		}
-		tr := &tenantRt{
-			spec:   spec,
-			q:      admit.NewQueue(qcap, spec.Policy),
-			bucket: tenant.NewBucket(spec.GapNS, spec.Burst),
-			src:    c.Source,
-			stats:  TenantStats{Name: spec.Name},
-			lat: reg.Histogram("charm_tenant_job_latency_ns",
-				"Virtual ns from job arrival to completion, per tenant.",
-				l, latencyBounds, obs.WithExemplars()),
-			leases: reg.Gauge("charm_tenant_leases",
-				"Chiplet-group leases currently held by the tenant.", l, obs.Traced()),
-			mAdmit: reg.Counter("charm_tenant_jobs_total",
-				"Per-tenant job admission outcomes.", outcome("admitted")),
-			mDone: reg.Counter("charm_tenant_jobs_total",
-				"Per-tenant job admission outcomes.", outcome("completed")),
-			mShed: reg.Counter("charm_tenant_jobs_total",
-				"Per-tenant job admission outcomes.", outcome("shed")),
-			mReject: reg.Counter("charm_tenant_jobs_total",
-				"Per-tenant job admission outcomes.", outcome("rejected")),
-			mLimited: reg.Counter("charm_tenant_jobs_total",
-				"Per-tenant job admission outcomes.", outcome("rate-limited")),
-		}
-		s.tens = append(s.tens, tr)
 	}
-	if quotaSum > nch {
+	if nch := s.rt.M.Topo.NumChiplets(); quotaSum > nch {
 		return errors.New("core: tenant quotas oversubscribe the machine: " +
 			strconv.Itoa(quotaSum) + " chiplets guaranteed, " + strconv.Itoa(nch) + " exist")
-	}
-	s.drr = tenant.NewDRR(weights)
-	s.leases = tenant.NewLeaseTable(nch, quotas, weights)
-	s.estBank = admit.NewEstimatorBank(len(cfgs), s.opts.EstQuantile, s.opts.EstMinSamples)
-	s.publishLeaseViewLocked()
-	for i, tr := range s.tens {
-		if tr.src != nil {
-			s.advanceTenantSource(i)
-		}
 	}
 	return nil
 }
 
-// tenantOf resolves a spec's tenant name (empty selects tenant 0, so
-// single-tenant callers keep working against a tenant-enabled service).
+// registerTenantMetrics creates tr's charm_tenant_* series.
+func (s *JobService) registerTenantMetrics(tr *tenantRt) {
+	reg := s.rt.met.reg
+	l := obs.Labels{"tenant": tr.spec.Name}
+	outcome := func(o string) *obs.Counter {
+		return reg.Counter("charm_tenant_jobs_total", "Per-tenant job admission outcomes.",
+			obs.Labels{"tenant": tr.spec.Name, "outcome": o})
+	}
+	tr.lat = reg.Histogram("charm_tenant_job_latency_ns",
+		"Virtual ns from job arrival to completion, per tenant.",
+		l, latencyBounds, obs.WithExemplars())
+	tr.leases = reg.Gauge("charm_tenant_leases",
+		"Chiplet-group leases currently held by the tenant.", l, obs.Traced())
+	tr.mAdmit = outcome("admitted")
+	tr.mDone = outcome("completed")
+	tr.mShed = outcome("shed")
+	tr.mReject = outcome("rejected")
+	tr.mLimited = outcome("rate-limited")
+}
+
+// tenantOf resolves a spec's tenant name: empty selects tenant 0, and a
+// service configured without Tenants has only that one to select.
 func (s *JobService) tenantOf(spec *JobSpec) (int, error) {
-	if spec.Tenant == "" {
+	if spec.Tenant == "" || s.leases == nil {
 		return 0, nil
 	}
 	i, ok := s.tenIdx[spec.Tenant]
@@ -177,50 +209,44 @@ func (s *JobService) tenantOf(spec *JobSpec) (int, error) {
 	return i, nil
 }
 
-// advanceTenantSource pulls tenant i's next arrival into its pending
-// cursor. Caller holds mu (or is still constructing the service).
-func (s *JobService) advanceTenantSource(i int) {
+// advanceSource pulls tenant i's next arrival into its pending cursor.
+// Caller holds mu (or is still constructing the service).
+func (s *JobService) advanceSource(i int) {
 	tr := s.tens[i]
 	at, spec, ok := tr.src.Next()
 	if !ok {
-		tr.pending, tr.srcOK = nil, false
+		tr.pending = nil
 		return
 	}
 	if err := validateSpec(&spec); err != nil {
-		panic(err)
+		panic(err) // a source generating invalid specs is a programming error
 	}
-	tr.srcOK = true
-	j := s.newJobLocked(at, spec)
-	j.ten = i
-	tr.pending = j
+	tr.pending = s.newJobLocked(at, spec, i)
 }
 
-// admitDueTenantLocked processes tenant i's due arrivals at time now:
-// token bucket first (Block holds the arrival upstream until a token
-// matures; Reject/Shed refuse outright), then the tenant queue under the
-// tenant's own policy. Returns true when it decided at least one arrival.
-func (s *JobService) admitDueTenantLocked(i int, now int64) bool {
-	tr := s.tens[i]
+// admitDueLocked decides every arrival due by now, tenant by tenant in
+// index order: token bucket first (Block holds the arrival upstream until a
+// token matures; Reject/Shed refuse outright), then the tenant queue under
+// the tenant's own policy. Returns true when it decided at least one.
+func (s *JobService) admitDueLocked(now int64) bool {
 	did := false
-	for tr.pending != nil && tr.pending.arrival <= now {
-		j := tr.pending
-		if tr.spec.Policy == admit.Block && tr.q.Len() >= tr.q.Cap() {
-			break // held upstream until dispatch frees queue space
-		}
-		if !tr.bucket.Take(now) {
-			if tr.spec.Policy == admit.Block {
+	for i, tr := range s.tens {
+		for tr.pending != nil && tr.pending.arrival <= now {
+			if tr.spec.Policy == admit.Block && tr.q.Len() >= tr.q.Cap() {
+				break // held upstream until dispatch frees queue space
+			}
+			if tr.bucket.Take(now) {
+				tr.bucketAt = 0
+				s.offerLocked(tr.pending)
+			} else if tr.spec.Policy == admit.Block {
 				tr.bucketAt = tr.bucket.NextAt(now)
 				break // held upstream until a token matures
+			} else {
+				s.rateLimitLocked(tr, tr.pending, now)
 			}
-			s.rateLimitLocked(tr, j, now)
 			did = true
-			s.advanceTenantSource(i)
-			continue
+			s.advanceSource(i)
 		}
-		tr.bucketAt = 0
-		s.offerTenantLocked(j)
-		did = true
-		s.advanceTenantSource(i)
 	}
 	return did
 }
@@ -228,76 +254,58 @@ func (s *JobService) admitDueTenantLocked(i int, now int64) bool {
 // rateLimitLocked refuses arrival j under tenant tr's overflow policy
 // after a token-bucket miss.
 func (s *JobService) rateLimitLocked(tr *tenantRt, j *Job, now int64) {
-	s.stats.Submitted++
-	tr.stats.Submitted++
-	tr.stats.RateLimited++
-	tr.mLimited.Add(0, 1)
-	m := s.rt.met
+	o, st := outLimitedRejected, JobRejected
 	if tr.spec.Policy == admit.Shed {
-		s.stats.Shed++
-		tr.stats.Shed++
-		m.jobsShed.Add(0, 1)
-		s.finalizeLocked(j, JobShed, now)
-		return
+		o, st = outLimitedShed, JobShed
 	}
-	s.stats.Rejected++
-	tr.stats.Rejected++
-	m.jobsRejected.Add(0, 1)
-	s.finalizeLocked(j, JobRejected, now)
+	s.countLocked(tr, outSubmitted)
+	s.countLocked(tr, o)
+	s.finalizeLocked(j, st, now)
 }
 
-// offerTenantLocked presents job j to its tenant's admission queue. The
-// token bucket has already been consulted.
-func (s *JobService) offerTenantLocked(j *Job) error {
-	tr := s.tens[j.ten]
-	s.stats.Submitted++
-	tr.stats.Submitted++
-	m := s.rt.met
-	est := s.estBank.Estimate(j.ten, j.spec.Cost)
+// estimateLocked is tenant tr's service-time estimate for job j; under the
+// Shed policy it is inflated by the thermal forecast (updateThermLocked).
+func (s *JobService) estimateLocked(tr *tenantRt, j *Job) int64 {
+	est := tr.est.Estimate(j.spec.Cost)
 	if tr.q.Policy() == admit.Shed && s.thermMilli > 1000 {
 		est = est * s.thermMilli / 1000
 	}
+	return est
+}
+
+// offerLocked presents job j to its tenant's admission queue. The token
+// bucket has already been consulted.
+func (s *JobService) offerLocked(j *Job) error {
+	tr := s.tens[j.ten]
+	s.countLocked(tr, outSubmitted)
 	evicted, err := tr.q.Offer(j.arrival, admit.Entry{
 		Seq:      j.id,
 		Priority: j.spec.Priority,
 		Arrival:  j.arrival,
 		Deadline: j.deadline,
-		Est:      est,
+		Est:      s.estimateLocked(tr, j),
 		Payload:  j,
 	})
 	if evicted != nil {
-		v := evicted.Payload.(*Job)
-		s.stats.Shed++
-		tr.stats.Shed++
-		tr.mShed.Add(0, 1)
-		m.jobsShed.Add(0, 1)
-		s.finalizeLocked(v, JobShed, j.arrival)
+		s.countLocked(tr, outShed)
+		s.finalizeLocked(evicted.Payload.(*Job), JobShed, j.arrival)
 	}
 	switch {
 	case err == nil:
-		s.stats.Admitted++
-		tr.stats.Admitted++
-		tr.mAdmit.Add(0, 1)
-		m.jobsAdmitted.Add(0, 1)
+		s.countLocked(tr, outAdmitted)
 		if n := tr.q.Len(); n > tr.stats.MaxQueue {
 			tr.stats.MaxQueue = n
 		}
-		if n := s.backlogLocked(); n > s.stats.MaxQueue {
+		n := s.backlogLocked()
+		if n > s.stats.MaxQueue {
 			s.stats.MaxQueue = n
 		}
-		m.jobQueueDepth.Set(0, int64(s.backlogLocked()))
-		return nil
+		s.rt.met.jobQueueDepth.Set(0, int64(n))
 	case err == admit.ErrHopeless:
-		s.stats.Shed++
-		tr.stats.Shed++
-		tr.mShed.Add(0, 1)
-		m.jobsShed.Add(0, 1)
+		s.countLocked(tr, outShed)
 		s.finalizeLocked(j, JobShed, j.arrival)
 	default: // ErrQueueFull, ErrWouldBlock
-		s.stats.Rejected++
-		tr.stats.Rejected++
-		tr.mReject.Add(0, 1)
-		m.jobsRejected.Add(0, 1)
+		s.countLocked(tr, outRejected)
 		s.finalizeLocked(j, JobRejected, j.arrival)
 	}
 	return err
@@ -312,90 +320,12 @@ func (s *JobService) backlogLocked() int {
 	return n
 }
 
-// pumpTenants is the multi-tenant pump body: per-tenant admission, the
-// shared periodic evaluation, then DRR-fair dispatch. Caller holds mu.
-func (s *JobService) pumpTenants(now int64) bool {
-	did := false
-
-	// 1. Admission, tenant by tenant in index order.
-	for i := range s.tens {
-		if s.admitDueTenantLocked(i, now) {
-			did = true
-		}
-	}
-
-	// 2. Periodic evaluation: telemetry, breakers, thermal forecast, and
-	// lease arbitration.
-	if now-s.lastEval >= s.opts.EvalInterval {
-		s.evalLocked(now)
-		s.evalSLOLocked(now)
-		did = true
-	}
-
-	// 3. Dispatch: the DRR mux grants one slot at a time, so over any
-	// backlogged window each tenant's share of dispatch slots tracks its
-	// weight regardless of how deep any one queue is.
-	m := s.rt.met
-	for s.inflight < s.opts.MaxInFlight {
-		ti := s.drr.Next(func(i int) bool { return s.tens[i].q.Len() > 0 })
-		if ti < 0 {
-			break
-		}
-		tr := s.tens[ti]
-		e, ok := tr.q.Pop()
-		if !ok {
-			break
-		}
-		did = true
-		m.jobQueueDepth.Set(0, int64(s.backlogLocked()))
-		j := e.Payload.(*Job)
-		if j.cancelled.Load() {
-			s.stats.Cancelled++
-			tr.stats.Cancelled++
-			m.jobsCancelled.Add(0, 1)
-			s.finalizeLocked(j, JobCancelled, now)
-			continue
-		}
-		if tr.q.Policy() == admit.Shed {
-			if j.deadline != 0 && j.deadline <= now {
-				s.stats.Expired++
-				tr.stats.Expired++
-				m.jobsExpired.Add(0, 1)
-				s.finalizeLocked(j, JobExpired, now)
-				continue
-			}
-			est := s.estBank.Estimate(ti, j.spec.Cost)
-			if s.thermMilli > 1000 {
-				est = est * s.thermMilli / 1000
-			}
-			if j.deadline != 0 && j.deadline-now < est {
-				s.stats.Shed++
-				tr.stats.Shed++
-				tr.mShed.Add(0, 1)
-				m.jobsShed.Add(0, 1)
-				s.finalizeLocked(j, JobShed, now)
-				continue
-			}
-		}
-		s.startLocked(j, now)
-	}
-
-	// 4. Dispatch may have freed queue space a Block-policy arrival was
-	// waiting on.
-	for i := range s.tens {
-		if s.admitDueTenantLocked(i, now) {
-			did = true
-		}
-	}
-	return did
-}
-
-// evalTenantsLocked arbitrates the chiplet-group leases at an evaluation
+// evalLeasesLocked arbitrates the chiplet-group leases at an evaluation
 // tick: chiplets live (hosting at least one worker on a live core) flow to
 // demanding tenants — quota first, then weight-proportional growth — and
 // leases on parked or offlined chiplets are voided so the tenant's share
 // re-homes instead of starving. Emits a SpanLease per ownership change.
-func (s *JobService) evalTenantsLocked(now int64) {
+func (s *JobService) evalLeasesLocked(now int64) {
 	topo := s.rt.M.Topo
 	live := make([]bool, topo.NumChiplets())
 	plan := s.rt.opts.Faults
@@ -426,13 +356,23 @@ func (s *JobService) evalTenantsLocked(now int64) {
 	}
 }
 
-// TenantStats returns every tenant's ledger in configuration order (nil
-// for a single-tenant service).
+// configuredLocked returns the tenants JobServiceOptions.Tenants declared:
+// the unnamed tenant of a service configured without them is not one.
+func (s *JobService) configuredLocked() []*tenantRt {
+	if s.leases == nil {
+		return nil
+	}
+	return s.tens
+}
+
+// TenantStats returns every configured tenant's ledger in configuration
+// order (empty for a service configured without Tenants).
 func (s *JobService) TenantStats() []TenantStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TenantStats, len(s.tens))
-	for i, tr := range s.tens {
+	tens := s.configuredLocked()
+	out := make([]TenantStats, len(tens))
+	for i, tr := range tens {
 		st := tr.stats
 		st.Quota = tr.spec.Quota
 		st.Leases = s.leases.Held(i)
@@ -447,15 +387,16 @@ func (s *JobService) TenantStats() []TenantStats {
 func (s *JobService) TenantNames() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, len(s.tens))
-	for i, tr := range s.tens {
+	tens := s.configuredLocked()
+	names := make([]string, len(tens))
+	for i, tr := range tens {
 		names[i] = tr.spec.Name
 	}
 	return names
 }
 
 // LeaseOwners returns the chiplet→tenant-index ownership map (-1 = free;
-// nil for a single-tenant service).
+// nil for a service configured without Tenants).
 func (s *JobService) LeaseOwners() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -466,11 +407,11 @@ func (s *JobService) LeaseOwners() []int {
 }
 
 // DispatchGrants returns the DRR mux's cumulative dispatch slots per
-// tenant (nil for a single-tenant service).
+// tenant (nil for a service configured without Tenants).
 func (s *JobService) DispatchGrants() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.drr == nil {
+	if s.leases == nil {
 		return nil
 	}
 	return s.drr.Grants()
@@ -489,59 +430,17 @@ func (s *JobService) publishLeaseViewLocked() {
 
 // stealAllowed is the work-stealing lease fence, consulted lock-free on
 // the steal path: a thief on chiplet ch may not import a task of a tenant
-// that does not own ch. Free chiplets (owner -1) and non-tenant tasks are
-// unfenced, and the caller bypasses the fence for blocked victims —
-// rescue beats isolation, exactly like the pinned-task escape hatch.
+// that does not own ch. Free chiplets (owner -1), tasks of no job and a
+// service without leases (no view was ever published) are unfenced, and
+// the caller bypasses the fence for blocked victims — rescue beats
+// isolation, exactly like the pinned-task escape hatch.
 func (s *JobService) stealAllowed(ch int, t *Task) bool {
-	if t.job == nil || t.job.ten < 0 {
-		return true
-	}
 	p := s.leaseView.Load()
-	if p == nil || ch < 0 || ch >= len(*p) {
+	if t.job == nil || p == nil || ch < 0 || ch >= len(*p) {
 		return true
 	}
 	owner := (*p)[ch]
 	return owner < 0 || owner == int32(t.job.ten)
-}
-
-// updateNextWorkTenantsLocked is updateNextWorkLocked's multi-tenant
-// body: the pump's next wake-up is the earliest of a dispatchable
-// backlog (now), the earliest decidable pending arrival — pushed out to
-// its token-maturity time when the rate limiter holds it upstream — and
-// the next evaluation tick.
-func (s *JobService) updateNextWorkTenantsLocked() {
-	next := int64(math.MaxInt64)
-	backlog := 0
-	anySrc, anyPend := false, false
-	for _, tr := range s.tens {
-		backlog += tr.q.Len()
-		if tr.srcOK {
-			anySrc = true
-		}
-		if tr.pending == nil {
-			continue
-		}
-		anyPend = true
-		if tr.spec.Policy == admit.Block && tr.q.Len() >= tr.q.Cap() {
-			continue // waits for dispatch to free queue space
-		}
-		t := tr.pending.arrival
-		if tr.bucketAt > t {
-			t = tr.bucketAt
-		}
-		if t < next {
-			next = t
-		}
-	}
-	if backlog > 0 && s.inflight < s.opts.MaxInFlight {
-		next = 0
-	}
-	if s.inflight > 0 || backlog > 0 || anySrc || anyPend {
-		if due := s.lastEval + s.opts.EvalInterval; due < next {
-			next = due
-		}
-	}
-	s.nextWork.Store(next)
 }
 
 // updateThermLocked refreshes the thermal shed-pressure factor from the
