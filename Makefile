@@ -19,10 +19,11 @@ STATICCHECK_VERSION ?= 2025.1.1
 # always runs it pinned; local runs without it just skip), full build,
 # the full test suite, the race detector on the concurrency-heavy
 # packages (the sharded metrics registry, the runtime core, and the
-# per-link fabric charging), the
-# simulator stress test that hammers Machine.Access from one goroutine
-# per core (exercises the coherence directory and the lock-free tag
-# arrays under -race), the lockstep baton's golden/model/liveness tests
+# per-link fabric charging), the simulator, cache and memory packages
+# under -race too (~40 s: the stress tests that hammer Machine.Access from
+# one goroutine per core over the coherence directory and the lock-free
+# tag arrays, and the streamed access path against its reference), the
+# lockstep baton's golden/model/liveness tests
 # and the idle-turn predicate's soundness test ten times under -race with
 # a timeout (a worker left asleep on its wake slot is a hang, not a
 # failure), the two replay tests that used to read an unsettled fleet ten
@@ -40,7 +41,7 @@ verify:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/...
-	$(GO) test -race -run TestMachineAccessRaceStress ./internal/sim/
+	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/mem/...
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
 	$(GO) test -race -count=10 -timeout 300s -run 'Lockstep' ./internal/core/
 	$(GO) test -race -count=10 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
@@ -61,20 +62,23 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 8 targets keeps the CI
-# step near 2 minutes while still churning fresh inputs past the saved corpus.
+# FUZZTIME bounds each fuzz-smoke target; 15s x 9 targets keeps the CI
+# step a little over 2 minutes while still churning fresh inputs past the
+# saved corpus.
 FUZZTIME ?= 15s
 
 # fuzz-smoke runs every fuzz target briefly (go test -fuzz accepts one
 # target per invocation): the task-queue fuzzers, Alg. 2's collision
-# property, the simulator memory-access fuzzer, the cache's Fill vs
-# Lookup+Insert differential, the span pipeline against its reference
-# model, and the spec-grammar parsers (tenant shares and topo specs).
+# property, the simulator memory-access fuzzer, the streamed access path
+# against the per-line reference, the cache's Fill vs Lookup+Insert
+# differential, the span pipeline against its reference model, and the
+# spec-grammar parsers (tenant shares and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzInboxSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzUpdateLocationCollisionFree$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzMachineAccess$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzAccessStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run xxx -fuzz '^FuzzBuildReport$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)

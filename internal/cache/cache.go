@@ -160,19 +160,43 @@ func (c *Cache) Insert(line uint64, now int64) (evicted uint64, ok bool) {
 			victim = base + i
 		}
 	}
-	return c.replace(&c.sets[victim], tag, now)
+	evicted, ok = c.sets[victim].replace(tag, now)
+	if ok {
+		c.evicts.Add(1)
+	}
+	return evicted, ok
 }
 
-// replace puts tag into way w and reports the line it displaced, if any.
-// The swap is what makes eviction reporting exact (see Insert).
-func (c *Cache) replace(w *way, tag uint64, now int64) (evicted uint64, ok bool) {
+// replace puts tag into way w and reports the line it displaced, if any;
+// the caller counts the eviction. The swap is what makes eviction
+// reporting exact (see Insert).
+func (w *way) replace(tag uint64, now int64) (evicted uint64, ok bool) {
 	old := w.tag.Swap(tag)
 	w.use.Store(now)
 	if old == 0 || old == tag {
 		return 0, false
 	}
-	c.evicts.Add(1)
 	return old - 1, true
+}
+
+// Tally collects the statistics of a run of Fills in plain integers, so a
+// streamed access pays the shared counters' locked adds once per cache
+// level instead of twice per line.
+type Tally struct{ Hits, Misses, Evicts int64 }
+
+// Book adds t's counts to the cache's statistics and zeroes t. Stats and
+// Evictions are exact whenever no Tally is outstanding.
+func (c *Cache) Book(t *Tally) {
+	if t.Hits != 0 {
+		c.hits.Add(t.Hits)
+	}
+	if t.Misses != 0 {
+		c.misses.Add(t.Misses)
+	}
+	if t.Evicts != 0 {
+		c.evicts.Add(t.Evicts)
+	}
+	*t = Tally{}
 }
 
 // Fill is Lookup and, on a miss, Insert in one scan of the set: the miss
@@ -180,10 +204,11 @@ func (c *Cache) replace(w *way, tag uint64, now int64) (evicted uint64, ok bool)
 // second scan was 8% of a cross-chiplet fill. It returns hit when line was
 // resident (LRU stamp refreshed, nothing inserted); otherwise line now
 // occupies the first empty way or replaces the LRU way, and (evicted, ok)
-// report the victim exactly as Insert does. Counters, victim choice and the
-// exactly-once eviction claim are Insert's; FuzzCacheFill holds the two
-// spellings to the same tags, stamps and statistics.
-func (c *Cache) Fill(line uint64, now int64) (hit bool, evicted uint64, ok bool) {
+// report the victim exactly as Insert does. Victim choice and the
+// exactly-once eviction claim are Insert's; the hit, miss and eviction are
+// counted in t, which the caller Books. FuzzCacheFill holds the two
+// spellings to the same tags, stamps and booked statistics.
+func (c *Cache) Fill(line uint64, now int64, t *Tally) (hit bool, evicted uint64, ok bool) {
 	tag := line + 1
 	base := c.setOf(line) * c.ways
 	empty := -1
@@ -191,12 +216,12 @@ func (c *Cache) Fill(line uint64, now int64) (hit bool, evicted uint64, ok bool)
 	victimUse := int64(1<<63 - 1)
 	for i := 0; i < c.ways; i++ {
 		w := &c.sets[base+i]
-		switch t := w.tag.Load(); {
-		case t == tag:
+		switch cur := w.tag.Load(); {
+		case cur == tag:
 			w.use.Store(now)
-			c.hits.Add(1)
+			t.Hits++
 			return true, 0, false
-		case t == 0:
+		case cur == 0:
 			if empty < 0 {
 				empty = base + i
 			}
@@ -207,18 +232,22 @@ func (c *Cache) Fill(line uint64, now int64) (hit bool, evicted uint64, ok bool)
 			}
 		}
 	}
-	c.misses.Add(1)
+	t.Misses++
 	if empty >= 0 {
 		w := &c.sets[empty]
 		if !w.tag.CompareAndSwap(0, tag) {
-			// A concurrent fill took the way: Insert rescans.
+			// A concurrent fill took the way: Insert rescans (and counts
+			// its own eviction).
 			evicted, ok = c.Insert(line, now)
 			return false, evicted, ok
 		}
 		w.use.Store(now)
 		return false, 0, false
 	}
-	evicted, ok = c.replace(&c.sets[victim], tag, now)
+	evicted, ok = c.sets[victim].replace(tag, now)
+	if ok {
+		t.Evicts++
+	}
 	return false, evicted, ok
 }
 

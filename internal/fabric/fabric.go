@@ -121,6 +121,14 @@ type Fabric interface {
 	// ChargeMemory accounts a DRAM transfer between chiplet ch and NUMA
 	// node n's memory controller.
 	ChargeMemory(ch topology.ChipletID, n topology.NodeID, t, bytes int64) int64
+	// TransferHeadroom returns, charging nothing, how many bytes a src→dst
+	// transfer can still charge into the window containing t before a
+	// link of its route delays it (see mem.TokenBucket.Headroom). With a
+	// fault plan armed it is 0: degradation is evaluated at each charge's
+	// own time, so callers must not defer charges.
+	TransferHeadroom(src, dst topology.ChipletID, t int64) int64
+	// MemoryHeadroom is TransferHeadroom for the ChargeMemory route.
+	MemoryHeadroom(ch topology.ChipletID, n topology.NodeID, t int64) int64
 	// MessageDelay returns the latency + queueing cost of an explicit
 	// message of bytes from core src to core dst at time t (the RPC path).
 	MessageDelay(src, dst topology.CoreID, t, bytes int64) int64

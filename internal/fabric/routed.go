@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"charm/internal/fault"
@@ -360,6 +361,29 @@ func (f *routed) ChargeTransfer(src, dst topology.ChipletID, t, bytes int64) int
 // fabric charge (DRAM channel bandwidth is charged separately).
 func (f *routed) ChargeMemory(ch topology.ChipletID, n topology.NodeID, t, bytes int64) int64 {
 	return f.chargePath(f.memRoute[ch][n], t, bytes)
+}
+
+// pathHeadroom is the least Headroom among the path's links: 0 with a
+// fault plan armed, unbounded for an empty path.
+func (f *routed) pathHeadroom(path []int32, t int64) int64 {
+	if f.faults != nil {
+		return 0
+	}
+	room := int64(math.MaxInt64)
+	for _, li := range path {
+		room = min(room, f.links[li].bucket.Headroom(t))
+	}
+	return room
+}
+
+// TransferHeadroom is the room on the src→dst route.
+func (f *routed) TransferHeadroom(src, dst topology.ChipletID, t int64) int64 {
+	return f.pathHeadroom(f.route[src][dst], t)
+}
+
+// MemoryHeadroom is the room between ch and node n's memory controller.
+func (f *routed) MemoryHeadroom(ch topology.ChipletID, n topology.NodeID, t int64) int64 {
+	return f.pathHeadroom(f.memRoute[ch][n], t)
 }
 
 // MessageDelay returns the latency + queueing cost of an explicit message:

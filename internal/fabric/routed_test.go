@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -133,6 +135,94 @@ func walkRoute(t *testing.T, f *routed, src, dst topology.ChipletID) {
 	wantCross := f.topo.SocketOfNode(f.topo.NodeOfChiplet(src)) != f.topo.SocketOfNode(f.topo.NodeOfChiplet(dst))
 	if crossed != wantCross {
 		t.Fatalf("route %d→%d: crossed=%v, want %v", src, dst, crossed, wantCross)
+	}
+}
+
+// TestRouteHeadroom holds TransferHeadroom and MemoryHeadroom to what
+// they promise about ChargeTransfer and ChargeMemory, per kind, on routes
+// loaded with crossing traffic: charging exactly the reported room is free
+// and uses the route up, two more lines are delayed (a link takes up to
+// 76 B/ns, so fewer bytes of excess round to no delay); a route without
+// links has room without bound; an armed fault plan leaves none.
+func TestRouteHeadroom(t *testing.T) {
+	topo := testTopo()
+	for _, k := range Kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			f := Build(k, topo, 1000)
+			nch := topo.NumChiplets()
+			check := func(route string, links bool, room func() int64, charge func(bytes int64) int64) {
+				t.Helper()
+				r := room()
+				if !links {
+					if r != math.MaxInt64 || charge(1<<30) != 0 {
+						t.Fatalf("%s: no links, yet headroom %d or a delayed charge", route, r)
+					}
+					return
+				}
+				if q := charge(r); q != 0 {
+					t.Fatalf("%s: charging the headroom %d delayed %d ns", route, r, q)
+				}
+				if left := room(); left != 0 {
+					t.Fatalf("%s: %d bytes of headroom left after charging it", route, left)
+				}
+				if charge(128) == 0 {
+					t.Fatalf("%s: two lines past the headroom were free", route)
+				}
+			}
+			now := int64(0)
+			for src := 0; src < nch; src++ {
+				for dst := 0; dst < nch; dst++ {
+					s, d := topology.ChipletID(src), topology.ChipletID(dst)
+					n := topo.NodeOfChiplet(topology.ChipletID((src + dst) % nch))
+					other := topology.ChipletID((src + 3) % nch)
+
+					now += 1000 // a fresh window per route
+					f.ChargeTransfer(d, other, now, 9000+int64(src)*997)
+					f.ChargeMemory(topology.ChipletID((dst+1)%nch), n, now, 5000+int64(dst)*661)
+					check(fmt.Sprintf("%d->%d", src, dst), len(f.TransferRoute(s, d)) > 0,
+						func() int64 { return f.TransferHeadroom(s, d, now) },
+						func(b int64) int64 { return f.ChargeTransfer(s, d, now, b) })
+
+					now += 1000
+					f.ChargeTransfer(d, other, now, 9000+int64(src)*997)
+					// On a routed fabric the chiplet hosting n's controller
+					// crosses no link to reach it.
+					check(fmt.Sprintf("%d->node %d", src, n), f.MemoryHeadroom(s, n, now) != math.MaxInt64,
+						func() int64 { return f.MemoryHeadroom(s, n, now) },
+						func(b int64) int64 { return f.ChargeMemory(s, n, now, b) })
+				}
+			}
+			plan, err := fault.New("brownout", 1).LinkBrownout(0, 0, 10, 2).Compile(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.SetFaultPlan(plan)
+			now += 100_000
+			if r := f.TransferHeadroom(1, 6, now); r != 0 {
+				t.Errorf("fault plan armed: transfer headroom %d, want 0", r)
+			}
+			if r := f.MemoryHeadroom(5, 0, now); r != 0 {
+				t.Errorf("fault plan armed: memory headroom %d, want 0", r)
+			}
+		})
+	}
+}
+
+// TestStarSocketTable compares the per-chiplet socket table New tabulates
+// with the Topology methods it stands for, which stay the source of truth.
+func TestStarSocketTable(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.AMDMilan7713x2(), topology.AMDMilanNPS4(), topology.IntelSPR8488Cx2(), testTopo(),
+	} {
+		f := New(topo, 0)
+		for ch := range f.socketOf {
+			if got, want := f.socketOf[ch], topo.SocketOfNode(topo.NodeOfChiplet(topology.ChipletID(ch))); got != want {
+				t.Errorf("%s: chiplet %d in socket %d, topology says %d", topo.Name, ch, got, want)
+			}
+		}
+		if len(f.socketOf) != topo.NumChiplets() {
+			t.Errorf("%s: table covers %d of %d chiplets", topo.Name, len(f.socketOf), topo.NumChiplets())
+		}
 	}
 }
 

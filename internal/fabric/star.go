@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"strconv"
 
 	"charm/internal/fault"
@@ -20,6 +21,9 @@ type Star struct {
 	chipletLinks []*mem.TokenBucket
 	// socketLinks[s] is socket s's external (xGMI/UPI) link.
 	socketLinks []*mem.TokenBucket
+	// socketOf[ch] is chiplet ch's socket, tabulated from the Topology
+	// methods (integer divisions) because every charge needs it.
+	socketOf []topology.SocketID
 
 	// Per-link telemetry, nil until Instrument.
 	chipletMet []linkMetrics
@@ -38,6 +42,10 @@ func New(t *topology.Topology, windowNS int64) *Star {
 	f.socketLinks = make([]*mem.TokenBucket, t.Sockets)
 	for i := range f.socketLinks {
 		f.socketLinks[i] = mem.NewTokenBucket(t.Cost.SocketBandwidth, windowNS)
+	}
+	f.socketOf = make([]topology.SocketID, t.NumChiplets())
+	for ch := range f.socketOf {
+		f.socketOf[ch] = t.SocketOfNode(t.NodeOfChiplet(topology.ChipletID(ch)))
 	}
 	return f
 }
@@ -101,8 +109,7 @@ func (f *Star) ChargeTransfer(src, dst topology.ChipletID, t, bytes int64) int64
 	if d2 := f.chargeChiplet(dst, t, bytes); d2 > d {
 		d = d2
 	}
-	ss := f.topo.SocketOfNode(f.topo.NodeOfChiplet(src))
-	ds := f.topo.SocketOfNode(f.topo.NodeOfChiplet(dst))
+	ss, ds := f.socketOf[src], f.socketOf[dst]
 	if ss != ds {
 		if d2 := f.chargeSocket(ss, t, bytes); d2 > d {
 			d = d2
@@ -118,8 +125,7 @@ func (f *Star) ChargeTransfer(src, dst topology.ChipletID, t, bytes int64) int64
 // (the path crosses ch's fabric link, and the socket link when n is remote).
 func (f *Star) ChargeMemory(ch topology.ChipletID, n topology.NodeID, t, bytes int64) int64 {
 	d := f.chargeChiplet(ch, t, bytes)
-	cs := f.topo.SocketOfNode(f.topo.NodeOfChiplet(ch))
-	ns := f.topo.SocketOfNode(n)
+	cs, ns := f.socketOf[ch], f.topo.SocketOfNode(n)
 	if cs != ns {
 		if d2 := f.chargeSocket(cs, t, bytes); d2 > d {
 			d = d2
@@ -129,6 +135,32 @@ func (f *Star) ChargeMemory(ch topology.ChipletID, n topology.NodeID, t, bytes i
 		}
 	}
 	return d
+}
+
+// headroom is the least Headroom among chiplet links a and b and, when
+// sockets sa and sb differ, their links: 0 with a fault plan armed.
+func (f *Star) headroom(a, b topology.ChipletID, sa, sb topology.SocketID, t int64) int64 {
+	if f.faults != nil {
+		return 0
+	}
+	room := min(f.chipletLinks[a].Headroom(t), f.chipletLinks[b].Headroom(t))
+	if sa != sb {
+		room = min(room, f.socketLinks[sa].Headroom(t), f.socketLinks[sb].Headroom(t))
+	}
+	return room
+}
+
+// TransferHeadroom is the room on the links ChargeTransfer charges.
+func (f *Star) TransferHeadroom(src, dst topology.ChipletID, t int64) int64 {
+	if src == dst {
+		return math.MaxInt64
+	}
+	return f.headroom(src, dst, f.socketOf[src], f.socketOf[dst], t)
+}
+
+// MemoryHeadroom is the room on the links ChargeMemory charges.
+func (f *Star) MemoryHeadroom(ch topology.ChipletID, n topology.NodeID, t int64) int64 {
+	return f.headroom(ch, ch, f.socketOf[ch], f.topo.SocketOfNode(n), t)
 }
 
 // MessageDelay returns the latency + queueing cost of an explicit message of
@@ -144,8 +176,7 @@ func (f *Star) MessageDelay(src, dst topology.CoreID, t, bytes int64) int64 {
 		if m := f.faults.ChipletLinkMilli(dc, t); m > milli {
 			milli = m
 		}
-		ss := f.topo.SocketOfNode(f.topo.NodeOfChiplet(sc))
-		ds := f.topo.SocketOfNode(f.topo.NodeOfChiplet(dc))
+		ss, ds := f.socketOf[sc], f.socketOf[dc]
 		if ss != ds {
 			if m := f.faults.SocketLinkMilli(ss, t); m > milli {
 				milli = m
@@ -180,8 +211,7 @@ func (f *Star) TransferRoute(src, dst topology.ChipletID) []int {
 		return nil
 	}
 	route := []int{int(src), int(dst)}
-	ss := f.topo.SocketOfNode(f.topo.NodeOfChiplet(src))
-	ds := f.topo.SocketOfNode(f.topo.NodeOfChiplet(dst))
+	ss, ds := f.socketOf[src], f.socketOf[dst]
 	if ss != ds {
 		base := len(f.chipletLinks)
 		route = append(route, base+int(ss), base+int(ds))

@@ -136,6 +136,19 @@ func (b *TokenBucket) ChargeScaled(t, bytes, milli int64) int64 {
 	return (used - capEff) * b.windowNS / capEff
 }
 
+// Headroom returns how many more bytes the window containing t takes
+// before a Charge is delayed: charging up to that many, in any number of
+// pieces, returns 0 as long as no one else charges the window in between.
+// It claims nothing and knows the healthy capacity only.
+func (b *TokenBucket) Headroom(t int64) int64 {
+	w := t / b.windowNS
+	cur := b.slots[w%numWindows].state.Load()
+	if cur>>usedBits != uint64(w)&tagMask {
+		return b.capacity
+	}
+	return max(b.capacity-int64(cur&usedMask), 0)
+}
+
 // Capacity returns bytes per window.
 func (b *TokenBucket) Capacity() int64 { return b.capacity }
 
@@ -218,6 +231,16 @@ func (d *DRAM) Instrument(reg *obs.Registry) {
 			"Current-window memory bandwidth utilization (>1 = oversubscribed).",
 			obs.KindGauge, l, bucket.Utilization, obs.Traced())
 	}
+}
+
+// Headroom is node's TokenBucket.Headroom at t, or 0 with a fault plan
+// armed: degradation is evaluated at each charge's own time, so no charge
+// may be deferred.
+func (d *DRAM) Headroom(node topology.NodeID, t int64) int64 {
+	if d.faults != nil {
+		return 0
+	}
+	return d.nodes[node].Headroom(t)
 }
 
 // Charge accounts a DRAM transfer of bytes against node at time t and

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"charm/internal/fault"
 	"charm/internal/topology"
 )
 
@@ -249,6 +250,60 @@ func TestTokenBucketConcurrentExactBytes(t *testing.T) {
 	got := int64(b.Utilization(5*windowNS)*float64(b.Capacity()) + 0.5)
 	if got != want {
 		t.Errorf("window 5 accounted %d bytes, want %d (every concurrent charge exactly once)", got, want)
+	}
+}
+
+// TestTokenBucketHeadroom is Headroom's contract against Charge, on
+// buckets loaded with arbitrary earlier traffic: the query changes nothing
+// (also not a slot still holding the window 64 back), charging exactly the
+// reported room — in one piece or several — is free and leaves no room,
+// and one byte more is delayed (rates of at most 1 B/ns, so that a single
+// byte of excess is a whole nanosecond of delay).
+func TestTokenBucketHeadroom(t *testing.T) {
+	const window = 100_000
+	prop := func(rate uint8, pre []uint16, at uint32, pieces uint8) bool {
+		b := NewTokenBucket(float64(rate%100+1)/100, window)
+		now := int64(at) + numWindows*window
+		b.Charge(now-numWindows*window, 123)
+		for _, p := range pre {
+			b.Charge(now-now%window+int64(p), int64(p))
+		}
+		room := b.Headroom(now)
+		if used := b.UtilMilli(now); room != b.Headroom(now) || used != b.UtilMilli(now) || (room == 0) != (used >= 1000) {
+			return false
+		}
+		piece := room/(int64(pieces%7)+1) + 1
+		for left := room; left > 0; left -= min(left, piece) {
+			if b.Charge(now, min(left, piece)) != 0 {
+				return false
+			}
+		}
+		return b.Headroom(now) == 0 && b.Charge(now, 1) > 0
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDRAMHeadroom: a node's headroom is its bucket's, and none at all
+// once a fault plan is armed — the degradation factor is read per charge.
+func TestDRAMHeadroom(t *testing.T) {
+	topo := topology.SyntheticDual(2, 4)
+	d := NewDRAM(topo, 1000)
+	d.Charge(0, 0, 1000)
+	if got, want := d.Headroom(0, 0), d.nodes[0].Capacity()-1000; got != want {
+		t.Errorf("node 0 headroom %d, want %d", got, want)
+	}
+	if got, want := d.Headroom(1, 0), d.nodes[1].Capacity(); got != want {
+		t.Errorf("untouched node 1 headroom %d, want its capacity %d", got, want)
+	}
+	plan, err := fault.New("brownout", 1).MemBrownout(1, 0, 10, 2).Compile(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetFaultPlan(plan)
+	if got := d.Headroom(0, 5000); got != 0 {
+		t.Errorf("fault plan armed: headroom %d, want 0", got)
 	}
 }
 

@@ -66,3 +66,39 @@ func TestRunReportsInitErrors(t *testing.T) {
 		t.Error("a bad topo spec must fail Run, not panic")
 	}
 }
+
+// TestTopoChargesCoalesce reads the simulator's own account of the topo
+// scenario's traffic: its 32 KiB reads are one run of cross-chiplet fills
+// after another, so the streamed access loop must make far fewer bandwidth
+// charges than it fills lines, and every remote-L3 or DRAM fill (all of the
+// scenario's accesses span many lines) must be in a run or charged singly.
+func TestTopoChargesCoalesce(t *testing.T) {
+	run, err := Topo("mesh:4x2,fast=2,eff=4,accel=2", charm.PlaceLoadAware).
+		Run(func(rt *charm.Runtime) { rt.EnableMetrics(true) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.RT.Finalize()
+	snap := run.RT.MetricsSnapshot()
+	sum := func(name string) (v int64) {
+		for i := range snap.Samples {
+			if snap.Samples[i].Name == name {
+				v += int64(snap.Samples[i].Value)
+			}
+		}
+		return v
+	}
+	runs, lines := sum("charm_host_charge_runs_total"), sum("charm_host_charge_lines_total")
+	fallback := sum("charm_host_charge_fallback_lines_total")
+	if runs == 0 || lines <= 100*runs {
+		t.Errorf("%d lines in %d coalesced charges: want more than 100 lines a charge", lines, runs)
+	}
+	var fills int64
+	for _, src := range []string{"l3_remote_near", "l3_remote_far", "l3_remote_socket", "dram_local", "dram_remote"} {
+		fills += sum("charm_pmu_fill_" + src + "_total")
+	}
+	if lines+fallback != fills || fallback == 0 {
+		t.Errorf("%d coalesced + %d singly charged lines, PMU counts %d remote-L3 and DRAM fills (and a congested route must refuse some runs)",
+			lines, fallback, fills)
+	}
+}

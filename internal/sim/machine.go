@@ -17,9 +17,11 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"charm/internal/cache"
 	"charm/internal/fabric"
@@ -101,6 +103,11 @@ type Machine struct {
 	// false sharing.
 	avg []coreScratch
 
+	// windowNS is the accounting window of every DRAM and Fabric bucket (a
+	// chargeRun ends with it); host is nil until Instrument.
+	windowNS int64
+	host     *hostMetrics
+
 	// faults is the compiled fault plan armed via SetFaultPlan (nil = a
 	// permanently healthy machine).
 	faults *fault.Plan
@@ -122,7 +129,9 @@ func (m *Machine) SetFaultPlan(p *fault.Plan) {
 func (m *Machine) FaultPlan() *fault.Plan { return m.faults }
 
 type coreScratch struct {
-	v int64
+	// v is atomic: SMT siblings and time-shared workers run the same core
+	// (a lost update between them merely perturbs the average).
+	v atomic.Int64
 	// dir caches the directory page of the line being accessed, vic the
 	// page of the last capacity victim: the victims of a streaming fill
 	// are as sequential as the fill, but run a cache's worth of lines
@@ -146,11 +155,16 @@ func New(cfg Config) *Machine {
 	if mlp <= 0 {
 		mlp = 8
 	}
+	windowNS := cfg.WindowNS
+	if windowNS <= 0 {
+		windowNS = mem.DefaultWindowNS
+	}
 	m := &Machine{
 		Topo:         t,
 		Space:        mem.NewSpace(t),
-		DRAM:         mem.NewDRAM(t, cfg.WindowNS),
-		Fabric:       fabric.Build(cfg.Fabric, t, cfg.WindowNS),
+		DRAM:         mem.NewDRAM(t, windowNS),
+		Fabric:       fabric.Build(cfg.Fabric, t, windowNS),
+		windowNS:     windowNS,
 		PMU:          pmu.New(t.NumCores()),
 		sampleShift:  cfg.SampleShift,
 		sampleFactor: 1 << cfg.SampleShift,
@@ -178,7 +192,7 @@ func New(cfg Config) *Machine {
 	}
 	m.buildLayoutTables()
 	for i := range m.avg {
-		m.avg[i].v = scaleAccess(t.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i)))
+		m.avg[i].v.Store(scaleAccess(t.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i))))
 	}
 	return m
 }
@@ -281,12 +295,27 @@ func (m *Machine) Instrument(reg *obs.Registry) {
 	}
 	m.Fabric.Instrument(reg)
 	m.DRAM.Instrument(reg)
+	// What the simulator did, not the machine (lines per run = the
+	// coalescing ratio): not Traced, so in no sampled history, and in no digest.
+	m.host = &hostMetrics{
+		runs: reg.Counter("charm_host_charge_runs_total",
+			"Coalesced bandwidth charges made by multi-line accesses.", nil),
+		lines: reg.Counter("charm_host_charge_lines_total",
+			"Missing lines whose bandwidth charge was coalesced into a run.", nil),
+		fallback: reg.Counter("charm_host_charge_fallback_lines_total",
+			"Missing lines of multi-line accesses charged singly: no headroom on the route, or a fault plan armed.", nil),
+	}
 }
+
+// hostMetrics are the streamed loop's self-metrics.
+type hostMetrics struct{ runs, lines, fallback *obs.Counter }
 
 // Access simulates core touching [addr, addr+size) at virtual time t and
 // returns the total cost in nanoseconds. write selects the coherence
 // action. Size may span many lines; sampled lines are simulated exactly and
-// the rest charged the core's running average cost.
+// the rest charged the core's running average cost. An access within one
+// line (nearly all of a graph kernel's) settles that line at once; a longer
+// one runs accessStream.
 func (m *Machine) Access(core topology.CoreID, t int64, addr mem.Addr, size int64, write bool) int64 {
 	if size <= 0 {
 		return 0
@@ -294,35 +323,24 @@ func (m *Machine) Access(core topology.CoreID, t int64, addr mem.Addr, size int6
 	first := uint64(addr) >> cache.LineShift
 	last := (uint64(addr) + uint64(size) - 1) >> cache.LineShift
 	var cost int64
-	mask := uint64(m.sampleFactor - 1)
-	acc := m.coreAccMilli(core)
-	a := &m.avg[core]
-	// Contiguous multi-line accesses pipeline their misses (hardware
-	// prefetch + MLP): only the first line pays the full latency.
-	streamRun := last-first >= 3
-	// Fill events are counted run-length-wise: the lines of a streamed
-	// read mostly fill from one source, so equal consecutive events share
-	// one PMU add instead of paying a locked add each.
-	var runEv pmu.Event
-	var runLen int64
-	for line := first; line <= last; line++ {
-		if line&mask == 0 {
-			c, ev := m.accessLine(core, t+cost, line, addr, write, streamRun && line != first)
-			c = scaleAccess(c, acc)
-			a.v += (c - a.v) / 8
-			cost += c
-			if ev != runEv && runLen > 0 {
-				m.PMU.Add(int(core), runEv, runLen*m.sampleFactor)
-				runLen = 0
-			}
-			runEv = ev
-			runLen++
-		} else {
-			cost += a.v
+	switch a := &m.avg[core].v; {
+	case first != last:
+		cost = m.accessStream(core, t, first, last, addr, write)
+	case first&uint64(m.sampleFactor-1) != 0:
+		cost = a.Load()
+	default:
+		var fills fillTally
+		c, ev, src := m.accessLine(core, t, first, addr, write, false, &fills)
+		if src != noSource {
+			c += m.charge(src, m.chipletOf[core], t, 1)
 		}
-	}
-	if runLen > 0 {
-		m.PMU.Add(int(core), runEv, runLen*m.sampleFactor)
+		m.bookFills(core, &fills)
+		cost = scaleAccess(c, m.coreAccMilli(core))
+		v := a.Load()
+		if d := (cost - v) / 8; d != 0 {
+			a.Store(v + d)
+		}
+		m.PMU.Add(int(core), ev, m.sampleFactor)
 	}
 	if write {
 		m.PMU.Add(int(core), pmu.BytesWritten, size)
@@ -330,6 +348,145 @@ func (m *Machine) Access(core topology.CoreID, t int64, addr mem.Addr, size int6
 		m.PMU.Add(int(core), pmu.BytesRead, size)
 	}
 	return cost
+}
+
+// accessStream is Access for lines first..last, last > first. Its misses
+// pipeline (hardware prefetch + MLP): from four lines up only the first
+// pays the full latency. What each line would add to a shared word is kept
+// local, to the same totals (DESIGN.md §4.11): equal consecutive fill
+// events share one PMU add, cache statistics are tallied and booked per
+// level at the end — exact at every Access boundary — the EWMA is loaded
+// and stored once, and bandwidth charges are coalesced (chargeRun).
+func (m *Machine) accessStream(core topology.CoreID, t int64, first, last uint64, addr mem.Addr, write bool) int64 {
+	var cost int64
+	mask := uint64(m.sampleFactor - 1)
+	acc := m.coreAccMilli(core)
+	ch := m.chipletOf[core]
+	streamRun := last-first >= 3
+	avg := m.avg[core].v.Load()
+	var fills fillTally
+	run := chargeRun{src: noSource}
+	var runEv pmu.Event
+	var runLen int64
+	for line := first; line <= last; line++ {
+		if line&mask != 0 {
+			cost += avg
+			continue
+		}
+		c, ev, src := m.accessLine(core, t+cost, line, addr, write, streamRun && line != first, &fills)
+		if src != noSource {
+			c += m.chargeLine(&run, src, ch, t+cost)
+		}
+		c = scaleAccess(c, acc)
+		avg += (c - avg) / 8
+		cost += c
+		if ev != runEv && runLen > 0 {
+			m.PMU.Add(int(core), runEv, runLen*m.sampleFactor)
+			runLen = 0
+		}
+		runEv = ev
+		runLen++
+	}
+	if runLen > 0 {
+		m.PMU.Add(int(core), runEv, runLen*m.sampleFactor)
+	}
+	cost += m.flushCharges(&run, ch)
+	m.bookFills(core, &fills)
+	m.avg[core].v.Store(avg)
+	if h := m.host; h != nil {
+		h.runs.Add(0, run.flushes)
+		h.lines.Add(0, run.coalesced)
+		h.fallback.Add(0, run.single)
+	}
+	return cost
+}
+
+// fillTally holds the cache statistics of one Access's Fills, per level.
+type fillTally struct{ l2, l3 cache.Tally }
+
+// bookFills folds an Access's tallies into core's L2 and its chiplet's L3.
+func (m *Machine) bookFills(core topology.CoreID, f *fillTally) {
+	if l2 := m.l2[core]; l2 != nil {
+		l2.Book(&f.l2)
+	}
+	m.l3[m.chipletOf[core]].Book(&f.l3)
+}
+
+// noSource is accessLine's source for a line that hit locally. Any other
+// source names where a missing line came from, and so which buckets its
+// transfer charges: holder chiplet h as h, home node n's memory as ^n.
+const noSource = math.MinInt32
+
+// charge accounts the transfer of lines sampled lines from src to chiplet
+// ch at time t and returns its queueing delay. A sampled line stands for
+// sampleFactor real lines, so bandwidth is charged for all of them.
+func (m *Machine) charge(src int32, ch topology.ChipletID, t, lines int64) int64 {
+	bytes := lines * int64(cache.LineSize) * m.sampleFactor
+	if src >= 0 {
+		return m.Fabric.ChargeTransfer(topology.ChipletID(src), ch, t, bytes)
+	}
+	node := topology.NodeID(^src)
+	return m.DRAM.Charge(node, t, bytes) + m.Fabric.ChargeMemory(ch, node, t, bytes)
+}
+
+// chargeRun coalesces the bandwidth charges of one streamed Access (DESIGN.md
+// §4.11). When a route is first charged in a window the run reads its
+// headroom — the bytes every bucket on it still takes in that window
+// without delay — and defers lines while they fit, then charges their sum
+// once: n zero-delay charges leave the bucket words and byte counters as one
+// charge of the sum does, and under Deterministic execution nothing else
+// touches a bucket in between. A line that does not fit (a congested route;
+// any route with a fault plan armed) is charged singly, after the deferred
+// bytes.
+type chargeRun struct {
+	src   int32 // route of the current window's charges
+	until int64 // end of that window
+	t     int64 // time of the first deferred line
+	lines int64 // lines deferred, not yet charged
+	room  int64 // headroom left after them
+
+	flushes, coalesced, single int64 // for the host metrics
+}
+
+// chargeLine accounts one missing line from src at time t, deferred or at
+// once, and returns its queueing delay.
+func (m *Machine) chargeLine(r *chargeRun, src int32, ch topology.ChipletID, t int64) int64 {
+	var q int64
+	if src != r.src || t >= r.until {
+		q = m.flushCharges(r, ch)
+		r.src, r.until = src, (t/m.windowNS+1)*m.windowNS
+		if src >= 0 {
+			r.room = m.Fabric.TransferHeadroom(topology.ChipletID(src), ch, t)
+		} else {
+			node := topology.NodeID(^src)
+			r.room = min(m.DRAM.Headroom(node, t), m.Fabric.MemoryHeadroom(ch, node, t))
+		}
+	}
+	if xfer := int64(cache.LineSize) * m.sampleFactor; r.room >= xfer {
+		if r.lines == 0 {
+			r.t = t
+		}
+		r.room -= xfer
+		r.lines++
+		return q
+	}
+	q += m.flushCharges(r, ch)
+	r.room = 0
+	r.single++
+	return q + m.charge(src, ch, t, 1)
+}
+
+// flushCharges makes the deferred charge. Its delay is 0 unless, free-
+// running, another core filled the window since the headroom was read.
+func (m *Machine) flushCharges(r *chargeRun, ch topology.ChipletID) int64 {
+	if r.lines == 0 {
+		return 0
+	}
+	q := m.charge(r.src, ch, r.t, r.lines)
+	r.flushes++
+	r.coalesced += r.lines
+	r.lines = 0
+	return q
 }
 
 // RepeatCost returns the per-access cost of immediately re-touching
@@ -348,7 +505,7 @@ func (m *Machine) RepeatCost(core topology.CoreID, addr mem.Addr, size int64) (c
 		return 0, false
 	}
 	if first&uint64(m.sampleFactor-1) != 0 {
-		return m.avg[core].v, true
+		return m.avg[core].v.Load(), true
 	}
 	if m.l2[core] != nil {
 		return scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(core)), true
@@ -387,13 +544,18 @@ func (m *Machine) AccessRepeat(core topology.CoreID, lastT int64, addr mem.Addr,
 		// Iterate the EWMA the n hits would have applied; the integer
 		// recurrence reaches its fixed point (|c-v| < 8) in a few steps, so
 		// large batches exit early.
-		a := &m.avg[core]
+		a := &m.avg[core].v
+		v0 := a.Load()
+		v := v0
 		for i := int64(0); i < n; i++ {
-			d := (c - a.v) / 8
+			d := (c - v) / 8
 			if d == 0 {
 				break
 			}
-			a.v += d
+			v += d
+		}
+		if v != v0 {
+			a.Store(v)
 		}
 	}
 	if write {
@@ -414,25 +576,25 @@ func (m *Machine) Write(core topology.CoreID, t int64, addr mem.Addr, size int64
 	return m.Access(core, t, addr, size, true)
 }
 
-// accessLine simulates one sampled line access exactly and returns its
-// cost and the fill event naming where the line came from (Access counts
-// it). streaming marks a non-leading line of a contiguous run: its miss
-// latency overlaps with its predecessors (divided by MLP) while bandwidth
-// charges stay whole. Under sampling, each sampled line represents
-// sampleFactor real lines, so bandwidth is charged for all of them.
+// accessLine simulates one sampled line access exactly. It returns the
+// line's cost without bandwidth queueing, the fill event naming where the
+// line came from and, for a line that missed locally, the source its
+// transfer is charged from (noSource on a hit): the caller counts the
+// event, makes the charge and adds its delay, and books fills. streaming
+// marks a non-leading line of a contiguous run: its miss latency overlaps
+// with its predecessors (divided by MLP) while bandwidth charges stay whole.
 //
 // Each cache level is probed and filled by one cache.Fill, so on a miss the
 // line is in the local L2 and L3 before the holder search rather than after
 // it. No outcome depends on that order: the holder search and the
 // invalidation both exclude the local chiplet, the capacity victim is never
 // the line being filled, and the line's own directory bit is still set last.
-func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr mem.Addr, write bool, streaming bool) (int64, pmu.Event) {
+func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr mem.Addr, write bool, streaming bool, fills *fillTally) (int64, pmu.Event, int32) {
 	topo := m.Topo
 	ch := m.chipletOf[core]
 	l3 := m.l3[ch]
 	l2 := m.l2[core]
 	sc := &m.avg[core].dir
-	xfer := int64(cache.LineSize) * m.sampleFactor
 
 	// pipelined divides a latency by MLP for non-leading lines of a
 	// contiguous run (hits pipeline just like misses).
@@ -458,25 +620,25 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	// (functional inclusivity) — a single directory bit test. Every path
 	// below leaves the line in the L2, so a miss fills it here.
 	if l2 != nil {
-		if hit, _, _ := l2.Fill(line, t); hit && m.l3Holds(ch, line, sc) {
+		if hit, _, _ := l2.Fill(line, t, &fills.l2); hit && m.l3Holds(ch, line, sc) {
 			cost := pipelined(topo.Cost.L2Hit)
 			if write {
 				cost += invalidationCost(m.invalidateOthers(ch, line, sc))
 			}
-			return cost, pmu.FillL2
+			return cost, pmu.FillL2, noSource
 		}
 	}
 
 	// Local L3 hit, or fill: the victim's presence bit goes at once (this
 	// is the eviction-notification plumbing that keeps the directory an
 	// exact mirror), the line's own bit once its source is settled.
-	hit, victim, evicted := l3.Fill(line, t)
+	hit, victim, evicted := l3.Fill(line, t, &fills.l3)
 	if hit {
 		cost := pipelined(topo.Cost.L3LocalHit)
 		if write {
 			cost += invalidationCost(m.invalidateOthers(ch, line, sc))
 		}
-		return cost, pmu.FillL3Local
+		return cost, pmu.FillL3Local, noSource
 	}
 	if evicted && m.dir != nil {
 		m.dir.remove(victim, int(ch), &m.avg[core].vic)
@@ -486,9 +648,9 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	holder, lat := m.closestHolder(ch, line, sc)
 	var cost int64
 	var ev pmu.Event
+	src := int32(holder)
 	if holder >= 0 {
-		q := m.Fabric.ChargeTransfer(topology.ChipletID(holder), ch, t, xfer)
-		cost = pipelined(lat) + q
+		cost = pipelined(lat)
 		ev = m.remoteEv[int(ch)*len(m.l3)+holder]
 		if write {
 			cost += invalidationCost(m.invalidateOthers(ch, line, sc))
@@ -496,9 +658,8 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	} else {
 		local := m.nodeOf[core]
 		node := m.Space.HomeOf(addr, local)
-		qd := m.DRAM.Charge(node, t, xfer)
-		qf := m.Fabric.ChargeMemory(ch, node, t, xfer)
-		cost = pipelined(m.dramLat[int(node)*len(m.l3)+int(ch)]) + qd + qf
+		src = ^int32(node)
+		cost = pipelined(m.dramLat[int(node)*len(m.l3)+int(ch)])
 		if node == local {
 			ev = pmu.FillDRAMLocal
 		} else {
@@ -508,7 +669,7 @@ func (m *Machine) accessLine(core topology.CoreID, t int64, line uint64, addr me
 	if m.dir != nil {
 		m.dir.add(line, int(ch), sc)
 	}
-	return cost, ev
+	return cost, ev, src
 }
 
 // l3Holds reports whether chiplet ch's L3 holds line: a directory bit test,
@@ -598,7 +759,7 @@ func (m *Machine) FlushCaches() {
 		m.dir.reset()
 	}
 	for i := range m.avg {
-		m.avg[i].v = scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i)))
+		m.avg[i].v.Store(scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i))))
 		m.avg[i].dir.p.Store(nil)
 		m.avg[i].vic.p.Store(nil)
 	}

@@ -174,7 +174,12 @@ func (ht *HashTable) addSum(ctx *charm.Ctx, key int64, v float64) {
 	for {
 		ctx.RMW(ht.slotAddr(j), slotBytes)
 		k := ht.keys[j].Load()
-		if k == key+1 || (k == 0 && ht.keys[j].CompareAndSwap(0, key+1)) {
+		if k == 0 && !ht.keys[j].CompareAndSwap(0, key+1) {
+			// Lost the empty slot — possibly to this very key, which must
+			// not get a second slot further on.
+			k = ht.keys[j].Load()
+		}
+		if k == 0 || k == key+1 {
 			for {
 				old := ht.sums[j].Load()
 				nv := math.Float64bits(math.Float64frombits(old) + v)
