@@ -24,9 +24,9 @@ STATICCHECK_VERSION ?= 2025.1.1
 # one goroutine per core over the coherence directory and the lock-free
 # tag arrays, and the streamed access path against its reference), the
 # lockstep baton's golden/model/liveness tests
-# and the idle-turn predicate's soundness test ten times under -race with
-# a timeout (a worker left asleep on its wake slot is a hang, not a
-# failure), the two replay tests that used to read an unsettled fleet ten
+# and the idle-turn predicate's soundness test ten times under -race at one
+# and two procs with a timeout (a kernel that stops resuming, or that never
+# gives up the only P, is a hang, not a failure), the two replay tests that used to read an unsettled fleet ten
 # times under -race at one and two procs, a flake sweep of the whole core
 # and obs suites three times at 1, 2 and 8 procs (~80 s on 2 cores), the
 # benchmark's own module (bench/ is nested, so ./... does not reach it)
@@ -43,7 +43,7 @@ verify:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/...
 	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/mem/...
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
-	$(GO) test -race -count=10 -timeout 300s -run 'Lockstep' ./internal/core/
+	$(GO) test -race -count=10 -cpu 1,2 -timeout 300s -run 'Lockstep' ./internal/core/
 	$(GO) test -race -count=10 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
 	$(GO) test -count=3 -cpu 1,2,8 ./internal/core/ ./internal/obs/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -99,7 +99,7 @@ bench:
 	$(GO) test ./internal/core/ -run xxx -bench . -benchtime 1s -benchmem
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding, turn/self = the no-wakeup path (15 of 16 workers blocked in a barrier), turn/idle = one inline idle turn of 8 workers drifting toward a far arrival" \
+		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding back to back, turn/16/work/2.5us and /10us = the same handoff with that much plain host arithmetic before each Yield, on two Ps whatever -cpu says, work included in ns/op (the bare rows understate what a workload pays per handoff: back-to-back yields keep the second scheduler thread spinning, so a wake through the Go scheduler costs 240 ns there, but with work between yields that thread sleeps and each wake was a futex, 3.7 and 19.6 us a turn before ISSUE 20 made the turn a coroutine switch), turn/self = the no-switch path (15 of 16 workers blocked in a barrier), turn/idle = one inline idle turn of 8 workers drifting toward a far arrival" \
 		-time-cmd "$(GO) run ./cmd/charm-bench all"
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_directory.json \

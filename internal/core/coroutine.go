@@ -1,102 +1,89 @@
 package core
 
-import (
-	"charm/internal/pmu"
-)
+import "charm/internal/pmu"
 
-// coroutine backs a suspendable task with its own (goroutine) stack — the
-// user-level-thread half of CHARM's concurrency model (§4.4). The worker
-// goroutine and the coroutine goroutine hand control back and forth over
-// unbuffered channels, so exactly one of them runs at a time and the
-// worker's virtual clock is always owned by the running side.
+// coroutine backs a suspendable task with its own stack — the user-level-
+// thread half of CHARM's concurrency model (§4.4). The stack is a pull-
+// coroutine (iter.Pull, the switch the lockstep kernel uses): the worker —
+// whichever holds the task now, a thief included — switches to it with next
+// and gets control back when the task suspends or ends, so exactly one of
+// the two runs at a time, the worker's virtual clock is always owned by the
+// running side, and no switch goes through the Go scheduler.
 //
-// Stacks are pooled: the goroutine is a loop over a work channel, so a
-// terminal task parks it there and the worker can hand it the next
-// coroutine task without paying goroutine creation and stack growth again.
-// The worker re-zeroes the coroutine's Ctx before each work send, and the
-// send's happens-before edge publishes it to the stack goroutine.
+// Stacks are pooled: the body is a loop, so a terminal task leaves it
+// suspended between tasks and the worker can bind the next coroutine task
+// without paying goroutine creation and stack growth again. The worker
+// re-zeroes the coroutine's Ctx before the switch that publishes it.
 type coroutine struct {
 	ctx *Ctx
-	// work hands the next task worker -> parked goroutine; closing it
-	// retires the goroutine.
-	work chan *Task
-	// resume carries control worker -> coroutine.
-	resume chan struct{}
-	// status carries control coroutine -> worker; true = yielded,
-	// false = finished.
-	status chan bool
-	// started marks a task mid-flight on this stack (set at first
-	// dispatch, cleared when the stack is recycled). Worker-side only.
-	started bool
+	// next switches to the stack and returns what it switched back with:
+	// coYielded or coFinished. suspend is the stack's way back; it returns
+	// false when stop retires a pooled stack instead of resuming it.
+	next    func() (int, bool)
+	suspend func(int) bool
+	stop    func()
 }
 
-// yield suspends the coroutine until a worker resumes it. Called from the
-// coroutine goroutine. If the task's job was cancelled while suspended,
-// the resume unwinds the coroutine stack instead of returning to the task
-// body — the cooperative cancellation point of the job service.
+// What a stack reports when it switches back to its worker.
+const coFinished, coYielded = 0, 1
+
+// yield suspends the coroutine (called on its stack) until a worker resumes
+// it. If the task's job was cancelled meanwhile, the resume unwinds the stack
+// instead of returning to the task body: the job service's cancellation point.
 func (co *coroutine) yield() {
-	co.status <- true
-	<-co.resume
+	co.suspend(coYielded)
 	if co.ctx.task.jobCancelled() {
 		panic(cancelUnwind{})
 	}
 }
 
-// run is the stack goroutine's work loop: execute each task handed over
-// the work channel and report its completion. A panic is attributed to the
-// worker bound to the coroutine at dispatch and handed back over the
-// status channel; the worker goroutine decides between retry and failure.
-func (co *coroutine) run() {
-	for t := range co.work {
-		ctx := co.ctx
+// run is the stack's body: execute the task bound to ctx, report its end,
+// stay suspended until the worker has bound the next one. A panic is
+// attributed to the worker bound to the coroutine at dispatch and left in
+// t.err; the worker decides between retry and failure.
+func (co *coroutine) run(suspend func(int) bool) {
+	co.suspend = suspend
+	for ok := true; ok; ok = suspend(coFinished) {
+		ctx, t := co.ctx, co.ctx.task
 		t.err = ctx.w.runTaskRecovered(t, func() {
 			defer ctx.flushBatch()
 			t.fn(ctx)
 		})
-		co.status <- false
 	}
 }
 
-// getCoroutine hands t a stack, reusing a pooled one when available. A
-// pooled coroutine's goroutine is parked at its work loop; its Ctx is
-// re-zeroed for the new task here, before the work send publishes it.
+// getCoroutine hands t a stack, reusing a pooled one when available, and
+// binds t to it: a pooled stack is suspended at the end of its last task.
 func (w *Worker) getCoroutine(t *Task) *coroutine {
+	var co *coroutine
 	if n := len(w.coPool); n > 0 {
-		co := w.coPool[n-1]
+		co = w.coPool[n-1]
 		w.coPool[n-1] = nil
 		w.coPool = w.coPool[:n-1]
-		*co.ctx = Ctx{w: w, task: t, co: co}
-		return co
+	} else {
+		co = &coroutine{ctx: new(Ctx)}
+		co.next, co.stop = pull(co.run)
 	}
-	co := &coroutine{
-		work:   make(chan *Task),
-		resume: make(chan struct{}),
-		status: make(chan bool),
-	}
-	co.ctx = &Ctx{w: w, task: t, co: co}
-	go co.run()
+	*co.ctx = Ctx{w: w, task: t, co: co}
 	return co
 }
 
-// putCoroutine recycles a terminal coroutine: the goroutine is parked back
-// at its work loop, ready for the next task. Over the pool cap (or with
-// pooling disabled) the work channel is closed instead, letting the
-// goroutine exit.
+// putCoroutine recycles a terminal coroutine: its stack stays suspended,
+// ready for the next task. Over the pool cap (or with pooling disabled) the
+// stack is retired instead.
 func (w *Worker) putCoroutine(co *coroutine) {
-	co.started = false
 	if w.rt.pool && len(w.coPool) < coPoolCap {
 		co.ctx.task = nil // don't pin the (possibly recycled) task struct
 		w.coPool = append(w.coPool, co)
 		return
 	}
-	close(co.work)
+	co.stop()
 }
 
-// closeCoPool retires the worker's idle pooled stack goroutines (worker
-// shutdown).
+// closeCoPool retires the worker's idle pooled stacks (worker shutdown).
 func (w *Worker) closeCoPool() {
 	for _, co := range w.coPool {
-		close(co.work)
+		co.stop()
 	}
 	w.coPool = nil
 }
@@ -114,22 +101,15 @@ func (w *Worker) runCoroutine(t *Task) {
 	w.clock.Advance(w.rt.opts.Overheads.Switch)
 	w.rt.M.PMU.Add(int(w.Core()), pmu.CtxSwitch, 1)
 
-	if !co.started {
-		co.started = true
-		co.work <- t
-	} else {
-		co.resume <- struct{}{}
-	}
-
-	if yielded := <-co.status; yielded {
+	if st, _ := co.next(); st == coYielded {
 		// Suspended: make the continuation schedulable (and stealable,
 		// which is how tasks migrate across chiplets).
 		w.deque.Push(t)
 		return
 	}
-	// Terminal (success, failure, or cancel-unwind): the stack goroutine
-	// is parked back at its work loop. Detach and recycle it before the
-	// task's lifecycle accounting, which may free the task struct.
+	// Terminal (success, failure, or cancel-unwind): the stack is suspended
+	// between tasks. Detach and recycle it before the task's lifecycle
+	// accounting, which may free the task struct.
 	err := t.err
 	t.err = nil
 	t.co = nil

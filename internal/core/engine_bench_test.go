@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,9 +73,9 @@ func BenchmarkEngine(b *testing.B) {
 	b.Run("task/pool", func(b *testing.B) { task(b, false) })
 	b.Run("task/nopool", func(b *testing.B) { task(b, true) })
 
-	// Coroutine lifecycle: each op is one suspendable task (goroutine
-	// stack dispatch, one yield-resume, terminal recycle). Pooling parks
-	// the stack goroutine instead of creating one per task.
+	// Coroutine lifecycle: each op is one suspendable task (stack
+	// dispatch, one yield-resume, terminal recycle). Pooling keeps the
+	// stack suspended between tasks instead of creating one per task.
 	coro := func(b *testing.B, noPool bool) {
 		rt := engineRT(b, 1, Options{NoPooling: noPool})
 		fns := make([]func(*Ctx), 256)
@@ -96,8 +98,8 @@ func BenchmarkEngine(b *testing.B) {
 	b.Run("coro/nopool", func(b *testing.B) { coro(b, true) })
 
 	// Lockstep baton: one op is one turn (ns/op = host ns per handoff).
-	// Every worker yields in a loop, so each turn ends by waking another
-	// worker through its wake slot.
+	// Every worker yields in a loop, so each turn ends with the kernel
+	// resuming another worker's coroutine.
 	turn := func(b *testing.B, workers int) {
 		rt := engineRT(b, workers, Options{Deterministic: true})
 		per := (b.N + workers - 1) / workers
@@ -110,6 +112,34 @@ func BenchmarkEngine(b *testing.B) {
 	}
 	b.Run("turn/16", func(b *testing.B) { turn(b, 16) })
 	b.Run("turn/32", func(b *testing.B) { turn(b, 32) })
+
+	// The same turns with host work between them, the way a workload takes
+	// them: spin steps of plain arithmetic (1.25 ns each on the reference
+	// host) before every Yield, on two Ps whatever -cpu says. Back-to-back yields keep a
+	// second thread spinning in the Go scheduler, so a wake that goes
+	// through it looks cheap in turn/16; with work between the yields that
+	// thread has gone to sleep and every such wake is a futex. ns/op
+	// includes the work.
+	turnWork := func(b *testing.B, spin int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		const workers = 16
+		rt := engineRT(b, workers, Options{Deterministic: true})
+		per := (b.N + workers - 1) / workers
+		var sink atomic.Uint64
+		b.ResetTimer()
+		rt.AllDo(func(ctx *Ctx) {
+			x := uint64(ctx.Worker())
+			for i := 0; i < per; i++ {
+				for k := 0; k < spin; k++ {
+					x = x*6364136223846793005 + 1442695040888963407
+				}
+				ctx.Yield()
+			}
+			sink.Add(x)
+		})
+	}
+	b.Run("turn/16/work/2.5us", func(b *testing.B) { turnWork(b, 2_000) })
+	b.Run("turn/16/work/10us", func(b *testing.B) { turnWork(b, 8_000) })
 
 	// The no-wakeup path: fifteen of sixteen workers sit in a barrier, so
 	// every grant scans the fleet, consults their predicates, and hands

@@ -140,7 +140,7 @@ func (w *Worker) drainToLive(now int64) {
 		}
 	}
 	reroute := func(t *Task) {
-		if t.jobCancelled() && (t.co == nil || !t.co.started) {
+		if t.jobCancelled() && t.co == nil {
 			// A cancelled job's never-started task dies here instead of
 			// migrating; a started coroutine is re-homed so a live worker
 			// can resume-and-unwind its stack.
@@ -211,7 +211,7 @@ func (w *Worker) park(c topology.CoreID) {
 	if ls := w.rt.ls; ls != nil {
 		ls.handoff(w.id, lsBlocked, false, func() bool {
 			return !w.inbox.Empty() || w.rt.MaxWorkerClock() >= upAt ||
-				ls.othersBlockedLocked(w.id)
+				ls.othersBlocked(w.id)
 		})
 		if w.rt.stop.Load() {
 			return
@@ -247,6 +247,20 @@ func (w *Worker) resumeAt(t int64) {
 	w.lastDecision = w.clock.Now()
 	w.lastFills = w.rt.M.PMU.FillsFromSystem(int(w.Core()))
 	w.rt.prof.Record(ProfFault, w.id, w.clock.Now(), fcResume)
+}
+
+// LoopError is a panic that escaped a worker's loop under Deterministic (an
+// engine bug, a panicking Policy hook, the lockstep deadlock). It crashes the
+// process from the kernel goroutine, which resumed the loop; Worker and Stack
+// keep where it was raised.
+type LoopError struct {
+	Worker int
+	Val    any
+	Stack  []byte
+}
+
+func (e *LoopError) Error() string {
+	return fmt.Sprintf("core: worker %d's loop panicked: %v\n\nworker stack:\n%s", e.Worker, e.Val, e.Stack)
 }
 
 // runTaskRecovered executes fn, converting a panic into a typed TaskError

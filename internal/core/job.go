@@ -1299,13 +1299,12 @@ func (w *Worker) discardCancelled(t *Task) {
 }
 
 // unwindCancelled resumes a started coroutine of a cancelled job so its
-// Yield observes the flag and unwinds; the stack goroutine parks back at
-// its work loop and is recycled. The worker then discards the task.
+// Yield observes the flag and unwinds; the stack suspends between tasks and
+// is recycled. The worker then discards the task.
 func (w *Worker) unwindCancelled(t *Task) {
 	co := t.co
 	co.ctx.w = w
-	co.resume <- struct{}{}
-	<-co.status // always false: yield panics cancelUnwind on resume
+	co.next() // always coFinished: yield panics cancelUnwind on resume
 	t.err = nil
 	t.co = nil
 	w.putCoroutine(co)

@@ -120,16 +120,14 @@ func lsServe(t *testing.T, rt *Runtime, opts JobServiceOptions) *JobService {
 // that were still due at that clock. Needs a fleet with nothing queued and
 // no arrival pending, or the clocks never stop.
 func lsSettle(rt *Runtime) {
-	ls := rt.ls
 	since := int64(-1)
 	for {
-		ls.mu.Lock()
 		settled, max := true, rt.MaxWorkerClock()
-		for id, w := range rt.workers {
-			settled = settled && (ls.state[id] == lsBlocked || w.clock.Now() == max)
+		for _, w := range rt.workers {
+			settled = settled && (w.blocked.Load() || w.clock.Now() == max)
 		}
-		n := ls.turns.Handoff + ls.turns.Inline + ls.turns.Self
-		ls.mu.Unlock()
+		st := rt.TurnStats()
+		n := st.Handoff + st.Inline + st.Self
 		switch {
 		case !settled:
 			since = -1
@@ -490,7 +488,7 @@ func lsStopScenario(t *testing.T, g *lsGolden) {
 // TestLockstepGolden pins Deterministic-mode behaviour across commits:
 // six small scenarios that together enter the baton through every door
 // (acquire/release from the loop, Yield, blocking from Call, Barrier and
-// park, pause/resume from submitWait and SubmitJob, stopAll) are digested
+// park, pause/resume from submitWait and SubmitJob, Stop) are digested
 // into testdata/lockstep_golden.txt. The engine may get faster; this file
 // may not change. Regenerate deliberately with -update-lockstep-golden.
 func TestLockstepGolden(t *testing.T) {
@@ -629,12 +627,14 @@ func randLsVector(r *rand.Rand) lsVector {
 	return v
 }
 
-// TestLockstepGrantOrderModel drives grantLocked over random fleets and
-// demands the reference's answer on each: the same pick, the same blocked →
+// TestLockstepGrantOrderModel drives the grant over random fleets — from a
+// worker's handoff, or bare as an external caller makes it — and demands the reference's answer on each: the same pick, the same blocked →
 // waiting transitions, predicates consulted only on a quiescent fleet and
-// in worker-id order, last advanced, exactly one wake token for a picked
-// worker other than the caller and none otherwise, and the deadlock panic
-// exactly when every live worker is blocked with no predicate holding.
+// in worker-id order, last advanced, the kernel told to resume exactly the
+// picked worker — the caller yields once, naming it — and nobody when the
+// pick is the caller, which keeps the turn without yielding (no fleet here
+// passes idleTurn, so no turn is inline), and the deadlock panic exactly when
+// every live worker is blocked with no predicate holding.
 func TestLockstepGrantOrderModel(t *testing.T) {
 	const maxWorkers = 12
 	rt := NewRuntime(sim.New(sim.Config{Topo: topology.Synthetic(8, 2)}),
@@ -653,7 +653,15 @@ func TestLockstepGrantOrderModel(t *testing.T) {
 				ls.busy++
 			}
 		}
-		var order []int
+		rt.ls = ls
+		quiescent := ls.busy == 0
+		var order, named []int
+		for id := range ls.yield {
+			ls.yield[id] = func(to int) bool {
+				named = append(named, id, to)
+				return true
+			}
+		}
 		mkPreds := func(state []lsState, log *[]int) []func() bool {
 			preds := make([]func() bool, n)
 			for id := range preds {
@@ -682,7 +690,7 @@ func TestLockstepGrantOrderModel(t *testing.T) {
 
 		wantState := append([]lsState(nil), v.state...)
 		want := refGrant(wantState, mkPreds(wantState, nil), v.clocks, v.last)
-		wantPanic := want == -1 && ls.busy == 0
+		wantPanic := want == -1 && quiescent
 		if wantPanic {
 			wantPanic = false
 			for _, s := range wantState {
@@ -692,9 +700,15 @@ func TestLockstepGrantOrderModel(t *testing.T) {
 
 		panicked := func() (p bool) {
 			defer func() { p = recover() != nil }()
-			ls.mu.Lock()
-			defer ls.mu.Unlock()
-			ls.grantLocked(v.caller)
+			if v.caller < 0 {
+				named = append(named, -1, ls.grant(-1))
+				return false
+			}
+			// The caller is mid-turn and checks in; back from handoff it runs.
+			ls.state[v.caller], ls.holder = lsRunning, v.caller
+			ls.busy++
+			ls.handoff(v.caller, lsWaiting, false, nil)
+			wantState[v.caller] = lsRunning
 			return false
 		}()
 		desc := fmt.Sprintf("iter %d: state=%v clocks=%v fires=%v others=%v last=%d caller=%d",
@@ -708,7 +722,7 @@ func TestLockstepGrantOrderModel(t *testing.T) {
 		if ls.holder != want {
 			t.Fatalf("%s: picked %d, reference picks %d", desc, ls.holder, want)
 		}
-		if ls.busy > 0 {
+		if !quiescent {
 			if len(order) != 0 {
 				t.Fatalf("%s: predicates %v consulted on a fleet that is not quiescent", desc, order)
 			}
@@ -723,10 +737,14 @@ func TestLockstepGrantOrderModel(t *testing.T) {
 		if want != -1 && ls.last != want {
 			t.Fatalf("%s: last = %d after granting %d", desc, ls.last, want)
 		}
-		for id, c := range ls.wake {
-			if got, wantTok := len(c), b2i(id == want && want != v.caller); got != wantTok {
-				t.Fatalf("%s: wake[%d] holds %d tokens, want %d", desc, id, got, wantTok)
-			}
+		wantTurns, wantNamed := TurnStats{Handoff: 1}, []int{v.caller, want}
+		if want == -1 {
+			wantTurns = TurnStats{}
+		} else if want == v.caller {
+			wantTurns, wantNamed = TurnStats{Self: 1}, nil
+		}
+		if got := rt.TurnStats(); got != wantTurns || !reflect.DeepEqual(named, wantNamed) {
+			t.Fatalf("%s: turns %+v, (caller, resume) = %v, want %+v and %v", desc, got, named, wantTurns, wantNamed)
 		}
 	}
 }
@@ -918,9 +936,9 @@ func TestLockstepDeadlockPanics(t *testing.T) {
 // a -timeout: sixteen workers cycle the baton from inside AllDo bodies while
 // two external goroutines hammer SubmitJob (pause/resume) with jobs whose
 // tasks Yield and make synchronous Calls, and then Stop lands with workers
-// asleep on their wake slots in both the waiting and the blocked state. The
+// suspended in both the waiting and the blocked state. The
 // run must return, and every goroutine the runtime started must be gone —
-// a worker left parked on its slot would show up in NumGoroutine.
+// a coroutine left suspended would show up in NumGoroutine.
 func TestLockstepStress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const workers = 16
@@ -979,11 +997,9 @@ func TestLockstepStress(t *testing.T) {
 			}
 		}()
 	}
-	blocked := func() bool {
-		rt.ls.mu.Lock()
-		defer rt.ls.mu.Unlock()
-		for _, s := range rt.ls.state {
-			if s == lsBlocked {
+	blocked := func() bool { // the fleet state is the turn holder's: ask the workers
+		for _, w := range rt.workers {
+			if w.blocked.Load() {
 				return true
 			}
 		}
@@ -997,12 +1013,105 @@ func TestLockstepStress(t *testing.T) {
 	if st := svc.Stats(); st.Completed < 100 {
 		t.Errorf("completed %d jobs before Stop, want >= 100", st.Completed)
 	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+	lsGoroutinesGone(t, before)
+}
+
+// lsGoroutinesGone waits for the goroutine count to fall back to what it was
+// before Start: a worker loop left suspended, a kernel or a submitter that
+// never returned would keep it up.
+func lsGoroutinesGone(t *testing.T, before int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; yieldHost() {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
 			t.Fatalf("%d goroutines before Start, %d after Stop:\n%s",
 				before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestLockstepStopWhileBlocked: Stop lands on a fleet with suspended loops in
+// every blocked shape at once — a caller inside a synchronous Call, its
+// callee inside a barrier whose other party never comes, two workers in a
+// fault park — plus idle ones waiting for a turn. The kernel must run every
+// loop to its end: all check out as lsDone, and no goroutine (a pull-
+// coroutine left suspended is one) outlives Stop.
+func TestLockstepStopWhileBlocked(t *testing.T) {
+	before := runtime.NumGoroutine()
+	topo := topology.Synthetic(4, 2)
+	plan := compilePlan(t, fault.New("ls-stop", 1).OfflineChiplet(3, 20_000, 1<<40), topo)
+	rt := lsRuntime(t, Options{Faults: plan, Policy: NewStaticPolicy(Compact)})
+	stuck := rt.NewBarrier(2)
+	if _, err := rt.SubmitJob(JobSpec{Stages: []JobStage{{func(ctx *Ctx) {
+		ctx.Compute(30_000) // past the fault: idle drift carries workers 6 and 7 into it
+		ctx.Call((ctx.Worker()+1)%6, func(c *Ctx) { c.Barrier(stuck) })
+	}}}}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(20 * time.Second); ; yieldHost() {
+		blocked := 0
+		for _, w := range rt.workers {
+			blocked += b2i(w.blocked.Load())
+		}
+		if blocked == 4 && rt.met.faultParks.Value() == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers blocked, %d parked: want caller, callee and two parks", blocked, rt.met.faultParks.Value())
+		}
+	}
+	rt.Stop()
+	for id, s := range rt.ls.state {
+		if s != lsDone {
+			t.Errorf("worker %d checked out in state %d, want lsDone", id, s)
+		}
+	}
+	lsGoroutinesGone(t, before)
+}
+
+// TestLockstepOnePLive: at GOMAXPROCS=1 the kernel and the coroutines it
+// resumes never park while turns flow, so an external goroutine gets the P
+// only when the kernel gives it up (hostYieldEvery) — or, failing that, when
+// sysmon preempts it 10 ms later. Eight coroutine tasks yield in a loop, so
+// every turn is a real handoff, while this goroutine submits jobs and waits
+// for them; each round trip is two external steps (pause granted, Done
+// observed). 20 ms a job without the host yield, 0.1 ms with it (2 ms under
+// -race). The jobs start once every task is up: one that shared an inbox
+// with a looping task would sit under its continuation in the LIFO deque.
+func TestLockstepOnePLive(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt := lsRuntime(t, Options{})
+	var quit atomic.Bool
+	var up atomic.Int64
+	fleet := make(chan struct{})
+	go func() {
+		defer close(fleet)
+		rt.AllDoCo(func(ctx *Ctx) {
+			for up.Add(1); !quit.Load(); {
+				ctx.Compute(100)
+				ctx.Yield()
+			}
+		})
+	}()
+	for up.Load() < int64(rt.Workers()) {
 		yieldHost()
+	}
+	lat := make([]time.Duration, 41)
+	for i := range lat {
+		t0 := time.Now()
+		j, err := rt.SubmitJob(computeJob(1, 1_000, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		lat[i] = time.Since(t0)
+	}
+	quit.Store(true)
+	<-fleet
+	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
+	if med := lat[len(lat)/2]; med > 10*time.Millisecond {
+		t.Errorf("median SubmitJob round trip %v against a yielding fleet at one P (max %v): the kernel is not giving up the P", med, lat[len(lat)-1])
+	} else {
+		t.Logf("median %v, max %v", med, lat[len(lat)-1])
 	}
 }

@@ -145,7 +145,7 @@ func newRTMetrics(rt *Runtime, workers int) *rtMetrics {
 	}
 	for i, kind := range []string{"handoff", "inline", "self"} {
 		// Host-paced (see TurnStats), so not Traced: in no sampled history or trace.
-		reg.Func("charm_host_lockstep_turns_total", "Lockstep grants by how the turn was delivered (host-paced).",
+		reg.Func("charm_host_lockstep_turns_total", "Lockstep grants by how the turn was delivered: handoff = the kernel resumed the worker's coroutine, inline = the granting worker played an idle turn itself, self = it came straight back (host-paced).",
 			obs.KindCounter, obs.Labels{"kind": kind}, func(int64) float64 {
 				t := rt.TurnStats()
 				return float64([...]int64{t.Handoff, t.Inline, t.Self}[i])

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"charm/internal/sim"
+	"charm/internal/topology"
 )
 
 // Failure injection: tasks that panic must not kill workers; the panic
@@ -129,4 +132,55 @@ func TestFirstPanicWins(t *testing.T) {
 	if strings.Count(msg, "task stack") != 1 {
 		t.Errorf("expected one propagated stack, got: %q", msg)
 	}
+}
+
+// panicTimer is a policy whose Alg. 1 hook panics: maybeTick calls it from
+// the worker loop, outside any task's recover.
+type panicTimer struct{ Policy }
+
+func (panicTimer) OnTimer(*Worker, int64) { panic("timer fault") }
+
+// TestLoopPanicKeepsOrigin: under Deterministic a panic that escapes a worker
+// loop is re-raised by iter.Pull on the kernel goroutine, which resumed the
+// loop; what crashes the process must still name the worker and carry the
+// stack of the site that panicked, not the kernel's. The test stands in for
+// Start so that it can recover on the kernel goroutine.
+func TestLoopPanicKeepsOrigin(t *testing.T) {
+	rt := NewRuntime(sim.New(sim.Config{Topo: topology.Synthetic(4, 2)}), Options{
+		Workers: 4, Deterministic: true, SchedulerTimer: 1_000,
+		Policy: panicTimer{NewStaticPolicy(Compact)},
+	})
+	rt.lifecycle.Store(lcStarted)
+	rt.ls.spawn()
+	crash := make(chan any)
+	rt.wg.Add(1)
+	go func() {
+		defer func() { crash <- recover() }()
+		rt.ls.kernel()
+	}()
+	if _, err := rt.SubmitJob(computeJob(1, 5_000, nil)); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := (<-crash).(*LoopError)
+	if !ok {
+		t.Fatalf("kernel panicked with %T, want *LoopError", e)
+	}
+	if e.Worker < 0 || e.Worker >= rt.Workers() || e.Val != any("timer fault") {
+		t.Errorf("LoopError{Worker: %d, Val: %v}, want a worker of the fleet and the panic value", e.Worker, e.Val)
+	}
+	for _, frame := range []string{"panicTimer.OnTimer", "maybeTick", "(*Worker).loop"} {
+		if !strings.Contains(string(e.Stack), frame) {
+			t.Errorf("LoopError.Stack lacks %s:\n%s", frame, e.Stack)
+		}
+	}
+	if msg := e.Error(); !strings.Contains(msg, "timer fault") || !strings.Contains(msg, "worker stack") {
+		t.Errorf("message lacks fault/stack: %q", msg)
+	}
+	// The process would be gone by now. Here, run the suspended loops to
+	// their end the way a stopping kernel does, so no coroutine outlives the test.
+	rt.lifecycle.Store(lcStopped)
+	rt.stop.Store(true)
+	rt.wg.Add(1)
+	rt.ls.kernel()
+	rt.wg.Wait()
 }

@@ -322,11 +322,17 @@ const (
 // submissions that race or follow Stop/Finalize.
 var ErrFinalized = errors.New("core: runtime finalized")
 
-// Start launches the worker goroutines. It must be called once before any
-// submission.
+// Start launches the worker goroutines (under Deterministic, the one kernel
+// goroutine that runs them as coroutines). Call it once, before any submission.
 func (rt *Runtime) Start() {
 	if !rt.lifecycle.CompareAndSwap(lcNew, lcStarted) {
 		panic("core: Start called twice")
+	}
+	if rt.ls != nil {
+		rt.ls.spawn()
+		rt.wg.Add(1)
+		go rt.ls.kernel()
+		return
 	}
 	for _, w := range rt.workers {
 		rt.wg.Add(1)
@@ -349,8 +355,12 @@ func (rt *Runtime) Stop() {
 		yieldHost()
 	}
 	rt.stop.Store(true)
-	if rt.ls != nil {
-		rt.ls.stopAll()
+	if ls := rt.ls; ls != nil {
+		// The kernel (like a pauser) may be waiting on cond; woken, it sees
+		// stop and runs every loop to its end.
+		ls.mu.Lock()
+		ls.cond.Broadcast()
+		ls.mu.Unlock()
 	}
 	rt.wg.Wait()
 }
@@ -487,8 +497,8 @@ type Task struct {
 
 	// Fault-tolerance state: spawned marks the first execution's
 	// accounting as done (so a retry is not double-counted); attempts is
-	// the retry count; err carries a coroutine failure from the coroutine
-	// goroutine back to the worker (synchronized by the status channel).
+	// the retry count; err carries a coroutine failure from the coroutine's
+	// stack back to the worker (ordered by the switch back).
 	spawned  bool
 	attempts int32
 	err      *TaskError

@@ -76,7 +76,7 @@ type Worker struct {
 	runCtx Ctx
 
 	// taskPool and coPool recycle finished Task structs and idle coroutine
-	// stacks (goroutine + channels + Ctx). Owner-goroutine access only;
+	// stacks (pull-coroutine + Ctx). Owner-goroutine access only;
 	// recycled objects are fully re-zeroed before reuse.
 	taskPool []*Task
 	coPool   []*coroutine
@@ -450,7 +450,7 @@ func (w *Worker) execute(t *Task) {
 		// Cooperative cancellation: a never-started task is discarded
 		// without ever getting a coroutine stack; a suspended coroutine is
 		// resumed once so its Yield point unwinds the stack.
-		if t.co != nil && t.co.started {
+		if t.co != nil {
 			w.unwindCancelled(t)
 		} else {
 			w.discardCancelled(t)
