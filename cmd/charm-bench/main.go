@@ -3,15 +3,16 @@
 //
 // Usage:
 //
-//	charm-bench [-full] [-scale N] [-timer NS] [-sample S] [-parallel N]
-//	            [-faults SPEC] [-arrivals X] [-timeout D] <experiment>|all
+//	charm-bench [-full] [-scale N] [-timer NS] [-sample S] [-faults SPEC]
+//	            [-arrivals X] [-timeout D] <experiment>|all
 //
 // Experiments: fig1 fig3 fig4 fig5 fig7 fig8 fig9 fig10 fig11 fig12 fig13
 // fig14 tab1 tab2 sens abl gran chaos overload thermal tenants topo. The default options run each
-// experiment in seconds; -full selects paper-sized inputs. -parallel N runs
-// experiments on a pool of N workers (each experiment builds its own
-// simulated machine, so they are independent); output order stays stable by
-// id. -faults injects a fault scenario (internal/fault grammar, e.g.
+// experiment in seconds; -full selects paper-sized inputs. Every runtime
+// runs in virtual-clock lockstep, so a table is a pure function of the
+// options: experiments run on a pool of GOMAXPROCS workers and print in id
+// order, the same tables a one-by-one run prints. -faults injects a fault
+// scenario (internal/fault grammar, e.g.
 // "chaos" or "chiplet-flap:seed=7") into every runtime, running the whole
 // suite on a degrading machine. -arrivals X pins the overload experiment's
 // open-loop arrival rate to X times machine capacity instead of sweeping
@@ -41,9 +42,7 @@ func main() {
 	timer := flag.Int64("timer", 0, "override scheduler timer (virtual ns)")
 	sample := flag.Uint("sample", 0, "override cache sample shift")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	runs := flag.Int("runs", 1, "repeat measured cells and report mean±sd (fig7/fig8)")
 	metrics := flag.String("metrics", "", "capture a metrics document per runtime and write the JSON dump to FILE")
-	parallel := flag.Int("parallel", 1, "run up to N experiments concurrently (output order stays stable by id)")
 	faults := flag.String("faults", "", "inject a fault scenario into every runtime (e.g. \"chaos\" or \"chiplet-flap:seed=7\")")
 	arrivals := flag.Float64("arrivals", 0, "pin the overload experiment's arrival rate to this multiple of capacity (0 = sweep 0.5x/1x/2x)")
 	hangAfter := flag.Duration("timeout", 0, "abort after host-time D with goroutine stacks (0 = no limit)")
@@ -68,9 +67,6 @@ func main() {
 	}
 	if *sample > 0 {
 		o.SampleShift = *sample
-	}
-	if *runs > 1 {
-		o.Runs = *runs
 	}
 	if *metrics != "" {
 		o.Obs = &harness.ObsSink{}
@@ -101,7 +97,7 @@ func main() {
 	if flag.Arg(0) == "all" {
 		ids = o.IDs()
 	}
-	if err := runAll(os.Stdout, o, ids, *parallel, *asCSV); err != nil {
+	if err := runAll(os.Stdout, o, ids, runtime.GOMAXPROCS(0), *asCSV); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -162,22 +158,18 @@ func watchdog(d time.Duration, sink *harness.ObsSink) {
 	})
 }
 
-// runAll regenerates the experiments on a pool of `parallel` workers and
-// renders them to w in the order of ids. Each experiment renders into its
-// own buffer; buffers flush in id order, so a concurrent run produces the
-// same table output as a sequential one (host-time lines aside).
-func runAll(w io.Writer, o harness.Options, ids []string, parallel int, asCSV bool) error {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > len(ids) {
-		parallel = len(ids)
-	}
+// runAll regenerates the experiments on a pool of min(pool, len(ids))
+// workers and renders them to w in the order of ids. Each experiment
+// renders into its own buffer and buffers flush in id order; every cell is
+// deterministic, so the pool size cannot change a table (host-time lines
+// aside).
+func runAll(w io.Writer, o harness.Options, ids []string, pool int, asCSV bool) error {
+	pool = max(1, min(pool, len(ids)))
 	outs := make([]bytes.Buffer, len(ids))
 	errs := make([]error, len(ids))
 	work := make(chan int)
 	var wg sync.WaitGroup
-	for wk := 0; wk < parallel; wk++ {
+	for wk := 0; wk < pool; wk++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

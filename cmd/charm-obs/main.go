@@ -154,8 +154,11 @@ func runWorkload(workers int, workload string) *charm.Runtime {
 }
 
 // runWorkloadOn is runWorkload on a caller-chosen machine config, so
-// subcommands can run the same kernels on a spec-built topology.
+// subcommands can run the same kernels on a spec-built topology. The
+// runtime runs in lockstep, on the engine the harness tables come from, so
+// two runs export the same trace and metrics.
 func runWorkloadOn(cfg charm.Config, workload string) *charm.Runtime {
+	cfg.Deterministic = true
 	rt, err := charm.Init(cfg)
 	if err != nil {
 		fatal(err)

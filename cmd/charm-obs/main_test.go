@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -61,6 +62,27 @@ func TestScenarioViewsRun(t *testing.T) {
 		if out := runObs(t, c.args...); !strings.Contains(out, c.want) {
 			t.Errorf("charm-obs %s: output lacks %q:\n%s", strings.Join(c.args, " "), c.want, out)
 		}
+	}
+}
+
+// TestTraceReplays: the workload views run in lockstep, so building the
+// quickstart workload twice exports byte-identical Chrome traces.
+func TestTraceReplays(t *testing.T) {
+	trace := func() []byte {
+		rt := runWorkload(16, "quickstart")
+		defer rt.Finalize()
+		var b bytes.Buffer
+		if err := rt.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	a, b := trace(), trace()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("two quickstart runs exported different traces (%d vs %d bytes)", len(a), len(b))
+	}
+	if len(a) < 1000 {
+		t.Fatalf("trace is %d bytes; expected task spans and counter tracks", len(a))
 	}
 }
 

@@ -70,6 +70,9 @@ func TestOfflineRehome(t *testing.T) {
 
 // TestOfflineParkAndResume: a policy without Rehomer parks the offlined
 // worker and resumes it when the core revives; no task is lost either way.
+// The run is Deterministic: free-running, the host could let the three live
+// workers finish the phase before virtual time reached the revival at
+// 150 µs, and no fcResume was recorded.
 func TestOfflineParkAndResume(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	m := sim.New(sim.Config{Topo: topo})
@@ -77,7 +80,7 @@ func TestOfflineParkAndResume(t *testing.T) {
 		OfflineCore(0, 20_000, 150_000), topo)
 	rt := NewRuntime(m, Options{
 		Workers: 4, SchedulerTimer: 50_000, Faults: plan,
-		Policy: NewStaticPolicy(Compact),
+		Policy: NewStaticPolicy(Compact), Deterministic: true,
 	})
 	rt.Start()
 	defer rt.Stop()

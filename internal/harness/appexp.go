@@ -37,19 +37,10 @@ func (o Options) scConfig(replicate bool, workers int) streamcluster.Config {
 	}
 }
 
-// scRuntime builds a streamcluster cell's runtime. The fig9/tab2 cells run
-// in lockstep, so each speedup is a fixed outcome and not one sample of a
-// host-scheduling window.
-func (o Options) scRuntime(sys charm.System, workers int) *charm.Runtime {
-	cfg := o.config(o.amd(), sys, workers)
-	cfg.Deterministic = true
-	return o.start(cfg)
-}
-
 // fig9Run measures one system's streamcluster makespan; SHOAL replicates
 // the points per NUMA node.
 func (o Options) fig9Run(sys charm.System, workers int) int64 {
-	rt := o.scRuntime(sys, workers)
+	rt := o.runtime(o.amd(), sys, workers)
 	defer rt.Finalize()
 	res := streamcluster.Run(rt, o.scConfig(sys == charm.SystemSHOAL, workers))
 	return res.Makespan
@@ -60,12 +51,11 @@ func (o Options) fig9Run(sys charm.System, workers int) int64 {
 // scatter, churned assignment, main-thread allocation on node 0).
 func (o Options) fig9NoSupport(workers int) int64 {
 	rt := o.start(charm.Config{
-		Topology:      o.amd(),
-		CacheScale:    o.CacheScale,
-		Workers:       workers,
-		Naive:         true,
-		SampleShift:   o.SampleShift,
-		Deterministic: true,
+		Topology:    o.amd(),
+		CacheScale:  o.CacheScale,
+		Workers:     workers,
+		Naive:       true,
+		SampleShift: o.SampleShift,
 	})
 	defer rt.Finalize()
 	cfg := o.scConfig(false, workers)
@@ -110,7 +100,7 @@ func (o Options) Tab2() *Table {
 	for _, c := range []int{8, 16, 32, 64} {
 		var localchip, remotechip, mainmem [2]int64
 		for i, sys := range []charm.System{charm.SystemCHARM, charm.SystemSHOAL} {
-			rt := o.scRuntime(sys, c)
+			rt := o.runtime(o.amd(), sys, c)
 			streamcluster.Run(rt, o.scConfig(sys == charm.SystemSHOAL, c))
 			localchip[i] = rt.Counter(charm.FillL3Local)
 			remotechip[i] = rt.Counter(charm.FillL3RemoteNear) + rt.Counter(charm.FillL3RemoteFar)
@@ -170,7 +160,7 @@ func (o Options) Fig11() *Table {
 }
 
 // Fig12 regenerates the thread-concurrency trace during SGD at 32 cores:
-// live task/thread counts sampled while the gradient phase runs.
+// live task/thread counts at every scheduler tick of the run's virtual time.
 func (o Options) Fig12() *Table {
 	t := &Table{
 		ID:     "fig12",
@@ -186,21 +176,19 @@ func (o Options) Fig12() *Table {
 		{"DW+std::async", charm.SystemOSAsync},
 	} {
 		rt := o.runtime(o.amd(), v.sys, 32)
-		// Live-task counts are sampled in virtual time at worker 0's
-		// scheduler ticks (ProfConcurrency).
 		rt.EnableProfiler(true)
 		sgd.Run(rt, o.sgdConfig(), sgd.PerNode)
-		samples := rt.Engine().Profiler().Samples(core.ProfConcurrency)
+		samples := liveTasks(rt.Engine().Profiler().Spans(), o.SchedulerTimer)
 		rt.Finalize()
 		var sum, min, max int64
 		min = 1 << 62
 		for _, s := range samples {
-			sum += s.V
-			if s.V < min {
-				min = s.V
+			sum += s
+			if s < min {
+				min = s
 			}
-			if s.V > max {
-				max = s.V
+			if s > max {
+				max = s
 			}
 		}
 		mean := 0.0
@@ -213,6 +201,34 @@ func (o Options) Fig12() *Table {
 			f1(mean), i64(min), i64(max)})
 	}
 	return t
+}
+
+// liveTasks counts, at every scheduler tick from the first task start to
+// the last task end, the tasks live (started, not finished) at that virtual
+// time. It sweeps the task spans, which replay exactly, instead of reading
+// the live-task counter worker 0 samples on its own ticks: worker 0 files
+// some of those samples on idle turns between two submissions, and the host
+// decides how many such turns run before the next submission pauses the
+// fleet.
+func liveTasks(spans []core.TaskSpan, tick int64) []int64 {
+	if len(spans) == 0 {
+		return nil
+	}
+	lo, hi := spans[0].Start, spans[0].End
+	for _, s := range spans {
+		lo, hi = min(lo, s.Start), max(hi, s.End)
+	}
+	var out []int64
+	for t := lo + tick - lo%tick; t < hi; t += tick {
+		var n int64
+		for _, s := range spans {
+			if s.Start <= t && t < s.End {
+				n++
+			}
+		}
+		out = append(out, n)
+	}
+	return out
 }
 
 // Fig14 regenerates the OLTP commits/s comparison between the LocalCache
@@ -252,22 +268,24 @@ func (o Options) Fig14() *Table {
 // oltpRuntime builds a statically placed runtime: compact (LocalCache) or
 // chiplet-spread (DistributedCache), mirroring the §5.7 ERMIA policies.
 func (o Options) oltpRuntime(local bool, workers int) *charm.Runtime {
-	rt, err := charm.Init(charm.Config{
+	rt := o.start(charm.Config{
 		Topology:    o.amd(),
 		CacheScale:  o.CacheScale,
 		Workers:     workers,
 		NoAdapt:     true,
 		SampleShift: o.SampleShift,
 	})
-	if err != nil {
-		panic(err)
-	}
 	if !local {
-		spread := rt.Topology().ChipletsPerNode
-		for w := 0; w < workers; w++ {
-			rt.Engine().Worker(w).SetSpreadRate(spread)
-			core.UpdateLocation(rt.Engine().Worker(w))
-		}
+		spreadChiplets(rt, rt.Topology().ChipletsPerNode)
 	}
-	return o.observe(rt)
+	return rt
+}
+
+// spreadChiplets statically moves every worker of rt to spread rate r
+// through Alg. 2.
+func spreadChiplets(rt *charm.Runtime, r int) {
+	onEachWorker(rt, func(w *core.Worker) {
+		w.SetSpreadRate(r)
+		core.UpdateLocation(w)
+	})
 }

@@ -59,8 +59,8 @@ func chaosWorkload(rt *charm.Runtime) chaosResult {
 	return r
 }
 
-// chaosRun builds a deterministic runtime for sys on topo and runs the
-// workload under the given fault schedule (nil = healthy machine).
+// chaosRun builds a runtime for sys on topo and runs the workload under the
+// given fault schedule (nil = healthy machine).
 func (o Options) chaosRun(topo *charm.Topology, sys charm.System, workers int, sched *charm.FaultSchedule) chaosResult {
 	rt := o.start(charm.Config{
 		Topology:       topo,
@@ -68,7 +68,6 @@ func (o Options) chaosRun(topo *charm.Topology, sys charm.System, workers int, s
 		System:         sys,
 		SchedulerTimer: o.SchedulerTimer,
 		Faults:         sched,
-		Deterministic:  true,
 	})
 	rt.EnableMetrics(true)
 	defer rt.Finalize()

@@ -2,12 +2,36 @@ package harness
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"charm"
 	"charm/internal/workloads/graph"
 	"charm/internal/workloads/gups"
 )
+
+// kroneckers memoizes the seed-42 Kronecker graphs by scale.
+var kroneckers struct {
+	sync.Mutex
+	byScale map[int]*graph.CSR
+}
+
+// kronecker returns the graph of 2^scale vertices that every graph
+// experiment reads. It is built once per scale and shared read-only, so
+// concurrently running experiments hold one copy (under -full a 2^24 graph
+// is gigabytes).
+func kronecker(scale int) *graph.CSR {
+	kroneckers.Lock()
+	defer kroneckers.Unlock()
+	g := kroneckers.byScale[scale]
+	if g == nil {
+		g = graph.Kronecker(graph.GenConfig{LogVertices: scale, EdgeFactor: 16, Seed: 42})
+		if kroneckers.byScale == nil {
+			kroneckers.byScale = map[int]*graph.CSR{}
+		}
+		kroneckers.byScale[scale] = g
+	}
+	return g
+}
 
 // GraphBenchmarks lists the §5.2 benchmark suite in paper order.
 var GraphBenchmarks = []string{"bfs", "pr", "cc", "sssp", "gups", "graph500"}
@@ -93,46 +117,19 @@ func (o Options) graphScalability(id, machine string, topo func() *charm.Topolog
 	for _, c := range counts {
 		t.Header = append(t.Header, fmt.Sprintf("%dc", c))
 	}
-	g := graph.Kronecker(graph.GenConfig{LogVertices: o.GraphScale, EdgeFactor: 16, Seed: 42})
-	runs := o.Runs
-	if runs < 1 {
-		runs = 1
-	}
+	g := kronecker(o.GraphScale)
 	for _, bench := range GraphBenchmarks {
 		for _, sys := range GraphSystems {
 			row := []string{bench, string(sys)}
 			for _, workers := range counts {
-				vals := make([]float64, runs)
-				for r := range vals {
-					rt := o.runtime(topo(), sys, workers)
-					vals[r] = o.runGraphBenchmark(rt, bench, g)
-					rt.Finalize()
-				}
-				row = append(row, meanSD(vals))
+				rt := o.runtime(topo(), sys, workers)
+				row = append(row, f1(o.runGraphBenchmark(rt, bench, g)))
+				rt.Finalize()
 			}
 			t.Rows = append(t.Rows, row)
 		}
 	}
 	return t
-}
-
-// meanSD formats measurements as "mean" (one run) or "mean±sd".
-func meanSD(vals []float64) string {
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	mean := sum / float64(len(vals))
-	if len(vals) == 1 {
-		return f1(mean)
-	}
-	var ss float64
-	for _, v := range vals {
-		d := v - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(len(vals)-1))
-	return f1(mean) + "±" + f1(sd)
 }
 
 // Fig7 regenerates the AMD scalability figure.
@@ -150,7 +147,7 @@ func (o Options) Tab1() *Table {
 		Header: []string{"benchmark", "remote-numa CHARM", "remote-numa RING", "local CHARM", "local RING"},
 		Notes:  "CHARM's remote-NUMA chiplet accesses are orders of magnitude below RING's; local-chiplet accesses exceed RING's",
 	}
-	g := graph.Kronecker(graph.GenConfig{LogVertices: o.GraphScale, EdgeFactor: 16, Seed: 42})
+	g := kronecker(o.GraphScale)
 	workers := 64
 	if n := o.amd().NumCores(); workers > n {
 		workers = n / 2
@@ -184,7 +181,7 @@ func (o Options) Fig10() *Table {
 	cores := []int{32, 64}
 	for _, bench := range []string{"bfs", "pr", "cc", "sssp", "gups", "graph500"} {
 		for _, s := range scales {
-			g := graph.Kronecker(graph.GenConfig{LogVertices: s, EdgeFactor: 16, Seed: 42})
+			g := kronecker(s)
 			row := []string{bench, fmt.Sprintf("2^%d", s), i64(g.ApproxBytes())}
 			for _, workers := range cores {
 				so := o

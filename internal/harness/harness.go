@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"charm"
+	"charm/internal/core"
 	"charm/internal/scenario"
 	"charm/internal/topology"
 )
@@ -30,10 +31,6 @@ type Options struct {
 	SchedulerTimer int64
 	// GraphScale is log2 of the graph vertex count.
 	GraphScale int
-	// Runs repeats each measured cell and reports "mean±sd" (the paper
-	// averages 10 runs and scales Fig. 7/8 markers by variance).
-	// 0 or 1 measures once.
-	Runs int
 	// Full selects paper-sized inputs.
 	Full bool
 	// Faults, when non-empty, is a fault-scenario spec (internal/fault
@@ -53,8 +50,8 @@ type Options struct {
 
 	// obsExp is the experiment id stamped onto metrics captures. Run sets
 	// it on its by-value receiver before building the experiment closures,
-	// so concurrent experiments (charm-bench -parallel) attribute their
-	// captures correctly without sharing mutable sink state.
+	// so concurrently running experiments attribute their captures
+	// correctly without sharing mutable sink state.
 	obsExp string
 }
 
@@ -106,8 +103,13 @@ func (o Options) runtime(topo *charm.Topology, sys charm.System, workers int) *c
 	return o.start(o.config(topo, sys, workers))
 }
 
-// start builds and observes a runtime from an explicit configuration.
+// start builds and observes a runtime from an explicit configuration. It
+// is the one place the harness builds a runtime, and every runtime runs in
+// virtual-clock lockstep: each cell is a pure function of its inputs, so
+// one run is the result, and concurrently running experiments cannot
+// change each other's tables.
 func (o Options) start(cfg charm.Config) *charm.Runtime {
+	cfg.Deterministic = true
 	rt, err := charm.Init(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))
@@ -115,10 +117,17 @@ func (o Options) start(cfg charm.Config) *charm.Runtime {
 	return o.observe(rt)
 }
 
-// observe attaches the metrics sink (when configured) to a runtime —
-// including ones an experiment built with charm.Init directly. The
-// capture hook carries the experiment id by value, so runtimes built by
-// concurrently running experiments stamp their own id.
+// onEachWorker runs f once on every worker, inside that worker's own turn,
+// so a static placement lands at a fixed point of the replay instead of
+// racing the idle fleet's turns.
+func onEachWorker(rt *charm.Runtime, f func(w *core.Worker)) {
+	rt.AllDo(func(ctx *charm.Ctx) { f(rt.Engine().Worker(ctx.Worker())) })
+}
+
+// observe attaches the metrics sink (when configured) to a runtime,
+// including the service scenarios' own. The capture hook carries the
+// experiment id by value, so runtimes built by concurrently running
+// experiments stamp their own id.
 func (o Options) observe(rt *charm.Runtime) *charm.Runtime {
 	if o.Obs != nil {
 		rt.EnableMetrics(true)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,6 +13,23 @@ func testOptions() Options {
 	o := Defaults()
 	o.GraphScale = 10
 	return o
+}
+
+// testTables memoizes experiment tables at testOptions() scale, id ->
+// func() (*Table, error). Every cell is deterministic, so the golden and
+// shape tests can read one run.
+var testTables sync.Map
+
+// testTable regenerates experiment id at testOptions() scale once per test
+// binary.
+func testTable(t *testing.T, id string) *Table {
+	t.Helper()
+	run, _ := testTables.LoadOrStore(id, sync.OnceValues(func() (*Table, error) { return testOptions().Run(id) }))
+	tab, err := run.(func() (*Table, error))()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func parse(t *testing.T, s string) float64 {
@@ -60,7 +78,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestChaosShape(t *testing.T) {
-	tab := testOptions().Chaos()
+	tab := testTable(t, "chaos")
 	ratioCol, lostCol := tab.Col("ratio"), tab.Col("lost")
 	reproCol, rehomeCol := tab.Col("repro"), tab.Col("rehomes")
 	parkCol := tab.Col("parks")
@@ -116,7 +134,7 @@ func TestChaosShape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	tab := testOptions().Fig3()
+	tab := testTable(t, "fig3")
 	within := tab.Find("within-numa")
 	if within == nil {
 		t.Fatal("missing within-numa row")
@@ -136,7 +154,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	tab := testOptions().Fig4()
+	tab := testTable(t, "fig4")
 	first := parse(t, tab.Rows[0][4])
 	last := parse(t, tab.Rows[len(tab.Rows)-1][4])
 	if last <= first {
@@ -145,7 +163,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Crossover(t *testing.T) {
-	tab := testOptions().Fig5()
+	tab := testTable(t, "fig5")
 	col := tab.Col("dist speedup")
 	firstRatio := parse(t, tab.Rows[0][col])
 	if firstRatio >= 1 {
@@ -164,19 +182,20 @@ func TestFig5Crossover(t *testing.T) {
 }
 
 func TestFig14Insensitivity(t *testing.T) {
-	o := testOptions()
-	tab := o.Fig14()
+	tab := testTable(t, "fig14")
 	col := tab.Col("ratio")
+	// LocalCache over DistributedCache spans 0.88 (TPC-C, 64 cores) to
+	// 1.20 (TPC-C, 8 cores).
 	for _, r := range tab.Rows {
 		v := parse(t, r[col])
-		if v < 0.7 || v > 1.4 {
-			t.Errorf("OLTP %s@%s placement ratio %.2f outside [0.7,1.4]", r[0], r[1], v)
+		if v < 0.85 || v > 1.25 {
+			t.Errorf("OLTP %s@%s placement ratio %.2f outside [0.85,1.25]", r[0], r[1], v)
 		}
 	}
 }
 
 func TestSensitivityRuns(t *testing.T) {
-	tab := testOptions().Sensitivity()
+	tab := testTable(t, "sens")
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -194,6 +213,7 @@ func TestFig7CharmWinsAt64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
+	t.Parallel()
 	o := testOptions()
 	o.GraphScale = 12
 	tab := o.Fig7()
@@ -222,6 +242,7 @@ func TestTab1RemoteAccessGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
+	t.Parallel()
 	o := testOptions()
 	o.GraphScale = 12
 	tab := o.Tab1()
@@ -238,16 +259,16 @@ func TestFig13AllQueriesBenefit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	o := testOptions()
-	tab := o.Fig13()
+	tab := testTable(t, "fig13")
 	col := tab.Col("speedup")
+	// At this scale one query, Q4 (0.07 vs 0.08 ms), runs slower.
 	below := 0
 	for _, r := range tab.Rows {
 		if parse(t, r[col]) < 0.95 {
 			below++
 		}
 	}
-	if below > 3 {
+	if below > 1 {
 		t.Errorf("%d of 22 queries slowed down under CHARM", below)
 	}
 }
@@ -256,8 +277,8 @@ func TestFig9CharmLeadsMidRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	o := testOptions()
-	tab := o.Fig9()
+	t.Parallel()
+	tab := testTable(t, "fig9")
 	// CHARM should lead or tie SHOAL somewhere in the 8-32 core range.
 	lead := false
 	for _, r := range tab.Rows {
@@ -275,8 +296,7 @@ func TestFig11CharmBeatsNatives(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	o := testOptions()
-	tab := o.Fig11()
+	tab := testTable(t, "fig11")
 	best := map[string]float64{}
 	for _, r := range tab.Rows {
 		v := parse(t, r[3])
@@ -296,7 +316,7 @@ func TestGranularityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tab := testOptions().Granularity()
+	tab := testTable(t, "gran")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -318,7 +338,7 @@ func TestAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tab := testOptions().Ablation()
+	tab := testTable(t, "abl")
 	get := func(name string, col int) float64 {
 		r := tab.Find(name)
 		if r == nil {
@@ -342,8 +362,7 @@ func TestFig10StableSpeedups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	o := testOptions()
-	tab := o.Fig10()
+	tab := testTable(t, "fig10")
 	ci := tab.Col("64c")
 	wins := 0
 	for _, r := range tab.Rows {
@@ -351,7 +370,7 @@ func TestFig10StableSpeedups(t *testing.T) {
 			wins++
 		}
 	}
-	if wins < len(tab.Rows)*2/3 {
+	if wins < len(tab.Rows) {
 		t.Errorf("CHARM won only %d of %d size/benchmark cells at 64 cores", wins, len(tab.Rows))
 	}
 }
@@ -360,7 +379,7 @@ func TestFig12Trace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
-	tab := testOptions().Fig12()
+	tab := testTable(t, "fig12")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -375,6 +394,7 @@ func TestFig8IntelNarrowerThanAMD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second experiment")
 	}
+	t.Parallel()
 	o := testOptions()
 	o.GraphScale = 11
 	amd := o.Fig7()
@@ -398,9 +418,8 @@ func TestFig8IntelNarrowerThanAMD(t *testing.T) {
 	a := ratio(amd, "64c")
 	i := ratio(intel, "48c")
 	// §5.3: CHARM's advantage is architectural — it narrows on Intel's
-	// flatter mesh. Allow noise but the Intel edge must not exceed AMD's
-	// by much.
-	if i > a*1.25 {
+	// flatter mesh (BFS lead 1.23x at 48 cores vs 1.33x at 64 on AMD).
+	if i >= a {
 		t.Errorf("Intel advantage %.2f unexpectedly exceeds AMD's %.2f", i, a)
 	}
 }
@@ -413,7 +432,7 @@ func TestFig8IntelNarrowerThanAMD(t *testing.T) {
 // relative to a breaker-off run; and the shed-2x cell replays byte for
 // byte.
 func TestOverloadShape(t *testing.T) {
-	tab := testOptions().Overload()
+	tab := testTable(t, "overload")
 	goodCol, p99Col := tab.Col("goodput_pct"), tab.Col("p99_us")
 	maxqCol, reproCol := tab.Col("maxq_ch1"), tab.Col("repro")
 	if len(tab.Rows) != 16 {
@@ -450,15 +469,16 @@ func TestOverloadShape(t *testing.T) {
 		}
 	}
 	// Load-aware placement must meet or beat the round-robin ablation at
-	// matched load (small tolerance for placement-order noise).
+	// matched load (1x: 88.6% vs 87.6% goodput at equal p99; 2x: equal
+	// goodput, p99 1252.3 vs 1253.9us).
 	for _, load := range []string{"1x", "2x"} {
 		la, rr := get("shed-"+load), get("rr-"+load)
 		laG, rrG := parse(t, la[goodCol]), parse(t, rr[goodCol])
-		if laG < rrG-1 {
+		if laG < rrG {
 			t.Errorf("load-aware %s goodput %.1f%% below round-robin %.1f%%", load, laG, rrG)
 		}
 		laP, rrP := parse(t, la[p99Col]), parse(t, rr[p99Col])
-		if laP > rrP*1.05 {
+		if laP > rrP {
 			t.Errorf("load-aware %s p99 %.1fus above round-robin %.1fus", load, laP, rrP)
 		}
 	}
@@ -480,7 +500,7 @@ func TestOverloadShape(t *testing.T) {
 // fault row rebalances A's lease instead of stalling A; and the isolated
 // run replays byte for byte.
 func TestTenantsShape(t *testing.T) {
-	tab := testOptions().Tenants()
+	tab := testTable(t, "tenants")
 	if len(tab.Rows) != 7 {
 		t.Fatalf("rows = %d, want 7", len(tab.Rows))
 	}
@@ -549,7 +569,7 @@ func TestTenantsShape(t *testing.T) {
 // accounted for. The closed-loop cell replays byte for byte, plane state
 // included.
 func TestThermalShape(t *testing.T) {
-	tab := testOptions().Thermal()
+	tab := testTable(t, "thermal")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tab.Rows))
 	}

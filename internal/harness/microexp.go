@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"charm"
-	"charm/internal/core"
 )
 
 // Fig3 regenerates the core-to-core latency CDF of §2.1: CAS ping-pong
@@ -116,10 +115,7 @@ func (o Options) fig5Run(sys charm.System, local bool, size int64) int64 {
 	defer rt.Finalize()
 	if !local {
 		// Move each worker to its own chiplet (DistributedCache).
-		for w := 0; w < 8; w++ {
-			rt.Engine().Worker(w).SetSpreadRate(8)
-			core.UpdateLocation(rt.Engine().Worker(w))
-		}
+		spreadChiplets(rt, 8)
 	}
 	data := rt.AllocPolicy(maxI64(size, 64*8), charm.FirstTouch, 0)
 	seg := maxI64(size/8, 8)

@@ -12,18 +12,18 @@ import (
 )
 
 // ObsSink collects end-of-run metrics snapshots from every runtime the
-// harness builds. Attach one via Options.Obs; each experiment stamps its id
-// with SetCurrent before running, and every Finalize captures a full
-// metrics document (snapshot + traced-metric history) into the sink.
+// harness builds. Attach one via Options.Obs; every Finalize captures a
+// full metrics document (snapshot + traced-metric history) into the sink,
+// stamped with the id of the experiment (Options.Run) that built the
+// runtime.
 type ObsSink struct {
 	mu      sync.Mutex
-	current string
 	entries []ObsEntry
 }
 
 // ObsEntry is one runtime's end-of-run metrics capture.
 type ObsEntry struct {
-	// Experiment is the id active when the runtime finalized.
+	// Experiment is the id of the experiment that built the runtime.
 	Experiment string `json:"experiment"`
 	// Workers is the runtime's worker count.
 	Workers int `json:"workers"`
@@ -31,25 +31,12 @@ type ObsEntry struct {
 	Metrics obs.JSONDoc `json:"metrics"`
 }
 
-// SetCurrent stamps subsequent captures that carry no explicit
-// experiment id. The harness stamps ids per run (see Options.Run), which
-// stays correct when experiments execute concurrently; SetCurrent remains
-// the fallback for runtimes observed outside Options.Run.
-func (s *ObsSink) SetCurrent(id string) {
-	s.mu.Lock()
-	s.current = id
-	s.mu.Unlock()
-}
-
 // captureAs records one runtime's metrics under the given experiment id;
-// installed (with the id bound) as a Finalize hook. An empty id falls
-// back to the SetCurrent value. Safe for concurrent experiments.
+// installed (with the id bound) as a Finalize hook. Safe for concurrent
+// experiments.
 func (s *ObsSink) captureAs(exp string, r *charm.Runtime) {
 	doc := obs.BuildJSON(r.MetricsSnapshot(), r.MetricsRegistry().History())
 	s.mu.Lock()
-	if exp == "" {
-		exp = s.current
-	}
 	s.entries = append(s.entries, ObsEntry{
 		Experiment: exp,
 		Workers:    r.Workers(),

@@ -46,16 +46,13 @@ func (o Options) IDs() []string {
 
 // Run regenerates one experiment by id. The id is stamped onto the
 // by-value receiver before the experiment closures are built, so the
-// metrics captures of concurrently running experiments (charm-bench
-// -parallel) attribute correctly.
+// metrics captures of concurrently running experiments attribute
+// correctly.
 func (o Options) Run(id string) (*Table, error) {
 	o.obsExp = id
 	f, ok := o.Experiments()[id]
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, o.IDs())
-	}
-	if o.Obs != nil {
-		o.Obs.SetCurrent(id)
 	}
 	return f(), nil
 }

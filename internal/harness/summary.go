@@ -9,12 +9,6 @@ import (
 	"charm/internal/workloads/streamcluster"
 )
 
-// coreUpdateLocation applies Alg. 2 to worker w of rt (exposed for static
-// placements in the experiments).
-func coreUpdateLocation(rt *charm.Runtime, w int) {
-	core.UpdateLocation(rt.Engine().Worker(w))
-}
-
 // Fig1 regenerates the headline summary: CHARM's speedup over the best
 // NUMA-aware baseline per benchmark family at 64 cores.
 func (o Options) Fig1() *Table {
@@ -25,27 +19,20 @@ func (o Options) Fig1() *Table {
 		Notes:  "graph 1.8-2.3x, statistical analytics up to 3.9x, streamcluster ~1.3x over SHOAL, OLTP ~1x",
 	}
 	workers := 64
-	g := graph.Kronecker(graph.GenConfig{LogVertices: o.GraphScale, EdgeFactor: 16, Seed: 42})
+	g := kronecker(o.GraphScale)
 
-	// Graph benchmarks vs the best of RING/AsymSched/SAM. Measurements
-	// average `reps` runs (the paper averages 10) to damp scheduling
-	// noise.
-	const reps = 3
-	mean := func(sys charm.System, bench string, workers int) float64 {
-		var sum float64
-		for r := 0; r < reps; r++ {
-			rt := o.runtime(o.amd(), sys, workers)
-			sum += o.runGraphBenchmark(rt, bench, g)
-			rt.Finalize()
-		}
-		return sum / reps
+	// Graph benchmarks vs the best of RING/AsymSched/SAM.
+	measure := func(sys charm.System, bench string) float64 {
+		rt := o.runtime(o.amd(), sys, workers)
+		defer rt.Finalize()
+		return o.runGraphBenchmark(rt, bench, g)
 	}
 	for _, bench := range []string{"bfs", "cc", "sssp", "gups"} {
-		vC := mean(charm.SystemCHARM, bench, workers)
+		vC := measure(charm.SystemCHARM, bench)
 		best := 0.0
 		bestName := ""
 		for _, sys := range []charm.System{charm.SystemRING, charm.SystemAsymSched, charm.SystemSAM} {
-			if v := mean(sys, bench, workers); v > best {
+			if v := measure(sys, bench); v > best {
 				best, bestName = v, string(sys)
 			}
 		}
@@ -95,7 +82,7 @@ func (o Options) Sensitivity() *Table {
 		Header: []string{"threshold/interval", "mteps", "migrations"},
 		Notes:  "performance is flat near the chosen threshold, degrading at extremes (too eager or too inert)",
 	}
-	g := graph.Kronecker(graph.GenConfig{LogVertices: o.GraphScale, EdgeFactor: 16, Seed: 42})
+	g := kronecker(o.GraphScale)
 	base := o.SchedulerTimer / 500
 	for _, mult := range []int64{1, 4, 16, 64, 256} {
 		thr := maxI64(base*mult/16, 1)
@@ -125,7 +112,7 @@ func (o Options) Ablation() *Table {
 		Header: []string{"variant", "bfs mteps", "sgd grad GB/s"},
 		Notes:  "full CHARM leads; static compact loses cache capacity; static spread loses locality; OS threads lose switch overhead",
 	}
-	g := graph.Kronecker(graph.GenConfig{LogVertices: o.GraphScale, EdgeFactor: 16, Seed: 42})
+	g := kronecker(o.GraphScale)
 	cfg := o.sgdConfig()
 
 	type variant struct {
@@ -167,11 +154,11 @@ func (o Options) Ablation() *Table {
 		t.Rows = append(t.Rows, []string{v.name, f1(res.TEPS() / 1e6), f2(gr)})
 	}
 	// Static spread variant via explicit placement.
-	rt := o.oltpRuntimeLikeSpread(32)
+	rt := o.oltpRuntime(false, 32)
 	b := graph.Bind(rt, g, 128)
 	_, res := b.BFS(0)
 	rt.Finalize()
-	rt2 := o.oltpRuntimeLikeSpread(32)
+	rt2 := o.oltpRuntime(false, 32)
 	gr := sgd.Run(rt2, cfg, sgd.PerNode).GradGBps()
 	rt2.Finalize()
 	t.Rows = append(t.Rows, []string{"static-spread", f1(res.TEPS() / 1e6), f2(gr)})
@@ -180,7 +167,7 @@ func (o Options) Ablation() *Table {
 	// siblings onto 16 physical cores — the contention §4.6 says CHARM
 	// avoids by scheduling physical cores only.
 	mkSMT := func() *charm.Runtime {
-		rt, err := charm.Init(charm.Config{
+		rt := o.start(charm.Config{
 			Topology:       o.amd(),
 			CacheScale:     o.CacheScale,
 			Workers:        32,
@@ -189,16 +176,15 @@ func (o Options) Ablation() *Table {
 			SampleShift:    o.SampleShift,
 			SchedulerTimer: o.SchedulerTimer,
 		})
-		if err != nil {
-			panic(err)
-		}
 		// Compact placement with worker%cores maps workers 16-31 onto
 		// the same cores as 0-15 when we halve the core range: emulate
 		// by pinning pairs explicitly.
-		for w := 16; w < 32; w++ {
-			rt.Engine().Worker(w).Migrate(charm.CoreID(w - 16))
-		}
-		return o.observe(rt)
+		onEachWorker(rt, func(w *core.Worker) {
+			if id := w.ID(); id >= 16 {
+				w.Migrate(charm.CoreID(id - 16))
+			}
+		})
+		return rt
 	}
 	rtS := mkSMT()
 	bS := graph.Bind(rtS, g, 128)
@@ -242,9 +228,4 @@ func (o Options) Ablation() *Table {
 	rtN2.Finalize()
 	t.Rows = append(t.Rows, []string{"ring-nps4", f1(resN.TEPS() / 1e6), f2(grN)})
 	return t
-}
-
-// oltpRuntimeLikeSpread builds a statically chiplet-spread runtime.
-func (o Options) oltpRuntimeLikeSpread(workers int) *charm.Runtime {
-	return o.oltpRuntime(false, workers)
 }
