@@ -94,9 +94,10 @@ func TestServiceGolden(t *testing.T) {
 // resultsGoldenIDs are the experiments pinned by TestResultsGolden: the
 // ones that ran free-running, and so printed a different sample each run,
 // before every harness runtime went lockstep, except fig7 and fig8 (about
-// two seconds each even at testOptions() scale).
+// two seconds each even at testOptions() scale), plus fig9, whose
+// no-runtime-support baseline is the one naive-placement cell of the tables.
 var resultsGoldenIDs = []string{"abl", "fig1", "fig10", "fig11", "fig12", "fig13", "fig14",
-	"fig5", "gran", "sens", "tab1"}
+	"fig5", "fig9", "gran", "sens", "tab1"}
 
 // TestResultsGolden pins the cheap experiment tables at testOptions()
 // scale across commits, so a change of simulated behaviour shows up as a
