@@ -137,12 +137,19 @@ bench-gate:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -gate BENCH_fabric.json -gate-threshold $(GATE_THRESHOLD)
 
-# loc prints the two sizes ROADMAP quotes, so a simplicity PR's headline
+# loc prints the sizes ROADMAP quotes, so a simplicity PR's headline
 # figure is reproducible: non-test Go lines outside bench/ (comments and
-# blank lines included), then test lines.
+# blank lines included), then test lines, then the settable fields (field
+# lines, as go doc prints them) of the four configuration structs.
+KNOB_STRUCTS = charm.Config charm/internal/core.Options charm/internal/core.JobServiceOptions charm/internal/sim.Config
+
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
 	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
+	@for t in $(KNOB_STRUCTS); do \
+		printf ' %s %s' $${t#charm/internal/} $$($(GO) doc -u $$t | sed -n '/struct {/,/^}/p' | \
+			grep -cE '^\s+[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* +[^ /]'); \
+	done; echo ' knobs'
 
 # Observability smoke runs: a Chrome trace and a Prometheus metrics dump
 # from the quickstart workload.

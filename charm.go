@@ -30,6 +30,7 @@ package charm
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"charm/internal/admit"
@@ -101,8 +102,6 @@ type (
 	// AdmitPolicy selects the backpressure policy of a bounded admission
 	// queue: Block, Reject, or Shed.
 	AdmitPolicy = admit.Policy
-	// BreakerConfig tunes the per-chiplet circuit breakers.
-	BreakerConfig = admit.BreakerConfig
 	// JobPlacement selects dispatch placement for JobServiceOptions.
 	JobPlacement = core.JobPlacement
 	// TraceID identifies one causal job trace (the job's admission ID).
@@ -120,8 +119,6 @@ type (
 	Breakdown = obs.Breakdown
 	// CritPathReport aggregates breakdowns into top-culprit tables.
 	CritPathReport = obs.Report
-	// BurnConfig tunes the SLO burn-rate windows and thresholds.
-	BurnConfig = obs.BurnConfig
 	// SLOAlert is one burn-rate alert edge (fired or cleared).
 	SLOAlert = obs.SLOAlert
 	// SLOStatus is a point-in-time per-class error-budget reading.
@@ -173,7 +170,7 @@ const (
 var ParseTopoSpec = topology.ParseTopoSpec
 
 // SpecFabrics returns the interconnect fabric names the topo-spec grammar
-// (and Config.Fabric) accepts.
+// accepts.
 var SpecFabrics = topology.SpecFabrics
 
 // SpecPresetNames returns the topo-spec preset names (Config.TopoSpec
@@ -288,14 +285,19 @@ var NewFaultSchedule = fault.New
 // internal/fault for the grammar.
 var ParseFaultSpec = fault.ParseSpec
 
-// Systems available for Config.System.
+// Systems available for Config.System: CHARM, the §5.1 NUMA-aware
+// baselines, the std::async OS-thread baseline, and the placements and
+// CHARM variants of the ablations (see internal/baselines).
 const (
-	SystemCHARM     = baselines.CHARM
-	SystemRING      = baselines.RING
-	SystemSHOAL     = baselines.SHOAL
-	SystemAsymSched = baselines.AsymSched
-	SystemSAM       = baselines.SAM
-	SystemOSAsync   = baselines.OSAsync
+	SystemCHARM         = baselines.CHARM
+	SystemRING          = baselines.RING
+	SystemSHOAL         = baselines.SHOAL
+	SystemAsymSched     = baselines.AsymSched
+	SystemSAM           = baselines.SAM
+	SystemOSAsync       = baselines.OSAsync
+	SystemNaive         = baselines.Naive
+	SystemStaticCompact = baselines.StaticCompact
+	SystemCHARMSeqSteal = baselines.CHARMSeqSteal
 )
 
 // Memory policies for AllocPolicy.
@@ -324,20 +326,17 @@ type Config struct {
 	// TopoSpec builds the machine from the topo-spec grammar instead
 	// (e.g. "mesh:4x2,fast=2,eff=4,accel=2" or a preset name like
 	// "het-mesh"; see topology.ParseTopoSpec). It selects both the
-	// chiplet layout/kinds and the interconnect fabric. Mutually
+	// chiplet layout/kinds and the interconnect fabric; without it the
+	// machine keeps the original hub-and-spoke (star) fabric. Mutually
 	// exclusive with Topology.
 	TopoSpec string
-	// Fabric selects the interconnect fabric by name: star (default),
-	// mesh, ring, crossbar, or flatfly. Overrides the fabric named in
-	// TopoSpec; with neither set the machine keeps the original
-	// hub-and-spoke model bit-identically.
-	Fabric string
 	// CacheScale divides all cache capacities by this factor so scaled
 	// workloads preserve working-set-to-cache ratios (0 or 1 = full size).
 	CacheScale int64
 	// Workers is the number of worker threads (required).
 	Workers int
-	// System selects the runtime system; empty selects CHARM.
+	// System selects the runtime system — CHARM, a baseline, or an
+	// ablation variant; empty selects CHARM.
 	System System
 	// SampleShift simulates 1/2^SampleShift of cache lines exactly
 	// (0 = exact simulation; 4-6 recommended for large workloads).
@@ -347,22 +346,10 @@ type Config struct {
 	// RemoteFillThreshold overrides RMT_CHIP_ACCESS_RATE (events per
 	// timer interval).
 	RemoteFillThreshold int64
-	// Adaptive disables the adaptive controller when false with
-	// System == CHARM: workers keep their initial dense placement.
-	// Init sets it to true by default; use NoAdapt to disable.
-	NoAdapt bool
-	// Naive selects a topology-oblivious execution: workers scattered
-	// across NUMA nodes with no adaptation and phase-churning task
-	// assignment — the "no architecture-aware runtime support" baseline
-	// of §5.4. Overrides System and NoAdapt.
-	Naive bool
 	// UseSMT permits up to SMTWays workers per physical core. CHARM
 	// itself never co-schedules hyperthread siblings (§4.6); the knob
 	// exists for baselines and the SMT ablation.
 	UseSMT bool
-	// ObliviousSteal replaces CHARM's chiplet-first stealing with
-	// worker-ID ring order (the steal-order ablation).
-	ObliviousSteal bool
 	// MLP overrides the machine's memory-level parallelism for contiguous
 	// accesses (0 = default 8; 1 serializes every miss — the cost-model
 	// ablation in DESIGN.md).
@@ -399,21 +386,18 @@ type Config struct {
 	// runs with identical seeds and schedules produce bit-identical
 	// results, at the price of host parallelism.
 	Deterministic bool
-	// NoAccessBatch disables the engine's epoch-batched access fast path;
-	// simulated results are identical either way (see core.Options).
-	// Exists for equivalence tests and before/after benchmarks.
-	NoAccessBatch bool
-	// NoPooling disables task-struct and coroutine-stack recycling
-	// (allocation benchmarks and leak triage; see core.Options).
-	NoPooling bool
 }
 
-// validate rejects malformed numeric knobs with errors (a library must not
-// panic on bad configuration). Fault-schedule factors are validated by the
-// schedule compiler, which rejects NaN, infinite, and sub-unity factors.
+// validate rejects an unknown System and malformed numeric knobs with
+// errors (a library must not panic on bad configuration). Fault-schedule
+// factors are validated by the schedule compiler, which rejects NaN,
+// infinite, and sub-unity factors.
 func (cfg *Config) validate() error {
 	if cfg.Workers <= 0 {
 		return fmt.Errorf("charm: Workers must be positive, got %d", cfg.Workers)
+	}
+	if cfg.System != "" && !slices.Contains(baselines.Systems, cfg.System) {
+		return fmt.Errorf("charm: unknown System %q", cfg.System)
 	}
 	for _, k := range []struct {
 		name string
@@ -467,10 +451,7 @@ func Init(cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	topo := cfg.Topology
-	fabKind, err := fabric.ParseKind(cfg.Fabric)
-	if err != nil {
-		return nil, fmt.Errorf("charm: %w", err)
-	}
+	var fabKind fabric.Kind // the zero Kind is the star fabric
 	if cfg.TopoSpec != "" {
 		if topo != nil {
 			return nil, fmt.Errorf("charm: Topology and TopoSpec are mutually exclusive")
@@ -482,10 +463,8 @@ func Init(cfg Config) (*Runtime, error) {
 		if topo, err = sp.Build(); err != nil {
 			return nil, fmt.Errorf("charm: %w", err)
 		}
-		if cfg.Fabric == "" {
-			if fabKind, err = fabric.ParseKind(sp.Fabric); err != nil {
-				return nil, fmt.Errorf("charm: %w", err)
-			}
+		if fabKind, err = fabric.ParseKind(sp.Fabric); err != nil {
+			return nil, fmt.Errorf("charm: %w", err)
 		}
 	}
 	if topo == nil {
@@ -543,7 +522,7 @@ func Init(cfg Config) (*Runtime, error) {
 	}
 	m := sim.New(sim.Config{Topo: topo, Fabric: fabKind, SampleShift: cfg.SampleShift, MLP: cfg.MLP})
 	// RemoteFillThreshold only parameterizes CharmPolicy's Alg. 1, and
-	// UseSMT only the non-oversubscribed worker limit: on the arms that
+	// UseSMT only the non-oversubscribed worker limit: on the systems that
 	// read neither they are inert.
 	opts := core.Options{
 		Workers:             cfg.Workers,
@@ -556,21 +535,8 @@ func Init(cfg Config) (*Runtime, error) {
 		RetryBackoff:        cfg.RetryBackoff,
 		StarvationDeadline:  cfg.StarvationDeadline,
 		Deterministic:       cfg.Deterministic,
-		NoAccessBatch:       cfg.NoAccessBatch,
-		NoPooling:           cfg.NoPooling,
 	}
-	switch {
-	case cfg.Naive:
-		p := core.NewStaticPolicy(core.SpreadSockets)
-		p.Churn = true
-		opts.Policy = p
-	case system == baselines.CHARM && cfg.NoAdapt:
-		opts.Policy = core.NewStaticPolicy(core.Compact)
-	case system == baselines.CHARM && cfg.ObliviousSteal:
-		opts.Policy = &core.CharmPolicy{ObliviousSteal: true}
-	default:
-		system.Configure(m, &opts)
-	}
+	system.Configure(m, &opts)
 	rt := core.NewRuntime(m, opts)
 	rt.Start()
 	return &Runtime{rt: rt, m: m}, nil

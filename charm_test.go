@@ -39,6 +39,7 @@ func TestInitValidation(t *testing.T) {
 		{"negative retry backoff", Config{Workers: 2, Topology: small, RetryBackoff: -1}, false},
 		{"negative starvation deadline", Config{Workers: 2, Topology: small, StarvationDeadline: -1}, false},
 		{"absurd sample shift", Config{Workers: 2, Topology: small, SampleShift: 40}, false},
+		{"unknown system", Config{Workers: 2, Topology: small, System: "bogus"}, false},
 		{"NaN fault factor", Config{Workers: 2, Topology: small,
 			Faults: NewFaultSchedule("nan", 1).LinkBrownout(0, 0, 1000, math.NaN())}, false},
 		{"infinite fault factor", Config{Workers: 2, Topology: small,
@@ -203,7 +204,8 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestSystemsRunSameWorkload(t *testing.T) {
-	for _, s := range []System{SystemCHARM, SystemRING, SystemSHOAL, SystemAsymSched, SystemSAM, SystemOSAsync} {
+	for _, s := range []System{SystemCHARM, SystemRING, SystemSHOAL, SystemAsymSched, SystemSAM,
+		SystemOSAsync, SystemNaive, SystemStaticCompact, SystemCHARMSeqSteal} {
 		rt, err := Init(Config{Workers: 4, Topology: SmallTopology(), System: s})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -223,8 +225,8 @@ func TestSystemsRunSameWorkload(t *testing.T) {
 	}
 }
 
-func TestNoAdaptKeepsPlacement(t *testing.T) {
-	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), NoAdapt: true, SchedulerTimer: 10_000})
+func TestStaticCompactKeepsPlacement(t *testing.T) {
+	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), System: SystemStaticCompact, SchedulerTimer: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +240,10 @@ func TestNoAdaptKeepsPlacement(t *testing.T) {
 		}
 	})
 	if got := rt.CoreOfWorker(0); got != before {
-		t.Errorf("NoAdapt migrated worker 0 from %d to %d", before, got)
+		t.Errorf("static-compact migrated worker 0 from %d to %d", before, got)
 	}
 	if rt.Counter(Migration) != 0 {
-		t.Errorf("NoAdapt recorded %d migrations", rt.Counter(Migration))
+		t.Errorf("static-compact recorded %d migrations", rt.Counter(Migration))
 	}
 }
 
@@ -323,8 +325,6 @@ func ExampleInit() {
 func TestConfigKnobs(t *testing.T) {
 	// Each ablation/config knob must produce a working runtime.
 	knobs := []Config{
-		{Workers: 4, Topology: SmallTopology(), Naive: true},
-		{Workers: 4, Topology: SmallTopology(), ObliviousSteal: true},
 		{Workers: 4, Topology: SmallTopology(), MLP: 1},
 		{Workers: 8, Topology: smtSmall(), UseSMT: true},
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -66,10 +67,13 @@ func TestScenarioViewsRun(t *testing.T) {
 }
 
 // TestTraceReplays: the workload views run in lockstep, so building the
-// quickstart workload twice exports byte-identical Chrome traces.
+// quickstart workload twice exports byte-identical Chrome traces. The
+// live_tasks track comes from the task spans, so it replays on phases too,
+// whose three submissions leave the host to pace the idle turns between
+// them.
 func TestTraceReplays(t *testing.T) {
-	trace := func() []byte {
-		rt := runWorkload(16, "quickstart")
+	trace := func(workload string) []byte {
+		rt := runWorkload(16, workload)
 		defer rt.Finalize()
 		var b bytes.Buffer
 		if err := rt.WriteChromeTrace(&b); err != nil {
@@ -77,12 +81,34 @@ func TestTraceReplays(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	a, b := trace(), trace()
+	a, b := trace("quickstart"), trace("quickstart")
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two quickstart runs exported different traces (%d vs %d bytes)", len(a), len(b))
 	}
 	if len(a) < 1000 {
 		t.Fatalf("trace is %d bytes; expected task spans and counter tracks", len(a))
+	}
+	live := func(doc []byte) []string {
+		var d struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(doc, &d); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range d.TraceEvents {
+			if bytes.Contains(e, []byte(`"name":"live_tasks"`)) {
+				out = append(out, string(e))
+			}
+		}
+		return out
+	}
+	p1, p2 := live(trace("phases")), live(trace("phases"))
+	if len(p1) == 0 {
+		t.Fatal("phases trace has no live_tasks events")
+	}
+	if strings.Join(p1, "\n") != strings.Join(p2, "\n") {
+		t.Fatalf("two phases runs exported different live_tasks tracks (%d vs %d events)", len(p1), len(p2))
 	}
 }
 

@@ -84,17 +84,17 @@ func main() {
 	for _, cfg := range []struct {
 		name      string
 		buildRows int
-		charm     bool
+		system    charm.System
 	}{
-		{"small-join os-default", 2_000, false},
-		{"small-join charm", 2_000, true},
-		{"large-join os-default", 15_000, false},
-		{"large-join charm", 15_000, true},
+		{"small-join os-default", 2_000, charm.SystemNaive},
+		{"small-join charm", 2_000, charm.SystemCHARM},
+		{"large-join os-default", 15_000, charm.SystemNaive},
+		{"large-join charm", 15_000, charm.SystemCHARM},
 	} {
 		rt, err := charm.Init(charm.Config{
 			Workers:        8,
 			CacheScale:     256,
-			Naive:          !cfg.charm,
+			System:         cfg.system,
 			SchedulerTimer: 25_000,
 		})
 		if err != nil {

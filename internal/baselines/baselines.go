@@ -12,7 +12,9 @@
 //     from memory-bound threads at socket granularity.
 //
 // All of them are NUMA-aware but chiplet-oblivious, the property the paper
-// identifies as their shared limitation.
+// identifies as their shared limitation. Three more systems are fixed
+// placements and CHARM variants: the no-runtime-support execution of §5.4
+// and the ablations that disable one CHARM mechanism each.
 package baselines
 
 import (
@@ -32,7 +34,20 @@ const (
 	AsymSched System = "asymsched"
 	SAM       System = "sam"
 	OSAsync   System = "os-async"
+	// Naive is execution without architecture-aware runtime support (§5.4,
+	// the DuckDB default of §5.6): workers scattered across NUMA nodes, no
+	// adaptation, and task assignment that churns every phase.
+	Naive System = "naive"
+	// StaticCompact is CHARM's initial dense placement with the adaptive
+	// controller off (LocalCache in §2.3 and §5.7).
+	StaticCompact System = "static-compact"
+	// CHARMSeqSteal is CHARM with worker-ID ring stealing in place of
+	// chiplet-first stealing (the steal-order ablation).
+	CHARMSeqSteal System = "charm-seq-steal"
 )
+
+// Systems lists every System value.
+var Systems = []System{CHARM, RING, SHOAL, AsymSched, SAM, OSAsync, Naive, StaticCompact, CHARMSeqSteal}
 
 // Policy returns the core.Policy implementing the system's placement and
 // adaptation strategy.
@@ -50,6 +65,14 @@ func (s System) Policy() core.Policy {
 		return &samPolicy{}
 	case OSAsync:
 		return &osAsyncPolicy{}
+	case Naive:
+		p := core.NewStaticPolicy(core.SpreadSockets)
+		p.Churn = true
+		return p
+	case StaticCompact:
+		return core.NewStaticPolicy(core.Compact)
+	case CHARMSeqSteal:
+		return &core.CharmPolicy{ObliviousSteal: true}
 	default:
 		panic("baselines: unknown system " + string(s))
 	}

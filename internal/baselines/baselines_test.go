@@ -18,7 +18,7 @@ func newRuntime(m *sim.Machine, s System, workers int, schedTimer int64) *core.R
 }
 
 func TestSystemPolicies(t *testing.T) {
-	for _, s := range []System{CHARM, RING, SHOAL, AsymSched, SAM, OSAsync} {
+	for _, s := range Systems {
 		p := s.Policy()
 		if p == nil || p.Name() == "" {
 			t.Errorf("%s: bad policy", s)

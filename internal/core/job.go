@@ -271,15 +271,9 @@ type JobServiceOptions struct {
 	// Source is the open-loop arrival stream (nil = external SubmitJob
 	// only).
 	Source JobSource
-	// Breakers enables per-chiplet circuit breakers.
+	// Breakers enables per-chiplet circuit breakers (tuned by
+	// admit.DefaultBreakerConfig).
 	Breakers bool
-	// Breaker tunes the breakers (zero fields select defaults).
-	Breaker admit.BreakerConfig
-	// EstQuantile is the service-time estimator's quantile (0 = 0.5).
-	EstQuantile float64
-	// EstMinSamples is the sample count before estimates replace the
-	// spec's Cost hint (0 = 16).
-	EstMinSamples int64
 	// EvalInterval is the breaker/telemetry evaluation period in virtual
 	// ns (0 = the runtime's scheduler timer).
 	EvalInterval int64
@@ -289,10 +283,9 @@ type JobServiceOptions struct {
 	// SLO declares per-priority-class availability objectives: class →
 	// target fraction of jobs completing within their deadline (e.g.
 	// 0.95). Non-empty enables the burn-rate tracker; alert edges surface
-	// in metrics, the Chrome trace, and the span stream.
+	// in metrics, the Chrome trace, and the span stream. The burn-rate
+	// windows are obs.BurnConfig's defaults.
 	SLO map[int]float64
-	// SLOBurn tunes the burn-rate windows (zero fields select defaults).
-	SLOBurn obs.BurnConfig
 	// Tenants declares the service's tenants: one admission queue, token
 	// bucket, and service-time estimator each, a deficit-round-robin
 	// dispatch mux weighted by each tenant's share, and elastic
@@ -412,12 +405,6 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 2 * len(rt.workers)
 	}
-	if opts.EstQuantile <= 0 {
-		opts.EstQuantile = 0.5
-	}
-	if opts.EstMinSamples <= 0 {
-		opts.EstMinSamples = 16
-	}
 	if opts.EvalInterval <= 0 {
 		opts.EvalInterval = rt.opts.SchedulerTimer
 	}
@@ -436,7 +423,7 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		trShard:   rt.trShard(),
 	}
 	if opts.Breakers {
-		s.brk = admit.NewSet(nch, opts.Breaker)
+		s.brk = admit.NewSet(nch, admit.DefaultBreakerConfig())
 		// Breaker flaps go on the trace timeline: a typed instant span per
 		// transition, emitted under svc.mu (EvalPlan's caller).
 		s.brk.OnTransition = func(ch int, now int64, from, to admit.BreakerState) {
@@ -448,7 +435,7 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		}
 	}
 	if len(opts.SLO) > 0 {
-		s.slo = obs.NewSLOTracker(opts.SLOBurn)
+		s.slo = obs.NewSLOTracker(obs.BurnConfig{})
 		for class, target := range opts.SLO {
 			s.slo.SetObjective(class, target)
 		}

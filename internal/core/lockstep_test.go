@@ -144,20 +144,15 @@ func lsSettle(rt *Runtime) {
 // to, temperatures, energy ledgers and tier events per chiplet.
 func (g *lsGolden) power(rt *Runtime) { g.linef("power %+v", *rt.Power().Stats()) }
 
-// series records what the idle turns file besides clock drift: worker 0's
-// concurrency samples, the fault actions (offline, park, resume) with the
-// clocks they fired at, and the times the metrics sampler accepted.
+// series records what the idle turns file besides clock drift: the fault
+// actions (offline, park, resume) with the clocks they fired at, and the
+// times the metrics sampler accepted.
 func (g *lsGolden) series(rt *Runtime) {
-	for _, ps := range []struct {
-		name string
-		s    ProfSeries
-	}{{"concurrency", ProfConcurrency}, {"fault", ProfFault}} {
-		var sb strings.Builder
-		for _, x := range rt.Profiler().Samples(ps.s) {
-			fmt.Fprintf(&sb, " w%d@%d=%d", x.Worker, x.T, x.V)
-		}
-		g.linef("%s%s", ps.name, sb.String())
+	var sb strings.Builder
+	for _, x := range rt.Profiler().Samples(ProfFault) {
+		fmt.Fprintf(&sb, " w%d@%d=%d", x.Worker, x.T, x.V)
 	}
+	g.linef("fault%s", sb.String())
 	var at []int64
 	for _, h := range rt.Metrics().History() {
 		at = append(at, h.T)
@@ -180,9 +175,9 @@ func lsIdleRuntime(t *testing.T, opts Options) *Runtime {
 }
 
 // lsIdleTenantsScenario: two tenants whose arrival gaps (90 µs and 140 µs
-// mean) span several governor ticks and sampler boundaries, so most ticks,
-// concurrency samples and metric samples fire from idle turns while the
-// fleet drifts toward the next arrival.
+// mean) span several governor ticks and sampler boundaries, so most ticks
+// and metric samples fire from idle turns while the fleet drifts toward the
+// next arrival.
 func lsIdleTenantsScenario(t *testing.T, g *lsGolden) {
 	g.section("idle-power-tenants")
 	rt := lsIdleRuntime(t, Options{})

@@ -76,7 +76,7 @@ func (p *CharmPolicy) OnTimer(w *Worker, elapsed int64) {
 		if w.spreadRate < chiplets {
 			w.spreadRate++
 		}
-	case rate < opts.RemoteFillThreshold/opts.Hysteresis:
+	case rate < opts.RemoteFillThreshold/hysteresis:
 		// Consolidation is debounced: one borderline-quiet interval is
 		// not evidence of a smaller working set, and every enacted
 		// flip-flop costs a migration plus cold refills.

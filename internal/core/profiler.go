@@ -16,8 +16,6 @@ const (
 	ProfSpread ProfSeries = iota
 	// ProfFillRate records the Alg. 1 normalized fill rate per decision.
 	ProfFillRate
-	// ProfConcurrency records sampled live-task counts (Fig. 12).
-	ProfConcurrency
 	// ProfMigration records core re-assignments (value = new core).
 	ProfMigration
 	// ProfFault records fault-handling actions (value = one of the fc*
@@ -72,6 +70,9 @@ type Profiler struct {
 	// tracer, when attached, contributes breaker transitions and SLO
 	// alert edges to the Chrome trace as instant events.
 	tracer *obs.Tracer
+	// tick spaces the Chrome trace's live-task samples (the runtime's
+	// scheduler timer; 0 = no live-task track).
+	tick int64
 }
 
 // NewProfiler returns a disabled profiler.
@@ -145,6 +146,33 @@ func (p *Profiler) Spans() []TaskSpan {
 		}
 		return out[i].ID < out[j].ID
 	})
+	return out
+}
+
+// LiveTaskSamples is the Fig. 12 thread-concurrency trace derived from task
+// spans: at every multiple of tick from the first task start to the last
+// task end, the count of tasks started and not yet finished. Spans replay
+// exactly under Deterministic execution, so the samples do too, however
+// many idle turns the host ran between two submissions. Nil without spans
+// or without a positive tick.
+func LiveTaskSamples(spans []TaskSpan, tick int64) []ProfSample {
+	if len(spans) == 0 || tick <= 0 {
+		return nil
+	}
+	lo, hi := spans[0].Start, spans[0].End
+	for _, s := range spans {
+		lo, hi = min(lo, s.Start), max(hi, s.End)
+	}
+	var out []ProfSample
+	for t := lo + tick - lo%tick; t < hi; t += tick {
+		var n int64
+		for _, s := range spans {
+			if s.Start <= t && t < s.End {
+				n++
+			}
+		}
+		out = append(out, ProfSample{T: t, V: n})
+	}
 	return out
 }
 

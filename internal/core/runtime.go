@@ -44,6 +44,12 @@ const (
 	// idleQuantum is the virtual time an idle worker drifts forward per
 	// fruitless steal round.
 	idleQuantum = 2_000
+	// hysteresis divides RemoteFillThreshold for Alg. 1's consolidation
+	// decision: spread_rate decrements only when the rate falls below
+	// threshold/hysteresis, which keeps workers whose rate sits near the
+	// threshold from flip-flopping (each flip is a migration). 1 would
+	// reproduce Alg. 1 literally.
+	hysteresis = 4
 )
 
 // TaskOverheads models the concurrency substrate a runtime uses for tasks.
@@ -67,12 +73,6 @@ type Options struct {
 	// zero selects the defaults.
 	SchedulerTimer      int64
 	RemoteFillThreshold int64
-	// Hysteresis divides the threshold for the consolidation decision:
-	// spread_rate decrements only when the rate falls below
-	// threshold/Hysteresis, which keeps workers whose rate sits near the
-	// threshold from flip-flopping (each flip is a migration). 1
-	// reproduces Alg. 1 literally; 0 selects the default of 4.
-	Hysteresis int64
 	// Overheads selects the task substrate costs; zero values select the
 	// topology's coroutine costs.
 	Overheads TaskOverheads
@@ -173,8 +173,8 @@ type Runtime struct {
 	taskSeq  atomic.Uint64
 	phaseSeq atomic.Uint64
 
-	// liveTasks tracks currently executing or suspended tasks; the
-	// profiler samples it for the Fig. 12 concurrency trace.
+	// liveTasks tracks currently executing or suspended tasks (LiveTasks,
+	// the charm_live_tasks gauge).
 	liveTasks atomic.Int64
 
 	prof *Profiler
@@ -230,9 +230,6 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 			opts.RemoteFillThreshold = 1
 		}
 	}
-	if opts.Hysteresis <= 0 {
-		opts.Hysteresis = 4
-	}
 	if opts.Overheads.Switch == 0 {
 		opts.Overheads.Switch = m.Topo.Cost.CoroutineSwitch
 	}
@@ -269,7 +266,7 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 		workerOnCore: make([]atomic.Int32, m.Topo.NumCores()),
 		coreOcc:      make([]atomic.Int32, m.Topo.NumCores()),
 		ranks:        place.NewRanks(m.Topo),
-		prof:         NewProfiler(),
+		prof:         &Profiler{tick: opts.SchedulerTimer},
 		power:        pw,
 		batch:        !opts.NoAccessBatch,
 		pool:         !opts.NoPooling,

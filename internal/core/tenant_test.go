@@ -255,11 +255,10 @@ func TestTenantEstimatorIsolation(t *testing.T) {
 			Policy: admit.Shed, QueueCap: 64}}
 	}
 	svc := lsServe(t, rt, JobServiceOptions{
-		EstMinSamples: 4,
-		Tenants:       []TenantConfig{mk("heavy"), mk("fresh")},
+		Tenants: []TenantConfig{mk("heavy"), mk("fresh")},
 	})
 	var done []*Job
-	for i := 0; i < 12; i++ {
+	for i := 0; i < estMinSamples; i++ {
 		spec := computeJob(1, 1_000_000, nil)
 		spec.Tenant = "heavy"
 		j, err := rt.SubmitJob(spec)
@@ -273,8 +272,8 @@ func TestTenantEstimatorIsolation(t *testing.T) {
 	}
 	svc.mu.Lock()
 	heavy, fresh := svc.tens[0].est, svc.tens[1].est
-	if n := heavy.Count(); n != 12 {
-		t.Errorf("heavy tenant's estimator saw %d completions, want 12", n)
+	if n := heavy.Count(); n != estMinSamples {
+		t.Errorf("heavy tenant's estimator saw %d completions, want %d", n, estMinSamples)
 	}
 	if got := heavy.Estimate(10_000); got < 500_000 {
 		t.Errorf("heavy tenant estimate = %d, want ~1ms from its own history", got)

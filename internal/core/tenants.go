@@ -41,6 +41,10 @@ var (
 	ErrRateLimited = errors.New("core: tenant rate limit exceeded")
 )
 
+// estMinSamples is how many completions a tenant's service-time estimator
+// needs before its estimates replace the spec's Cost hint.
+const estMinSamples = 16
+
 // TenantConfig declares one tenant of a multi-tenant job service.
 type TenantConfig struct {
 	// Spec is the tenant's admission contract (weight, quota, rate
@@ -79,9 +83,9 @@ type tenantRt struct {
 	spec   tenant.Spec
 	q      *admit.Queue
 	bucket *tenant.Bucket
-	// est predicts service times from this tenant's completions only; with
-	// no history it falls back to the job's own Cost hint, never to another
-	// tenant's distribution.
+	// est predicts service times (the median) from this tenant's
+	// completions only; until estMinSamples have completed it falls back to
+	// the job's own Cost hint, never to another tenant's distribution.
 	est *admit.Estimator
 	src JobSource
 	// pending is the arrival cursor: the next arrival pulled from src, not
@@ -129,7 +133,7 @@ func (s *JobService) setupTenants(cfgs []TenantConfig) error {
 			spec:   spec,
 			q:      admit.NewQueue(qcap, spec.Policy),
 			bucket: tenant.NewBucket(spec.GapNS, spec.Burst),
-			est:    admit.NewEstimator(s.opts.EstQuantile, s.opts.EstMinSamples),
+			est:    admit.NewEstimator(0.5, estMinSamples),
 			src:    c.Source,
 			stats:  TenantStats{Name: spec.Name},
 		}

@@ -44,8 +44,9 @@ const minSpanUS = 0.001
 // WriteChromeTrace exports the recorded observability data as a Chrome
 // trace-event JSON document (load it at chrome://tracing or in Perfetto):
 //
-//   - per-worker counter tracks for spread_rate, the Alg. 1 fill rate,
-//     and the live-task concurrency trace;
+//   - per-worker counter tracks for spread_rate and the Alg. 1 fill rate;
+//   - a live_tasks counter track, the live-task count at every scheduler
+//     tick of the recorded task spans (LiveTaskSamples);
 //   - instant events for migrations;
 //   - B/E duration events for every recorded task span (name encodes the
 //     provenance: task, task-stolen, delegate), tid = completing worker;
@@ -80,8 +81,12 @@ func (p *Profiler) WriteChromeTrace(w io.Writer) error {
 	}
 	add(ProfSpread, "spread_rate", true)
 	add(ProfFillRate, "fill_rate", true)
-	add(ProfConcurrency, "live_tasks", true)
 	add(ProfMigration, "migration", false)
+	spans := p.Spans()
+	for _, s := range LiveTaskSamples(spans, p.tick) {
+		events = append(events, traceEvent{Name: "live_tasks", Phase: "C",
+			TS: float64(s.T) / 1000.0, Args: map[string]float64{"value": float64(s.V)}})
+	}
 
 	// Fault-handling actions: one instant event per recorded action, named
 	// by the fc* code so offline/re-home/park/resume/retry/watchdog show up
@@ -105,7 +110,7 @@ func (p *Profiler) WriteChromeTrace(w io.Writer) error {
 
 	// Task lifecycle spans: one B/E pair per completed task on the
 	// completing worker's track.
-	for _, s := range p.Spans() {
+	for _, s := range spans {
 		name := "task"
 		switch {
 		case s.Delegated:

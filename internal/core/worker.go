@@ -55,7 +55,7 @@ type Worker struct {
 	// lastThrottleOK caches the last virtual time the throttle gate
 	// passed, to keep fine-grained Yield points cheap.
 	lastThrottleOK int64
-	// lastSample is the last ProfConcurrency sample time (worker 0).
+	// lastSample is worker 0's last scheduler tick (see markSample).
 	lastSample int64
 
 	// settleUntil suppresses scheduling decisions for a short period
@@ -337,22 +337,20 @@ func (w *Worker) idleDrift() {
 		// keep decaying (and parks expiring) while no task runs.
 		pw.MaybeTick(t)
 	}
-	// Keep the concurrency trace alive even when this worker has no
-	// tasks of its own.
+	// Keep the metrics history alive even when this worker has no tasks of
+	// its own.
 	if t-w.lastSample >= w.rt.opts.SchedulerTimer {
-		w.sampleConcurrency(t)
+		w.markSample(t)
 		w.rt.met.reg.MaybeSample(t)
 	}
 }
 
-// sampleConcurrency records the fleet's live-task count at worker 0's
-// scheduler ticks — the Fig. 12 thread-concurrency trace, in virtual time.
-func (w *Worker) sampleConcurrency(now int64) {
-	if w.id != 0 {
-		return
+// markSample records worker 0's scheduler ticks, which pace its idle-turn
+// metric samples; other workers offer one on every idle turn.
+func (w *Worker) markSample(now int64) {
+	if w.id == 0 {
+		w.lastSample = now
 	}
-	w.lastSample = now
-	w.rt.prof.Record(ProfConcurrency, 0, now, w.rt.liveTasks.Load())
 }
 
 // drainInbox moves all but one inbox task to the deque and returns the
@@ -560,7 +558,7 @@ func (w *Worker) maybeTick() {
 		w.lastFills = w.rt.M.PMU.FillsFromSystem(int(w.Core()))
 		return
 	}
-	w.sampleConcurrency(now)
+	w.markSample(now)
 	w.rt.met.reg.MaybeSample(now)
 	w.rt.opts.Policy.OnTimer(w, now-w.lastDecision)
 	w.lastDecision = now

@@ -54,7 +54,7 @@ func (o Options) fig9NoSupport(workers int) int64 {
 		Topology:    o.amd(),
 		CacheScale:  o.CacheScale,
 		Workers:     workers,
-		Naive:       true,
+		System:      charm.SystemNaive,
 		SampleShift: o.SampleShift,
 	})
 	defer rt.Finalize()
@@ -178,17 +178,17 @@ func (o Options) Fig12() *Table {
 		rt := o.runtime(o.amd(), v.sys, 32)
 		rt.EnableProfiler(true)
 		sgd.Run(rt, o.sgdConfig(), sgd.PerNode)
-		samples := liveTasks(rt.Engine().Profiler().Spans(), o.SchedulerTimer)
+		samples := core.LiveTaskSamples(rt.Engine().Profiler().Spans(), o.SchedulerTimer)
 		rt.Finalize()
 		var sum, min, max int64
 		min = 1 << 62
 		for _, s := range samples {
-			sum += s
-			if s < min {
-				min = s
+			sum += s.V
+			if s.V < min {
+				min = s.V
 			}
-			if s > max {
-				max = s
+			if s.V > max {
+				max = s.V
 			}
 		}
 		mean := 0.0
@@ -201,34 +201,6 @@ func (o Options) Fig12() *Table {
 			f1(mean), i64(min), i64(max)})
 	}
 	return t
-}
-
-// liveTasks counts, at every scheduler tick from the first task start to
-// the last task end, the tasks live (started, not finished) at that virtual
-// time. It sweeps the task spans, which replay exactly, instead of reading
-// the live-task counter worker 0 samples on its own ticks: worker 0 files
-// some of those samples on idle turns between two submissions, and the host
-// decides how many such turns run before the next submission pauses the
-// fleet.
-func liveTasks(spans []core.TaskSpan, tick int64) []int64 {
-	if len(spans) == 0 {
-		return nil
-	}
-	lo, hi := spans[0].Start, spans[0].End
-	for _, s := range spans {
-		lo, hi = min(lo, s.Start), max(hi, s.End)
-	}
-	var out []int64
-	for t := lo + tick - lo%tick; t < hi; t += tick {
-		var n int64
-		for _, s := range spans {
-			if s.Start <= t && t < s.End {
-				n++
-			}
-		}
-		out = append(out, n)
-	}
-	return out
 }
 
 // Fig14 regenerates the OLTP commits/s comparison between the LocalCache
@@ -272,7 +244,7 @@ func (o Options) oltpRuntime(local bool, workers int) *charm.Runtime {
 		Topology:    o.amd(),
 		CacheScale:  o.CacheScale,
 		Workers:     workers,
-		NoAdapt:     true,
+		System:      charm.SystemStaticCompact,
 		SampleShift: o.SampleShift,
 	})
 	if !local {

@@ -92,8 +92,8 @@ func (o Options) Fig5() *Table {
 	// aggregate L3.
 	sizes := []int64{64, 256, l3 / 64, l3 / 8, l3 / 2, l3, 2 * l3, 4 * l3, 8 * l3, 32 * l3}
 	for _, size := range sizes {
-		local := o.fig5Run(charm.SystemCHARM, true, size)
-		dist := o.fig5Run(charm.SystemCHARM, false, size)
+		local := o.fig5Run(true, size)
+		dist := o.fig5Run(false, size)
 		t.Rows = append(t.Rows, []string{
 			byteLabel(size), i64(local), i64(dist), f2(float64(local) / float64(dist)),
 		})
@@ -103,13 +103,12 @@ func (o Options) Fig5() *Table {
 
 // fig5Run measures the mean virtual time of segmented writes with 8
 // workers placed compactly (local) or across chiplets (distributed).
-func (o Options) fig5Run(sys charm.System, local bool, size int64) int64 {
+func (o Options) fig5Run(local bool, size int64) int64 {
 	rt := o.start(charm.Config{
 		Topology:    o.amd(),
 		CacheScale:  o.CacheScale,
 		Workers:     8,
-		System:      sys,
-		NoAdapt:     true, // static placement per the microbenchmark setup
+		System:      charm.SystemStaticCompact, // static placement per the microbenchmark setup
 		SampleShift: o.SampleShift,
 	})
 	defer rt.Finalize()

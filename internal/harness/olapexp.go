@@ -25,7 +25,7 @@ func (o Options) Fig13() *Table {
 		Header: []string{"query", "duckdb ms", "duckdb+charm ms", "speedup"},
 		Notes:  "all queries benefit; join-heavy queries (Q3,4,5,7,9,10,21) gain 1.2-1.5x; Q18's hash group-by gains least",
 	}
-	run := func(naive bool) []float64 {
+	run := func(sys charm.System) []float64 {
 		rt := o.start(charm.Config{
 			Topology:   o.amd(),
 			CacheScale: o.CacheScale,
@@ -33,7 +33,7 @@ func (o Options) Fig13() *Table {
 			// DuckDB default: OS-scattered threads across sockets and
 			// chiplets with no task affinity (naive); DuckDB+CHARM:
 			// the adaptive controller.
-			Naive:          naive,
+			System:         sys,
 			SampleShift:    o.SampleShift,
 			SchedulerTimer: o.SchedulerTimer / 4,
 		})
@@ -49,8 +49,8 @@ func (o Options) Fig13() *Table {
 		}
 		return out
 	}
-	duck := run(true)
-	withCharm := run(false)
+	duck := run(charm.SystemNaive)
+	withCharm := run(charm.SystemCHARM)
 	for q := 0; q < 22; q++ {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("Q%d", q+1),
 			f2(duck[q]), f2(withCharm[q]), f2(duck[q] / withCharm[q])})

@@ -115,10 +115,6 @@ func (o Options) Ablation() *Table {
 	g := kronecker(o.GraphScale)
 	cfg := o.sgdConfig()
 
-	type variant struct {
-		name string
-		mk   func() *charm.Runtime
-	}
 	mkCfg := func(mutate func(*charm.Config)) func() *charm.Runtime {
 		return func() *charm.Runtime {
 			c := charm.Config{
@@ -134,48 +130,33 @@ func (o Options) Ablation() *Table {
 			return o.start(c)
 		}
 	}
-	variants := []variant{
-		{"charm-full", mkCfg(nil)},
-		{"static-compact", mkCfg(func(c *charm.Config) { c.NoAdapt = true })},
-		{"os-threads", mkCfg(func(c *charm.Config) { c.System = charm.SystemOSAsync })},
-		// Cost-model ablation: serialize every miss (no memory-level
-		// parallelism) — streaming becomes latency-bound.
-		{"no-mlp", mkCfg(func(c *charm.Config) { c.MLP = 1 })},
+	mkSys := func(sys charm.System) func() *charm.Runtime {
+		return mkCfg(func(c *charm.Config) { c.System = sys })
 	}
-	for _, v := range variants {
-		rt := v.mk()
+	// row measures one variant: BFS and SGD, each on a fresh runtime.
+	row := func(name string, mk func() *charm.Runtime) {
+		rt := mk()
 		b := graph.Bind(rt, g, 128)
 		_, res := b.BFS(0)
 		rt.Finalize()
-
-		rt2 := v.mk()
+		rt2 := mk()
 		gr := sgd.Run(rt2, cfg, sgd.PerNode).GradGBps()
 		rt2.Finalize()
-		t.Rows = append(t.Rows, []string{v.name, f1(res.TEPS() / 1e6), f2(gr)})
+		t.Rows = append(t.Rows, []string{name, f1(res.TEPS() / 1e6), f2(gr)})
 	}
+	row("charm-full", mkCfg(nil))
+	row("static-compact", mkSys(charm.SystemStaticCompact))
+	row("os-threads", mkSys(charm.SystemOSAsync))
+	// Cost-model ablation: serialize every miss (no memory-level
+	// parallelism) — streaming becomes latency-bound.
+	row("no-mlp", mkCfg(func(c *charm.Config) { c.MLP = 1 }))
 	// Static spread variant via explicit placement.
-	rt := o.oltpRuntime(false, 32)
-	b := graph.Bind(rt, g, 128)
-	_, res := b.BFS(0)
-	rt.Finalize()
-	rt2 := o.oltpRuntime(false, 32)
-	gr := sgd.Run(rt2, cfg, sgd.PerNode).GradGBps()
-	rt2.Finalize()
-	t.Rows = append(t.Rows, []string{"static-spread", f1(res.TEPS() / 1e6), f2(gr)})
-
+	row("static-spread", func() *charm.Runtime { return o.oltpRuntime(false, 32) })
 	// Hyperthread-sharing variant: the same 32 workers packed as SMT
 	// siblings onto 16 physical cores — the contention §4.6 says CHARM
 	// avoids by scheduling physical cores only.
-	mkSMT := func() *charm.Runtime {
-		rt := o.start(charm.Config{
-			Topology:       o.amd(),
-			CacheScale:     o.CacheScale,
-			Workers:        32,
-			NoAdapt:        true,
-			UseSMT:         true,
-			SampleShift:    o.SampleShift,
-			SchedulerTimer: o.SchedulerTimer,
-		})
+	row("smt-siblings", func() *charm.Runtime {
+		rt := mkCfg(func(c *charm.Config) { c.System, c.UseSMT = charm.SystemStaticCompact, true })()
 		// Compact placement with worker%cores maps workers 16-31 onto
 		// the same cores as 0-15 when we halve the core range: emulate
 		// by pinning pairs explicitly.
@@ -185,47 +166,13 @@ func (o Options) Ablation() *Table {
 			}
 		})
 		return rt
-	}
-	rtS := mkSMT()
-	bS := graph.Bind(rtS, g, 128)
-	_, resS := bS.BFS(0)
-	rtS.Finalize()
-	rtS2 := mkSMT()
-	grS := sgd.Run(rtS2, cfg, sgd.PerNode).GradGBps()
-	rtS2.Finalize()
-	t.Rows = append(t.Rows, []string{"smt-siblings", f1(resS.TEPS() / 1e6), f2(grS)})
-
+	})
 	// Steal-order variant: full CHARM but with topology-oblivious
 	// (worker-ID ring) stealing instead of chiplet-first (§4.4).
-	mkSeq := func() *charm.Runtime {
-		return o.start(charm.Config{
-			Topology:       o.amd(),
-			CacheScale:     o.CacheScale,
-			Workers:        32,
-			ObliviousSteal: true,
-			SampleShift:    o.SampleShift,
-			SchedulerTimer: o.SchedulerTimer,
-		})
-	}
-	rtQ := mkSeq()
-	bQ := graph.Bind(rtQ, g, 128)
-	_, resQ := bQ.BFS(0)
-	rtQ.Finalize()
-	rtQ2 := mkSeq()
-	grQ := sgd.Run(rtQ2, cfg, sgd.PerNode).GradGBps()
-	rtQ2.Finalize()
-	t.Rows = append(t.Rows, []string{"charm-seq-steal", f1(resQ.TEPS() / 1e6), f2(grQ)})
-
+	row("charm-seq-steal", mkSys(charm.SystemCHARMSeqSteal))
 	// NPS4 variant: the same machine partitioned into 8 NUMA nodes;
 	// strict NUMA-aware policies confine workers to quarter sockets
 	// (§1 insight 4: overly strict NUMA awareness can hurt).
-	rtN := o.runtime(topology4(), charm.SystemRING, 32)
-	bN := graph.Bind(rtN, g, 128)
-	_, resN := bN.BFS(0)
-	rtN.Finalize()
-	rtN2 := o.runtime(topology4(), charm.SystemRING, 32)
-	grN := sgd.Run(rtN2, cfg, sgd.PerNode).GradGBps()
-	rtN2.Finalize()
-	t.Rows = append(t.Rows, []string{"ring-nps4", f1(resN.TEPS() / 1e6), f2(grN)})
+	row("ring-nps4", func() *charm.Runtime { return o.runtime(topology4(), charm.SystemRING, 32) })
 	return t
 }

@@ -176,8 +176,8 @@ func (w *streamTwin) compare(what string, t0, t1 int64) {
 			}
 		}
 	}
-	for win := t0 / m.windowNS; win <= t1/m.windowNS && win < t0/m.windowNS+64; win++ {
-		at(win * m.windowNS)
+	for win := t0 / windowNS; win <= t1/windowNS && win < t0/windowNS+64; win++ {
+		at(win * windowNS)
 	}
 	at(t1)
 }
@@ -237,7 +237,7 @@ func (w *streamTwin) op(now []int64, b [4]byte) {
 		off = twinRegion - size
 	}
 	if b[3]&8 != 0 {
-		now[core] += w.m.windowNS - 1 - (now[core]+int64(b[3]>>5)*40)%w.m.windowNS
+		now[core] += windowNS - 1 - (now[core]+int64(b[3]>>5)*40)%windowNS
 	}
 	if b[3]&16 != 0 {
 		topo := w.m.Topo

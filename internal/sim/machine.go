@@ -32,6 +32,10 @@ import (
 	"charm/internal/topology"
 )
 
+// windowNS is the accounting window of every DRAM and Fabric bucket (a
+// chargeRun ends with it).
+const windowNS = mem.DefaultWindowNS
+
 // Config parameterizes a Machine.
 type Config struct {
 	// Topo is the machine layout; required.
@@ -42,8 +46,6 @@ type Config struct {
 	// SampleShift simulates only 1/2^SampleShift of cache lines exactly;
 	// other lines are charged the core's recent average cost. 0 = exact.
 	SampleShift uint
-	// WindowNS is the bandwidth accounting window (0 = default 10 µs).
-	WindowNS int64
 	// MLP is the memory-level parallelism of contiguous accesses: within
 	// one multi-line Access, miss latencies after the first line overlap
 	// and are charged latency/MLP (bandwidth queueing is never divided).
@@ -103,10 +105,8 @@ type Machine struct {
 	// false sharing.
 	avg []coreScratch
 
-	// windowNS is the accounting window of every DRAM and Fabric bucket (a
-	// chargeRun ends with it); host is nil until Instrument.
-	windowNS int64
-	host     *hostMetrics
+	// host is nil until Instrument.
+	host *hostMetrics
 
 	// faults is the compiled fault plan armed via SetFaultPlan (nil = a
 	// permanently healthy machine).
@@ -155,16 +155,11 @@ func New(cfg Config) *Machine {
 	if mlp <= 0 {
 		mlp = 8
 	}
-	windowNS := cfg.WindowNS
-	if windowNS <= 0 {
-		windowNS = mem.DefaultWindowNS
-	}
 	m := &Machine{
 		Topo:         t,
 		Space:        mem.NewSpace(t),
 		DRAM:         mem.NewDRAM(t, windowNS),
 		Fabric:       fabric.Build(cfg.Fabric, t, windowNS),
-		windowNS:     windowNS,
 		PMU:          pmu.New(t.NumCores()),
 		sampleShift:  cfg.SampleShift,
 		sampleFactor: 1 << cfg.SampleShift,
@@ -454,7 +449,7 @@ func (m *Machine) chargeLine(r *chargeRun, src int32, ch topology.ChipletID, t i
 	var q int64
 	if src != r.src || t >= r.until {
 		q = m.flushCharges(r, ch)
-		r.src, r.until = src, (t/m.windowNS+1)*m.windowNS
+		r.src, r.until = src, (t/windowNS+1)*windowNS
 		if src >= 0 {
 			r.room = m.Fabric.TransferHeadroom(topology.ChipletID(src), ch, t)
 		} else {

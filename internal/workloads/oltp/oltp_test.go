@@ -6,12 +6,11 @@ import (
 	"charm"
 )
 
-func rtWith(t *testing.T, workers int, noAdapt bool) *charm.Runtime {
+func rtWith(t *testing.T, workers int) *charm.Runtime {
 	t.Helper()
 	rt, err := charm.Init(charm.Config{
 		Workers:        workers,
 		Topology:       charm.SmallTopology(),
-		NoAdapt:        noAdapt,
 		SchedulerTimer: 100_000,
 	})
 	if err != nil {
@@ -22,7 +21,7 @@ func rtWith(t *testing.T, workers int, noAdapt bool) *charm.Runtime {
 }
 
 func TestYCSBCommitsAll(t *testing.T) {
-	rt := rtWith(t, 4, false)
+	rt := rtWith(t, 4)
 	e := New(rt, Config{Records: 1 << 10, TxPerWorker: 200, Seed: 1})
 	res := e.RunYCSB()
 	if res.Commits != 4*200 {
@@ -34,7 +33,7 @@ func TestYCSBCommitsAll(t *testing.T) {
 }
 
 func TestYCSBRecordInvariant(t *testing.T) {
-	rt := rtWith(t, 2, false)
+	rt := rtWith(t, 2)
 	e := New(rt, Config{Records: 256, TxPerWorker: 500, ReadPct: 45, Seed: 3})
 	e.RunYCSB()
 	// Every RMW added exactly 1; the sum equals the RMW count, which must
@@ -51,7 +50,7 @@ func TestYCSBRecordInvariant(t *testing.T) {
 }
 
 func TestTPCCCommitsAndInvariant(t *testing.T) {
-	rt := rtWith(t, 4, false)
+	rt := rtWith(t, 4)
 	e := New(rt, Config{Warehouses: 2, Items: 128, TxPerWorker: 300, Seed: 5})
 	res := e.RunTPCC()
 	if res.Commits != 4*300 {
@@ -66,12 +65,11 @@ func TestCommitBoundInsensitivity(t *testing.T) {
 	// The §5.7 negative result: LocalCache (compact placement) and
 	// DistributedCache (chiplet-spread placement) throughput differ by
 	// far less than the commit cost dominates — within 25%.
-	run := func(system charm.System, noAdapt bool) float64 {
+	run := func(system charm.System) float64 {
 		rt, err := charm.Init(charm.Config{
 			Workers:  8,
 			Topology: charm.SmallTopology(),
 			System:   system,
-			NoAdapt:  noAdapt,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,8 +78,8 @@ func TestCommitBoundInsensitivity(t *testing.T) {
 		e := New(rt, Config{Records: 1 << 12, TxPerWorker: 400, Seed: 7})
 		return e.RunYCSB().CommitsPerSec()
 	}
-	local := run(charm.SystemCHARM, true)       // compact static
-	distributed := run(charm.SystemSHOAL, true) // SHOAL ignores NoAdapt; static sequential
+	local := run(charm.SystemStaticCompact) // compact static
+	distributed := run(charm.SystemSHOAL)   // static sequential
 	ratio := local / distributed
 	if ratio < 0.75 || ratio > 1.33 {
 		t.Errorf("OLTP throughput should be placement-insensitive; local/distributed = %.2f", ratio)
@@ -104,7 +102,7 @@ func TestZeroMakespanThroughput(t *testing.T) {
 }
 
 func TestTPCCFullMixRuns(t *testing.T) {
-	rt := rtWith(t, 8, false)
+	rt := rtWith(t, 8)
 	e := New(rt, Config{Warehouses: 4, Items: 256, TxPerWorker: 1000, Seed: 9})
 	res := e.RunTPCC()
 	if res.Commits != 8*1000 {

@@ -54,7 +54,7 @@ func TestPerCorePrivateReplicasAvoidSharing(t *testing.T) {
 		rt, err := charm.Init(charm.Config{
 			Workers:  16,
 			Topology: charm.SmallTopology(),
-			NoAdapt:  true,
+			System:   charm.SystemStaticCompact,
 		})
 		if err != nil {
 			t.Fatal(err)
