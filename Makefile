@@ -24,7 +24,9 @@ STATICCHECK_VERSION ?= 2025.1.1
 # one goroutine per core over the coherence directory and the lock-free
 # tag arrays, and the streamed access path against its reference), the
 # experiment pool of charm-bench under -race (experiments regenerated
-# concurrently share one read-only Kronecker graph), the
+# concurrently share one read-only Kronecker graph), the Chrome trace
+# replay under -race (~5 min on 2 cores: with profiling on every worker
+# writes its own tracer shard while the host reads the record), the
 # lockstep baton's golden/model/liveness tests
 # and the idle-turn predicate's soundness test ten times under -race at one
 # and two procs with a timeout (a kernel that stops resuming, or that never
@@ -45,6 +47,7 @@ verify:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/...
 	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/mem/...
 	$(GO) test -race ./cmd/charm-bench/
+	$(GO) test -race -run TestTraceReplays ./cmd/charm-obs/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
 	$(GO) test -race -count=10 -cpu 1,2 -timeout 300s -run 'Lockstep' ./internal/core/
 	$(GO) test -race -count=10 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/

@@ -653,15 +653,18 @@ func (r *Runtime) LiveTasks() int64 { return r.rt.LiveTasks() }
 // (a worker co-located with the data's home NUMA node; see Ctx.Delegate).
 func (r *Runtime) OwnerOf(addr Addr) int { return r.rt.OwnerOf(addr) }
 
-// EnableProfiler turns the time-series profiler on or off.
-func (r *Runtime) EnableProfiler(on bool) { r.rt.Profiler().Enable(on) }
+// EnableProfiler turns the profile on or off: while enabled, every task's
+// lifecycle, the Alg. 1 spread_rate and fill-rate samples, and the
+// migration and fault instants are recorded into the same tracer that
+// EnableTracing gates for jobs (WriteChromeTrace renders them).
+func (r *Runtime) EnableProfiler(on bool) { r.rt.EnableProfiler(on) }
 
 // EnableTracing turns causal job tracing on or off. While enabled, every
 // job admitted through the service emits typed spans (admit-queue wait,
 // per-stage execution, per-task exec/stall, retries, re-homes, terminal
 // events) into a per-worker sharded buffer in virtual time; breaker
-// transitions and SLO alert edges land as runtime-scoped spans. Off costs
-// one atomic load per would-be emission.
+// transitions and SLO alert edges land as runtime-scoped spans. With it and
+// the profiler off, a would-be emission costs at most two atomic loads.
 func (r *Runtime) EnableTracing(on bool) { r.rt.EnableTracing(on) }
 
 // Tracer exposes the runtime's span tracer for trace export
@@ -710,11 +713,12 @@ func (r *Runtime) WriteMetricsJSON(w io.Writer) error {
 	return obs.WriteJSON(w, r.rt.MetricsSnapshot(), r.rt.Metrics().History())
 }
 
-// WriteChromeTrace exports the profiler's recorded data (counter tracks,
-// task-lifecycle spans, traced metric history) as a Chrome trace-event
-// JSON document; see Profiler.WriteChromeTrace.
+// WriteChromeTrace exports the tracer's record (task-lifecycle spans,
+// Alg. 1 counter tracks, migration and fault instants, breaker and SLO
+// alert edges) and the traced metric history as a Chrome trace-event JSON
+// document; see core.Runtime.WriteChromeTrace.
 func (r *Runtime) WriteChromeTrace(w io.Writer) error {
-	return r.rt.Profiler().WriteChromeTrace(w)
+	return r.rt.WriteChromeTrace(w)
 }
 
 // Power returns the closed-loop thermal/energy plane, or nil when

@@ -143,29 +143,43 @@ func commonFlags(fs *flag.FlagSet) (workers *int, workload *string) {
 	return
 }
 
+// workloadConfig is the machine the workload views run on.
+func workloadConfig(workers int) charm.Config {
+	return charm.Config{Workers: workers, CacheScale: 256, SchedulerTimer: 25_000}
+}
+
 // runWorkload initializes a runtime with observability on, executes the
 // named workload, and returns the runtime still live (caller finalizes).
 func runWorkload(workers int, workload string) *charm.Runtime {
-	return runWorkloadOn(charm.Config{
-		Workers:        workers,
-		CacheScale:     256,
-		SchedulerTimer: 25_000,
-	}, workload)
+	return runWorkloadOn(workloadConfig(workers), workload)
 }
 
 // runWorkloadOn is runWorkload on a caller-chosen machine config, so
-// subcommands can run the same kernels on a spec-built topology. The
+// subcommands can run the same kernels on a spec-built topology.
+func runWorkloadOn(cfg charm.Config, workload string) *charm.Runtime {
+	rt, _ := runObserved(cfg, workload, func(rt *charm.Runtime) {
+		rt.EnableProfiler(true)
+		rt.EnableMetrics(true)
+	})
+	return rt
+}
+
+// runObserved initializes a runtime on cfg, lets observe switch on what
+// watches the run (nil for nothing), executes the named workload, and
+// returns the runtime still live with the Stats of each submission. The
 // runtime runs in lockstep, on the engine the harness tables come from, so
 // two runs export the same trace and metrics.
-func runWorkloadOn(cfg charm.Config, workload string) *charm.Runtime {
+func runObserved(cfg charm.Config, workload string, observe func(*charm.Runtime)) (*charm.Runtime, []charm.Stats) {
 	cfg.Deterministic = true
 	rt, err := charm.Init(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	rt.EnableProfiler(true)
-	rt.EnableMetrics(true)
+	if observe != nil {
+		observe(rt)
+	}
 
+	var stats []charm.Stats
 	switch workload {
 	case "quickstart":
 		// The examples/quickstart kernel: private-segment writes then a
@@ -173,25 +187,25 @@ func runWorkloadOn(cfg charm.Config, workload string) *charm.Runtime {
 		const size = 1 << 20
 		data := rt.Alloc(size)
 		seg := int64(size / rt.Workers())
-		rt.AllDo(func(ctx *charm.Ctx) {
+		stats = append(stats, rt.AllDo(func(ctx *charm.Ctx) {
 			own := data + charm.Addr(int64(ctx.Worker())*seg)
 			ctx.Write(own, seg)
 			ctx.Read(data, size)
 			ctx.Yield()
-		})
+		}))
 	case "phases":
 		l3 := rt.Topology().L3PerChiplet
 		for _, size := range []int64{l3 / 2, 8 * l3, l3 / 2} {
 			data := rt.AllocPolicy(size, charm.FirstTouch, 0)
 			seg := size / int64(rt.Workers())
-			rt.AllDo(func(ctx *charm.Ctx) {
+			stats = append(stats, rt.AllDo(func(ctx *charm.Ctx) {
 				own := data + charm.Addr(int64(ctx.Worker())*seg)
 				for r := 0; r < 800; r++ {
 					ctx.Read(own, seg)
 					ctx.Write(own, seg)
 					ctx.Yield()
 				}
-			})
+			}))
 			rt.Free(data)
 		}
 	case "bfs":
@@ -202,7 +216,7 @@ func runWorkloadOn(cfg charm.Config, workload string) *charm.Runtime {
 		fmt.Fprintf(os.Stderr, "charm-obs: unknown workload %q\n", workload)
 		os.Exit(2)
 	}
-	return rt
+	return rt, stats
 }
 
 func cmdTrace(args []string) {

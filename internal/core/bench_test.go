@@ -41,7 +41,7 @@ func BenchmarkTaskSpawnExecuteMetrics(b *testing.B) {
 	run := func(b *testing.B, metrics, profiler bool) {
 		rt := benchRT(b, 8)
 		rt.EnableMetrics(metrics)
-		rt.Profiler().Enable(profiler)
+		rt.EnableProfiler(profiler)
 		b.ResetTimer()
 		rt.ParallelFor(0, b.N, 64, func(ctx *Ctx, i0, i1 int) {})
 	}

@@ -69,17 +69,6 @@ type Rehomer interface {
 	Rehome(w *Worker, now int64) (topology.CoreID, bool)
 }
 
-// Fault event codes recorded in the ProfFault series (and as Chrome-trace
-// instant events).
-const (
-	fcOffline  = int64(iota) // worker's core went offline
-	fcRehome                 // worker migrated to a live core after a fault
-	fcPark                   // worker parked (no replacement core)
-	fcResume                 // worker resumed on its revived core
-	fcRetry                  // failed task re-enqueued for a retry
-	fcWatchdog               // task finished past the starvation deadline
-)
-
 // checkFault handles this worker's core being offline at its current
 // virtual time. Returns true when it consumed the scheduling iteration.
 func (w *Worker) checkFault() bool {
@@ -93,19 +82,14 @@ func (w *Worker) checkFault() bool {
 		return false
 	}
 	w.rt.met.faultOfflines.Inc(w.id)
-	w.rt.prof.Record(ProfFault, w.id, now, fcOffline)
+	w.instant(obs.SpanOffline, now, 0)
 	w.drainToLive(now)
 	if r, ok := w.rt.opts.Policy.(Rehomer); ok {
 		if dst, ok := r.Rehome(w, now); ok && !plan.CoreDown(dst, now) {
 			w.rt.met.faultMigrations.Inc(w.id)
-			w.rt.prof.Record(ProfFault, w.id, now, fcRehome)
-			if tr := w.rt.tracer; tr.Enabled() {
-				// Runtime-scoped instant (trace 0): the worker moved, which
-				// affects every job placed on it.
-				tr.Emit(w.id, obs.Span{Kind: obs.SpanRehome, Start: now, End: now,
-					Worker: int32(w.id), Chiplet: int32(w.rt.M.Topo.ChipletOf(c)),
-					Arg: int64(dst)})
-			}
+			// Runtime-scoped instant (trace 0): the worker moved, which
+			// affects every job placed on it.
+			w.instant(obs.SpanRehome, now, int64(dst))
 			w.Migrate(dst)
 			// Restart the Alg. 1 interval on the new core's counters: the
 			// old core's fill history is meaningless there.
@@ -201,11 +185,7 @@ func (w *Worker) park(c topology.CoreID) {
 	plan := w.rt.opts.Faults
 	upAt := plan.CoreUpAt(c, w.clock.Now())
 	w.rt.met.faultParks.Inc(w.id)
-	w.rt.prof.Record(ProfFault, w.id, w.clock.Now(), fcPark)
-	if tr := w.rt.tracer; tr.Enabled() {
-		tr.Emit(w.id, obs.Span{Kind: obs.SpanPark, Start: w.clock.Now(), End: w.clock.Now(),
-			Worker: int32(w.id), Chiplet: int32(w.rt.M.Topo.ChipletOf(c))})
-	}
+	w.instant(obs.SpanPark, w.clock.Now(), 0)
 	w.blocked.Store(true)
 	defer w.blocked.Store(false)
 	if ls := w.rt.ls; ls != nil {
@@ -246,7 +226,7 @@ func (w *Worker) resumeAt(t int64) {
 	w.clock.SyncTo(t)
 	w.lastDecision = w.clock.Now()
 	w.lastFills = w.rt.M.PMU.FillsFromSystem(int(w.Core()))
-	w.rt.prof.Record(ProfFault, w.id, w.clock.Now(), fcResume)
+	w.instant(obs.SpanResume, w.clock.Now(), 0)
 }
 
 // LoopError is a panic that escaped a worker's loop under Deterministic (an
@@ -299,14 +279,11 @@ func (w *Worker) retryTask(t *Task, err *TaskError) bool {
 	t.co = nil // a coroutine retry starts from a fresh stack
 	t.err = nil
 	w.rt.met.faultRetries.Inc(w.id)
-	w.rt.prof.Record(ProfFault, w.id, now, fcRetry)
-	if tr := w.rt.tracer; tr.Enabled() && t.job != nil {
-		// The span covers the backoff window: failure → earliest restart.
-		tr.Emit(w.id, obs.Span{Trace: obs.TraceID(t.job.id), Kind: obs.SpanRetry,
-			Start: now, End: t.stamp, Worker: int32(w.id),
-			Chiplet: int32(w.rt.M.Topo.ChipletOf(w.Core())), Stage: t.stage,
-			Arg: int64(t.attempts)})
-	}
+	// The span covers the backoff window: failure → earliest restart.
+	w.rt.tracer.Emit(w.id, obs.Span{Trace: t.trace(), Kind: obs.SpanRetry,
+		Start: now, End: t.stamp, Worker: int32(w.id),
+		Chiplet: int32(w.rt.M.Topo.ChipletOf(w.Core())), Stage: t.stage,
+		Arg: int64(t.attempts)})
 	w.deque.Push(t)
 	return true
 }

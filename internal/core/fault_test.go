@@ -8,6 +8,7 @@ import (
 
 	"charm/internal/fault"
 	"charm/internal/mem"
+	"charm/internal/obs"
 	"charm/internal/pmu"
 	"charm/internal/sim"
 	"charm/internal/topology"
@@ -23,11 +24,12 @@ func compilePlan(t *testing.T, s *fault.Schedule, topo *topology.Topology) *faul
 	return p
 }
 
-// faultActions returns how many ProfFault samples carry each code.
-func faultActions(rt *Runtime) map[int64]int {
-	out := make(map[int64]int)
-	for _, s := range rt.Profiler().Samples(ProfFault) {
-		out[s.V]++
+// faultActions returns how many fault-handling instants of each kind the
+// tracer recorded.
+func faultActions(rt *Runtime) map[obs.SpanKind]int {
+	out := make(map[obs.SpanKind]int)
+	for _, s := range faultSpans(rt.Tracer().Spans()) {
+		out[s.Kind]++
 	}
 	return out
 }
@@ -42,7 +44,7 @@ func TestOfflineRehome(t *testing.T) {
 	rt := NewRuntime(m, Options{Workers: 4, SchedulerTimer: 50_000, Faults: plan})
 	rt.Start()
 	defer rt.Stop()
-	rt.Profiler().Enable(true)
+	rt.EnableProfiler(true)
 
 	var n atomic.Int64
 	st := rt.ParallelFor(0, 64, 1, func(ctx *Ctx, i0, i1 int) {
@@ -56,8 +58,8 @@ func TestOfflineRehome(t *testing.T) {
 		t.Errorf("Stats.Tasks = %d, want 64", st.Tasks)
 	}
 	acts := faultActions(rt)
-	if acts[fcRehome] == 0 {
-		t.Errorf("no fcRehome recorded; actions = %v", acts)
+	if acts[obs.SpanRehome] == 0 {
+		t.Errorf("no SpanRehome recorded; actions = %v", acts)
 	}
 	// The re-homed workers must sit on live cores.
 	now := rt.MaxWorkerClock()
@@ -84,7 +86,7 @@ func TestOfflineParkAndResume(t *testing.T) {
 	})
 	rt.Start()
 	defer rt.Stop()
-	rt.Profiler().Enable(true)
+	rt.EnableProfiler(true)
 
 	var n atomic.Int64
 	rt.ParallelFor(0, 128, 1, func(ctx *Ctx, i0, i1 int) {
@@ -95,13 +97,13 @@ func TestOfflineParkAndResume(t *testing.T) {
 		t.Fatalf("completed %d of 128 tasks", n.Load())
 	}
 	acts := faultActions(rt)
-	if acts[fcPark] == 0 {
-		t.Errorf("no fcPark recorded; actions = %v", acts)
+	if acts[obs.SpanPark] == 0 {
+		t.Errorf("no SpanPark recorded; actions = %v", acts)
 	}
-	if acts[fcResume] == 0 {
-		t.Errorf("no fcResume recorded; actions = %v", acts)
+	if acts[obs.SpanResume] == 0 {
+		t.Errorf("no SpanResume recorded; actions = %v", acts)
 	}
-	if acts[fcRehome] != 0 {
+	if acts[obs.SpanRehome] != 0 {
 		t.Errorf("static policy must not re-home; actions = %v", acts)
 	}
 }
@@ -113,7 +115,7 @@ func TestRetrySucceedsWithinBudget(t *testing.T) {
 		o.MaxTaskRetries = 3
 		o.RetryBackoff = 1_000
 	})
-	rt.Profiler().Enable(true)
+	rt.EnableProfiler(true)
 	var attempts atomic.Int64
 	rt.Run(func(ctx *Ctx) {
 		if attempts.Add(1) <= 2 {
@@ -123,8 +125,8 @@ func TestRetrySucceedsWithinBudget(t *testing.T) {
 	if attempts.Load() != 3 {
 		t.Errorf("task ran %d times, want 3", attempts.Load())
 	}
-	if acts := faultActions(rt); acts[fcRetry] != 2 {
-		t.Errorf("fcRetry = %d, want 2; actions = %v", acts[fcRetry], acts)
+	if acts := faultActions(rt); acts[obs.SpanRetry] != 2 {
+		t.Errorf("SpanRetry = %d, want 2; actions = %v", acts[obs.SpanRetry], acts)
 	}
 }
 
@@ -180,10 +182,10 @@ func TestWatchdogFlagsStarvedTasks(t *testing.T) {
 	rt := newTestRT(t, 2, func(o *Options) {
 		o.StarvationDeadline = 1_000
 	})
-	rt.Profiler().Enable(true)
+	rt.EnableProfiler(true)
 	rt.Run(func(ctx *Ctx) { ctx.Compute(50_000) })
-	if acts := faultActions(rt); acts[fcWatchdog] == 0 {
-		t.Errorf("no fcWatchdog recorded; actions = %v", acts)
+	if acts := faultActions(rt); acts[obs.SpanWatchdog] == 0 {
+		t.Errorf("no SpanWatchdog recorded; actions = %v", acts)
 	}
 }
 

@@ -155,7 +155,7 @@ func newRTMetrics(rt *Runtime, workers int) *rtMetrics {
 	// the late reads); host-side like the turn counts, so not Traced.
 	reg.Func("charm_host_trace_spans", "Spans buffered by the causal tracer.",
 		obs.KindGauge, nil, func(int64) float64 { return float64(rt.tracer.SpanCount()) })
-	reg.Func("charm_host_trace_chunks", "64 KiB span chunks held by the causal tracer, recycled ones included.",
+	reg.Func("charm_host_trace_chunks", "72 KiB span chunks held by the causal tracer, recycled ones included.",
 		obs.KindGauge, nil, func(int64) float64 { _, c := rt.tracer.Size(); return float64(c) })
 	reg.Func("charm_host_trace_compactions_total", "Tracer compactions that dropped released traces.",
 		obs.KindCounter, nil, func(int64) float64 { return float64(rt.tracer.Compactions()) })

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"charm/internal/obs"
 	"charm/internal/place"
 	"charm/internal/topology"
 )
@@ -89,8 +90,8 @@ func (p *CharmPolicy) OnTimer(w *Worker, elapsed int64) {
 		w.lowStreak = 0
 	}
 	UpdateLocation(w)
-	w.rt.prof.Record(ProfSpread, w.id, w.clock.Now(), int64(w.spreadRate))
-	w.rt.prof.Record(ProfFillRate, w.id, w.clock.Now(), rate)
+	w.instant(obs.SpanSpread, w.clock.Now(), int64(w.spreadRate))
+	w.instant(obs.SpanFillRate, w.clock.Now(), rate)
 }
 
 // StealOrder implements chiplet-first stealing (§4.4): victims on the same

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"charm/internal/mem"
+	"charm/internal/obs"
 	"charm/internal/sim"
 	"charm/internal/topology"
 )
@@ -293,7 +294,7 @@ func TestProfilerRecordsSpreadSeries(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	m := sim.New(sim.Config{Topo: topo})
 	rt := NewRuntime(m, Options{Workers: 2, SchedulerTimer: 20_000})
-	rt.Profiler().Enable(true)
+	rt.EnableProfiler(true)
 	rt.Start()
 	defer rt.Stop()
 	big := rt.AllocPolicy(2<<20, mem.Bind, 0)
@@ -303,10 +304,14 @@ func TestProfilerRecordsSpreadSeries(t *testing.T) {
 			ctx.Yield()
 		}
 	})
-	if got := rt.Profiler().Samples(ProfSpread); len(got) == 0 {
+	samples := map[obs.SpanKind]int{}
+	for _, s := range rt.Tracer().Spans() {
+		samples[s.Kind]++
+	}
+	if samples[obs.SpanSpread] == 0 {
 		t.Error("profiler recorded no spread samples")
 	}
-	if got := rt.Profiler().Samples(ProfFillRate); len(got) == 0 {
+	if samples[obs.SpanFillRate] == 0 {
 		t.Error("profiler recorded no fill-rate samples")
 	}
 }

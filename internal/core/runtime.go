@@ -106,7 +106,7 @@ type Options struct {
 	RetryBackoff int64
 	// StarvationDeadline, when positive, flags every task whose
 	// enqueue-to-completion latency exceeds it (virtual ns) in the
-	// watchdog metric and the ProfFault series.
+	// watchdog metric and, while profiling, as a watchdog instant.
 	StarvationDeadline int64
 	// Deterministic serializes workers in virtual-clock lockstep (see
 	// lockstep.go): runs become bit-identical across repetitions at the
@@ -177,10 +177,10 @@ type Runtime struct {
 	// the charm_live_tasks gauge).
 	liveTasks atomic.Int64
 
-	prof *Profiler
-	met  *rtMetrics
-	// tracer is the causal-span sink: one shard per worker plus one for
-	// the job service's lock-serialized emissions. Disabled by default.
+	met *rtMetrics
+	// tracer is the runtime's one event record: one shard per worker plus
+	// one for the job service's lock-serialized emissions. Both of its
+	// gates (EnableTracing, EnableProfiler) are off by default.
 	tracer *obs.Tracer
 
 	// power is the closed-loop thermal/energy governor (nil when the plane
@@ -266,7 +266,6 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 		workerOnCore: make([]atomic.Int32, m.Topo.NumCores()),
 		coreOcc:      make([]atomic.Int32, m.Topo.NumCores()),
 		ranks:        place.NewRanks(m.Topo),
-		prof:         &Profiler{tick: opts.SchedulerTimer},
 		power:        pw,
 		batch:        !opts.NoAccessBatch,
 		pool:         !opts.NoPooling,
@@ -276,16 +275,13 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 		barrierCost: 500 + 20*int64(opts.Workers),
 	}
 	// The observability layer: a per-worker-sharded registry covering the
-	// runtime and the whole simulated machine, attached to the profiler
-	// so traces can include counter tracks.
+	// runtime and the whole simulated machine, and the event record.
 	rt.met = newRTMetrics(rt, opts.Workers)
 	m.Instrument(rt.met.reg)
 	if rt.power != nil {
 		rt.power.Instrument(rt.met.reg)
 	}
-	rt.prof.AttachRegistry(rt.met.reg)
 	rt.tracer = obs.NewTracer(opts.Workers+1, 0)
-	rt.prof.AttachTracer(rt.tracer)
 	for i := range rt.workerOnCore {
 		rt.workerOnCore[i].Store(-1)
 	}
@@ -385,19 +381,16 @@ func (rt *Runtime) Worker(i int) *Worker { return rt.workers[i] }
 // Options returns the runtime's options.
 func (rt *Runtime) Options() Options { return rt.opts }
 
-// Profiler returns the runtime's time-series profiler.
-func (rt *Runtime) Profiler() *Profiler { return rt.prof }
-
 // Power returns the closed-loop thermal/energy plane, or nil when the
 // plane is disabled.
 func (rt *Runtime) Power() *power.Plane { return rt.power }
 
-// Tracer returns the runtime's causal-span tracer (disabled by default;
-// see EnableTracing).
+// Tracer returns the runtime's event record (both gates off by default;
+// see EnableTracing and EnableProfiler).
 func (rt *Runtime) Tracer() *obs.Tracer { return rt.tracer }
 
-// EnableTracing turns causal job tracing on or off. When off, every span
-// emission point costs a single atomic load.
+// EnableTracing turns causal job tracing on or off. With it and the
+// profiler off, every span emission point costs at most two atomic loads.
 func (rt *Runtime) EnableTracing(on bool) { rt.tracer.SetEnabled(on) }
 
 // trShard is the tracer shard index for service-side emissions (the
@@ -482,7 +475,7 @@ type Task struct {
 	// onDone signals a synchronous Call's completion (nil otherwise).
 	onDone *callGroup
 
-	// Lifecycle-span state (read by the profiler at completion). startT
+	// Lifecycle-span state (read into the task span at completion). startT
 	// is the virtual time of the first execution (-1 until then);
 	// stealCount/remoteStolen record steal provenance; delegated/hops
 	// record the delegation chain depth.
@@ -508,6 +501,15 @@ type Task struct {
 	// the stall half of its execution window. Worker-owned.
 	stage   int32
 	stallNS int64
+}
+
+// trace is the TraceID of the task's job, 0 (the runtime scope) outside
+// any job.
+func (t *Task) trace() obs.TraceID {
+	if t.job == nil {
+		return 0
+	}
+	return obs.TraceID(t.job.id)
 }
 
 func (rt *Runtime) newTask(fn func(*Ctx), g *group, stamp int64, coro bool, home int) *Task {

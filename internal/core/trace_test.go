@@ -5,18 +5,29 @@ import (
 	"encoding/json"
 	"testing"
 
+	"charm/internal/fault"
 	"charm/internal/obs"
+	"charm/internal/topology"
 )
 
+// profiledTracer returns a tracer with the profile gate on and an emitter
+// of one Alg. 1 sample or instant of kind on worker w at time t.
+func profiledTracer(shards int) (*obs.Tracer, func(kind obs.SpanKind, w int32, t, v int64)) {
+	tr := obs.NewTracer(shards, 0)
+	tr.SetProfiling(true)
+	return tr, func(kind obs.SpanKind, w int32, t, v int64) {
+		tr.Emit(int(w), obs.Span{Kind: kind, Start: t, End: t, Worker: w, Arg: v})
+	}
+}
+
 func TestWriteChromeTrace(t *testing.T) {
-	p := NewProfiler()
-	p.Enable(true)
-	p.Record(ProfSpread, 0, 1000, 2)
-	p.Record(ProfSpread, 1, 2000, 4)
-	p.Record(ProfFillRate, 0, 1500, 77)
-	p.Record(ProfMigration, 1, 2500, 9)
+	tr, sample := profiledTracer(2)
+	sample(obs.SpanSpread, 0, 1000, 2)
+	sample(obs.SpanSpread, 1, 2000, 4)
+	sample(obs.SpanFillRate, 0, 1500, 77)
+	sample(obs.SpanMigration, 1, 2500, 9)
 	var buf bytes.Buffer
-	if err := p.WriteChromeTrace(&buf); err != nil {
+	if err := writeChromeTrace(&buf, tr, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -71,18 +82,23 @@ type chromeDoc struct {
 }
 
 func TestChromeTraceRoundTrip(t *testing.T) {
-	p := NewProfiler()
-	p.Enable(true)
-	// Profiler series: 3 counter samples + 1 migration instant.
-	p.Record(ProfSpread, 0, 1000, 2)
-	p.Record(ProfSpread, 1, 2000, 4)
-	p.Record(ProfFillRate, 0, 1500, 77)
-	p.Record(ProfMigration, 1, 2500, 9)
-	// Task spans: plain, stolen, delegated, and zero-duration.
-	p.RecordSpan(TaskSpan{ID: 1, Home: 0, Worker: 0, Enqueue: 100, Start: 200, End: 900})
-	p.RecordSpan(TaskSpan{ID: 2, Home: 0, Worker: 1, Enqueue: 100, Start: 300, End: 800, Steals: 1, Remote: true})
-	p.RecordSpan(TaskSpan{ID: 3, Home: 1, Worker: 1, Enqueue: 500, Start: 1200, End: 1400, Delegated: true, Hops: 2})
-	p.RecordSpan(TaskSpan{ID: 4, Home: 0, Worker: 2, Enqueue: 50, Start: 600, End: 600})
+	tr, sample := profiledTracer(3)
+	// Alg. 1 samples: 3 counter samples + 1 migration instant.
+	sample(obs.SpanSpread, 0, 1000, 2)
+	sample(obs.SpanSpread, 1, 2000, 4)
+	sample(obs.SpanFillRate, 0, 1500, 77)
+	sample(obs.SpanMigration, 1, 2500, 9)
+	// Task spans (Start = enqueue, Arg = first execution): plain, stolen,
+	// delegated, and zero-duration.
+	for _, s := range []obs.Span{
+		{Task: 1, Home: 0, Worker: 0, Start: 100, Arg: 200, End: 900},
+		{Task: 2, Home: 0, Worker: 1, Start: 100, Arg: 300, End: 800, Steals: 1, Flags: obs.FlagRemoteSteal},
+		{Task: 3, Home: 1, Worker: 1, Start: 500, Arg: 1200, End: 1400, Flags: obs.FlagDelegated, Hops: 2},
+		{Task: 4, Home: 0, Worker: 2, Start: 50, Arg: 600, End: 600},
+	} {
+		s.Kind = obs.SpanTask
+		tr.Emit(int(s.Worker), s)
+	}
 	// Registry history: one traced gauge sampled twice.
 	reg := obs.NewRegistry(1)
 	reg.SetEnabled(true)
@@ -96,10 +112,9 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if !reg.MaybeSample(2500) {
 		t.Fatal("second MaybeSample must fire")
 	}
-	p.AttachRegistry(reg)
 
 	var buf bytes.Buffer
-	if err := p.WriteChromeTrace(&buf); err != nil {
+	if err := writeChromeTrace(&buf, tr, reg, 0); err != nil {
 		t.Fatal(err)
 	}
 	var doc chromeDoc
@@ -107,7 +122,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
 
-	// 3 profiler counters + 1 instant + 4 B/E pairs + 2 history counters.
+	// 3 Alg. 1 counters + 1 instant + 4 B/E pairs + 2 history counters.
 	if want := 3 + 1 + 8 + 2; len(doc.TraceEvents) != want {
 		t.Fatalf("events = %d, want %d", len(doc.TraceEvents), want)
 	}
@@ -202,7 +217,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 // instrumentation layers light up end to end.
 func TestRuntimeSpansAndMetrics(t *testing.T) {
 	rt := newTestRT(t, 4)
-	rt.Profiler().Enable(true)
+	rt.EnableProfiler(true)
 	rt.EnableMetrics(true)
 	const spawned = 32
 	rt.Run(func(ctx *Ctx) {
@@ -215,12 +230,18 @@ func TestRuntimeSpansAndMetrics(t *testing.T) {
 	})
 	rt.Stop()
 
-	spans := rt.Profiler().Spans()
+	var spans []obs.Span
+	for _, s := range rt.Tracer().Spans() {
+		if s.Kind == obs.SpanTask {
+			spans = append(spans, s)
+		}
+	}
 	if len(spans) != spawned+1 {
 		t.Fatalf("spans = %d, want %d", len(spans), spawned+1)
 	}
 	for _, s := range spans {
-		if s.End < s.Start || s.Start < s.Enqueue {
+		// Start is the enqueue stamp, Arg the first execution.
+		if s.End < s.Arg || s.Arg < s.Start {
 			t.Fatalf("inconsistent span %+v", s)
 		}
 	}
@@ -244,35 +265,65 @@ func TestRuntimeSpansAndMetrics(t *testing.T) {
 	}
 }
 
+// TestProfilerDisabledRecordsNothing: the tracer's two gates split one
+// record. With both off nothing is recorded; profiling alone records no job
+// kinds (admission, stages, sheds, breakers, ...), and tracing alone no
+// profile kinds (Alg. 1 samples, migrations, offlines, watchdog trips, and
+// tasks outside any job). The run parks the workers of an offlined chiplet,
+// trips the watchdog and serves one job, so every gate has something to
+// refuse.
 func TestProfilerDisabledRecordsNothing(t *testing.T) {
-	p := NewProfiler()
-	p.Record(ProfSpread, 0, 1, 1)
-	if got := p.Samples(ProfSpread); len(got) != 0 {
-		t.Errorf("disabled profiler recorded %d samples", len(got))
+	profileKind := func(s obs.Span) bool {
+		return s.Kind >= obs.SpanSpread ||
+			(s.Kind == obs.SpanTask || s.Kind == obs.SpanRetry) && s.Trace == 0
 	}
-	p.Enable(true)
-	p.Record(ProfSpread, 0, 1, 1)
-	p.Enable(false)
-	p.Record(ProfSpread, 0, 2, 2)
-	if got := p.Samples(ProfSpread); len(got) != 1 {
-		t.Errorf("samples = %d, want 1", len(got))
+	jobKind := func(s obs.Span) bool {
+		switch s.Kind {
+		case obs.SpanTask, obs.SpanRetry, obs.SpanRehome, obs.SpanPark:
+			return false
+		}
+		return s.Kind < obs.SpanSpread
 	}
-	p.Enable(true) // re-enabling clears
-	if got := p.Samples(ProfSpread); len(got) != 0 {
-		t.Errorf("re-enable must clear, got %d", len(got))
+	run := func(tracing, profiling bool) map[obs.SpanKind]int {
+		topo := topology.Synthetic(4, 2)
+		plan := compilePlan(t, fault.New("gates", 3).OfflineChiplet(1, 20_000, fault.Forever), topo)
+		rt := jobRuntime(t, Options{Deterministic: true, SchedulerTimer: 10_000,
+			Faults: plan, StarvationDeadline: 1_000})
+		rt.EnableTracing(tracing)
+		rt.EnableProfiler(profiling)
+		rt.ParallelFor(0, 64, 1, func(ctx *Ctx, i0, i1 int) { ctx.Compute(5_000) })
+		j, err := rt.SubmitJob(computeJob(4, 5_000, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		kinds := map[obs.SpanKind]int{}
+		for _, s := range rt.Tracer().Spans() {
+			kinds[s.Kind]++
+			if !profiling && profileKind(s) {
+				t.Errorf("tracing=%v profiling=%v recorded profile span %+v", tracing, profiling, s)
+			}
+			if !tracing && jobKind(s) {
+				t.Errorf("tracing=%v profiling=%v recorded job span %+v", tracing, profiling, s)
+			}
+		}
+		return kinds
 	}
-}
-
-func TestProfilerMeanValue(t *testing.T) {
-	p := NewProfiler()
-	p.Enable(true)
-	if p.MeanValue(ProfSpread) != 0 {
-		t.Error("empty mean must be 0")
+	if got := run(false, false); len(got) != 0 {
+		t.Errorf("both gates off recorded %v", got)
 	}
-	p.Record(ProfSpread, 0, 1, 2)
-	p.Record(ProfSpread, 0, 2, 4)
-	if got := p.MeanValue(ProfSpread); got != 3 {
-		t.Errorf("mean = %f, want 3", got)
+	prof := run(false, true)
+	for _, k := range []obs.SpanKind{obs.SpanTask, obs.SpanSpread, obs.SpanFillRate,
+		obs.SpanOffline, obs.SpanPark, obs.SpanWatchdog} {
+		if prof[k] == 0 {
+			t.Errorf("profiling recorded no %s span: %v", k, prof)
+		}
+	}
+	traced := run(true, false)
+	for _, k := range []obs.SpanKind{obs.SpanTask, obs.SpanAdmitQueue, obs.SpanStage, obs.SpanPark} {
+		if traced[k] == 0 {
+			t.Errorf("tracing recorded no %s span: %v", k, traced)
+		}
 	}
 }
 

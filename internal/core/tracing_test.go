@@ -211,7 +211,7 @@ func TestBreakerTransitionSpans(t *testing.T) {
 		t.Fatal("no breaker transition spans under a thermal fault with breakers on")
 	}
 	var chrome bytes.Buffer
-	if err := rt.prof.WriteChromeTrace(&chrome); err != nil {
+	if err := rt.WriteChromeTrace(&chrome); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(chrome.String(), `"breaker-open"`) {
@@ -286,8 +286,8 @@ func TestFlightRecorderRetention(t *testing.T) {
 	}
 }
 
-// TestTracingDisabledZeroCost: with tracing off, Emit must be a single
-// atomic load — no allocation, no span recorded.
+// TestTracingDisabledZeroCost: with both gates off, Emit must be two
+// atomic loads — no allocation, no span recorded.
 func TestTracingDisabledZeroCost(t *testing.T) {
 	tr := obs.NewTracer(2, 0)
 	span := obs.Span{Trace: 1, Kind: obs.SpanTask, Start: 1, End: 2}

@@ -179,7 +179,14 @@ func (w *Worker) Migrate(c topology.CoreID) {
 	w.rt.met.migrations.Inc(w.id)
 	w.rt.placeEpoch.Add(1)
 	w.settleUntil = w.clock.Now() + 2*w.rt.opts.SchedulerTimer
-	w.rt.prof.Record(ProfMigration, w.id, w.clock.Now(), int64(c))
+	w.instant(obs.SpanMigration, w.clock.Now(), int64(c))
+}
+
+// instant records a profile instant (or Alg. 1 sample) of kind on the
+// worker's track at virtual time t.
+func (w *Worker) instant(kind obs.SpanKind, t, arg int64) {
+	w.rt.tracer.Emit(w.id, obs.Span{Kind: kind, Start: t, End: t, Worker: int32(w.id),
+		Chiplet: int32(w.rt.M.Topo.ChipletOf(w.Core())), Arg: arg})
 }
 
 // RebindAllocs moves the worker's own allocations to node (AsymSched's
@@ -499,38 +506,36 @@ func (w *Worker) finishTask(t *Task) {
 		// Watchdog: the task sat starved (queued, suspended, or retried)
 		// past the configured deadline before completing.
 		w.rt.met.watchdogTrips.Inc(w.id)
-		w.rt.prof.Record(ProfFault, w.id, now, fcWatchdog)
+		w.instant(obs.SpanWatchdog, now, 0)
 	}
 	w.rt.M.PMU.Add(int(w.Core()), pmu.TaskRun, 1)
 	w.rt.liveTasks.Add(-1)
 	w.rt.met.tasks.Inc(w.id)
 	w.rt.met.taskLatency.Observe(w.id, now-t.stamp)
 	w.rt.met.taskExec.Observe(w.id, now-t.startT)
+	ch := w.rt.M.Topo.ChipletOf(w.Core())
 	if t.job != nil {
 		// Feed the job service's per-chiplet slowdown window (the
 		// PMU-observed half of the circuit-breaker signal).
-		ch := int(w.rt.M.Topo.ChipletOf(w.Core()))
-		t.job.svc.observeExec(ch, now-t.startT)
-		if tr := w.rt.tracer; tr.Enabled() {
-			// Arg carries the first-execution time (Arg−Start = dispatch
-			// wait, End−Arg = execution window) and Arg2 the window's
-			// accumulated memory/fabric stall.
-			tr.Emit(w.id, obs.Span{
-				Trace: obs.TraceID(t.job.id), Kind: obs.SpanTask,
-				Start: t.stamp, End: now,
-				Worker: int32(w.id), Chiplet: int32(ch), Stage: t.stage,
-				Arg: t.startT, Arg2: t.stallNS,
-			})
-		}
+		t.job.svc.observeExec(int(ch), now-t.startT)
 	}
-	if w.rt.prof.Enabled() {
-		w.rt.prof.RecordSpan(TaskSpan{
-			ID: t.id, Home: t.home, Worker: w.id,
-			Enqueue: t.stamp, Start: t.startT, End: now,
-			Steals: int(t.stealCount), Remote: t.remoteStolen,
-			Delegated: t.delegated, Hops: int(t.hops),
-		})
+	var flags uint8
+	if t.remoteStolen {
+		flags |= obs.FlagRemoteSteal
 	}
+	if t.delegated {
+		flags |= obs.FlagDelegated
+	}
+	// Arg carries the first-execution time (Arg−Start = dispatch wait,
+	// End−Arg = execution window) and Arg2 the window's accumulated
+	// memory/fabric stall.
+	w.rt.tracer.Emit(w.id, obs.Span{
+		Trace: t.trace(), Kind: obs.SpanTask, Start: t.stamp, End: now,
+		Worker: int32(w.id), Chiplet: int32(ch), Stage: t.stage,
+		Arg: t.startT, Arg2: t.stallNS,
+		Task: t.id, Home: int32(t.home), Steals: uint16(t.stealCount), Hops: uint16(t.hops),
+		Flags: flags,
+	})
 	if t.grp != nil {
 		t.grp.taskDone(now)
 	}

@@ -178,17 +178,17 @@ func (o Options) Fig12() *Table {
 		rt := o.runtime(o.amd(), v.sys, 32)
 		rt.EnableProfiler(true)
 		sgd.Run(rt, o.sgdConfig(), sgd.PerNode)
-		samples := core.LiveTaskSamples(rt.Engine().Profiler().Spans(), o.SchedulerTimer)
+		_, samples := core.LiveTaskSamples(rt.Tracer().Spans(), o.SchedulerTimer)
 		rt.Finalize()
 		var sum, min, max int64
 		min = 1 << 62
-		for _, s := range samples {
-			sum += s.V
-			if s.V < min {
-				min = s.V
+		for _, v := range samples {
+			sum += v
+			if v < min {
+				min = v
 			}
-			if s.V > max {
-				max = s.V
+			if v > max {
+				max = v
 			}
 		}
 		mean := 0.0

@@ -9,13 +9,17 @@ import (
 	"sync/atomic"
 )
 
-// This file is the causal-tracing half of the observability plane: every
-// job admitted through the open-loop service carries a TraceID, and the
-// runtime emits typed span events — queue wait, per-stage execution,
-// per-task lifecycle, retries, sheds, breaker transitions — into a
-// sharded span buffer. Spans carry only virtual timestamps, so under
-// deterministic lockstep two runs of the same seeded workload produce
-// byte-identical trace output (see WriteJSON's canonical ordering).
+// This file is the runtime's one event record. Every job admitted through
+// the open-loop service carries a TraceID, and the runtime emits typed span
+// events — queue wait, per-stage execution, per-task lifecycle, retries,
+// sheds, breaker transitions — into a sharded span buffer. The same buffer
+// holds the profile: every task's lifecycle, the Alg. 1 samples, and the
+// migration and fault instants. Two gates decide what is recorded: tracing
+// records the job kinds, profiling the profile kinds, and a task, retry,
+// re-home or park is recorded by either (Span.gates). Spans carry only
+// virtual timestamps, so under deterministic lockstep two runs of the same
+// seeded workload produce byte-identical trace output (see WriteJSON's
+// canonical ordering).
 //
 // Buffering follows the registry's sharding rule: each worker appends to
 // its own cache-padded shard, so concurrent workers never contend; the
@@ -43,11 +47,13 @@ const (
 	// SpanStage covers one job stage: dispatch → barrier release.
 	// Stage is the stage index; Arg is the stage's task count.
 	SpanStage
-	// SpanTask is one job task's lifecycle: Start is the enqueue stamp,
-	// End the completion; Arg is the first-execution time (so
-	// Arg−Start is the task's dispatch-queue wait and End−Arg its
-	// execution window) and Arg2 the virtual ns of that window spent in
-	// simulated memory/fabric accesses (the stall aggregate).
+	// SpanTask is one task's lifecycle: Start is the enqueue stamp, End
+	// the completion; Arg is the first-execution time (so Arg−Start is the
+	// task's dispatch-queue wait and End−Arg its execution window) and
+	// Arg2 the virtual ns of that window spent in simulated memory/fabric
+	// accesses (the stall aggregate). Worker completed it; Task, Home,
+	// Steals, Hops and Flags carry its provenance. A task outside any job
+	// (trace 0) is recorded only while profiling.
 	SpanTask
 	// SpanRetry covers a failed execution's backoff window: failure time
 	// → the retry's earliest start stamp. Arg is the attempt number.
@@ -82,7 +88,34 @@ const (
 	// the previous owner (-1 = was free).
 	SpanLease
 
+	// The profile kinds, recorded only while profiling. Each is a
+	// runtime-scope instant on Worker's track.
+
+	// SpanSpread samples a worker's Alg. 1 spread_rate (Arg) after a
+	// decision.
+	SpanSpread
+	// SpanFillRate samples the normalized fill rate (Arg) an Alg. 1
+	// decision saw.
+	SpanFillRate
+	// SpanMigration: the worker moved to core Arg.
+	SpanMigration
+	// SpanOffline: the worker found its core offline.
+	SpanOffline
+	// SpanResume: a parked worker resumed on its revived core.
+	SpanResume
+	// SpanWatchdog: a task finished past the starvation deadline.
+	SpanWatchdog
+
 	numSpanKinds
+)
+
+// Span.Flags bits of a SpanTask.
+const (
+	// FlagRemoteSteal marks a task that a steal moved across a chiplet
+	// boundary.
+	FlagRemoteSteal uint8 = 1 << iota
+	// FlagDelegated marks a task shipped by Call, CallAsync or Delegate.
+	FlagDelegated
 )
 
 // String names the kind for reports and serialized traces.
@@ -116,26 +149,61 @@ func (k SpanKind) String() string {
 		return "slo-alert"
 	case SpanLease:
 		return "lease"
+	case SpanSpread:
+		return "spread"
+	case SpanFillRate:
+		return "fill-rate"
+	case SpanMigration:
+		return "migration"
+	case SpanOffline:
+		return "offline"
+	case SpanResume:
+		return "resume"
+	case SpanWatchdog:
+		return "watchdog"
 	}
 	return "?"
 }
 
 // Span is one typed trace event in virtual time. Instant events have
 // End == Start. The Arg/Arg2 meanings are kind-specific (see the kind
-// constants).
+// constants). The fields are ordered widest first, which packs a span in
+// 72 bytes.
 type Span struct {
-	Trace   TraceID
-	Kind    SpanKind
-	Start   int64
-	End     int64
+	Trace TraceID
+	Start int64
+	End   int64
+	Arg   int64
+	Arg2  int64
+	// Task is a SpanTask's runtime-wide task sequence number.
+	Task    uint64
 	Worker  int32
 	Chiplet int32
 	Stage   int32
-	Arg     int64
-	Arg2    int64
+	// Home is the worker a SpanTask was submitted to; Steals counts the
+	// steals that moved it and Hops its delegation depth.
+	Home   int32
+	Steals uint16
+	Hops   uint16
+	Kind   SpanKind
+	Flags  uint8
 }
 
-// spanChunk is the length of one buffer chunk: 1024 spans = 64 KiB, so a
+// gates reports which gates record s: tracing records the job kinds and
+// profiling the profile kinds. A task or retry is both when it belongs to a
+// job and a profile kind otherwise; a re-home or park is both.
+func (s *Span) gates() (job, profile bool) {
+	switch s.Kind {
+	case SpanTask, SpanRetry:
+		return s.Trace != 0, true
+	case SpanRehome, SpanPark:
+		return true, true
+	}
+	profile = s.Kind >= SpanSpread
+	return !profile, profile
+}
+
+// spanChunk is the length of one buffer chunk: 1024 spans = 72 KiB, so a
 // shard grows by one fixed-size allocation at a time.
 const spanChunk = 1 << 10
 
@@ -158,12 +226,15 @@ const DefaultSpanCap = 1 << 16
 // flight recorder retains.
 const DefaultFlightRecorderCap = 256
 
-// Tracer is the runtime's span sink. Emission is gated on one atomic
-// flag: with tracing off an Emit costs a single atomic load and no
-// writes, so traced and untraced runs have identical virtual-time
-// results.
+// Tracer is the runtime's span sink. Emission is gated on two atomic
+// flags, tracing (the job kinds) and profiling (the profile kinds): with
+// both off an Emit costs two atomic loads and no writes, so recorded and
+// unrecorded runs have identical virtual-time results. While profiling is
+// on the record is complete: the shard cap drops nothing and Compact is a
+// no-op.
 type Tracer struct {
 	enabled     atomic.Bool
+	profiling   atomic.Bool
 	shardCap    int
 	shards      []traceShard
 	dropped     atomic.Int64
@@ -198,11 +269,17 @@ func NewTracer(shards, shardCap int) *Tracer {
 	}
 }
 
-// SetEnabled turns span recording on or off.
+// SetEnabled turns job tracing on or off.
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
-// Enabled reports whether spans are being recorded.
+// Enabled reports whether job kinds are being recorded.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
+
+// SetProfiling turns the profile on or off.
+func (t *Tracer) SetProfiling(on bool) { t.profiling.Store(on) }
+
+// Profiling reports whether profile kinds are being recorded.
+func (t *Tracer) Profiling() bool { return t.profiling.Load() }
 
 // SetFlightRecorderCap bounds the retained-trace ring (minimum 1).
 func (t *Tracer) SetFlightRecorderCap(n int) {
@@ -214,15 +291,18 @@ func (t *Tracer) SetFlightRecorderCap(n int) {
 	t.recMu.Unlock()
 }
 
-// Emit appends one span to the given shard. It is a no-op while the
-// tracer is disabled; a full shard drops the span and counts it.
+// Emit appends one span to the given shard. It is a no-op unless a gate
+// that records the span's kind is on; a full shard drops the span and
+// counts it, unless profiling is on.
 func (t *Tracer) Emit(shard int, s Span) {
-	if !t.enabled.Load() {
+	job, profile := s.gates()
+	profiling := t.profiling.Load()
+	if !(profile && profiling || job && t.enabled.Load()) {
 		return
 	}
 	sh := &t.shards[shard]
 	sh.mu.Lock()
-	if sh.n >= t.shardCap {
+	if sh.n >= t.shardCap && !profiling {
 		sh.mu.Unlock()
 		t.dropped.Add(1)
 		return
@@ -296,8 +376,12 @@ func (t *Tracer) RetainedIDs() []TraceID {
 // every shard, reclaiming buffer space mid-run. The caller decides when
 // — the job service invokes it from its evaluation tick once the buffer
 // passes a high-water mark, which keeps the decision in virtual time and
-// therefore deterministic.
+// therefore deterministic. While profiling is on it drops nothing: the
+// profile keeps every task.
 func (t *Tracer) Compact() {
+	if t.profiling.Load() {
+		return
+	}
 	t.recMu.Lock()
 	drop := make(map[TraceID]struct{}, len(t.released))
 	for _, id := range t.released {
@@ -337,7 +421,7 @@ func (t *Tracer) Compact() {
 }
 
 // Size returns how many spans are buffered and how many chunks (spanChunk
-// spans, 64 KiB each; recycled ones included) the shards hold.
+// spans, 72 KiB each; recycled ones included) the shards hold.
 func (t *Tracer) Size() (spans, chunks int) {
 	for i := range t.shards {
 		sh := &t.shards[i]

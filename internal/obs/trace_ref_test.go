@@ -468,7 +468,7 @@ func FuzzBuildReport(f *testing.F) {
 			}
 			start := int64(data[2] % 32)
 			tr.Emit(int(data[8])%3, Span{
-				Trace: id, Kind: SpanKind(data[1] % uint8(numSpanKinds)),
+				Trace: id, Kind: SpanKind(data[1] % uint8(SpanLease+1)), // the job-trace kinds
 				Start: start, End: start + int64(data[3]%32),
 				Worker: int32(data[4] % 4), Chiplet: int32(data[4]%4) / 2,
 				Stage: int32(data[5]%4) - 1,
@@ -545,7 +545,7 @@ func TestTracerCompactMatchesReference(t *testing.T) {
 			switch r := rng.Intn(1000); {
 			case r < 960:
 				sh := rng.Intn(shards)
-				s := Span{Trace: id, Kind: SpanTask, Start: int64(op), End: int64(op) + 1}
+				s := Span{Trace: id, Kind: SpanStage, Start: int64(op), End: int64(op) + 1}
 				tr.Emit(sh, s)
 				if len(ref.shards[sh]) < 3*spanChunk+17 {
 					ref.shards[sh] = append(ref.shards[sh], s)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // --- Prometheus label escaping (exposition-format compliance) ---
@@ -363,6 +364,82 @@ func TestTracerShardOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestTracerProfilingKeepsEverything: while profiling is on the record is
+// complete — a full shard keeps growing and Compact drops no released
+// trace — and once it is off again both bounds apply as before.
+func TestTracerProfilingKeepsEverything(t *testing.T) {
+	tr := NewTracer(1, 4)
+	tr.SetEnabled(true)
+	tr.SetProfiling(true)
+	for i := 0; i < 10; i++ {
+		tr.Emit(0, Span{Trace: TraceID(1 + i%2), Kind: SpanTask, Start: int64(i), End: int64(i) + 1})
+	}
+	if got, dropped := tr.SpanCount(), tr.DroppedSpans(); got != 10 || dropped != 0 {
+		t.Errorf("profiling past the shard cap: %d spans, %d dropped; want 10, 0", got, dropped)
+	}
+	tr.Release(1)
+	tr.Compact()
+	if got := tr.SpanCount(); got != 10 || tr.Compactions() != 0 {
+		t.Errorf("Compact while profiling left %d spans after %d compactions, want 10 after 0", got, tr.Compactions())
+	}
+	tr.SetProfiling(false)
+	tr.Emit(0, Span{Trace: 2, Kind: SpanTask, Start: 10})
+	if got := tr.DroppedSpans(); got != 1 {
+		t.Errorf("dropped past the cap once profiling is off = %d, want 1", got)
+	}
+	tr.Compact()
+	if got := len(tr.TraceOf(1).Spans); got != 0 {
+		t.Errorf("released trace 1 holds %d spans after Compact with profiling off", got)
+	}
+	if got := len(tr.TraceOf(2).Spans); got != 5 {
+		t.Errorf("unreleased trace 2 holds %d spans, want 5", got)
+	}
+}
+
+// TestTracerGates: tracing records the job kinds and profiling the profile
+// kinds. A task or retry that belongs to a job and every re-home and park
+// is recorded by either gate; a task or retry outside any job only while
+// profiling.
+func TestTracerGates(t *testing.T) {
+	profileKinds := map[SpanKind]bool{SpanSpread: true, SpanFillRate: true,
+		SpanMigration: true, SpanOffline: true, SpanResume: true, SpanWatchdog: true}
+	for k := SpanKind(0); k < numSpanKinds; k++ {
+		for _, id := range []TraceID{0, 7} {
+			var job, profile bool
+			switch {
+			case k == SpanRehome || k == SpanPark:
+				job, profile = true, true
+			case k == SpanTask || k == SpanRetry:
+				job, profile = id != 0, true
+			default:
+				job, profile = !profileKinds[k], profileKinds[k]
+			}
+			for _, g := range []struct{ tracing, profiling bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				tr := NewTracer(1, 0)
+				tr.SetEnabled(g.tracing)
+				tr.SetProfiling(g.profiling)
+				tr.Emit(0, Span{Trace: id, Kind: k})
+				want := 0
+				if job && g.tracing || profile && g.profiling {
+					want = 1
+				}
+				if got := tr.SpanCount(); got != want {
+					t.Errorf("%s span of trace %d, tracing=%v profiling=%v: recorded %d, want %d",
+						k, id, g.tracing, g.profiling, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSpanSize pins the span's footprint: every buffered span costs this
+// much, so a field that breaks the packing shows up here.
+func TestSpanSize(t *testing.T) {
+	if got := unsafe.Sizeof(Span{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(Span{}) = %d, want at most 72", got)
+	}
+}
+
 // TestTracesDoNotAlias: the traces Traces() returns are windows of one
 // array; appending to one must reallocate it, not write into the next.
 func TestTracesDoNotAlias(t *testing.T) {
@@ -370,7 +447,7 @@ func TestTracesDoNotAlias(t *testing.T) {
 	tr.SetEnabled(true)
 	for id := TraceID(0); id < 4; id++ {
 		for k := 0; k < 3; k++ {
-			tr.Emit(k%2, Span{Trace: id, Kind: SpanTask, Start: int64(k)})
+			tr.Emit(k%2, Span{Trace: id, Kind: SpanStage, Start: int64(k)})
 		}
 	}
 	traces := tr.Traces()
