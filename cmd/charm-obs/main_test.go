@@ -152,6 +152,36 @@ func TestTraceReplays(t *testing.T) {
 	}
 }
 
+var updateFabricGolden = flag.Bool("update-fabric-golden", false,
+	"rewrite testdata/fabric_golden.txt from this run instead of comparing against it")
+
+// TestFabricTables pins charm-obs fabric -topo, the link map and per-link
+// table, on one spec per link graph: the one-socket hub preset, a
+// two-socket star, the heterogeneous mesh preset and a two-socket ring.
+// Regenerate deliberately with -update-fabric-golden.
+func TestFabricTables(t *testing.T) {
+	var got strings.Builder
+	for _, spec := range []string{"hub", "star:4x2,sockets=2", "het-mesh", "ring:2x2,sockets=2"} {
+		fmt.Fprintf(&got, "== fabric -topo -spec %s\n", spec)
+		got.WriteString(runObs(t, "fabric", "-topo", "-spec", spec))
+	}
+
+	path := filepath.Join("testdata", "fabric_golden.txt")
+	if *updateFabricGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update-fabric-golden): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("fabric tables differ from %s:\n got:\n%s\nwant:\n%s", path, got.String(), want)
+	}
+}
+
 // settledClocks waits for the idle fleet to drift up to its maximum clock
 // (none of the runs below parks a worker) and returns every worker's clock.
 func settledClocks(t *testing.T, rt *charm.Runtime) []int64 {
