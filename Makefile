@@ -34,7 +34,9 @@ STATICCHECK_VERSION ?= 2025.1.1
 # times under -race at one and two procs, a flake sweep of the whole core
 # and obs suites three times at 1, 2 and 8 procs (~80 s on 2 cores), the
 # benchmark's own module (bench/ is nested, so ./... does not reach it)
-# plus its smoke run, and a short fuzz pass over the corpus-backed fuzzers.
+# plus its smoke run, and a short fuzz pass over the corpus-backed fuzzers
+# (among them the differential ones: the streamed access path, cache Fill,
+# the span pipeline and the star hub, each against its reference model).
 verify:
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -68,8 +70,8 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 9 targets keeps the CI
-# step a little over 2 minutes while still churning fresh inputs past the
+# FUZZTIME bounds each fuzz-smoke target; 15s x 10 targets keeps the CI
+# step near 2.5 minutes while still churning fresh inputs past the
 # saved corpus.
 FUZZTIME ?= 15s
 
@@ -77,7 +79,8 @@ FUZZTIME ?= 15s
 # target per invocation): the task-queue fuzzers, Alg. 2's collision
 # property, the simulator memory-access fuzzer, the streamed access path
 # against the per-line reference, the cache's Fill vs Lookup+Insert
-# differential, the span pipeline against its reference model, and the
+# differential, the span pipeline against its reference model, the star
+# fabric's hub link graph against the hand-written Star model, and the
 # spec-grammar parsers (tenant shares and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
@@ -87,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzAccessStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run xxx -fuzz '^FuzzBuildReport$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric/ -run xxx -fuzz '^FuzzHubMatchesStar$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run xxx -fuzz '^FuzzParseTopoSpec$$' -fuzztime $(FUZZTIME)
 

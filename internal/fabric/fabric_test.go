@@ -7,7 +7,7 @@ import (
 )
 
 func TestIntraChipletTransferFree(t *testing.T) {
-	f := New(topology.SyntheticDual(2, 4), 1000)
+	f := Build(KindStar, topology.SyntheticDual(2, 4), 1000)
 	if d := f.ChargeTransfer(0, 0, 0, 1<<30); d != 0 {
 		t.Errorf("intra-chiplet transfer delayed by %d", d)
 	}
@@ -15,7 +15,7 @@ func TestIntraChipletTransferFree(t *testing.T) {
 
 func TestInterChipletCongestion(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
-	f := New(topo, 1000)
+	f := Build(KindStar, topo, 1000)
 	cap := int64(topo.Cost.FabricBandwidth * 1000)
 	if d := f.ChargeTransfer(0, 1, 0, cap); d != 0 {
 		t.Errorf("at capacity: delay %d, want 0", d)
@@ -31,7 +31,7 @@ func TestInterChipletCongestion(t *testing.T) {
 
 func TestCrossSocketUsesSocketLink(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
-	f := New(topo, 1000)
+	f := Build(KindStar, topo, 1000)
 	// Chiplets 0 and 2 are on different sockets (2 chiplets per node,
 	// 1 node per socket).
 	sockCap := int64(topo.Cost.SocketBandwidth * 1000)
@@ -43,7 +43,7 @@ func TestCrossSocketUsesSocketLink(t *testing.T) {
 
 func TestChargeMemoryLocalVsRemote(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
-	f := New(topo, 1000)
+	f := Build(KindStar, topo, 1000)
 	// Local-node memory traffic never touches the socket link: saturate
 	// socket links via remote traffic, then confirm local path is bound
 	// only by the chiplet link.
@@ -56,7 +56,7 @@ func TestChargeMemoryLocalVsRemote(t *testing.T) {
 
 func TestMessageDelayIncludesLatency(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
-	f := New(topo, 1000)
+	f := Build(KindStar, topo, 1000)
 	intra := f.MessageDelay(0, 1, 0, 64)
 	if intra != topo.Cost.CASIntraChiplet {
 		t.Errorf("intra-chiplet message = %d, want %d", intra, topo.Cost.CASIntraChiplet)

@@ -18,23 +18,6 @@ func testTopo() *topology.Topology {
 	return topology.SyntheticDual(4, 2)
 }
 
-// bytesOn reads a link's cumulative byte counter out of the fabric's
-// telemetry (the same counters charm-obs fabric renders).
-func bytesOn(t *testing.T, f Fabric, i int) int64 {
-	t.Helper()
-	switch v := f.(type) {
-	case *Star:
-		if i < len(v.chipletMet) {
-			return v.chipletMet[i].bytes.Value()
-		}
-		return v.socketMet[i-len(v.chipletMet)].bytes.Value()
-	case *routed:
-		return v.met[i].bytes.Value()
-	}
-	t.Fatalf("unknown fabric type %T", f)
-	return 0
-}
-
 // TestLinkConservation: every link on a transfer's route must account
 // exactly the transferred bytes — no link skipped, no link double-charged,
 // and links off the route untouched. Checked per kind for a same-socket
@@ -58,7 +41,7 @@ func TestLinkConservation(t *testing.T) {
 			}
 			var total int64
 			for i := range f.Links() {
-				got := bytesOn(t, f, i)
+				got := f.met[i].bytes.Value() // the counter charm-obs fabric renders
 				if got != want[i] {
 					t.Errorf("link %d (%s): %d bytes accounted, want %d",
 						i, f.Links()[i].Name, got, want[i])
@@ -74,17 +57,14 @@ func TestLinkConservation(t *testing.T) {
 	}
 }
 
-// TestTransferRouteEndpoints: a routed path must actually connect src to
-// dst — consecutive NoC links share a chiplet, the walk starts at src and
-// ends at dst, and socket links appear exactly on cross-socket routes.
+// TestTransferRouteEndpoints: a route must actually connect src to dst —
+// consecutive links share a chiplet or an I/O die, the walk starts at src
+// and ends at dst, and socket links appear exactly on cross-socket routes.
 func TestTransferRouteEndpoints(t *testing.T) {
 	topo := testTopo()
 	for _, k := range Kinds() {
-		if k == KindStar {
-			continue // hub links have no endpoint pairs to walk
-		}
 		t.Run(k.String(), func(t *testing.T) {
-			f := Build(k, topo, 1000).(*routed)
+			f := Build(k, topo, 1000)
 			nch := topo.NumChiplets()
 			for src := 0; src < nch; src++ {
 				for dst := 0; dst < nch; dst++ {
@@ -101,39 +81,57 @@ func TestTransferRouteEndpoints(t *testing.T) {
 	}
 }
 
-// walkRoute follows the route's NoC links hop by hop. A cross-socket
-// route reaches the source socket's gateway, crosses the two external
-// links (which teleport the walk to the destination socket's gateway),
-// and resumes locally; the walk must end exactly at dst.
-func walkRoute(t *testing.T, f *routed, src, dst topology.ChipletID) {
+// walkRoute follows the route link by link. A NoC link moves the walk
+// between its two chiplets, a hub link between its chiplet and that
+// chiplet's socket's I/O die. A cross-socket route reaches the source
+// socket's gateway (the I/O die on the hub, local chiplet 0 of a NoC),
+// crosses the two external links, which teleport the walk to the
+// destination socket's gateway, and resumes there; the walk must end
+// exactly at dst. A hub route lists both chiplet links before the socket
+// links, so the destination's link is walked last.
+func walkRoute(t *testing.T, f *Fabric, src, dst topology.ChipletID) {
 	t.Helper()
-	cps := f.topo.NodesPerSocket * f.topo.ChipletsPerNode
+	topo := f.topo
+	cps := topo.NodesPerSocket * topo.ChipletsPerNode
+	socketOf := func(ch topology.ChipletID) int { return int(topo.SocketOfNode(topo.NodeOfChiplet(ch))) }
+	ioDie := func(s int) topology.ChipletID { return topology.ChipletID(-1 - s) } // off the chiplet ids
+	gateway := func(s int) topology.ChipletID {
+		if f.Kind() == KindStar {
+			return ioDie(s)
+		}
+		return topology.ChipletID(s * cps)
+	}
+	route := f.TransferRoute(src, dst)
+	if len(route) > 1 && f.links[route[1]].hub() {
+		route = append(append([]int{route[0]}, route[2:]...), route[1])
+	}
 	at := src
 	crossed := false
-	for _, li := range f.TransferRoute(src, dst) {
+	for _, li := range route {
 		l := f.links[li]
-		if l.socket >= 0 {
-			if !crossed && int(at)%cps != 0 {
+		switch {
+		case l.socket >= 0:
+			if !crossed && at != gateway(socketOf(src)) {
 				t.Fatalf("route %d→%d: socket link crossed away from gateway (at %d)", src, dst, at)
 			}
 			crossed = true
-			at = topology.ChipletID((int(dst) / cps) * cps) // dst socket's gateway
-			continue
-		}
-		switch at {
-		case l.a:
+			at = gateway(socketOf(dst))
+		case l.hub() && at == l.a:
+			at = ioDie(socketOf(l.a))
+		case l.hub() && at == ioDie(socketOf(l.a)):
+			at = l.a
+		case !l.hub() && at == l.a:
 			at = l.b
-		case l.b:
+		case !l.hub() && at == l.b:
 			at = l.a
 		default:
-			t.Fatalf("route %d→%d: link %s does not touch current chiplet %d", src, dst, l.name, at)
+			t.Fatalf("route %d→%d: link %s does not touch current position %d", src, dst, f.linkName(li), at)
 		}
 	}
 	if at != dst {
 		t.Fatalf("route %d→%d: walk ended at %d", src, dst, at)
 	}
-	wantCross := f.topo.SocketOfNode(f.topo.NodeOfChiplet(src)) != f.topo.SocketOfNode(f.topo.NodeOfChiplet(dst))
-	if crossed != wantCross {
+	if wantCross := socketOf(src) != socketOf(dst); crossed != wantCross {
 		t.Fatalf("route %d→%d: crossed=%v, want %v", src, dst, crossed, wantCross)
 	}
 }
@@ -185,8 +183,8 @@ func TestRouteHeadroom(t *testing.T) {
 
 					now += 1000
 					f.ChargeTransfer(d, other, now, 9000+int64(src)*997)
-					// On a routed fabric the chiplet hosting n's controller
-					// crosses no link to reach it.
+					// On a NoC the chiplet hosting n's controller crosses no
+					// link to reach it.
 					check(fmt.Sprintf("%d->node %d", src, n), f.MemoryHeadroom(s, n, now) != math.MaxInt64,
 						func() int64 { return f.MemoryHeadroom(s, n, now) },
 						func(b int64) int64 { return f.ChargeMemory(s, n, now, b) })
@@ -205,24 +203,6 @@ func TestRouteHeadroom(t *testing.T) {
 				t.Errorf("fault plan armed: memory headroom %d, want 0", r)
 			}
 		})
-	}
-}
-
-// TestStarSocketTable compares the per-chiplet socket table New tabulates
-// with the Topology methods it stands for, which stay the source of truth.
-func TestStarSocketTable(t *testing.T) {
-	for _, topo := range []*topology.Topology{
-		topology.AMDMilan7713x2(), topology.AMDMilanNPS4(), topology.IntelSPR8488Cx2(), testTopo(),
-	} {
-		f := New(topo, 0)
-		for ch := range f.socketOf {
-			if got, want := f.socketOf[ch], topo.SocketOfNode(topo.NodeOfChiplet(topology.ChipletID(ch))); got != want {
-				t.Errorf("%s: chiplet %d in socket %d, topology says %d", topo.Name, ch, got, want)
-			}
-		}
-		if len(f.socketOf) != topo.NumChiplets() {
-			t.Errorf("%s: table covers %d of %d chiplets", topo.Name, len(f.socketOf), topo.NumChiplets())
-		}
 	}
 }
 
@@ -354,7 +334,7 @@ func TestKindNamesMatchSpecGrammar(t *testing.T) {
 // TestRoutedFlatFlyDiameter: a flattened butterfly reaches any same-socket
 // chiplet in at most two hops (one row move + one column move).
 func TestRoutedFlatFlyDiameter(t *testing.T) {
-	f := Build(KindFlatFly, testTopo(), 1000).(*routed)
+	f := Build(KindFlatFly, testTopo(), 1000)
 	cps := f.topo.NodesPerSocket * f.topo.ChipletsPerNode
 	for src := 0; src < cps; src++ {
 		for dst := 0; dst < cps; dst++ {

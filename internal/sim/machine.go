@@ -40,8 +40,9 @@ const windowNS = mem.DefaultWindowNS
 type Config struct {
 	// Topo is the machine layout; required.
 	Topo *topology.Topology
-	// Fabric selects the interconnect topology. The zero value is
-	// fabric.KindStar, the original hub-and-spoke model.
+	// Fabric selects the interconnect's link graph. The zero value is
+	// fabric.KindStar, the hub: one link per chiplet into its socket's
+	// I/O die.
 	Fabric fabric.Kind
 	// SampleShift simulates only 1/2^SampleShift of cache lines exactly;
 	// other lines are charged the core's recent average cost. 0 = exact.
@@ -66,7 +67,7 @@ type Machine struct {
 	Topo   *topology.Topology
 	Space  *mem.Space
 	DRAM   *mem.DRAM
-	Fabric fabric.Fabric
+	Fabric *fabric.Fabric
 	PMU    *pmu.PMU
 
 	l2 []*cache.Cache // per core
