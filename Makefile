@@ -18,8 +18,9 @@ STATICCHECK_VERSION ?= 2025.1.1
 # verify is the pre-commit gate: vet, staticcheck (when installed — CI
 # always runs it pinned; local runs without it just skip), full build,
 # the full test suite, the race detector on the concurrency-heavy
-# packages (the sharded metrics registry, the runtime core, and the
-# per-link fabric charging), the simulator, cache and memory packages
+# packages (the sharded metrics registry, the runtime core, the per-link
+# fabric charging, the lock-free task queues and the placement views the
+# workers build), the simulator, cache and memory packages
 # under -race too (~40 s: the stress tests that hammer Machine.Access from
 # one goroutine per core over the coherence directory and the lock-free
 # tag arrays, and the streamed access path against its reference), the
@@ -46,7 +47,7 @@ verify:
 	fi
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/task/... ./internal/place/...
 	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/mem/...
 	$(GO) test -race ./cmd/charm-bench/
 	$(GO) test -race -run TestTraceReplays ./cmd/charm-obs/
@@ -70,14 +71,14 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 10 targets keeps the CI
-# step near 2.5 minutes while still churning fresh inputs past the
+# FUZZTIME bounds each fuzz-smoke target; 15s x 11 targets keeps the CI
+# step near 2.75 minutes while still churning fresh inputs past the
 # saved corpus.
 FUZZTIME ?= 15s
 
 # fuzz-smoke runs every fuzz target briefly (go test -fuzz accepts one
 # target per invocation): the task-queue fuzzers, Alg. 2's collision
-# property, the simulator memory-access fuzzer, the streamed access path
+# property, the dispatch preference order against its reference model, the simulator memory-access fuzzer, the streamed access path
 # against the per-line reference, the cache's Fill vs Lookup+Insert
 # differential, the span pipeline against its reference model, the star
 # fabric's hub link graph against the hand-written Star model, and the
@@ -86,6 +87,7 @@ fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzInboxSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzUpdateLocationCollisionFree$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/place/ -run xxx -fuzz '^FuzzChipletsByPreference$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzMachineAccess$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzAccessStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)

@@ -362,9 +362,18 @@ type JobService struct {
 	lastChSum []int64 // previous eval snapshots (window deltas)
 	lastChCnt []int64
 	// obsMilli is the last evaluation window's observed per-chiplet
-	// slowdown, fed to dispatch views; replaced wholesale at each eval.
+	// slowdown, fed to dispatch views; rewritten in place at each eval.
 	obsMilli   []int64
 	everServed bool
+
+	// Dispatch scratch, rebuilt under mu for every placement decision and
+	// never kept past it: the snapshot and the view built from it
+	// (viewLocked), and placeStageLocked's chiplet order, kind-preference
+	// reorder, candidate workers and targets.
+	snap          place.Snapshot
+	view          place.View
+	chs, kindChs  []topology.ChipletID
+	cand, targets []int
 
 	// Tenants, in configuration order, and the dispatch mux over their
 	// queues (immutable after ServeJobs, contents guarded by mu). tenIdx
@@ -799,10 +808,12 @@ func (w *Worker) pumpJobs() bool {
 	if s.nextWork.Load() > now {
 		return false
 	}
-	return s.pump(now)
+	return s.pump(w, now)
 }
 
-func (s *JobService) pump(now int64) bool {
+// pump runs the service's due work at time now on worker w, whose free
+// list supplies the dispatched stage tasks.
+func (s *JobService) pump(w *Worker, now int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.everServed = true
@@ -856,7 +867,7 @@ func (s *JobService) pump(now int64) bool {
 				continue
 			}
 		}
-		s.startLocked(j, now)
+		s.startLocked(w, j, now)
 	}
 
 	// 4. A Block-policy arrival may have been waiting on the queue space
@@ -913,10 +924,10 @@ func (s *JobService) evalLocked(now int64) {
 		fleetCnt += cnts[ch]
 	}
 	minS := s.brk.Config().MinSamples
-	// A fresh slice every window: dispatch views hold a reference to the
-	// previous one, which must stay frozen for replayability.
-	om := make([]int64, n)
+	// Rewritten in place: dispatch views read it only while mu is held.
+	om := resize(s.obsMilli, n)
 	for ch := 0; ch < n; ch++ {
+		om[ch] = 0
 		if cnts[ch] < minS || fleetCnt == 0 || fleetSum == 0 {
 			continue
 		}
@@ -975,8 +986,9 @@ func (s *JobService) evalSLOLocked(now int64) {
 	}
 }
 
-// startLocked dispatches job j's first runnable stage at time now.
-func (s *JobService) startLocked(j *Job, now int64) {
+// startLocked dispatches job j's first runnable stage at time now from
+// worker w.
+func (s *JobService) startLocked(w *Worker, j *Job, now int64) {
 	j.started = now
 	j.state.Store(int32(JobRunning))
 	s.inflight++
@@ -994,12 +1006,13 @@ func (s *JobService) startLocked(j *Job, now int64) {
 		tr.Emit(s.trShard, obs.Span{Trace: obs.TraceID(j.id), Kind: obs.SpanAdmitQueue,
 			Start: j.arrival, End: now, Stage: -1, Arg: int64(j.spec.Priority)})
 	}
-	s.dispatchStageLocked(j, now)
+	s.dispatchStageLocked(w, j, now)
 }
 
 // dispatchStageLocked launches j's next non-empty stage, or completes the
-// job when none remain. Caller holds mu.
-func (s *JobService) dispatchStageLocked(j *Job, now int64) {
+// job when none remain. The stage's tasks come from the free list of w,
+// the worker running the dispatch. Caller holds mu.
+func (s *JobService) dispatchStageLocked(w *Worker, j *Job, now int64) {
 	for j.stage < len(j.spec.Stages) && len(j.spec.Stages[j.stage]) == 0 {
 		j.stage++
 	}
@@ -1012,13 +1025,12 @@ func (s *JobService) dispatchStageLocked(j *Job, now int64) {
 	j.stageStart = now
 	j.stageTasks = int64(len(stage))
 	j.stage++
-	g := newGroup()
-	g.job = j
+	g := &group{job: j}
 	g.add(int64(len(stage)))
 	wids := s.placeStageLocked(now, len(stage), j.ten, j.spec.Prefer)
 	for i, fn := range stage {
 		wid := wids[i]
-		t := s.rt.newTask(fn, g, now, j.spec.Coro, wid)
+		t := w.newTask(fn, g, now, j.spec.Coro, wid)
 		t.job = j
 		t.stage = j.curStage
 		s.rt.workers[wid].inbox.Put(t)
@@ -1045,13 +1057,16 @@ func (s *JobService) dispatchStageLocked(j *Job, now int64) {
 // heterogeneous machine, matching-kind chiplets are moved to the front
 // of the preference walk with the rest appended after: the capability
 // match is a soft preference with natural fallback, never a hard gate.
+//
+// The returned targets are service scratch, valid until the next call.
 func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.ChipletKind) []int {
 	v := s.viewLocked(now)
-	out := make([]int, 0, n)
+	out := s.targets[:0]
 	if s.opts.Placement == PlaceRoundRobin {
 		for k := 0; k < n; k++ {
 			out = append(out, s.placeRoundRobinLocked(v))
 		}
+		s.targets = out
 		return out
 	}
 	m := s.rt.met
@@ -1059,22 +1074,27 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 	// stage has a dedicated live worker (or the list is exhausted): small
 	// stages co-locate on the top group, larger stages spill onto the
 	// next-preferred groups instead of stacking one group's queues.
-	chs := v.ChipletsByPreference(s.rr)
+	s.chs = v.ChipletsByPreference(s.chs[:0], s.rr)
+	chs := s.chs
 	if kind != topology.KindAny {
-		ordered := make([]topology.ChipletID, 0, len(chs))
-		var rest []topology.ChipletID
+		// Stable partition: matching kinds first, the rest after.
+		ord := s.kindChs[:0]
 		for _, ch := range chs {
 			if v.KindOf(ch) == kind {
-				ordered = append(ordered, ch)
-			} else {
-				rest = append(rest, ch)
+				ord = append(ord, ch)
 			}
 		}
-		if len(ordered) > 0 && len(rest) > 0 {
-			chs = append(ordered, rest...)
+		if nk := len(ord); nk > 0 && nk < len(chs) {
+			for _, ch := range chs {
+				if v.KindOf(ch) != kind {
+					ord = append(ord, ch)
+				}
+			}
+			chs = ord
 		}
+		s.kindChs = ord
 	}
-	var cand []int
+	cand := s.cand[:0]
 	leased := s.leases != nil && s.leases.Held(ten) > 0
 	for {
 		for _, ch := range chs {
@@ -1084,20 +1104,21 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 			if leased && s.leases.Owner(int(ch)) != ten {
 				continue
 			}
-			grp := v.LiveWorkersOn(ch)
-			if len(grp) == 0 {
+			k := len(cand)
+			if cand = v.LiveWorkersOn(cand, ch); len(cand) == k {
 				continue
 			}
 			if s.brk != nil && !s.brk.Allow(int(ch)) {
+				cand = cand[:k]
 				continue
 			}
-			cand = append(cand, grp...)
 		}
 		if !leased || len(cand) > 0 {
 			break
 		}
 		leased = false
 	}
+	s.cand = cand
 	for k := 0; k < n; k++ {
 		if len(cand) == 0 {
 			out = append(out, s.placeFallbackLocked(v))
@@ -1109,6 +1130,7 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 	// Rotate the chiplet tie-break cursor so equally-preferable chiplets
 	// take turns across stages instead of pinning the first one.
 	s.rr++
+	s.targets = out
 	return out
 }
 
@@ -1208,10 +1230,10 @@ func (s *JobService) observeLatencyLocked(j *Job, lat int64) {
 	h.ObserveT(0, lat, obs.TraceID(j.id))
 }
 
-// stageDone is the group-completion hook: the last task of a stage (on
-// whatever worker finished it) advances the job — next stage, completion,
-// failure, or cancellation.
-func (s *JobService) stageDone(j *Job, g *group) {
+// stageDone is the group-completion hook: the last task of a stage, on
+// whichever worker w finished it, advances the job — next stage,
+// completion, failure, or cancellation.
+func (s *JobService) stageDone(w *Worker, j *Job, g *group) {
 	end := g.bar.Release(s.rt.barrierCost)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1231,7 +1253,7 @@ func (s *JobService) stageDone(j *Job, g *group) {
 		j.err.Store(g.panicked.Load())
 		s.finalizeLocked(j, JobFailed, end)
 	default:
-		s.dispatchStageLocked(j, end)
+		s.dispatchStageLocked(w, j, end)
 		return
 	}
 	s.updateNextWorkLocked()
@@ -1275,7 +1297,7 @@ func (w *Worker) discardCancelled(t *Task) {
 		t.job.svc.tasksCanc.Add(1)
 	}
 	if t.grp != nil {
-		t.grp.taskDone(now)
+		t.grp.taskDone(w, now)
 	}
 	if t.onDone != nil {
 		t.onDone.finish.Store(now)

@@ -141,7 +141,7 @@ func UpdateLocation(w *Worker) {
 		return
 	}
 	w.rt.met.placeAlg2.Inc(w.id)
-	if w.rt.opts.Faults != nil && !w.rt.placeView(w.clock.Now()).IsLive(core) {
+	if plan := w.rt.opts.Faults; plan != nil && plan.CoreDown(core, w.clock.Now()) {
 		// Alg. 2 would move the worker onto a core the fault plan has
 		// offlined; stay put and let the next decision interval retry.
 		return

@@ -25,6 +25,7 @@ import (
 	"charm/internal/pmu"
 	"charm/internal/power"
 	"charm/internal/sim"
+	"charm/internal/task"
 	"charm/internal/topology"
 	"charm/internal/vtime"
 )
@@ -431,7 +432,9 @@ func (rt *Runtime) minUnblockedClock() int64 {
 type group struct {
 	pending atomic.Int64
 	bar     vtime.Barrier
-	done    chan struct{}
+	// done wakes a phase submitter once every task has finished; nil on a
+	// job stage group, whose last task advances the job instead.
+	done chan struct{}
 	// panicked holds the first task failure of the group (nil when clean);
 	// submitWait re-panics it on the submitter so a failing task behaves
 	// like a failing function call instead of killing a worker.
@@ -447,12 +450,14 @@ func newGroup() *group {
 
 func (g *group) add(n int64) { g.pending.Add(n) }
 
-func (g *group) taskDone(t int64) {
+// taskDone counts one finished task of g at virtual time t on worker w.
+func (g *group) taskDone(w *Worker, t int64) {
 	g.bar.Enter(t)
 	if g.pending.Add(-1) == 0 {
-		close(g.done)
 		if g.job != nil {
-			g.job.svc.stageDone(g.job, g)
+			g.job.svc.stageDone(w, g.job, g)
+		} else {
+			close(g.done)
 		}
 	}
 }
@@ -463,6 +468,10 @@ func (g *group) fail(e *TaskError) {
 
 // Task is one schedulable unit of work.
 type Task struct {
+	// Node links the task into one worker inbox at a time, so enqueueing
+	// it allocates nothing.
+	task.Node[*Task]
+
 	id    uint64
 	fn    func(*Ctx)
 	grp   *group

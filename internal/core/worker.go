@@ -29,7 +29,7 @@ type Worker struct {
 	blocked atomic.Bool
 
 	deque *task.Deque[Task]
-	inbox *task.Inbox[Task]
+	inbox *task.Inbox[*Task]
 
 	// Alg. 1 state (worker-private).
 	spreadRate   int
@@ -94,7 +94,7 @@ func newWorker(rt *Runtime, id int) *Worker {
 		id:         id,
 		rt:         rt,
 		deque:      task.NewDeque[Task](256),
-		inbox:      task.NewInbox[Task](),
+		inbox:      task.NewInbox[*Task](),
 		spreadRate: 1,
 		rng:        uint64(id)*0x9E3779B97F4A7C15 + 1,
 	}
@@ -537,7 +537,7 @@ func (w *Worker) finishTask(t *Task) {
 		Flags: flags,
 	})
 	if t.grp != nil {
-		t.grp.taskDone(now)
+		t.grp.taskDone(w, now)
 	}
 	if t.onDone != nil {
 		t.onDone.finish.Store(now)

@@ -8,8 +8,9 @@ import (
 
 // BenchmarkPlacement measures the decision plane's hot paths on the AMD
 // Milan preset (128 cores): the one-time rank build, per-decision view
-// construction, and the Select/ordering queries policies issue per
-// scheduling event. Wired into BENCH_placement.json via `make bench`.
+// construction (fresh, and rebuilt in place the way the job service does
+// it), and the Select/ordering queries policies issue per scheduling
+// event. Wired into BENCH_placement.json via `make bench`.
 func BenchmarkPlacement(b *testing.B) {
 	topo := topology.AMDMilan7713x2()
 	ranks := NewRanks(topo)
@@ -45,6 +46,14 @@ func BenchmarkPlacement(b *testing.B) {
 			NewView(ranks, int64(i), s)
 		}
 	})
+	b.Run("view-reset", func(b *testing.B) {
+		s := snap()
+		var v View
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Reset(ranks, int64(i), s)
+		}
+	})
 	b.Run("select-nearest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			view.Select(Nearest(topology.CoreID(i%128)), Live, Idle)
@@ -61,8 +70,9 @@ func BenchmarkPlacement(b *testing.B) {
 		}
 	})
 	b.Run("chiplets-by-preference", func(b *testing.B) {
+		var dst []topology.ChipletID
 		for i := 0; i < b.N; i++ {
-			view.ChipletsByPreference(i)
+			dst = view.ChipletsByPreference(dst[:0], i)
 		}
 	})
 	b.Run("alg2-core", func(b *testing.B) {

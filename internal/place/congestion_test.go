@@ -107,7 +107,7 @@ func TestChipletsByPreferenceCongestionBand(t *testing.T) {
 	util := make([]int64, topo.NumChiplets())
 	util[1] = 950
 	v := NewView(r, 0, Snapshot{WorkerCore: workerCore, LinkUtilMilli: util})
-	order := v.ChipletsByPreference(0)
+	order := v.ChipletsByPreference(nil, 0)
 	if len(order) != topo.NumChiplets() {
 		t.Fatalf("order %v must list every chiplet", order)
 	}

@@ -138,7 +138,7 @@ func TestViewHealthFusion(t *testing.T) {
 	// browned-out 1; the refused chiplet orders last but is never dropped
 	// (half-open probes must still reach it).
 	want := []topology.ChipletID{0, 2, 1, 3}
-	if got := v.ChipletsByPreference(0); !reflect.DeepEqual(got, want) {
+	if got := v.ChipletsByPreference(nil, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("ChipletsByPreference = %v, want %v", got, want)
 	}
 	// BreakerClosed filters chiplet 3's cores (6, 7); Live and Idle still
@@ -243,7 +243,7 @@ func TestSelectDeterminism(t *testing.T) {
 		t.Error("Rank(LeastLoaded) differs across identical views")
 	}
 	for cursor := 0; cursor < 4; cursor++ {
-		if !reflect.DeepEqual(a.ChipletsByPreference(cursor), b.ChipletsByPreference(cursor)) {
+		if !reflect.DeepEqual(a.ChipletsByPreference(nil, cursor), b.ChipletsByPreference(nil, cursor)) {
 			t.Errorf("ChipletsByPreference(%d) differs across identical views", cursor)
 		}
 	}
@@ -268,7 +268,7 @@ func TestNilSnapshotDefaults(t *testing.T) {
 				ch, v.HealthMilli(id), v.IsRefused(id))
 		}
 	}
-	if got := v.ChipletsByPreference(0); len(got) != 0 {
+	if got := v.ChipletsByPreference(nil, 0); len(got) != 0 {
 		t.Errorf("ChipletsByPreference with no workers = %v, want empty", got)
 	}
 }

@@ -1,6 +1,8 @@
 package place
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"charm/internal/topology"
@@ -8,8 +10,9 @@ import (
 
 // Snapshot carries the engine-state inputs of a View. Nil slices select
 // the healthy/empty default for their signal, so cheap callers (tests,
-// fault-free runtimes) only fill what they have. NewView takes ownership
-// of every non-nil slice: callers must not mutate them afterwards.
+// fault-free runtimes) only fill what they have. NewView and Reset take
+// ownership of every non-nil slice: callers must not mutate them while
+// the view is in use.
 type Snapshot struct {
 	// Live[c] reports core c not offlined by the fault plan (nil = all
 	// live).
@@ -50,8 +53,10 @@ type Snapshot struct {
 // View is an immutable placement snapshot of one machine at one virtual
 // time: the MachineView every placement decision queries. Build one with
 // NewView, query it with Select/Rank and the typed helpers, throw it
-// away. Views never observe later engine mutations, so two identical
-// snapshots always produce identical decisions.
+// away — or rebuild it in place with Reset when one owner makes decisions
+// back to back. Views never observe later engine mutations, so two
+// identical snapshots always produce identical decisions. A view's
+// queries reuse its scratch buffers: one goroutine queries it at a time.
 type View struct {
 	ranks      *Ranks
 	now        int64
@@ -71,49 +76,43 @@ type View struct {
 	// linkUtil[ch] is the hottest incident fabric-link occupancy in
 	// milli-units (nil = no congestion signal).
 	linkUtil []int64
+
+	// def holds the constant slices Reset substitutes for nil snapshot
+	// signals, and prefs is ChipletsByPreference's candidate buffer; a
+	// view rebuilt through Reset allocates each once.
+	def struct {
+		live          []bool
+		occ, workerOn []int32
+		depth         []int64
+		refused       []bool
+	}
+	prefs []prefCand
 }
 
 // NewView builds a View of ranks' machine at virtual time now from
 // snapshot s, fusing the per-chiplet health signals.
 func NewView(r *Ranks, now int64, s Snapshot) *View {
+	v := new(View)
+	v.Reset(r, now, s)
+	return v
+}
+
+// Reset rebuilds v in place as a view of ranks' machine at virtual time
+// now from snapshot s — what NewView(r, now, s) returns — reusing v's
+// fused-health slice, default slices and candidate buffer.
+func (v *View) Reset(r *Ranks, now int64, s Snapshot) {
 	n := r.topo.NumCores()
 	nch := r.topo.NumChiplets()
-	v := &View{
-		ranks:      r,
-		now:        now,
-		live:       s.Live,
-		occ:        s.Occ,
-		workerOn:   s.WorkerOn,
-		workerCore: s.WorkerCore,
-		depth:      s.QueueDepth,
-		health:     make([]int64, nch),
-		refused:    s.BreakerOpen,
-		temp:       s.TempMilliC,
-		tempSoft:   s.TempSoftMilliC,
-		linkUtil:   s.LinkUtilMilli,
-	}
-	if v.live == nil {
-		v.live = make([]bool, n)
-		for i := range v.live {
-			v.live[i] = true
-		}
-	}
-	if v.occ == nil {
-		v.occ = make([]int32, n)
-	}
-	if v.workerOn == nil {
-		v.workerOn = make([]int32, n)
-		for i := range v.workerOn {
-			v.workerOn[i] = -1
-		}
-	}
-	if v.depth == nil {
-		v.depth = make([]int64, len(v.workerCore))
-	}
-	if v.refused == nil {
-		v.refused = make([]bool, nch)
-	}
-	for ch := 0; ch < nch; ch++ {
+	v.ranks, v.now = r, now
+	v.live = orDefault(s.Live, &v.def.live, n, true)
+	v.occ = orDefault(s.Occ, &v.def.occ, n, 0)
+	v.workerOn = orDefault(s.WorkerOn, &v.def.workerOn, n, -1)
+	v.workerCore = s.WorkerCore
+	v.depth = orDefault(s.QueueDepth, &v.def.depth, len(s.WorkerCore), 0)
+	v.refused = orDefault(s.BreakerOpen, &v.def.refused, nch, false)
+	v.temp, v.tempSoft, v.linkUtil = s.TempMilliC, s.TempSoftMilliC, s.LinkUtilMilli
+	v.health = slices.Grow(v.health[:0], nch)[:nch]
+	for ch := range v.health {
 		var pm, om int64
 		if s.PlanMilli != nil {
 			pm = s.PlanMilli[ch]
@@ -123,7 +122,22 @@ func NewView(r *Ranks, now int64, s Snapshot) *View {
 		}
 		v.health[ch] = FuseHealth(pm, om)
 	}
-	return v
+}
+
+// orDefault returns sig when the snapshot carries the signal, else *def
+// holding n copies of x. Nothing writes a view's slices, so *def is
+// rebuilt only when n changes.
+func orDefault[T any](sig []T, def *[]T, n int, x T) []T {
+	if sig != nil {
+		return sig
+	}
+	if len(*def) != n {
+		*def = make([]T, n)
+		for i := range *def {
+			(*def)[i] = x
+		}
+	}
+	return *def
 }
 
 // FuseHealth fuses a chiplet's plan-declared and PMU-observed slowdown
@@ -418,101 +432,109 @@ func (v *View) VictimsNodeFirst(self topology.CoreID, selfWorker int) []int {
 	return append(same, other...)
 }
 
-// LiveWorkersOn returns the IDs of workers currently on live cores of
-// chiplet ch, in worker-ID order — the dispatch group co-located stage
-// placement spreads a stage across.
-func (v *View) LiveWorkersOn(ch topology.ChipletID) []int {
-	var out []int
+// LiveWorkersOn appends to dst the IDs of workers currently on live
+// cores of chiplet ch, in worker-ID order — the dispatch group co-located
+// stage placement spreads a stage across — and returns the extended
+// slice.
+func (v *View) LiveWorkersOn(dst []int, ch topology.ChipletID) []int {
 	for w, c := range v.workerCore {
 		if v.ranks.topo.ChipletOf(c) == ch && v.live[c] {
-			out = append(out, w)
+			dst = append(dst, w)
 		}
 	}
-	return out
+	return dst
 }
 
-// ChipletDepth returns the summed queue depth of the workers on live
-// cores of chiplet ch.
-func (v *View) ChipletDepth(ch topology.ChipletID) int64 {
-	var d int64
-	for w, c := range v.workerCore {
-		if v.ranks.topo.ChipletOf(c) == ch && v.live[c] {
-			d += v.depth[w]
+// prefCand is one chiplet's dispatch-preference key, its fields in
+// comparison order.
+type prefCand struct {
+	refused bool
+	health  int64
+	band    int64
+	cong    int64
+	depth   int64
+	rot     int
+	ch      topology.ChipletID
+	hasLive bool
+}
+
+// comparePref orders preference keys: breaker-admitting first, then
+// healthier, cooler, calmer, shallower, and finally by rotation. rot is
+// unique per chiplet, so the order is total and every correct sort
+// produces the same sequence.
+func comparePref(a, b prefCand) int {
+	if a.refused != b.refused {
+		if a.refused {
+			return 1
 		}
+		return -1
 	}
-	return d
+	if c := cmp.Compare(a.health, b.health); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.band, b.band); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.cong, b.cong); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.depth, b.depth); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.rot, b.rot)
 }
 
-// ChipletsByPreference orders every chiplet hosting at least one worker
-// on a live core for dispatch: breaker-admitting chiplets before refused
-// ones (refused chiplets stay listed last so half-open probes can still
-// reach them), then healthier fused milli, then cooler thermal band (2 °C
-// buckets inside the soft setpoint's guard band — a no-op without a
-// thermal signal), then calmer congestion band (100-milli buckets of
-// hottest-incident-link occupancy past the congestion guard — a no-op
-// without a link signal), then lower aggregate queue depth. Remaining
-// ties rotate deterministically with cursor so equally-good chiplets
-// share work round-robin.
-func (v *View) ChipletsByPreference(cursor int) []topology.ChipletID {
+// ChipletsByPreference appends to dst every chiplet hosting at least one
+// worker on a live core, ordered for dispatch, and returns the extended
+// slice: breaker-admitting chiplets before refused ones (refused chiplets
+// stay listed last so half-open probes can still reach them), then
+// healthier fused milli, then cooler thermal band (2 °C buckets inside the
+// soft setpoint's guard band — a no-op without a thermal signal), then
+// calmer congestion band (100-milli buckets of hottest-incident-link
+// occupancy past the congestion guard — a no-op without a link signal),
+// then lower aggregate queue depth. Remaining ties rotate
+// deterministically with cursor so equally-good chiplets share work
+// round-robin.
+func (v *View) ChipletsByPreference(dst []topology.ChipletID, cursor int) []topology.ChipletID {
 	topo := v.ranks.topo
 	nch := topo.NumChiplets()
-	type cand struct {
-		ch    topology.ChipletID
-		band  int64
-		cong  int64
-		depth int64
-		rot   int
+	v.prefs = slices.Grow(v.prefs[:0], nch)[:nch]
+	cands := v.prefs
+	for ch := range cands {
+		cands[ch] = prefCand{ch: topology.ChipletID(ch)}
 	}
-	cands := make([]cand, 0, nch)
-	for ch := 0; ch < nch; ch++ {
-		id := topology.ChipletID(ch)
-		hasLive := false
-		var depth int64
-		for w, c := range v.workerCore {
-			if topo.ChipletOf(c) == id && v.live[c] {
-				hasLive = true
-				depth += v.depth[w]
-			}
+	// One pass over the workers sums every chiplet's live queue depth.
+	for w, c := range v.workerCore {
+		if v.live[c] {
+			p := &cands[topo.ChipletOf(c)]
+			p.hasLive = true
+			p.depth += v.depth[w]
 		}
-		if !hasLive {
+	}
+	k := 0
+	for ch, p := range cands {
+		if !p.hasLive {
 			continue
 		}
-		var band int64
+		p.refused, p.health = v.refused[ch], v.health[ch]
 		if v.temp != nil && v.tempSoft != 0 {
 			if over := v.temp[ch] - (v.tempSoft - thermalGuardMilliC); over > 0 {
-				band = over/2000 + 1
+				p.band = over/2000 + 1
 			}
 		}
-		var cong int64
 		if v.linkUtil != nil {
 			if over := v.linkUtil[ch] - congestionGuardMilli; over > 0 {
-				cong = over/100 + 1
+				p.cong = over/100 + 1
 			}
 		}
-		cands = append(cands, cand{id, band, cong, depth, ((ch-cursor)%nch + nch) % nch})
+		p.rot = ((ch-cursor)%nch + nch) % nch
+		cands[k] = p
+		k++
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if v.refused[a.ch] != v.refused[b.ch] {
-			return !v.refused[a.ch]
-		}
-		if v.health[a.ch] != v.health[b.ch] {
-			return v.health[a.ch] < v.health[b.ch]
-		}
-		if a.band != b.band {
-			return a.band < b.band
-		}
-		if a.cong != b.cong {
-			return a.cong < b.cong
-		}
-		if a.depth != b.depth {
-			return a.depth < b.depth
-		}
-		return a.rot < b.rot
-	})
-	out := make([]topology.ChipletID, len(cands))
-	for i, c := range cands {
-		out[i] = c.ch
+	cands = cands[:k]
+	slices.SortFunc(cands, comparePref)
+	for _, p := range cands {
+		dst = append(dst, p.ch)
 	}
-	return out
+	return dst
 }

@@ -234,10 +234,11 @@ func (p *Plane) MaybeTick(now int64) {
 func (p *Plane) cumDynamicPJ(ch int) int64 {
 	var s int64
 	tbl := &p.pjTable[ch]
-	for _, c := range p.topo.CoresOfChiplet(topology.ChipletID(ch)) {
+	first := int(p.topo.FirstCoreOf(topology.ChipletID(ch)))
+	for c := first; c < first+p.topo.CoresPerChiplet; c++ {
 		for e := 0; e < pmu.NumEvents; e++ {
 			if pj := tbl[e]; pj != 0 {
-				s += p.pm.Read(int(c), pmu.Event(e)) * pj
+				s += p.pm.Read(c, pmu.Event(e)) * pj
 			}
 		}
 	}

@@ -56,32 +56,48 @@ func FuzzDequeSequential(f *testing.F) {
 }
 
 // FuzzInboxSequential checks FIFO behavior under arbitrary put/take
-// interleavings from one goroutine.
+// interleavings from one goroutine, with taken elements put back through
+// the same intrusive link.
 func FuzzInboxSequential(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 0, 1})
+	f.Add([]byte{0, 1, 2, 0, 1, 1, 2, 2, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		q := NewInbox[int]()
-		var ref []int
-		next := 0
+		q := NewInbox[*item]()
+		var ref []*item
+		var taken []*item // out of the inbox, free to put back
+		next := int64(0)
 		for _, op := range ops {
-			if op%2 == 0 {
-				v := next
+			switch op % 3 {
+			case 0: // put a fresh element
+				e := &item{v: next}
 				next++
-				q.Put(&v)
-				ref = append(ref, v)
-			} else {
+				q.Put(e)
+				ref = append(ref, e)
+			case 1:
 				got := q.Take()
 				if len(ref) == 0 {
 					if got != nil {
-						t.Fatalf("Take on empty returned %d", *got)
+						t.Fatalf("Take on empty returned %d", got.v)
 					}
 					continue
 				}
 				want := ref[0]
 				ref = ref[1:]
-				if got == nil || *got != want {
-					t.Fatalf("Take = %v, want %d", got, want)
+				if got != want {
+					t.Fatalf("Take = %v, want element %d", got, want.v)
 				}
+				taken = append(taken, got)
+			case 2: // put the most recently taken element back
+				if len(taken) == 0 {
+					continue
+				}
+				e := taken[len(taken)-1]
+				taken = taken[:len(taken)-1]
+				q.Put(e)
+				ref = append(ref, e)
+			}
+			if q.Len() != int64(len(ref)) {
+				t.Fatalf("Len = %d, want %d", q.Len(), len(ref))
 			}
 		}
 	})

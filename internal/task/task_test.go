@@ -159,19 +159,34 @@ func TestDequeStress(t *testing.T) {
 	}
 }
 
+// item is an inbox element: an integer payload behind the intrusive link.
+type item struct {
+	Node[*item]
+	v int64
+}
+
+// items returns n elements carrying base, base+1, ..., base+n-1.
+func items(base int64, n int) []item {
+	out := make([]item, n)
+	for i := range out {
+		out[i].v = base + int64(i)
+	}
+	return out
+}
+
 func TestInboxFIFO(t *testing.T) {
-	q := NewInbox[int]()
+	q := NewInbox[*item]()
 	if !q.Empty() {
 		t.Error("new inbox must be empty")
 	}
-	vals := []int{1, 2, 3}
+	vals := items(1, 3)
 	for i := range vals {
 		q.Put(&vals[i])
 	}
 	for i := 0; i < 3; i++ {
 		got := q.Take()
-		if got == nil || *got != vals[i] {
-			t.Fatalf("Take = %v, want %d", got, vals[i])
+		if got != &vals[i] {
+			t.Fatalf("Take = %v, want element %d", got, vals[i].v)
 		}
 	}
 	if q.Take() != nil {
@@ -182,13 +197,17 @@ func TestInboxFIFO(t *testing.T) {
 	}
 }
 
+// TestInboxSingleElementCycle puts one element back every time it comes
+// out: the single-element path re-links the stub behind it, and the
+// element's own node must be free again by the time Take returns.
 func TestInboxSingleElementCycle(t *testing.T) {
-	q := NewInbox[int]()
+	q := NewInbox[*item]()
+	var e item
 	for i := 0; i < 100; i++ {
-		v := i
-		q.Put(&v)
+		e.v = int64(i)
+		q.Put(&e)
 		got := q.Take()
-		if got == nil || *got != i {
+		if got != &e || got.v != int64(i) {
 			t.Fatalf("cycle %d: Take = %v", i, got)
 		}
 		if q.Take() != nil {
@@ -198,7 +217,7 @@ func TestInboxSingleElementCycle(t *testing.T) {
 }
 
 func TestInboxMPSCStress(t *testing.T) {
-	q := NewInbox[int64]()
+	q := NewInbox[*item]()
 	const producers = 8
 	const perProducer = 20000
 	var wg sync.WaitGroup
@@ -206,9 +225,9 @@ func TestInboxMPSCStress(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				v := int64(p*perProducer + i)
-				q.Put(&v)
+			vals := items(int64(p*perProducer), perProducer)
+			for i := range vals {
+				q.Put(&vals[i])
 			}
 		}(p)
 	}
@@ -218,10 +237,10 @@ func TestInboxMPSCStress(t *testing.T) {
 	for {
 		v := q.Take()
 		if v != nil {
-			if seen[*v] {
-				t.Fatalf("duplicate %d", *v)
+			if seen[v.v] {
+				t.Fatalf("duplicate %d", v.v)
 			}
-			seen[*v] = true
+			seen[v.v] = true
 			if len(seen) == producers*perProducer {
 				break
 			}
@@ -230,7 +249,7 @@ func TestInboxMPSCStress(t *testing.T) {
 		select {
 		case <-doneCh:
 			if v := q.Take(); v != nil {
-				seen[*v] = true
+				seen[v.v] = true
 				continue
 			}
 			if len(seen) != producers*perProducer {
@@ -244,7 +263,7 @@ func TestInboxMPSCStress(t *testing.T) {
 
 func TestInboxPerProducerOrder(t *testing.T) {
 	// MPSC guarantees per-producer FIFO order.
-	q := NewInbox[[2]int]()
+	q := NewInbox[*item]()
 	const producers = 4
 	const per = 5000
 	var wg sync.WaitGroup
@@ -252,9 +271,9 @@ func TestInboxPerProducerOrder(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				v := [2]int{p, i}
-				q.Put(&v)
+			vals := items(int64(p*per), per)
+			for i := range vals {
+				q.Put(&vals[i])
 			}
 		}(p)
 	}
@@ -266,11 +285,87 @@ func TestInboxPerProducerOrder(t *testing.T) {
 		if v == nil {
 			continue
 		}
-		p, i := v[0], v[1]
+		p, i := int(v.v)/per, int(v.v)%per
 		if i <= last[p] {
 			t.Fatalf("producer %d out of order: %d after %d", p, i, last[p])
 		}
 		last[p] = i
 		count++
+	}
+}
+
+// hop is an element that records how many inboxes it has passed through.
+type hop struct {
+	Node[*hop]
+	id, hops int
+}
+
+// TestInboxTakeRePut is the steal put-back path: each consumer re-puts an
+// element into another inbox the moment Take returns it, while producers
+// keep racing fresh elements into both inboxes. Every element must travel
+// A → B exactly rounds times and arrive at the end exactly once.
+func TestInboxTakeRePut(t *testing.T) {
+	const producers = 4
+	const per = 2000
+	const rounds = 3
+	a, b := NewInbox[*hop](), NewInbox[*hop]()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			hs := make([]hop, per)
+			for i := range hs {
+				hs[i].id = p*per + i
+				// Half the producers feed B directly: its consumer sees
+				// fresh puts and re-puts from A's consumer interleaved.
+				if p%2 == 0 {
+					a.Put(&hs[i])
+				} else {
+					b.Put(&hs[i])
+				}
+			}
+		}(p)
+	}
+	var stop atomic.Bool
+	moved := make(chan int, 1)
+	go func() { // A's consumer: straight back out, into B
+		n := 0
+		for !stop.Load() {
+			if h := a.Take(); h != nil {
+				b.Put(h)
+				n++
+			}
+		}
+		moved <- n
+	}()
+	arrived := make([]int, producers*per)
+	finished := 0
+	for finished < producers*per { // B's consumer: count a hop, re-put into A
+		h := b.Take()
+		if h == nil {
+			continue
+		}
+		h.hops++
+		if h.hops < rounds {
+			a.Put(h)
+			continue
+		}
+		arrived[h.id]++
+		finished++
+	}
+	stop.Store(true)
+	wg.Wait()
+	n := <-moved
+	for id, c := range arrived {
+		if c != 1 {
+			t.Fatalf("element %d arrived %d times", id, c)
+		}
+	}
+	if want := producers*per*rounds - producers/2*per; n != want {
+		t.Errorf("A's consumer moved %d elements, want %d", n, want)
+	}
+	if a.Take() != nil || b.Take() != nil {
+		t.Error("inboxes must be drained")
 	}
 }
