@@ -672,13 +672,6 @@ func (r *Runtime) EnableTracing(on bool) { r.rt.EnableTracing(on) }
 // attribution (BuildCritPathReport).
 func (r *Runtime) Tracer() *Tracer { return r.rt.Tracer() }
 
-// WriteTraceJSON writes every recorded span — canonically ordered, so
-// Deterministic-mode runs with identical seeds produce byte-identical
-// documents — plus the flight recorder's retained trace IDs as JSON.
-func (r *Runtime) WriteTraceJSON(w io.Writer) error {
-	return r.rt.Tracer().WriteJSON(w)
-}
-
 // EnableMetrics turns the virtual-time metrics registry on or off. The
 // registry covers every layer: task lifecycle counters and latency
 // histograms, fabric link occupancy, memory channel bandwidth, per-chiplet

@@ -310,14 +310,6 @@ func (c *Ctx) Barrier(b *RtBarrier) {
 	c.w.clock.SyncTo(t)
 }
 
-// Fills returns the executing core's cumulative fills-from-system counter —
-// the per-task profiling view of §4.5. Reading a PMU counter settles any
-// deferred repeat accesses so their fills are visible.
-func (c *Ctx) Fills() int64 {
-	c.flushBatch()
-	return c.w.rt.M.PMU.FillsFromSystem(int(c.w.Core()))
-}
-
 // Event reads an arbitrary PMU counter of the executing core.
 func (c *Ctx) Event(e pmu.Event) int64 {
 	c.flushBatch()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"charm/internal/admit"
@@ -86,5 +87,92 @@ func TestDispatchAllocs(t *testing.T) {
 				t.Errorf("placeStageLocked allocates %.1f objects per stage, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestDispatchPrefersKind pins the job kind preference at the dispatch
+// level on the reference heterogeneous machine (chiplets 6 and 7 are the
+// accelerators, two cores each): a Prefer: KindAccel stage lands only on
+// accelerator workers while one of them is live and admitting, and spills
+// onto other kinds once the fault plan has downed both accelerator
+// chiplets — the preference is soft and never strands work. KindAny places
+// exactly like a job that states no preference, and on an all-fast machine
+// a kind that every chiplet has, or that none has, changes nothing.
+func TestDispatchPrefersKind(t *testing.T) {
+	build := func(spec string) *topology.Topology {
+		sp, err := topology.ParseTopoSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo
+	}
+	// place serves jobs on a fresh, never-started runtime, places stages
+	// of 1..maxN tasks back to back, and returns their targets and how
+	// many tasks landed on each chiplet kind.
+	place := func(topo *topology.Topology, sched *fault.Schedule, kind topology.ChipletKind, maxN int) ([][]int, map[topology.ChipletKind]int) {
+		opts := Options{Workers: topo.NumCores()}
+		if sched != nil {
+			opts.Faults = compilePlan(t, sched, topo)
+		}
+		rt := NewRuntime(sim.New(sim.Config{Topo: topo}), opts)
+		defer rt.Stop()
+		s, err := rt.ServeJobs(JobServiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		const now = 1_000_000
+		s.evalLocked(now)
+		var stages [][]int
+		kinds := map[topology.ChipletKind]int{}
+		for n := 1; n <= maxN; n++ {
+			got := s.placeStageLocked(now, n, 0, kind)
+			if len(got) != n {
+				t.Fatalf("stage of %d placed %d tasks", n, len(got))
+			}
+			for _, w := range got {
+				kinds[topo.KindOf(topo.ChipletOf(rt.workers[w].Core()))]++
+			}
+			stages = append(stages, append([]int(nil), got...))
+		}
+		return stages, kinds
+	}
+	het := build("mesh:4x2,fast=2,eff=4,accel=2")
+	accel := topology.KindAccel
+
+	if _, kinds := place(het, nil, accel, 4); len(kinds) != 1 || kinds[accel] != 1+2+3+4 {
+		t.Errorf("healthy: Prefer accel placed on kinds %v, want accelerator workers only", kinds)
+	}
+	oneDown := fault.New("one-accel-down", 1).OfflineChiplet(6, 0, fault.Forever)
+	if _, kinds := place(het, oneDown, accel, 2); len(kinds) != 1 || kinds[accel] != 1+2 {
+		t.Errorf("chiplet 6 down: Prefer accel placed on kinds %v, want accelerator workers only", kinds)
+	}
+	bothDown := fault.New("accel-down", 1).
+		OfflineChiplet(6, 0, fault.Forever).
+		OfflineChiplet(7, 0, fault.Forever)
+	if _, kinds := place(het, bothDown, accel, 12); kinds[accel] != 0 ||
+		kinds[topology.KindFast]+kinds[topology.KindEfficient] != 12*13/2 {
+		t.Errorf("accelerators down: Prefer accel placed on kinds %v, want fast and efficient workers only", kinds)
+	}
+
+	var noPref JobSpec
+	anyHet, anyKinds := place(het, nil, topology.KindAny, 16)
+	if none, _ := place(het, nil, noPref.Prefer, 16); !reflect.DeepEqual(anyHet, none) {
+		t.Errorf("KindAny placed %v, no preference %v", anyHet, none)
+	}
+	if len(anyKinds) != 3 {
+		t.Errorf("KindAny placed on kinds %v, want all three", anyKinds)
+	}
+	homo := build("mesh:4x2")
+	anyHomo, _ := place(homo, nil, topology.KindAny, 16)
+	for _, k := range []topology.ChipletKind{topology.KindFast, accel} {
+		if got, _ := place(homo, nil, k, 16); !reflect.DeepEqual(got, anyHomo) {
+			t.Errorf("all-fast machine: Prefer %v placed %v, KindAny %v", k, got, anyHomo)
+		}
 	}
 }

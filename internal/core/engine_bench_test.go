@@ -18,12 +18,17 @@ import (
 // coro pairs are about allocs/op (run with -benchmem). The turn rows are
 // the lockstep baton's ns/turn record.
 func BenchmarkEngine(b *testing.B) {
-	engineRT := func(b *testing.B, workers int, opts Options) *Runtime {
+	// engineRT starts a runtime after applying setup, which may turn the
+	// access fast path or pooling off to run the reference models.
+	engineRT := func(b *testing.B, workers int, opts Options, setup ...func(*Runtime)) *Runtime {
 		b.Helper()
 		opts.Workers = workers
 		opts.SchedulerTimer = 1 << 60
 		m := sim.New(sim.Config{Topo: topology.AMDMilan7713x2().Scaled(256)})
 		rt := NewRuntime(m, opts)
+		for _, f := range setup {
+			f(rt)
+		}
 		rt.Start()
 		b.Cleanup(rt.Stop)
 		return rt
@@ -33,7 +38,7 @@ func BenchmarkEngine(b *testing.B) {
 	// and an increment; without it each repeat walks the full machine
 	// access path (placement lookup, cache probe, PMU, EWMA).
 	access := func(b *testing.B, noBatch bool) {
-		rt := engineRT(b, 1, Options{NoAccessBatch: noBatch})
+		rt := engineRT(b, 1, Options{}, func(rt *Runtime) { rt.batch = !noBatch })
 		a := rt.M.Space.AllocLocal(64, 0)
 		rt.Run(func(ctx *Ctx) { ctx.Read(a, 64) }) // warm the line
 		b.ResetTimer()
@@ -51,7 +56,7 @@ func BenchmarkEngine(b *testing.B) {
 	// free list a prior round refilled (the steady state of a spawn-heavy
 	// workload). Pooling turns the per-task allocation into a list pop.
 	task := func(b *testing.B, noPool bool) {
-		rt := engineRT(b, 1, Options{NoPooling: noPool})
+		rt := engineRT(b, 1, Options{}, func(rt *Runtime) { rt.pool = !noPool })
 		rt.Run(func(ctx *Ctx) { // warm the pool
 			for i := 0; i < 64; i++ {
 				ctx.Spawn(func(c *Ctx) {})
@@ -77,7 +82,7 @@ func BenchmarkEngine(b *testing.B) {
 	// dispatch, one yield-resume, terminal recycle). Pooling keeps the
 	// stack suspended between tasks instead of creating one per task.
 	coro := func(b *testing.B, noPool bool) {
-		rt := engineRT(b, 1, Options{NoPooling: noPool})
+		rt := engineRT(b, 1, Options{}, func(rt *Runtime) { rt.pool = !noPool })
 		fns := make([]func(*Ctx), 256)
 		for i := range fns {
 			fns[i] = func(ctx *Ctx) {

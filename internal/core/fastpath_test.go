@@ -35,8 +35,8 @@ func fastRun(t *testing.T, workers int, oversub, noBatch, noPool bool) (Stats, p
 		Workers: workers, Oversubscribe: oversub, Deterministic: true,
 		SchedulerTimer: 50_000, Faults: plan,
 		MaxTaskRetries: 1, RetryBackoff: 500,
-		NoAccessBatch: noBatch, NoPooling: noPool,
 	})
+	rt.batch, rt.pool = !noBatch, !noPool
 	rt.Start()
 	defer rt.Stop()
 
@@ -186,8 +186,9 @@ func TestBatchFlushOnThermalEdge(t *testing.T) {
 		plan := compilePlan(t, sched, topo)
 		rt := NewRuntime(m, Options{
 			Workers: 1, Deterministic: true, SchedulerTimer: 1 << 60,
-			Faults: plan, NoAccessBatch: noBatch,
+			Faults: plan,
 		})
+		rt.batch = !noBatch
 		rt.Start()
 		defer rt.Stop()
 		a := rt.Alloc(64, 0)

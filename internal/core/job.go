@@ -368,11 +368,11 @@ type JobService struct {
 
 	// Dispatch scratch, rebuilt under mu for every placement decision and
 	// never kept past it: the snapshot and the view built from it
-	// (viewLocked), and placeStageLocked's chiplet order, kind-preference
-	// reorder, candidate workers and targets.
+	// (viewLocked), and placeStageLocked's chiplet order, candidate
+	// workers and targets.
 	snap          place.Snapshot
 	view          place.View
-	chs, kindChs  []topology.ChipletID
+	chs           []topology.ChipletID
 	cand, targets []int
 
 	// Tenants, in configuration order, and the dispatch mux over their
@@ -1053,10 +1053,10 @@ func (s *JobService) dispatchStageLocked(w *Worker, j *Job, now int64) {
 // or is breaker-refused between rebalances) does the walk run again over
 // the whole machine — isolation never starves a compliant tenant.
 //
-// When the job prefers a chiplet kind (kind != KindAny) on a
-// heterogeneous machine, matching-kind chiplets are moved to the front
-// of the preference walk with the rest appended after: the capability
-// match is a soft preference with natural fallback, never a hard gate.
+// A job that prefers a chiplet kind (kind != KindAny) walks the chiplets
+// of that kind first and the rest after (ChipletsByPreference's leading
+// key): the capability match is a soft preference with natural fallback,
+// never a hard gate.
 //
 // The returned targets are service scratch, valid until the next call.
 func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.ChipletKind) []int {
@@ -1064,7 +1064,7 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 	out := s.targets[:0]
 	if s.opts.Placement == PlaceRoundRobin {
 		for k := 0; k < n; k++ {
-			out = append(out, s.placeRoundRobinLocked(v))
+			out = append(out, s.rotateLocked(v, true))
 		}
 		s.targets = out
 		return out
@@ -1074,30 +1074,11 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 	// stage has a dedicated live worker (or the list is exhausted): small
 	// stages co-locate on the top group, larger stages spill onto the
 	// next-preferred groups instead of stacking one group's queues.
-	s.chs = v.ChipletsByPreference(s.chs[:0], s.rr)
-	chs := s.chs
-	if kind != topology.KindAny {
-		// Stable partition: matching kinds first, the rest after.
-		ord := s.kindChs[:0]
-		for _, ch := range chs {
-			if v.KindOf(ch) == kind {
-				ord = append(ord, ch)
-			}
-		}
-		if nk := len(ord); nk > 0 && nk < len(chs) {
-			for _, ch := range chs {
-				if v.KindOf(ch) != kind {
-					ord = append(ord, ch)
-				}
-			}
-			chs = ord
-		}
-		s.kindChs = ord
-	}
+	s.chs = v.ChipletsByPreference(s.chs[:0], s.rr, kind)
 	cand := s.cand[:0]
 	leased := s.leases != nil && s.leases.Held(ten) > 0
 	for {
-		for _, ch := range chs {
+		for _, ch := range s.chs {
 			if len(cand) >= n {
 				break
 			}
@@ -1121,7 +1102,7 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 	s.cand = cand
 	for k := 0; k < n; k++ {
 		if len(cand) == 0 {
-			out = append(out, s.placeFallbackLocked(v))
+			out = append(out, s.rotateLocked(v, false))
 			continue
 		}
 		out = append(out, cand[k%len(cand)])
@@ -1134,9 +1115,15 @@ func (s *JobService) placeStageLocked(now int64, n int, ten int, kind topology.C
 	return out
 }
 
-// placeRoundRobinLocked is the legacy baseline: rotate over workers,
-// skipping offlined cores and chiplets whose breaker refuses admission.
-func (s *JobService) placeRoundRobinLocked(v *place.View) int {
+// rotateLocked returns the next worker in round-robin order whose core
+// is live. With breaker set — the legacy round-robin baseline — it also
+// skips chiplets whose breaker refuses admission, and falls back to the
+// breaker-blind walk when every live worker is refused. Without it — the
+// every-worker-refused case of load-aware placement (all breakers open
+// and unwilling to probe, or no live chiplet group) — it counts a live
+// fallback, and only when the fault plan has downed every core does it
+// rotate blind: the work has to go somewhere.
+func (s *JobService) rotateLocked(v *place.View, breaker bool) int {
 	n := v.NumWorkers()
 	for i := 0; i < n; i++ {
 		wid := s.rr % n
@@ -1145,27 +1132,15 @@ func (s *JobService) placeRoundRobinLocked(v *place.View) int {
 		if !v.IsLive(c) {
 			continue
 		}
-		if s.brk != nil && !s.brk.Allow(int(v.Topology().ChipletOf(c))) {
+		if !breaker {
+			s.rt.met.placeFallbackLive.Inc(0)
+		} else if s.brk != nil && !s.brk.Allow(int(v.Topology().ChipletOf(c))) {
 			continue
 		}
 		return wid
 	}
-	return s.placeFallbackLocked(v)
-}
-
-// placeFallbackLocked handles the every-worker-refused case (all breakers
-// open and unwilling to probe, or no live chiplet group): prefer any
-// worker still on a live core, and only when the fault plan has downed
-// every core fall back to blind rotation — the work has to go somewhere.
-func (s *JobService) placeFallbackLocked(v *place.View) int {
-	n := v.NumWorkers()
-	for i := 0; i < n; i++ {
-		wid := s.rr % n
-		s.rr++
-		if v.IsLive(v.CoreOf(wid)) {
-			s.rt.met.placeFallbackLive.Inc(0)
-			return wid
-		}
+	if breaker {
+		return s.rotateLocked(v, false)
 	}
 	wid := s.rr % n
 	s.rr++

@@ -56,8 +56,8 @@ func powerRun(t *testing.T, workers int, noBatch, noPool bool) (Stats, pmu.Snaps
 		Workers: workers, Deterministic: true,
 		SchedulerTimer: 50_000, Power: hotPowerConfig(),
 		MaxTaskRetries: 1, RetryBackoff: 500,
-		NoAccessBatch: noBatch, NoPooling: noPool,
 	})
+	rt.batch, rt.pool = !noBatch, !noPool
 	rt.Start()
 	defer rt.Stop()
 

@@ -113,16 +113,6 @@ type Options struct {
 	// lockstep.go): runs become bit-identical across repetitions at the
 	// price of host parallelism.
 	Deterministic bool
-	// NoAccessBatch disables the epoch-batched access fast path
-	// (fastpath.go): every Ctx.Read/Write takes the full per-access machine
-	// path. The two modes produce identical simulated results (the
-	// equivalence tests assert it); the knob exists for those tests and the
-	// before/after benchmarks.
-	NoAccessBatch bool
-	// NoPooling disables task-struct and coroutine-stack recycling: every
-	// task allocates fresh. Exists for allocation benchmarks and leak
-	// triage; behaviour is identical either way.
-	NoPooling bool
 }
 
 // Stats summarizes one phase or run.
@@ -191,7 +181,11 @@ type Runtime struct {
 	// ls serializes workers when Options.Deterministic is set (else nil).
 	ls *lockstep
 
-	// batch/pool mirror the (inverted) Options knobs for the hot paths.
+	// batch enables the epoch-batched access fast path (fastpath.go) and
+	// pool task-struct and coroutine-stack recycling. Both are always on;
+	// in-package tests turn them off before Start to run the per-access
+	// and unpooled reference models, which must produce identical
+	// simulated results.
 	batch bool
 	pool  bool
 }
@@ -268,8 +262,8 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 		coreOcc:      make([]atomic.Int32, m.Topo.NumCores()),
 		ranks:        place.NewRanks(m.Topo),
 		power:        pw,
-		batch:        !opts.NoAccessBatch,
-		pool:         !opts.NoPooling,
+		batch:        true,
+		pool:         true,
 		// Barrier release wakes every party: the cost grows with the
 		// worker count, which is what erodes fine-grained parallel
 		// regions at high core counts (§5.4's fragmentation effect).

@@ -141,9 +141,6 @@ func NewRegistry(shards int) *Registry {
 	return &Registry{shards: shards, byKey: map[string]metric{}}
 }
 
-// Shards returns the shard count handles were built with.
-func (r *Registry) Shards() int { return r.shards }
-
 // SetEnabled turns recording on or off. Disabled handles drop records
 // after a single atomic load.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }

@@ -278,9 +278,6 @@ func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 // SetProfiling turns the profile on or off.
 func (t *Tracer) SetProfiling(on bool) { t.profiling.Store(on) }
 
-// Profiling reports whether profile kinds are being recorded.
-func (t *Tracer) Profiling() bool { return t.profiling.Load() }
-
 // SetFlightRecorderCap bounds the retained-trace ring (minimum 1).
 func (t *Tracer) SetFlightRecorderCap(n int) {
 	if n < 1 {

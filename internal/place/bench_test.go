@@ -56,7 +56,7 @@ func BenchmarkPlacement(b *testing.B) {
 	})
 	b.Run("select-nearest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			view.Select(Nearest(topology.CoreID(i%128)), Live, Idle)
+			view.Select(nearest(topology.CoreID(i%128)), Live, Idle)
 		}
 	})
 	b.Run("select-least-loaded", func(b *testing.B) {
@@ -72,7 +72,7 @@ func BenchmarkPlacement(b *testing.B) {
 	b.Run("chiplets-by-preference", func(b *testing.B) {
 		var dst []topology.ChipletID
 		for i := 0; i < b.N; i++ {
-			dst = view.ChipletsByPreference(dst[:0], i)
+			dst = view.ChipletsByPreference(dst[:0], i, topology.KindAny)
 		}
 	})
 	b.Run("alg2-core", func(b *testing.B) {

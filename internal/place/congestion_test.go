@@ -1,13 +1,22 @@
 package place
 
 import (
+	"slices"
 	"testing"
 
 	"charm/internal/topology"
 )
 
+// nearest is the plain distance scorer CongestionAware must reduce to
+// without signals: from itself first, then the Ranks order.
+func nearest(from topology.CoreID) Scorer {
+	return func(v *View, c topology.CoreID) int64 {
+		return int64(v.ranks.pos[from][c])
+	}
+}
+
 // TestCongestionAwareReducesToNearest: without a congestion or thermal
-// signal the scorer must pick exactly what Nearest picks, for every
+// signal the scorer must pick exactly what nearest picks, for every
 // origin core — the no-signal identity the engine's replay tests rely on.
 func TestCongestionAwareReducesToNearest(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
@@ -15,10 +24,10 @@ func TestCongestionAwareReducesToNearest(t *testing.T) {
 	v := NewView(r, 0, Snapshot{})
 	for c := 0; c < topo.NumCores(); c++ {
 		from := topology.CoreID(c)
-		a, okA := v.Select(Nearest(from), Live)
+		a, okA := v.Select(nearest(from), Live)
 		b, okB := v.Select(CongestionAware(from), Live)
 		if okA != okB || a != b {
-			t.Fatalf("from core %d: Nearest → %v,%v; CongestionAware → %v,%v", c, a, okA, b, okB)
+			t.Fatalf("from core %d: nearest → %v,%v; CongestionAware → %v,%v", c, a, okA, b, okB)
 		}
 	}
 }
@@ -48,48 +57,56 @@ func TestCongestionAwareAvoidsHotLink(t *testing.T) {
 	}
 }
 
-// hetView builds a view over the reference heterogeneous machine
-// (mesh:4x2 with 2 fast, 4 efficient, 2 accelerator chiplets).
-func hetView(t *testing.T) (*topology.Topology, *View) {
-	t.Helper()
+// hetMesh builds the reference heterogeneous machine (mesh:4x2 with 2
+// fast, 4 efficient, 2 accelerator chiplets).
+func hetMesh() (*topology.Topology, error) {
 	sp, err := topology.ParseTopoSpec("het-mesh")
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	topo, err := sp.Build()
+	return sp.Build()
+}
+
+// TestChipletsByPreferenceKindKey: a kind preference lists exactly the
+// chiplets of that kind first, in the order KindAny gives them, then the
+// rest in that same order — matching first, never excluding — and a
+// preference every chiplet shares leaves the order alone.
+func TestChipletsByPreferenceKindKey(t *testing.T) {
+	topo, err := hetMesh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return topo, NewView(NewRanks(topo), 0, Snapshot{})
-}
-
-// TestCapabilityMatchConstraint: the constraint admits exactly the cores
-// of matching-kind chiplets, and KindAny admits everything.
-func TestCapabilityMatchConstraint(t *testing.T) {
-	topo, v := hetView(t)
-	counts := map[topology.ChipletKind]int{}
-	for c := 0; c < topo.NumCores(); c++ {
-		id := topology.CoreID(c)
+	workerCore := make([]topology.CoreID, topo.NumCores())
+	depth := make([]int64, topo.NumCores())
+	for c := range workerCore {
+		workerCore[c] = topology.CoreID(c)
+		depth[c] = int64(c * 7 % 5)
+	}
+	v := NewView(NewRanks(topo), 0, Snapshot{WorkerCore: workerCore, QueueDepth: depth})
+	for cursor := 0; cursor < topo.NumChiplets(); cursor++ {
+		base := v.ChipletsByPreference(nil, cursor, topology.KindAny)
+		if len(base) != topo.NumChiplets() {
+			t.Fatalf("KindAny order %v must list every chiplet", base)
+		}
 		for _, k := range []topology.ChipletKind{topology.KindFast, topology.KindEfficient, topology.KindAccel} {
-			if CapabilityMatch(k)(v, id) {
-				if got := topo.KindOf(topo.ChipletOf(id)); got != k {
-					t.Fatalf("core %d admitted by %v but lives on a %v chiplet", c, k, got)
+			var want []topology.ChipletID
+			for _, match := range []bool{true, false} {
+				for _, ch := range base {
+					if (topo.KindOf(ch) == k) == match {
+						want = append(want, ch)
+					}
 				}
-				counts[k]++
+			}
+			if got := v.ChipletsByPreference(nil, cursor, k); !slices.Equal(got, want) {
+				t.Errorf("cursor %d, prefer %v: order %v, want %v", cursor, k, got, want)
 			}
 		}
-		if !CapabilityMatch(topology.KindAny)(v, id) {
-			t.Fatalf("KindAny refused core %d", c)
-		}
 	}
-	cpc := topo.CoresPerChiplet
-	if counts[topology.KindFast] != 2*cpc || counts[topology.KindEfficient] != 4*cpc || counts[topology.KindAccel] != 2*cpc {
-		t.Fatalf("admitted cores per kind = %v, want 2/4/2 chiplets × %d cores", counts, cpc)
-	}
-	// Selecting under the constraint lands on the nearest matching chiplet.
-	c, ok := v.Select(Nearest(0), Live, CapabilityMatch(topology.KindAccel))
-	if !ok || topo.KindOf(topo.ChipletOf(c)) != topology.KindAccel {
-		t.Fatalf("Select with accel constraint → core %v (ok=%v)", c, ok)
+	synth := topology.Synthetic(4, 2)
+	homo := NewView(NewRanks(synth), 0, synthSnapshot(synth))
+	a := homo.ChipletsByPreference(nil, 1, topology.KindAny)
+	if f := homo.ChipletsByPreference(nil, 1, topology.KindFast); !slices.Equal(a, f) {
+		t.Errorf("all-fast machine: prefer fast orders %v, KindAny %v", f, a)
 	}
 }
 
@@ -107,7 +124,7 @@ func TestChipletsByPreferenceCongestionBand(t *testing.T) {
 	util := make([]int64, topo.NumChiplets())
 	util[1] = 950
 	v := NewView(r, 0, Snapshot{WorkerCore: workerCore, LinkUtilMilli: util})
-	order := v.ChipletsByPreference(nil, 0)
+	order := v.ChipletsByPreference(nil, 0, topology.KindAny)
 	if len(order) != topo.NumChiplets() {
 		t.Fatalf("order %v must list every chiplet", order)
 	}

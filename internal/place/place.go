@@ -1,22 +1,29 @@
 // Package place is the runtime's placement decision plane. Every
-// "which core / which worker" choice the system makes — initial worker
-// placement, Alg. 2 location updates, fault re-homing, steal-victim
-// ordering, and open-loop job dispatch — is phrased as a query against an
-// immutable MachineView snapshot (View) built from explicit engine state
-// at an explicit virtual time, instead of each call site walking the
-// runtime's mutable occupancy/fault/breaker state itself.
+// "which core / which worker" choice the system makes is a query against
+// a View: an immutable snapshot of the machine at an explicit virtual
+// time, built from explicit engine state, instead of each call site
+// walking the runtime's mutable occupancy/fault/breaker state itself.
 //
-// The pipeline is: view → constraints → scorer → enactment. A View fuses
-// the precomputed distance ranks, per-core liveness from the fault plan,
-// occupancy and the worker-on-core map, per-chiplet health (fault-plan
-// milli-factors, PMU-observed slowdown, breaker refusal), and per-worker
-// queue depth. Constraints (Live, Idle, BreakerClosed) filter candidate
-// cores; Scorers (Nearest, LeastLoaded, RoundRobin) order them; Select
-// and Rank resolve the query deterministically (ties break toward the
-// lower core ID). Enactment — actually migrating a worker or enqueueing a
-// task — stays with the caller, so every decision remains a pure function
-// of virtual time and the snapshot, which is what keeps deterministic-
-// lockstep runs bit-identical across replays.
+// A View fuses the precomputed distance ranks, per-core liveness from the
+// fault plan, occupancy and the worker-on-core map, per-chiplet health
+// (fault-plan milli-factors, PMU-observed slowdown, breaker refusal),
+// per-worker queue depth, and the thermal and fabric-congestion signals.
+// The queries are the runtime's decisions:
+//
+//   - Select with the Live and Idle constraints and the CongestionAware
+//     scorer: fault re-homing onto the nearest calm, cool idle core
+//     (LeastLoaded is the load-ordering scorer the benchmark's per-layer
+//     probe times);
+//   - VictimsByDistance and VictimsNodeFirst: steal-victim order;
+//   - ChipletsByPreference and LiveWorkersOn: job stage dispatch.
+//
+// The static layouts — initial placements and Alg. 2's (chiplet, slot)
+// assignment, Alg2Core — are pure functions of the topology. Every query
+// is deterministic (ties break toward the lower core or chiplet ID, or
+// rotate with an explicit cursor), and enactment — migrating a worker or
+// enqueueing a task — stays with the caller, so each decision is a pure
+// function of virtual time and the snapshot, which keeps
+// deterministic-lockstep runs bit-identical across replays.
 package place
 
 import "charm/internal/topology"
@@ -60,14 +67,3 @@ func NewRanks(t *topology.Topology) *Ranks {
 	}
 	return r
 }
-
-// Topology returns the topology the ranks were built for.
-func (r *Ranks) Topology() *topology.Topology { return r.topo }
-
-// From returns all cores other than c in increasing distance from c.
-// Callers must not mutate the returned slice.
-func (r *Ranks) From(c topology.CoreID) []topology.CoreID { return r.from[c] }
-
-// Distance returns to's rank in from's distance order (-1 when from == to,
-// i.e. closer than every other core).
-func (r *Ranks) Distance(from, to topology.CoreID) int { return int(r.pos[from][to]) }

@@ -68,22 +68,22 @@ func TestAlg2CoreBijectionPerSocket(t *testing.T) {
 func TestRanksOrder(t *testing.T) {
 	topo := topology.AMDMilan7713x2()
 	r := NewRanks(topo)
-	if d := r.Distance(0, 0); d != -1 {
-		t.Errorf("Distance(0,0) = %d, want -1", d)
+	if d := r.pos[0][0]; d != -1 {
+		t.Errorf("pos[0][0] = %d, want -1", d)
 	}
-	from := r.From(0)
+	from := r.from[0]
 	if len(from) != topo.NumCores()-1 {
-		t.Fatalf("From(0) has %d cores, want %d", len(from), topo.NumCores()-1)
+		t.Fatalf("from[0] has %d cores, want %d", len(from), topo.NumCores()-1)
 	}
 	for i := 0; i < topo.CoresPerChiplet-1; i++ {
 		if topo.ChipletOf(from[i]) != topo.ChipletOf(0) {
 			t.Errorf("rank %d core %d not on core 0's chiplet", i, from[i])
 		}
 	}
-	// Ranks and Distance agree.
+	// The order and the position table agree.
 	for i, c := range from {
-		if r.Distance(0, c) != i {
-			t.Errorf("Distance(0,%d) = %d, want %d", c, r.Distance(0, c), i)
+		if r.pos[0][c] != int32(i) {
+			t.Errorf("pos[0][%d] = %d, want %d", c, r.pos[0][c], i)
 		}
 	}
 }
@@ -123,28 +123,20 @@ func TestViewHealthFusion(t *testing.T) {
 	if v.Now() != 42 {
 		t.Errorf("Now = %d, want 42", v.Now())
 	}
-	wantHealth := []int64{1000, 3000, 2600, 1000}
-	for ch, want := range wantHealth {
-		if got := v.HealthMilli(topology.ChipletID(ch)); got != want {
-			t.Errorf("HealthMilli(%d) = %d, want %d", ch, got, want)
-		}
+	if want := []int64{1000, 3000, 2600, 1000}; !reflect.DeepEqual(v.health, want) {
+		t.Errorf("health = %v, want %v", v.health, want)
 	}
-	for ch := 0; ch < 4; ch++ {
-		if got, want := v.IsRefused(topology.ChipletID(ch)), ch == 3; got != want {
-			t.Errorf("IsRefused(%d) = %v, want %v", ch, got, want)
-		}
+	if want := []bool{false, false, false, true}; !reflect.DeepEqual(v.refused, want) {
+		t.Errorf("refused = %v, want %v", v.refused, want)
 	}
 	// Preference: healthy chiplet 0 first, then observed-slow 2, then
 	// browned-out 1; the refused chiplet orders last but is never dropped
 	// (half-open probes must still reach it).
 	want := []topology.ChipletID{0, 2, 1, 3}
-	if got := v.ChipletsByPreference(nil, 0); !reflect.DeepEqual(got, want) {
-		t.Errorf("ChipletsByPreference = %v, want %v", got, want)
-	}
-	// BreakerClosed filters chiplet 3's cores (6, 7); Live and Idle still
-	// compose with it.
-	if c, ok := v.Select(RoundRobin(6), BreakerClosed); !ok || c == 6 || c == 7 {
-		t.Errorf("Select(BreakerClosed) = %d, %v — picked a refused core", c, ok)
+	for cursor := 0; cursor < 4; cursor++ {
+		if got := v.ChipletsByPreference(nil, cursor, topology.KindAny); !reflect.DeepEqual(got, want) {
+			t.Errorf("ChipletsByPreference(%d) = %v, want %v", cursor, got, want)
+		}
 	}
 }
 
@@ -161,8 +153,8 @@ func TestFuseHealth(t *testing.T) {
 		{500, 0, 1000}, // sub-nominal readings clamp up
 	}
 	for _, c := range cases {
-		if got := FuseHealth(c.plan, c.obs); got != c.want {
-			t.Errorf("FuseHealth(%d, %d) = %d, want %d", c.plan, c.obs, got, c.want)
+		if got := fuseHealth(c.plan, c.obs); got != c.want {
+			t.Errorf("fuseHealth(%d, %d) = %d, want %d", c.plan, c.obs, got, c.want)
 		}
 	}
 }
@@ -230,21 +222,28 @@ func TestSelectDeterminism(t *testing.T) {
 	a, b := build(), build()
 
 	for _, from := range []topology.CoreID{0, 17, 63, 127} {
-		ca, oka := a.Select(Nearest(from), Live, Idle)
-		cb, okb := b.Select(Nearest(from), Live, Idle)
+		ca, oka := a.Select(CongestionAware(from), Live, Idle)
+		cb, okb := b.Select(CongestionAware(from), Live, Idle)
 		if ca != cb || oka != okb {
-			t.Errorf("Select(Nearest(%d)) differs: (%d,%v) vs (%d,%v)", from, ca, oka, cb, okb)
+			t.Errorf("Select(CongestionAware(%d)) differs: (%d,%v) vs (%d,%v)", from, ca, oka, cb, okb)
 		}
 		if !reflect.DeepEqual(a.VictimsByDistance(from, 0), b.VictimsByDistance(from, 0)) {
 			t.Errorf("VictimsByDistance(%d) differs across identical views", from)
 		}
+		if !reflect.DeepEqual(a.VictimsNodeFirst(from, 0), b.VictimsNodeFirst(from, 0)) {
+			t.Errorf("VictimsNodeFirst(%d) differs across identical views", from)
+		}
 	}
-	if !reflect.DeepEqual(a.Rank(LeastLoaded(), Live), b.Rank(LeastLoaded(), Live)) {
-		t.Error("Rank(LeastLoaded) differs across identical views")
+	ca, oka := a.Select(LeastLoaded(), Live)
+	cb, okb := b.Select(LeastLoaded(), Live)
+	if ca != cb || oka != okb {
+		t.Errorf("Select(LeastLoaded) differs: (%d,%v) vs (%d,%v)", ca, oka, cb, okb)
 	}
 	for cursor := 0; cursor < 4; cursor++ {
-		if !reflect.DeepEqual(a.ChipletsByPreference(nil, cursor), b.ChipletsByPreference(nil, cursor)) {
-			t.Errorf("ChipletsByPreference(%d) differs across identical views", cursor)
+		for _, k := range []topology.ChipletKind{topology.KindAny, topology.KindFast} {
+			if !reflect.DeepEqual(a.ChipletsByPreference(nil, cursor, k), b.ChipletsByPreference(nil, cursor, k)) {
+				t.Errorf("ChipletsByPreference(%d, %v) differs across identical views", cursor, k)
+			}
 		}
 	}
 }
@@ -255,20 +254,18 @@ func TestNilSnapshotDefaults(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	v := NewView(NewRanks(topo), 0, Snapshot{})
 	for c := 0; c < topo.NumCores(); c++ {
-		id := topology.CoreID(c)
-		if !v.IsLive(id) || v.Occupancy(id) != 0 || v.WorkerOn(id) != -1 {
+		if !v.live[c] || v.occ[c] != 0 || v.workerOn[c] != -1 {
 			t.Errorf("core %d: live=%v occ=%d worker=%d, want live idle unowned",
-				c, v.IsLive(id), v.Occupancy(id), v.WorkerOn(id))
+				c, v.live[c], v.occ[c], v.workerOn[c])
 		}
 	}
 	for ch := 0; ch < topo.NumChiplets(); ch++ {
-		id := topology.ChipletID(ch)
-		if v.HealthMilli(id) != 1000 || v.IsRefused(id) {
+		if v.health[ch] != 1000 || v.refused[ch] {
 			t.Errorf("chiplet %d: health=%d refused=%v, want nominal admitting",
-				ch, v.HealthMilli(id), v.IsRefused(id))
+				ch, v.health[ch], v.refused[ch])
 		}
 	}
-	if got := v.ChipletsByPreference(nil, 0); len(got) != 0 {
+	if got := v.ChipletsByPreference(nil, 0, topology.KindAny); len(got) != 0 {
 		t.Errorf("ChipletsByPreference with no workers = %v, want empty", got)
 	}
 }

@@ -3,7 +3,6 @@ package place
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"charm/internal/topology"
 )
@@ -41,7 +40,7 @@ type Snapshot struct {
 	// closed-loop power plane in milli-°C (nil = no thermal signal).
 	TempMilliC []int64
 	// TempSoftMilliC is the governor's soft-throttle setpoint in milli-°C;
-	// the thermal scorers measure headroom against it (0 = no signal).
+	// placement measures headroom against it (0 = no signal).
 	TempSoftMilliC int64
 	// LinkUtilMilli[ch] is the current-window occupancy of chiplet ch's
 	// hottest incident fabric link in milli-units (1000 = saturated,
@@ -52,11 +51,11 @@ type Snapshot struct {
 
 // View is an immutable placement snapshot of one machine at one virtual
 // time: the MachineView every placement decision queries. Build one with
-// NewView, query it with Select/Rank and the typed helpers, throw it
-// away — or rebuild it in place with Reset when one owner makes decisions
-// back to back. Views never observe later engine mutations, so two
-// identical snapshots always produce identical decisions. A view's
-// queries reuse its scratch buffers: one goroutine queries it at a time.
+// NewView, query it, throw it away — or rebuild it in place with Reset
+// when one owner makes decisions back to back. Views never observe later
+// engine mutations, so two identical snapshots always produce identical
+// decisions. A view's queries reuse its scratch buffers: one goroutine
+// queries it at a time.
 type View struct {
 	ranks      *Ranks
 	now        int64
@@ -120,7 +119,7 @@ func (v *View) Reset(r *Ranks, now int64, s Snapshot) {
 		if s.ObsMilli != nil {
 			om = s.ObsMilli[ch]
 		}
-		v.health[ch] = FuseHealth(pm, om)
+		v.health[ch] = fuseHealth(pm, om)
 	}
 }
 
@@ -140,10 +139,10 @@ func orDefault[T any](sig []T, def *[]T, n int, x T) []T {
 	return *def
 }
 
-// FuseHealth fuses a chiplet's plan-declared and PMU-observed slowdown
+// fuseHealth fuses a chiplet's plan-declared and PMU-observed slowdown
 // signals into one milli-factor: the worst signal wins, floored at the
 // nominal 1000 (absent signals are reported as 0 and read as healthy).
-func FuseHealth(planMilli, obsMilli int64) int64 {
+func fuseHealth(planMilli, obsMilli int64) int64 {
 	h := int64(1000)
 	if planMilli > h {
 		h = planMilli
@@ -160,97 +159,50 @@ func (v *View) Now() int64 { return v.now }
 // Topology returns the machine topology.
 func (v *View) Topology() *topology.Topology { return v.ranks.topo }
 
-// Ranks returns the shared distance ranking.
-func (v *View) Ranks() *Ranks { return v.ranks }
-
 // NumWorkers returns the snapshot's worker count.
 func (v *View) NumWorkers() int { return len(v.workerCore) }
 
 // IsLive reports whether core c is not offlined by the fault plan.
 func (v *View) IsLive(c topology.CoreID) bool { return v.live[c] }
 
-// Occupancy returns the number of workers pinned to core c.
-func (v *View) Occupancy(c topology.CoreID) int { return int(v.occ[c]) }
-
-// WorkerOn returns the worker ID pinned to core c, or -1.
-func (v *View) WorkerOn(c topology.CoreID) int { return int(v.workerOn[c]) }
-
 // CoreOf returns worker w's core at snapshot time.
 func (v *View) CoreOf(w int) topology.CoreID { return v.workerCore[w] }
 
-// DepthOf returns worker w's queued-task count at snapshot time.
-func (v *View) DepthOf(w int) int64 { return v.depth[w] }
-
-// HealthMilli returns chiplet ch's fused slowdown factor (1000 = nominal).
-func (v *View) HealthMilli(ch topology.ChipletID) int64 { return v.health[ch] }
-
-// IsRefused reports whether chiplet ch's breaker refuses placements.
-func (v *View) IsRefused(ch topology.ChipletID) bool { return v.refused[ch] }
-
-// TempMilliC returns chiplet ch's junction temperature in milli-°C, or 0
-// when the view carries no thermal signal.
-func (v *View) TempMilliC(ch topology.ChipletID) int64 {
-	if v.temp == nil {
-		return 0
-	}
-	return v.temp[ch]
-}
-
-// TempSoftMilliC returns the governor's soft-throttle setpoint in
-// milli-°C, or 0 when the view carries no thermal signal.
-func (v *View) TempSoftMilliC() int64 { return v.tempSoft }
-
-// LinkUtilMilli returns the occupancy of chiplet ch's hottest incident
-// fabric link in milli-units (1000 = saturated), or 0 when the view
-// carries no congestion signal.
-func (v *View) LinkUtilMilli(ch topology.ChipletID) int64 {
-	if v.linkUtil == nil {
-		return 0
-	}
-	return v.linkUtil[ch]
-}
-
-// KindOf returns chiplet ch's compute kind (KindFast on homogeneous
-// machines).
-func (v *View) KindOf(ch topology.ChipletID) topology.ChipletKind {
-	return v.ranks.topo.KindOf(ch)
-}
-
-// thermalGuardMilliC is the guard band below the soft setpoint where the
-// thermal scorers begin steering work away: a chiplet within 10 °C of
-// soft throttling is already a bad place for more heat.
+// thermalGuardMilliC is the guard band below the soft setpoint where
+// placement begins steering work away: a chiplet within 10 °C of soft
+// throttling is already a bad place for more heat.
 const thermalGuardMilliC = 10_000
 
-// thermalPenalty converts a chiplet's temperature into a scorer penalty:
-// zero with ample headroom, then one (1<<20)-scaled unit per °C past the
-// guard band — large enough to dominate any topological distance, so a
-// cool remote chiplet beats a hot local one.
-func (v *View) thermalPenalty(ch topology.ChipletID) int64 {
+// congestionGuardMilli is the link occupancy where placement begins
+// steering work away: past 70% of the bandwidth window, new transfers
+// will land in the queueing regime before the window turns over.
+const congestionGuardMilli = 700
+
+// thermalOver returns how far chiplet ch runs into the thermal guard band
+// in milli-°C; zero or less means ample headroom or no thermal signal.
+func (v *View) thermalOver(ch topology.ChipletID) int64 {
 	if v.temp == nil || v.tempSoft == 0 {
 		return 0
 	}
-	over := v.temp[ch] - (v.tempSoft - thermalGuardMilliC)
-	if over <= 0 {
-		return 0
-	}
-	return over * (1 << 20) / 1000
+	return v.temp[ch] - (v.tempSoft - thermalGuardMilliC)
 }
 
-// congestionGuardMilli is the link occupancy where the congestion scorers
-// begin steering work away: past 70% of the bandwidth window, new
-// transfers will land in the queueing regime before the window turns over.
-const congestionGuardMilli = 700
-
-// congestionPenalty converts a chiplet's hottest-link occupancy into a
-// scorer penalty: zero below the guard, then one (1<<20)-scaled unit per
-// 1000 milli of overshoot — the same magnitude scheme as thermalPenalty,
-// so congestion dominates topological distance but defers to a chiplet
-// that is ten degrees into its thermal guard band.
-func (v *View) congestionPenalty(ch topology.ChipletID) int64 {
+// congestionOver returns how far chiplet ch's hottest incident link runs
+// past the congestion guard in milli-units; zero or less means calm or no
+// congestion signal.
+func (v *View) congestionOver(ch topology.ChipletID) int64 {
 	if v.linkUtil == nil {
 		return 0
 	}
-	over := v.linkUtil[ch] - congestionGuardMilli
+	return v.linkUtil[ch] - congestionGuardMilli
+}
+
+// penalty converts a guard overshoot in milli-units (milli-°C of heat,
+// milli of link occupancy) into a scorer penalty: zero inside the guard,
+// then one (1<<20)-scaled unit per 1000 — large enough to dominate any
+// topological distance, so a calm, cool remote chiplet beats a congested
+// or hot local one.
+func penalty(over int64) int64 {
 	if over <= 0 {
 		return 0
 	}
@@ -267,23 +219,9 @@ var Live Constraint = func(v *View, c topology.CoreID) bool { return v.live[c] }
 // Idle admits cores with no worker pinned to them.
 var Idle Constraint = func(v *View, c topology.CoreID) bool { return v.occ[c] == 0 }
 
-// BreakerClosed admits cores whose chiplet breaker is not refusing
-// placements.
-var BreakerClosed Constraint = func(v *View, c topology.CoreID) bool {
-	return !v.refused[v.ranks.topo.ChipletOf(c)]
-}
-
 // Scorer orders eligible candidates: lower is better. Scorers must be
 // pure functions of the view and the candidate so selections replay.
 type Scorer func(v *View, c topology.CoreID) int64
-
-// Nearest prefers cores topologically closest to from (from itself scores
-// -1, nearer than everything else).
-func Nearest(from topology.CoreID) Scorer {
-	return func(v *View, c topology.CoreID) int64 {
-		return int64(v.ranks.pos[from][c])
-	}
-}
 
 // LeastLoaded prefers unoccupied cores, then the shallowest queue of the
 // core's resident worker (occupancy dominates: stacking two workers on
@@ -298,47 +236,16 @@ func LeastLoaded() Scorer {
 	}
 }
 
-// ThermalHeadroom prefers cores topologically close to from while trading
-// that proximity against projected temperature headroom: candidates on
-// chiplets inside the guard band of the governor's soft setpoint (or over
-// it) pay thermalPenalty, so sustained hot work spreads across the
-// package before the governor has to throttle anyone. On views without a
-// thermal signal it reduces exactly to Nearest.
-func ThermalHeadroom(from topology.CoreID) Scorer {
-	return func(v *View, c topology.CoreID) int64 {
-		s := int64(v.ranks.pos[from][c])
-		return s + v.thermalPenalty(v.ranks.topo.ChipletOf(c))
-	}
-}
-
-// CongestionAware prefers cores topologically close to from while demoting
-// chiplets behind hot fabric links and hot dies: candidates pay
-// congestionPenalty once their hottest incident link exceeds the guard
-// occupancy, plus thermalPenalty inside the thermal guard band. On views
-// without congestion or thermal signals it reduces exactly to Nearest.
+// CongestionAware prefers cores topologically close to from (from itself
+// first, then the Ranks order) while demoting chiplets behind hot fabric
+// links and hot dies: candidates pay a penalty once their hottest incident
+// link exceeds the guard occupancy, and another inside the thermal guard
+// band. On views without congestion or thermal signals it reduces exactly
+// to topological distance, the fault re-homing walk.
 func CongestionAware(from topology.CoreID) Scorer {
 	return func(v *View, c topology.CoreID) int64 {
 		ch := v.ranks.topo.ChipletOf(c)
-		return int64(v.ranks.pos[from][c]) + v.congestionPenalty(ch) + v.thermalPenalty(ch)
-	}
-}
-
-// CapabilityMatch admits only cores on chiplets of the given compute kind;
-// KindAny admits everything. Dispatchers use it as a soft preference
-// (match first, fall back to any kind) so declaring a preference can never
-// strand a job.
-func CapabilityMatch(kind topology.ChipletKind) Constraint {
-	return func(v *View, c topology.CoreID) bool {
-		return kind == topology.KindAny || v.ranks.topo.KindOf(v.ranks.topo.ChipletOf(c)) == kind
-	}
-}
-
-// RoundRobin rotates preference through the cores starting at cursor —
-// the deterministic fairness scorer for otherwise-equal candidates.
-func RoundRobin(cursor int) Scorer {
-	return func(v *View, c topology.CoreID) int64 {
-		n := len(v.live)
-		return int64(((int(c)-cursor)%n + n) % n)
+		return int64(v.ranks.pos[from][c]) + penalty(v.congestionOver(ch)) + penalty(v.thermalOver(ch))
 	}
 }
 
@@ -368,33 +275,6 @@ func (v *View) Select(score Scorer, cons ...Constraint) (topology.CoreID, bool) 
 		}
 	}
 	return best, found
-}
-
-// Rank returns every core satisfying the constraints in ascending score
-// order, ties broken by core ID.
-func (v *View) Rank(score Scorer, cons ...Constraint) []topology.CoreID {
-	type scored struct {
-		c topology.CoreID
-		s int64
-	}
-	cand := make([]scored, 0, len(v.live))
-	for i := range v.live {
-		c := topology.CoreID(i)
-		if v.satisfies(c, cons) {
-			cand = append(cand, scored{c, score(v, c)})
-		}
-	}
-	sort.Slice(cand, func(i, j int) bool {
-		if cand[i].s != cand[j].s {
-			return cand[i].s < cand[j].s
-		}
-		return cand[i].c < cand[j].c
-	})
-	out := make([]topology.CoreID, len(cand))
-	for i, x := range cand {
-		out[i] = x.c
-	}
-	return out
 }
 
 // VictimsByDistance returns the IDs of all workers other than selfWorker
@@ -448,6 +328,7 @@ func (v *View) LiveWorkersOn(dst []int, ch topology.ChipletID) []int {
 // prefCand is one chiplet's dispatch-preference key, its fields in
 // comparison order.
 type prefCand struct {
+	other   bool
 	refused bool
 	health  int64
 	band    int64
@@ -458,16 +339,27 @@ type prefCand struct {
 	hasLive bool
 }
 
-// comparePref orders preference keys: breaker-admitting first, then
-// healthier, cooler, calmer, shallower, and finally by rotation. rot is
-// unique per chiplet, so the order is total and every correct sort
-// produces the same sequence.
+// falseFirst orders false before true.
+func falseFirst(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case a:
+		return 1
+	}
+	return -1
+}
+
+// comparePref orders preference keys: the preferred kind first, then
+// breaker-admitting, healthier, cooler, calmer, shallower, and finally by
+// rotation. rot is unique per chiplet, so the order is total and every
+// correct sort produces the same sequence.
 func comparePref(a, b prefCand) int {
-	if a.refused != b.refused {
-		if a.refused {
-			return 1
-		}
-		return -1
+	if c := falseFirst(a.other, b.other); c != 0 {
+		return c
+	}
+	if c := falseFirst(a.refused, b.refused); c != 0 {
+		return c
 	}
 	if c := cmp.Compare(a.health, b.health); c != 0 {
 		return c
@@ -486,8 +378,11 @@ func comparePref(a, b prefCand) int {
 
 // ChipletsByPreference appends to dst every chiplet hosting at least one
 // worker on a live core, ordered for dispatch, and returns the extended
-// slice: breaker-admitting chiplets before refused ones (refused chiplets
-// stay listed last so half-open probes can still reach them), then
+// slice: chiplets of the preferred kind first when kind is not KindAny (a
+// soft preference — the other kinds follow, so a preference never strands
+// work, and it changes nothing when every chiplet or none is of that
+// kind), then breaker-admitting chiplets before refused ones (refused
+// chiplets stay listed so half-open probes can still reach them), then
 // healthier fused milli, then cooler thermal band (2 °C buckets inside the
 // soft setpoint's guard band — a no-op without a thermal signal), then
 // calmer congestion band (100-milli buckets of hottest-incident-link
@@ -495,7 +390,7 @@ func comparePref(a, b prefCand) int {
 // then lower aggregate queue depth. Remaining ties rotate
 // deterministically with cursor so equally-good chiplets share work
 // round-robin.
-func (v *View) ChipletsByPreference(dst []topology.ChipletID, cursor int) []topology.ChipletID {
+func (v *View) ChipletsByPreference(dst []topology.ChipletID, cursor int, kind topology.ChipletKind) []topology.ChipletID {
 	topo := v.ranks.topo
 	nch := topo.NumChiplets()
 	v.prefs = slices.Grow(v.prefs[:0], nch)[:nch]
@@ -516,16 +411,14 @@ func (v *View) ChipletsByPreference(dst []topology.ChipletID, cursor int) []topo
 		if !p.hasLive {
 			continue
 		}
+		id := topology.ChipletID(ch)
+		p.other = kind != topology.KindAny && topo.KindOf(id) != kind
 		p.refused, p.health = v.refused[ch], v.health[ch]
-		if v.temp != nil && v.tempSoft != 0 {
-			if over := v.temp[ch] - (v.tempSoft - thermalGuardMilliC); over > 0 {
-				p.band = over/2000 + 1
-			}
+		if over := v.thermalOver(id); over > 0 {
+			p.band = over/2000 + 1
 		}
-		if v.linkUtil != nil {
-			if over := v.linkUtil[ch] - congestionGuardMilli; over > 0 {
-				p.cong = over/100 + 1
-			}
+		if over := v.congestionOver(id); over > 0 {
+			p.cong = over/100 + 1
 		}
 		p.rot = ((ch-cursor)%nch + nch) % nch
 		cands[k] = p

@@ -11,10 +11,13 @@ import (
 // refChipletsByPreference is the reference model of
 // View.ChipletsByPreference: one pass over the workers per chiplet to
 // find its live workers and summed depth, then sort.Slice on a fresh
-// candidate slice. The view's version sums every chiplet's depth in one
-// pass and sorts its reused buffer in place; FuzzChipletsByPreference
-// holds the two to the same order.
-func refChipletsByPreference(v *View, cursor int) []topology.ChipletID {
+// candidate slice, then — when the job prefers a kind — a stable
+// partition moving the matching chiplets to the front, the way job
+// dispatch applied the preference before it became the order's leading
+// key. The view's version sums every chiplet's depth in one pass and
+// sorts its reused buffer in place with the kind as its first key;
+// FuzzChipletsByPreference holds the two to the same order.
+func refChipletsByPreference(v *View, cursor int, kind topology.ChipletKind) []topology.ChipletID {
 	topo := v.ranks.topo
 	nch := topo.NumChiplets()
 	type cand struct {
@@ -74,6 +77,23 @@ func refChipletsByPreference(v *View, cursor int) []topology.ChipletID {
 	out := make([]topology.ChipletID, len(cands))
 	for i, c := range cands {
 		out[i] = c.ch
+	}
+	if kind != topology.KindAny {
+		// Stable partition: matching kinds first, the rest after.
+		var ord []topology.ChipletID
+		for _, ch := range out {
+			if topo.KindOf(ch) == kind {
+				ord = append(ord, ch)
+			}
+		}
+		if nk := len(ord); nk > 0 && nk < len(out) {
+			for _, ch := range out {
+				if topo.KindOf(ch) != kind {
+					ord = append(ord, ch)
+				}
+			}
+			out = ord
+		}
 	}
 	return out
 }
@@ -153,41 +173,51 @@ func fuzzSnapshot(topo *topology.Topology, b *fuzzBytes) Snapshot {
 }
 
 // FuzzChipletsByPreference holds View.ChipletsByPreference to the
-// reference model for every rotation cursor, on a small synthetic machine
-// and on the dual-socket Milan preset. Each snapshot is queried twice: on
-// a freshly built view, and on a view first built and queried on the
-// other machine, then rebuilt through Reset — so nothing a reused view
-// kept (defaults, fused health, the candidate buffer) can leak into its
+// reference model for every rotation cursor and every kind preference, on
+// a small synthetic machine, on the dual-socket Milan preset and on the
+// heterogeneous mesh (fast, efficient and accelerator chiplets). Each
+// snapshot is queried twice: on a freshly built view, and on a view first
+// built and queried on the next machine, then rebuilt through Reset — so
+// nothing a reused view kept (defaults, fused health, the candidate
+// buffer) can leak into its
 // next decision.
 func FuzzChipletsByPreference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 7, 0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 0, 1, 2, 3, 0})
 	f.Add([]byte{0x3e, 3, 0, 2, 4, 6, 1, 1, 2, 3, 3, 3, 0, 0, 0, 1, 2, 2, 0, 200, 10, 180, 255})
 	f.Add([]byte{0x7f, 0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255})
+	het, err := hetMesh()
+	if err != nil {
+		f.Fatal(err)
+	}
 	ranks := []*Ranks{
 		NewRanks(topology.Synthetic(4, 2)),
 		NewRanks(topology.AMDMilan7713x2()),
+		NewRanks(het),
 	}
+	kinds := []topology.ChipletKind{topology.KindAny, topology.KindFast, topology.KindEfficient, topology.KindAccel}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := fuzzBytes(data)
 		var reused View
 		var got []topology.ChipletID
 		var gotW, wantW []int
 		for i, r := range ranks {
-			other := ranks[1-i]
-			reused.Reset(other, 7, fuzzSnapshot(other.Topology(), &b))
-			got = reused.ChipletsByPreference(got[:0], 3)
-			s := fuzzSnapshot(r.Topology(), &b)
+			other := ranks[(i+1)%len(ranks)]
+			reused.Reset(other, 7, fuzzSnapshot(other.topo, &b))
+			got = reused.ChipletsByPreference(got[:0], 3, topology.KindAccel)
+			s := fuzzSnapshot(r.topo, &b)
 			fresh := NewView(r, 42, s)
 			reused.Reset(r, 42, s)
-			nch := r.Topology().NumChiplets()
-			for cursor := 0; cursor <= nch; cursor++ {
-				want := refChipletsByPreference(fresh, cursor)
-				if got = fresh.ChipletsByPreference(got[:0], cursor); !slices.Equal(got, want) {
-					t.Fatalf("%d chiplets, cursor %d: fresh view orders %v, reference %v", nch, cursor, got, want)
-				}
-				if got = reused.ChipletsByPreference(got[:0], cursor); !slices.Equal(got, want) {
-					t.Fatalf("%d chiplets, cursor %d: reset view orders %v, reference %v", nch, cursor, got, want)
+			nch := r.topo.NumChiplets()
+			for _, kind := range kinds {
+				for cursor := 0; cursor <= nch; cursor++ {
+					want := refChipletsByPreference(fresh, cursor, kind)
+					if got = fresh.ChipletsByPreference(got[:0], cursor, kind); !slices.Equal(got, want) {
+						t.Fatalf("%d chiplets, cursor %d, prefer %v: fresh view orders %v, reference %v", nch, cursor, kind, got, want)
+					}
+					if got = reused.ChipletsByPreference(got[:0], cursor, kind); !slices.Equal(got, want) {
+						t.Fatalf("%d chiplets, cursor %d, prefer %v: reset view orders %v, reference %v", nch, cursor, kind, got, want)
+					}
 				}
 			}
 			for ch := 0; ch < nch; ch++ {

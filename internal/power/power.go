@@ -5,9 +5,9 @@
 // temperature toward P·R + T_amb with time constant R·C), and runs a
 // tiered governor that feeds throttle state back into the fault plan's
 // dynamic overlay — soft throttle, hard throttle, and an emergency
-// chiplet park. The breakers, place.FuseHealth and the Ctx cost path then
-// consume the governor's output through the exact same integer
-// milli-factor queries they already use for static faults.
+// chiplet park. The breakers, the placement view's fused health and the
+// Ctx cost path then consume the governor's output through the exact same
+// integer milli-factor queries they already use for static faults.
 //
 // Everything runs in virtual time on integer arithmetic, so Deterministic
 // replays stay byte-identical with the plane enabled. The unit identity

@@ -29,6 +29,8 @@ type streamTwin struct {
 	// accesses, in sampled lines: what the charge runs must account for.
 	sysFills int64
 	checks   int
+	// faulty marks a twin with the brownout plan armed.
+	faulty bool
 }
 
 const (
@@ -71,7 +73,7 @@ func newStreamTwin(tb testing.TB, cfg int) *streamTwin {
 			tb.Fatal(err)
 		}
 	}
-	w := &streamTwin{tb: tb}
+	w := &streamTwin{tb: tb, faulty: faulty}
 	build := func() (*Machine, *obs.Registry) {
 		m := New(Config{Topo: topo, Fabric: kind, SampleShift: shift, MLP: 32})
 		reg := obs.NewRegistry(1)
@@ -266,7 +268,7 @@ func TestAccessStreamMatchesReference(t *testing.T) {
 	for cfg := 0; cfg < twinCfgs; cfg++ {
 		w := newStreamTwin(t, cfg)
 		name := fmt.Sprintf("%s/het=%v/shift%d/faults=%v",
-			w.m.Fabric.Kind(), w.m.accMilli != nil, w.m.sampleShift, w.m.faults != nil)
+			w.m.Fabric.Kind(), w.m.accMilli != nil, w.m.sampleShift, w.faulty)
 		t.Run(name, func(t *testing.T) {
 			w.tb = t
 			now := make([]int64, w.m.Topo.NumCores())
@@ -290,7 +292,7 @@ func TestAccessStreamMatchesReference(t *testing.T) {
 			}
 			w.checkRuns()
 			runs, lines, fallback := w.hostCounts()
-			if w.m.faults != nil {
+			if w.faulty {
 				if runs != 0 || lines != 0 || fallback == 0 {
 					t.Fatalf("fault plan armed: %d runs of %d lines, %d single charges; want no runs", runs, lines, fallback)
 				}

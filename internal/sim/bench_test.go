@@ -11,7 +11,7 @@ import (
 // BenchmarkMachineAccess measures the simulator hot path on the 16-chiplet
 // Milan preset under the access mixes that stress coherence tracking, in
 // both modes: "dir" (the coherence directory, the default) and "scan"
-// (NoDirectory broadcast tag-array scans, the pre-directory behaviour).
+// (broadcast tag-array scans, the pre-directory behaviour).
 // The miss-heavy mixes are where the directory pays: a scan-mode miss
 // probes chiplets × ways tag slots per line, a directory-mode miss reads
 // one presence bitmask.
@@ -42,7 +42,7 @@ func BenchmarkMachineAccess(b *testing.B) {
 
 func milanMachine(b *testing.B, noDir bool) *Machine {
 	b.Helper()
-	return New(Config{Topo: topology.AMDMilan7713x2(), NoDirectory: noDir})
+	return newMachine(Config{Topo: topology.AMDMilan7713x2()}, noDir)
 }
 
 // benchReadHot: core 0 re-reads a 256 KiB region that fits its 512 KiB L2.
@@ -105,7 +105,7 @@ func benchStreamingMiss(b *testing.B, noDir bool) {
 // 512 lines.
 func benchRemoteFill(b *testing.B, noDir bool) {
 	topo := hetSpecTopo(b)
-	m := New(Config{Topo: topo, Fabric: fabric.KindMesh, MLP: 32, NoDirectory: noDir})
+	m := newMachine(Config{Topo: topo, Fabric: fabric.KindMesh, MLP: 32}, noDir)
 	const size = 256 << 10
 	const chunk = 32 << 10
 	region := m.Space.Alloc(size, mem.Bind, 0)

@@ -11,6 +11,18 @@ import (
 	"charm/internal/topology"
 )
 
+// newMachine builds a machine from cfg, in broadcast-scan mode when scan is
+// set: every L3 presence question then scans the tag arrays, the path
+// topologies over 64 chiplets take and the reference model the directory
+// is held to.
+func newMachine(cfg Config, scan bool) *Machine {
+	m := New(cfg)
+	if scan {
+		m.dir = nil
+	}
+	return m
+}
+
 // TestDirectoryMatchesScanState drives randomized access sequences and
 // repeatedly asserts the exactness invariant: the directory's presence
 // bitmask equals a brute-force scan of every chiplet's tag array, bit for
@@ -79,9 +91,9 @@ func TestDirectoryEquivalentToScan(t *testing.T) {
 	const regionSize = 1 << 16
 	const ops = 8000
 	run := func(noDir bool) ([]int64, [][]int64) {
-		m := New(Config{Topo: topo, NoDirectory: noDir})
-		if m.DirectoryEnabled() == noDir {
-			t.Fatalf("DirectoryEnabled() = %v with NoDirectory=%v", m.DirectoryEnabled(), noDir)
+		m := newMachine(Config{Topo: topo}, noDir)
+		if (m.dir != nil) == noDir {
+			t.Fatalf("directory on = %v in scan mode %v", m.dir != nil, noDir)
 		}
 		region := m.Space.Alloc(regionSize, mem.Interleave, 0)
 		s := uint64(7)

@@ -53,12 +53,6 @@ type Config struct {
 	// This is what makes streaming workloads bandwidth-bound rather than
 	// latency-bound, the §2.2 bottleneck. 0 selects 8.
 	MLP int64
-	// NoDirectory disables the coherence directory (the simulated IOD
-	// probe filter, see directory.go) and falls back to broadcast
-	// tag-array scans. The two modes are behaviourally identical; the
-	// flag exists for the directory/scan cross-check tests and the
-	// before/after benchmarks.
-	NoDirectory bool
 }
 
 // Machine is a simulated chiplet server. All methods are safe for
@@ -74,8 +68,9 @@ type Machine struct {
 	l3 []*cache.Cache // per chiplet
 
 	// dir is the coherence directory mirroring L3 presence (the IOD
-	// probe filter). nil selects broadcast tag-array scans — only when
-	// Config.NoDirectory is set or the topology exceeds 64 chiplets.
+	// probe filter). nil selects broadcast tag-array scans: the path of
+	// topologies over 64 chiplets, and the reference model in-package
+	// tests check the directory against.
 	dir *directory
 
 	sampleShift  uint
@@ -108,10 +103,6 @@ type Machine struct {
 
 	// host is nil until Instrument.
 	host *hostMetrics
-
-	// faults is the compiled fault plan armed via SetFaultPlan (nil = a
-	// permanently healthy machine).
-	faults *fault.Plan
 }
 
 // SetFaultPlan arms a compiled fault plan on the machine's shared
@@ -121,13 +112,9 @@ type Machine struct {
 // placement and queries the plan directly. Call before the machine starts
 // executing; a nil plan restores healthy behaviour.
 func (m *Machine) SetFaultPlan(p *fault.Plan) {
-	m.faults = p
 	m.Fabric.SetFaultPlan(p)
 	m.DRAM.SetFaultPlan(p)
 }
-
-// FaultPlan returns the armed fault plan (nil when healthy).
-func (m *Machine) FaultPlan() *fault.Plan { return m.faults }
 
 type coreScratch struct {
 	// v is atomic: SMT siblings and time-shared workers run the same core
@@ -177,7 +164,7 @@ func New(cfg Config) *Machine {
 	for i := range m.l3 {
 		m.l3[i] = cache.New(t.L3PerChiplet, t.L3Ways, cfg.SampleShift)
 	}
-	if !cfg.NoDirectory && t.NumChiplets() <= maxDirChiplets {
+	if t.NumChiplets() <= maxDirChiplets {
 		m.dir = newDirectory()
 	}
 	if t.Heterogeneous() {
@@ -760,7 +747,3 @@ func (m *Machine) FlushCaches() {
 		m.avg[i].vic.p.Store(nil)
 	}
 }
-
-// DirectoryEnabled reports whether the coherence directory is active
-// (false in scan mode; see Config.NoDirectory).
-func (m *Machine) DirectoryEnabled() bool { return m.dir != nil }

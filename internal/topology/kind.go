@@ -42,21 +42,6 @@ func (k ChipletKind) String() string {
 	}
 }
 
-// ParseChipletKind parses a spec-grammar kind name.
-func ParseChipletKind(s string) (ChipletKind, error) {
-	switch s {
-	case "any":
-		return KindAny, nil
-	case "fast":
-		return KindFast, nil
-	case "eff", "efficient":
-		return KindEfficient, nil
-	case "accel", "accelerator":
-		return KindAccel, nil
-	}
-	return KindAny, fmt.Errorf("unknown chiplet kind %q (want fast, eff, or accel)", s)
-}
-
 // KindTraits are the cost multipliers of one chiplet kind, in milli-units
 // against the topology's baseline CostModel (1000 = nominal). All charging
 // stays integer: cost' = cost * Milli / 1000, so an all-fast machine is
