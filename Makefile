@@ -71,8 +71,8 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 11 targets keeps the CI
-# step near 2.75 minutes while still churning fresh inputs past the
+# FUZZTIME bounds each fuzz-smoke target; 15s x 13 targets keeps the CI
+# step near 3.25 minutes while still churning fresh inputs past the
 # saved corpus.
 FUZZTIME ?= 15s
 
@@ -81,8 +81,10 @@ FUZZTIME ?= 15s
 # property, the dispatch preference order against its reference model, the simulator memory-access fuzzer, the streamed access path
 # against the per-line reference, the cache's Fill vs Lookup+Insert
 # differential, the span pipeline against its reference model, the star
-# fabric's hub link graph against the hand-written Star model, and the
-# spec-grammar parsers (tenant shares and topo specs).
+# fabric's hub link graph against the hand-written Star model, the
+# lockstep engine's idle runs against its one-turn-per-grant engine, the
+# fault plan's up-until horizon against CoreDown, and the spec-grammar
+# parsers (tenant shares and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzInboxSequential$$' -fuzztime $(FUZZTIME)
@@ -93,6 +95,8 @@ fuzz-smoke:
 	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run xxx -fuzz '^FuzzBuildReport$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/ -run xxx -fuzz '^FuzzHubMatchesStar$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzIdleRun$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzCoreUpUntil$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run xxx -fuzz '^FuzzParseTopoSpec$$' -fuzztime $(FUZZTIME)
 
@@ -111,7 +115,7 @@ bench:
 	$(GO) test ./internal/core/ -run xxx -bench . -benchtime 1s -benchmem
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkEngine -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding back to back, turn/16/work/2.5us and /10us = the same handoff with that much plain host arithmetic before each Yield, on two Ps whatever -cpu says, work included in ns/op (the bare rows understate what a workload pays per handoff: back-to-back yields keep the second scheduler thread spinning, so a wake through the Go scheduler costs 240 ns there, but with work between yields that thread sleeps and each wake was a futex, 3.7 and 19.6 us a turn before ISSUE 20 made the turn a coroutine switch), turn/self = the no-switch path (15 of 16 workers blocked in a barrier), turn/idle = one inline idle turn of 8 workers drifting toward a far arrival" \
+		-note "engine fast path on AMDMilan7713x2: epoch-batched access accounting (access/batch vs nobatch), pooled task structs (task) and coroutine stacks (coro), each pair the same workload with the optimization toggled; turn/16, turn/32 = host ns per lockstep handoff with every worker yielding back to back, turn/16/work/2.5us and /10us = the same handoff with that much plain host arithmetic before each Yield, on two Ps whatever -cpu says, work included in ns/op (the bare rows understate what a workload pays per handoff: back-to-back yields keep the second scheduler thread spinning, so a wake through the Go scheduler costs 240 ns there, but with work between yields that thread sleeps and each wake was a futex, 3.7 and 19.6 us a turn before ISSUE 20 made the turn a coroutine switch), turn/self = the no-switch path (15 of 16 workers blocked in a barrier), turn/idle/tick, turn/idle/tick/32 = one idle turn of 8 and 32 workers drifting toward a far arrival inside idle runs with the governor ticking every 50 us (played and closed-form turns averaged)" \
 		-time-cmd "$(GO) run ./cmd/charm-bench all"
 	$(GO) test ./internal/sim/ -run xxx -bench BenchmarkMachineAccess -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_directory.json \

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"charm/internal/admit"
+	"charm/internal/power"
 	"charm/internal/sim"
 	"charm/internal/topology"
 )
@@ -164,13 +165,17 @@ func BenchmarkEngine(b *testing.B) {
 		})
 	})
 
-	// The idle stretch: eight workers with empty queues drift toward an
-	// arrival an hour of virtual time ahead (1.4e10 turns away; one second
-	// is only 4e6), so every turn is an idle turn, whichever goroutine
-	// plays it. The fleet paces itself; ns/op is the elapsed time over the
-	// turns TurnStats counted.
-	b.Run("turn/idle", func(b *testing.B) {
-		rt := engineRT(b, 8, Options{Deterministic: true})
+	// The idle stretch: a fleet with empty queues drifts toward an arrival
+	// an hour of virtual time ahead, so every turn is an idle turn, played
+	// inside an idle run (lockstep.idleRun). The power plane ticks every
+	// 50 µs (25 rounds of 2 µs drifts), because with no boundary ahead the
+	// closed form skips the whole hour at once: the run stops at each tick,
+	// plays the rounds around it and skips the steady rounds between ticks.
+	// The fleet paces itself; ns/op is the elapsed time over the turns
+	// TurnStats counted, played and skipped alike. turn/idle/tick has eight
+	// workers; turn/idle/tick/32 shows how the fleet size moves it.
+	idle := func(b *testing.B, workers int) {
+		rt := engineRT(b, workers, Options{Deterministic: true, Power: &power.Config{}})
 		rt.ls.pause()
 		_, err := rt.ServeJobs(JobServiceOptions{Source: &SpecSource{
 			Arrivals: admit.NewTrace([]int64{3_600_000_000_000}),
@@ -186,5 +191,7 @@ func BenchmarkEngine(b *testing.B) {
 			yieldHost()
 		}
 		b.ReportMetric(float64(time.Since(t0).Nanoseconds())/float64(turns()-start), "ns/op")
-	})
+	}
+	b.Run("turn/idle/tick", func(b *testing.B) { idle(b, 8) })
+	b.Run("turn/idle/tick/32", func(b *testing.B) { idle(b, 32) })
 }

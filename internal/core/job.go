@@ -459,6 +459,7 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	if !rt.svc.CompareAndSwap(nil, s) {
 		return nil, fmt.Errorf("core: runtime already serves jobs")
 	}
+	rt.ls.wake() // a parked fleet has arrivals to drift toward now
 	return s, nil
 }
 
@@ -588,9 +589,16 @@ func (s *JobService) MaxChipletDepth(ch int) int64 {
 
 // Drain blocks until the arrival source is exhausted, the queue is empty,
 // and every admitted job has reached a terminal state. A service without
-// a source drains once all externally submitted jobs finish.
+// a source drains once all externally submitted jobs finish. Under
+// Deterministic it then waits for the fleet to park, so what the caller
+// reads next (the metrics history, the power plane) has stopped moving; a
+// fleet that cannot park (a worker blocked, say on an offline core) lets it
+// return at once.
 func (s *JobService) Drain() {
 	<-s.drained
+	if ls := s.rt.ls; ls != nil {
+		ls.settle()
+	}
 }
 
 // newJobLocked registers the handle of tenant ten's arrival.

@@ -26,6 +26,9 @@ func startedRuntime(t *testing.T, opts Options) *Runtime {
 		opts.Workers = 8
 	}
 	rt := NewRuntime(m, opts)
+	if rt.ls != nil {
+		rt.ls.runs = !lsTurnByTurn
+	}
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	return rt

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -40,6 +41,12 @@ import (
 // rendezvous only: a worker that sees pauseWant gives the fleet state to the
 // pauser (paused) and touches none of it until the kernel, which waits out
 // the pause on cond, resumes a worker again.
+//
+// A fleet with nothing left to do (every waiting worker idle at the fleet
+// maximum, no arrival ahead) parks instead of turning (idleRun): the kernel
+// waits on cond like it does for a pause, a pause takes the fleet at once,
+// and an external entry point that changes what an idle turn would do
+// without a pause (ServeJobs, EnableMetrics) wakes it.
 type lockstep struct {
 	rt *Runtime
 	// The fleet state, the running coroutine's (the pauser's while paused):
@@ -71,17 +78,32 @@ type lockstep struct {
 	// off the turn's thread, hence atomic.
 	pauseWant             atomic.Bool
 	handoffs, inline, own atomic.Int64
-	// mu guards paused and queues pausers; cond wakes them and the kernel.
-	// Workers never wait on it.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	paused bool
+	// runs lets grant batch idle turns into idle runs; in-package tests turn
+	// it off to replay the one-turn-per-grant engine. run is idleRun's
+	// scratch, one slot per waiting worker.
+	runs bool
+	run  []runSlot
+	// wakes counts wake calls: an idle run that saw it move since it started
+	// does not park. settlers counts goroutines waiting in settle, and
+	// settleTurns the worker grants they have watched that were not idle
+	// turns.
+	wakes, settleTurns atomic.Int64
+	settlers           atomic.Int32
+	// mu guards paused, parked and spun and queues pausers; cond wakes them,
+	// settlers and the kernel. Workers never wait on it. parked: the fleet
+	// sits at its idle fixpoint, nobody holds the turn and the kernel waits.
+	// spun: a settler saw the fleet turn without heading for a park.
+	mu                   sync.Mutex
+	cond                 *sync.Cond
+	paused, parked, spun bool
 }
 
 // TurnStats counts lockstep grants by how the turn reached its worker: the
 // kernel resumed the worker's coroutine (Handoff), the granting worker played
-// an idle turn itself (Inline), or it came straight back (Self). Host-paced —
-// an idle fleet turns for as long as the host lets it — so it is in no replay.
+// an idle turn itself (Inline, counting the turns of idle runs, closed-form
+// rounds included), or it came straight back (Self). Host-paced — how many
+// idle turns a fleet takes before an external pause cuts its drift short is
+// the host's — so it is in no replay.
 type TurnStats struct{ Handoff, Inline, Self int64 }
 
 // TurnStats returns the grant counts so far (zero when free-running).
@@ -113,6 +135,8 @@ func newLockstep(rt *Runtime, workers int) *lockstep {
 		busy:   workers,
 		holder: -1,
 		last:   -1,
+		runs:   true,
+		run:    make([]runSlot, 0, workers),
 	}
 	ls.cond = sync.NewCond(&ls.mu)
 	return ls
@@ -149,12 +173,16 @@ func pickTurn(state []lsState, pred []func() bool, workers []*Worker, last int, 
 
 // grant hands the turn to the next runner if the fleet is quiescent and
 // returns whom the kernel is to resume: the pick (the caller itself just
-// keeps running), or -1 when nobody can run or the fleet went to a pauser
-// instead. A pick at its loop top whose step() would only drift its idle
-// clock (idleTurn) is not resumed: a worker caller plays that turn — the same
-// idleDrift, in the same grant order — checks it back in and picks again,
-// honouring pauseWant and stop between any two turns. External callers pass
-// -1 and never play turns: they hold no coroutine to get the turn back on.
+// keeps running), or -1 when nobody can run, the fleet went to a pauser
+// instead, or it parked. A pick at its loop top whose step() would only drift
+// its idle clock (idleTurn) is not resumed: a worker caller plays that turn —
+// the same idleDrift, in the same grant order — checks it back in and picks
+// again, honouring pauseWant and stop between any two turns. After such a
+// turn an all-idle fleet (nobody blocked, every waiting worker at its loop
+// top) plays on in an idle run. External callers pass -1 and never play
+// turns: they hold no coroutine to get the turn back on. resume and wake
+// grant while holding mu, so only a pause request (which neither has pending
+// then) makes an external grant take it.
 func (ls *lockstep) grant(caller int) int {
 	for n := 1; ls.holder == -1 && ls.busy == 0; n++ {
 		stopping := ls.rt.stop.Load()
@@ -183,6 +211,9 @@ func (ls *lockstep) grant(caller int) int {
 			} else {
 				ls.own.Add(1)
 			}
+			if caller >= 0 && ls.settlers.Load() > 0 && ls.settleTurns.Add(1) > settleSpinTurns {
+				ls.spin() // never from an external grant: resume and wake hold mu
+			}
 			return best
 		}
 		ls.inline.Add(1)
@@ -196,8 +227,301 @@ func (ls *lockstep) grant(caller int) int {
 		}
 		ls.state[best], ls.holder = lsWaiting, -1
 		ls.busy--
+		if stuck || !ls.runs {
+			// A blocked worker's predicate is due at every grant (or idle
+			// runs are off): this fleet turns one grant at a time and never
+			// parks.
+			if ls.settlers.Load() > 0 {
+				ls.spin()
+			}
+		} else if ls.loopTops() && ls.idleRun() {
+			return -1 // parked: the fleet state is nobody's until a wake
+		}
 	}
 	return ls.holder
+}
+
+// loopTops reports whether every waiting worker checked in from its loop
+// top, so each of their next turns is a whole step().
+func (ls *lockstep) loopTops() bool {
+	for id, s := range ls.state {
+		if s == lsWaiting && !ls.top[id] {
+			return false
+		}
+	}
+	return true
+}
+
+// idleRun plays the turns of an all-idle fleet back to back, on plain copies
+// of the waiting workers' clocks, and reports whether it parked the fleet.
+// grant calls it after an inline idle turn, with nobody blocked and every
+// waiting worker at its loop top; each turn it plays is the one grant would
+// play, so the replay is the per-turn engine's by construction:
+//
+//   - the pick is pickTurn's (smallest clock, ties cyclically after last),
+//     over a set of waiting workers that idle turns cannot change;
+//   - the drift is idleDrift's, t = min(c+idleQuantum, max(gm, nextWork)),
+//     whose cap does not move within the run: every t stays under it;
+//   - the idleTurn proof is split by what can change: the queues, the steal
+//     order caches and nextWork are read once, because idle turns enqueue,
+//     migrate and pump nothing; core liveness is an up-until horizon per
+//     worker (fault.Plan.CoreUpUntil), dropped after every governor tick,
+//     which may append a park span;
+//   - the side effects — the governor tick and the metrics sample — fire
+//     only on the turns whose t crosses their boundary (power.Plane.NextAt,
+//     obs.Registry.SampleHorizon, worker 0's scheduler tick), the calls
+//     idleDrift would make there, with the clocks written back first; the
+//     calls it skips do nothing;
+//   - a steady round repeats until a boundary, so the rounds after it go
+//     in closed form (steadyRounds).
+//
+// The run writes the clocks back and returns when a pick is not provably
+// idle (grant then resumes it), when a tick moved placeEpoch, when pauseWant,
+// stop or a wake is seen (checked every 256 turns), or at the fixpoint: two
+// full rounds that move no clock. Past that point every turn repeats the
+// last with nothing crossing a boundary, so the fleet parks instead, unless
+// a wake came in since the run started.
+func (ls *lockstep) idleRun() (parked bool) {
+	rt := ls.rt
+	gen := ls.wakes.Load()
+	if !rt.queuesEmpty() {
+		return false
+	}
+	st, epoch := rt.opts.SchedulerTimer, rt.placeEpoch.Load()
+	run := ls.run[:0]
+	for id, s := range ls.state {
+		if s != lsWaiting {
+			continue
+		}
+		w := rt.workers[id]
+		u := int64(0) // liveness not known yet: ask at the first pick
+		if w.soCache == nil || w.soEpoch != epoch {
+			u = -1 // its step rebuilds the steal order: never idle
+		}
+		c := w.clock.Now()
+		run = append(run, runSlot{id: id, clk: c, base: c, until: u, due: w.lastSample + st})
+	}
+	lim, nw := rt.MaxWorkerClock(), int64(math.MaxInt64)
+	if s := rt.svc.Load(); s != nil {
+		if nw = s.nextWork.Load(); nw > lim && nw != math.MaxInt64 {
+			lim = nw
+		}
+	}
+	tickAt := int64(math.MaxInt64)
+	if rt.power != nil {
+		tickAt = rt.power.NextAt()
+	}
+	reg, plan := rt.met.reg, rt.opts.Faults
+	sampleAt := reg.SampleHorizon()
+	horizons := func() {
+		// A turn of worker 0 marks its scheduler tick at due; any worker's
+		// turn past due and sampleAt files a sample.
+		for i := range run {
+			r := &run[i]
+			r.hz = r.due
+			if r.id != 0 && r.hz < sampleAt {
+				r.hz = sampleAt
+			}
+		}
+	}
+	horizons()
+	last, still, played := ls.last, 0, int64(0)
+	baseLast, round := last, 0
+	writeBack := func() {
+		ls.last = last
+		ls.inline.Add(played)
+		played = 0
+		for _, r := range run {
+			rt.workers[r.id].clock.SyncTo(r.clk)
+		}
+	}
+	for n := 1; ; n++ {
+		b := 0
+		for i := 1; i < len(run); i++ {
+			if c := run[i].clk; c < run[b].clk || (c == run[b].clk && run[b].id <= last && run[i].id > last) {
+				b = i
+			}
+		}
+		r := &run[b]
+		c, id := r.clk, r.id
+		if c >= nw {
+			writeBack()
+			return false
+		}
+		if c >= r.until {
+			if r.until < 0 {
+				writeBack()
+				return false
+			}
+			up, u := plan.CoreUpUntil(rt.workers[id].Core(), c)
+			if !up {
+				writeBack()
+				return false
+			}
+			r.until = u
+		}
+		t := min(c+idleQuantum, lim)
+		r.clk, last = t, id
+		played++
+		if t >= tickAt || t >= r.hz {
+			writeBack()
+			w := rt.workers[id]
+			ls.holder, ls.state[id] = id, lsRunning
+			ls.busy++
+			if t >= tickAt {
+				rt.power.MaybeTick(t)
+				tickAt = rt.power.NextAt()
+				for i := range run {
+					run[i].until = min(run[i].until, 0)
+				}
+			}
+			if t-w.lastSample >= st {
+				w.markSample(t)
+				reg.MaybeSample(t)
+				r.due, sampleAt = w.lastSample+st, reg.SampleHorizon()
+			}
+			horizons()
+			ls.state[id], ls.holder = lsWaiting, -1
+			ls.busy--
+			if rt.placeEpoch.Load() != epoch {
+				return false
+			}
+		}
+		if round++; round == len(run) {
+			if k := steadyRounds(run, last == baseLast, min(lim, tickAt-1), nw); k > 0 {
+				for i := range run {
+					run[i].clk += k * idleQuantum
+				}
+				played += k * int64(len(run))
+			}
+			for i := range run {
+				run[i].base = run[i].clk
+			}
+			baseLast, round = last, 0
+		}
+		if t != c {
+			still = 0
+		} else if still++; still >= 2*len(run) {
+			writeBack()
+			return ls.park(gen)
+		}
+		if n%256 == 0 {
+			ls.inline.Add(played)
+			played = 0
+			if ls.pauseWant.Load() || rt.stop.Load() || ls.wakes.Load() != gen {
+				writeBack()
+				return false
+			}
+			yieldHost()
+		}
+	}
+}
+
+// runSlot is one waiting worker in an idle run: its id, its clock and the
+// clock at the start of the current round (base), the clock its core is
+// known up until (0: not asked yet, -1: never idle), its next scheduler tick
+// (due) and the first clock at which a turn of it has a side effect (hz).
+type runSlot struct {
+	id                        int
+	clk, base, until, due, hz int64
+}
+
+// steadyRounds returns how many more rounds of an idle run can be played in
+// closed form: a round (one turn per waiting worker) that moved every clock
+// from base by exactly idleQuantum and left last where it was (same) is
+// repeated, shifted by idleQuantum, by the next one — the pick rule sees the
+// same order, and no drift is capped — for as long as no turn crosses a
+// boundary: every drifted clock stays at or under tmax (the drift cap and the
+// governor tick) and under its worker's sample horizon hz, and every clock a
+// turn starts from stays under nw and its worker's liveness horizon until.
+func steadyRounds(run []runSlot, same bool, tmax, nw int64) int64 {
+	if !same {
+		return 0
+	}
+	k := int64(math.MaxInt64)
+	for _, r := range run {
+		c := r.clk
+		if c != r.base+idleQuantum {
+			return 0
+		}
+		end, start := min(tmax, r.hz-1), min(nw, r.until)-1
+		if end < c+idleQuantum || start < c {
+			return 0
+		}
+		k = min(k, (end-c)/idleQuantum, (start-c)/idleQuantum+1)
+	}
+	return k
+}
+
+// park marks the fleet parked at its idle fixpoint unless a wake came in
+// since gen, and tells waiting settlers and pausers. A pauser already
+// waiting gets the fleet as paused instead, so a parked fleet never has a
+// pause pending (wake's grant would take mu again to hand it over).
+func (ls *lockstep) park(gen int64) bool {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	if ls.wakes.Load() != gen {
+		return false
+	}
+	if ls.pauseWant.Load() {
+		ls.paused = true
+	} else {
+		ls.parked = true
+	}
+	ls.cond.Broadcast()
+	return true
+}
+
+// wake un-parks a parked fleet: an external entry point that changed what
+// an idle turn would do without pausing the fleet (ServeJobs, EnableMetrics)
+// calls it, and the kernel resumes the worker the grant names, which plays
+// that turn for real. A run in flight sees the wake within 256 turns and
+// re-reads what it cached; one that reaches its fixpoint first does not park.
+func (ls *lockstep) wake() {
+	if ls == nil {
+		return
+	}
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	ls.wakes.Add(1)
+	if ls.parked {
+		ls.parked = false
+		ls.grant(-1)
+		ls.cond.Broadcast()
+	}
+}
+
+// settleSpinTurns is how many worker grants that are not idle turns a
+// settler watches before it gives up on the fleet parking: work that keeps
+// coming (a task yielding in a loop, a submitter that never stops) keeps a
+// fleet from its fixpoint for good. A drained fleet on its way to the park
+// takes next to none: every Drain of the svc-tenants and topo-fabrics
+// benchmarks and of the test suites saw 0 (at most 1 in an lsSettle) before
+// the fleet parked.
+const settleSpinTurns = 1 << 12
+
+// settle returns once the fleet has parked, so an external reader sees a
+// machine that no longer moves — or at once (when it next turns) if it
+// cannot park: a worker is blocked, idle runs are off, or grants keep
+// finding work. Also returns on stop.
+func (ls *lockstep) settle() {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	ls.spun = false
+	ls.settleTurns.Store(0)
+	ls.settlers.Add(1)
+	for !ls.parked && !ls.spun && !ls.rt.stop.Load() {
+		ls.cond.Wait()
+	}
+	ls.settlers.Add(-1)
+}
+
+// spin tells settlers the fleet is turning without heading for a park.
+func (ls *lockstep) spin() {
+	ls.mu.Lock()
+	ls.spun = true
+	ls.cond.Broadcast()
+	ls.mu.Unlock()
 }
 
 // handoff is the one worker-side step: worker id checks in as s (ending its
@@ -256,8 +580,11 @@ func (ls *lockstep) pause() {
 		ls.cond.Wait() // one external pause at a time
 	}
 	ls.pauseWant.Store(true)
-	for !ls.paused && !ls.rt.stop.Load() {
+	for !ls.paused && !ls.parked && !ls.rt.stop.Load() {
 		ls.cond.Wait()
+	}
+	if ls.parked {
+		ls.parked, ls.paused = false, true // resume names the next holder
 	}
 	max := ls.rt.MaxWorkerClock()
 	for id, s := range ls.state {
@@ -310,9 +637,9 @@ const hostYieldEvery = 256
 // kernel is the one goroutine that runs worker coroutines: it resumes the
 // worker the last check-in named and gets control back, with the next name,
 // when that worker checks in. It waits on cond only while an external pause
-// holds the fleet or every loop has returned (which takes a stop), and once
-// the runtime stops it resumes each unfinished loop until it returns,
-// leaving no coroutine suspended.
+// holds the fleet, the fleet is parked, or every loop has returned (which
+// takes a stop), and once the runtime stops it resumes each unfinished loop
+// until it returns, leaving no coroutine suspended.
 func (ls *lockstep) kernel() {
 	defer ls.rt.wg.Done()
 	to := -1
@@ -334,6 +661,9 @@ func (ls *lockstep) kernel() {
 			yieldHost()
 		}
 	}
+	ls.mu.Lock()
+	ls.parked = false // the loops run to their end: no wake may grant now
+	ls.mu.Unlock()
 	for _, next := range ls.next {
 		for ok := true; ok; {
 			_, ok = next()

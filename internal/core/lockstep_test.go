@@ -114,17 +114,20 @@ func lsServe(t *testing.T, rt *Runtime, opts JobServiceOptions) *JobService {
 
 // lsSettle returns once the fleet sits at its idle fixed point, so what the
 // caller reads next does not depend on when the host lets it read. A run
-// that has returned leaves idle workers drifting up to the fleet maximum one
-// turn at a time, ticking the governor and the samplers on the way; an
-// external pause would cut that short (it moves waiting clocks to the
-// maximum without ticking), so the helper only watches: every worker that
-// is not parked is at the maximum, and since then each has had one more
-// turn (equal clocks rotate round-robin) to file the tick and the samples
-// that were still due at that clock. Needs a fleet with nothing queued and
-// no arrival pending, or the clocks never stop.
+// that has returned leaves idle workers drifting up to the fleet maximum,
+// ticking the governor and the samplers on the way; an external pause would
+// cut that short (it moves waiting clocks to the maximum without ticking).
+// A fleet with nobody blocked parks at the fixed point, and the helper waits
+// for that (lockstep.settle, what Drain does). A fleet with a worker parked
+// on an offline core never parks: it turns one grant at a time, so there
+// the helper watches — every worker that is not parked is at the maximum,
+// and since then each has had one more turn (equal clocks rotate
+// round-robin) to file the tick and the samples that were still due at that
+// clock. Needs a fleet with nothing queued and no arrival pending, or the
+// clocks never stop.
 func lsSettle(rt *Runtime) {
-	since := int64(-1)
-	for {
+	rt.ls.settle()
+	for since := int64(-1); !lsParked(rt); yieldHost() {
 		settled, max := true, rt.MaxWorkerClock()
 		for _, w := range rt.workers {
 			settled = settled && (w.blocked.Load() || w.clock.Now() == max)
@@ -139,8 +142,14 @@ func lsSettle(rt *Runtime) {
 		case n-since >= int64(len(rt.workers)):
 			return
 		}
-		yieldHost()
 	}
+}
+
+// lsParked reports whether the fleet is parked at its idle fixed point.
+func lsParked(rt *Runtime) bool {
+	rt.ls.mu.Lock()
+	defer rt.ls.mu.Unlock()
+	return rt.ls.parked
 }
 
 // power records the governor's published state: the clock it integrated up
@@ -514,7 +523,22 @@ func lsStopScenario(t *testing.T, g *lsGolden) {
 // park, pause/resume from submitWait and SubmitJob, Stop) are digested
 // into testdata/lockstep_golden.txt. The engine may get faster; this file
 // may not change. Regenerate deliberately with -update-lockstep-golden.
-func TestLockstepGolden(t *testing.T) {
+func TestLockstepGolden(t *testing.T) { lsGoldenCheck(t) }
+
+// lsTurnByTurn turns idle runs off in the runtimes startedRuntime builds.
+var lsTurnByTurn bool
+
+// TestLockstepGoldenTurnByTurn replays the golden scenarios on the
+// one-turn-per-grant engine that idle runs batch: the same file must come
+// out, so an idle run changes how many grants a stretch of idle turns
+// takes, never what they do.
+func TestLockstepGoldenTurnByTurn(t *testing.T) {
+	lsTurnByTurn = true
+	defer func() { lsTurnByTurn = false }()
+	lsGoldenCheck(t)
+}
+
+func lsGoldenCheck(t *testing.T) {
 	var g lsGolden
 	lsYieldScenario(t, &g)
 	lsCallScenario(t, &g)

@@ -179,6 +179,7 @@ func (rt *Runtime) EnableMetrics(on bool) {
 		rt.met.reg.EnableSampling(0, 0)
 	}
 	rt.met.reg.SetEnabled(on)
+	rt.ls.wake() // the sample horizon moved
 }
 
 // MetricsSnapshot merges every metric at the fleet's current maximum

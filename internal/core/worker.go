@@ -284,6 +284,11 @@ func (w *Worker) idleTurn() bool {
 		w.soCache == nil || w.soEpoch != rt.placeEpoch.Load() {
 		return false
 	}
+	return rt.queuesEmpty()
+}
+
+// queuesEmpty reports whether every deque and inbox of the fleet is empty.
+func (rt *Runtime) queuesEmpty() bool {
 	for _, v := range rt.workers {
 		if !v.deque.Empty() || !v.inbox.Empty() {
 			return false

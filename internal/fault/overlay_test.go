@@ -281,3 +281,78 @@ func TestCompileThermalConflict(t *testing.T) {
 		t.Fatalf("Compile rejected power + link brownout: %v", err)
 	}
 }
+
+// FuzzCoreUpUntil: over random static core/chiplet down-windows and overlay
+// park spans, a (true, until) answer is a promise the lockstep engine's idle
+// runs cache — CoreDown(c, x) must be false at every x in [t, until) — and
+// until must be the first down instant, so CoreDown(c, until) holds unless
+// until is Forever. A (false, _) answer must agree with CoreDown(c, t).
+func FuzzCoreUpUntil(f *testing.F) {
+	f.Add(uint64(1), int64(150))
+	f.Add(uint64(0xbeef), int64(0))
+	f.Add(uint64(42), int64(899))
+	f.Fuzz(func(t *testing.T, seed uint64, at int64) {
+		const horizon = 2_000
+		topo := topology.Synthetic(4, 2) // 4 chiplets x 2 cores
+		at = (at%horizon + horizon) % horizon
+		r := seed | 1
+		next := func(n int64) int64 { // xorshift64: inputs decide everything
+			r ^= r << 13
+			r ^= r >> 7
+			r ^= r << 17
+			return int64(r % uint64(n))
+		}
+		s := New("fuzz", seed)
+		for k := next(5); k > 0; k-- {
+			from := next(horizon)
+			to := from + 1 + next(400)
+			if next(4) == 0 {
+				to = 0 // open-ended: down Forever
+			}
+			if next(2) == 0 {
+				s.OfflineCore(topology.CoreID(next(int64(topo.NumCores()))), from, to)
+			} else {
+				s.OfflineChiplet(topology.ChipletID(next(int64(topo.NumChiplets()))), from, to)
+			}
+		}
+		p, err := s.Compile(topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next(4) != 0 {
+			ov, err := NewOverlay(topo, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.AttachOverlay(ov)
+			for ch := 0; ch < topo.NumChiplets(); ch++ {
+				for from := next(horizon / 4); from < horizon; from += 1 + next(horizon/4) {
+					to := from + 1 + next(300)
+					ov.AppendPark(topology.ChipletID(ch), from, to)
+					from = to
+				}
+			}
+		}
+		for c := 0; c < topo.NumCores(); c++ {
+			id := topology.CoreID(c)
+			up, until := p.CoreUpUntil(id, at)
+			if !up {
+				if !p.CoreDown(id, at) || until != at {
+					t.Fatalf("core %d at %d: CoreUpUntil = (false, %d), CoreDown = %v", c, at, until, p.CoreDown(id, at))
+				}
+				continue
+			}
+			if until <= at {
+				t.Fatalf("core %d at %d: up until %d, not after the query", c, at, until)
+			}
+			for x := at; x < until && x < 2*horizon; x++ {
+				if p.CoreDown(id, x) {
+					t.Fatalf("core %d: CoreUpUntil(%d) = (true, %d), but CoreDown at %d", c, at, until, x)
+				}
+			}
+			if until != Forever && !p.CoreDown(id, until) {
+				t.Fatalf("core %d: CoreUpUntil(%d) = (true, %d), but the core is up at %d", c, at, until, until)
+			}
+		}
+	})
+}

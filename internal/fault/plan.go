@@ -290,6 +290,19 @@ func milliAt(steps []step, t int64) int64 {
 
 // spanAt returns the down-window containing t, if any.
 func spanAt(spans []span, t int64) (span, bool) {
+	lo := firstAfter(spans, t)
+	if lo == 0 {
+		return span{}, false
+	}
+	if s := spans[lo-1]; t < s.to {
+		return s, true
+	}
+	return span{}, false
+}
+
+// firstAfter returns the index of the first span beginning after t
+// (len(spans) when none does).
+func firstAfter(spans []span, t int64) int {
 	lo, hi := 0, len(spans)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -299,13 +312,7 @@ func spanAt(spans []span, t int64) (span, bool) {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return span{}, false
-	}
-	if s := spans[lo-1]; t < s.to {
-		return s, true
-	}
-	return span{}, false
+	return lo
 }
 
 // Name reports the schedule's label ("" for a nil or empty plan).
@@ -382,6 +389,40 @@ func (p *Plan) CoreUpAt(c topology.CoreID, t int64) int64 {
 		}
 		up = next
 	}
+}
+
+// CoreUpUntil reports whether core c is online at virtual time t and, when
+// it is, until when: CoreDown(c, x) is false for every x in [t, until), and
+// until is the start of the next static down-window or overlay park span
+// (Forever when none lies ahead). A core down at t reports (false, t). The
+// governor may append a park span later that shortens the answer, so a
+// caller holding one re-asks after every governor tick.
+func (p *Plan) CoreUpUntil(c topology.CoreID, t int64) (up bool, until int64) {
+	if p.CoreDown(c, t) {
+		return false, t
+	}
+	until = Forever
+	if p == nil {
+		return true, until
+	}
+	if int(c) < len(p.coreDown) {
+		until = min(until, nextSpan(p.coreDown[c], t))
+	}
+	if o := p.ov; o != nil {
+		if cur := o.park[o.topo.ChipletOf(c)].Load(); cur != nil {
+			until = min(until, nextSpan(*cur, t))
+		}
+	}
+	return true, until
+}
+
+// nextSpan returns the start of the first span beginning after t, Forever
+// when none does.
+func nextSpan(spans []span, t int64) int64 {
+	if i := firstAfter(spans, t); i < len(spans) {
+		return spans[i].from
+	}
+	return Forever
 }
 
 // CoresDown counts offline cores at virtual time t.

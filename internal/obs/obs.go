@@ -20,6 +20,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -594,6 +595,17 @@ func (r *Registry) MaybeSample(now int64) bool {
 		r.dropped++
 	}
 	return true
+}
+
+// SampleHorizon returns the earliest virtual time MaybeSample would record
+// at (math.MaxInt64 while sampling is off): a MaybeSample(now) with now
+// below it does nothing.
+func (r *Registry) SampleHorizon() int64 {
+	iv := r.sampleEvery.Load()
+	if iv <= 0 || !r.enabled.Load() {
+		return math.MaxInt64
+	}
+	return r.lastSample.Load() + iv
 }
 
 // History returns the recorded periodic snapshots in time order.

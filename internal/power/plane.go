@@ -188,6 +188,10 @@ func (p *Plane) SoftMilliC() int64 { return p.softMilli }
 // Overlay returns the dynamic overlay the plane feeds.
 func (p *Plane) Overlay() *fault.Overlay { return p.ov }
 
+// NextAt returns the first governor grid boundary no tick has processed:
+// MaybeTick(now) does nothing while now < NextAt().
+func (p *Plane) NextAt() int64 { return p.nextAt.Load() }
+
 // MaybeTick advances the governor if the virtual clock has crossed the
 // next grid boundary. The common case — it has not — is one atomic load.
 // Callers invoke it before querying thermal state so throttle decisions
