@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fuzz-smoke bench bench-smoke bench-gate loc trace metrics clean
+.PHONY: build test verify deadcode fuzz-smoke bench bench-smoke bench-gate loc trace metrics clean
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,8 @@ test:
 STATICCHECK_VERSION ?= 2025.1.1
 
 # verify is the pre-commit gate: vet, staticcheck (when installed — CI
-# always runs it pinned; local runs without it just skip), full build,
+# always runs it pinned; local runs without it just skip), the linker
+# reachability check (make deadcode), full build,
 # the full test suite, the race detector on the concurrency-heavy
 # packages (the sharded metrics registry, the runtime core, the per-link
 # fabric charging, the lock-free task queues and the placement views the
@@ -45,6 +46,7 @@ verify:
 	else \
 		echo "staticcheck not installed; skipping (CI runs $(STATICCHECK_VERSION))"; \
 	fi
+	$(MAKE) deadcode
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/task/... ./internal/place/...
@@ -59,6 +61,14 @@ verify:
 	bash bench/run.sh -smoke >/dev/null
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-smoke
+
+# deadcode links every program (the commands, the examples and the bench
+# module) with inlining off and the linker's reachability dump, and fails
+# naming each non-test function outside bench/ that none of them links and
+# that deadcode_test.go's allowlist does not keep with a reason. It needs
+# no tool beyond the Go toolchain, so it runs wherever verify runs.
+deadcode:
+	$(GO) test -tags deadcode -run '^TestDeadcode$$' -count=1 .
 
 # bench-smoke compiles and runs every recorded benchmark for a fixed 10
 # iterations: it cannot produce numbers worth reading, but it catches a

@@ -173,10 +173,6 @@ var ParseTopoSpec = topology.ParseTopoSpec
 // accepts.
 var SpecFabrics = topology.SpecFabrics
 
-// SpecPresetNames returns the topo-spec preset names (Config.TopoSpec
-// accepts these in place of a full spec string).
-var SpecPresetNames = topology.PresetNames
-
 // DefaultPowerModel returns the generic compute-chiplet energy model.
 var DefaultPowerModel = power.DefaultModel
 
@@ -252,9 +248,6 @@ var (
 // round-trips the canonical form.
 var ParseTenantSpec = tenant.ParseSpec
 
-// ParseAdmitPolicy parses "block", "reject", or "shed".
-var ParseAdmitPolicy = admit.ParsePolicy
-
 // NewPoissonArrivals builds a seeded open-loop Poisson arrival process of
 // n arrivals with the given mean inter-arrival gap in virtual ns.
 var NewPoissonArrivals = admit.NewPoisson
@@ -271,10 +264,6 @@ var NewDiurnalArrivals = admit.NewDiurnal
 // its rate by factor inside a periodic burst window — the noisy-neighbor
 // tenant of the isolation experiment.
 var NewFlashCrowdArrivals = admit.NewFlashCrowd
-
-// NewHeavyHitterArrivals builds a seeded Pareto-gap arrival process:
-// bursts of closely spaced arrivals separated by heavy-tailed lulls.
-var NewHeavyHitterArrivals = admit.NewHeavyHitter
 
 // NewFaultSchedule starts an empty fault schedule; chain its builder
 // methods (OfflineCore, LinkBrownout, ...) to populate it.

@@ -183,16 +183,23 @@ func TestFabricTables(t *testing.T) {
 }
 
 // settledClocks waits for the idle fleet to drift up to its maximum clock
-// (none of the runs below parks a worker) and returns every worker's clock.
-func settledClocks(t *testing.T, rt *charm.Runtime) []int64 {
+// and returns every worker's clock. A worker whose core the run's fault
+// schedule has offline at its clock stays blocked there and counts as
+// settled (the tenants scenario offlines chiplet 0 for the rest of the
+// run; no run below parks a worker for heat after its last job).
+func settledClocks(t *testing.T, rt *charm.Runtime, faults *charm.FaultSchedule) []int64 {
 	t.Helper()
+	plan, err := faults.Compile(rt.Topology())
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := rt.Engine()
 	for deadline := time.Now().Add(time.Minute); ; runtime.Gosched() {
 		max, clocks := e.MaxWorkerClock(), make([]int64, e.Workers())
 		settled := true
 		for i := range clocks {
 			clocks[i] = e.Worker(i).Clock().Now()
-			settled = settled && clocks[i] == max
+			settled = settled && (clocks[i] == max || plan.CoreDown(e.CoreOfWorker(i), clocks[i]))
 		}
 		if settled {
 			return clocks
@@ -204,10 +211,12 @@ func settledClocks(t *testing.T, rt *charm.Runtime) []int64 {
 }
 
 // TestObserversInvariant: the profiler, tracing and the metrics registry
-// watch the simulated run and never steer it. quickstart, phases and the
-// overload scenario run once with all three off and once with all three
-// on, and must agree on every submission's Stats, the PMU, the settled
-// worker clocks and, for overload, the job ledger and latencies.
+// watch the simulated run and never steer it. quickstart, phases and every
+// service scenario (overload; thermal with the power plane on; tenants
+// with chiplet 0 failing; topo on the heterogeneous ring) run once with
+// all three off and once with all three on, and must agree on every
+// submission's Stats, the PMU, the settled worker clocks and, for the
+// scenarios, the job ledger, latencies, tenant split and power snapshot.
 func TestObserversInvariant(t *testing.T) {
 	observe := func(on bool) func(*charm.Runtime) {
 		return func(rt *charm.Runtime) {
@@ -222,28 +231,34 @@ func TestObserversInvariant(t *testing.T) {
 		pmu    pmu.Snapshot
 		clocks []int64
 	}
-	finish := func(rt *charm.Runtime, o outcome) outcome {
+	finish := func(rt *charm.Runtime, faults *charm.FaultSchedule, o outcome) outcome {
 		o.pmu = rt.Machine().PMU.Snapshot()
-		o.clocks = settledClocks(t, rt)
+		o.clocks = settledClocks(t, rt, faults)
 		rt.Finalize()
 		return o
 	}
-	runs := map[string]func(on bool) outcome{
-		"overload": func(on bool) outcome {
-			run, err := scenario.Overload(scenario.OverloadParams{
-				Policy: charm.AdmitShed, QueueCap: scenario.OverloadQueueCap,
-				Load: 2, Breakers: true, Thermal: true, SLO: true,
-			}).Run(observe(on))
+	runs := map[string]func(on bool) outcome{}
+	for name, sc := range map[string]scenario.Scenario{
+		"overload": scenario.Overload(scenario.OverloadParams{
+			Policy: charm.AdmitShed, QueueCap: scenario.OverloadQueueCap,
+			Load: 2, Breakers: true, Thermal: true, SLO: true,
+		}),
+		"thermal": scenario.Thermal(charm.PlaceLoadAware, true, 0.7),
+		"tenants": scenario.Tenants(scenario.Isolated, true, scenario.TenantBFactor),
+		"topo":    scenario.Topo("het-ring", charm.PlaceLoadAware),
+	} {
+		runs[name] = func(on bool) outcome {
+			run, err := sc.Run(observe(on))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return finish(run.RT, outcome{result: run.Result})
-		},
+			return finish(run.RT, sc.Config.Faults, outcome{result: run.Result})
+		}
 	}
 	for _, wl := range []string{"quickstart", "phases"} {
 		runs[wl] = func(on bool) outcome {
 			rt, stats := runObserved(workloadConfig(16), wl, observe(on))
-			return finish(rt, outcome{stats: stats})
+			return finish(rt, nil, outcome{stats: stats})
 		}
 	}
 	for name, run := range runs {

@@ -105,35 +105,35 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("closed breaker refused")
 	}
 	b.Eval(0, 1000, 0)
-	if b.State() != BreakerClosed {
-		t.Fatalf("healthy eval: state %v", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("healthy eval: state %v", b.state)
 	}
 	b.Eval(10, 3000, 0) // plan brownout: trip
-	if b.State() != BreakerOpen || b.Allow() {
-		t.Fatalf("tripped: state %v allow %v", b.State(), b.Allow())
+	if b.state != BreakerOpen || b.Allow() {
+		t.Fatalf("tripped: state %v allow %v", b.state, b.Allow())
 	}
 	b.Eval(20, 3000, 0) // still browned out, not yet retry timeout
-	if b.State() != BreakerOpen {
-		t.Fatalf("open held: state %v", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("open held: state %v", b.state)
 	}
 	b.Eval(30, 1000, 0) // plan heals: half-open with probe budget
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("healed: state %v", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("healed: state %v", b.state)
 	}
 	if !b.Allow() || !b.Allow() || b.Allow() {
 		t.Fatal("half-open probe budget not enforced")
 	}
 	b.Eval(40, 1000, 3000) // observed slowdown during probes: re-open
-	if b.State() != BreakerOpen {
-		t.Fatalf("probe failure: state %v", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("probe failure: state %v", b.state)
 	}
 	b.Eval(2000, 1000, 0) // retry timeout elapsed
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("retry timeout: state %v", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("retry timeout: state %v", b.state)
 	}
 	b.Eval(2010, 1000, 1000) // healthy probes: close
-	if b.State() != BreakerClosed || b.Trips() != 2 {
-		t.Fatalf("close: state %v trips %d", b.State(), b.Trips())
+	if b.state != BreakerClosed || b.trips != 2 {
+		t.Fatalf("close: state %v trips %d", b.state, b.trips)
 	}
 }
 

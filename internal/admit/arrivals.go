@@ -152,51 +152,6 @@ func (f *FlashCrowd) Next() (int64, bool) {
 	return int64(f.t), true
 }
 
-// HeavyHitter draws inter-arrival gaps from a Pareto distribution: most
-// gaps are short (clumped request trains from a dominant client) with a
-// heavy tail of long quiet stretches — the long-tail heavy-hitter trace
-// shape. The mean gap converges to meanGap for alpha > 1.
-type HeavyHitter struct {
-	state uint64
-	xm    float64
-	alpha float64
-	t     float64
-	left  int
-}
-
-// NewHeavyHitter builds a process of n arrivals with mean gap meanGap and
-// Pareto shape alpha (clamped to (1, 10]; smaller = heavier tail).
-func NewHeavyHitter(seed uint64, meanGap int64, alpha float64, n int) *HeavyHitter {
-	if meanGap < 1 {
-		meanGap = 1
-	}
-	if alpha <= 1 {
-		alpha = 1.1
-	}
-	if alpha > 10 {
-		alpha = 10
-	}
-	// Pareto mean is xm·α/(α−1); solve xm for the requested mean.
-	xm := float64(meanGap) * (alpha - 1) / alpha
-	return &HeavyHitter{state: rng.Seed(seed, 0x4ea7), xm: xm, alpha: alpha, left: n}
-}
-
-// Next returns the next arrival time.
-func (h *HeavyHitter) Next() (int64, bool) {
-	if h.left <= 0 {
-		return 0, false
-	}
-	h.left--
-	// Inverse-CDF Pareto draw: xm / u^(1/α), u in (0, 1].
-	u := 1 - rng.Float64(&h.state)
-	gap := h.xm / math.Pow(u, 1/h.alpha)
-	if gap < 1 {
-		gap = 1
-	}
-	h.t += gap
-	return int64(h.t), true
-}
-
 // Trace replays a fixed arrival-time sequence (a recorded trace).
 type Trace struct {
 	at []int64

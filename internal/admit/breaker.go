@@ -88,12 +88,6 @@ type Breaker struct {
 	trips    int64
 }
 
-// State returns the current state.
-func (b *Breaker) State() BreakerState { return b.state }
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() int64 { return b.trips }
-
 // Allow reports whether one placement may target the chiplet now. In
 // HalfOpen it spends one unit of the probe budget per call.
 func (b *Breaker) Allow() bool {

@@ -64,11 +64,6 @@ func New(capacityBytes int64, ways int, sampleShift uint) *Cache {
 	}
 }
 
-// Sampled reports whether this cache simulates the given line.
-func (c *Cache) Sampled(line uint64) bool {
-	return line&((1<<c.sampleShift)-1) == 0
-}
-
 // setOf maps a sampled line to its set index. The sample bits are removed
 // first so sampled lines spread over all simulated sets.
 func (c *Cache) setOf(line uint64) int {
@@ -268,17 +263,6 @@ func (c *Cache) Invalidate(line uint64) bool {
 	return false
 }
 
-// Clear empties the cache.
-func (c *Cache) Clear() {
-	for i := range c.sets {
-		c.sets[i].tag.Store(0)
-		c.sets[i].use.Store(0)
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evicts.Store(0)
-}
-
 // Stats returns the lookup hit/miss counters.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
@@ -286,12 +270,6 @@ func (c *Cache) Stats() (hits, misses int64) {
 
 // Evictions returns the number of capacity evictions since Clear.
 func (c *Cache) Evictions() int64 { return c.evicts.Load() }
-
-// Sets returns the number of simulated sets. Ways returns associativity.
-func (c *Cache) Sets() int { return c.numSets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 // Capacity returns the number of lines the simulated structure holds.
 func (c *Cache) Capacity() int { return c.numSets * c.ways }

@@ -27,8 +27,8 @@ func FuzzCacheFill(f *testing.F) {
 		fill, ref := New(capacity, ways, shift), New(capacity, ways, shift)
 		book := 1 + int(geom>>6)*3 // 1, 4, 7 or 10 ops per booking
 		var tally Tally
-		if fill.Sets() != sets {
-			t.Fatalf("geometry: %d sets, want %d", fill.Sets(), sets)
+		if fill.numSets != sets {
+			t.Fatalf("geometry: %d sets, want %d", fill.numSets, sets)
 		}
 		for i := 0; i+2 < len(ops); i += 3 {
 			line := uint64(ops[i+1]%32) << shift

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"charm/internal/mem"
-	"charm/internal/topology"
-)
+import "charm/internal/mem"
 
 // Delegation: the Grappa/RING task-and-RPC model the paper builds on
 // (§4.6). Instead of pulling remote data through the cache hierarchy, a
@@ -91,9 +88,4 @@ func (c *Ctx) DelegateBatch(addrs []mem.Addr, fns []func(*Ctx)) {
 		c.task.grp.add(1)
 		tw.inbox.Put(t)
 	}
-}
-
-// NodeOfWorker reports the NUMA node hosting worker id's current core.
-func (rt *Runtime) NodeOfWorker(id int) topology.NodeID {
-	return rt.M.Topo.NodeOfCore(rt.workers[id].Core())
 }

@@ -18,11 +18,12 @@ func TestOwnerOfStableAndHomeNode(t *testing.T) {
 	a1 := m.Space.AllocLocal(mem.PageSize, 1)
 	o0 := rt.OwnerOf(a0)
 	o1 := rt.OwnerOf(a1)
-	if rt.NodeOfWorker(o0) != 0 {
-		t.Errorf("owner of node-0 data on node %d", rt.NodeOfWorker(o0))
+	nodeOf := func(id int) topology.NodeID { return m.Topo.NodeOfCore(rt.workers[id].Core()) }
+	if nodeOf(o0) != 0 {
+		t.Errorf("owner of node-0 data on node %d", nodeOf(o0))
 	}
-	if rt.NodeOfWorker(o1) != 1 {
-		t.Errorf("owner of node-1 data on node %d", rt.NodeOfWorker(o1))
+	if nodeOf(o1) != 1 {
+		t.Errorf("owner of node-1 data on node %d", nodeOf(o1))
 	}
 	// Stability: repeated queries return the same owner.
 	for i := 0; i < 10; i++ {

@@ -537,24 +537,6 @@ func (s *JobService) Jobs() []*Job {
 	return append([]*Job(nil), s.jobs...)
 }
 
-// QueueLen returns the current admission-queue length.
-func (s *JobService) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backlogLocked()
-}
-
-// BreakerState returns chiplet ch's breaker state (Closed with breakers
-// disabled).
-func (s *JobService) BreakerState(ch int) admit.BreakerState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.brk == nil {
-		return admit.BreakerClosed
-	}
-	return s.brk.State(ch)
-}
-
 // SLOStatus summarizes every declared SLO class at virtual time now
 // (nil without declared objectives).
 func (s *JobService) SLOStatus(now int64) []obs.SLOStatus {

@@ -477,6 +477,8 @@ func (ls *lockstep) park(gen int64) bool {
 // calls it, and the kernel resumes the worker the grant names, which plays
 // that turn for real. A run in flight sees the wake within 256 turns and
 // re-reads what it cached; one that reaches its fixpoint first does not park.
+// A stopping fleet is not woken: a worker that parked it as Stop came in
+// runs on without yielding (handoff), so a grant here would race it.
 func (ls *lockstep) wake() {
 	if ls == nil {
 		return
@@ -484,7 +486,7 @@ func (ls *lockstep) wake() {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	ls.wakes.Add(1)
-	if ls.parked {
+	if ls.parked && !ls.rt.stop.Load() {
 		ls.parked = false
 		ls.grant(-1)
 		ls.cond.Broadcast()

@@ -158,7 +158,7 @@ func TestUpdateLocationBindsMemoryNode(t *testing.T) {
 	w := rt.workers[100] // socket 1
 	w.spreadRate = 8
 	UpdateLocation(w)
-	if got := w.AllocNode(); got != topo.NodeOfCore(w.Core()) {
+	if got := w.allocNode; got != topo.NodeOfCore(w.Core()) {
 		t.Errorf("allocNode = %d, want %d", got, topo.NodeOfCore(w.Core()))
 	}
 }

@@ -342,13 +342,16 @@ func (rt *Runtime) Stop() {
 	for rt.activeSubmits.Load() > 0 {
 		yieldHost()
 	}
-	rt.stop.Store(true)
 	if ls := rt.ls; ls != nil {
 		// The kernel (like a pauser) may be waiting on cond; woken, it sees
-		// stop and runs every loop to its end.
+		// stop and runs every loop to its end. Stop is set under mu, so a
+		// wake either grants before it or sees it (wake).
 		ls.mu.Lock()
+		rt.stop.Store(true)
 		ls.cond.Broadcast()
 		ls.mu.Unlock()
+	} else {
+		rt.stop.Store(true)
 	}
 	rt.wg.Wait()
 }
@@ -372,9 +375,6 @@ func (rt *Runtime) Workers() int { return len(rt.workers) }
 
 // Worker returns worker i (for policies and tests).
 func (rt *Runtime) Worker(i int) *Worker { return rt.workers[i] }
-
-// Options returns the runtime's options.
-func (rt *Runtime) Options() Options { return rt.opts }
 
 // Power returns the closed-loop thermal/energy plane, or nil when the
 // plane is disabled.

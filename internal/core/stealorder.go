@@ -69,9 +69,6 @@ func SequentialStealOrder(w *Worker) []int { return w.sequentialOrder() }
 // policies.
 func NodeFirstStealOrder(w *Worker) []int { return w.nodeFirstOrder() }
 
-// ChipletFirstStealOrder exposes chiplet-first stealing.
-func ChipletFirstStealOrder(w *Worker) []int { return w.chipletFirstOrder() }
-
 // CoreOfWorker reports which simulated core currently hosts worker id.
 func (rt *Runtime) CoreOfWorker(id int) topology.CoreID {
 	return rt.workers[id].Core()

@@ -207,13 +207,19 @@ func TestTenantUnknownSubmit(t *testing.T) {
 	svc.Drain()
 }
 
-// TestQueueLenCountsTenantBacklog: QueueLen is the backlog of every
-// tenant's queue. (It used to read a service-wide heap that a service with
-// Tenants created and never filled, and reported 0 under any backlog.)
+// TestQueueLenCountsTenantBacklog: the admission backlog (backlogLocked,
+// what the job-queue-depth gauge reports) is the backlog of every tenant's
+// queue. (It used to read a service-wide heap that a service with Tenants
+// created and never filled, and reported 0 under any backlog.)
 func TestQueueLenCountsTenantBacklog(t *testing.T) {
 	rt := jobRuntime(t, Options{Deterministic: true})
 	var deepest atomic.Int64
 	const jobs = 12
+	queueLen := func(s *JobService) int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return int64(s.backlogLocked())
+	}
 	svc := lsServe(t, rt, JobServiceOptions{
 		MaxInFlight: 1, // the burst queues behind the one running job
 		Tenants: []TenantConfig{{
@@ -223,7 +229,7 @@ func TestQueueLenCountsTenantBacklog(t *testing.T) {
 				Gen: func(i int) JobSpec {
 					return JobSpec{Stages: []JobStage{{func(ctx *Ctx) {
 						ctx.Compute(20_000)
-						if n := int64(rt.JobServer().QueueLen()); n > deepest.Load() {
+						if n := queueLen(rt.JobServer()); n > deepest.Load() {
 							deepest.Store(n)
 						}
 					}}}}
@@ -236,10 +242,10 @@ func TestQueueLenCountsTenantBacklog(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d completed", st, jobs)
 	}
 	if deepest.Load() == 0 {
-		t.Errorf("QueueLen stayed 0 mid-run with %d arrivals behind MaxInFlight 1", jobs)
+		t.Errorf("backlog stayed 0 mid-run with %d arrivals behind MaxInFlight 1", jobs)
 	}
-	if n := svc.QueueLen(); n != 0 {
-		t.Errorf("QueueLen = %d after Drain, want 0", n)
+	if n := queueLen(svc); n != 0 {
+		t.Errorf("backlog = %d after Drain, want 0", n)
 	}
 }
 

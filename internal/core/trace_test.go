@@ -340,7 +340,7 @@ func TestStealOrderVariants(t *testing.T) {
 		}
 		seq = append([]int(nil), SequentialStealOrder(w)...)
 		node = append([]int(nil), NodeFirstStealOrder(w)...)
-		ch = append([]int(nil), ChipletFirstStealOrder(w)...)
+		ch = append([]int(nil), w.chipletFirstOrder()...)
 	})
 	if len(seq) != 7 {
 		t.Fatalf("sequential order has %d victims", len(seq))

@@ -274,8 +274,12 @@ func TestFlightRecorderRetention(t *testing.T) {
 	if len(ids) > obs.DefaultFlightRecorderCap {
 		t.Fatalf("retained %d traces, cap %d", len(ids), obs.DefaultFlightRecorderCap)
 	}
+	retained := map[obs.TraceID]bool{}
+	for _, id := range ids {
+		retained[id] = true
+	}
 	for _, j := range svc.Jobs() {
-		if j.State() == JobCompleted && j.MetDeadline() && tr.Retained(obs.TraceID(j.ID())) {
+		if j.State() == JobCompleted && j.MetDeadline() && retained[obs.TraceID(j.ID())] {
 			t.Errorf("deadline-meeting job %d retained by the flight recorder", j.ID())
 		}
 	}

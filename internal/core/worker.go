@@ -64,8 +64,6 @@ type Worker struct {
 	// §4.3's "only when significant inefficiency is detected").
 	settleUntil int64
 
-	rng uint64
-
 	// fast caches the per-placement cost factors Ctx.advance needs
 	// (fastpath.go). Owner-goroutine access only.
 	fast placeFast
@@ -96,7 +94,6 @@ func newWorker(rt *Runtime, id int) *Worker {
 		deque:      task.NewDeque[Task](256),
 		inbox:      task.NewInbox[*Task](),
 		spreadRate: 1,
-		rng:        uint64(id)*0x9E3779B97F4A7C15 + 1,
 	}
 	w.fast.epoch = -1 // force the first placement-cache load
 	return w
@@ -146,9 +143,6 @@ func (w *Worker) SpreadRate() int { return w.spreadRate }
 
 // SetSpreadRate overrides spread_rate (static policies and tests).
 func (w *Worker) SetSpreadRate(r int) { w.spreadRate = r }
-
-// AllocNode returns the worker's current memory-binding node.
-func (w *Worker) AllocNode() topology.NodeID { return w.allocNode }
 
 // placeOn pins the worker to core c, updating occupancy accounting and the
 // memory policy. Initial placement; does not charge migration costs.
@@ -573,14 +567,4 @@ func (w *Worker) maybeTick() {
 	w.rt.opts.Policy.OnTimer(w, now-w.lastDecision)
 	w.lastDecision = now
 	w.lastFills = w.rt.M.PMU.FillsFromSystem(int(w.Core()))
-}
-
-// nextRand is a xorshift64* PRNG for tie-breaking.
-func (w *Worker) nextRand() uint64 {
-	x := w.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	w.rng = x
-	return x * 0x2545F4914F6CDD1D
 }

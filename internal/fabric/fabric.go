@@ -208,11 +208,11 @@ func (m *linkMetrics) record(bytes, delay int64) {
 
 // milliOf returns the fault degradation factor of one link at time t: a
 // chiplet link inherits the worse of its endpoint chiplets' factors (a hub
-// link its one chiplet's), an external link its socket's.
+// link its one chiplet's); no fault kind degrades an external link.
 func (f *Fabric) milliOf(li int32, t int64) int64 {
 	l := &f.links[li]
 	if l.socket >= 0 {
-		return f.faults.SocketLinkMilli(l.socket, t)
+		return 1000
 	}
 	m := f.faults.ChipletLinkMilli(l.a, t)
 	if l.b != l.a {
@@ -321,20 +321,6 @@ func (f *Fabric) Links() []LinkInfo {
 	out := make([]LinkInfo, len(f.links))
 	for i, l := range f.links {
 		out[i] = LinkInfo{Name: f.linkName(i), A: l.a, B: l.b, Socket: l.socket}
-	}
-	return out
-}
-
-// TransferRoute returns the link indices (into Links) a src→dst transfer
-// charges, nil when src == dst.
-func (f *Fabric) TransferRoute(src, dst topology.ChipletID) []int {
-	if src == dst {
-		return nil
-	}
-	path := f.routes.at(int(src), int(dst))
-	out := make([]int, len(path))
-	for i, li := range path {
-		out[i] = int(li)
 	}
 	return out
 }

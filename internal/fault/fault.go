@@ -41,8 +41,6 @@ const (
 	// LinkBrownout divides one chiplet fabric link's bandwidth by Factor
 	// (and multiplies explicit message latency by the same factor).
 	LinkBrownout
-	// SocketBrownout degrades one socket's external (xGMI/UPI) link.
-	SocketBrownout
 	// MemBrownout divides one NUMA node's memory-channel bandwidth by
 	// Factor.
 	MemBrownout
@@ -55,7 +53,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"core-offline", "chiplet-offline", "link-brownout",
-	"socket-brownout", "mem-brownout", "thermal-throttle",
+	"mem-brownout", "thermal-throttle",
 }
 
 // String names the kind.
@@ -71,7 +69,7 @@ const Forever = int64(math.MaxInt64)
 
 // Event is one fault window [From, To) in virtual nanoseconds. Unit
 // identifies the affected resource under Kind's namespace (core ID, chiplet
-// ID, socket ID, or NUMA node ID). Factor is the degradation multiplier for
+// ID, or NUMA node ID). Factor is the degradation multiplier for
 // brownout/throttle kinds (>= 1; ignored for offline kinds).
 type Event struct {
 	Kind   Kind
@@ -130,11 +128,6 @@ func (s *Schedule) OfflineChiplet(ch topology.ChipletID, from, to int64) *Schedu
 // LinkBrownout degrades chiplet ch's fabric link by factor during [from, to).
 func (s *Schedule) LinkBrownout(ch topology.ChipletID, from, to int64, factor float64) *Schedule {
 	return s.add(Event{Kind: LinkBrownout, Unit: int(ch), From: from, To: to, Factor: factor})
-}
-
-// SocketBrownout degrades socket sk's external link by factor during [from, to).
-func (s *Schedule) SocketBrownout(sk topology.SocketID, from, to int64, factor float64) *Schedule {
-	return s.add(Event{Kind: SocketBrownout, Unit: int(sk), From: from, To: to, Factor: factor})
 }
 
 // MemBrownout degrades NUMA node n's memory bandwidth by factor during [from, to).

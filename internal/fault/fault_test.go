@@ -17,8 +17,7 @@ func TestNilPlanIsHealthy(t *testing.T) {
 	if got := p.CoreUpAt(3, 42); got != 42 {
 		t.Errorf("CoreUpAt on nil plan = %d, want 42", got)
 	}
-	if p.ChipletLinkMilli(0, 0) != 1000 || p.SocketLinkMilli(0, 0) != 1000 ||
-		p.MemMilli(0, 0) != 1000 || p.ThermalMilli(0, 0) != 1000 {
+	if p.ChipletLinkMilli(0, 0) != 1000 || p.MemMilli(0, 0) != 1000 || p.ThermalMilli(0, 0) != 1000 {
 		t.Error("nil plan reports degradation")
 	}
 	if p.CoresDown(0) != 0 || !p.Empty() || p.Events() != nil {
@@ -87,7 +86,6 @@ func TestDegradationFactorsCompound(t *testing.T) {
 		LinkBrownout(1, 200, 400, 3). // overlap [200, 300): 6x
 		MemBrownout(0, 50, 150, 4).
 		ThermalThrottle(3, 0, 0, 1.5).
-		SocketBrownout(0, 10, 20, 8).
 		Compile(topo)
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +110,6 @@ func TestDegradationFactorsCompound(t *testing.T) {
 	if got := p.ThermalMilli(3, 1<<40); got != 1500 {
 		t.Errorf("ThermalMilli = %d, want 1500 (forever window)", got)
 	}
-	if got := p.SocketLinkMilli(0, 15); got != 8000 {
-		t.Errorf("SocketLinkMilli = %d, want 8000", got)
-	}
 }
 
 func TestCompileRejectsBadEvents(t *testing.T) {
@@ -138,7 +133,7 @@ func TestCompileRejectsBadEvents(t *testing.T) {
 func TestEmptyAndNilSchedules(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	p, err := New("empty", 7).Compile(topo)
-	if err != nil || !p.Empty() || p.Name() != "empty" || p.Seed() != 7 {
+	if err != nil || !p.Empty() || p.Name() != "empty" || p.seed != 7 {
 		t.Fatalf("empty schedule: plan=%+v err=%v", p, err)
 	}
 	var s *Schedule

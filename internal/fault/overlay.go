@@ -50,9 +50,6 @@ func NewOverlay(topo *topology.Topology, tickNS int64) (*Overlay, error) {
 	}, nil
 }
 
-// Tick returns the governor tick period the overlay caps segments at.
-func (o *Overlay) Tick() int64 { return o.tick }
-
 // nextBoundary returns the first governor grid boundary strictly after t.
 func (o *Overlay) nextBoundary(t int64) int64 {
 	if t < 0 {
@@ -143,11 +140,4 @@ func (o *Overlay) parked(ch topology.ChipletID, t int64) (int64, bool) {
 		return s.to, true
 	}
 	return 0, false
-}
-
-// ParkedChiplet reports whether the overlay currently parks chiplet ch at
-// virtual time t (the governor's own re-park guard).
-func (o *Overlay) ParkedChiplet(ch topology.ChipletID, t int64) bool {
-	_, down := o.parked(ch, t)
-	return down
 }

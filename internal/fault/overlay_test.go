@@ -149,8 +149,11 @@ func TestOverlayParkQueries(t *testing.T) {
 	if got := p.CoresDown(950); got != 0 {
 		t.Fatalf("CoresDown(950) = %d, want 0", got)
 	}
-	if !ov.ParkedChiplet(1, 400) || ov.ParkedChiplet(1, 900) {
-		t.Fatal("ParkedChiplet edges wrong (want [400,900))")
+	if _, down := ov.parked(1, 400); !down {
+		t.Fatal("parked edges wrong (want [400,900))")
+	}
+	if _, down := ov.parked(1, 900); down {
+		t.Fatal("parked edges wrong (want [400,900))")
 	}
 }
 

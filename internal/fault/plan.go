@@ -27,7 +27,6 @@ type Plan struct {
 	topo     *topology.Topology
 	coreDown [][]span // per core, sorted by from, non-overlapping
 	link     [][]step // per chiplet fabric link
-	sock     [][]step // per socket external link
 	memc     [][]step // per NUMA node memory channel
 	therm    [][]step // per chiplet thermal factor
 	events   []Event  // validated, sorted (includes chiplet expansion sources)
@@ -49,14 +48,6 @@ func (p *Plan) AttachOverlay(o *Overlay) {
 		panic("fault: AttachOverlay called twice")
 	}
 	p.ov = o
-}
-
-// Overlay returns the attached dynamic overlay, or nil.
-func (p *Plan) Overlay() *Overlay {
-	if p == nil {
-		return nil
-	}
-	return p.ov
 }
 
 // Compile validates the schedule against topo and builds the per-resource
@@ -88,7 +79,6 @@ func (s *Schedule) Compile(topo *topology.Topology) (*Plan, error) {
 
 	coreWins := make([][]span, topo.NumCores())
 	linkWins := make([][]win, topo.NumChiplets())
-	sockWins := make([][]win, topo.Sockets)
 	memWins := make([][]win, topo.NumNodes())
 	thermWins := make([][]win, topo.NumChiplets())
 
@@ -109,8 +99,6 @@ func (s *Schedule) Compile(topo *topology.Topology) (*Plan, error) {
 			limit = topo.NumChiplets()
 		case LinkBrownout, ThermalThrottle:
 			limit, needFactor = topo.NumChiplets(), true
-		case SocketBrownout:
-			limit, needFactor = topo.Sockets, true
 		case MemBrownout:
 			limit, needFactor = topo.NumNodes(), true
 		default:
@@ -131,8 +119,6 @@ func (s *Schedule) Compile(topo *topology.Topology) (*Plan, error) {
 			}
 		case LinkBrownout:
 			linkWins[e.Unit] = append(linkWins[e.Unit], win{e.From, to, e.Factor})
-		case SocketBrownout:
-			sockWins[e.Unit] = append(sockWins[e.Unit], win{e.From, to, e.Factor})
 		case MemBrownout:
 			memWins[e.Unit] = append(memWins[e.Unit], win{e.From, to, e.Factor})
 		case ThermalThrottle:
@@ -144,7 +130,6 @@ func (s *Schedule) Compile(topo *topology.Topology) (*Plan, error) {
 		topo:     topo,
 		coreDown: make([][]span, topo.NumCores()),
 		link:     make([][]step, topo.NumChiplets()),
-		sock:     make([][]step, topo.Sockets),
 		memc:     make([][]step, topo.NumNodes()),
 		therm:    make([][]step, topo.NumChiplets()),
 		events:   evs,
@@ -173,7 +158,6 @@ func (s *Schedule) Compile(topo *topology.Topology) (*Plan, error) {
 		}
 	}
 	build(p.link, linkWins)
-	build(p.sock, sockWins)
 	build(p.memc, memWins)
 	build(p.therm, thermWins)
 	return p, nil
@@ -269,25 +253,6 @@ func segmentAt(steps []step, t int64) (milli, until int64) {
 	return steps[lo-1].milli, until
 }
 
-// milliAt evaluates a step function: the milli-factor in effect at t.
-func milliAt(steps []step, t int64) int64 {
-	// Most resources have no faults; most faulted ones have few steps, so a
-	// binary search keeps the hot path cheap even for long schedules.
-	lo, hi := 0, len(steps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if steps[mid].t <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 1000
-	}
-	return steps[lo-1].milli
-}
-
 // spanAt returns the down-window containing t, if any.
 func spanAt(spans []span, t int64) (span, bool) {
 	lo := firstAfter(spans, t)
@@ -321,14 +286,6 @@ func (p *Plan) Name() string {
 		return ""
 	}
 	return p.name
-}
-
-// Seed reports the schedule's seed.
-func (p *Plan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
 }
 
 // Events returns the validated, sorted event list (nil for a nil plan).
@@ -455,16 +412,8 @@ func (p *Plan) ChipletLinkMilli(ch topology.ChipletID, t int64) int64 {
 	if p == nil || int(ch) >= len(p.link) {
 		return 1000
 	}
-	return milliAt(p.link[ch], t)
-}
-
-// SocketLinkMilli returns the external-link degradation factor for socket
-// sk at t, in milli-units.
-func (p *Plan) SocketLinkMilli(sk topology.SocketID, t int64) int64 {
-	if p == nil || int(sk) >= len(p.sock) {
-		return 1000
-	}
-	return milliAt(p.sock[sk], t)
+	m, _ := segmentAt(p.link[ch], t)
+	return m
 }
 
 // MemMilli returns the memory-channel degradation factor for NUMA node n
@@ -473,7 +422,8 @@ func (p *Plan) MemMilli(n topology.NodeID, t int64) int64 {
 	if p == nil || int(n) >= len(p.memc) {
 		return 1000
 	}
-	return milliAt(p.memc[n], t)
+	m, _ := segmentAt(p.memc[n], t)
+	return m
 }
 
 // ThermalMilli returns the compute-slowdown factor for chiplet ch at t, in
@@ -485,7 +435,7 @@ func (p *Plan) ThermalMilli(ch topology.ChipletID, t int64) int64 {
 	}
 	m := int64(1000)
 	if int(ch) < len(p.therm) {
-		m = milliAt(p.therm[ch], t)
+		m, _ = segmentAt(p.therm[ch], t)
 	}
 	if o := p.ov; o != nil {
 		if om, _, active := o.thermalSegment(ch, t); active {

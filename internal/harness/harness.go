@@ -10,7 +10,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"charm"
@@ -244,15 +243,3 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 func i64(v int64) string  { return fmt.Sprintf("%d", v) }
-
-// geomean returns the geometric mean of positive values.
-func geomean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	p := 1.0
-	for _, v := range vs {
-		p *= v
-	}
-	return math.Pow(p, 1/float64(len(vs)))
-}

@@ -149,12 +149,6 @@ func (b *TokenBucket) Headroom(t int64) int64 {
 	return max(b.capacity-int64(cur&usedMask), 0)
 }
 
-// Capacity returns bytes per window.
-func (b *TokenBucket) Capacity() int64 { return b.capacity }
-
-// WindowNS returns the accounting window length.
-func (b *TokenBucket) WindowNS() int64 { return b.windowNS }
-
 // Utilization returns the fraction of the bucket's capacity charged into
 // the accounting window containing virtual time t. Values above 1 mean
 // the window is oversubscribed and callers are absorbing queueing delay.

@@ -72,15 +72,15 @@ func TestAllocatedAccounting(t *testing.T) {
 	s := testSpace()
 	a := s.Alloc(100, Bind, 0)
 	b := s.Alloc(200, Bind, 0)
-	if got := s.Allocated(); got != 300 {
+	if got := s.allocated.Load(); got != 300 {
 		t.Errorf("Allocated = %d, want 300", got)
 	}
 	s.Free(a)
-	if got := s.Allocated(); got != 200 {
+	if got := s.allocated.Load(); got != 200 {
 		t.Errorf("after Free, Allocated = %d, want 200", got)
 	}
-	if got := s.SizeOf(b); got != 200 {
-		t.Errorf("SizeOf = %d, want 200", got)
+	if got := s.regions[b.Region()].Load().size; got != 200 {
+		t.Errorf("region size = %d, want 200", got)
 	}
 }
 
@@ -160,14 +160,14 @@ func TestTokenBucketZeroAndNegative(t *testing.T) {
 
 func TestTokenBucketDefaults(t *testing.T) {
 	b := NewTokenBucket(2.0, 0)
-	if b.WindowNS() != DefaultWindowNS {
-		t.Errorf("WindowNS = %d, want %d", b.WindowNS(), DefaultWindowNS)
+	if b.windowNS != DefaultWindowNS {
+		t.Errorf("WindowNS = %d, want %d", b.windowNS, DefaultWindowNS)
 	}
-	if b.Capacity() != 2*DefaultWindowNS {
-		t.Errorf("Capacity = %d, want %d", b.Capacity(), 2*DefaultWindowNS)
+	if b.capacity != 2*DefaultWindowNS {
+		t.Errorf("Capacity = %d, want %d", b.capacity, 2*DefaultWindowNS)
 	}
 	tiny := NewTokenBucket(0, 10)
-	if tiny.Capacity() < 1 {
+	if tiny.capacity < 1 {
 		t.Errorf("capacity must be at least 1")
 	}
 }
@@ -228,7 +228,7 @@ func TestTokenBucketConcurrentExactBytes(t *testing.T) {
 	// must be a multiple of the charge size (no partial/wiped charges).
 	for _, w := range []int64{0, numWindows} {
 		if u := b.Utilization(w * windowNS); u != 0 {
-			got := int64(u * float64(b.Capacity()))
+			got := int64(u * float64(b.capacity))
 			if got%bytes != 0 {
 				t.Errorf("window %d holds %d bytes, not a multiple of %d: lost or duplicated charges", w, got, bytes)
 			}
@@ -247,7 +247,7 @@ func TestTokenBucketConcurrentExactBytes(t *testing.T) {
 	}
 	wg2.Wait()
 	want := int64(goroutines * charges * bytes)
-	got := int64(b.Utilization(5*windowNS)*float64(b.Capacity()) + 0.5)
+	got := int64(b.Utilization(5*windowNS)*float64(b.capacity) + 0.5)
 	if got != want {
 		t.Errorf("window 5 accounted %d bytes, want %d (every concurrent charge exactly once)", got, want)
 	}
@@ -291,10 +291,10 @@ func TestDRAMHeadroom(t *testing.T) {
 	topo := topology.SyntheticDual(2, 4)
 	d := NewDRAM(topo, 1000)
 	d.Charge(0, 0, 1000)
-	if got, want := d.Headroom(0, 0), d.nodes[0].Capacity()-1000; got != want {
+	if got, want := d.Headroom(0, 0), d.nodes[0].capacity-1000; got != want {
 		t.Errorf("node 0 headroom %d, want %d", got, want)
 	}
-	if got, want := d.Headroom(1, 0), d.nodes[1].Capacity(); got != want {
+	if got, want := d.Headroom(1, 0), d.nodes[1].capacity; got != want {
 		t.Errorf("untouched node 1 headroom %d, want its capacity %d", got, want)
 	}
 	plan, err := fault.New("brownout", 1).MemBrownout(1, 0, 10, 2).Compile(topo)
@@ -351,8 +351,8 @@ func TestRegionTableSurvivesChurn(t *testing.T) {
 		a := s.Alloc(64, Bind, 0)
 		s.Free(a)
 	}
-	if s.Allocated() != 0 {
-		t.Errorf("leaked %d bytes", s.Allocated())
+	if s.allocated.Load() != 0 {
+		t.Errorf("leaked %d bytes", s.allocated.Load())
 	}
 }
 

@@ -185,9 +185,6 @@ func (s *Space) Rebind(addr Addr, node topology.NodeID) int64 {
 	return r.size
 }
 
-// Allocated returns the number of currently allocated bytes.
-func (s *Space) Allocated() int64 { return s.allocated.Load() }
-
 // HomeOf resolves the NUMA node that owns the page containing addr.
 // accessor is the node of the touching core, consumed by FirstTouch on the
 // first access to a page.
@@ -219,13 +216,4 @@ func (s *Space) HomeOf(addr Addr, accessor topology.NodeID) topology.NodeID {
 	default:
 		panic(fmt.Sprintf("mem: unknown policy %d", r.policy))
 	}
-}
-
-// SizeOf returns the size of the region containing addr.
-func (s *Space) SizeOf(addr Addr) int64 {
-	r := s.regions[addr.Region()].Load()
-	if r == nil {
-		panic(fmt.Sprintf("mem: SizeOf of invalid address %#x", uint64(addr)))
-	}
-	return r.size
 }

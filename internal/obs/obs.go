@@ -146,9 +146,6 @@ func NewRegistry(shards int) *Registry {
 // after a single atomic load.
 func (r *Registry) SetEnabled(on bool) { r.enabled.Store(on) }
 
-// Enabled reports whether recording is on.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // register dedups by (name, labels): re-registering returns the existing
 // metric (the kinds must agree), which makes instrumentation idempotent.
 func (r *Registry) register(d Desc, mk func() metric) metric {
@@ -281,14 +278,6 @@ func (g *Gauge) describe() *Desc { return &g.d }
 // across enable/disable cycles (a Set is one atomic store either way).
 func (g *Gauge) Set(shard int, v int64) { g.shards[shard].v.Store(v) }
 
-// Add adjusts the shard's contribution by v (may be negative).
-func (g *Gauge) Add(shard int, v int64) {
-	if !g.r.enabled.Load() {
-		return
-	}
-	g.shards[shard].v.Add(v)
-}
-
 // Value merges all shards by summing.
 func (g *Gauge) Value() int64 {
 	var s int64
@@ -347,9 +336,6 @@ func (h *Histogram) ObserveT(shard int, v int64, trace TraceID) {
 		}
 	}
 }
-
-// Bounds returns the bucket upper bounds (excluding +Inf).
-func (h *Histogram) Bounds() []int64 { return h.bounds }
 
 // Merged returns the merged per-bucket counts (last entry is +Inf), the
 // sum of observations, and the total count.
@@ -571,7 +557,7 @@ func (r *Registry) EnableSampling(interval int64, maxSamples int) {
 // accepted and History is time-ordered by construction — a claimer
 // preempted between claiming and filing can no longer land behind a later
 // one. Func metrics therefore run with histMu held and must not call back
-// into History, DroppedSamples or EnableSampling.
+// into History or EnableSampling.
 func (r *Registry) MaybeSample(now int64) bool {
 	iv := r.sampleEvery.Load()
 	if iv <= 0 || !r.enabled.Load() {
@@ -616,12 +602,4 @@ func (r *Registry) History() []Snapshot {
 	out = append(out, r.history[r.histStart:]...)
 	out = append(out, r.history[:r.histStart]...)
 	return out
-}
-
-// DroppedSamples reports how many periodic snapshots were evicted from
-// the ring buffer (non-zero means History is a suffix of the run).
-func (r *Registry) DroppedSamples() int64 {
-	r.histMu.Lock()
-	defer r.histMu.Unlock()
-	return r.dropped
 }

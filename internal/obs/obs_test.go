@@ -67,7 +67,7 @@ func TestConcurrentRecord(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perShard; i++ {
 				c.Inc(s)
-				g.Add(s, 1)
+				g.Set(s, int64(i+1))
 				h.Observe(s, int64(i%2000))
 				if i%100 == 0 {
 					r.MaybeSample(int64(i)) // exercise the sampling path concurrently
@@ -192,8 +192,8 @@ func TestFuncMetricAndSampling(t *testing.T) {
 	if len(hist) != 3 {
 		t.Fatalf("history = %d entries, want 3 (ring cap)", len(hist))
 	}
-	if r.DroppedSamples() != 1 {
-		t.Errorf("dropped = %d, want 1", r.DroppedSamples())
+	if r.dropped != 1 {
+		t.Errorf("dropped = %d, want 1", r.dropped)
 	}
 	// Ring preserves time order after wrapping.
 	if hist[0].T != 250 || hist[2].T != 550 {

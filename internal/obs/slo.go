@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Multi-window SLO burn-rate tracking over virtual time. Each priority
 // class carries an availability objective ("this fraction of jobs meets
@@ -221,27 +217,4 @@ func (t *SLOTracker) Status(now int64) []SLOStatus {
 		out = append(out, st)
 	}
 	return out
-}
-
-// WriteText renders the per-class status table plus the alert log.
-func (t *SLOTracker) WriteText(w io.Writer, now int64) {
-	fmt.Fprintf(w, "SLO status at virtual t=%d ns\n\n", now)
-	fmt.Fprintf(w, "  %-5s %7s %9s %8s %8s %9s %9s %7s %7s\n",
-		"class", "target", "achieved", "good", "bad", "fastburn", "slowburn", "firing", "alerts")
-	for _, st := range t.Status(now) {
-		fmt.Fprintf(w, "  %-5d %6.2f%% %8.2f%% %8d %8d %9.2f %9.2f %7v %7d\n",
-			st.Class, 100*st.Target, 100*st.Achieved, st.Good, st.Bad,
-			st.FastBurn, st.SlowBurn, st.Firing, st.Alerts)
-	}
-	if len(t.alerts) > 0 {
-		fmt.Fprintf(w, "\n  alert log\n")
-		for _, a := range t.alerts {
-			verb := "FIRED"
-			if !a.Firing {
-				verb = "cleared"
-			}
-			fmt.Fprintf(w, "    t=%-12d class %d %-7s (fast %.2f, slow %.2f)\n",
-				a.T, a.Class, verb, a.FastBurn, a.SlowBurn)
-		}
-	}
 }

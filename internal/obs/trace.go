@@ -278,16 +278,6 @@ func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 // SetProfiling turns the profile on or off.
 func (t *Tracer) SetProfiling(on bool) { t.profiling.Store(on) }
 
-// SetFlightRecorderCap bounds the retained-trace ring (minimum 1).
-func (t *Tracer) SetFlightRecorderCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.recMu.Lock()
-	t.retainCap = n
-	t.recMu.Unlock()
-}
-
 // Emit appends one span to the given shard. It is a no-op unless a gate
 // that records the span's kind is on; a full shard drops the span and
 // counts it, unless profiling is on.
@@ -351,14 +341,6 @@ func (t *Tracer) Release(id TraceID) {
 	t.recMu.Lock()
 	t.released = append(t.released, id)
 	t.recMu.Unlock()
-}
-
-// Retained reports whether the flight recorder holds the trace.
-func (t *Tracer) Retained(id TraceID) bool {
-	t.recMu.Lock()
-	_, ok := t.retained[id]
-	t.recMu.Unlock()
-	return ok
 }
 
 // RetainedIDs returns the flight recorder's contents in retention order.

@@ -537,7 +537,7 @@ func TestTracerCompactMatchesReference(t *testing.T) {
 		const shards, ids = 3, 24
 		tr := NewTracer(shards, 3*spanChunk+17)
 		tr.SetEnabled(true)
-		tr.SetFlightRecorderCap(4)
+		tr.retainCap = 4
 		ref := &refRecorder{cap: 4, shards: make([][]Span, shards),
 			retained: map[TraceID]struct{}{}, released: map[TraceID]struct{}{}}
 		for op := 0; op < 12_000; op++ {

@@ -152,8 +152,8 @@ func TestSamplingConcurrentShards(t *testing.T) {
 		}
 	}
 	// Every sample taken past the cap evicted exactly one snapshot.
-	taken := int64(len(hist)) + r.DroppedSamples()
-	if r.DroppedSamples() == 0 && taken > cap {
+	taken := int64(len(hist)) + r.dropped
+	if r.dropped == 0 && taken > cap {
 		t.Errorf("took %d samples with cap %d but dropped none", taken, cap)
 	}
 	if c.Value() != shards*iters {
@@ -307,13 +307,13 @@ func TestTracerConcurrentEmitCompactCollect(t *testing.T) {
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracer(1, 0)
 	tr.SetEnabled(true)
-	tr.SetFlightRecorderCap(2)
+	tr.retainCap = 2
 	for id := TraceID(1); id <= 3; id++ {
 		tr.Emit(0, Span{Trace: id, Kind: SpanTask, Start: int64(id), End: int64(id) + 1})
 		tr.Retain(id)
 	}
 	ids := tr.RetainedIDs()
-	if len(ids) != 2 || tr.Retained(1) {
+	if _, ok := tr.retained[1]; len(ids) != 2 || ok {
 		t.Fatalf("retained = %v, want [2 3] (oldest evicted)", ids)
 	}
 	tr.Compact()

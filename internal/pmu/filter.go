@@ -66,12 +66,3 @@ func (p *PMU) Filtered(core int, mask SourceMask) int64 {
 	}
 	return s
 }
-
-// FilteredTotal sums a filtered counter over all cores.
-func (p *PMU) FilteredTotal(mask SourceMask) int64 {
-	var s int64
-	for core := range p.cores {
-		s += p.Filtered(core, mask)
-	}
-	return s
-}

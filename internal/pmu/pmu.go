@@ -84,9 +84,6 @@ func New(n int) *PMU {
 	return &PMU{cores: make([]coreCounters, n)}
 }
 
-// NumCores returns the number of cores the PMU tracks.
-func (p *PMU) NumCores() int { return len(p.cores) }
-
 // Add increments core's counter for e by n.
 func (p *PMU) Add(core int, e Event, n int64) {
 	p.cores[core].v[e].Add(n)
@@ -128,29 +125,6 @@ func (p *PMU) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Total sums a counter across the snapshot.
-func (s Snapshot) Total(e Event) int64 {
-	var t int64
-	for i := range s.Counts {
-		t += s.Counts[i][e]
-	}
-	return t
-}
-
-// Delta returns s - old, counter-wise. Panics if core counts differ.
-func (s Snapshot) Delta(old Snapshot) Snapshot {
-	if len(s.Counts) != len(old.Counts) {
-		panic("pmu: snapshot size mismatch")
-	}
-	d := Snapshot{Counts: make([][NumEvents]int64, len(s.Counts))}
-	for i := range s.Counts {
-		for e := 0; e < NumEvents; e++ {
-			d.Counts[i][e] = s.Counts[i][e] - old.Counts[i][e]
-		}
-	}
-	return d
 }
 
 // Reset zeroes every counter.

@@ -185,9 +185,6 @@ func (p *Plane) Tick() int64 { return p.tick }
 // temperature budget the thermal-aware placement scorer works against).
 func (p *Plane) SoftMilliC() int64 { return p.softMilli }
 
-// Overlay returns the dynamic overlay the plane feeds.
-func (p *Plane) Overlay() *fault.Overlay { return p.ov }
-
 // NextAt returns the first governor grid boundary no tick has processed:
 // MaybeTick(now) does nothing while now < NextAt().
 func (p *Plane) NextAt() int64 { return p.nextAt.Load() }
@@ -360,12 +357,6 @@ func (p *Plane) Stats() *Snapshot { return p.pub.Load() }
 // TempsMilliC returns the latest per-chiplet junction temperatures in
 // milli-°C. Read-only.
 func (p *Plane) TempsMilliC() []int64 { return p.pub.Load().TempMilliC }
-
-// WattsMilli returns the latest per-chiplet power figures in mW. Read-only.
-func (p *Plane) WattsMilli() []int64 { return p.pub.Load().WattsMilli }
-
-// EnergyPJ returns the per-chiplet lifetime energy ledgers in pJ. Read-only.
-func (p *Plane) EnergyPJ() []int64 { return p.pub.Load().EnergyPJ }
 
 // ForecastMilliC projects each chiplet's junction temperature horizonNS of
 // virtual time into the future, assuming the last window's power holds:

@@ -21,9 +21,6 @@ func Float64(s *uint64) float64 {
 // Signed returns a uniform float64 in [-1, 1).
 func Signed(s *uint64) float64 { return Float64(s)*2 - 1 }
 
-// Uint64n returns a uniform value in [0, n). n must be positive.
-func Uint64n(s *uint64, n uint64) uint64 { return SplitMix64(s) % n }
-
 // Intn returns a uniform int in [0, n). n must be positive.
 func Intn(s *uint64, n int) int { return int(SplitMix64(s) % uint64(n)) }
 

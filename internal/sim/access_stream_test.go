@@ -67,7 +67,6 @@ func newStreamTwin(tb testing.TB, cfg int) *streamTwin {
 		s := fault.New("stream", 1).
 			LinkBrownout(0, 0, fault.Forever, 4).
 			LinkBrownout(3, 20_000, 90_000, 3).
-			SocketBrownout(0, 5_000, 60_000, 4).
 			MemBrownout(0, 15_000, 200_000, 8)
 		if plan, err = s.Compile(topo); err != nil {
 			tb.Fatal(err)
@@ -277,7 +276,7 @@ func TestAccessStreamMatchesReference(t *testing.T) {
 				// Half the accesses long, a quarter within one line, a
 				// quarter writes; one in 16 starts at its window's end, one
 				// in 8 finds other traffic in its window.
-				r := rng.Uint64n(&s, 1<<41)
+				r := rng.SplitMix64(&s) % (1 << 41)
 				flags := byte(r>>24)&0xe1 | [4]byte{0, 2, 4, 4}[r>>25&3]
 				if r>>32&3 != 0 {
 					flags &^= 1

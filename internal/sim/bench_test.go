@@ -75,7 +75,7 @@ func benchWriteShared(b *testing.B, noDir bool) {
 	for i := 0; i < b.N; i++ {
 		core := writers[i%len(writers)]
 		off := int64(i%(size/64)) * 64
-		now += m.Write(core, now, region+mem.Addr(off), 64)
+		now += m.Access(core, now, region+mem.Addr(off), 64, true)
 	}
 }
 

@@ -31,7 +31,7 @@
 //     page per stream, not once per evicted line.
 //
 // Memory: pages are created on first touch of their address range and
-// reclaimed only by reset (FlushCaches), so the directory footprint is
+// never reclaimed, so the directory footprint is
 // touched-address-space/8 — a few MB for the scaled experiments, tens of
 // MB for paper-sized runs — and the live-bit population is bounded by the
 // machine's aggregate L3 capacity.
@@ -107,9 +107,8 @@ func newDirectory() *directory {
 }
 
 // dirCache is a one-entry page cache owned by a single simulated core.
-// Pages are created once and live until reset, so a cached pointer stays
-// valid for the machine's whole run; Machine.FlushCaches clears the
-// caches together with the directory. It turns the per-access page lookup
+// Pages are created once and never freed, so a cached pointer stays
+// valid for the machine's whole run. It turns the per-access page lookup
 // into a key compare for the common case (consecutive or repeated lines).
 // The entry is one word — the key lives in the page — so SMT siblings
 // sharing a core's scratch can never pair one page's key with another's
@@ -205,16 +204,6 @@ func (d *directory) takeOthers(line uint64, self int, c *dirCache) uint64 {
 		if w.CompareAndSwap(v, v&selfBit) {
 			return others
 		}
-	}
-}
-
-// reset drops every page; paired with Machine.FlushCaches.
-func (d *directory) reset() {
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.Lock()
-		clear(s.pages)
-		s.mu.Unlock()
 	}
 }
 

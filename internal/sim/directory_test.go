@@ -65,19 +65,15 @@ func TestDirectoryMatchesScanState(t *testing.T) {
 			var now int64
 			for i := 0; i < 5000; i++ {
 				core := topology.CoreID(rng.Intn(&s, cores))
-				off := int64(rng.Uint64n(&s, regionSize-2048))
-				size := int64(rng.Uint64n(&s, 2048)) + 1
-				write := rng.Uint64n(&s, 3) == 0
+				off := int64(rng.SplitMix64(&s) % (regionSize - 2048))
+				size := int64(rng.SplitMix64(&s)%2048) + 1
+				write := rng.SplitMix64(&s)%3 == 0
 				now += m.Access(core, now, region+mem.Addr(off), size, write)
 				if i%500 == 499 {
 					check()
 				}
 			}
 			check()
-			m.FlushCaches()
-			if n := m.dir.lines(); n != 0 {
-				t.Fatalf("directory still tracks %d lines after FlushCaches", n)
-			}
 		})
 	}
 }
@@ -102,9 +98,9 @@ func TestDirectoryEquivalentToScan(t *testing.T) {
 		costs := make([]int64, 0, ops)
 		for i := 0; i < ops; i++ {
 			core := topology.CoreID(rng.Intn(&s, cores))
-			off := int64(rng.Uint64n(&s, regionSize-2048))
-			size := int64(rng.Uint64n(&s, 2048)) + 1
-			write := rng.Uint64n(&s, 3) == 0
+			off := int64(rng.SplitMix64(&s) % (regionSize - 2048))
+			size := int64(rng.SplitMix64(&s)%2048) + 1
+			write := rng.SplitMix64(&s)%3 == 0
 			c := m.Access(core, now, region+mem.Addr(off), size, write)
 			costs = append(costs, c)
 			now += c
@@ -140,9 +136,10 @@ func TestDirectoryEquivalentToScan(t *testing.T) {
 // fills. The filler lines alias the same L3 set (stride = numSets lines).
 func conflictEvict(t *testing.T, m *Machine, filler topology.CoreID, region mem.Addr, line uint64, now int64) int64 {
 	t.Helper()
-	l3 := m.L3(m.Topo.ChipletOf(filler))
-	stride := uint64(l3.Sets()) << cache.LineShift
-	for k := 1; k <= l3.Ways()+2; k++ {
+	l3 := m.l3[m.Topo.ChipletOf(filler)]
+	ways := m.Topo.L3Ways
+	stride := uint64(l3.Capacity()/ways) << cache.LineShift
+	for k := 1; k <= ways+2; k++ {
 		a := region + mem.Addr(uint64(k)*stride)
 		now += m.Read(filler, now, a, 64)
 	}
@@ -190,7 +187,7 @@ func TestEvictionLeavesDirectory(t *testing.T) {
 	line2 := uint64(region2) >> cache.LineShift
 	now = m2.Read(0, 0, region2, 64) // line in L2(0) and L3(0)
 	now = conflictEvict(t, m2, 1, region2, line2, now)
-	if !m2.L2Of(0).Contains(line2) {
+	if !m2.l2[0].Contains(line2) {
 		t.Fatal("test setup: core 0's L2 copy must survive the L3 conflict fills")
 	}
 	hitsBefore := m2.PMU.Read(0, pmu.FillL2)
@@ -224,9 +221,9 @@ func TestMachineAccessRaceStress(t *testing.T) {
 			s := rng.Seed(42, uint64(c))
 			var now int64
 			for i := 0; i < iters; i++ {
-				off := int64(rng.Uint64n(&s, regionSize-2048))
-				size := int64(rng.Uint64n(&s, 2048)) + 1
-				write := rng.Uint64n(&s, 4) == 0
+				off := int64(rng.SplitMix64(&s) % (regionSize - 2048))
+				size := int64(rng.SplitMix64(&s)%2048) + 1
+				write := rng.SplitMix64(&s)%4 == 0
 				cost := m.Access(topology.CoreID(c), now, region+mem.Addr(off), size, write)
 				if cost <= 0 {
 					t.Errorf("core %d op %d: non-positive cost %d", c, i, cost)
@@ -268,7 +265,7 @@ func TestStreamingSweepPageLookups(t *testing.T) {
 	const pages = lines / dirPageLines
 	region := m.Space.Alloc(size, mem.Bind, 0)
 	now := m.Read(0, 0, region, size)
-	evictedBefore := m.L3(0).Evictions()
+	evictedBefore := m.l3[0].Evictions()
 
 	sc := &m.avg[0]
 	fill, vic := sc.dir.p.Load(), sc.vic.p.Load()
@@ -284,7 +281,7 @@ func TestStreamingSweepPageLookups(t *testing.T) {
 			vicChanges++
 		}
 	}
-	if got := m.L3(0).Evictions() - evictedBefore; got != lines {
+	if got := m.l3[0].Evictions() - evictedBefore; got != lines {
 		t.Fatalf("sweep evicted %d lines, want one per fill (%d)", got, lines)
 	}
 	// The region need not start on a page boundary, so a sweep can enter

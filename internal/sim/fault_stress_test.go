@@ -20,7 +20,6 @@ func TestMachineAccessRaceStressFaults(t *testing.T) {
 	sched := fault.New("stress", 3).
 		LinkBrownout(0, 0, fault.Forever, 6).
 		LinkBrownout(2, 10_000, 4_000_000, 3).
-		SocketBrownout(1, 0, 2_000_000, 4).
 		MemBrownout(0, 0, fault.Forever, 2).
 		MemBrownout(1, 500_000, 3_000_000, 8).
 		ThermalThrottle(3, 0, fault.Forever, 2)
@@ -45,9 +44,9 @@ func TestMachineAccessRaceStressFaults(t *testing.T) {
 			s := rng.Seed(42, uint64(c))
 			var now int64
 			for i := 0; i < iters; i++ {
-				off := int64(rng.Uint64n(&s, regionSize-2048))
-				size := int64(rng.Uint64n(&s, 2048)) + 1
-				write := rng.Uint64n(&s, 4) == 0
+				off := int64(rng.SplitMix64(&s) % (regionSize - 2048))
+				size := int64(rng.SplitMix64(&s)%2048) + 1
+				write := rng.SplitMix64(&s)%4 == 0
 				cost := m.Access(topology.CoreID(c), now, region+mem.Addr(off), size, write)
 				if cost <= 0 {
 					t.Errorf("core %d op %d: non-positive cost %d", c, i, cost)
@@ -55,7 +54,7 @@ func TestMachineAccessRaceStressFaults(t *testing.T) {
 				}
 				if i%64 == 0 {
 					// Exercise the browned-out message path concurrently.
-					dst := topology.CoreID(int(rng.Uint64n(&s, uint64(cores))))
+					dst := topology.CoreID(int(rng.SplitMix64(&s) % uint64(cores)))
 					if d := m.Fabric.MessageDelay(topology.CoreID(c), dst, now, 64); d < 0 {
 						t.Errorf("core %d op %d: negative message delay %d", c, i, d)
 						return

@@ -52,8 +52,8 @@ func FuzzMachineAccess(f *testing.F) {
 				pmu.FillL3RemoteSocket, pmu.FillDRAMLocal, pmu.FillDRAMRemote} {
 				if v := m.PMU.Read(c, e); v < 0 {
 					t.Fatalf("negative counter %v on core %d", e, c)
-				} else if v%m.SampleFactor() != 0 {
-					t.Fatalf("counter %v=%d not a multiple of sample factor %d", e, v, m.SampleFactor())
+				} else if v%m.sampleFactor != 0 {
+					t.Fatalf("counter %v=%d not a multiple of sample factor %d", e, v, m.sampleFactor)
 				}
 			}
 		}

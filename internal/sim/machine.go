@@ -239,10 +239,6 @@ func scaleAccess(cost, milli int64) int64 {
 	return c
 }
 
-// SampleFactor returns 2^SampleShift, the extrapolation factor applied to
-// PMU fill counters.
-func (m *Machine) SampleFactor() int64 { return m.sampleFactor }
-
 // Instrument registers the machine's telemetry with reg so one snapshot
 // shows the full simulated state: every PMU counter aggregated per
 // chiplet, per-chiplet L3 hit/miss/eviction counts, per-link fabric
@@ -554,11 +550,6 @@ func (m *Machine) Read(core topology.CoreID, t int64, addr mem.Addr, size int64)
 	return m.Access(core, t, addr, size, false)
 }
 
-// Write is shorthand for a write Access.
-func (m *Machine) Write(core topology.CoreID, t int64, addr mem.Addr, size int64) int64 {
-	return m.Access(core, t, addr, size, true)
-}
-
 // accessLine simulates one sampled line access exactly. It returns the
 // line's cost without bandwidth queueing, the fill event naming where the
 // line came from and, for a line that missed locally, the source its
@@ -720,30 +711,4 @@ func (m *Machine) invalidateOthers(self topology.ChipletID, line uint64, sc *dir
 		}
 	}
 	return n
-}
-
-// L3 returns chiplet ch's cache (for tests and diagnostics).
-func (m *Machine) L3(ch topology.ChipletID) *cache.Cache { return m.l3[ch] }
-
-// L2Of returns core c's private cache, which may be nil.
-func (m *Machine) L2Of(c topology.CoreID) *cache.Cache { return m.l2[c] }
-
-// FlushCaches empties every cache; used between experiment repetitions.
-func (m *Machine) FlushCaches() {
-	for _, c := range m.l2 {
-		if c != nil {
-			c.Clear()
-		}
-	}
-	for _, c := range m.l3 {
-		c.Clear()
-	}
-	if m.dir != nil {
-		m.dir.reset()
-	}
-	for i := range m.avg {
-		m.avg[i].v.Store(scaleAccess(m.Topo.Cost.L2Hit, m.coreAccMilli(topology.CoreID(i))))
-		m.avg[i].dir.p.Store(nil)
-		m.avg[i].vic.p.Store(nil)
-	}
 }

@@ -79,11 +79,11 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	a := m.Space.Alloc(4096, mem.Bind, 0)
 	m.Read(0, 0, a, 64)  // chiplet 0 holds
 	m.Read(4, 10, a, 64) // chiplet 1 holds too (shared)
-	if !m.L3(0).Contains(uint64(a)>>6) || !m.L3(1).Contains(uint64(a)>>6) {
+	if !m.l3[0].Contains(uint64(a)>>6) || !m.l3[1].Contains(uint64(a)>>6) {
 		t.Fatal("both chiplets must share the line")
 	}
-	m.Write(0, 20, a, 64) // write upgrade invalidates chiplet 1
-	if m.L3(1).Contains(uint64(a) >> 6) {
+	m.Access(0, 20, a, 64, true) // write upgrade invalidates chiplet 1
+	if m.l3[1].Contains(uint64(a) >> 6) {
 		t.Error("chiplet 1 copy must be invalidated by the write")
 	}
 	// Core 4's next read ping-pongs back (cache-to-cache again).
@@ -99,7 +99,7 @@ func TestL2HitRequiresL3Inclusion(t *testing.T) {
 	m.Read(0, 0, a, 64)
 	// Remote write invalidates chiplet 0's L3 copy; core 0's stale L2
 	// entry must not produce an L2 hit afterwards.
-	m.Write(4, 10, a, 64)
+	m.Access(4, 10, a, 64, true)
 	m.Read(0, 20, a, 64)
 	if got := m.PMU.Read(0, pmu.FillL2); got != 0 {
 		t.Errorf("stale L2 hit recorded: %d", got)
@@ -138,8 +138,8 @@ func TestSmallWorkingSetStaysCached(t *testing.T) {
 
 func TestSamplingExtrapolatesCounters(t *testing.T) {
 	m := New(Config{Topo: topology.SyntheticDual(2, 4), SampleShift: 3})
-	if m.SampleFactor() != 8 {
-		t.Fatalf("SampleFactor = %d", m.SampleFactor())
+	if m.sampleFactor != 8 {
+		t.Fatalf("sample factor = %d", m.sampleFactor)
 	}
 	size := int64(64 << 10)
 	a := m.Space.Alloc(size, mem.Bind, 0)
@@ -179,26 +179,12 @@ func TestBytesAccounting(t *testing.T) {
 	m := testMachine()
 	a := m.Space.Alloc(4096, mem.Bind, 0)
 	m.Read(0, 0, a, 100)
-	m.Write(0, 0, a, 200)
+	m.Access(0, 0, a, 200, true)
 	if got := m.PMU.Read(0, pmu.BytesRead); got != 100 {
 		t.Errorf("BytesRead = %d, want 100", got)
 	}
 	if got := m.PMU.Read(0, pmu.BytesWritten); got != 200 {
 		t.Errorf("BytesWritten = %d, want 200", got)
-	}
-}
-
-func TestFlushCaches(t *testing.T) {
-	m := testMachine()
-	a := m.Space.Alloc(4096, mem.Bind, 0)
-	m.Read(0, 0, a, 64)
-	m.FlushCaches()
-	if m.L3(0).Contains(uint64(a) >> 6) {
-		t.Error("flushed cache still holds line")
-	}
-	cost := m.Read(0, 100, a, 64)
-	if cost < m.Topo.Cost.DRAMLocal {
-		t.Errorf("post-flush read cost %d, want cold miss", cost)
 	}
 }
 

@@ -52,15 +52,6 @@ func (b *Bucket) Take(now int64) bool {
 	return false
 }
 
-// Tokens returns the whole tokens available at virtual time now.
-func (b *Bucket) Tokens(now int64) int64 {
-	b.refill(now)
-	if b.gap <= 0 {
-		return 1
-	}
-	return b.tokens
-}
-
 // NextAt returns the earliest virtual time a token will be available: now
 // when one already is, otherwise the completion time of the in-progress
 // refill — the wake-up time a Block-policy arrival waits for.

@@ -64,10 +64,9 @@ func (t *LeaseTable) Owners() []int { return append([]int(nil), t.owner...) }
 func (t *LeaseTable) Held(ten int) int { return t.held[ten] }
 
 // Grants and Reclaims return tenant ten's lifetime lease-acquisition and
-// lease-loss counts; FaultFrees counts leases released by chiplet death.
+// lease-loss counts.
 func (t *LeaseTable) Grants(ten int) int64   { return t.grants[ten] }
 func (t *LeaseTable) Reclaims(ten int) int64 { return t.reclaims[ten] }
-func (t *LeaseTable) FaultFrees() int64      { return t.faultFrees }
 
 // Rebalance recomputes the lease assignment at one arbitration point.
 // live[ch] reports whether chiplet ch still hosts at least one live worker

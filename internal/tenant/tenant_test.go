@@ -71,8 +71,8 @@ func TestBucketRefill(t *testing.T) {
 		t.Fatalf("NextAt(149) = %d, want 200 (credit carries)", got)
 	}
 	// Cap: a long idle period refills to burst, never past it.
-	if got := b.Tokens(10_000); got != 2 {
-		t.Fatalf("Tokens after idle = %d, want burst 2", got)
+	if b.refill(10_000); b.tokens != 2 {
+		t.Fatalf("tokens after idle = %d, want burst 2", b.tokens)
 	}
 	u := NewBucket(0, 1)
 	for i := int64(0); i < 100; i++ {
@@ -246,8 +246,8 @@ func TestLeaseTableFaultRebalance(t *testing.T) {
 	// rebalance, not starvation.
 	live[victim] = false
 	evs := lt.Rebalance(live, []bool{true, true})
-	if lt.FaultFrees() != 1 {
-		t.Fatalf("fault frees = %d, want 1 (events %v)", lt.FaultFrees(), evs)
+	if lt.faultFrees != 1 {
+		t.Fatalf("fault frees = %d, want 1 (events %v)", lt.faultFrees, evs)
 	}
 	if lt.Owner(victim) != -1 {
 		t.Fatalf("dead chiplet still leased: owners %v", lt.Owners())

@@ -107,14 +107,3 @@ func (t *Topology) AccessMilli(ch ChipletID) int64 {
 func (t *Topology) EnergyMilli(ch ChipletID) int64 {
 	return t.KindOf(ch).Traits().EnergyMilli
 }
-
-// KindCount returns how many chiplets are of kind k.
-func (t *Topology) KindCount(k ChipletKind) int {
-	n := 0
-	for ch := 0; ch < t.NumChiplets(); ch++ {
-		if t.KindOf(ChipletID(ch)) == k {
-			n++
-		}
-	}
-	return n
-}

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -43,16 +42,6 @@ var SpecPresets = map[string]string{
 	"accel-pod": "crossbar:2x2,fast=2,accel=2",
 	// hub is today's Infinity-Fabric-style default at experiment scale.
 	"hub": "star:4x2",
-}
-
-// PresetNames returns the spec preset names in sorted order.
-func PresetNames() []string {
-	names := make([]string, 0, len(SpecPresets))
-	for n := range SpecPresets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Spec-grammar bounds: large enough for any experiment, small enough that

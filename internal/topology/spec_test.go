@@ -63,7 +63,7 @@ func TestParseTopoSpecRejects(t *testing.T) {
 }
 
 func TestSpecPresetsParseAndBuild(t *testing.T) {
-	for _, name := range PresetNames() {
+	for name := range SpecPresets {
 		sp, err := ParseTopoSpec(name)
 		if err != nil {
 			t.Errorf("preset %q: %v", name, err)
@@ -107,9 +107,6 @@ func TestSpecBuildKindAssignment(t *testing.T) {
 	}
 	if topo.GridRows != 4 || topo.GridCols != 2 {
 		t.Errorf("grid %dx%d, want 4x2", topo.GridRows, topo.GridCols)
-	}
-	if topo.KindCount(KindEfficient) != 4 {
-		t.Errorf("KindCount(eff) = %d, want 4", topo.KindCount(KindEfficient))
 	}
 }
 

@@ -262,16 +262,6 @@ func (t *Topology) CoresOfChiplet(ch ChipletID) []CoreID {
 	return cores
 }
 
-// ChipletsOfNode returns all chiplet IDs in NUMA node n in ascending order.
-func (t *Topology) ChipletsOfNode(n NodeID) []ChipletID {
-	chs := make([]ChipletID, t.ChipletsPerNode)
-	base := int(n) * t.ChipletsPerNode
-	for i := range chs {
-		chs[i] = ChipletID(base + i)
-	}
-	return chs
-}
-
 // quadrantOf returns the I/O-die quadrant index of a chiplet within its node.
 func (t *Topology) quadrantOf(ch ChipletID) int {
 	local := int(ch) % t.ChipletsPerNode

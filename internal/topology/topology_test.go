@@ -215,10 +215,6 @@ func TestCoresOfChipletAndNodes(t *testing.T) {
 			t.Errorf("cores[%d] = %d, want %d", i, cores[i], want[i])
 		}
 	}
-	chs := m.ChipletsOfNode(0)
-	if len(chs) != 2 || chs[0] != 0 || chs[1] != 1 {
-		t.Errorf("ChipletsOfNode(0) = %v", chs)
-	}
 }
 
 func TestFirstCoreOf(t *testing.T) {

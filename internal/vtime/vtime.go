@@ -78,15 +78,3 @@ func (b *Barrier) Release(cost int64) int64 { return b.max.Load() + cost }
 // Reset prepares the barrier for reuse. The caller must ensure no party is
 // between Enter and Release.
 func (b *Barrier) Reset() { b.max.Store(0) }
-
-// MaxOf returns the maximum of the given clock readings; 0 for no clocks.
-// The makespan of a parallel phase is MaxOf over its workers' clocks.
-func MaxOf(clocks ...*Clock) int64 {
-	var m int64
-	for _, c := range clocks {
-		if t := c.Now(); t > m {
-			m = t
-		}
-	}
-	return m
-}

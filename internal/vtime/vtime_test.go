@@ -109,16 +109,3 @@ func TestBarrierConcurrent(t *testing.T) {
 		t.Errorf("Release = %d, want 65", got)
 	}
 }
-
-func TestMaxOf(t *testing.T) {
-	if got := MaxOf(); got != 0 {
-		t.Errorf("MaxOf() = %d, want 0", got)
-	}
-	var a, b, c Clock
-	a.Advance(5)
-	b.Advance(50)
-	c.Advance(20)
-	if got := MaxOf(&a, &b, &c); got != 50 {
-		t.Errorf("MaxOf = %d, want 50", got)
-	}
-}

@@ -80,13 +80,6 @@ func TestKroneckerDeterministic(t *testing.T) {
 	}
 }
 
-func TestUniformValidates(t *testing.T) {
-	g := Uniform(GenConfig{LogVertices: 8, EdgeFactor: 4, Seed: 3})
-	if err := g.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCSRSymmetry(t *testing.T) {
 	g := genSmall(t)
 	// Every edge (v,u) has a reverse (u,v): check via degree-sum parity
@@ -304,62 +297,6 @@ func TestResultTEPSProperty(t *testing.T) {
 	}
 }
 
-func TestBFSDirOptMatchesBFS(t *testing.T) {
-	g := genSmall(t)
-	rt := testRT(t, 4)
-	b := Bind(rt, g, 64)
-	pTop, _ := b.BFS(0)
-	pOpt, res := b.BFSDirOpt(0, 16)
-	if res.Rounds == 0 || res.WorkEdges == 0 {
-		t.Fatalf("degenerate dir-opt result: %+v", res)
-	}
-	for v := 0; v < g.N; v++ {
-		if (pTop[v] == -1) != (pOpt[v] == -1) {
-			t.Fatalf("vertex %d reachability differs between top-down and dir-opt", v)
-		}
-	}
-	// Parent validity for reached vertices.
-	for v := int32(0); int(v) < g.N; v++ {
-		p := pOpt[v]
-		if p == -1 || v == 0 {
-			continue
-		}
-		found := false
-		for _, u := range g.Neighbors(v) {
-			if u == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("dir-opt parent %d of %d is not a neighbor", p, v)
-		}
-	}
-}
-
-func TestBFSDirOptTraversesFewerEdges(t *testing.T) {
-	// On a connected skewed graph, bottom-up phases stop at the first
-	// frontier parent, so dir-opt must touch no more edges than plain BFS.
-	g := Kronecker(GenConfig{LogVertices: 11, EdgeFactor: 16, Seed: 3})
-	rt := testRT(t, 4)
-	b := Bind(rt, g, 64)
-	_, plain := b.BFS(0)
-	_, opt := b.BFSDirOpt(0, 16)
-	if opt.WorkEdges > plain.WorkEdges {
-		t.Errorf("dir-opt traversed %d edges, plain %d", opt.WorkEdges, plain.WorkEdges)
-	}
-}
-
-func TestBFSDirOptAlphaDefault(t *testing.T) {
-	g := genSmall(t)
-	rt := testRT(t, 2)
-	b := Bind(rt, g, 64)
-	p, _ := b.BFSDirOpt(0, 0) // 0 selects the default alpha
-	if p[0] != 0 {
-		t.Error("root not its own parent")
-	}
-}
-
 func TestValidateBFS(t *testing.T) {
 	g := genSmall(t)
 	rt := testRT(t, 4)
@@ -421,45 +358,4 @@ func TestValidateBFSRejectsNonNeighborParent(t *testing.T) {
 		}
 	}
 	t.Skip("no suitable vertex found")
-}
-
-func TestSSSPDeltaMatchesDijkstra(t *testing.T) {
-	g := Kronecker(GenConfig{LogVertices: 8, EdgeFactor: 6, Seed: 5})
-	rt := testRT(t, 4)
-	b := Bind(rt, g, 64)
-	dist, res := b.SSSPDelta(0, 64)
-	if res.WorkEdges == 0 || res.Rounds == 0 {
-		t.Fatalf("degenerate delta-stepping result: %+v", res)
-	}
-	want := seqDijkstra(g, 0)
-	for v := 0; v < g.N; v++ {
-		if dist[v] != want[v] {
-			t.Fatalf("dist[%d] = %d, want %d", v, dist[v], want[v])
-		}
-	}
-}
-
-func TestSSSPDeltaVariousDeltas(t *testing.T) {
-	g := Kronecker(GenConfig{LogVertices: 7, EdgeFactor: 6, Seed: 9})
-	want := seqDijkstra(g, 0)
-	for _, delta := range []int64{1, 16, 64, 256, 1024} {
-		rt := testRT(t, 4)
-		b := Bind(rt, g, 32)
-		dist, _ := b.SSSPDelta(0, delta)
-		for v := 0; v < g.N; v++ {
-			if dist[v] != want[v] {
-				t.Fatalf("delta=%d: dist[%d] = %d, want %d", delta, v, dist[v], want[v])
-			}
-		}
-	}
-}
-
-func TestSSSPDeltaDefaultDelta(t *testing.T) {
-	g := genSmall(t)
-	rt := testRT(t, 2)
-	b := Bind(rt, g, 64)
-	dist, _ := b.SSSPDelta(0, 0) // 0 selects the default
-	if dist[0] != 0 {
-		t.Error("root distance not 0")
-	}
 }

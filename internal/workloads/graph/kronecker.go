@@ -56,27 +56,3 @@ func Kronecker(cfg GenConfig) *CSR {
 	}
 	return buildCSR(n, src, dst, w)
 }
-
-// Uniform generates a symmetric uniform-random graph (used by GUPS-style
-// sensitivity tests and as a low-skew contrast to Kronecker).
-func Uniform(cfg GenConfig) *CSR {
-	if cfg.LogVertices <= 0 {
-		panic("graph: LogVertices must be positive")
-	}
-	if cfg.EdgeFactor <= 0 {
-		cfg.EdgeFactor = 16
-	}
-	n := 1 << cfg.LogVertices
-	m := n * cfg.EdgeFactor
-	src := make([]int32, m)
-	dst := make([]int32, m)
-	w := make([]uint8, m)
-	state := cfg.Seed*0x9E3779B97F4A7C15 + 0xFEEDFACE
-	mask := uint64(n - 1)
-	for i := 0; i < m; i++ {
-		src[i] = int32(rng.SplitMix64(&state) & mask)
-		dst[i] = int32(rng.SplitMix64(&state) & mask)
-		w[i] = uint8(rng.SplitMix64(&state)%254) + 1
-	}
-	return buildCSR(n, src, dst, w)
-}

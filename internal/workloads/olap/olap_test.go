@@ -131,7 +131,7 @@ func TestHashTableBuildProbe(t *testing.T) {
 			t.Error("phantom key found")
 		}
 	})
-	if ht.SimBytes() <= 0 {
+	if int64(len(ht.keys))*slotBytes <= 0 {
 		t.Error("non-positive sim size")
 	}
 }

@@ -113,9 +113,6 @@ func (e *Engine) newHashTable(capacity int, withSums bool) *HashTable {
 	return ht
 }
 
-// SimBytes returns the simulated size of the table region.
-func (ht *HashTable) SimBytes() int64 { return int64(len(ht.keys)) * slotBytes }
-
 // Free releases the simulated mirror.
 func (ht *HashTable) Free() { ht.rt.Free(ht.addr) }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"charm"
-	"charm/internal/rng"
 )
 
 // MVCC is a memory-optimized multi-version store in the spirit of ERMIA:
@@ -164,77 +163,4 @@ func (t *Txn) Commit(ctx *charm.Ctx) error {
 	ctx.Compute(500) // log-record construction
 	t.s.commits.Add(1)
 	return nil
-}
-
-// Vacuum trims version chains, keeping for every key the newest version
-// plus any version still visible to a snapshot at or after horizon. It
-// returns the number of versions reclaimed — ERMIA-style epoch GC.
-// Vacuum requires quiescence: no transaction may be in flight, exactly as
-// an epoch boundary guarantees.
-func (s *MVCC) Vacuum(horizon int64) int64 {
-	var reclaimed int64
-	for i := range s.heads {
-		v := s.heads[i].Load()
-		if v == nil {
-			continue
-		}
-		// Find the first version visible at the horizon; everything
-		// older than it is unreachable by any live snapshot.
-		for ; v != nil; v = v.next {
-			if v.begin <= horizon {
-				break
-			}
-		}
-		if v == nil {
-			continue
-		}
-		for cut := v.next; cut != nil; cut = cut.next {
-			reclaimed++
-		}
-		v.next = nil
-	}
-	return reclaimed
-}
-
-// RunYCSBSI runs the YCSB mix as snapshot-isolation transactions on an
-// MVCC store (the full-fidelity ERMIA path, vs. Engine.RunYCSB's
-// single-record fast path). Read-modify-write transactions retry on
-// write-write conflicts. It returns the throughput result counting only
-// committed transactions.
-func RunYCSBSI(rt *charm.Runtime, cfg Config) Result {
-	cfg.defaults()
-	s := NewMVCC(rt, cfg.Records)
-	var commits atomic.Int64
-	start := rt.Now()
-	rt.AllDo(func(ctx *charm.Ctx) {
-		seed := cfg.Seed ^ (uint64(ctx.Worker())*0x9E3779B97F4A7C15 + 3)
-		for t := 0; t < cfg.TxPerWorker; t++ {
-			k := int(rng.SplitMix64(&seed) % uint64(cfg.Records))
-			read := int(rng.SplitMix64(&seed)%100) < cfg.ReadPct
-			for {
-				tx := s.Begin()
-				v := tx.Read(ctx, k)
-				if !read {
-					tx.Write(k, v+1)
-				}
-				ctx.Compute(cfg.CommitCost)
-				if tx.Commit(ctx) == nil {
-					commits.Add(1)
-					break
-				}
-				ctx.Yield() // back off and retry on conflict
-			}
-			ctx.Yield()
-		}
-	})
-	return Result{Commits: commits.Load(), Makespan: rt.Now() - start}
-}
-
-// ChainLength returns key's version-chain length (diagnostics and tests).
-func (s *MVCC) ChainLength(key int) int {
-	n := 0
-	for v := s.heads[key].Load(); v != nil; v = v.next {
-		n++
-	}
-	return n
 }

@@ -188,37 +188,6 @@ func TestMVCCMultiKeyAtomicity(t *testing.T) {
 	})
 }
 
-func TestMVCCVacuum(t *testing.T) {
-	rt := mvccRT(t, 1)
-	s := NewMVCC(rt, 2)
-	rt.Run(func(ctx *charm.Ctx) {
-		for i := 0; i < 10; i++ {
-			tx := s.Begin()
-			tx.Write(0, uint64(i))
-			if err := tx.Commit(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
-	if n := s.ChainLength(0); n < 10 {
-		t.Fatalf("chain length %d before vacuum", n)
-	}
-	horizon := int64(1 << 62) // everything older than the newest is dead
-	reclaimed := s.Vacuum(horizon)
-	if reclaimed == 0 {
-		t.Error("vacuum reclaimed nothing")
-	}
-	if n := s.ChainLength(0); n != 1 {
-		t.Errorf("chain length %d after vacuum, want 1", n)
-	}
-	rt.Run(func(ctx *charm.Ctx) {
-		tx := s.Begin()
-		if got := tx.Read(ctx, 0); got != 9 {
-			t.Errorf("post-vacuum value = %d, want 9", got)
-		}
-	})
-}
-
 func TestMVCCTxnReusePanics(t *testing.T) {
 	rt := mvccRT(t, 1)
 	s := NewMVCC(rt, 1)
@@ -244,15 +213,4 @@ func TestMVCCValidation(t *testing.T) {
 		}
 	}()
 	NewMVCC(rt, 0)
-}
-
-func TestRunYCSBSI(t *testing.T) {
-	rt := mvccRT(t, 4)
-	res := RunYCSBSI(rt, Config{Records: 1 << 10, TxPerWorker: 200, Seed: 2})
-	if res.Commits != 4*200 {
-		t.Errorf("commits = %d, want 800", res.Commits)
-	}
-	if res.CommitsPerSec() <= 0 {
-		t.Error("non-positive throughput")
-	}
 }
