@@ -81,8 +81,8 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 13 targets keeps the CI
-# step near 3.25 minutes while still churning fresh inputs past the
+# FUZZTIME bounds each fuzz-smoke target; 15s x 14 targets keeps the CI
+# step near 3.5 minutes while still churning fresh inputs past the
 # saved corpus.
 FUZZTIME ?= 15s
 
@@ -90,7 +90,8 @@ FUZZTIME ?= 15s
 # target per invocation): the task-queue fuzzers, Alg. 2's collision
 # property, the dispatch preference order against its reference model, the simulator memory-access fuzzer, the streamed access path
 # against the per-line reference, the cache's Fill vs Lookup+Insert
-# differential, the span pipeline against its reference model, the star
+# differential, the span pipeline against its reference model, the
+# metrics document writer against encoding/json, the star
 # fabric's hub link graph against the hand-written Star model, the
 # lockstep engine's idle runs against its one-turn-per-grant engine, the
 # fault plan's up-until horizon against CoreDown, and the spec-grammar
@@ -104,6 +105,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim/ -run xxx -fuzz '^FuzzAccessStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cache/ -run xxx -fuzz '^FuzzCacheFill$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run xxx -fuzz '^FuzzBuildReport$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/ -run xxx -fuzz '^FuzzMetricsJSON$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fabric/ -run xxx -fuzz '^FuzzHubMatchesStar$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzIdleRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzCoreUpUntil$$' -fuzztime $(FUZZTIME)
@@ -135,7 +137,7 @@ bench:
 		-note "internal/place decision plane on AMDMilan7713x2: rank build (one-time), per-decision view build and Select/ordering queries"
 	$(GO) test ./internal/core/ ./internal/obs/ -run xxx -bench 'BenchmarkTracing|BenchmarkTracer' -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_obs.json \
-		-note "causal job tracing. BenchmarkTracing, on the admission/dispatch path: off = disabled atomic gate, on = admit/stage/task span recording per job, emit = raw append to one shard. BenchmarkTracer, the span pipeline on a synthetic svc-tenants buffer (9 shards, 126 168 spans, 42 001 traces), one op = the whole buffer: emit fills it, compact releases and reclaims the 16 800 completed jobs, traces = Tracer.Traces, report = BuildReport"
+		-note "causal job tracing. BenchmarkTracing, on the admission/dispatch path: off = disabled atomic gate, on = admit/stage/task span recording per job, emit = raw append to one shard. BenchmarkTracer, the export path on a synthetic svc-tenants buffer (9 shards, 126 168 spans, 42 001 traces), one op = the whole buffer: emit fills it, compact releases and reclaims the 16 800 completed jobs, walk = Tracer.eachTrace (the index walk that groups the buffer by trace), report = BuildReport; metrics-json = obs.WriteJSON of a svc-tenants-shaped registry (159 series, 616 history points) to io.Discard"
 	$(GO) test ./internal/core/ -run xxx -bench BenchmarkPower -benchtime 1s -benchmem -cpu $(BENCH_CPU) \
 		| $(GO) run ./cmd/benchjson -o BENCH_power.json \
 		-note "closed-loop thermal/energy plane: access = hot-line read loop with the plane off vs armed-but-idle (per-access PMU cost), tick = one governor evaluation (energy integration, RC step, tier logic) per chiplet tick"

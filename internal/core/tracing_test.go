@@ -102,21 +102,18 @@ func TestCritpathAttribution(t *testing.T) {
 	if len(lats) == 0 {
 		t.Fatal("no completed jobs")
 	}
-	for _, tr := range rt.Tracer().Traces() {
-		if tr.ID == 0 {
-			continue
-		}
-		b, ok := obs.Analyze(tr)
-		if !ok {
+	rep := obs.BuildReport(rt.Tracer())
+	for _, b := range rep.Jobs {
+		if len(b.Stages) == 0 {
 			continue // never dispatched: pure admit-queue wait by definition
 		}
 		if f := b.AttributedFraction(); f < 0.90 {
 			t.Errorf("trace %d: attributed %.1f%% of %d ns (unattributed %d)",
-				tr.ID, 100*f, b.Total, b.Unattributed)
+				b.Trace, 100*f, b.Total, b.Unattributed)
 		}
 		sum := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall + b.Retry + b.Unattributed
 		if sum != b.Total {
-			t.Errorf("trace %d: buckets sum to %d, total %d", tr.ID, sum, b.Total)
+			t.Errorf("trace %d: buckets sum to %d, total %d", b.Trace, sum, b.Total)
 		}
 	}
 	// The p99 completed job specifically must be fully explained.
@@ -133,7 +130,6 @@ func TestCritpathAttribution(t *testing.T) {
 		t.Errorf("p99 job %d: trace total %d != measured latency %d",
 			p99.ID(), b.Total, p99.Latency())
 	}
-	rep := obs.BuildReport(rt.Tracer())
 	if len(rep.Jobs) == 0 || rep.TotalNS <= 0 {
 		t.Fatalf("empty report: %d jobs, %d ns", len(rep.Jobs), rep.TotalNS)
 	}

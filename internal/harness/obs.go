@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 type ObsSink struct {
 	mu      sync.Mutex
 	entries []ObsEntry
+	err     error // the first capture obs.WriteJSON refused
 }
 
 // ObsEntry is one runtime's end-of-run metrics capture.
@@ -27,20 +29,29 @@ type ObsEntry struct {
 	Experiment string `json:"experiment"`
 	// Workers is the runtime's worker count.
 	Workers int `json:"workers"`
-	// Metrics is the full metrics document at Finalize time.
-	Metrics obs.JSONDoc `json:"metrics"`
+	// Metrics is the full metrics document at Finalize time, as
+	// obs.WriteJSON wrote it.
+	Metrics json.RawMessage `json:"metrics"`
+
+	snap obs.Snapshot // the snapshot the document was written from
 }
 
 // captureAs records one runtime's metrics under the given experiment id;
 // installed (with the id bound) as a Finalize hook. Safe for concurrent
 // experiments.
 func (s *ObsSink) captureAs(exp string, r *charm.Runtime) {
-	doc := obs.BuildJSON(r.MetricsSnapshot(), r.MetricsRegistry().History())
+	snap := r.MetricsSnapshot()
+	var doc bytes.Buffer
+	err := obs.WriteJSON(&doc, snap, r.MetricsRegistry().History())
 	s.mu.Lock()
+	if err != nil && s.err == nil {
+		s.err = fmt.Errorf("metrics capture of %s: %w", exp, err)
+	}
 	s.entries = append(s.entries, ObsEntry{
 		Experiment: exp,
 		Workers:    r.Workers(),
-		Metrics:    doc,
+		Metrics:    doc.Bytes(),
+		snap:       snap,
 	})
 	s.mu.Unlock()
 }
@@ -65,8 +76,16 @@ func (s *ObsSink) Len() int {
 	return len(s.entries)
 }
 
-// WriteJSON dumps every capture as one indented JSON document.
+// WriteJSON dumps every capture as one indented JSON document. It fails,
+// writing nothing, when a capture could not be written (a NaN or infinite
+// metric value).
 func (s *ObsSink) WriteJSON(w io.Writer) error {
+	s.mu.Lock()
+	err := s.err
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	doc := struct {
 		Entries []ObsEntry `json:"entries"`
 	}{Entries: s.Entries()}
@@ -83,21 +102,21 @@ func (s *ObsSink) Summary() *Table {
 		Title:  "Per-runtime metrics captures",
 		Header: []string{"experiment", "workers", "vtime_ms", "tasks", "steals", "migrations", "fabric_MB", "dram_MB"},
 	}
-	find := func(d *obs.JSONDoc, name string) float64 {
+	find := func(d *obs.Snapshot, name string) float64 {
 		var sum float64
-		for i := range d.Metrics {
-			if d.Metrics[i].Name == name && d.Metrics[i].Value != nil {
-				sum += *d.Metrics[i].Value
+		for i := range d.Samples {
+			if d.Samples[i].Name == name && d.Samples[i].Hist == nil {
+				sum += d.Samples[i].Value
 			}
 		}
 		return sum
 	}
 	for _, e := range s.Entries() {
-		d := &e.Metrics
+		d := &e.snap
 		t.Rows = append(t.Rows, []string{
 			e.Experiment,
 			fmt.Sprintf("%d", e.Workers),
-			f3(float64(d.VirtualTimeNS) / 1e6),
+			f3(float64(d.T) / 1e6),
 			fmt.Sprintf("%.0f", find(d, "charm_tasks_total")),
 			fmt.Sprintf("%.0f", find(d, "charm_steals_total")),
 			fmt.Sprintf("%.0f", find(d, "charm_migrations_total")),

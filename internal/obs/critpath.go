@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -67,6 +66,15 @@ func (b Breakdown) AttributedFraction() float64 {
 // has no stage spans (the job was shed, rejected, or expired before
 // dispatch — its breakdown is pure admit-queue time).
 func Analyze(tr Trace) (Breakdown, bool) {
+	var slab []StageBreakdown
+	return analyze(tr, &slab)
+}
+
+// analyze is Analyze with the job's Stages appended to *slab, a window of
+// it whose capacity ends at its length: appending to one job's Stages
+// reallocates them rather than reaching the next job's. A slab with too
+// little room left is replaced by a new one sized for this job.
+func analyze(tr Trace, slab *[]StageBreakdown) (Breakdown, bool) {
 	b := Breakdown{Trace: tr.ID}
 	var admit, term *Span
 	nStages := 0
@@ -107,7 +115,10 @@ func Analyze(tr Trace) (Breakdown, bool) {
 		}
 		return b, false
 	}
-	b.Stages = make([]StageBreakdown, 0, nStages)
+	if cap(*slab)-len(*slab) < nStages {
+		*slab = make([]StageBreakdown, 0, nStages)
+	}
+	first := len(*slab)
 	for i := range tr.Spans {
 		st := &tr.Spans[i]
 		if st.Kind != SpanStage {
@@ -179,7 +190,7 @@ func Analyze(tr Trace) (Breakdown, bool) {
 			// window to queue only if we know nothing better.
 			sb.Queue = wall
 		}
-		b.Stages = append(b.Stages, sb)
+		*slab = append(*slab, sb)
 		b.DispatchQueue += sb.Queue
 		b.Compute += sb.Compute
 		b.Stall += sb.Stall
@@ -188,6 +199,7 @@ func Analyze(tr Trace) (Breakdown, bool) {
 			b.Finish = st.End
 		}
 	}
+	b.Stages = (*slab)[first:len(*slab):len(*slab)]
 	// Stages are reported by index; two stage spans with one index (only a
 	// hand-built trace has them) stay in canonical span order.
 	slices.SortStableFunc(b.Stages, func(x, y StageBreakdown) int { return cmp.Compare(x.Stage, y.Stage) })
@@ -226,12 +238,21 @@ type Report struct {
 }
 
 // BuildReport analyzes every job trace the tracer holds (trace 0, the
-// runtime scope, feeds only the fault table).
+// runtime scope, feeds only the fault table). It reads the buffer in one
+// walk (Tracer.eachTrace) and allocates per report, not per job: every
+// job's Stages are windows of one slab sized by the count of stage spans.
 func BuildReport(t *Tracer) Report {
-	traces := t.Traces()
 	var rep Report
 	var faults, stages, chiplets culpritTable // keyed by span kind, stage index, chiplet
-	for _, tr := range traces {
+	var slab []StageBreakdown
+	jobs := 0 // a job has an admit-queue span or ends before dispatch
+	size := func(kinds *[1 << 8]int) {
+		slab = make([]StageBreakdown, 0, kinds[SpanStage])
+		for _, k := range []SpanKind{SpanAdmitQueue, SpanShed, SpanExpire, SpanReject, SpanCancel} {
+			jobs += kinds[k]
+		}
+	}
+	t.eachTrace(size, func(tr Trace) {
 		if tr.ID == 0 {
 			for i := range tr.Spans {
 				switch k := tr.Spans[i].Kind; k {
@@ -239,7 +260,7 @@ func BuildReport(t *Tracer) Report {
 					faults.bump(int32(k), 0)
 				}
 			}
-			continue
+			return
 		}
 		for i := range tr.Spans {
 			switch s := &tr.Spans[i]; s.Kind {
@@ -249,12 +270,12 @@ func BuildReport(t *Tracer) Report {
 				faults.bump(int32(s.Kind), 0)
 			}
 		}
-		b, ok := Analyze(tr)
+		b, ok := analyze(tr, &slab)
 		if !ok && b.Total == 0 {
-			continue
+			return
 		}
 		if rep.Jobs == nil {
-			rep.Jobs = make([]Breakdown, 0, len(traces))
+			rep.Jobs = make([]Breakdown, 0, max(jobs, 1))
 		}
 		rep.Jobs = append(rep.Jobs, b)
 		rep.TotalNS += b.Total
@@ -270,18 +291,49 @@ func BuildReport(t *Tracer) Report {
 				chiplets.bump(st.Chiplet, st.Compute+st.Stall)
 			}
 		}
-	}
+	})
 	rep.ByChiplet = chiplets.sorted(func(i int32) string { return "chiplet-" + strconv.Itoa(int(i)) })
 	rep.ByStage = stages.sorted(func(i int32) string { return "stage-" + strconv.Itoa(int(i)) })
 	rep.ByFault = faults.sorted(func(k int32) string { return SpanKind(k).String() })
 	// Slowest jobs first — the tail is what the report is for.
-	sort.Slice(rep.Jobs, func(i, j int) bool {
-		if rep.Jobs[i].Total != rep.Jobs[j].Total {
-			return rep.Jobs[i].Total > rep.Jobs[j].Total
-		}
-		return rep.Jobs[i].Trace < rep.Jobs[j].Trace
-	})
+	slowestFirst(rep.Jobs)
 	return rep
+}
+
+// slowestFirst orders jobs by Total descending, then Trace ascending. They
+// arrive in ascending Trace order, so a stable sort on Total alone gives
+// that order: radixStable over the compact keys ^(Total with its sign bit
+// flipped), then each Breakdown moves once, along the cycles of the
+// permutation.
+func slowestFirst(jobs []Breakdown) {
+	if len(jobs) < 2 {
+		return
+	}
+	keys, pos := make([]uint64, len(jobs)), make([]uint32, len(jobs))
+	var vary uint64
+	for i := range jobs {
+		keys[i] = ^(uint64(jobs[i].Total) ^ 1<<63)
+		pos[i] = uint32(i)
+		vary |= keys[i] ^ keys[0]
+	}
+	pos = radixStable(pos, make([]uint32, len(jobs)), vary, func(p uint32) uint64 { return keys[p] })
+	// pos[i] is the job that belongs at i; a visited entry is set to i.
+	for i := range pos {
+		if pos[i] == uint32(i) {
+			continue
+		}
+		hold, j := jobs[i], i
+		for {
+			k := int(pos[j])
+			pos[j] = uint32(j)
+			if k == i {
+				jobs[j] = hold
+				break
+			}
+			jobs[j] = jobs[k]
+			j = k
+		}
+	}
 }
 
 // culpritTable accumulates culprit rows keyed by a small integer: a span

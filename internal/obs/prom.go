@@ -112,11 +112,14 @@ func escapeLabel(v string) string {
 }
 
 // formatValue prints integers without exponents and floats compactly.
-func formatValue(v float64) string {
+func formatValue(v float64) string { return string(appendValue(nil, v)) }
+
+// appendValue appends formatValue(v) to dst.
+func appendValue(dst []byte, v float64) []byte {
 	if v == float64(int64(v)) {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(dst, int64(v), 10)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 func escapeHelp(h string) string {

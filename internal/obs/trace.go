@@ -29,8 +29,9 @@ import (
 // steady state every shard has exactly one writer and the lock is never
 // contended.
 // Each span is touched a constant number of times: appended to a fixed-size
-// chunk, packed chunk by chunk by compaction, gathered once and grouped by
-// a counting scatter on its TraceID (DESIGN.md §4.15).
+// chunk, packed chunk by chunk by compaction, and, for the critical-path
+// report, grouped through an index of its position by a counting scatter
+// on its TraceID and copied once into a per-trace scratch (DESIGN.md §4.15).
 
 // TraceID identifies one job's causal trace. 0 is the runtime scope:
 // spans that belong to the machine (re-homes, parks, breaker flaps, SLO
@@ -204,8 +205,14 @@ func (s *Span) gates() (job, profile bool) {
 }
 
 // spanChunk is the length of one buffer chunk: 1024 spans = 72 KiB, so a
-// shard grows by one fixed-size allocation at a time.
-const spanChunk = 1 << 10
+// shard grows by one fixed-size allocation at a time. In eachTrace's index a
+// span's position is its chunk's number in the table of every shard's
+// chunks, shifted left by spanChunkBits, plus its offset in the chunk (so
+// 4 Mi chunks, 288 GiB of spans, fit in the uint32).
+const (
+	spanChunkBits = 10
+	spanChunk     = 1 << spanChunkBits
+)
 
 // traceShard is one writer's private span buffer: a list of chunks of cap
 // spanChunk of which every one but the last is full, so span k of the
@@ -243,12 +250,16 @@ type Tracer struct {
 	// Flight-recorder state: a bounded FIFO of retained TraceIDs plus
 	// the log of released (healthy and completed, or ring-evicted) traces
 	// that the next compaction may reclaim. Append-only, so finishing a
-	// job edits no set; Compact skips the ones retained since.
-	recMu     sync.Mutex
-	retainCap int
-	retained  map[TraceID]struct{}
-	ring      []TraceID
-	released  []TraceID
+	// job edits no set; Compact skips the ones retained since. The FIFO is
+	// a circular buffer whose length is its capacity: ringN entries from
+	// ringHead on, wrapping. The first Retain allocates it
+	// (DefaultFlightRecorderCap entries).
+	recMu    sync.Mutex
+	retained map[TraceID]struct{}
+	ring     []TraceID
+	ringHead int
+	ringN    int
+	released []TraceID
 }
 
 // NewTracer builds a tracer with the given shard count (one per worker
@@ -262,10 +273,9 @@ func NewTracer(shards, shardCap int) *Tracer {
 		shardCap = DefaultSpanCap
 	}
 	return &Tracer{
-		shardCap:  shardCap,
-		shards:    make([]traceShard, shards),
-		retainCap: DefaultFlightRecorderCap,
-		retained:  map[TraceID]struct{}{},
+		shardCap: shardCap,
+		shards:   make([]traceShard, shards),
+		retained: map[TraceID]struct{}{},
 	}
 }
 
@@ -318,15 +328,20 @@ func (t *Tracer) Retain(id TraceID) {
 		return
 	}
 	t.recMu.Lock()
+	if t.ring == nil {
+		t.ring = make([]TraceID, DefaultFlightRecorderCap)
+	}
 	if _, ok := t.retained[id]; !ok {
-		if len(t.ring) >= t.retainCap {
-			old := t.ring[0]
-			t.ring = t.ring[1:]
+		if t.ringN == len(t.ring) {
+			old := t.ring[t.ringHead]
 			delete(t.retained, old)
 			t.released = append(t.released, old)
+			t.ringHead = (t.ringHead + 1) % len(t.ring)
+			t.ringN--
 		}
 		t.retained[id] = struct{}{}
-		t.ring = append(t.ring, id)
+		t.ring[(t.ringHead+t.ringN)%len(t.ring)] = id
+		t.ringN++
 	}
 	t.recMu.Unlock()
 }
@@ -346,7 +361,10 @@ func (t *Tracer) Release(id TraceID) {
 // RetainedIDs returns the flight recorder's contents in retention order.
 func (t *Tracer) RetainedIDs() []TraceID {
 	t.recMu.Lock()
-	out := append([]TraceID(nil), t.ring...)
+	out := make([]TraceID, t.ringN)
+	for i := range out {
+		out[i] = t.ring[(t.ringHead+i)%len(t.ring)]
+	}
 	t.recMu.Unlock()
 	return out
 }
@@ -424,13 +442,26 @@ func (t *Tracer) Compactions() int64 { return t.compactions.Load() }
 // spanCmp is the canonical span order, so any two runs that produced the
 // same span multiset serialize byte-identically regardless of shard
 // placement. Chiplet is not a key: where spans that differ in it alone
-// (lease grants at one instant) end up is each sort's business.
+// (lease grants at one instant) end up is each sort's business. It returns
+// at the first key that differs.
 func spanCmp(a, b Span) int {
-	return cmp.Or(
-		cmp.Compare(a.Start, b.Start), cmp.Compare(a.Trace, b.Trace),
-		cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Stage, b.Stage),
-		cmp.Compare(a.Worker, b.Worker), cmp.Compare(a.End, b.End),
-		cmp.Compare(a.Arg, b.Arg), cmp.Compare(a.Arg2, b.Arg2))
+	switch {
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	case a.Trace != b.Trace:
+		return cmp.Compare(a.Trace, b.Trace)
+	case a.Kind != b.Kind:
+		return cmp.Compare(a.Kind, b.Kind)
+	case a.Stage != b.Stage:
+		return cmp.Compare(a.Stage, b.Stage)
+	case a.Worker != b.Worker:
+		return cmp.Compare(a.Worker, b.Worker)
+	case a.End != b.End:
+		return cmp.Compare(a.End, b.End)
+	case a.Arg != b.Arg:
+		return cmp.Compare(a.Arg, b.Arg)
+	}
+	return cmp.Compare(a.Arg2, b.Arg2)
 }
 
 // eachChunk calls f on every buffered chunk, shard by shard in emission
@@ -467,7 +498,7 @@ type Trace struct {
 }
 
 // TraceOf collects the spans of a single trace: only the matches are
-// copied and sorted (equal spans in gathered order, as in Traces).
+// copied and sorted (equal spans in gathered order, as in eachTrace).
 func (t *Tracer) TraceOf(id TraceID) Trace {
 	tr := Trace{ID: id}
 	t.eachChunk(func(c []Span) {
@@ -481,61 +512,95 @@ func (t *Tracer) TraceOf(id TraceID) Trace {
 	return tr
 }
 
-// Traces groups every buffered span by TraceID, ascending (the runtime
-// scope, trace 0, comes first when present). The traces are cap-limited
-// windows of one array that belongs to the caller: appending to one's
-// Spans reallocates it and cannot reach its neighbour.
-func (t *Tracer) Traces() []Trace {
-	spans := groupByTrace(t.gather())
+// eachTrace calls f on every buffered trace in ascending TraceID order (the
+// runtime scope, trace 0, first when present), its spans in canonical order
+// and spans equal under spanCmp in gathered order: shard by shard, emission
+// order. Before the first trace it calls size with the number of buffered
+// spans of each kind, so that the caller can size what it fills.
+//
+// The buffer is never copied whole. The walk indexes every span by its
+// position, groups the positions by TraceID (radixStable) and copies one
+// trace at a time into a scratch slice that the next trace reuses, so f
+// must not keep tr.Spans.
+//
+// The walk holds every shard lock, taken in shard order, from its first
+// read to its last f: a report is a post-run read, so it sees one
+// consistent buffer, and a worker that emits meanwhile waits for it. f must
+// not call into the tracer.
+func (t *Tracer) eachTrace(size func(kinds *[1 << 8]int), f func(tr Trace)) {
+	for i := range t.shards {
+		t.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range t.shards {
+			t.shards[i].mu.Unlock()
+		}
+	}()
+	var chunks [][]Span
 	n := 0
-	for i := range spans {
-		if i == 0 || spans[i].Trace != spans[i-1].Trace {
-			n++
+	for i := range t.shards {
+		chunks = append(chunks, t.shards[i].chunks...)
+		n += t.shards[i].n
+	}
+	span := func(p uint32) *Span { return &chunks[p>>spanChunkBits][p&(spanChunk-1)] }
+	var kinds [1 << 8]int
+	pos := make([]uint32, 0, n)
+	var vary TraceID
+	for c, ch := range chunks {
+		for o := range ch {
+			pos = append(pos, uint32(c)<<spanChunkBits|uint32(o))
+			kinds[ch[o].Kind]++
+			vary |= ch[o].Trace ^ chunks[0][0].Trace
 		}
 	}
-	out := make([]Trace, 0, n)
-	for lo, hi := 0, 0; lo < len(spans); lo = hi {
-		for hi = lo + 1; hi < len(spans) && spans[hi].Trace == spans[lo].Trace; hi++ {
+	size(&kinds)
+	pos = radixStable(pos, make([]uint32, n), uint64(vary), func(p uint32) uint64 { return uint64(span(p).Trace) })
+	var buf []Span
+	for lo := 0; lo < len(pos); {
+		id := span(pos[lo]).Trace
+		buf = buf[:0]
+		for ; lo < len(pos) && span(pos[lo]).Trace == id; lo++ {
+			buf = append(buf, *span(pos[lo]))
 		}
 		// A job's run is a handful of spans: an insertion sort. Stable, so
 		// spans equal under spanCmp stay in gathered order.
-		slices.SortStableFunc(spans[lo:hi], spanCmp)
-		out = append(out, Trace{ID: spans[lo].Trace, Spans: spans[lo:hi:hi]})
+		slices.SortStableFunc(buf, spanCmp)
+		f(Trace{ID: id, Spans: buf})
 	}
-	return out
 }
 
-// groupByTrace returns the spans reordered so that TraceIDs ascend and a
-// trace's spans keep their relative order: a stable counting scatter per
-// 16-bit digit of the TraceID, least significant first, skipping the
-// digits no two spans differ in. Job ids are small and dense, so this is
-// one pass over the buffer; sparse or huge ids cost up to four.
-func groupByTrace(spans []Span) []Span {
-	var vary TraceID
-	for i := range spans {
-		vary |= spans[i].Trace ^ spans[0].Trace
-	}
-	tmp, pos := make([]Span, len(spans)), make([]int32, 1<<16)
+// radixStable orders pos by key, stably: a counting scatter per 16-bit
+// digit of the key, least significant first, skipping the digits in which
+// vary has no bit set (vary has a bit set wherever two keys differ). Job ids
+// and latencies are small and dense, so this is one or two passes; sparse
+// or huge keys cost up to four. tmp is scratch as long as pos; the result
+// is whichever of the two the last pass filled.
+func radixStable(pos, tmp []uint32, vary uint64, key func(uint32) uint64) []uint32 {
+	var at []int32
 	for shift := 0; shift < 64; shift += 16 {
 		if vary>>shift&0xffff == 0 {
 			continue
 		}
-		clear(pos)
-		for i := range spans {
-			pos[spans[i].Trace>>shift&0xffff]++
+		if at == nil {
+			at = make([]int32, 1<<16)
+		} else {
+			clear(at)
 		}
-		at := int32(0)
-		for d, c := range pos {
-			pos[d], at = at, at+c
+		for _, p := range pos {
+			at[key(p)>>shift&0xffff]++
 		}
-		for i := range spans {
-			d := spans[i].Trace >> shift & 0xffff
-			tmp[pos[d]] = spans[i]
-			pos[d]++
+		next := int32(0)
+		for d, c := range at {
+			at[d], next = next, next+c
 		}
-		spans, tmp = tmp, spans
+		for _, p := range pos {
+			d := key(p) >> shift & 0xffff
+			tmp[at[d]] = p
+			at[d]++
+		}
+		pos, tmp = tmp, pos
 	}
-	return spans
+	return pos
 }
 
 // jsonSpan is the serialized span form: stable field order, symbolic

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -291,19 +292,40 @@ func refBuildReport(t *Tracer) Report {
 	return rep
 }
 
+// walkTraces collects what eachTrace hands out, each trace's spans copied
+// out of the scratch the walk reuses, and the per-kind counts it reports
+// before the first trace.
+func walkTraces(t *Tracer) (traces []Trace, kinds [1 << 8]int) {
+	traces = []Trace{}
+	t.eachTrace(func(k *[1 << 8]int) { kinds = *k }, func(tr Trace) {
+		traces = append(traces, Trace{ID: tr.ID, Spans: slices.Clone(tr.Spans)})
+	})
+	return traces, kinds
+}
+
 // departure compares everything the tracer exports with the reference
 // model's view of the same buffer and describes the first difference: a
-// trace, a job, the rest of the report, the JSON document, one TraceOf. It
-// returns "" when there is none.
+// trace of the walk, its kind counts, a job, the rest of the report, the
+// JSON document, one TraceOf. It returns "" when there is none.
 func departure(tr *Tracer) string {
 	want := refTraces(tr)
-	if got := tr.Traces(); !reflect.DeepEqual(got, want) {
+	got, kinds := walkTraces(tr)
+	if !reflect.DeepEqual(got, want) {
 		for i := 0; i < len(got) && i < len(want); i++ {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				return fmt.Sprintf("Traces()[%d]:\n got %+v\nwant %+v", i, got[i], want[i])
+				return fmt.Sprintf("eachTrace's trace %d:\n got %+v\nwant %+v", i, got[i], want[i])
 			}
 		}
-		return fmt.Sprintf("Traces() holds %d traces, the reference %d", len(got), len(want))
+		return fmt.Sprintf("eachTrace walks %d traces, the reference %d", len(got), len(want))
+	}
+	var wantKinds [1 << 8]int
+	for _, x := range want {
+		for _, s := range x.Spans {
+			wantKinds[s.Kind]++
+		}
+	}
+	if kinds != wantKinds {
+		return fmt.Sprintf("eachTrace counts kinds %v, the buffer holds %v", kinds[:numSpanKinds], wantKinds[:numSpanKinds])
 	}
 	if got, want := BuildReport(tr), refBuildReport(tr); !reflect.DeepEqual(got, want) {
 		for i := 0; i < len(got.Jobs) && i < len(want.Jobs); i++ {
@@ -422,7 +444,12 @@ func emitRuntimeScope(rng *rand.Rand, tr *Tracer, n int) {
 // TestBuildReportMatchesReference: on seeded random span multisets the
 // rebuilt pipeline must export what the reference model exports — the
 // whole Report under reflect.DeepEqual, the trace document byte for byte.
+// Among the buffers are ones whose position index has holes (several
+// shards end in a partial chunk), ones that refill chunks a compaction
+// emptied, and one of more than 65 536 traces, which the grouping scatters
+// on two digits; the test checks that each of these shapes occurred.
 func TestBuildReportMatchesReference(t *testing.T) {
+	var holes, reused int
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr := NewTracer(1+rng.Intn(9), 0)
@@ -435,29 +462,75 @@ func TestBuildReportMatchesReference(t *testing.T) {
 		if rng.Intn(4) > 0 {
 			emitRuntimeScope(rng, tr, rng.Intn(40))
 		}
-		for _, id := range randomTraceIDs(rng, jobs) {
-			emitRandomJob(rng, tr, id, drop) // a repeated id merges two jobs' spans: still a trace
-			if rng.Intn(3) == 0 {
-				tr.Release(id)
-			} else if rng.Intn(8) == 0 {
-				tr.Retain(id)
+		emitJobs := func(ids []TraceID) {
+			for _, id := range ids {
+				emitRandomJob(rng, tr, id, drop) // a repeated id merges two jobs' spans: still a trace
+				if rng.Intn(3) == 0 {
+					tr.Release(id)
+				} else if rng.Intn(8) == 0 {
+					tr.Retain(id)
+				}
+			}
+		}
+		emitJobs(randomTraceIDs(rng, jobs))
+		if seed == 150 {
+			// 70 000 more traces of one span each, ids 1..70 000 in random
+			// order: the grouping scatters on two digits.
+			for _, j := range rng.Perm(70_000) {
+				at := int64(rng.Intn(40))
+				tr.Emit(rng.Intn(len(tr.shards)), Span{Trace: TraceID(j + 1), Kind: SpanShed,
+					Start: at, End: at + int64(rng.Intn(3)), Stage: -1})
 			}
 		}
 		if rng.Intn(2) == 0 {
 			tr.Compact()
+			if seed%25 == 0 {
+				// Refill what the compaction emptied: Emit takes freed
+				// chunks before it allocates.
+				free := func() (n int) {
+					for i := range tr.shards {
+						n += len(tr.shards[i].free)
+					}
+					return n
+				}
+				before := free()
+				emitJobs(randomTraceIDs(rng, jobs))
+				if free() < before {
+					reused++
+				}
+			}
+		}
+		partial := 0
+		for i := range tr.shards {
+			if c := tr.shards[i].chunks; len(c) > 0 && len(c[len(c)-1]) < spanChunk {
+				partial++
+			}
+		}
+		if partial >= 2 && tr.SpanCount() > spanChunk {
+			holes++
 		}
 		if d := departure(tr); d != "" {
 			t.Fatalf("seed %d departs from the reference model: %s", seed, d)
 		}
 	}
+	if holes == 0 || reused == 0 {
+		t.Fatalf("the seeds built %d buffers with holes in the index and %d that reused freed chunks; want both", holes, reused)
+	}
 }
 
 // FuzzBuildReport drives the same oracle from raw bytes: nine bytes a span,
-// every field squeezed into a few values so that collisions are the rule.
+// every field squeezed into a few values so that collisions are the rule;
+// the ninth byte picks the shard, or repeats the span, or releases its
+// trace and compacts.
 func FuzzBuildReport(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 10, 0, 0, 0, 0, 0, 1, 1, 10, 30, 0, 0, 4, 0, 1, 1, 2, 10, 25, 0, 3, 12, 2, 2})
 	f.Add(bytes.Repeat([]byte{0xff, 7, 3, 9, 1, 2, 3, 4, 5}, 40))
+	// Trace 1 is admitted after its stage ran: a negative Total, which
+	// must still order below trace 2's.
+	f.Add([]byte{1, 0, 30, 1, 0, 0, 0, 0, 0, 1, 1, 0, 5, 0, 1, 1, 0, 1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 2, 1, 2, 5, 0, 1, 1, 0, 0})
+	f.Add(append(bytes.Repeat([]byte{3, 1, 5, 9, 1, 0, 7, 2, 0xc1}, 4),
+		[]byte{3, 0, 0, 0, 0, 0, 0, 0, 0xf0, 4, 2, 6, 1, 2, 0, 1, 1, 0xc1}...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := NewTracer(3, 0)
 		tr.SetEnabled(true)
@@ -466,14 +539,26 @@ func FuzzBuildReport(f *testing.F) {
 			if data[0] >= 128 {
 				id = TraceID(data[0]) << (data[0] % 57) // sparse, up to the top bit
 			}
+			if data[8] >= 0xf0 {
+				// Release the trace and compact: chunks empty, and later
+				// spans refill them.
+				tr.Release(id)
+				tr.Compact()
+				continue
+			}
 			start := int64(data[2] % 32)
-			tr.Emit(int(data[8])%3, Span{
+			s := Span{
 				Trace: id, Kind: SpanKind(data[1] % uint8(SpanLease+1)), // the job-trace kinds
 				Start: start, End: start + int64(data[3]%32),
 				Worker: int32(data[4] % 4), Chiplet: int32(data[4]%4) / 2,
 				Stage: int32(data[5]%4) - 1,
 				Arg:   int64(data[6] % 48), Arg2: int64(data[7] % 8),
-			})
+			}
+			// From 0xc0 on a record stands for 400 copies of its span, so
+			// that a short input crosses chunk boundaries.
+			for n := 1 + 399*int(data[8]/0xc0); n > 0; n-- {
+				tr.Emit(int(data[8])%3, s)
+			}
 		}
 		if d := departure(tr); d != "" {
 			t.Fatalf("departs from the reference model: %s", d)
@@ -537,7 +622,7 @@ func TestTracerCompactMatchesReference(t *testing.T) {
 		const shards, ids = 3, 24
 		tr := NewTracer(shards, 3*spanChunk+17)
 		tr.SetEnabled(true)
-		tr.retainCap = 4
+		tr.ring = make([]TraceID, 4)
 		ref := &refRecorder{cap: 4, shards: make([][]Span, shards),
 			retained: map[TraceID]struct{}{}, released: map[TraceID]struct{}{}}
 		for op := 0; op < 12_000; op++ {

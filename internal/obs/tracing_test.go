@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func TestJSONLabelAndExemplarEdgeCases(t *testing.T) {
 	h.ObserveT(0, 5, TraceID(7))
 	h.ObserveT(1, 500, TraceID(9))
 	h.ObserveT(1, 500, TraceID(3)) // 9 stays: exemplar keeps the max trace
-	doc := BuildJSON(r.Snapshot(0), nil)
+	doc := writtenDoc(t, r.Snapshot(0), nil)
 	var found, exemplars int
 	for _, m := range doc.Metrics {
 		switch m.Name {
@@ -274,7 +275,8 @@ func TestTracerConcurrentEmitCompactCollect(t *testing.T) {
 			tr.Release(id)
 		}
 		tr.Compact()
-		for _, x := range tr.Traces() {
+		traces, _ := walkTraces(tr)
+		for _, x := range traces {
 			for _, s := range x.Spans {
 				if s.Trace != x.ID {
 					t.Fatalf("trace %d was handed a span of trace %d", x.ID, s.Trace)
@@ -303,11 +305,13 @@ func TestTracerConcurrentEmitCompactCollect(t *testing.T) {
 }
 
 // TestTracerRingEviction: retaining past the flight-recorder cap must
-// evict the oldest retained trace, which the next Compact reclaims.
+// evict the oldest retained trace, which the next Compact reclaims. The
+// ring is circular: retaining many times its capacity, re-retaining a
+// held trace included, keeps the newest traces in retention order.
 func TestTracerRingEviction(t *testing.T) {
 	tr := NewTracer(1, 0)
 	tr.SetEnabled(true)
-	tr.retainCap = 2
+	tr.ring = make([]TraceID, 2)
 	for id := TraceID(1); id <= 3; id++ {
 		tr.Emit(0, Span{Trace: id, Kind: SpanTask, Start: int64(id), End: int64(id) + 1})
 		tr.Retain(id)
@@ -319,6 +323,32 @@ func TestTracerRingEviction(t *testing.T) {
 	tr.Compact()
 	if n := len(tr.TraceOf(1).Spans); n != 0 {
 		t.Errorf("evicted trace 1 still has %d spans after Compact", n)
+	}
+
+	// Wrap a ring of three around more than three times.
+	tr = NewTracer(1, 0)
+	tr.SetEnabled(true)
+	tr.ring = make([]TraceID, 3)
+	for id := TraceID(1); id <= 11; id++ {
+		tr.Emit(0, Span{Trace: id, Kind: SpanTask, Start: int64(id), End: int64(id) + 1})
+		tr.Retain(id)
+		tr.Retain(id - 1) // still held: not queued again
+		if want := min(int(id), 3); len(tr.RetainedIDs()) != want {
+			t.Fatalf("after retaining %d: ring %v, want %d entries", id, tr.RetainedIDs(), want)
+		}
+	}
+	if got := tr.RetainedIDs(); !reflect.DeepEqual(got, []TraceID{9, 10, 11}) {
+		t.Fatalf("retained = %v, want [9 10 11]", got)
+	}
+	tr.Compact()
+	for id := TraceID(1); id <= 11; id++ {
+		want := 0
+		if id >= 9 {
+			want = 1
+		}
+		if n := len(tr.TraceOf(id).Spans); n != want {
+			t.Errorf("trace %d holds %d spans after Compact, want %d", id, n, want)
+		}
 	}
 }
 
@@ -440,32 +470,100 @@ func TestSpanSize(t *testing.T) {
 	}
 }
 
-// TestTracesDoNotAlias: the traces Traces() returns are windows of one
-// array; appending to one must reallocate it, not write into the next.
-func TestTracesDoNotAlias(t *testing.T) {
+// TestReportStagesDoNotAlias: every job's Stages in a report are windows of
+// one slab; appending to one must reallocate it, not write into the next
+// job's.
+func TestReportStagesDoNotAlias(t *testing.T) {
 	tr := NewTracer(2, 0)
 	tr.SetEnabled(true)
-	for id := TraceID(0); id < 4; id++ {
-		for k := 0; k < 3; k++ {
-			tr.Emit(k%2, Span{Trace: id, Kind: SpanStage, Start: int64(k)})
+	for id := TraceID(1); id <= 4; id++ {
+		for st := int32(0); st < 3; st++ {
+			at := int64(id)*100 + int64(st)*10
+			tr.Emit(int(st)%2, Span{Trace: id, Kind: SpanStage, Start: at, End: at + 10, Stage: st, Arg: 1})
 		}
 	}
-	traces := tr.Traces()
-	if len(traces) != 4 {
-		t.Fatalf("%d traces, want 4", len(traces))
+	jobs := BuildReport(tr).Jobs
+	if len(jobs) != 4 {
+		t.Fatalf("%d jobs, want 4", len(jobs))
 	}
-	for i := range traces {
-		if len(traces[i].Spans) != 3 || cap(traces[i].Spans) != 3 {
-			t.Fatalf("trace %d: len/cap = %d/%d, want 3/3", traces[i].ID, len(traces[i].Spans), cap(traces[i].Spans))
+	for i := range jobs {
+		if len(jobs[i].Stages) != 3 || cap(jobs[i].Stages) != 3 {
+			t.Fatalf("job %d: len/cap = %d/%d, want 3/3", jobs[i].Trace, len(jobs[i].Stages), cap(jobs[i].Stages))
 		}
-		traces[i].Spans = append(traces[i].Spans, Span{Trace: 99, Kind: SpanFail})
+		jobs[i].Stages = append(jobs[i].Stages, StageBreakdown{Stage: 99})
 	}
-	for i := range traces {
-		for _, s := range traces[i].Spans[:3] {
-			if s.Trace != traces[i].ID {
-				t.Fatalf("trace %d was overwritten by an append to its neighbour: %+v", traces[i].ID, s)
+	for i := range jobs {
+		for st, sb := range jobs[i].Stages[:3] {
+			if sb.Stage != int32(st) || sb.Start != int64(jobs[i].Trace)*100+int64(st)*10 {
+				t.Fatalf("job %d was overwritten by an append to its neighbour: %+v", jobs[i].Trace, sb)
 			}
 		}
+	}
+}
+
+// TestBuildReportConcurrentEmitCompact: reports built while one writer per
+// shard emits whole jobs across chunk boundaries and another goroutine
+// releases and compacts must be race-free (the walk holds every shard
+// lock), ordered slowest first with one entry per trace, and, once the
+// writers are done, equal to the reference model's.
+func TestBuildReportConcurrentEmitCompact(t *testing.T) {
+	const writers, jobs = 4, 600
+	tr := NewTracer(writers, 0)
+	tr.SetEnabled(true)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < jobs; j++ {
+				id, at := TraceID(1+w*jobs+j), int64(j)*100
+				tr.Emit(w, Span{Trace: id, Kind: SpanAdmitQueue, Start: at, End: at + 5, Stage: -1})
+				tr.Emit(w, Span{Trace: id, Kind: SpanTask, Start: at + 5, End: at + 50 + int64(j%7),
+					Worker: int32(w), Arg: at + 9, Arg2: 3})
+				tr.Emit(w, Span{Trace: id, Kind: SpanStage, Start: at + 5, End: at + 60, Arg: 1})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	var compactor sync.WaitGroup
+	compactor.Add(1)
+	go func() {
+		defer compactor.Done()
+		for id := TraceID(1); ; id += 3 {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			tr.Release(id % (writers * jobs))
+			tr.Compact()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		rep := BuildReport(tr)
+		seen := map[TraceID]bool{}
+		for i, b := range rep.Jobs {
+			if seen[b.Trace] {
+				t.Fatalf("trace %d reported twice", b.Trace)
+			}
+			seen[b.Trace] = true
+			if i > 0 && (b.Total > rep.Jobs[i-1].Total || b.Total == rep.Jobs[i-1].Total && b.Trace < rep.Jobs[i-1].Trace) {
+				t.Fatalf("jobs %d and %d out of order: %+v after %+v", i-1, i, b, rep.Jobs[i-1])
+			}
+		}
+	}
+	compactor.Wait()
+	if got, want := BuildReport(tr), refBuildReport(tr); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the writers: %d jobs, the reference %d", len(got.Jobs), len(want.Jobs))
 	}
 }
 
