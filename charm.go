@@ -373,7 +373,11 @@ type Config struct {
 	StarvationDeadline int64
 	// Deterministic serializes workers in virtual-clock lockstep: two
 	// runs with identical seeds and schedules produce bit-identical
-	// results, at the price of host parallelism.
+	// results, at the price of host parallelism. Every first-party
+	// runtime sets it (the harness, charm-obs, the tests and the
+	// examples) except bench's graph-free workload, the smoke test that
+	// mirrors it and the recorded benchmarks; the free-running engine
+	// goes once those move (ROADMAP 1(d)).
 	Deterministic bool
 }
 

@@ -95,7 +95,9 @@ func TestInitValidation(t *testing.T) {
 					t.Fatalf("Init panicked instead of returning an error: %v", r)
 				}
 			}()
-			rt, err := Init(tc.cfg)
+			cfg := tc.cfg
+			cfg.Deterministic = true
+			rt, err := Init(cfg)
 			if tc.ok && err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
@@ -116,6 +118,7 @@ func TestFaultInjectionPublicAPI(t *testing.T) {
 	rt, err := Init(Config{
 		Workers: 8, Topology: SmallTopology(), Faults: sched,
 		MaxTaskRetries: 1, StarvationDeadline: 10_000_000,
+		Deterministic: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +174,8 @@ func TestPowerPublicAPI(t *testing.T) {
 
 	_, err = Init(Config{
 		Workers: 2, Topology: SmallTopology(), Power: &PowerConfig{},
-		Faults: NewFaultSchedule("clash", 1).ThermalThrottle(0, 0, 1000, 2),
+		Faults:        NewFaultSchedule("clash", 1).ThermalThrottle(0, 0, 1000, 2),
+		Deterministic: true,
 	})
 	if !errors.Is(err, ErrThermalConflict) {
 		t.Fatalf("static thermal + plane: err = %v, want ErrThermalConflict", err)
@@ -179,7 +183,7 @@ func TestPowerPublicAPI(t *testing.T) {
 }
 
 func TestQuickstartFlow(t *testing.T) {
-	rt, err := Init(Config{Workers: 4, Topology: SmallTopology()})
+	rt, err := Init(Config{Workers: 4, Topology: SmallTopology(), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestSystemsRunSameWorkload(t *testing.T) {
 	for _, s := range []System{SystemCHARM, SystemRING, SystemSHOAL, SystemAsymSched, SystemSAM,
 		SystemOSAsync, SystemNaive, SystemStaticCompact, SystemCHARMSeqSteal} {
-		rt, err := Init(Config{Workers: 4, Topology: SmallTopology(), System: s})
+		rt, err := Init(Config{Workers: 4, Topology: SmallTopology(), System: s, Deterministic: true})
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -226,7 +230,7 @@ func TestSystemsRunSameWorkload(t *testing.T) {
 }
 
 func TestStaticCompactKeepsPlacement(t *testing.T) {
-	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), System: SystemStaticCompact, SchedulerTimer: 10_000})
+	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), System: SystemStaticCompact, SchedulerTimer: 10_000, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +252,7 @@ func TestStaticCompactKeepsPlacement(t *testing.T) {
 }
 
 func TestCacheScale(t *testing.T) {
-	rt, err := Init(Config{Workers: 1, CacheScale: 1024})
+	rt, err := Init(Config{Workers: 1, CacheScale: 1024, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func TestCacheScale(t *testing.T) {
 }
 
 func TestAllocPolicyAndFree(t *testing.T) {
-	rt, err := Init(Config{Workers: 1, Topology: SmallTopology()})
+	rt, err := Init(Config{Workers: 1, Topology: SmallTopology(), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestAllocPolicyAndFree(t *testing.T) {
 }
 
 func TestBarrierAPI(t *testing.T) {
-	rt, err := Init(Config{Workers: 3, Topology: SmallTopology()})
+	rt, err := Init(Config{Workers: 3, Topology: SmallTopology(), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +296,7 @@ func TestBarrierAPI(t *testing.T) {
 }
 
 func TestSpreadRateVisible(t *testing.T) {
-	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), SchedulerTimer: 20_000})
+	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), SchedulerTimer: 20_000, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +308,7 @@ func TestSpreadRateVisible(t *testing.T) {
 
 // ExampleInit demonstrates the paper's API surface end to end.
 func ExampleInit() {
-	rt, err := Init(Config{Workers: 4, Topology: SmallTopology()})
+	rt, err := Init(Config{Workers: 4, Topology: SmallTopology(), Deterministic: true})
 	if err != nil {
 		panic(err)
 	}
@@ -329,6 +333,7 @@ func TestConfigKnobs(t *testing.T) {
 		{Workers: 8, Topology: smtSmall(), UseSMT: true},
 	}
 	for i, cfg := range knobs {
+		cfg.Deterministic = true
 		rt, err := Init(cfg)
 		if err != nil {
 			t.Fatalf("knob %d: %v", i, err)
@@ -353,10 +358,10 @@ func smtSmall() *Topology {
 
 func TestUseSMTWorkerLimit(t *testing.T) {
 	// Without UseSMT 32 workers exceed the 16 cores; with it they fit.
-	if _, err := Init(Config{Workers: 32, Topology: smtSmall()}); err == nil {
+	if _, err := Init(Config{Workers: 32, Topology: smtSmall(), Deterministic: true}); err == nil {
 		t.Error("32 workers on 16 cores must error without UseSMT")
 	}
-	rt, err := Init(Config{Workers: 32, Topology: smtSmall(), UseSMT: true})
+	rt, err := Init(Config{Workers: 32, Topology: smtSmall(), UseSMT: true, Deterministic: true})
 	if err != nil {
 		t.Fatalf("UseSMT: %v", err)
 	}
@@ -364,7 +369,7 @@ func TestUseSMTWorkerLimit(t *testing.T) {
 }
 
 func TestAllDoCo(t *testing.T) {
-	rt, err := Init(Config{Workers: 3, Topology: SmallTopology()})
+	rt, err := Init(Config{Workers: 3, Topology: SmallTopology(), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +387,7 @@ func TestAllDoCo(t *testing.T) {
 }
 
 func TestOwnerOfAndDelegatePublic(t *testing.T) {
-	rt, err := Init(Config{Workers: 4, Topology: SmallTopology()})
+	rt, err := Init(Config{Workers: 4, Topology: SmallTopology(), Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +408,7 @@ func TestOwnerOfAndDelegatePublic(t *testing.T) {
 }
 
 func TestCounterOfAndProfilerPublic(t *testing.T) {
-	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), SchedulerTimer: 10_000})
+	rt, err := Init(Config{Workers: 2, Topology: SmallTopology(), SchedulerTimer: 10_000, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}

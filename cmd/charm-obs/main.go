@@ -59,7 +59,7 @@
 //	    summary, the chiplet-to-chiplet latency matrix, the core-to-core
 //	    latency CDF behind Fig. 3, and a Fig. 2 style package diagram.
 //
-// Workloads: quickstart (default; the examples/quickstart kernel), phases
+// Workloads: quickstart (default; the Example_quickstart kernel), phases
 // (growing/shrinking working set), bfs (Kronecker graph BFS).
 package main
 
@@ -182,7 +182,7 @@ func runObserved(cfg charm.Config, workload string, observe func(*charm.Runtime)
 	var stats []charm.Stats
 	switch workload {
 	case "quickstart":
-		// The examples/quickstart kernel: private-segment writes then a
+		// The Example_quickstart kernel: private-segment writes then a
 		// shared full scan, so both local and cross-chiplet traffic show up.
 		const size = 1 << 20
 		data := rt.Alloc(size)

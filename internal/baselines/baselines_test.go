@@ -12,7 +12,7 @@ import (
 
 // newRuntime builds a runtime for system s the way charm.Init does.
 func newRuntime(m *sim.Machine, s System, workers int, schedTimer int64) *core.Runtime {
-	opts := core.Options{Workers: workers, SchedulerTimer: schedTimer}
+	opts := core.Options{Workers: workers, SchedulerTimer: schedTimer, Deterministic: true}
 	s.Configure(m, &opts)
 	return core.NewRuntime(m, opts)
 }

@@ -13,7 +13,7 @@ import (
 func TestOwnerOfStableAndHomeNode(t *testing.T) {
 	m := sim.New(sim.Config{Topo: topology.SyntheticDual(2, 4)})
 	// 16 workers fill both sockets, so each node has owner candidates.
-	rt := NewRuntime(m, Options{Workers: 16})
+	rt := NewRuntime(m, Options{Workers: 16, Deterministic: true})
 	a0 := m.Space.AllocLocal(mem.PageSize, 0)
 	a1 := m.Space.AllocLocal(mem.PageSize, 1)
 	o0 := rt.OwnerOf(a0)
@@ -44,7 +44,7 @@ func TestOwnerOfStableAndHomeNode(t *testing.T) {
 
 func TestOwnerOfFallbackWithoutNodeWorkers(t *testing.T) {
 	m := sim.New(sim.Config{Topo: topology.SyntheticDual(2, 4)})
-	rt := NewRuntime(m, Options{Workers: 2}) // both workers on node 0
+	rt := NewRuntime(m, Options{Workers: 2, Deterministic: true}) // both workers on node 0
 	a1 := m.Space.AllocLocal(mem.PageSize, 1)
 	o := rt.OwnerOf(a1)
 	if o < 0 || o >= 2 {
@@ -134,7 +134,7 @@ func TestDelegationAvoidsCoherenceTraffic(t *testing.T) {
 	run := func(delegate bool) int64 {
 		m := sim.New(sim.Config{Topo: topo})
 		rt := NewRuntime(m, Options{Workers: 8, SchedulerTimer: 1 << 60,
-			Policy: NewStaticPolicy(Compact)})
+			Policy: NewStaticPolicy(Compact), Deterministic: true})
 		rt.Start()
 		defer rt.Stop()
 		hot := m.Space.AllocLocal(64, 0)

@@ -55,6 +55,7 @@ func TestDispatchAllocs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.opts.Workers = tc.topo.NumCores()
+			tc.opts.Deterministic = true
 			rt := NewRuntime(sim.New(sim.Config{Topo: tc.topo}), tc.opts)
 			defer rt.Stop()
 			s, err := rt.ServeJobs(tc.svc)
@@ -114,7 +115,7 @@ func TestDispatchPrefersKind(t *testing.T) {
 	// of 1..maxN tasks back to back, and returns their targets and how
 	// many tasks landed on each chiplet kind.
 	place := func(topo *topology.Topology, sched *fault.Schedule, kind topology.ChipletKind, maxN int) ([][]int, map[topology.ChipletKind]int) {
-		opts := Options{Workers: topo.NumCores()}
+		opts := Options{Workers: topo.NumCores(), Deterministic: true}
 		if sched != nil {
 			opts.Faults = compilePlan(t, sched, topo)
 		}

@@ -215,7 +215,7 @@ func TestBatchFlushOnThermalEdge(t *testing.T) {
 func TestPooledReuseStress(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, Options{Workers: 8, MaxTaskRetries: 2, RetryBackoff: 200})
+	rt := NewRuntime(m, Options{Workers: 8, MaxTaskRetries: 2, RetryBackoff: 200, Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 	addr := rt.Alloc(1<<12, 0)

@@ -41,7 +41,7 @@ func TestOfflineRehome(t *testing.T) {
 	m := sim.New(sim.Config{Topo: topo})
 	plan := compilePlan(t, fault.New("rehome", 1).
 		OfflineChiplet(0, 20_000, fault.Forever), topo)
-	rt := NewRuntime(m, Options{Workers: 4, SchedulerTimer: 50_000, Faults: plan})
+	rt := NewRuntime(m, Options{Workers: 4, SchedulerTimer: 50_000, Faults: plan, Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 	rt.EnableProfiler(true)
@@ -198,7 +198,8 @@ func TestSubmitReroutesAroundDeadCores(t *testing.T) {
 		OfflineCore(0, 0, fault.Forever), topo)
 	rt := NewRuntime(m, Options{
 		Workers: 4, SchedulerTimer: 50_000, Faults: plan,
-		Policy: NewStaticPolicy(Compact),
+		Policy:        NewStaticPolicy(Compact),
+		Deterministic: true,
 	})
 	rt.Start()
 	defer rt.Stop()

@@ -21,7 +21,7 @@ func FuzzUpdateLocationCollisionFree(f *testing.F) {
 		workers := int(workersRaw)%topo.NumCores() + 1
 		spread := int(spreadRaw)%(topo.ChipletsPerNode*topo.NodesPerSocket) + 1
 		m := sim.New(sim.Config{Topo: topo})
-		rt := NewRuntime(m, Options{Workers: workers})
+		rt := NewRuntime(m, Options{Workers: workers, Deterministic: true})
 		for i := 0; i < workers; i++ {
 			rt.workers[i].spreadRate = spread
 			UpdateLocation(rt.workers[i])

@@ -16,8 +16,8 @@ import (
 	"charm/internal/topology"
 )
 
-// startedRuntime builds a started runtime on a small synthetic machine for
-// open-loop tests.
+// startedRuntime builds a started lockstep runtime on a small synthetic
+// machine for open-loop tests.
 func startedRuntime(t *testing.T, opts Options) *Runtime {
 	t.Helper()
 	topo := topology.Synthetic(4, 2)
@@ -25,10 +25,9 @@ func startedRuntime(t *testing.T, opts Options) *Runtime {
 	if opts.Workers == 0 {
 		opts.Workers = 8
 	}
+	opts.Deterministic = true
 	rt := NewRuntime(m, opts)
-	if rt.ls != nil {
-		rt.ls.runs = !lsTurnByTurn
-	}
+	rt.ls.runs = !lsTurnByTurn
 	rt.Start()
 	t.Cleanup(rt.Stop)
 	return rt
@@ -124,7 +123,7 @@ func computeJob(n int, cost int64, ran *atomic.Int64) JobSpec {
 // run, and complete every job, and Drain must return once the source is
 // exhausted and all jobs are terminal.
 func TestOpenLoopPoissonDrain(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	var ran atomic.Int64
 	const jobs = 40
 	svc := lsServe(t, rt, JobServiceOptions{
@@ -175,7 +174,7 @@ func TestSubmitJobExternal(t *testing.T) {
 // TestJobMultiStageOrder: stages must run strictly in order, with stage
 // k+1 seeing every stage-k task finished.
 func TestJobMultiStageOrder(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	var s1 atomic.Int64
 	var bad atomic.Bool
 	spec := JobSpec{Stages: []JobStage{
@@ -206,7 +205,7 @@ func TestJobMultiStageOrder(t *testing.T) {
 // unwind its suspended coroutines at Yield, and never give a dead job a
 // fresh coroutine stack. The second (never-dispatched) stage must not run.
 func TestJobCancellation(t *testing.T) {
-	rt := jobRuntime(t, Options{Workers: 2, Deterministic: true})
+	rt := jobRuntime(t, Options{Workers: 2})
 	var stage2 atomic.Int64
 	var resumed atomic.Int64
 	release := make(chan struct{})
@@ -280,8 +279,15 @@ func TestRejectPolicyTypedError(t *testing.T) {
 	if _, err := rt.ServeJobs(JobServiceOptions{Policy: admit.Reject, QueueCapacity: 1, MaxInFlight: 1}); err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	blocker := JobSpec{Stages: []JobStage{{func(ctx *Ctx) { <-release }}}}
+	// The blocker yields until released rather than waiting on the host:
+	// a lockstep task that blocks holds the turn, and SubmitJob's pause
+	// would never return.
+	var release atomic.Bool
+	blocker := JobSpec{Coro: true, Stages: []JobStage{{func(ctx *Ctx) {
+		for !release.Load() {
+			ctx.Yield()
+		}
+	}}}}
 	j1, err := rt.SubmitJob(blocker)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +303,7 @@ func TestRejectPolicyTypedError(t *testing.T) {
 	if _, err := rt.SubmitJob(computeJob(1, 1_000, nil)); !errors.Is(err, admit.ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	close(release)
+	release.Store(true)
 	<-j1.Done()
 	<-j2.Done()
 	if j1.State() != JobCompleted || j2.State() != JobCompleted {
@@ -331,7 +337,7 @@ func TestJobFailure(t *testing.T) {
 func TestFinalizeIdempotentAndTyped(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, Options{Workers: 4})
+	rt := NewRuntime(m, Options{Workers: 4, Deterministic: true})
 	rt.Start()
 
 	var ran atomic.Int64
@@ -446,7 +452,7 @@ func TestBreakerTripsUnderThermalFault(t *testing.T) {
 // shows it — no tenant ledger, name, lease, DRR grant, SpanLease or
 // charm_tenant_* series — and JobSpec.Tenant is ignored, not looked up.
 func TestImplicitTenantInvisible(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	rt.EnableTracing(true)
 	rt.EnableMetrics(true)
 	const jobs = 30

@@ -83,11 +83,10 @@ func (g *lsGolden) jobs(svc *JobService) {
 	}
 }
 
-// lsRuntime is jobRuntime (4x2 synthetic machine, 8 workers unless set) in
-// Deterministic mode with the metric counters on.
+// lsRuntime is jobRuntime (4x2 synthetic machine, 8 workers unless set)
+// with the metric counters on.
 func lsRuntime(t *testing.T, opts Options) *Runtime {
 	t.Helper()
-	opts.Deterministic = true
 	if opts.SchedulerTimer == 0 {
 		opts.SchedulerTimer = 50_000
 	}

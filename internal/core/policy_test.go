@@ -14,7 +14,7 @@ import (
 func stoppedRuntime(t *testing.T, topo *topology.Topology, workers int, p Policy) *Runtime {
 	t.Helper()
 	m := sim.New(sim.Config{Topo: topo})
-	return NewRuntime(m, Options{Workers: workers, Policy: p})
+	return NewRuntime(m, Options{Workers: workers, Policy: p, Deterministic: true})
 }
 
 func TestUpdateLocationCollisionFree(t *testing.T) {
@@ -243,6 +243,7 @@ func TestAdaptiveSpreadGrowsUnderDRAMPressure(t *testing.T) {
 	rt := NewRuntime(m, Options{
 		Workers:        2,
 		SchedulerTimer: 20_000,
+		Deterministic:  true,
 	})
 	rt.Start()
 	defer rt.Stop()
@@ -266,7 +267,7 @@ func TestAdaptiveSpreadGrowsUnderDRAMPressure(t *testing.T) {
 func TestAdaptiveSpreadShrinksWhenCached(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, Options{Workers: 2, SchedulerTimer: 20_000})
+	rt := NewRuntime(m, Options{Workers: 2, SchedulerTimer: 20_000, Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 
@@ -293,7 +294,7 @@ func TestAdaptiveSpreadShrinksWhenCached(t *testing.T) {
 func TestProfilerRecordsSpreadSeries(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, Options{Workers: 2, SchedulerTimer: 20_000})
+	rt := NewRuntime(m, Options{Workers: 2, SchedulerTimer: 20_000, Deterministic: true})
 	rt.EnableProfiler(true)
 	rt.Start()
 	defer rt.Stop()

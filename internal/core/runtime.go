@@ -111,7 +111,10 @@ type Options struct {
 	StarvationDeadline int64
 	// Deterministic serializes workers in virtual-clock lockstep (see
 	// lockstep.go): runs become bit-identical across repetitions at the
-	// price of host parallelism.
+	// price of host parallelism. Only bench's graph-free workload, the
+	// smoke test that mirrors it and the recorded benchmarks leave it off
+	// (TestTestsRunLockstep keeps it so); the free-running engine goes
+	// with them (ROADMAP 1(d)).
 	Deterministic bool
 }
 

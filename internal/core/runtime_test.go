@@ -17,6 +17,7 @@ func newTestRT(t *testing.T, workers int, opts ...func(*Options)) *Runtime {
 	for _, f := range opts {
 		f(&o)
 	}
+	o.Deterministic = true
 	rt := NewRuntime(m, o)
 	rt.Start()
 	t.Cleanup(rt.Stop)
@@ -43,15 +44,15 @@ func TestRunExecutesRoot(t *testing.T) {
 
 func TestNewRuntimeValidation(t *testing.T) {
 	m := sim.New(sim.Config{Topo: topology.Synthetic(2, 2)})
-	mustPanic(t, "zero workers", func() { NewRuntime(m, Options{Workers: 0}) })
-	mustPanic(t, "too many workers", func() { NewRuntime(m, Options{Workers: 100}) })
+	mustPanic(t, "zero workers", func() { NewRuntime(m, Options{Workers: 0, Deterministic: true}) })
+	mustPanic(t, "too many workers", func() { NewRuntime(m, Options{Workers: 100, Deterministic: true}) })
 	// Oversubscribe lifts the cap.
-	rt := NewRuntime(m, Options{Workers: 100, Oversubscribe: true})
+	rt := NewRuntime(m, Options{Workers: 100, Oversubscribe: true, Deterministic: true})
 	if rt.Workers() != 100 {
 		t.Errorf("Workers = %d, want 100", rt.Workers())
 	}
 	mustPanic(t, "double start", func() {
-		rt2 := NewRuntime(m, Options{Workers: 1})
+		rt2 := NewRuntime(m, Options{Workers: 1, Deterministic: true})
 		rt2.Start()
 		defer rt2.Stop()
 		rt2.Start()
@@ -60,7 +61,7 @@ func TestNewRuntimeValidation(t *testing.T) {
 
 func TestSubmitBeforeStartPanics(t *testing.T) {
 	m := sim.New(sim.Config{Topo: topology.Synthetic(2, 2)})
-	rt := NewRuntime(m, Options{Workers: 2})
+	rt := NewRuntime(m, Options{Workers: 2, Deterministic: true})
 	mustPanic(t, "run before start", func() { rt.Run(func(*Ctx) {}) })
 }
 
@@ -327,7 +328,7 @@ func TestOversubscriptionInflatesCost(t *testing.T) {
 	m := sim.New(sim.Config{Topo: topology.Synthetic(1, 2)})
 	// 6 workers on 2 cores: occupancy 3 per core.
 	rt := NewRuntime(m, Options{Workers: 6, Oversubscribe: true, SchedulerTimer: 1 << 60,
-		Policy: NewStaticPolicy(Compact)})
+		Policy: NewStaticPolicy(Compact), Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 	st := rt.AllDo(func(ctx *Ctx) { ctx.Compute(1000) })
@@ -361,10 +362,10 @@ func TestUseSMTAllowsSiblings(t *testing.T) {
 		return tp
 	}()})
 	mustPanic(t, "8 workers without SMT", func() {
-		NewRuntime(m, Options{Workers: 8})
+		NewRuntime(m, Options{Workers: 8, Deterministic: true})
 	})
 	rt := NewRuntime(m, Options{Workers: 8, UseSMT: true,
-		Policy: NewStaticPolicy(Compact), SchedulerTimer: 1 << 60})
+		Policy: NewStaticPolicy(Compact), SchedulerTimer: 1 << 60, Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 	// 8 workers on 4 cores: SMT siblings each run ~1.4x slower, so the
@@ -389,7 +390,7 @@ func TestSMTSiblingsShareL2(t *testing.T) {
 		tp.SMTWays = 2
 		m := sim.New(sim.Config{Topo: tp})
 		rt := NewRuntime(m, Options{Workers: workers, UseSMT: smt,
-			Policy: NewStaticPolicy(Compact), SchedulerTimer: 1 << 60})
+			Policy: NewStaticPolicy(Compact), SchedulerTimer: 1 << 60, Deterministic: true})
 		rt.Start()
 		defer rt.Stop()
 		blocks := make([]mem.Addr, workers)

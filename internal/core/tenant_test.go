@@ -145,7 +145,7 @@ func TestTenantIsolationReplay(t *testing.T) {
 // TestTenantSetupErrors: malformed tenant configurations must be
 // rejected at ServeJobs time, not discovered mid-run.
 func TestTenantSetupErrors(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	mk := func(specs ...tenant.Spec) JobServiceOptions {
 		opts := JobServiceOptions{}
 		for _, sp := range specs {
@@ -183,7 +183,7 @@ func TestTenantSetupErrors(t *testing.T) {
 // tenant fails with ErrUnknownTenant; an empty tenant routes to the
 // first configured tenant.
 func TestTenantUnknownSubmit(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	svc, err := rt.ServeJobs(JobServiceOptions{
 		Tenants: []TenantConfig{{Spec: tenant.Spec{Name: "A", Weight: 1, Quota: 1,
 			Policy: admit.Reject, QueueCap: 8}}},
@@ -212,7 +212,7 @@ func TestTenantUnknownSubmit(t *testing.T) {
 // queue. (It used to read a service-wide heap that a service with Tenants
 // created and never filled, and reported 0 under any backlog.)
 func TestQueueLenCountsTenantBacklog(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	var deepest atomic.Int64
 	const jobs = 12
 	queueLen := func(s *JobService) int64 {
@@ -255,7 +255,7 @@ func TestQueueLenCountsTenantBacklog(t *testing.T) {
 // different distribution — one tenant running heavyweight jobs must not
 // get a fresh tenant's first lightweight jobs shed as hopeless.
 func TestTenantEstimatorIsolation(t *testing.T) {
-	rt := jobRuntime(t, Options{Deterministic: true})
+	rt := jobRuntime(t, Options{})
 	mk := func(name string) TenantConfig {
 		return TenantConfig{Spec: tenant.Spec{Name: name, Weight: 1, Quota: 1,
 			Policy: admit.Shed, QueueCap: 64}}

@@ -287,7 +287,7 @@ func TestProfilerDisabledRecordsNothing(t *testing.T) {
 	run := func(tracing, profiling bool) map[obs.SpanKind]int {
 		topo := topology.Synthetic(4, 2)
 		plan := compilePlan(t, fault.New("gates", 3).OfflineChiplet(1, 20_000, fault.Forever), topo)
-		rt := jobRuntime(t, Options{Deterministic: true, SchedulerTimer: 10_000,
+		rt := jobRuntime(t, Options{SchedulerTimer: 10_000,
 			Faults: plan, StarvationDeadline: 1_000})
 		rt.EnableTracing(tracing)
 		rt.EnableProfiler(profiling)

@@ -12,6 +12,7 @@ func testRT(t *testing.T, workers int) *charm.Runtime {
 		Workers:        workers,
 		Topology:       charm.SmallTopology(),
 		SchedulerTimer: 100_000,
+		Deterministic:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

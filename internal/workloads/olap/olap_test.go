@@ -13,6 +13,7 @@ func testRT(t *testing.T, workers int) *charm.Runtime {
 		Workers:        workers,
 		Topology:       charm.SmallTopology(),
 		SchedulerTimer: 100_000,
+		Deterministic:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +192,8 @@ func TestTopK(t *testing.T) {
 			best = s
 		}
 	}
-	// The two workers add a group's rows in an order the free-running
-	// schedule picks; the fold adds them in row order. Both are valid
+	// The two workers add a group's rows in the order the schedule
+	// interleaves them; the fold adds them in row order. Both are valid
 	// float sums of the same terms, so compare to 1e-9 relative.
 	if math.Abs(top[0].Sum-best) > 1e-9*math.Abs(best) {
 		t.Errorf("TopK max %.6f != fold max %.6f", top[0].Sum, best)

@@ -12,6 +12,7 @@ func rtWith(t *testing.T, workers int) *charm.Runtime {
 		Workers:        workers,
 		Topology:       charm.SmallTopology(),
 		SchedulerTimer: 100_000,
+		Deterministic:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,9 +68,10 @@ func TestCommitBoundInsensitivity(t *testing.T) {
 	// far less than the commit cost dominates — within 25%.
 	run := func(system charm.System) float64 {
 		rt, err := charm.Init(charm.Config{
-			Workers:  8,
-			Topology: charm.SmallTopology(),
-			System:   system,
+			Workers:       8,
+			Topology:      charm.SmallTopology(),
+			System:        system,
+			Deterministic: true,
 		})
 		if err != nil {
 			t.Fatal(err)

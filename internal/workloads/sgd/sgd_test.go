@@ -13,6 +13,7 @@ func testRT(t *testing.T, workers int, sys charm.System) *charm.Runtime {
 		Topology:       charm.SmallTopology(),
 		System:         sys,
 		SchedulerTimer: 100_000,
+		Deterministic:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +53,10 @@ func TestPerCorePrivateReplicasAvoidSharing(t *testing.T) {
 	// chiplets, no adaptation) so the only difference is model traffic.
 	runFills := func(s Strategy) int64 {
 		rt, err := charm.Init(charm.Config{
-			Workers:  16,
-			Topology: charm.SmallTopology(),
-			System:   charm.SystemStaticCompact,
+			Workers:       16,
+			Topology:      charm.SmallTopology(),
+			System:        charm.SystemStaticCompact,
+			Deterministic: true,
 		})
 		if err != nil {
 			t.Fatal(err)

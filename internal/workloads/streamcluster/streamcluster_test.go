@@ -12,6 +12,7 @@ func testRT(t *testing.T, workers int) *charm.Runtime {
 		Workers:        workers,
 		Topology:       charm.SmallTopology(),
 		SchedulerTimer: 100_000,
+		Deterministic:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestDeterministicCost(t *testing.T) {
 func TestReplicationEliminatesRemoteReads(t *testing.T) {
 	// Dual-socket machine: with a single copy on node 0, workers on node 1
 	// read remotely; with per-node replication they read locally.
-	dual, err := charm.Init(charm.Config{Workers: 8, Topology: smallDual(), System: charm.SystemStaticCompact})
+	dual, err := charm.Init(charm.Config{Workers: 8, Topology: smallDual(), System: charm.SystemStaticCompact, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestReplicationEliminatesRemoteReads(t *testing.T) {
 	Run(dual, Config{Points: 4096, Dims: 16, CandidateRounds: 4, Seed: 1, ReplicatePoints: true})
 	repl := dual.Counter(charm.FillDRAMRemote)
 
-	dual2, err := charm.Init(charm.Config{Workers: 8, Topology: smallDual(), System: charm.SystemStaticCompact})
+	dual2, err := charm.Init(charm.Config{Workers: 8, Topology: smallDual(), System: charm.SystemStaticCompact, Deterministic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
