@@ -37,7 +37,11 @@ STATICCHECK_VERSION ?= 2025.1.1
 # and 8 procs of the core and obs suites and of the suites that assert the
 # paper's claims on lockstep runtimes (baselines, the workloads, and the
 # root package with its Example outputs), so a figure that moves with the
-# host's scheduling fails here (~90 s on 2 cores), the
+# host's scheduling fails here (~90 s on 2 cores), the metrics replay law
+# on default-scale sens 25 times (24 replays against the first run, ~7 s:
+# every non-host series, history point and table must repeat; the
+# steal-order count that once depended on host pacing showed in most
+# such sweeps), the
 # benchmark's own module (bench/ is nested, so ./... does not reach it)
 # plus its smoke run, and a short fuzz pass over the corpus-backed fuzzers
 # (among them the differential ones: the streamed access path, cache Fill,
@@ -60,6 +64,7 @@ verify:
 	$(GO) test -race -count=10 -cpu 1,2 -timeout 300s -run 'Lockstep' ./internal/core/
 	$(GO) test -race -count=10 -cpu 1,2 -run 'TestPowerReplayBitIdentical|TestDeterministicTraceReplay' ./internal/core/
 	$(GO) test -count=3 -cpu 1,2,8 ./internal/core/ ./internal/obs/ ./internal/baselines/ ./internal/workloads/... .
+	$(GO) test -count=24 -run 'TestMetricsReplay/^sens-default$$' ./internal/harness/
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke >/dev/null
 	$(MAKE) bench-smoke

@@ -346,19 +346,17 @@ type Config struct {
 	// Faults injects a fault schedule: the machine's links and memory
 	// channels degrade per the compiled plan, and workers on offlined
 	// cores drain their queues and re-home or park (see internal/fault).
-	// Mutually exclusive with FaultSpec.
+	// Build one with NewFaultSchedule, or from a named scenario string
+	// (e.g. "chiplet-flap:seed=7" or "chaos") with ParseFaultSpec.
 	Faults *FaultSchedule
-	// FaultSpec is a named fault-scenario string parsed against the
-	// topology (e.g. "chiplet-flap:seed=7" or "chaos"); convenient for
-	// CLI plumbing. Mutually exclusive with Faults.
-	FaultSpec string
 	// Power enables the closed-loop thermal/energy plane: PMU-driven
 	// per-chiplet energy accounting, an RC thermal model advanced in
 	// virtual time, and a governor that throttles (and in emergencies
 	// parks) chiplets through the fault plan's dynamic overlay. A non-nil
-	// zero value selects all defaults. Mutually exclusive with a "power"
-	// fault scenario in FaultSpec/Faults (which configures the same plane
-	// from spec knobs) and with static thermal-throttle fault events.
+	// zero value selects all defaults. Mutually exclusive with a Faults
+	// schedule parsed from a "power" scenario (which configures the same
+	// plane from spec knobs, in its Power field) and with static
+	// thermal-throttle fault events.
 	Power *PowerConfig
 	// MaxTaskRetries re-executes a panicking task up to N times before
 	// failing its submission, with exponential virtual-time backoff
@@ -410,9 +408,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.SampleShift > 30 {
 		return fmt.Errorf("charm: SampleShift %d leaves no sampled lines", cfg.SampleShift)
-	}
-	if cfg.Faults != nil && cfg.FaultSpec != "" {
-		return fmt.Errorf("charm: Faults and FaultSpec are mutually exclusive")
 	}
 	if cfg.Power != nil {
 		if err := cfg.Power.Validate(); err != nil {
@@ -481,12 +476,6 @@ func Init(cfg Config) (*Runtime, error) {
 		return nil, fmt.Errorf("charm: %d workers exceed the machine's %d schedulable units", cfg.Workers, limit)
 	}
 	sched := cfg.Faults
-	if cfg.FaultSpec != "" {
-		var err error
-		if sched, err = fault.ParseSpec(cfg.FaultSpec, topo); err != nil {
-			return nil, fmt.Errorf("charm: %w", err)
-		}
-	}
 	var plan *fault.Plan
 	if sched != nil {
 		var err error

@@ -50,9 +50,6 @@ func TestInitValidation(t *testing.T) {
 			Faults: NewFaultSchedule("oob", 1).OfflineCore(CoreID(small.NumCores()), 0, 1000)}, false},
 		{"inverted fault window", Config{Workers: 2, Topology: small,
 			Faults: NewFaultSchedule("inv", 1).OfflineCore(0, 2000, 1000)}, false},
-		{"bad fault spec", Config{Workers: 2, Topology: small, FaultSpec: "no-such-scenario"}, false},
-		{"faults and spec together", Config{Workers: 2, Topology: small,
-			Faults: NewFaultSchedule("x", 1), FaultSpec: "chaos"}, false},
 		{"NaN power TDP", Config{Workers: 2, Topology: small,
 			Power: &PowerConfig{TDPWatts: math.NaN()}}, false},
 		{"negative power TDP", Config{Workers: 2, Topology: small,
@@ -72,7 +69,7 @@ func TestInitValidation(t *testing.T) {
 		{"negative power tick", Config{Workers: 2, Topology: small,
 			Power: &PowerConfig{TickNS: -1}}, false},
 		{"power config and power spec together", Config{Workers: 2, Topology: small,
-			Power: &PowerConfig{}, FaultSpec: "power:tdp=8"}, false},
+			Power: &PowerConfig{}, Faults: mustParse(t, "power:tdp=8")}, false},
 		{"power and static thermal event", Config{Workers: 2, Topology: small,
 			Power:  &PowerConfig{},
 			Faults: NewFaultSchedule("clash", 1).ThermalThrottle(0, 0, 1000, 2)}, false},
@@ -80,13 +77,13 @@ func TestInitValidation(t *testing.T) {
 		{"valid with power", Config{Workers: 2, Topology: SmallTopology(),
 			Power: &PowerConfig{}}, true},
 		{"valid with power spec", Config{Workers: 2, Topology: SmallTopology(),
-			FaultSpec: "power:tdp=8,setpoint=70"}, true},
+			Faults: mustParse(t, "power:tdp=8,setpoint=70")}, true},
 		{"valid power with brownout faults", Config{Workers: 2, Topology: SmallTopology(),
 			Power:  &PowerConfig{},
 			Faults: NewFaultSchedule("mix", 1).LinkBrownout(0, 0, 1000, 2)}, true},
 		{"valid with faults", Config{Workers: 2, Topology: SmallTopology(),
 			Faults: NewFaultSchedule("ok", 1).LinkBrownout(0, 0, 1000, 2)}, true},
-		{"valid with spec", Config{Workers: 2, Topology: SmallTopology(), FaultSpec: "chaos:seed=3"}, true},
+		{"valid with spec", Config{Workers: 2, Topology: SmallTopology(), Faults: mustParse(t, "chaos:seed=3")}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,6 +106,16 @@ func TestInitValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustParse parses a fault-scenario spec against SmallTopology.
+func mustParse(t *testing.T, spec string) *FaultSchedule {
+	t.Helper()
+	s, err := ParseFaultSpec(spec, SmallTopology())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestFaultInjectionPublicAPI(t *testing.T) {

@@ -43,7 +43,7 @@ func main() {
 	sample := flag.Uint("sample", 0, "override cache sample shift")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	metrics := flag.String("metrics", "", "capture a metrics document per runtime and write the JSON dump to FILE")
-	faults := flag.String("faults", "", "inject a fault scenario into every runtime (e.g. \"chaos\" or \"chiplet-flap:seed=7\")")
+	faults := flag.String("faults", "", "inject a fault scenario into every runtime an experiment builds; chaos and the service scenarios ignore it (e.g. \"chaos\" or \"chiplet-flap:seed=7\")")
 	arrivals := flag.Float64("arrivals", 0, "pin the overload experiment's arrival rate to this multiple of capacity (0 = sweep 0.5x/1x/2x)")
 	hangAfter := flag.Duration("timeout", 0, "abort after host-time D with goroutine stacks (0 = no limit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to FILE")

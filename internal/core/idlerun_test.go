@@ -20,11 +20,11 @@ import (
 
 // idleFleet builds an unstarted Deterministic runtime whose fleet state the
 // test owns, from seed alone, so two calls build the same fleet: 2–16
-// workers waiting at their loop tops (a few done, a few with a stale steal
-// order) at random clocks and last, core-down windows among them, a hot
-// power plane whose idle floor parks chiplets (tick 2–60 µs), random
-// scheduler timer and sample interval, and a job service whose next work
-// is random or absent. It returns the runtime and the worker that grants.
+// workers waiting at their loop tops (a few done, a few without a steal
+// order, and sometimes every order stale) at random clocks and last,
+// core-down windows among them, a hot power plane whose idle floor parks
+// chiplets (tick 2–60 µs), random scheduler timer and sample interval, and
+// a job service whose next work is random or absent. It returns the runtime and the worker that grants.
 func idleFleet(t *testing.T, seed int64) (*Runtime, int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -72,11 +72,11 @@ func idleFleet(t *testing.T, seed int64) (*Runtime, int) {
 	ls := rt.ls
 	ls.busy, ls.last = 0, r.Intn(n+1)-1
 	caller := -1
+	rt.workers[0].deque.Push(&Task{}) // an order is built only while work is queued
 	for id, w := range rt.workers {
 		w.clock.Set(rnd(0, 400_000))
-		rt.opts.Policy.StealOrder(w)
-		if r.Intn(40) == 0 {
-			w.soCache = nil
+		if r.Intn(40) != 0 {
+			rt.opts.Policy.StealOrder(w)
 		}
 		ls.state[id], ls.top[id] = lsWaiting, true
 		if id > 0 && r.Intn(10) == 0 {
@@ -84,6 +84,10 @@ func idleFleet(t *testing.T, seed int64) (*Runtime, int) {
 		} else if caller < 0 || r.Intn(2) == 0 {
 			caller = id
 		}
+	}
+	rt.workers[0].deque.Pop()
+	if r.Intn(4) == 0 {
+		rt.placeEpoch.Add(1) // every cached order is stale
 	}
 	rt.workers[0].lastSample = rnd(0, rt.workers[0].clock.Now()+1)
 	return rt, caller
@@ -111,20 +115,29 @@ func perTurn(rt *Runtime, budget int) (best int, exhausted bool) {
 	return -1, true
 }
 
-// idleState is what an idle turn can change, for comparing two engines.
+// idleState is what an idle turn can change, or must leave alone (the
+// steal orders and the placement decision counts), for comparing two
+// engines.
 type idleState struct {
 	Clocks     []int64
 	LastSample int64
 	Epoch      int64
 	Power      power.Snapshot
 	History    []obs.Snapshot
+	Orders     [][]int
+	OrderEpoch []int64
+	Decisions  []int64 // charm_place_decisions_total: alg2, rehome, job, steal-order
 }
 
 func observeIdle(rt *Runtime) idleState {
+	m := rt.met
 	s := idleState{LastSample: rt.workers[0].lastSample, Epoch: rt.placeEpoch.Load(),
-		Power: *rt.power.Stats(), History: rt.met.reg.History()}
+		Power: *rt.power.Stats(), History: rt.met.reg.History(),
+		Decisions: []int64{m.placeAlg2.Value(), m.placeRehome.Value(), m.placeJob.Value(), m.placeSteal.Value()}}
 	for _, w := range rt.workers {
 		s.Clocks = append(s.Clocks, w.clock.Now())
+		s.Orders = append(s.Orders, w.soCache)
+		s.OrderEpoch = append(s.OrderEpoch, w.soEpoch)
 	}
 	return s
 }
@@ -132,10 +145,11 @@ func observeIdle(rt *Runtime) idleState {
 // FuzzIdleRun compares the idle-run engine with the per-turn engine it
 // batches: two identical fleets, one granted with idle runs on, the other
 // played one turn per grant, must end with the same worker clocks, worker
-// 0's scheduler tick, power plane, metrics history (times and samples) and
-// placeEpoch, and — unless the run parked — the same last holder and the
-// same pick. A parked fleet must be at a true fixpoint: the per-turn engine
-// spends its whole budget on idle turns and lands on the same state.
+// 0's scheduler tick, power plane, metrics history (times and samples),
+// placeEpoch, steal-order caches and placement decision counts, and —
+// unless the run parked — the same last holder and the same pick. A parked
+// fleet must be at a true fixpoint: the per-turn engine spends its whole
+// budget on idle turns and lands on the same state.
 func FuzzIdleRun(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 1 << 20, 20261017} {
 		f.Add(seed)

@@ -262,11 +262,11 @@ func (ls *lockstep) loopTops() bool {
 //     over a set of waiting workers that idle turns cannot change;
 //   - the drift is idleDrift's, t = min(c+idleQuantum, max(gm, nextWork)),
 //     whose cap does not move within the run: every t stays under it;
-//   - the idleTurn proof is split by what can change: the queues, the steal
-//     order caches and nextWork are read once, because idle turns enqueue,
-//     migrate and pump nothing; core liveness is an up-until horizon per
-//     worker (fault.Plan.CoreUpUntil), dropped after every governor tick,
-//     which may append a park span;
+//   - the idleTurn proof is split by what can change: the queues and
+//     nextWork are read once, because idle turns enqueue and pump nothing;
+//     core liveness is an up-until horizon per worker
+//     (fault.Plan.CoreUpUntil), dropped after every governor tick, which
+//     may append a park span;
 //   - the side effects — the governor tick and the metrics sample — fire
 //     only on the turns whose t crosses their boundary (power.Plane.NextAt,
 //     obs.Registry.SampleHorizon, worker 0's scheduler tick), the calls
@@ -276,30 +276,26 @@ func (ls *lockstep) loopTops() bool {
 //     in closed form (steadyRounds).
 //
 // The run writes the clocks back and returns when a pick is not provably
-// idle (grant then resumes it), when a tick moved placeEpoch, when pauseWant,
-// stop or a wake is seen (checked every 256 turns), or at the fixpoint: two
-// full rounds that move no clock. Past that point every turn repeats the
-// last with nothing crossing a boundary, so the fleet parks instead, unless
-// a wake came in since the run started.
+// idle (grant then resumes it), when pauseWant, stop or a wake is seen
+// (checked every 256 turns), or at the fixpoint: two full rounds that move
+// no clock. Past that point every turn repeats the last with nothing
+// crossing a boundary, so the fleet parks instead, unless a wake came in
+// since the run started.
 func (ls *lockstep) idleRun() (parked bool) {
 	rt := ls.rt
 	gen := ls.wakes.Load()
 	if !rt.queuesEmpty() {
 		return false
 	}
-	st, epoch := rt.opts.SchedulerTimer, rt.placeEpoch.Load()
+	st := rt.opts.SchedulerTimer
 	run := ls.run[:0]
 	for id, s := range ls.state {
 		if s != lsWaiting {
 			continue
 		}
 		w := rt.workers[id]
-		u := int64(0) // liveness not known yet: ask at the first pick
-		if w.soCache == nil || w.soEpoch != epoch {
-			u = -1 // its step rebuilds the steal order: never idle
-		}
 		c := w.clock.Now()
-		run = append(run, runSlot{id: id, clk: c, base: c, until: u, due: w.lastSample + st})
+		run = append(run, runSlot{id: id, clk: c, base: c, due: w.lastSample + st})
 	}
 	lim, nw := rt.MaxWorkerClock(), int64(math.MaxInt64)
 	if s := rt.svc.Load(); s != nil {
@@ -349,10 +345,6 @@ func (ls *lockstep) idleRun() (parked bool) {
 			return false
 		}
 		if c >= r.until {
-			if r.until < 0 {
-				writeBack()
-				return false
-			}
 			up, u := plan.CoreUpUntil(rt.workers[id].Core(), c)
 			if !up {
 				writeBack()
@@ -383,9 +375,6 @@ func (ls *lockstep) idleRun() (parked bool) {
 			horizons()
 			ls.state[id], ls.holder = lsWaiting, -1
 			ls.busy--
-			if rt.placeEpoch.Load() != epoch {
-				return false
-			}
 		}
 		if round++; round == len(run) {
 			if k := steadyRounds(run, last == baseLast, min(lim, tickAt-1), nw); k > 0 {
@@ -419,7 +408,7 @@ func (ls *lockstep) idleRun() (parked bool) {
 
 // runSlot is one waiting worker in an idle run: its id, its clock and the
 // clock at the start of the current round (base), the clock its core is
-// known up until (0: not asked yet, -1: never idle), its next scheduler tick
+// known up until (0: not asked yet), its next scheduler tick
 // (due) and the first clock at which a turn of it has a side effect (hz).
 type runSlot struct {
 	id                        int

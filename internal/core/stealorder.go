@@ -4,9 +4,12 @@ import "charm/internal/topology"
 
 // Steal-victim orderings. Orders depend on worker placement, so each worker
 // caches its computed order and invalidates it when any migration occurs
-// (tracked by the runtime's placement epoch). The cache is worker-private:
-// these functions (and the exported wrappers below) must only be called on
-// the worker's own goroutine, which is where Policy.StealOrder runs.
+// (tracked by the runtime's placement epoch). An order is built (and
+// counted) only while work is queued somewhere in the fleet, so whether one
+// is built never depends on how many idle turns the host lets a fleet
+// play. The cache is worker-private and this file alone touches it: these
+// functions (and the exported wrappers below) must only be called on the
+// worker's own goroutine, which is where Policy.StealOrder runs.
 
 type orderKind uint8
 
@@ -49,11 +52,15 @@ func (w *Worker) nodeFirstOrder() []int {
 	})
 }
 
-// cachedOrder memoizes an order until the placement epoch changes.
+// cachedOrder memoizes an order until the placement epoch changes. With
+// every queue empty each steal probe would miss, so no victims is exact.
 func (w *Worker) cachedOrder(kind orderKind, build func() []int) []int {
 	epoch := w.rt.placeEpoch.Load()
 	if w.soKind == kind && w.soEpoch == epoch && w.soCache != nil {
 		return w.soCache
+	}
+	if w.rt.queuesEmpty() {
+		return nil
 	}
 	w.soCache = build()
 	w.soKind = kind

@@ -47,7 +47,7 @@ type Worker struct {
 	// worker. Owner-goroutine access only.
 	ownAllocs []mem.Addr
 
-	// Steal-order cache, invalidated by the runtime's placement epoch.
+	// Steal-order cache (stealorder.go), invalidated by the placement epoch.
 	soCache []int
 	soKind  orderKind
 	soEpoch int64
@@ -267,15 +267,14 @@ func (w *Worker) step(idle *int) {
 
 // idleTurn reports whether a step() of w now is certain to be idleDrift and
 // nothing else: its core is up at its clock, the job service has nothing due
-// by then, its steal order is cached, and every deque and inbox of the fleet
-// is empty, so the drain, the pop and every steal probe find nothing. It
-// may refuse a step that would idle, never accept one that would not.
+// by then, and every deque and inbox of the fleet is empty, so the drain,
+// the pop and every steal probe find nothing (and no steal order is built).
+// It may refuse a step that would idle, never accept one that would not.
 // Lockstep only: other workers' queues hold still only on a quiescent fleet.
 func (w *Worker) idleTurn() bool {
 	rt, now := w.rt, w.clock.Now()
 	if s := rt.svc.Load(); s != nil && s.nextWork.Load() <= now ||
-		rt.opts.Faults.CoreDown(w.Core(), now) ||
-		w.soCache == nil || w.soEpoch != rt.placeEpoch.Load() {
+		rt.opts.Faults.CoreDown(w.Core(), now) {
 		return false
 	}
 	return rt.queuesEmpty()

@@ -85,6 +85,7 @@ const chaosExpected = 3 * 96
 // a static placement parks them. The repro column re-runs CHARM's faulty
 // scenario and compares Stats and full PMU state byte for byte.
 func (o Options) Chaos() *Table {
+	o.Faults = "" // the scenarios below are the schedules
 	tab := &Table{
 		ID:    "chaos",
 		Title: "Fault injection: 2/16 chiplets offline mid-run, CHARM vs baselines",

@@ -34,9 +34,9 @@ type Options struct {
 	Full bool
 	// Faults, when non-empty, is a fault-scenario spec (internal/fault
 	// grammar, e.g. "chiplet-flap:seed=7" or "chaos") injected into every
-	// runtime the harness builds — run any experiment on a degrading
-	// machine. The chaos experiment builds its own schedules and ignores
-	// this knob.
+	// runtime an experiment builds — run any experiment on a degrading
+	// machine. chaos (its own schedules) and the service scenarios
+	// (overload, thermal, tenants, topo: their own runtimes) ignore it.
 	Faults string
 	// ArrivalLoad, when positive, pins the overload experiment's arrival
 	// rate to this multiple of machine capacity instead of sweeping
@@ -93,7 +93,6 @@ func (o Options) config(topo *charm.Topology, sys charm.System, workers int) cha
 		System:         sys,
 		SampleShift:    o.SampleShift,
 		SchedulerTimer: o.SchedulerTimer,
-		FaultSpec:      o.Faults,
 	}
 }
 
@@ -106,9 +105,16 @@ func (o Options) runtime(topo *charm.Topology, sys charm.System, workers int) *c
 // is the one place the harness builds a runtime, and every runtime runs in
 // virtual-clock lockstep: each cell is a pure function of its inputs, so
 // one run is the result, and concurrently running experiments cannot
-// change each other's tables.
+// change each other's tables. A configuration without a fault schedule of
+// its own gets Options.Faults, parsed against its topology.
 func (o Options) start(cfg charm.Config) *charm.Runtime {
 	cfg.Deterministic = true
+	if o.Faults != "" && cfg.Faults == nil {
+		var err error
+		if cfg.Faults, err = charm.ParseFaultSpec(o.Faults, cfg.Topology); err != nil {
+			panic(fmt.Sprintf("harness: %v", err))
+		}
+	}
 	rt, err := charm.Init(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v", err))

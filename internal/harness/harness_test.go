@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,21 +16,43 @@ func testOptions() Options {
 	return o
 }
 
-// testTables memoizes experiment tables at testOptions() scale, id ->
-// func() (*Table, error). Every cell is deterministic, so the golden and
-// shape tests can read one run.
-var testTables sync.Map
+// testRun is one run of an experiment with a metrics sink attached: its
+// table and every runtime's capture.
+type testRun struct {
+	tab *Table
+	obs []ObsEntry
+	err error
+}
+
+// observedRun regenerates experiment id under o, capturing the metrics of
+// every runtime it builds.
+func observedRun(o Options, id string) testRun {
+	o.Obs = &ObsSink{}
+	tab, err := o.Run(id)
+	return testRun{tab, o.Obs.Entries(), err}
+}
+
+// testRuns memoizes the first observedRun of each experiment and graph
+// scale, "id@scale" -> func() testRun. Every cell is deterministic, so the
+// golden and shape tests can read one run, and TestMetricsReplay holds
+// later runs to it.
+var testRuns sync.Map
+
+func firstRun(o Options, id string) testRun {
+	key := fmt.Sprintf("%s@%d", id, o.GraphScale)
+	run, _ := testRuns.LoadOrStore(key, sync.OnceValue(func() testRun { return observedRun(o, id) }))
+	return run.(func() testRun)()
+}
 
 // testTable regenerates experiment id at testOptions() scale once per test
 // binary.
 func testTable(t *testing.T, id string) *Table {
 	t.Helper()
-	run, _ := testTables.LoadOrStore(id, sync.OnceValues(func() (*Table, error) { return testOptions().Run(id) }))
-	tab, err := run.(func() (*Table, error))()
-	if err != nil {
-		t.Fatal(err)
+	r := firstRun(testOptions(), id)
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	return tab
+	return r.tab
 }
 
 func parse(t *testing.T, s string) float64 {

@@ -3,6 +3,8 @@ package harness
 import (
 	"fmt"
 	"sort"
+
+	"charm"
 )
 
 // Experiments maps experiment ids to their regenerators.
@@ -47,12 +49,17 @@ func (o Options) IDs() []string {
 // Run regenerates one experiment by id. The id is stamped onto the
 // by-value receiver before the experiment closures are built, so the
 // metrics captures of concurrently running experiments attribute
-// correctly.
+// correctly. A malformed Faults spec fails here, before any runtime is built.
 func (o Options) Run(id string) (*Table, error) {
 	o.obsExp = id
 	f, ok := o.Experiments()[id]
 	if !ok {
 		return nil, fmt.Errorf("harness: unknown experiment %q (have %v)", id, o.IDs())
+	}
+	if o.Faults != "" {
+		if _, err := charm.ParseFaultSpec(o.Faults, o.amd()); err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
+		}
 	}
 	return f(), nil
 }

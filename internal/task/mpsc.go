@@ -107,7 +107,6 @@ func (q *Inbox[P]) Len() int64 {
 	return 0
 }
 
-// Empty reports whether the inbox appears empty to the consumer.
-func (q *Inbox[P]) Empty() bool {
-	return q.tail == &q.stub && q.tail.next.Load() == nil
-}
+// Empty reports whether the inbox holds no element (exact when producers
+// are quiescent). Like Len, it is safe from any goroutine.
+func (q *Inbox[P]) Empty() bool { return q.Len() == 0 }
