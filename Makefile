@@ -89,8 +89,8 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 14 targets keeps the CI
-# step near 3.5 minutes while still churning fresh inputs past the
+# FUZZTIME bounds each fuzz-smoke target; 15s x 15 targets keeps the CI
+# step near 4 minutes while still churning fresh inputs past the
 # saved corpus.
 FUZZTIME ?= 15s
 
@@ -103,7 +103,7 @@ FUZZTIME ?= 15s
 # fabric's hub link graph against the hand-written Star model, the
 # lockstep engine's idle runs against its one-turn-per-grant engine, the
 # fault plan's up-until horizon against CoreDown, and the spec-grammar
-# parsers (tenant shares and topo specs).
+# parsers (fault schedules, tenant shares and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzInboxSequential$$' -fuzztime $(FUZZTIME)
@@ -117,6 +117,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -fuzz '^FuzzHubMatchesStar$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzIdleRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzCoreUpUntil$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run xxx -fuzz '^FuzzParseTopoSpec$$' -fuzztime $(FUZZTIME)
 

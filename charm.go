@@ -109,7 +109,7 @@ type (
 	// Span is one typed, virtual-time span event in a job trace.
 	Span = obs.Span
 	// SpanKind discriminates span event types (admit-queue, stage, task,
-	// retry, rehome, shed, breaker, ...).
+	// rehome, shed, breaker, ...).
 	SpanKind = obs.SpanKind
 	// Trace is one job's merged, canonically ordered span list.
 	Trace = obs.Trace
@@ -182,7 +182,7 @@ var DefaultPowerModel = power.DefaultModel
 var ErrThermalConflict = fault.ErrThermalConflict
 
 // AnalyzeTrace attributes one completed job trace's latency to queue,
-// compute, stall, and retry time (false when the job never dispatched).
+// compute, and stall time (false when the job never dispatched).
 var AnalyzeTrace = obs.Analyze
 
 // BuildCritPathReport runs critical-path attribution over every trace in
@@ -270,7 +270,7 @@ var NewFlashCrowdArrivals = admit.NewFlashCrowd
 var NewFaultSchedule = fault.New
 
 // ParseFaultSpec parses a named fault-scenario spec string (for example
-// "chiplet-flap:seed=7,period=2ms" or "chaos") against a topology; see
+// "chiplet-flap:seed=7,period=2000000" or "chaos") against a topology; see
 // internal/fault for the grammar.
 var ParseFaultSpec = fault.ParseSpec
 
@@ -347,28 +347,18 @@ type Config struct {
 	// channels degrade per the compiled plan, and workers on offlined
 	// cores drain their queues and re-home or park (see internal/fault).
 	// Build one with NewFaultSchedule, or from a named scenario string
-	// (e.g. "chiplet-flap:seed=7" or "chaos") with ParseFaultSpec.
+	// (e.g. "chiplet-flap:seed=7" or "chaos") with ParseFaultSpec. A
+	// schedule with static thermal-throttle events cannot be combined
+	// with Power (ErrThermalConflict).
 	Faults *FaultSchedule
 	// Power enables the closed-loop thermal/energy plane: PMU-driven
 	// per-chiplet energy accounting, an RC thermal model advanced in
 	// virtual time, and a governor that throttles (and in emergencies
 	// parks) chiplets through the fault plan's dynamic overlay. A non-nil
-	// zero value selects all defaults. Mutually exclusive with a Faults
-	// schedule parsed from a "power" scenario (which configures the same
-	// plane from spec knobs, in its Power field) and with static
+	// zero value selects all defaults. This is the plane's only
+	// configuration; it is mutually exclusive with static
 	// thermal-throttle fault events.
 	Power *PowerConfig
-	// MaxTaskRetries re-executes a panicking task up to N times before
-	// failing its submission, with exponential virtual-time backoff
-	// (0 = fail on first panic).
-	MaxTaskRetries int
-	// RetryBackoff is the virtual-ns backoff before the first retry;
-	// retry k waits RetryBackoff << (k-1). 0 selects the default.
-	RetryBackoff int64
-	// StarvationDeadline, when positive, counts every task whose
-	// enqueue-to-completion latency exceeds it (virtual ns) in the
-	// watchdog metric and fault trace.
-	StarvationDeadline int64
 	// Deterministic serializes workers in virtual-clock lockstep: two
 	// runs with identical seeds and schedules produce bit-identical
 	// results, at the price of host parallelism. Every first-party
@@ -398,9 +388,6 @@ func (cfg *Config) validate() error {
 		{"SchedulerTimer", cfg.SchedulerTimer},
 		{"RemoteFillThreshold", cfg.RemoteFillThreshold},
 		{"MLP", cfg.MLP},
-		{"MaxTaskRetries", int64(cfg.MaxTaskRetries)},
-		{"RetryBackoff", cfg.RetryBackoff},
-		{"StarvationDeadline", cfg.StarvationDeadline},
 	} {
 		if k.v < 0 {
 			return fmt.Errorf("charm: %s must be non-negative, got %d", k.name, k.v)
@@ -475,27 +462,17 @@ func Init(cfg Config) (*Runtime, error) {
 	if system != baselines.OSAsync && cfg.Workers > limit {
 		return nil, fmt.Errorf("charm: %d workers exceed the machine's %d schedulable units", cfg.Workers, limit)
 	}
-	sched := cfg.Faults
 	var plan *fault.Plan
-	if sched != nil {
+	if cfg.Faults != nil {
 		var err error
-		if plan, err = sched.Compile(topo); err != nil {
+		if plan, err = cfg.Faults.Compile(topo); err != nil {
 			return nil, fmt.Errorf("charm: %w", err)
 		}
 	}
-	// The power plane's configuration comes from Config.Power or a "power"
-	// fault scenario ("power:tdp=...,rc=...,setpoint=..."), never both;
-	// either way it must not meet static thermal-throttle events (the
-	// schedule compiler enforces the spec side, this the config side).
-	pcfg := cfg.Power
-	if sched != nil && sched.Power != nil {
-		if pcfg != nil {
-			return nil, fmt.Errorf("charm: Config.Power and a \"power\" fault scenario are mutually exclusive")
-		}
-		c := power.ConfigFromKnobs(*sched.Power)
-		pcfg = &c
-	}
-	if pcfg != nil && plan != nil {
+	// The power plane must not meet static thermal-throttle events; refuse
+	// them here so NewRuntime, whose plane construction checks the same
+	// rule, never panics on a configuration.
+	if cfg.Power != nil && plan != nil {
 		for _, e := range plan.Events() {
 			if e.Kind == fault.ThermalThrottle {
 				return nil, fmt.Errorf("charm: %w", fault.ErrThermalConflict)
@@ -512,10 +489,7 @@ func Init(cfg Config) (*Runtime, error) {
 		RemoteFillThreshold: cfg.RemoteFillThreshold,
 		UseSMT:              cfg.UseSMT,
 		Faults:              plan,
-		Power:               pcfg,
-		MaxTaskRetries:      cfg.MaxTaskRetries,
-		RetryBackoff:        cfg.RetryBackoff,
-		StarvationDeadline:  cfg.StarvationDeadline,
+		Power:               cfg.Power,
 		Deterministic:       cfg.Deterministic,
 	}
 	system.Configure(m, &opts)

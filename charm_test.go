@@ -35,9 +35,6 @@ func TestInitValidation(t *testing.T) {
 		{"negative scheduler timer", Config{Workers: 2, Topology: small, SchedulerTimer: -1}, false},
 		{"negative remote fill threshold", Config{Workers: 2, Topology: small, RemoteFillThreshold: -5}, false},
 		{"negative MLP", Config{Workers: 2, Topology: small, MLP: -1}, false},
-		{"negative retries", Config{Workers: 2, Topology: small, MaxTaskRetries: -1}, false},
-		{"negative retry backoff", Config{Workers: 2, Topology: small, RetryBackoff: -1}, false},
-		{"negative starvation deadline", Config{Workers: 2, Topology: small, StarvationDeadline: -1}, false},
 		{"absurd sample shift", Config{Workers: 2, Topology: small, SampleShift: 40}, false},
 		{"unknown system", Config{Workers: 2, Topology: small, System: "bogus"}, false},
 		{"NaN fault factor", Config{Workers: 2, Topology: small,
@@ -68,16 +65,12 @@ func TestInitValidation(t *testing.T) {
 			}()}}}, false},
 		{"negative power tick", Config{Workers: 2, Topology: small,
 			Power: &PowerConfig{TickNS: -1}}, false},
-		{"power config and power spec together", Config{Workers: 2, Topology: small,
-			Power: &PowerConfig{}, Faults: mustParse(t, "power:tdp=8")}, false},
 		{"power and static thermal event", Config{Workers: 2, Topology: small,
 			Power:  &PowerConfig{},
 			Faults: NewFaultSchedule("clash", 1).ThermalThrottle(0, 0, 1000, 2)}, false},
 		{"valid minimal", Config{Workers: 2, Topology: SmallTopology()}, true},
 		{"valid with power", Config{Workers: 2, Topology: SmallTopology(),
 			Power: &PowerConfig{}}, true},
-		{"valid with power spec", Config{Workers: 2, Topology: SmallTopology(),
-			Faults: mustParse(t, "power:tdp=8,setpoint=70")}, true},
 		{"valid power with brownout faults", Config{Workers: 2, Topology: SmallTopology(),
 			Power:  &PowerConfig{},
 			Faults: NewFaultSchedule("mix", 1).LinkBrownout(0, 0, 1000, 2)}, true},
@@ -124,7 +117,6 @@ func TestFaultInjectionPublicAPI(t *testing.T) {
 		LinkBrownout(1, 0, 100_000, 4)
 	rt, err := Init(Config{
 		Workers: 8, Topology: SmallTopology(), Faults: sched,
-		MaxTaskRetries: 1, StarvationDeadline: 10_000_000,
 		Deterministic: true,
 	})
 	if err != nil {

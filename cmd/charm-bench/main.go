@@ -14,7 +14,8 @@
 // order, the same tables a one-by-one run prints. -faults injects a fault
 // scenario (internal/fault grammar, e.g.
 // "chaos" or "chiplet-flap:seed=7") into every runtime, running the whole
-// suite on a degrading machine. -arrivals X pins the overload experiment's
+// suite on a degrading machine; the power plane is not a fault scenario
+// (the thermal experiment configures its own). -arrivals X pins the overload experiment's
 // open-loop arrival rate to X times machine capacity instead of sweeping
 // 0.5x/1x/2x. -timeout D aborts a hung run after the
 // host-time duration D, dumping all goroutine stacks (and the metrics
@@ -43,7 +44,7 @@ func main() {
 	sample := flag.Uint("sample", 0, "override cache sample shift")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	metrics := flag.String("metrics", "", "capture a metrics document per runtime and write the JSON dump to FILE")
-	faults := flag.String("faults", "", "inject a fault scenario into every runtime an experiment builds; chaos and the service scenarios ignore it (e.g. \"chaos\" or \"chiplet-flap:seed=7\")")
+	faults := flag.String("faults", "", "inject a fault scenario into every runtime an experiment builds; chaos and the service scenarios ignore it (names none, core-flap, chiplet-flap, brownout, mem-brownout, thermal, chaos; e.g. \"chaos\" or \"chiplet-flap:seed=7\")")
 	arrivals := flag.Float64("arrivals", 0, "pin the overload experiment's arrival rate to this multiple of capacity (0 = sweep 0.5x/1x/2x)")
 	hangAfter := flag.Duration("timeout", 0, "abort after host-time D with goroutine stacks (0 = no limit)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to FILE")

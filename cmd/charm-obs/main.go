@@ -29,7 +29,7 @@
 //	charm-obs critpath [-load F] [-thermal] [-top N]
 //	    Runs the same scenario with causal job tracing on and prints the
 //	    critical-path attribution report: per-job latency breakdowns
-//	    (queue vs compute vs stall vs retry) and the aggregate top-culprit
+//	    (queue vs compute vs stall) and the aggregate top-culprit
 //	    tables per chiplet, stage, and fault kind.
 //
 //	charm-obs job <trace-id> [-load F] [-thermal]

@@ -40,7 +40,7 @@ func (co *coroutine) yield() {
 // run is the stack's body: execute the task bound to ctx, report its end,
 // stay suspended until the worker has bound the next one. A panic is
 // attributed to the worker bound to the coroutine at dispatch and left in
-// t.err; the worker decides between retry and failure.
+// t.err; the worker reports it as a failure or discards a cancelled task.
 func (co *coroutine) run(suspend func(int) bool) {
 	co.suspend = suspend
 	for ok := true; ok; ok = suspend(coFinished) {
@@ -116,10 +116,9 @@ func (w *Worker) runCoroutine(t *Task) {
 	w.putCoroutine(co)
 	if err != nil {
 		if t.jobCancelled() {
-			// A cancelled job's coroutine unwound (or failed): discard, do
-			// not spend retries or a fresh stack on a dead job.
+			// A cancelled job's coroutine unwound (or failed): discard.
 			w.discardCancelled(t)
-		} else if !w.retryTask(t, err) {
+		} else {
 			w.failTask(t, err)
 		}
 		return

@@ -128,7 +128,7 @@ func (c *Ctx) Yield() {
 	if c.co == nil {
 		if c.task != nil && c.task.jobCancelled() {
 			// Cooperative cancellation point: unwind the task body; the
-			// worker's recover path discards instead of retrying.
+			// worker's recover path discards instead of failing it.
 			panic(cancelUnwind{})
 		}
 		// Scheduling point: honor the virtual-time gate (so concurrent

@@ -20,8 +20,8 @@ import (
 // returns its observable outputs. The workload is built to cross every
 // fast-path boundary: long same-line repeat runs (batching) that straddle
 // thermal step-function edges (the replay fallback), oversubscribed workers
-// (occupancy inflation, cached), steals and retries (placement-epoch
-// invalidation), coroutine yields, barriers, clock reads, and delegation
+// (occupancy inflation, cached), steals (placement-epoch invalidation),
+// coroutine yields, barriers, clock reads, and delegation
 // (every flush-point flavor).
 func fastRun(t *testing.T, workers int, oversub, noBatch, noPool bool) (Stats, pmu.Snapshot, int64) {
 	t.Helper()
@@ -34,7 +34,6 @@ func fastRun(t *testing.T, workers int, oversub, noBatch, noPool bool) (Stats, p
 	rt := NewRuntime(m, Options{
 		Workers: workers, Oversubscribe: oversub, Deterministic: true,
 		SchedulerTimer: 50_000, Faults: plan,
-		MaxTaskRetries: 1, RetryBackoff: 500,
 	})
 	rt.batch, rt.pool = !noBatch, !noPool
 	rt.Start()
@@ -51,9 +50,7 @@ func fastRun(t *testing.T, workers int, oversub, noBatch, noPool bool) (Stats, p
 	}
 
 	// Phase 1: repeat-heavy plain tasks. The line stride keeps both sampled
-	// and unsampled lines in play; the transient panics route a fixed subset
-	// through the retry path while repeats are pending.
-	var failedOnce [64]atomic.Bool
+	// and unsampled lines in play.
 	add(rt.ParallelFor(0, 64, 2, func(ctx *Ctx, i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			a := addr + mem.Addr(i%32)*64
@@ -61,9 +58,6 @@ func fastRun(t *testing.T, workers int, oversub, noBatch, noPool bool) (Stats, p
 				ctx.Read(a, 64)
 			}
 			ctx.Compute(2_000)
-			if i%13 == 5 && !failedOnce[i].Swap(true) {
-				panic("deterministic transient")
-			}
 			for r := 0; r < 100; r++ {
 				ctx.Write(a, 8)
 			}
@@ -208,23 +202,21 @@ func TestBatchFlushOnThermalEdge(t *testing.T) {
 
 // TestPooledReuseStress hammers task-struct and coroutine-stack recycling
 // under the adversarial lifecycle mix — cross-worker steals of pooled
-// structs, transient-failure retries, and job cancellation unwinding
-// suspended coroutines — in parallel (non-lockstep) mode. make verify runs
+// structs and job cancellation unwinding suspended coroutines — in
+// parallel (non-lockstep) mode. make verify runs
 // this under -race, which is the actual assertion: any stale pointer or
 // unsynchronized recycle shows up as a race or a torn task.
 func TestPooledReuseStress(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, Options{Workers: 8, MaxTaskRetries: 2, RetryBackoff: 200, Deterministic: true})
+	rt := NewRuntime(m, Options{Workers: 8, Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 	addr := rt.Alloc(1<<12, 0)
 
 	for round := 0; round < 4; round++ {
-		// Steal + retry storm: all tasks spawned from one worker, so seven
-		// thieves pull recycled structs out of a foreign pool; a fixed
-		// subset panics once to route through retry (which must not free).
-		var fail [256]atomic.Bool
+		// Steal storm: all tasks spawned from one worker, so seven thieves
+		// pull recycled structs out of a foreign pool.
 		var ran atomic.Int64
 		rt.Run(func(ctx *Ctx) {
 			for i := 0; i < 256; i++ {
@@ -232,9 +224,6 @@ func TestPooledReuseStress(t *testing.T) {
 				ctx.Spawn(func(c *Ctx) {
 					c.Read(addr+mem.Addr(i%16)*64, 64)
 					c.Compute(500)
-					if i%7 == 3 && !fail[i].Swap(true) {
-						panic("transient")
-					}
 					ran.Add(1)
 				})
 			}
@@ -282,27 +271,22 @@ func TestPooledReuseStress(t *testing.T) {
 
 // TestPoolRecycleZeroed: a recycled task struct must carry nothing over
 // from its previous life — run a first wave that sets every optional field
-// (pinned delegated coroutine tasks with retries), then a second wave of
+// (pinned delegated tasks and coroutine tasks), then a second wave of
 // plain tasks from the same pools and check their observable behavior.
 func TestPoolRecycleZeroed(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	m := sim.New(sim.Config{Topo: topo})
-	rt := NewRuntime(m, Options{Workers: 4, Deterministic: true, MaxTaskRetries: 1})
+	rt := NewRuntime(m, Options{Workers: 4, Deterministic: true})
 	rt.Start()
 	defer rt.Stop()
 	addr := rt.Alloc(1<<12, 0)
 
-	// Wave 1: delegated work (pinned, hops, delegated flags), coroutines
-	// (stacks), and one retry each (attempts, backoff stamps).
-	var once [32]atomic.Bool
+	// Wave 1: delegated work (pinned, hops, delegated flags) and
+	// coroutines (stacks).
 	rt.Run(func(ctx *Ctx) {
 		for i := 0; i < 32; i++ {
-			i := i
 			ctx.DelegateAsync(addr+mem.Addr(i%8)*mem.PageSize%(1<<12), func(c *Ctx) {
 				c.Compute(200)
-				if !once[i].Swap(true) {
-					panic("transient")
-				}
 			})
 		}
 	})

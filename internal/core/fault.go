@@ -11,8 +11,7 @@ import (
 
 // This file is the runtime half of the fault-injection subsystem
 // (internal/fault holds the schedules): graceful degradation when cores go
-// offline mid-run, typed task failures with bounded retry, and the
-// starvation watchdog. The protocol on core-offline is
+// offline mid-run and typed task failures. The protocol on core-offline is
 //
 //  1. drain — the worker empties its deque and inbox, re-enqueueing every
 //     queued task to a live worker (pinned tasks are re-homed). Suspended
@@ -28,8 +27,8 @@ import (
 //     measures.
 
 // TaskError is a task panic converted into a typed, attributed error: which
-// task failed, where it was executing, what it panicked with, and how many
-// attempts were made. Submission APIs re-panic it on the submitter;
+// task failed, where it was executing and what it panicked with.
+// Submission APIs re-panic it on the submitter;
 // errors.As works through the panic value.
 type TaskError struct {
 	// TaskID is the runtime-wide task sequence number.
@@ -38,8 +37,6 @@ type TaskError struct {
 	Worker  int
 	Core    topology.CoreID
 	Chiplet topology.ChipletID
-	// Attempts is the number of executions, including retries.
-	Attempts int
 	// Val is the recovered panic value; Stack the goroutine stack at the
 	// panic site.
 	Val   any
@@ -48,8 +45,8 @@ type TaskError struct {
 
 // Error formats the failure with its attribution and original stack.
 func (e *TaskError) Error() string {
-	return fmt.Sprintf("core: task %d panicked on worker %d (core %d, chiplet %d, attempt %d): %v\n\ntask stack:\n%s",
-		e.TaskID, e.Worker, e.Core, e.Chiplet, e.Attempts, e.Val, e.Stack)
+	return fmt.Sprintf("core: task %d panicked on worker %d (core %d, chiplet %d): %v\n\ntask stack:\n%s",
+		e.TaskID, e.Worker, e.Core, e.Chiplet, e.Val, e.Stack)
 }
 
 // Unwrap exposes a panic value that was itself an error.
@@ -251,13 +248,12 @@ func (w *Worker) runTaskRecovered(t *Task, fn func()) (err *TaskError) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &TaskError{
-				TaskID:   t.id,
-				Worker:   w.id,
-				Core:     w.Core(),
-				Chiplet:  w.rt.M.Topo.ChipletOf(w.Core()),
-				Attempts: int(t.attempts) + 1,
-				Val:      r,
-				Stack:    debug.Stack(),
+				TaskID:  t.id,
+				Worker:  w.id,
+				Core:    w.Core(),
+				Chiplet: w.rt.M.Topo.ChipletOf(w.Core()),
+				Val:     r,
+				Stack:   debug.Stack(),
 			}
 		}
 	}()
@@ -265,31 +261,8 @@ func (w *Worker) runTaskRecovered(t *Task, fn func()) (err *TaskError) {
 	return nil
 }
 
-// retryTask re-enqueues a failed task when the retry budget allows,
-// applying exponential backoff in virtual time. Returns false when the
-// budget is exhausted (the caller then fails the group).
-func (w *Worker) retryTask(t *Task, err *TaskError) bool {
-	if int(t.attempts) >= w.rt.opts.MaxTaskRetries {
-		return false
-	}
-	t.attempts++
-	backoff := w.rt.opts.RetryBackoff << (t.attempts - 1)
-	now := w.clock.Now()
-	t.stamp = now + backoff
-	t.co = nil // a coroutine retry starts from a fresh stack
-	t.err = nil
-	w.rt.met.faultRetries.Inc(w.id)
-	// The span covers the backoff window: failure → earliest restart.
-	w.rt.tracer.Emit(w.id, obs.Span{Trace: t.trace(), Kind: obs.SpanRetry,
-		Start: now, End: t.stamp, Worker: int32(w.id),
-		Chiplet: int32(w.rt.M.Topo.ChipletOf(w.Core())), Stage: t.stage,
-		Arg: int64(t.attempts)})
-	w.deque.Push(t)
-	return true
-}
-
-// failTask reports a task failure (retries exhausted or disabled) to the
-// task's group or caller and completes its lifecycle accounting.
+// failTask reports a task failure to the task's group or caller and
+// completes its lifecycle accounting.
 func (w *Worker) failTask(t *Task, err *TaskError) {
 	if t.grp != nil {
 		t.grp.fail(err)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -108,87 +107,6 @@ func TestOfflineParkAndResume(t *testing.T) {
 	}
 }
 
-// TestRetrySucceedsWithinBudget: a task that fails twice completes on its
-// third attempt when MaxTaskRetries allows, with virtual-time backoff.
-func TestRetrySucceedsWithinBudget(t *testing.T) {
-	rt := newTestRT(t, 2, func(o *Options) {
-		o.MaxTaskRetries = 3
-		o.RetryBackoff = 1_000
-	})
-	rt.EnableProfiler(true)
-	var attempts atomic.Int64
-	rt.Run(func(ctx *Ctx) {
-		if attempts.Add(1) <= 2 {
-			panic("transient fault")
-		}
-	})
-	if attempts.Load() != 3 {
-		t.Errorf("task ran %d times, want 3", attempts.Load())
-	}
-	if acts := faultActions(rt); acts[obs.SpanRetry] != 2 {
-		t.Errorf("SpanRetry = %d, want 2; actions = %v", acts[obs.SpanRetry], acts)
-	}
-}
-
-// TestRetryExhaustionFailsGroup: when every attempt panics, the group fails
-// with a TaskError whose Attempts reflects the full budget.
-func TestRetryExhaustionFailsGroup(t *testing.T) {
-	rt := newTestRT(t, 2, func(o *Options) {
-		o.MaxTaskRetries = 2
-		o.RetryBackoff = 1_000
-	})
-	var attempts atomic.Int64
-	e := recoverTaskError(t, func() {
-		rt.Run(func(ctx *Ctx) {
-			attempts.Add(1)
-			panic("persistent fault")
-		})
-	})
-	if attempts.Load() != 3 {
-		t.Errorf("task ran %d times, want 3 (1 + 2 retries)", attempts.Load())
-	}
-	if e.Attempts != 3 {
-		t.Errorf("TaskError.Attempts = %d, want 3", e.Attempts)
-	}
-	if !strings.Contains(e.Error(), "persistent fault") {
-		t.Errorf("error lacks the panic value: %q", e.Error())
-	}
-}
-
-// TestCoroutineRetryRestartsFresh: a retried coroutine gets a fresh stack
-// (it re-runs from the beginning, not from the last Yield).
-func TestCoroutineRetryRestartsFresh(t *testing.T) {
-	rt := newTestRT(t, 2, func(o *Options) {
-		o.MaxTaskRetries = 1
-		o.RetryBackoff = 1_000
-	})
-	var starts, finishes atomic.Int64
-	rt.submitWait([]func(*Ctx){func(ctx *Ctx) {
-		if starts.Add(1) == 1 {
-			ctx.Yield()
-			panic("coroutine transient")
-		}
-		ctx.Yield()
-		finishes.Add(1)
-	}}, false, true)
-	if starts.Load() != 2 || finishes.Load() != 1 {
-		t.Errorf("starts=%d finishes=%d, want 2/1", starts.Load(), finishes.Load())
-	}
-}
-
-// TestWatchdogFlagsStarvedTasks: tasks finishing past StarvationDeadline
-// trip the watchdog.
-func TestWatchdogFlagsStarvedTasks(t *testing.T) {
-	rt := newTestRT(t, 2, func(o *Options) {
-		o.StarvationDeadline = 1_000
-	})
-	rt.EnableProfiler(true)
-	rt.Run(func(ctx *Ctx) { ctx.Compute(50_000) })
-	if acts := faultActions(rt); acts[obs.SpanWatchdog] == 0 {
-		t.Errorf("no SpanWatchdog recorded; actions = %v", acts)
-	}
-}
-
 // TestSubmitReroutesAroundDeadCores: work submitted while a worker's core
 // is offline lands on live workers instead of queueing on a parked one.
 func TestSubmitReroutesAroundDeadCores(t *testing.T) {
@@ -229,7 +147,6 @@ func faultDetRun(t *testing.T) (Stats, pmu.Snapshot) {
 	rt := NewRuntime(m, Options{
 		Workers: 8, SchedulerTimer: 50_000,
 		Faults: plan, Deterministic: true,
-		MaxTaskRetries: 1, RetryBackoff: 1_000,
 	})
 	rt.Start()
 	defer rt.Stop()
@@ -258,16 +175,10 @@ func faultDetRun(t *testing.T) (Stats, pmu.Snapshot) {
 	addr := rt.Alloc(1<<16, 0)
 	var total Stats
 	for phase := 0; phase < 3; phase++ {
-		// Each marked index fails exactly once per phase, so the single
-		// configured retry always recovers it — deterministically.
-		var failedOnce [48]atomic.Bool
 		st := rt.ParallelFor(0, 48, 2, func(ctx *Ctx, i0, i1 int) {
 			for i := i0; i < i1; i++ {
 				ctx.Read(addr+mem.Addr(i%256)*256, 256)
 				ctx.Compute(2_000)
-				if i%17 == 3 && !failedOnce[i].Swap(true) {
-					panic("deterministic transient")
-				}
 				ctx.Write(addr+mem.Addr(i%256)*256, 64)
 			}
 		})

@@ -28,7 +28,7 @@ import (
 // Tenants is that list at length one (see setupTenants). Cancellation is
 // cooperative:
 // a cancelled job's queued tasks are discarded wherever a worker finds
-// them (deque, inbox, fault drain, retry), and its running coroutines
+// them (deque, inbox, fault drain), and its running coroutines
 // unwind at their next Yield point, so a dead job never consumes a fresh
 // coroutine stack.
 //
@@ -86,7 +86,7 @@ const (
 	JobRunning
 	// JobCompleted: all stages finished.
 	JobCompleted
-	// JobFailed: a task failed past its retry budget.
+	// JobFailed: a task panicked.
 	JobFailed
 	// JobCancelled: cancelled before completion.
 	JobCancelled
@@ -211,7 +211,7 @@ func (j *Job) Err() error {
 
 // Cancel requests cooperative cancellation: queued tasks are discarded
 // where workers find them, running coroutines unwind at their next Yield,
-// and retries/re-homing drop the job's tasks instead of re-queueing them.
+// and re-homing drops the job's tasks instead of re-queueing them.
 // Safe to call from any goroutine and idempotent; cancelling a terminal
 // job is a no-op.
 func (j *Job) Cancel() { j.cancelled.Store(true) }
@@ -1239,7 +1239,7 @@ func (s *JobService) observeExec(ch int, exec int64) {
 
 // cancelUnwind is the sentinel a cancelled task's Yield panics with to
 // unwind its stack; runTaskRecovered converts it into a TaskError whose
-// Val is this type, and the worker discards instead of retrying.
+// Val is this type, and the worker discards instead of failing the job.
 type cancelUnwind struct{}
 
 func (cancelUnwind) String() string { return "job cancelled" }

@@ -311,8 +311,8 @@ func TestRejectPolicyTypedError(t *testing.T) {
 	}
 }
 
-// TestJobFailure: a job whose task panics past the retry budget must end
-// Failed with a typed TaskError.
+// TestJobFailure: a job whose task panics must end Failed with a typed
+// TaskError.
 func TestJobFailure(t *testing.T) {
 	rt := jobRuntime(t, Options{})
 	j, err := rt.SubmitJob(JobSpec{Stages: []JobStage{{

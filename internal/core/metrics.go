@@ -36,8 +36,6 @@ type rtMetrics struct {
 	faultReenqueues *obs.Counter
 	faultMigrations *obs.Counter
 	faultParks      *obs.Counter
-	faultRetries    *obs.Counter
-	watchdogTrips   *obs.Counter
 
 	// Open-loop job-service instruments (all zero without ServeJobs).
 	// Authoritative counts live in JobService.Stats — these mirror them
@@ -93,10 +91,6 @@ func newRTMetrics(rt *Runtime, workers int) *rtMetrics {
 			"Worker re-homes to a replacement core after an offline.", nil),
 		faultParks: reg.Counter("charm_fault_parks_total",
 			"Workers parked because no replacement core was available.", nil),
-		faultRetries: reg.Counter("charm_task_retries_total",
-			"Failed task executions re-queued under MaxTaskRetries.", nil),
-		watchdogTrips: reg.Counter("charm_watchdog_trips_total",
-			"Tasks whose enqueue-to-completion time exceeded StarvationDeadline.", nil),
 		jobsAdmitted: reg.Counter("charm_jobs_admitted_total",
 			"Jobs accepted into the admission queue.", nil),
 		jobsCompleted: reg.Counter("charm_jobs_completed_total",

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"charm/internal/fault"
@@ -45,9 +44,8 @@ func hotPowerConfig() *power.Config {
 // stats, the full PMU snapshot, the final worker clock, and the plane's
 // published thermal/energy snapshot (final temperatures, ledgers, and
 // tier event counts). The workload mixes compute-heavy phases (heating),
-// yields and barriers (governor claims from many workers), transient
-// panics (retries crossing park windows), and a near-idle tail (decay
-// and park expiry through the idle-drift hook).
+// yields and barriers (governor claims from many workers), and a
+// near-idle tail (decay and park expiry through the idle-drift hook).
 func powerRun(t *testing.T, workers int, noBatch, noPool bool) (Stats, pmu.Snapshot, int64, power.Snapshot) {
 	t.Helper()
 	topo := topology.Synthetic(4, 2)
@@ -55,7 +53,6 @@ func powerRun(t *testing.T, workers int, noBatch, noPool bool) (Stats, pmu.Snaps
 	rt := NewRuntime(m, Options{
 		Workers: workers, Deterministic: true,
 		SchedulerTimer: 50_000, Power: hotPowerConfig(),
-		MaxTaskRetries: 1, RetryBackoff: 500,
 	})
 	rt.batch, rt.pool = !noBatch, !noPool
 	rt.Start()
@@ -71,10 +68,8 @@ func powerRun(t *testing.T, workers int, noBatch, noPool bool) (Stats, pmu.Snaps
 		total.Migrations += st.Migrations
 	}
 
-	// Phase 1: compute-heavy tasks with repeat runs and transient panics.
-	// The sustained Compute drives hot chiplets through soft, hard, and
-	// park; the panics route retries through park-induced placement churn.
-	var failedOnce [64]atomic.Bool
+	// Phase 1: compute-heavy tasks with repeat runs. The sustained Compute
+	// drives hot chiplets through soft, hard, and park.
 	add(rt.ParallelFor(0, 64, 2, func(ctx *Ctx, i0, i1 int) {
 		for i := i0; i < i1; i++ {
 			a := addr + mem.Addr(i%32)*64
@@ -82,9 +77,6 @@ func powerRun(t *testing.T, workers int, noBatch, noPool bool) (Stats, pmu.Snaps
 				ctx.Read(a, 64)
 			}
 			ctx.Compute(30_000)
-			if i%13 == 5 && !failedOnce[i].Swap(true) {
-				panic("deterministic transient")
-			}
 			for r := 0; r < 50; r++ {
 				ctx.Write(a, 8)
 			}

@@ -98,17 +98,6 @@ type Options struct {
 	// plan is compiled to carry it. Nil disables the plane entirely (the
 	// hot paths then pay a single nil check).
 	Power *power.Config
-	// MaxTaskRetries re-executes a panicking task up to N times before
-	// failing its group, with exponential backoff in virtual time. 0
-	// (default) fails on the first panic.
-	MaxTaskRetries int
-	// RetryBackoff is the virtual-ns backoff before the first retry;
-	// retry k waits RetryBackoff << (k-1). 0 selects 10 µs.
-	RetryBackoff int64
-	// StarvationDeadline, when positive, flags every task whose
-	// enqueue-to-completion latency exceeds it (virtual ns) in the
-	// watchdog metric and, while profiling, as a watchdog instant.
-	StarvationDeadline int64
 	// Deterministic serializes workers in virtual-clock lockstep (see
 	// lockstep.go): runs become bit-identical across repetitions at the
 	// price of host parallelism. Only bench's graph-free workload, the
@@ -233,12 +222,6 @@ func NewRuntime(m *sim.Machine, opts Options) *Runtime {
 	}
 	if opts.Faults != nil && opts.Faults.Empty() && opts.Power == nil {
 		opts.Faults = nil // an empty plan is a healthy machine; skip the hooks
-	}
-	if opts.MaxTaskRetries < 0 {
-		panic(fmt.Sprintf("core: MaxTaskRetries must be non-negative, got %d", opts.MaxTaskRetries))
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = 10_000
 	}
 	var pw *power.Plane
 	if opts.Power != nil {
@@ -492,12 +475,11 @@ type Task struct {
 	hops         int32
 
 	// Fault-tolerance state: spawned marks the first execution's
-	// accounting as done (so a retry is not double-counted); attempts is
-	// the retry count; err carries a coroutine failure from the coroutine's
-	// stack back to the worker (ordered by the switch back).
-	spawned  bool
-	attempts int32
-	err      *TaskError
+	// accounting as done (so a resumed coroutine is not double-counted);
+	// err carries a coroutine failure from the coroutine's stack back to
+	// the worker (ordered by the switch back).
+	spawned bool
+	err     *TaskError
 
 	// job links the task to its open-loop job (nil for phase submissions);
 	// workers poll its cancellation flag at discard and yield points.

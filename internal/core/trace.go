@@ -56,12 +56,10 @@ var faultInstants = map[obs.SpanKind]struct {
 	name string
 	code int64
 }{
-	obs.SpanOffline:  {"fault-offline", 0},
-	obs.SpanRehome:   {"fault-rehome", 1},
-	obs.SpanPark:     {"fault-park", 2},
-	obs.SpanResume:   {"fault-resume", 3},
-	obs.SpanRetry:    {"task-retry", 4},
-	obs.SpanWatchdog: {"watchdog-trip", 5},
+	obs.SpanOffline: {"fault-offline", 0},
+	obs.SpanRehome:  {"fault-rehome", 1},
+	obs.SpanPark:    {"fault-park", 2},
+	obs.SpanResume:  {"fault-resume", 3},
 }
 
 // faultSpans returns the fault-handling instants among spans, ordered by
@@ -167,7 +165,7 @@ func writeChromeTrace(w io.Writer, tr *obs.Tracer, reg *obs.Registry, tick int64
 	}
 
 	// Fault-handling actions: one instant event per recorded action, so
-	// offline/re-home/park/resume/retry/watchdog show up as distinct markers
+	// offline/re-home/park/resume show up as distinct markers
 	// on the worker's track.
 	for _, s := range faultSpans(spans) {
 		f := faultInstants[s.Kind]

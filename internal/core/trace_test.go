@@ -268,18 +268,17 @@ func TestRuntimeSpansAndMetrics(t *testing.T) {
 // TestProfilerDisabledRecordsNothing: the tracer's two gates split one
 // record. With both off nothing is recorded; profiling alone records no job
 // kinds (admission, stages, sheds, breakers, ...), and tracing alone no
-// profile kinds (Alg. 1 samples, migrations, offlines, watchdog trips, and
-// tasks outside any job). The run parks the workers of an offlined chiplet,
-// trips the watchdog and serves one job, so every gate has something to
-// refuse.
+// profile kinds (Alg. 1 samples, migrations, offlines, and tasks outside
+// any job). The run parks the workers of an offlined chiplet and serves
+// one job, so every gate has something to refuse.
 func TestProfilerDisabledRecordsNothing(t *testing.T) {
 	profileKind := func(s obs.Span) bool {
 		return s.Kind >= obs.SpanSpread ||
-			(s.Kind == obs.SpanTask || s.Kind == obs.SpanRetry) && s.Trace == 0
+			s.Kind == obs.SpanTask && s.Trace == 0
 	}
 	jobKind := func(s obs.Span) bool {
 		switch s.Kind {
-		case obs.SpanTask, obs.SpanRetry, obs.SpanRehome, obs.SpanPark:
+		case obs.SpanTask, obs.SpanRehome, obs.SpanPark:
 			return false
 		}
 		return s.Kind < obs.SpanSpread
@@ -288,7 +287,7 @@ func TestProfilerDisabledRecordsNothing(t *testing.T) {
 		topo := topology.Synthetic(4, 2)
 		plan := compilePlan(t, fault.New("gates", 3).OfflineChiplet(1, 20_000, fault.Forever), topo)
 		rt := jobRuntime(t, Options{SchedulerTimer: 10_000,
-			Faults: plan, StarvationDeadline: 1_000})
+			Faults: plan})
 		rt.EnableTracing(tracing)
 		rt.EnableProfiler(profiling)
 		rt.ParallelFor(0, 64, 1, func(ctx *Ctx, i0, i1 int) { ctx.Compute(5_000) })
@@ -314,7 +313,7 @@ func TestProfilerDisabledRecordsNothing(t *testing.T) {
 	}
 	prof := run(false, true)
 	for _, k := range []obs.SpanKind{obs.SpanTask, obs.SpanSpread, obs.SpanFillRate,
-		obs.SpanOffline, obs.SpanPark, obs.SpanWatchdog} {
+		obs.SpanOffline, obs.SpanPark} {
 		if prof[k] == 0 {
 			t.Errorf("profiling recorded no %s span: %v", k, prof)
 		}

@@ -111,7 +111,7 @@ func TestCritpathAttribution(t *testing.T) {
 			t.Errorf("trace %d: attributed %.1f%% of %d ns (unattributed %d)",
 				b.Trace, 100*f, b.Total, b.Unattributed)
 		}
-		sum := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall + b.Retry + b.Unattributed
+		sum := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall + b.Unattributed
 		if sum != b.Total {
 			t.Errorf("trace %d: buckets sum to %d, total %d", b.Trace, sum, b.Total)
 		}

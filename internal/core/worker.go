@@ -113,8 +113,8 @@ func (w *Worker) newTask(fn func(*Ctx), g *group, stamp int64, coro bool, home i
 	return w.rt.newTask(fn, g, stamp, coro, home)
 }
 
-// freeTask returns a terminal task (finished or discarded — never a retry,
-// which stays queued) to the free list, fully re-zeroed so no lifecycle
+// freeTask returns a terminal task (finished, failed or discarded) to the
+// free list, fully re-zeroed so no lifecycle
 // state can leak into its next incarnation. Tasks still bound to a
 // coroutine are never freed here: the coroutine path detaches the stack
 // first.
@@ -462,8 +462,8 @@ func (w *Worker) execute(t *Task) {
 	}
 	if !t.spawned {
 		// First execution: charge the spawn cost and count the task live
-		// until finishTask (suspended coroutines and retries stay live,
-		// matching the thread-concurrency semantics of Fig. 12).
+		// until finishTask (suspended coroutines stay live, matching the
+		// thread-concurrency semantics of Fig. 12).
 		t.spawned = true
 		if w.rt.opts.Overheads.Spawn > 0 {
 			w.clock.Advance(w.rt.opts.Overheads.Spawn)
@@ -479,16 +479,15 @@ func (w *Worker) execute(t *Task) {
 		// Run-to-completion tasks share the worker's one reused Ctx (a
 		// worker executes at most one at a time); the deferred flush
 		// settles any deferred repeat accesses even on a panic unwind, so
-		// retried and cancelled tasks keep their charges.
+		// failed and cancelled tasks keep their charges.
 		ctx := &w.runCtx
 		*ctx = Ctx{w: w, task: t}
 		if err := w.runTaskRecovered(t, func() { defer ctx.flushBatch(); t.fn(ctx) }); err != nil {
 			if t.jobCancelled() {
-				// Cancellation propagates through the retry path: the
-				// unwind (or a coincident failure) of a cancelled job's
-				// task is discarded, never re-queued.
+				// The unwind (or a coincident failure) of a cancelled
+				// job's task is discarded, not reported as a failure.
 				w.discardCancelled(t)
-			} else if !w.retryTask(t, err) {
+			} else {
 				w.failTask(t, err)
 			}
 		} else {
@@ -500,12 +499,6 @@ func (w *Worker) execute(t *Task) {
 
 func (w *Worker) finishTask(t *Task) {
 	now := w.clock.Now()
-	if dl := w.rt.opts.StarvationDeadline; dl > 0 && now-t.stamp > dl {
-		// Watchdog: the task sat starved (queued, suspended, or retried)
-		// past the configured deadline before completing.
-		w.rt.met.watchdogTrips.Inc(w.id)
-		w.instant(obs.SpanWatchdog, now, 0)
-	}
 	w.rt.M.PMU.Add(int(w.Core()), pmu.TaskRun, 1)
 	w.rt.liveTasks.Add(-1)
 	w.rt.met.tasks.Inc(w.id)

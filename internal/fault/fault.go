@@ -17,17 +17,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"charm/internal/rng"
 	"charm/internal/topology"
 )
 
-// ErrThermalConflict reports a schedule that combines static
-// thermal-throttle events with the closed-loop power plane: the governor
-// owns the thermal timeline once armed (its overlay steps replace the
-// static ones), so a spec declaring both is almost certainly a mistake.
-// Returned wrapped; test with errors.Is.
+// ErrThermalConflict reports a plan with static thermal-throttle events
+// handed to the closed-loop power plane: the governor owns the thermal
+// timeline once armed (its overlay steps replace the static ones), so a
+// configuration declaring both is almost certainly a mistake. The plane's
+// constructor and the runtime's Init return it wrapped; test with
+// errors.Is.
 var ErrThermalConflict = errors.New("static thermal-throttle events conflict with the closed-loop power plane")
 
 // Kind classifies a fault event.
@@ -79,17 +83,6 @@ type Event struct {
 	Factor float64
 }
 
-// PowerKnobs carries the closed-loop power-plane parameters a "power"
-// spec requests. The fault package only transports them (the plane itself
-// lives in internal/power, which resolves zero fields to defaults): tdp is
-// the per-chiplet power clamp in watts, rc the thermal time constant R·C
-// in virtual ns, and setpoint the soft-throttle temperature in °C.
-type PowerKnobs struct {
-	TDPWatts  float64
-	TauNS     int64
-	SetpointC float64
-}
-
 // Schedule is an ordered set of fault events, reproducible from its seed.
 type Schedule struct {
 	// Name labels the schedule in reports ("none", "chiplet-flap", ...).
@@ -98,11 +91,6 @@ type Schedule struct {
 	Seed uint64
 	// Events are the fault windows; order is irrelevant (Compile sorts).
 	Events []Event
-	// Power, when non-nil, asks the runtime to arm the closed-loop
-	// thermal/energy plane with these knobs (set by the "power" spec).
-	// Compile rejects schedules that combine it with static
-	// ThermalThrottle events (ErrThermalConflict).
-	Power *PowerKnobs
 }
 
 // New returns an empty named schedule.
@@ -149,40 +137,35 @@ type specOpts struct {
 	count   int
 }
 
+// specNames are the schedules ParseSpec generates.
+var specNames = []string{"none", "core-flap", "chiplet-flap", "brownout", "mem-brownout", "thermal", "chaos"}
+
+// MaxSpecEvents caps the events one spec may generate. The default
+// horizon holds 256 windows, so every name at its defaults stays at or
+// under 1024 events (chaos, four per window); the cap only refuses specs
+// whose period, horizon and count multiply out to a schedule no run could
+// use.
+const MaxSpecEvents = 1 << 16
+
 // ParseSpec builds a schedule from a named spec string for the given
 // topology. The grammar is
 //
 //	name[:key=value[,key=value...]]
 //
 // with names none, core-flap, chiplet-flap, brownout, mem-brownout,
-// thermal, chaos, power and keys seed (uint), period (virtual ns), horizon
-// (virtual ns), factor (float >= 1), count (victims per window). Victims
-// are chosen by a seeded SplitMix64 stream, so the same spec always yields
-// the same schedule. Flap schedules leave at least one chiplet online at
-// all times by construction (one victim window per period).
-//
-// The "power" name is the closed-loop scenario: it emits no static events
-// and instead sets Schedule.Power, asking the runtime to arm the thermal/
-// energy governor. Its keys are tdp (watts per chiplet), rc (thermal time
-// constant R·C in virtual ns) and setpoint (soft-throttle °C); the generic
-// keys are invalid for it, and combining it with static thermal events
-// fails Compile with ErrThermalConflict.
+// thermal, chaos and keys seed (uint), period (virtual ns), horizon
+// (virtual ns), factor (float >= 1), count (victims per window, >= 1).
+// Each period from 0 to horizon is one window; a spec that would generate
+// more than MaxSpecEvents events is refused. Victims are chosen by a
+// seeded SplitMix64 stream, so the same spec always yields the same
+// schedule. Flap schedules leave at least one chiplet online at all times
+// by construction (one victim window per period). The closed-loop power
+// plane is not a fault schedule: configure it with the runtime's Power
+// config.
 func ParseSpec(spec string, topo *topology.Topology) (*Schedule, error) {
-	name := spec
-	rest := ""
-	if i := indexByte(spec, ':'); i >= 0 {
-		name, rest = spec[:i], spec[i+1:]
-	}
-	if name == "power" {
-		// The closed-loop scenario has its own key set (tdp, rc, setpoint)
-		// and generates no static events: it arms the runtime governor.
-		s := New(name, 1)
-		knobs, err := parsePowerOpts(rest)
-		if err != nil {
-			return nil, fmt.Errorf("fault: spec %q: %w", spec, err)
-		}
-		s.Power = knobs
-		return s, nil
+	name, rest, _ := strings.Cut(spec, ":")
+	if !slices.Contains(specNames, name) {
+		return nil, fmt.Errorf("fault: spec %q: unknown schedule %q (have %s)", spec, name, strings.Join(specNames, ", "))
 	}
 	opts := specOpts{
 		seed:    1,
@@ -191,10 +174,8 @@ func ParseSpec(spec string, topo *topology.Topology) (*Schedule, error) {
 		factor:  0,           // per-name default
 		count:   1,
 	}
-	if rest != "" {
-		if err := parseOpts(rest, &opts); err != nil {
-			return nil, fmt.Errorf("fault: spec %q: %w", spec, err)
-		}
+	if err := parseOpts(rest, &opts); err != nil {
+		return nil, fmt.Errorf("fault: spec %q: %w", spec, err)
 	}
 	if opts.period <= 0 || opts.horizon <= 0 {
 		return nil, fmt.Errorf("fault: spec %q: period and horizon must be positive", spec)
@@ -202,13 +183,31 @@ func ParseSpec(spec string, topo *topology.Topology) (*Schedule, error) {
 	if opts.factor != 0 && (opts.factor < 1 || math.IsNaN(opts.factor) || math.IsInf(opts.factor, 0)) {
 		return nil, fmt.Errorf("fault: spec %q: factor must be a finite value >= 1", spec)
 	}
+	if opts.count < 1 {
+		return nil, fmt.Errorf("fault: spec %q: count must be at least 1", spec)
+	}
+	// none, and a chiplet flap on a one-chiplet machine, emit nothing in
+	// a window, so they get no windows however many the spec asks for.
+	var windows int64
+	if per := eventsPerWindow(name, opts.count, topo); per > 0 {
+		windows = opts.horizon / opts.period
+		if windows > MaxSpecEvents/per {
+			return nil, fmt.Errorf("fault: spec %q: %d windows of %d events exceed the %d-event cap",
+				spec, windows, per, MaxSpecEvents)
+		}
+	}
 	s := New(name, opts.seed)
+	// The fault occupies the middle half of each period, so the machine
+	// alternates between degraded and healthy windows. Window k starts at
+	// k·period <= horizon-period, and 3·period/4 is taken without forming
+	// 3·period, so no bound overflows.
+	q, r := opts.period/4, opts.period%4
+	lo, hi := q, 3*q+3*r/4
 	gen := func(stream uint64, emit func(st *uint64, from, to int64)) {
 		st := rng.Seed(opts.seed, stream)
-		for t := int64(0); t+opts.period <= opts.horizon; t += opts.period {
-			// The fault occupies the middle half of each period, so the
-			// machine alternates between degraded and healthy windows.
-			emit(&st, t+opts.period/4, t+3*opts.period/4)
+		for k := int64(0); k < windows; k++ {
+			t := k * opts.period
+			emit(&st, t+lo, t+hi)
 		}
 	}
 	factor := func(def float64) float64 {
@@ -218,7 +217,6 @@ func ParseSpec(spec string, topo *topology.Topology) (*Schedule, error) {
 		return def
 	}
 	switch name {
-	case "none":
 	case "core-flap":
 		gen(1, func(st *uint64, from, to int64) {
 			for i := 0; i < opts.count; i++ {
@@ -227,10 +225,7 @@ func ParseSpec(spec string, topo *topology.Topology) (*Schedule, error) {
 		})
 	case "chiplet-flap":
 		n := topo.NumChiplets()
-		count := opts.count
-		if count >= n {
-			count = n - 1 // never offline the whole machine
-		}
+		count := min(opts.count, n-1) // never offline the whole machine
 		gen(2, func(st *uint64, from, to int64) {
 			for i := 0; i < count; i++ {
 				s.OfflineChiplet(topology.ChipletID(rng.Intn(st, n)), from, to)
@@ -264,84 +259,40 @@ func ParseSpec(spec string, topo *topology.Topology) (*Schedule, error) {
 		gen(5, func(st *uint64, from, to int64) {
 			s.ThermalThrottle(topology.ChipletID(rng.Intn(st, n)), from, to, 3)
 		})
-	default:
-		return nil, fmt.Errorf("fault: unknown schedule %q (have none, core-flap, chiplet-flap, brownout, mem-brownout, thermal, chaos, power)", name)
 	}
 	return s, nil
 }
 
-// parsePowerOpts parses the "power" scenario's key set. Zero-valued knobs
-// mean "use the plane's default"; explicit values must be finite and
-// positive.
-func parsePowerOpts(s string) (*PowerKnobs, error) {
-	k := &PowerKnobs{}
-	seen := make(map[string]bool, 3)
-	for len(s) > 0 {
-		kv := s
-		if i := indexByte(s, ','); i >= 0 {
-			kv, s = s[:i], s[i+1:]
-		} else {
-			s = ""
+// eventsPerWindow is how many events one window of the named schedule
+// generates.
+func eventsPerWindow(name string, count int, topo *topology.Topology) int64 {
+	switch name {
+	case "core-flap":
+		return int64(count)
+	case "chiplet-flap":
+		return int64(min(count, topo.NumChiplets()-1))
+	case "brownout", "mem-brownout", "thermal":
+		return 1
+	case "chaos":
+		if topo.NumChiplets() > 1 {
+			return 4
 		}
-		i := indexByte(kv, '=')
-		if i < 0 {
-			return nil, fmt.Errorf("malformed option %q (want key=value)", kv)
-		}
-		key, val := kv[:i], kv[i+1:]
-		if seen[key] {
-			return nil, fmt.Errorf("duplicate option %q", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "tdp":
-			_, err = fmt.Sscanf(val, "%g", &k.TDPWatts)
-			if err == nil && (k.TDPWatts <= 0 || math.IsNaN(k.TDPWatts) || math.IsInf(k.TDPWatts, 0)) {
-				err = fmt.Errorf("must be a finite value > 0, got %v", k.TDPWatts)
-			}
-		case "rc":
-			_, err = fmt.Sscanf(val, "%d", &k.TauNS)
-			if err == nil && k.TauNS <= 0 {
-				err = fmt.Errorf("must be positive virtual ns, got %d", k.TauNS)
-			}
-		case "setpoint":
-			_, err = fmt.Sscanf(val, "%g", &k.SetpointC)
-			if err == nil && (k.SetpointC <= 0 || math.IsNaN(k.SetpointC) || math.IsInf(k.SetpointC, 0)) {
-				err = fmt.Errorf("must be a finite value > 0, got %v", k.SetpointC)
-			}
-		default:
-			return nil, fmt.Errorf("unknown option %q (power takes tdp, rc, setpoint)", key)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("option %q: %v", kv, err)
-		}
+		return 3
 	}
-	return k, nil
+	return 0
 }
 
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
-}
-
+// parseOpts reads the comma-separated key=value list s into o. Values must
+// be plain decimal numbers: a unit suffix ("2ms") is refused, not dropped.
 func parseOpts(s string, o *specOpts) error {
 	seen := make(map[string]bool, 4)
-	for len(s) > 0 {
-		kv := s
-		if i := indexByte(s, ','); i >= 0 {
-			kv, s = s[:i], s[i+1:]
-		} else {
-			s = ""
-		}
-		i := indexByte(kv, '=')
-		if i < 0 {
+	for s != "" {
+		var kv string
+		kv, s, _ = strings.Cut(s, ",")
+		key, val, ok := strings.Cut(kv, "=")
+		if !ok {
 			return fmt.Errorf("malformed option %q (want key=value)", kv)
 		}
-		key, val := kv[:i], kv[i+1:]
 		if seen[key] {
 			// A repeated key is almost always a typo'd spec; refusing beats
 			// silently letting the last occurrence win.
@@ -351,15 +302,15 @@ func parseOpts(s string, o *specOpts) error {
 		var err error
 		switch key {
 		case "seed":
-			_, err = fmt.Sscanf(val, "%d", &o.seed)
+			o.seed, err = strconv.ParseUint(val, 10, 64)
 		case "period":
-			_, err = fmt.Sscanf(val, "%d", &o.period)
+			o.period, err = strconv.ParseInt(val, 10, 64)
 		case "horizon":
-			_, err = fmt.Sscanf(val, "%d", &o.horizon)
+			o.horizon, err = strconv.ParseInt(val, 10, 64)
 		case "factor":
-			_, err = fmt.Sscanf(val, "%g", &o.factor)
+			o.factor, err = strconv.ParseFloat(val, 64)
 		case "count":
-			_, err = fmt.Sscanf(val, "%d", &o.count)
+			o.count, err = strconv.Atoi(val)
 		default:
 			return fmt.Errorf("unknown option %q", key)
 		}

@@ -239,6 +239,13 @@ func TestParseSpecErrorPaths(t *testing.T) {
 		{"brownout:period=0", "period and horizon must be positive"},
 		{"mem-brownout:horizon=-5", "period and horizon must be positive"},
 		{"chaos:factor=0.25", "factor must be a finite value >= 1"},
+		{"core-flap:count=-3", "count must be at least 1"},
+		{"chiplet-flap:count=0", "count must be at least 1"},
+		{"core-flap:count=1000,period=1000", "event cap"},
+		{"core-flap:period=1,horizon=1000000", "event cap"},
+		{"chaos:period=1000", "event cap"},
+		{"core-flap:count=9223372036854775807", "event cap"},
+		{"chiplet-flap:seed=7,period=2ms", `option "period=2ms"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.spec, func(t *testing.T) {
@@ -250,6 +257,41 @@ func TestParseSpecErrorPaths(t *testing.T) {
 				t.Fatalf("ParseSpec(%q) error %q does not mention %q", tc.spec, err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// TestParseSpecWindows: one window per whole period in the horizon, laid
+// out without overflow when period+period passes MaxInt64, and no window
+// walk for a schedule that emits nothing (a chiplet flap on one chiplet).
+func TestParseSpecWindows(t *testing.T) {
+	if s, err := ParseSpec("chiplet-flap:period=1,horizon=1000000000000", topology.Synthetic(1, 2)); err != nil || len(s.Events) != 0 {
+		t.Fatalf("one-chiplet flap: %v, %v; want no events", s, err)
+	}
+	topo := topology.Synthetic(4, 2)
+	for _, tc := range []struct {
+		spec string
+		want []Event
+	}{
+		{"thermal:period=5000000000000000000,horizon=9000000000000000000", []Event{
+			{Kind: ThermalThrottle, From: 1_250_000_000_000_000_000, To: 3_750_000_000_000_000_000, Factor: 3}}},
+		{"mem-brownout:period=1000,horizon=2999", []Event{
+			{Kind: MemBrownout, From: 250, To: 750, Factor: 4},
+			{Kind: MemBrownout, From: 1250, To: 1750, Factor: 4}}},
+		{"brownout:period=1000,horizon=999", nil},
+	} {
+		s, err := ParseSpec(tc.spec, topo)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", tc.spec, err)
+		}
+		if len(s.Events) != len(tc.want) {
+			t.Fatalf("ParseSpec(%q): %d events, want %d", tc.spec, len(s.Events), len(tc.want))
+		}
+		for i, e := range s.Events {
+			w := tc.want[i]
+			if e.Kind != w.Kind || e.From != w.From || e.To != w.To || e.Factor != w.Factor {
+				t.Errorf("ParseSpec(%q) event %d = %+v, want %+v (any unit)", tc.spec, i, e, w)
+			}
+		}
 	}
 }
 

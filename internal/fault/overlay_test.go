@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -219,41 +218,26 @@ func TestOverlayAppendRules(t *testing.T) {
 	}()
 }
 
-// TestParseSpecPower: the closed-loop scenario parses its own key set and
-// refuses everything else.
+// TestParseSpecPower: the closed-loop plane is configured by the
+// runtime's Power config alone, so a "power" spec is an unknown schedule
+// whatever its keys, and the power keys mean nothing to the fault names.
 func TestParseSpecPower(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
-	s, err := ParseSpec("power", topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Power == nil || len(s.Events) != 0 {
-		t.Fatalf("bare power spec: Power=%v events=%d", s.Power, len(s.Events))
-	}
-	s, err = ParseSpec("power:tdp=12.5,rc=2000000,setpoint=70", topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Power.TDPWatts != 12.5 || s.Power.TauNS != 2_000_000 || s.Power.SetpointC != 70 {
-		t.Fatalf("power knobs = %+v", *s.Power)
-	}
-	if _, err := s.Compile(topo); err != nil {
-		t.Fatalf("power-only schedule failed to compile: %v", err)
-	}
-
 	for _, tc := range []struct {
 		spec    string
 		wantSub string
 	}{
-		{"power:tdp=0", "finite value > 0"},
-		{"power:tdp=-3", "finite value > 0"},
-		{"power:tdp=NaN", "finite value > 0"},
-		{"power:rc=0", "positive virtual ns"},
-		{"power:rc=oops", `option "rc=oops"`},
-		{"power:setpoint=-10", "finite value > 0"},
-		{"power:tdp=5,tdp=6", "duplicate option"},
-		{"power:period=100", "unknown option"},
-		{"power:tdp", "malformed option"},
+		{"power", "unknown schedule"},
+		{"power:tdp=12.5,rc=2000000,setpoint=70", "unknown schedule"},
+		{"power:tdp=0", "unknown schedule"},
+		{"power:tdp=-3", "unknown schedule"},
+		{"power:tdp=NaN", "unknown schedule"},
+		{"power:rc=0", "unknown schedule"},
+		{"power:rc=oops", "unknown schedule"},
+		{"power:setpoint=-10", "unknown schedule"},
+		{"power:tdp=5,tdp=6", "unknown schedule"},
+		{"power:period=100", "unknown schedule"},
+		{"power:tdp", "unknown schedule"},
 		{"thermal:tdp=5", "unknown option"},
 	} {
 		t.Run(tc.spec, func(t *testing.T) {
@@ -268,20 +252,29 @@ func TestParseSpecPower(t *testing.T) {
 	}
 }
 
-// TestCompileThermalConflict: static thermal-throttle events and the
-// closed-loop plane are mutually exclusive, and the refusal is typed.
+// TestCompileThermalConflict: Compile leaves the static-thermal-vs-plane
+// rule to the plane's consumers, which read it off Plan.Events: a plan
+// with thermal-throttle events compiles and lists them, a plan without
+// lists none.
 func TestCompileThermalConflict(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
-	s := New("clash", 1).ThermalThrottle(0, 100, 200, 2.0)
-	s.Power = &PowerKnobs{TDPWatts: 8}
-	if _, err := s.Compile(topo); !errors.Is(err, ErrThermalConflict) {
-		t.Fatalf("Compile = %v, want ErrThermalConflict", err)
+	hasThermal := func(s *Schedule) bool {
+		p, err := s.Compile(topo)
+		if err != nil {
+			t.Fatalf("Compile(%s) = %v", s.Name, err)
+		}
+		for _, e := range p.Events() {
+			if e.Kind == ThermalThrottle {
+				return true
+			}
+		}
+		return false
 	}
-	// Non-thermal static events coexist with the plane.
-	ok := New("ok", 1).LinkBrownout(1, 100, 200, 4.0)
-	ok.Power = &PowerKnobs{TDPWatts: 8}
-	if _, err := ok.Compile(topo); err != nil {
-		t.Fatalf("Compile rejected power + link brownout: %v", err)
+	if !hasThermal(New("clash", 1).ThermalThrottle(0, 100, 200, 2.0).LinkBrownout(1, 100, 200, 4.0)) {
+		t.Fatal("compiled plan hides its thermal-throttle event")
+	}
+	if hasThermal(New("ok", 1).LinkBrownout(1, 100, 200, 4.0)) {
+		t.Fatal("link-brownout plan reports a thermal-throttle event")
 	}
 }
 

