@@ -25,6 +25,8 @@ STATICCHECK_VERSION ?= 2025.1.1
 # under -race too (~40 s: the stress tests that hammer Machine.Access from
 # one goroutine per core over the coherence directory and the lock-free
 # tag arrays, and the streamed access path against its reference), the
+# free-running engine's smoke test under -race (BFS, PageRank and GUPS on
+# the throttle-gate engine, every worker on its own goroutine), the
 # experiment pool of charm-bench under -race (experiments regenerated
 # concurrently share one read-only Kronecker graph), the Chrome trace
 # replay under -race (~5 min on 2 cores: with profiling on every worker
@@ -58,6 +60,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/task/... ./internal/place/...
 	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/mem/...
+	$(GO) test -race -run TestFreeRunningSmoke .
 	$(GO) test -race ./cmd/charm-bench/
 	$(GO) test -race -run TestTraceReplays ./cmd/charm-obs/
 	$(GO) test -race -count=2 -run TestTenantIsolationReplay ./internal/core/
@@ -173,16 +176,18 @@ bench-gate:
 
 # loc prints the sizes ROADMAP quotes, so a simplicity PR's headline
 # figure is reproducible: non-test Go lines outside bench/ (comments and
-# blank lines included), then test lines, then the settable fields (field
-# lines, as go doc prints them) of the four configuration structs.
-KNOB_STRUCTS = charm.Config charm/internal/core.Options charm/internal/core.JobServiceOptions charm/internal/sim.Config
+# blank lines included), then test lines, then the settable fields of the
+# configuration structs (field names, as go doc prints them: a line
+# declaring `SoftC, HardC, ParkC float64` is three).
+KNOB_STRUCTS = charm.Config charm/internal/core.Options charm/internal/core.JobServiceOptions charm/internal/sim.Config charm/internal/power.Config charm/internal/tenant.Spec
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
 	@find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs wc -l | tail -1
 	@for t in $(KNOB_STRUCTS); do \
 		printf ' %s %s' $${t#charm/internal/} $$($(GO) doc -u $$t | sed -n '/struct {/,/^}/p' | \
-			grep -cE '^\s+[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* +[^ /]'); \
+			sed -nE 's/^\s+([A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)*) +[^ /].*/\1/p' | \
+			awk -F', ' '{ n += NF } END { print n + 0 }'); \
 	done; echo ' knobs'
 
 # Observability smoke runs: a Chrome trace and a Prometheus metrics dump

@@ -244,8 +244,8 @@ var (
 
 // ParseTenantSpec parses the tenant-spec grammar
 // "[tenant:]name[,weight[,quota]][,key=value...]" (keys: weight, quota,
-// class, gap, burst, queue, policy) into a TenantSpec; Spec.String
-// round-trips the canonical form.
+// gap, burst, queue, policy) into a TenantSpec; Spec.String round-trips
+// the canonical form.
 var ParseTenantSpec = tenant.ParseSpec
 
 // NewPoissonArrivals builds a seeded open-loop Poisson arrival process of

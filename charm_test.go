@@ -54,7 +54,7 @@ func TestInitValidation(t *testing.T) {
 		{"disordered power setpoints", Config{Workers: 2, Topology: small,
 			Power: &PowerConfig{SoftC: 90, HardC: 80}}, false},
 		{"power ambient above soft", Config{Workers: 2, Topology: small,
-			Power: &PowerConfig{AmbientC: 90, SoftC: 80}}, false},
+			Power: &PowerConfig{SoftC: 40}}, false},
 		{"negative power RC resistance", Config{Workers: 2, Topology: small,
 			Power: &PowerConfig{Models: []PowerModel{{RThermal: -1, CThermal: 0.001}}}}, false},
 		{"infinite power energy entry", Config{Workers: 2, Topology: small,

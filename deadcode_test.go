@@ -57,6 +57,9 @@ var deadcodeAllow = map[string]string{
 	"charm/internal/core.(*Ctx).Call":               "paper primitive: Ctx.Call",
 	"charm/internal/core.(*Ctx).CallAsync":          "paper primitive: Ctx.CallAsync",
 	"charm/internal/core.(*Ctx).DelegateAsync":      "paper primitive: Ctx.DelegateAsync, run by Example_delegation",
+	"charm/internal/core.(*Ctx).DelegateBatch":      "paper primitive: Ctx.DelegateBatch, run by Example_delegation",
+	"charm/internal/core.(*Runtime).OwnerOf":        "paper primitive: OwnerOf",
+	"charm/internal/fabric.(*Fabric).MessageDelay":  "paper primitive: the message cost Ctx.Call, Ctx.CallAsync and Ctx.DelegateBatch charge",
 	"charm/internal/core.(*Runtime).liveTarget":     "paper primitive: Ctx.Call's and Ctx.CallAsync's redirect around offline cores",
 	"charm/internal/core.(*Worker).SpreadRate":      "paper primitive: spread_rate (§4.2), as charm.Runtime.SpreadRate reads it",
 	"charm/internal/core.(*Ctx).Delegate":           "paper primitive: Ctx.Delegate",

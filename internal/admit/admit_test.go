@@ -98,9 +98,7 @@ func TestShedEvictsWorstSlack(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{TripMilli: 2500, HealMilli: 1400, RetryAfter: 1000, Probes: 2, MinSamples: 1}
 	var b Breaker
-	b.cfg = cfg
 	if !b.Allow() {
 		t.Fatal("closed breaker refused")
 	}
@@ -120,18 +118,27 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.state != BreakerHalfOpen {
 		t.Fatalf("healed: state %v", b.state)
 	}
-	if !b.Allow() || !b.Allow() || b.Allow() {
+	for i := 0; i < probeBudget; i++ {
+		if !b.Allow() {
+			t.Fatalf("half-open probe %d refused", i)
+		}
+	}
+	if b.Allow() {
 		t.Fatal("half-open probe budget not enforced")
 	}
 	b.Eval(40, 1000, 3000) // observed slowdown during probes: re-open
 	if b.state != BreakerOpen {
 		t.Fatalf("probe failure: state %v", b.state)
 	}
-	b.Eval(2000, 1000, 0) // retry timeout elapsed
+	b.Eval(40+retryAfter-1, 3000, 0) // browned out, retry timeout not yet up
+	if b.state != BreakerOpen {
+		t.Fatalf("before retry timeout: state %v", b.state)
+	}
+	b.Eval(40+retryAfter, 3000, 0) // retry timeout elapsed, plan still bad
 	if b.state != BreakerHalfOpen {
 		t.Fatalf("retry timeout: state %v", b.state)
 	}
-	b.Eval(2010, 1000, 1000) // healthy probes: close
+	b.Eval(50+retryAfter, 1000, 1000) // healthy probes: close
 	if b.state != BreakerClosed || b.trips != 2 {
 		t.Fatalf("close: state %v trips %d", b.state, b.trips)
 	}
@@ -143,7 +150,7 @@ func TestBreakerSetEvalPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSet(topo.NumChiplets(), BreakerConfig{})
+	s := NewSet(topo.NumChiplets())
 	s.EvalPlan(50, plan, nil)
 	if s.Open() != 0 {
 		t.Fatalf("pre-fault open count = %d", s.Open())
@@ -169,11 +176,14 @@ func TestBreakerSetEvalPlan(t *testing.T) {
 }
 
 func TestEstimatorFallbackAndQuantile(t *testing.T) {
-	e := NewEstimator(0.5, 4)
+	e := NewEstimator()
+	for i := 0; i < estMinSamples-1; i++ {
+		e.Observe(100_000)
+	}
 	if got := e.Estimate(7777); got != 7777 {
 		t.Fatalf("cold estimate = %d, want hint", got)
 	}
-	for i := 0; i < 100; i++ {
+	for i := estMinSamples - 1; i < 100; i++ {
 		e.Observe(100_000) // all in the (65536,131072] bucket
 	}
 	got := e.Estimate(7777)

@@ -33,55 +33,29 @@ func (s BreakerState) String() string {
 	return "?"
 }
 
-// BreakerConfig tunes the per-chiplet breakers. Slowdowns are expressed in
-// milli-units like the fault plans: 1000 = nominal speed, 2000 = 2× slower.
-type BreakerConfig struct {
-	// TripMilli opens the breaker when the chiplet's worst health signal
+// The breaker tuning. Slowdowns are in milli-units like the fault plans:
+// 1000 = nominal speed, 2000 = 2× slower.
+const (
+	// tripMilli opens the breaker when the chiplet's worst health signal
 	// (plan-declared or observed) reaches it.
-	TripMilli int64
-	// HealMilli transitions Open→HalfOpen once the fault plan's declared
+	tripMilli = 2500
+	// healMilli transitions Open→HalfOpen once the fault plan's declared
 	// slowdown drops back to it or below ("the plan heals").
-	HealMilli int64
-	// RetryAfter transitions Open→HalfOpen after this much virtual time
+	healMilli = 1400
+	// retryAfter transitions Open→HalfOpen after this much virtual time
 	// even without plan healing, so purely observation-tripped breakers
 	// can probe their way back.
-	RetryAfter int64
-	// Probes is the half-open placement budget per probe round.
-	Probes int
+	retryAfter = 2_000_000
+	// probeBudget is the half-open placement budget per probe round.
+	probeBudget = 4
 	// MinSamples is how many execution observations a chiplet needs in an
 	// evaluation window before its observed slowdown is trusted.
-	MinSamples int64
-}
-
-// DefaultBreakerConfig returns the tuning used by the runtime: trip at
-// 2.5× slowdown, heal below 1.4×, re-probe after 2ms of virtual time.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{TripMilli: 2500, HealMilli: 1400, RetryAfter: 2_000_000, Probes: 4, MinSamples: 8}
-}
-
-func (c *BreakerConfig) fill() {
-	d := DefaultBreakerConfig()
-	if c.TripMilli <= 0 {
-		c.TripMilli = d.TripMilli
-	}
-	if c.HealMilli <= 0 {
-		c.HealMilli = d.HealMilli
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = d.RetryAfter
-	}
-	if c.Probes <= 0 {
-		c.Probes = d.Probes
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = d.MinSamples
-	}
-}
+	MinSamples = 8
+)
 
 // Breaker is one chiplet's circuit breaker. Not goroutine-safe; the job
 // service drives it under its own lock.
 type Breaker struct {
-	cfg      BreakerConfig
 	state    BreakerState
 	openedAt int64
 	probes   int
@@ -114,7 +88,7 @@ func (b *Breaker) Eval(now, planMilli, obsMilli int64) {
 	}
 	switch b.state {
 	case BreakerClosed:
-		if milli >= b.cfg.TripMilli {
+		if milli >= tripMilli {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.trips++
@@ -123,28 +97,27 @@ func (b *Breaker) Eval(now, planMilli, obsMilli int64) {
 		// Half-open when the plan declares the chiplet healed, or after
 		// the virtual retry timeout (observation-only trips have no plan
 		// signal to wait for).
-		if planMilli <= b.cfg.HealMilli || now-b.openedAt >= b.cfg.RetryAfter {
+		if planMilli <= healMilli || now-b.openedAt >= retryAfter {
 			b.state = BreakerHalfOpen
-			b.probes = b.cfg.Probes
+			b.probes = probeBudget
 		}
 	case BreakerHalfOpen:
-		if milli >= b.cfg.TripMilli {
+		if milli >= tripMilli {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.trips++
-		} else if milli <= b.cfg.HealMilli {
+		} else if milli <= healMilli {
 			b.state = BreakerClosed
 		} else {
 			// Ambiguous: keep probing with a fresh budget.
-			b.probes = b.cfg.Probes
+			b.probes = probeBudget
 		}
 	}
 }
 
 // Set is the per-chiplet breaker bank.
 type Set struct {
-	cfg BreakerConfig
-	bs  []Breaker
+	bs []Breaker
 
 	// OnTransition, when set, is invoked from EvalPlan for every breaker
 	// state change (chiplet, virtual time, old and new state) — the hook
@@ -154,17 +127,7 @@ type Set struct {
 }
 
 // NewSet builds a bank of n breakers (one per chiplet).
-func NewSet(n int, cfg BreakerConfig) *Set {
-	cfg.fill()
-	s := &Set{cfg: cfg, bs: make([]Breaker, n)}
-	for i := range s.bs {
-		s.bs[i].cfg = cfg
-	}
-	return s
-}
-
-// Config returns the (filled) configuration the set was built with.
-func (s *Set) Config() BreakerConfig { return s.cfg }
+func NewSet(n int) *Set { return &Set{bs: make([]Breaker, n)} }
 
 // Len returns the number of breakers.
 func (s *Set) Len() int { return len(s.bs) }

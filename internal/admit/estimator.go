@@ -13,36 +13,22 @@ var estBounds = func() []int64 {
 	return b
 }()
 
-// Estimator predicts a job's service time from the distribution of
-// completed service times, as the q-quantile of an obs histogram. It keeps
-// its own always-enabled registry so admission estimates keep working when
-// the runtime's user-facing metrics are switched off. Observe may run beside
-// anything; Estimate and Count share a merge scratch, so their callers must
-// be serialised (the job service calls them under its mutex).
+// estMinSamples is how many completions an estimator needs before it
+// trusts its own median over the caller's hint.
+const estMinSamples = 16
+
+// Estimator predicts a job's service time as the median of the completed
+// service times, bucketed on estBounds (the last bucket is +Inf). It is not
+// synchronised: the job service calls it under its own lock.
 type Estimator struct {
-	h       *obs.Histogram
-	q       float64
-	min     int64
-	scratch []int64 // merged bucket counts, reused across calls
+	counts []int64
+	sum    int64
+	count  int64
 }
 
-// NewEstimator builds an estimator reporting the q-quantile (clamped to
-// [0,1]; 0 selects the default 0.5) once minSamples observations have
-// accumulated (minimum 1).
-func NewEstimator(q float64, minSamples int64) *Estimator {
-	if q <= 0 {
-		q = 0.5
-	}
-	if q > 1 {
-		q = 1
-	}
-	if minSamples < 1 {
-		minSamples = 1
-	}
-	reg := obs.NewRegistry(1)
-	reg.SetEnabled(true)
-	h := reg.Histogram("admit_service_time_ns", "completed job service times", nil, estBounds)
-	return &Estimator{h: h, q: q, min: minSamples}
+// NewEstimator builds an empty estimator.
+func NewEstimator() *Estimator {
+	return &Estimator{counts: make([]int64, len(estBounds)+1)}
 }
 
 // Observe records one completed job's service time (virtual ns).
@@ -50,27 +36,27 @@ func (e *Estimator) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	e.h.Observe(0, v)
+	i := 0
+	for i < len(estBounds) && v > estBounds[i] {
+		i++
+	}
+	e.counts[i]++
+	e.sum += v
+	e.count++
 }
 
 // Count returns how many observations have been recorded.
-func (e *Estimator) Count() int64 {
-	var n int64
-	e.scratch, _, n = e.h.MergedInto(e.scratch)
-	return n
-}
+func (e *Estimator) Count() int64 { return e.count }
 
 // Estimate returns the current service-time estimate, falling back to the
-// caller's hint (the job spec's declared cost) until enough samples have
-// accumulated or when the quantile degenerates to zero.
+// caller's hint (the job spec's declared cost) until estMinSamples have
+// accumulated or when the median degenerates to zero.
 func (e *Estimator) Estimate(hint int64) int64 {
-	counts, sum, count := e.h.MergedInto(e.scratch)
-	e.scratch = counts
-	if count < e.min {
+	if e.count < estMinSamples {
 		return hint
 	}
-	hd := obs.HistData{Bounds: estBounds, Counts: counts, Sum: sum, Count: count}
-	if est := hd.Quantile(e.q); est > 0 {
+	hd := obs.HistData{Bounds: estBounds, Counts: e.counts, Sum: e.sum, Count: e.count}
+	if est := hd.Quantile(0.5); est > 0 {
 		return est
 	}
 	return hint

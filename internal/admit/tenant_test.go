@@ -78,18 +78,16 @@ func TestArrivalShapes(t *testing.T) {
 // TestBreakerHalfOpenProbeRace hammers a half-open breaker's Allow from
 // many goroutines under the owner-lock discipline the job service uses,
 // checking the probe budget is spent exactly once per unit: precisely
-// cfg.Probes placements may pass per probe round no matter how the
+// probeBudget placements may pass per probe round no matter how the
 // concurrent callers interleave, and an ambiguous Eval refills the budget
 // without leaking extra grants.
 func TestBreakerHalfOpenProbeRace(t *testing.T) {
-	cfg := DefaultBreakerConfig()
-	cfg.Probes = 4
-	set := NewSet(1, cfg)
+	set := NewSet(1)
 	var mu sync.Mutex
 
 	trip := func(now int64) {
 		mu.Lock()
-		set.EvalPlan(now, emptyPlan(t), func(int) int64 { return cfg.TripMilli })
+		set.EvalPlan(now, emptyPlan(t), func(int) int64 { return tripMilli })
 		mu.Unlock()
 	}
 	halfOpen := func(now int64) {
@@ -126,13 +124,13 @@ func TestBreakerHalfOpenProbeRace(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if granted != int64(cfg.Probes) {
-			t.Fatalf("round %d: %d probe grants, want exactly %d", r, granted, cfg.Probes)
+		if granted != probeBudget {
+			t.Fatalf("round %d: %d probe grants, want exactly %d", r, granted, probeBudget)
 		}
 		// Ambiguous health (between heal and trip): the breaker stays
 		// half-open and re-arms exactly one fresh probe budget.
 		mu.Lock()
-		set.EvalPlan(int64(10+r), emptyPlan(t), func(int) int64 { return (cfg.HealMilli + cfg.TripMilli) / 2 })
+		set.EvalPlan(int64(10+r), emptyPlan(t), func(int) int64 { return (healMilli + tripMilli) / 2 })
 		st := set.State(0)
 		mu.Unlock()
 		if st != BreakerHalfOpen {

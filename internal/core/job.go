@@ -271,8 +271,8 @@ type JobServiceOptions struct {
 	// Source is the open-loop arrival stream (nil = external SubmitJob
 	// only).
 	Source JobSource
-	// Breakers enables per-chiplet circuit breakers (tuned by
-	// admit.DefaultBreakerConfig).
+	// Breakers enables per-chiplet circuit breakers (trip at 2.5×
+	// slowdown, heal below 1.4×, re-probe after 2ms of virtual time).
 	Breakers bool
 	// EvalInterval is the breaker/telemetry evaluation period in virtual
 	// ns (0 = the runtime's scheduler timer).
@@ -282,9 +282,9 @@ type JobServiceOptions struct {
 	Placement JobPlacement
 	// SLO declares per-priority-class availability objectives: class →
 	// target fraction of jobs completing within their deadline (e.g.
-	// 0.95). Non-empty enables the burn-rate tracker; alert edges surface
-	// in metrics, the Chrome trace, and the span stream. The burn-rate
-	// windows are obs.BurnConfig's defaults.
+	// 0.95), strictly inside (0, 1). Non-empty enables the burn-rate
+	// tracker; alert edges surface in metrics, the Chrome trace, and the
+	// span stream.
 	SLO map[int]float64
 	// Tenants declares the service's tenants: one admission queue, token
 	// bucket, and service-time estimator each, a deficit-round-robin
@@ -408,6 +408,9 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	if rt.lifecycle.Load() == lcStopped {
 		return nil, ErrFinalized
 	}
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = 1024
 	}
@@ -432,7 +435,7 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		trShard:   rt.trShard(),
 	}
 	if opts.Breakers {
-		s.brk = admit.NewSet(nch, admit.DefaultBreakerConfig())
+		s.brk = admit.NewSet(nch)
 		// Breaker flaps go on the trace timeline: a typed instant span per
 		// transition, emitted under svc.mu (EvalPlan's caller).
 		s.brk.OnTransition = func(ch int, now int64, from, to admit.BreakerState) {
@@ -444,7 +447,7 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		}
 	}
 	if len(opts.SLO) > 0 {
-		s.slo = obs.NewSLOTracker(obs.BurnConfig{})
+		s.slo = obs.NewSLOTracker()
 		for class, target := range opts.SLO {
 			s.slo.SetObjective(class, target)
 		}
@@ -461,6 +464,25 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	}
 	rt.ls.wake() // a parked fleet has arrivals to drift toward now
 	return s, nil
+}
+
+// validate rejects the options ServeJobs cannot honour: an unknown policy
+// or placement, and an SLO target that is not a fraction strictly inside
+// (0, 1). Configured tenants carry their own policies, checked by
+// tenant.Spec.Validate.
+func (o *JobServiceOptions) validate() error {
+	if o.Policy > admit.Shed {
+		return fmt.Errorf("core: unknown admission policy %d", o.Policy)
+	}
+	if o.Placement > PlaceRoundRobin {
+		return fmt.Errorf("core: unknown placement %d", o.Placement)
+	}
+	for class, target := range o.SLO {
+		if !(target > 0 && target < 1) {
+			return fmt.Errorf("core: SLO target %v for class %d must lie strictly inside (0, 1)", target, class)
+		}
+	}
+	return nil
 }
 
 // JobServer returns the installed job service, or nil.
@@ -913,12 +935,11 @@ func (s *JobService) evalLocked(now int64) {
 		fleetSum += sums[ch]
 		fleetCnt += cnts[ch]
 	}
-	minS := s.brk.Config().MinSamples
 	// Rewritten in place: dispatch views read it only while mu is held.
 	om := resize(s.obsMilli, n)
 	for ch := 0; ch < n; ch++ {
 		om[ch] = 0
-		if cnts[ch] < minS || fleetCnt == 0 || fleetSum == 0 {
+		if cnts[ch] < admit.MinSamples || fleetCnt == 0 || fleetSum == 0 {
 			continue
 		}
 		chMean := float64(sums[ch]) / float64(cnts[ch])

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -142,8 +143,8 @@ func TestTenantIsolationReplay(t *testing.T) {
 	}
 }
 
-// TestTenantSetupErrors: malformed tenant configurations must be
-// rejected at ServeJobs time, not discovered mid-run.
+// TestTenantSetupErrors: malformed tenant and service configurations
+// must be rejected at ServeJobs time, not discovered mid-run.
 func TestTenantSetupErrors(t *testing.T) {
 	rt := jobRuntime(t, Options{})
 	mk := func(specs ...tenant.Spec) JobServiceOptions {
@@ -164,10 +165,21 @@ func TestTenantSetupErrors(t *testing.T) {
 		{"quota oversubscribed", mk(
 			tenant.Spec{Name: "A", Weight: 1, Quota: 3},
 			tenant.Spec{Name: "B", Weight: 1, Quota: 2})},
+		{"unknown policy", JobServiceOptions{Policy: admit.Shed + 1}},
+		{"unknown placement", JobServiceOptions{Placement: PlaceRoundRobin + 1}},
 	}
+	// A service that gets installed makes every later call fail for that
+	// reason alone, so the first bad config accepted ends the test.
 	for _, tc := range cases {
 		if _, err := rt.ServeJobs(tc.opts); err == nil {
-			t.Errorf("%s: ServeJobs accepted a bad config", tc.name)
+			t.Fatalf("%s: ServeJobs accepted a bad config", tc.name)
+		}
+	}
+	// An SLO target is a fraction strictly inside (0, 1).
+	for _, target := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 0, 1, 1.5} {
+		opts := JobServiceOptions{SLO: map[int]float64{0: 0.95, 1: target}}
+		if _, err := rt.ServeJobs(opts); err == nil {
+			t.Fatalf("ServeJobs accepted SLO target %v", target)
 		}
 	}
 	// A global Source cannot be combined with per-tenant sources.
@@ -263,8 +275,11 @@ func TestTenantEstimatorIsolation(t *testing.T) {
 	svc := lsServe(t, rt, JobServiceOptions{
 		Tenants: []TenantConfig{mk("heavy"), mk("fresh")},
 	})
+	// The heavy tenant completes exactly as many jobs as an estimator
+	// needs before it trusts its own median (admit's estMinSamples).
+	const warm = 16
 	var done []*Job
-	for i := 0; i < estMinSamples; i++ {
+	for i := 0; i < warm; i++ {
 		spec := computeJob(1, 1_000_000, nil)
 		spec.Tenant = "heavy"
 		j, err := rt.SubmitJob(spec)
@@ -278,8 +293,8 @@ func TestTenantEstimatorIsolation(t *testing.T) {
 	}
 	svc.mu.Lock()
 	heavy, fresh := svc.tens[0].est, svc.tens[1].est
-	if n := heavy.Count(); n != estMinSamples {
-		t.Errorf("heavy tenant's estimator saw %d completions, want %d", n, estMinSamples)
+	if n := heavy.Count(); n != warm {
+		t.Errorf("heavy tenant's estimator saw %d completions, want %d", n, warm)
 	}
 	if got := heavy.Estimate(10_000); got < 500_000 {
 		t.Errorf("heavy tenant estimate = %d, want ~1ms from its own history", got)

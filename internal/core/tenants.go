@@ -41,10 +41,6 @@ var (
 	ErrRateLimited = errors.New("core: tenant rate limit exceeded")
 )
 
-// estMinSamples is how many completions a tenant's service-time estimator
-// needs before its estimates replace the spec's Cost hint.
-const estMinSamples = 16
-
 // TenantConfig declares one tenant of a multi-tenant job service.
 type TenantConfig struct {
 	// Spec is the tenant's admission contract (weight, quota, rate
@@ -84,7 +80,7 @@ type tenantRt struct {
 	q      *admit.Queue
 	bucket *tenant.Bucket
 	// est predicts service times (the median) from this tenant's
-	// completions only; until estMinSamples have completed it falls back to
+	// completions only; until it has enough samples it falls back to
 	// the job's own Cost hint, never to another tenant's distribution.
 	est *admit.Estimator
 	src JobSource
@@ -133,7 +129,7 @@ func (s *JobService) setupTenants(cfgs []TenantConfig) error {
 			spec:   spec,
 			q:      admit.NewQueue(qcap, spec.Policy),
 			bucket: tenant.NewBucket(spec.GapNS, spec.Burst),
-			est:    admit.NewEstimator(0.5, estMinSamples),
+			est:    admit.NewEstimator(),
 			src:    c.Source,
 			stats:  TenantStats{Name: spec.Name},
 		}
@@ -468,7 +464,7 @@ func (s *JobService) updateThermLocked() {
 			over++
 		}
 	}
-	factor := pw.SoftFactorMilli()
+	factor := pw.SoftTierMilli()
 	if over == 0 || len(fc) == 0 || factor <= 1000 {
 		s.thermMilli = 1000
 		return

@@ -61,7 +61,7 @@ func (o Options) Fig1() *Table {
 
 	// Sparse linear algebra (SpMV) vs RING — the second irregular family
 	// the paper's Q4 names.
-	spmvCfg := spmv.Config{LogRows: o.GraphScale - 1, NNZPerRow: 16, Iters: 3, Seed: 7}
+	spmvCfg := spmv.Config{LogRows: o.GraphScale - 1, Iters: 3, Seed: 7}
 	rtC = o.runtime(o.amd(), charm.SystemCHARM, workers)
 	sC := spmv.Run(rtC, spmvCfg).GFLOPS()
 	rtC.Finalize()

@@ -13,39 +13,19 @@ import "sort"
 // from SRE practice. Everything is keyed to virtual timestamps, so
 // deterministic replays produce identical alert sequences.
 
-// BurnConfig shapes the evaluation windows. Zero values select the
-// defaults, scaled for simulated runs (milliseconds of virtual time
-// rather than the hours a production system would use).
-type BurnConfig struct {
-	SlotNS     int64   // bucketing granularity (default 50µs virtual)
-	FastWindow int64   // fast window span (default 20 slots)
-	SlowWindow int64   // slow window span (default 120 slots)
-	FastBurn   float64 // fast-window burn threshold (default 14)
-	SlowBurn   float64 // slow-window burn threshold (default 6)
-}
-
-func (c BurnConfig) withDefaults() BurnConfig {
-	if c.SlotNS <= 0 {
-		c.SlotNS = 50_000
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 20 * c.SlotNS
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 120 * c.SlotNS
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 14
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 6
-	}
-	return c
-}
+// The evaluation windows, scaled for simulated runs (milliseconds of
+// virtual time rather than the hours a production system would use).
+const (
+	sloSlotNS     = 50_000          // bucketing granularity: 50µs virtual
+	sloFastWindow = 20 * sloSlotNS  // fast window span
+	sloSlowWindow = 120 * sloSlotNS // slow window span
+	sloFastBurn   = 14              // fast-window burn threshold
+	sloSlowBurn   = 6               // slow-window burn threshold
+)
 
 // sloSlot is one virtual-time bucket of outcomes.
 type sloSlot struct {
-	slot int64 // slot index (virtual time / SlotNS)
+	slot int64 // slot index (virtual time / sloSlotNS)
 	good int64
 	bad  int64
 }
@@ -73,26 +53,19 @@ type SLOAlert struct {
 // synchronized: the job service drives it under its own lock, in
 // virtual-time order, which is what keeps replays byte-identical.
 type SLOTracker struct {
-	cfg     BurnConfig
 	classes map[int]*sloClass
 	alerts  []SLOAlert
 }
 
-// NewSLOTracker builds a tracker with the given window config.
-func NewSLOTracker(cfg BurnConfig) *SLOTracker {
-	return &SLOTracker{cfg: cfg.withDefaults(), classes: map[int]*sloClass{}}
+// NewSLOTracker builds a tracker with no objectives.
+func NewSLOTracker() *SLOTracker {
+	return &SLOTracker{classes: map[int]*sloClass{}}
 }
 
 // SetObjective declares a class's availability target, e.g. 0.95 means
-// "95% of this class's jobs meet their deadline". Targets outside (0,1)
-// are clamped.
+// "95% of this class's jobs meet their deadline". The target must lie
+// strictly inside (0, 1); the job service checks that before calling.
 func (t *SLOTracker) SetObjective(class int, target float64) {
-	if target <= 0 {
-		target = 0.5
-	}
-	if target >= 1 {
-		target = 0.999
-	}
 	c := t.classes[class]
 	if c == nil {
 		c = &sloClass{class: class}
@@ -108,13 +81,13 @@ func (t *SLOTracker) Record(class int, good bool, now int64) {
 	if c == nil {
 		return
 	}
-	slot := now / t.cfg.SlotNS
+	slot := now / sloSlotNS
 	n := len(c.slots)
 	if n == 0 || c.slots[n-1].slot != slot {
 		c.slots = append(c.slots, sloSlot{slot: slot})
 		n++
 		// Prune slots older than the slow window.
-		min := slot - t.cfg.SlowWindow/t.cfg.SlotNS - 1
+		min := slot - sloSlowWindow/sloSlotNS - 1
 		cut := 0
 		for cut < n && c.slots[cut].slot < min {
 			cut++
@@ -135,7 +108,7 @@ func (t *SLOTracker) Record(class int, good bool, now int64) {
 
 // burn computes the burn rate over [now-window, now] for one class.
 func (t *SLOTracker) burn(c *sloClass, now, window int64) float64 {
-	minSlot := (now - window) / t.cfg.SlotNS
+	minSlot := (now - window) / sloSlotNS
 	var good, bad int64
 	for i := len(c.slots) - 1; i >= 0; i-- {
 		if c.slots[i].slot < minSlot {
@@ -164,9 +137,9 @@ func (t *SLOTracker) Evaluate(now int64) []SLOAlert {
 	var edges []SLOAlert
 	for _, k := range classes {
 		c := t.classes[k]
-		fast := t.burn(c, now, t.cfg.FastWindow)
-		slow := t.burn(c, now, t.cfg.SlowWindow)
-		firing := fast >= t.cfg.FastBurn && slow >= t.cfg.SlowBurn
+		fast := t.burn(c, now, sloFastWindow)
+		slow := t.burn(c, now, sloSlowWindow)
+		firing := fast >= sloFastBurn && slow >= sloSlowBurn
 		if firing != c.firing {
 			c.firing = firing
 			e := SLOAlert{Class: k, T: now, Firing: firing, FastBurn: fast, SlowBurn: slow}
@@ -204,8 +177,8 @@ func (t *SLOTracker) Status(now int64) []SLOStatus {
 	for _, k := range classes {
 		c := t.classes[k]
 		st := SLOStatus{Class: k, Target: c.target, Good: c.good, Bad: c.bad,
-			FastBurn: t.burn(c, now, t.cfg.FastWindow),
-			SlowBurn: t.burn(c, now, t.cfg.SlowWindow), Firing: c.firing}
+			FastBurn: t.burn(c, now, sloFastWindow),
+			SlowBurn: t.burn(c, now, sloSlowWindow), Firing: c.firing}
 		if tot := c.good + c.bad; tot > 0 {
 			st.Achieved = float64(c.good) / float64(tot)
 		}

@@ -603,14 +603,14 @@ func TestTraceJSONCanonicalOrder(t *testing.T) {
 // TestSLOBurnRateWindows: the alert must fire only when both windows
 // exceed their thresholds, and clear once the fast window recovers.
 func TestSLOBurnRateWindows(t *testing.T) {
-	cfg := BurnConfig{SlotNS: 100, FastWindow: 500, SlowWindow: 3_000,
-		FastBurn: 10, SlowBurn: 5}
-	tr := NewSLOTracker(cfg)
+	tr := NewSLOTracker()
 	tr.SetObjective(0, 0.99) // 1% budget: burn = badFraction * 100
 	now := int64(0)
+	// Ten outcomes per slot: the fast window holds the last ~200, the
+	// slow window the last ~1200.
 	record := func(n int, good bool) {
 		for i := 0; i < n; i++ {
-			now += 10
+			now += sloSlotNS / 10
 			tr.Record(0, good, now)
 			tr.Evaluate(now)
 		}
@@ -644,7 +644,7 @@ func TestSLOBurnRateWindows(t *testing.T) {
 // TestSLOBurnUnreachableTarget: a class whose target leaves more budget
 // than the thresholds can ever burn must never fire.
 func TestSLOBurnUnreachableTarget(t *testing.T) {
-	tr := NewSLOTracker(BurnConfig{})
+	tr := NewSLOTracker()
 	tr.SetObjective(1, 0.5) // burn caps at 1/(1-0.5) = 2 < both thresholds
 	now := int64(0)
 	for i := 0; i < 200; i++ {

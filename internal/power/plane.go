@@ -39,15 +39,12 @@ type Plane struct {
 	rMilli     []int64
 	tauNS      []int64
 
-	tdpMilliW  int64
-	ambMilli   int64
-	softMilli  int64
-	hardMilli  int64
-	parkMilli  int64
-	hystMilli  int64
-	tierFactor [4]int64 // milli cost factor per governor tier
-	tick       int64
-	parkNS     int64
+	tdpMilliW int64
+	softMilli int64
+	hardMilli int64
+	parkMilli int64
+	tick      int64
+	parkNS    int64
 
 	// nextAt is the lock-free gate: the first grid boundary no claim has
 	// processed yet. MaybeTick(now) returns immediately while now < nextAt.
@@ -125,11 +122,9 @@ func NewPlane(topo *topology.Topology, pm *pmu.PMU, plan *fault.Plan, cfg Config
 		rMilli:     make([]int64, nch),
 		tauNS:      make([]int64, nch),
 		tdpMilliW:  int64(cfg.TDPWatts * 1000),
-		ambMilli:   int64(cfg.AmbientC * 1000),
 		softMilli:  int64(cfg.SoftC * 1000),
 		hardMilli:  int64(cfg.HardC * 1000),
 		parkMilli:  int64(cfg.ParkC * 1000),
-		hystMilli:  int64(cfg.HysteresisC * 1000),
 		tick:       cfg.TickNS,
 		parkNS:     cfg.ParkNS,
 		lastCumPJ:  make([]int64, nch),
@@ -141,12 +136,6 @@ func NewPlane(topo *topology.Topology, pm *pmu.PMU, plan *fault.Plan, cfg Config
 		soft:       make([]int64, nch),
 		hard:       make([]int64, nch),
 		park:       make([]int64, nch),
-	}
-	p.tierFactor = [4]int64{
-		1000,
-		int64(cfg.SoftFactor*1000 + 0.5),
-		int64(cfg.HardFactor*1000 + 0.5),
-		int64(cfg.HardFactor*1000 + 0.5), // parked cores are offline; survivors pay hard cost
 	}
 	models := cfg.Models
 	if len(models) == 0 {
@@ -170,9 +159,9 @@ func NewPlane(topo *topology.Topology, pm *pmu.PMU, plan *fault.Plan, cfg Config
 			tau = 1
 		}
 		p.tauNS[ch] = tau
-		p.tempMilli[ch] = p.ambMilli
+		p.tempMilli[ch] = ambientMilliC
 	}
-	p.maxTempMilli = p.ambMilli
+	p.maxTempMilli = ambientMilliC
 	p.nextAt.Store(p.tick)
 	p.publishLocked()
 	return p, nil
@@ -252,7 +241,7 @@ func (p *Plane) cumDynamicPJ(ch int) int64 {
 // tau/tick milli-degrees of steady state, which bounds the loop even when
 // an idle fleet catches up over a huge k.
 func (p *Plane) integrate(ch int, powerMW int64, k int64) {
-	tss := p.ambMilli + powerMW*p.rMilli[ch]/1000
+	tss := ambientMilliC + powerMW*p.rMilli[ch]/1000
 	tau := p.tauNS[ch]
 	dt := p.tick
 	if dt > tau {
@@ -275,7 +264,7 @@ func (p *Plane) integrate(ch int, powerMW int64, k int64) {
 
 // govern applies the tier state machine for chiplet ch at virtual time t:
 // rising temperature enters tiers at their setpoints, falling temperature
-// releases them only HysteresisC below, and the park tier appends an
+// releases them only hysteresisMilliC below, and the park tier appends an
 // offline span unless ch is the last live chiplet (then it degrades to a
 // hard throttle — the machine must keep making progress).
 func (p *Plane) govern(ch int, t int64) {
@@ -301,7 +290,7 @@ func (p *Plane) govern(ch int, t int64) {
 			}
 		}
 	} else {
-		for cur > want && temp < enter[cur]-p.hystMilli {
+		for cur > want && temp < enter[cur]-hysteresisMilliC {
 			cur--
 		}
 		want = cur
@@ -316,7 +305,7 @@ func (p *Plane) govern(ch int, t int64) {
 		}
 	}
 	p.tier[ch] = want
-	p.ov.AppendThermal(topology.ChipletID(ch), t, p.tierFactor[want])
+	p.ov.AppendThermal(topology.ChipletID(ch), t, tierFactor[want])
 }
 
 // parkAllowed reports whether at least one core outside chiplet ch is live
@@ -374,7 +363,7 @@ func (p *Plane) ForecastMilliC(horizonNS int64) []int64 {
 		if powerMW > p.tdpMilliW {
 			powerMW = p.tdpMilliW
 		}
-		tss := p.ambMilli + powerMW*p.rMilli[ch]/1000
+		tss := ambientMilliC + powerMW*p.rMilli[ch]/1000
 		t := s.TempMilliC[ch]
 		f := 1 - math.Exp(-float64(horizonNS)/float64(p.tauNS[ch]))
 		out[ch] = t + int64(float64(tss-t)*f)
@@ -382,11 +371,11 @@ func (p *Plane) ForecastMilliC(horizonNS int64) []int64 {
 	return out
 }
 
-// SoftFactorMilli returns the governor's soft-tier slowdown factor in
+// SoftTierMilli returns the governor's soft-tier slowdown factor in
 // milli-units (1000 = nominal) — what service times inflate to once the
 // soft throttle engages, and therefore the inflation the admission plane
 // applies to estimates when the forecast predicts that engagement.
-func (p *Plane) SoftFactorMilli() int64 { return p.tierFactor[1] }
+func (p *Plane) SoftTierMilli() int64 { return softTierMilli }
 
 // Instrument registers per-chiplet temperature and power gauges and the
 // energy counter with reg. The gauges are trace-enabled so charm-obs can

@@ -80,21 +80,11 @@ type Config struct {
 	// ledger accumulates true joules, but temperature cannot be driven by
 	// more than the package's delivery limit. Default 10.
 	TDPWatts float64
-	// AmbientC is the heatsink/ambient temperature chiplets relax toward
-	// when idle. Default 45.
-	AmbientC float64
 	// SoftC, HardC and ParkC are the governor's tiered setpoints in °C:
-	// crossing SoftC applies SoftFactor, HardC applies HardFactor, and
-	// ParkC parks the chiplet's cores for ParkNS. Must be strictly
-	// increasing. Defaults 85 / 95 / 105.
+	// crossing SoftC makes compute 1.5× as costly, HardC 3×, and ParkC
+	// parks the chiplet's cores for ParkNS. Must be strictly increasing
+	// and above the 45 °C ambient. Defaults 85 / 95 / 105.
 	SoftC, HardC, ParkC float64
-	// SoftFactor and HardFactor are the compute-cost multipliers injected
-	// at the first two tiers (>= 1). Defaults 1.5 / 3.0.
-	SoftFactor, HardFactor float64
-	// HysteresisC is how far below a setpoint temperature must fall before
-	// the governor releases that tier, preventing limit cycling at the
-	// threshold. Default 2.
-	HysteresisC float64
 	// TickNS is the governor's virtual-time evaluation period and the
 	// grid the fault overlay caps cached thermal segments at. Default
 	// 50_000 (50 µs).
@@ -110,17 +100,33 @@ type Config struct {
 
 // Defaults for Config's zero-valued fields.
 const (
-	DefaultTDPWatts    = 10.0
-	DefaultAmbientC    = 45.0
-	DefaultSoftC       = 85.0
-	DefaultHardC       = 95.0
-	DefaultParkC       = 105.0
-	DefaultSoftFactor  = 1.5
-	DefaultHardFactor  = 3.0
-	DefaultHysteresisC = 2.0
-	DefaultTickNS      = 50_000
-	DefaultParkNS      = 1_000_000
+	DefaultTDPWatts = 10.0
+	DefaultSoftC    = 85.0
+	DefaultHardC    = 95.0
+	DefaultParkC    = 105.0
+	DefaultTickNS   = 50_000
+	DefaultParkNS   = 1_000_000
 )
+
+// The governor's fixed tuning.
+const (
+	// ambientC is the heatsink/ambient temperature chiplets relax toward
+	// when idle; ambientMilliC is the same in milli-°C.
+	ambientC      = 45.0
+	ambientMilliC = ambientC * 1000
+	// softTierMilli and hardTierMilli are the compute-cost multipliers
+	// injected at the soft and hard tiers, in milli-units (1500 = 1.5×).
+	softTierMilli = 1500
+	hardTierMilli = 3000
+	// hysteresisMilliC is how far below a setpoint (in milli-°C) the
+	// temperature must fall before the governor releases that tier,
+	// preventing limit cycling at the threshold.
+	hysteresisMilliC = 2_000
+)
+
+// tierFactor is the milli cost factor per governor tier: none, soft, hard,
+// park (parked cores are offline; survivors pay the hard cost).
+var tierFactor = [4]int64{1000, softTierMilli, hardTierMilli, hardTierMilli}
 
 func bad(f float64) bool { return math.IsNaN(f) || math.IsInf(f, 0) }
 
@@ -133,13 +139,9 @@ func (c Config) withDefaults() (Config, error) {
 		}
 	}
 	def(&c.TDPWatts, DefaultTDPWatts)
-	def(&c.AmbientC, DefaultAmbientC)
 	def(&c.SoftC, DefaultSoftC)
 	def(&c.HardC, DefaultHardC)
 	def(&c.ParkC, DefaultParkC)
-	def(&c.SoftFactor, DefaultSoftFactor)
-	def(&c.HardFactor, DefaultHardFactor)
-	def(&c.HysteresisC, DefaultHysteresisC)
 	if c.TickNS == 0 {
 		c.TickNS = DefaultTickNS
 	}
@@ -150,8 +152,6 @@ func (c Config) withDefaults() (Config, error) {
 	switch {
 	case bad(c.TDPWatts) || c.TDPWatts <= 0:
 		return c, fmt.Errorf("power: TDPWatts must be a finite value > 0, got %v", c.TDPWatts)
-	case bad(c.AmbientC) || c.AmbientC < 0:
-		return c, fmt.Errorf("power: AmbientC must be finite and >= 0, got %v", c.AmbientC)
 	case bad(c.SoftC) || c.SoftC <= 0:
 		return c, fmt.Errorf("power: SoftC setpoint must be a finite value > 0, got %v", c.SoftC)
 	case bad(c.HardC) || c.HardC <= 0:
@@ -161,14 +161,8 @@ func (c Config) withDefaults() (Config, error) {
 	case !(c.SoftC < c.HardC && c.HardC < c.ParkC):
 		return c, fmt.Errorf("power: setpoints must be ordered SoftC < HardC < ParkC, got %v / %v / %v",
 			c.SoftC, c.HardC, c.ParkC)
-	case c.AmbientC >= c.SoftC:
-		return c, fmt.Errorf("power: AmbientC %v must be below SoftC %v", c.AmbientC, c.SoftC)
-	case bad(c.SoftFactor) || c.SoftFactor < 1:
-		return c, fmt.Errorf("power: SoftFactor must be a finite value >= 1, got %v", c.SoftFactor)
-	case bad(c.HardFactor) || c.HardFactor < c.SoftFactor:
-		return c, fmt.Errorf("power: HardFactor must be finite and >= SoftFactor, got %v", c.HardFactor)
-	case bad(c.HysteresisC) || c.HysteresisC < 0:
-		return c, fmt.Errorf("power: HysteresisC must be finite and >= 0, got %v", c.HysteresisC)
+	case c.SoftC <= ambientC:
+		return c, fmt.Errorf("power: SoftC %v must be above the %v °C ambient", c.SoftC, ambientC)
 	case c.TickNS < 0:
 		return c, fmt.Errorf("power: TickNS must be positive, got %d", c.TickNS)
 	case c.ParkNS < 0:

@@ -160,14 +160,13 @@ func TestGovernorTiersAndHysteresis(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	p, pm, plan := testPlane(t, topo, Config{
 		TickNS: 1000, Models: []Model{instantModel()},
-		SoftC: 70, HardC: 90, ParkC: 110, HysteresisC: 6,
-		SoftFactor: 1.5, HardFactor: 4,
+		SoftC: 70, HardC: 90, ParkC: 110,
 	})
 	// Window 1: 3 W -> 75 °C: soft throttle.
 	pm.Add(0, pmu.ComputeNS, 3000)
 	p.MaybeTick(1000)
-	if m := plan.ThermalMilli(0, 1000); m != 1500 {
-		t.Fatalf("soft tier factor = %d, want 1500", m)
+	if m := plan.ThermalMilli(0, 1000); m != softTierMilli {
+		t.Fatalf("soft tier factor = %d, want %d", m, softTierMilli)
 	}
 	if st := p.Stats(); st.SoftEvents[0] != 1 || st.HardEvents[0] != 0 {
 		t.Fatalf("events = soft %v hard %v", st.SoftEvents, st.HardEvents)
@@ -175,26 +174,32 @@ func TestGovernorTiersAndHysteresis(t *testing.T) {
 	// Window 2: 5 W -> 95 °C: hard throttle.
 	pm.Add(0, pmu.ComputeNS, 5000)
 	p.MaybeTick(2000)
-	if m := plan.ThermalMilli(0, 2000); m != 4000 {
-		t.Fatalf("hard tier factor = %d, want 4000", m)
+	if m := plan.ThermalMilli(0, 2000); m != hardTierMilli {
+		t.Fatalf("hard tier factor = %d, want %d", m, hardTierMilli)
 	}
-	// Window 3: back to 3 W -> 75 °C. 75 < 90 but hysteresis holds hard
-	// until temp < 90-6 = 84... 75 < 84, so it releases to soft (75 >= 70).
-	pm.Add(0, pmu.ComputeNS, 3000)
+	// Window 3: 4.4 W -> 89 °C. 89 < 90 but >= 90-2 = 88: hysteresis
+	// keeps the hard tier latched.
+	pm.Add(0, pmu.ComputeNS, 4400)
 	p.MaybeTick(3000)
-	if m := plan.ThermalMilli(0, 3000); m != 1500 {
-		t.Fatalf("release-to-soft factor = %d, want 1500", m)
+	if m := plan.ThermalMilli(0, 3000); m != hardTierMilli {
+		t.Fatalf("hard hysteresis hold factor = %d, want %d", m, hardTierMilli)
 	}
-	// Window 4: 2.1 W -> 66 °C. 66 < 70 but >= 70-6 = 64: hysteresis keeps
-	// the soft tier latched.
-	pm.Add(0, pmu.ComputeNS, 2100)
+	// Window 4: back to 3 W -> 75 °C < 88: releases to soft (75 >= 70).
+	pm.Add(0, pmu.ComputeNS, 3000)
 	p.MaybeTick(4000)
-	if m := plan.ThermalMilli(0, 4000); m != 1500 {
-		t.Fatalf("hysteresis hold factor = %d, want 1500", m)
+	if m := plan.ThermalMilli(0, 4000); m != softTierMilli {
+		t.Fatalf("release-to-soft factor = %d, want %d", m, softTierMilli)
 	}
-	// Window 5: idle -> 45 °C: full release.
+	// Window 5: 2.4 W -> 69 °C. 69 < 70 but >= 70-2 = 68: hysteresis keeps
+	// the soft tier latched.
+	pm.Add(0, pmu.ComputeNS, 2400)
 	p.MaybeTick(5000)
-	if m := plan.ThermalMilli(0, 5000); m != 1000 {
+	if m := plan.ThermalMilli(0, 5000); m != softTierMilli {
+		t.Fatalf("hysteresis hold factor = %d, want %d", m, softTierMilli)
+	}
+	// Window 6: idle -> 45 °C: full release.
+	p.MaybeTick(6000)
+	if m := plan.ThermalMilli(0, 6000); m != 1000 {
 		t.Fatalf("release factor = %d, want 1000", m)
 	}
 	if st := p.Stats(); st.SoftEvents[0] != 1 || st.HardEvents[0] != 1 {
@@ -209,7 +214,7 @@ func TestEmergencyParkAndLastChipletGuard(t *testing.T) {
 	topo := topology.Synthetic(2, 2)
 	p, pm, plan := testPlane(t, topo, Config{
 		TickNS: 1000, ParkNS: 5000, Models: []Model{instantModel()},
-		SoftC: 60, HardC: 70, ParkC: 80, HardFactor: 3,
+		SoftC: 60, HardC: 70, ParkC: 80,
 	})
 	// Both chiplets blow past ParkC = 80 °C (Tss = 45 + 8×10 = 125 °C,
 	// clamped by default TDP 10 W... still 145; instant).
@@ -228,8 +233,8 @@ func TestEmergencyParkAndLastChipletGuard(t *testing.T) {
 	if plan.CoreDown(2, 1000) {
 		t.Fatal("last live chiplet was parked")
 	}
-	if m := plan.ThermalMilli(1, 1000); m != 3000 {
-		t.Fatalf("guarded chiplet factor = %d, want hard 3000", m)
+	if m := plan.ThermalMilli(1, 1000); m != hardTierMilli {
+		t.Fatalf("guarded chiplet factor = %d, want hard %d", m, hardTierMilli)
 	}
 	// The park expires on its own: cores return at t = 1000 + ParkNS.
 	if up := plan.CoreUpAt(0, 1500); up != 6000 {
@@ -261,10 +266,7 @@ func TestConfigValidation(t *testing.T) {
 	bad(Config{TDPWatts: math.Inf(1)}, "TDPWatts")
 	bad(Config{SoftC: math.NaN()}, "SoftC")
 	bad(Config{SoftC: 90, HardC: 80}, "ordered")
-	bad(Config{AmbientC: 90}, "AmbientC")
-	bad(Config{SoftFactor: 0.5}, "SoftFactor")
-	bad(Config{SoftFactor: 2, HardFactor: 1.5}, "HardFactor")
-	bad(Config{HysteresisC: -1}, "HysteresisC")
+	bad(Config{SoftC: ambientC}, "ambient")
 	bad(Config{TickNS: -5}, "TickNS")
 	bad(Config{ParkNS: -5}, "ParkNS")
 	bad(Config{Models: []Model{{RThermal: -1, CThermal: 1}}}, "RThermal")

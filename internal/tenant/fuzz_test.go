@@ -9,12 +9,14 @@ func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
 		"a",
 		"tenant:a,weight=3,quota=2",
-		"interactive,4,2,class=1",
+		"interactive,4,2",
 		"batch,weight=1,quota=1,gap=50us,burst=8,policy=shed",
 		"b,gap=2ms,policy=block,queue=64",
 		"x,1,0,gap=1000,burst=2,policy=reject",
 		"tenant:z-9._,weight=1048576,quota=4096",
 		"a,,b", "a,gap=9223372036854775807", "a,weight=-1", ",",
+		"interactive,4,2,class=1", // class is not a key
+
 	} {
 		f.Add(s)
 	}

@@ -1,6 +1,6 @@
 // Package tenant implements the multi-tenant isolation plane of the
 // open-loop job service: per-tenant admission specs (weights, chiplet
-// quotas, token-bucket rate limits, SLO classes), the deficit-round-robin
+// quotas, token-bucket rate limits), the deficit-round-robin
 // mux that shares dispatch slots fairly across tenants, and the elastic
 // chiplet-lease table the placement plane arbitrates.
 //
@@ -30,9 +30,6 @@ type Spec struct {
 	// elastically grow past it into idle chiplets, but only the quota is
 	// defended when other tenants demand their share back.
 	Quota int
-	// Class is the tenant's SLO class, used as the priority label for
-	// per-tenant SLO objectives (clamped to [0, 7] like job priorities).
-	Class int
 	// GapNS is the token-bucket refill gap in virtual ns per admitted job
 	// (the inverse of the tenant's contracted arrival rate). 0 disables
 	// rate limiting for the tenant.
@@ -54,7 +51,6 @@ type Spec struct {
 const (
 	maxWeight   = 1 << 20
 	maxQuota    = 1 << 12
-	maxClass    = 7
 	maxQueueCap = 1 << 20
 )
 
@@ -76,9 +72,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Quota < 0 || s.Quota > maxQuota {
 		return fmt.Errorf("tenant %s: quota %d out of range [0, %d]", s.Name, s.Quota, maxQuota)
-	}
-	if s.Class < 0 || s.Class > maxClass {
-		return fmt.Errorf("tenant %s: class %d out of range [0, %d]", s.Name, s.Class, maxClass)
 	}
 	if s.GapNS < 0 {
 		return fmt.Errorf("tenant %s: negative gap %d", s.Name, s.GapNS)
@@ -103,13 +96,13 @@ func (s *Spec) Validate() error {
 //	[tenant:]name[,weight[,quota]][,key=value...]
 //
 // The name comes first; the next up-to-two bare integers are positional
-// weight and quota; keyed fields are weight, quota, class, gap (a virtual
+// weight and quota; keyed fields are weight, quota, gap (a virtual
 // duration: "250us", "1ms", or bare ns), burst, policy (block/reject/
 // shed), and queue. Omitted fields default to weight 1, quota 0, no rate
 // limit, policy shed.
 //
 //	tenant:batch,weight=1,quota=1,gap=50us,burst=8,policy=shed
-//	interactive,4,2,class=1
+//	interactive,4,2
 func ParseSpec(s string) (Spec, error) {
 	s = strings.TrimPrefix(s, "tenant:")
 	parts := strings.Split(s, ",")
@@ -148,8 +141,6 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Weight, err = strconv.ParseInt(v, 10, 64)
 		case "quota":
 			spec.Quota, err = atoi(v)
-		case "class":
-			spec.Class, err = atoi(v)
 		case "gap":
 			spec.GapNS, err = parseDur(v)
 		case "burst":
@@ -179,9 +170,6 @@ func ParseSpec(s string) (Spec, error) {
 func (s Spec) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tenant:%s,weight=%d,quota=%d", s.Name, s.Weight, s.Quota)
-	if s.Class != 0 {
-		fmt.Fprintf(&b, ",class=%d", s.Class)
-	}
 	if s.GapNS > 0 {
 		fmt.Fprintf(&b, ",gap=%d,burst=%d", s.GapNS, s.Burst)
 	}

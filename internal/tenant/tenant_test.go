@@ -16,8 +16,8 @@ func TestParseSpec(t *testing.T) {
 		{"a", Spec{Name: "a", Weight: 1, Policy: admit.Shed}},
 		{"tenant:a,weight=3,quota=2", Spec{Name: "a", Weight: 3, Quota: 2, Policy: admit.Shed}},
 		{"a,3,2", Spec{Name: "a", Weight: 3, Quota: 2, Policy: admit.Shed}},
-		{"a,3,2,class=1,gap=50us,burst=8,policy=reject,queue=16",
-			Spec{Name: "a", Weight: 3, Quota: 2, Class: 1, GapNS: 50_000, Burst: 8,
+		{"a,3,2,gap=50us,burst=8,policy=reject,queue=16",
+			Spec{Name: "a", Weight: 3, Quota: 2, GapNS: 50_000, Burst: 8,
 				Policy: admit.Reject, QueueCap: 16}},
 		{"b,gap=2ms", Spec{Name: "b", Weight: 1, GapNS: 2_000_000, Burst: 1, Policy: admit.Shed}},
 		{"b,gap=1000", Spec{Name: "b", Weight: 1, GapNS: 1000, Burst: 1, Policy: admit.Shed}},
@@ -38,7 +38,7 @@ func TestParseSpec(t *testing.T) {
 	}
 	bad := []string{
 		"", ",weight=1", "a b", "a,weight=0", "a,weight=x", "a,quota=-1",
-		"a,1,2,3", "a,frob=1", "a,policy=drop", "a,gap=1.5ms", "a,class=9",
+		"a,1,2,3", "a,frob=1", "a,policy=drop", "a,gap=1.5ms", "a,class=1",
 		"a,burst=4", "a,gap=-5", "a,gap=99999999999s",
 	}
 	for _, in := range bad {

@@ -15,21 +15,15 @@ import (
 type Config struct {
 	// LogTableSize is log2 of the table length in 8-byte words.
 	LogTableSize int
-	// UpdatesPerWord scales the update count: updates = 4*table length by
-	// default, as in HPCC (0 selects 4).
-	UpdatesPerWord int
 	// Grain is updates per task (0 selects 4096).
 	Grain int
 	// Seed makes runs deterministic.
 	Seed uint64
-	// Delegated routes every update through the owner worker as a
-	// batched RPC (the Grappa-style distributed-shared-memory execution
-	// the original HPCC-on-Grappa RandomAccess uses) instead of issuing
-	// remote read-modify-writes through the cache hierarchy.
-	Delegated bool
-	// BatchSize is the delegation batch length (0 selects 64).
-	BatchSize int
 }
+
+// updatesPerWord scales the update count: updates = 4 × table length, as
+// in HPCC.
+const updatesPerWord = 4
 
 // Result reports one run.
 type Result struct {
@@ -47,80 +41,38 @@ func (r Result) GUPS() float64 {
 
 // Run executes the benchmark on the runtime. The table is allocated
 // first-touch and initialized by the workers, so placement follows the
-// system under test.
+// system under test. Only the simulated memory holds the table: the
+// update values never feed back into the run, so no host copy is kept.
 func Run(rt *charm.Runtime, cfg Config) Result {
 	if cfg.LogTableSize <= 0 {
 		panic("gups: LogTableSize must be positive")
 	}
 	n := 1 << cfg.LogTableSize
-	upw := cfg.UpdatesPerWord
-	if upw <= 0 {
-		upw = 4
-	}
 	grain := cfg.Grain
 	if grain <= 0 {
 		grain = 4096
 	}
-	table := make([]uint64, n)
 	addr := rt.AllocPolicy(int64(n)*8, charm.FirstTouch, 0)
 
 	// Initialization pass (the HPCC warm-up): table[i] = i.
 	rt.ParallelFor(0, n, 1<<14, func(ctx *charm.Ctx, i0, i1 int) {
-		for i := i0; i < i1; i++ {
-			table[i] = uint64(i)
-		}
 		ctx.Write(addr+charm.Addr(i0*8), int64(i1-i0)*8)
 	})
 
-	updates := n * upw
+	updates := n * updatesPerWord
 	mask := uint64(n - 1)
-	batch := cfg.BatchSize
-	if batch <= 0 {
-		batch = 64
-	}
 	var done atomic.Int64
 	start := rt.Now()
 	rt.ParallelFor(0, updates, grain, func(ctx *charm.Ctx, i0, i1 int) {
 		// Each task owns an independent LCG stream seeded by its range.
 		s := cfg.Seed ^ (uint64(i0)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9)
-		if cfg.Delegated {
-			addrs := make([]charm.Addr, 0, batch)
-			fns := make([]func(*charm.Ctx), 0, batch)
-			flush := func() {
-				if len(addrs) == 0 {
-					return
-				}
-				ctx.DelegateBatch(addrs, fns)
-				addrs, fns = addrs[:0], fns[:0]
-			}
-			for i := i0; i < i1; i++ {
-				s = s*6364136223846793005 + 1442695040888963407
-				idx := (s >> 17) & mask
-				val := s
-				a := addr + charm.Addr(idx*8)
-				addrs = append(addrs, a)
-				fns = append(fns, func(c *charm.Ctx) {
-					table[idx] ^= val // owner-local, unsynchronized by design
-					c.RMW(a, 8)
-				})
-				if len(addrs) == batch {
-					flush()
-					ctx.Yield()
-				}
-			}
-			flush()
-		} else {
-			for i := i0; i < i1; i++ {
-				s = s*6364136223846793005 + 1442695040888963407
-				idx := (s >> 17) & mask
-				// XOR update: read-modify-write of one word. The host
-				// update races benignly between tasks exactly as HPCC
-				// allows (up to 1% of updates may be lost).
-				table[idx] ^= s
-				ctx.RMW(addr+charm.Addr(idx*8), 8)
-				if i&63 == 63 {
-					ctx.Yield() // periodic scheduling/profiling point
-				}
+		for i := i0; i < i1; i++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			idx := (s >> 17) & mask
+			// XOR update: read-modify-write of one word.
+			ctx.RMW(addr+charm.Addr(idx*8), 8)
+			if i&63 == 63 {
+				ctx.Yield() // periodic scheduling/profiling point
 			}
 		}
 		done.Add(int64(i1 - i0))

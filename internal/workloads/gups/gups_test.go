@@ -24,7 +24,7 @@ func testRT(t *testing.T, workers int) *charm.Runtime {
 func TestRunBasics(t *testing.T) {
 	rt := testRT(t, 4)
 	res := Run(rt, Config{LogTableSize: 12, Seed: 1})
-	wantUpdates := int64(4 * (1 << 12))
+	wantUpdates := int64(updatesPerWord * (1 << 12))
 	if res.Updates != wantUpdates {
 		t.Errorf("updates = %d, want %d", res.Updates, wantUpdates)
 	}
@@ -53,8 +53,8 @@ func TestRunValidation(t *testing.T) {
 func TestSmallTableStaysCached(t *testing.T) {
 	rt := testRT(t, 2)
 	// 2^6 words = 512 B: fits in L2/L3 after the first touch.
-	res := Run(rt, Config{LogTableSize: 6, UpdatesPerWord: 64, Seed: 2})
-	if res.Updates != 64*64 {
+	res := Run(rt, Config{LogTableSize: 6, Seed: 2})
+	if res.Updates != updatesPerWord*64 {
 		t.Fatalf("updates = %d", res.Updates)
 	}
 	fills := rt.Counter(charm.FillDRAMLocal) + rt.Counter(charm.FillDRAMRemote)
@@ -67,26 +67,5 @@ func TestSmallTableStaysCached(t *testing.T) {
 func TestGUPSZeroMakespan(t *testing.T) {
 	if (Result{Updates: 10}).GUPS() != 0 {
 		t.Error("zero makespan must yield zero GUPS")
-	}
-}
-
-func TestDelegatedMatchesDirectSemantics(t *testing.T) {
-	rt := testRT(t, 4)
-	res := Run(rt, Config{LogTableSize: 10, UpdatesPerWord: 2, Seed: 4, Delegated: true})
-	if res.Updates != 2*(1<<10) {
-		t.Errorf("delegated updates = %d, want %d", res.Updates, 2*(1<<10))
-	}
-	if res.GUPS() <= 0 {
-		t.Error("non-positive delegated GUPS")
-	}
-}
-
-func TestDelegatedBatchSizes(t *testing.T) {
-	for _, bs := range []int{1, 7, 256} {
-		rt := testRT(t, 2)
-		res := Run(rt, Config{LogTableSize: 8, UpdatesPerWord: 1, Seed: 4, Delegated: true, BatchSize: bs})
-		if res.Updates != 1<<8 {
-			t.Errorf("batch %d: updates = %d", bs, res.Updates)
-		}
 	}
 }

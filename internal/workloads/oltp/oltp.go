@@ -24,13 +24,16 @@ type Config struct {
 	Items int
 	// TxPerWorker is the transaction count each worker executes.
 	TxPerWorker int
-	// ReadPct is the YCSB read percentage (0 selects 45, the paper's mix).
-	ReadPct int
-	// CommitCost is the virtual cost of commit processing (log record
-	// construction, durability wait); 0 selects 2 µs.
-	CommitCost int64
-	Seed       uint64
+	Seed        uint64
 }
+
+const (
+	// ycsbReadPercent is the YCSB read percentage, the paper's mix.
+	ycsbReadPercent = 45
+	// commitCost is the virtual cost of commit processing (log record
+	// construction, durability wait): 2 µs.
+	commitCost = 2000
+)
 
 func (c *Config) defaults() {
 	if c.Records <= 0 {
@@ -44,12 +47,6 @@ func (c *Config) defaults() {
 	}
 	if c.TxPerWorker <= 0 {
 		c.TxPerWorker = 1000
-	}
-	if c.ReadPct <= 0 {
-		c.ReadPct = 45
-	}
-	if c.CommitCost <= 0 {
-		c.CommitCost = 2000
 	}
 }
 
@@ -112,7 +109,7 @@ func New(rt *charm.Runtime, cfg Config) *Engine {
 func (e *Engine) commit(ctx *charm.Ctx, size int64) {
 	e.logTail.Add(size)
 	ctx.RMW(e.aLog, 8)
-	ctx.Compute(e.cfg.CommitCost)
+	ctx.Compute(commitCost)
 }
 
 // RunYCSB executes the YCSB mix and returns the throughput result.
@@ -125,7 +122,7 @@ func (e *Engine) RunYCSB() Result {
 		for t := 0; t < cfg.TxPerWorker; t++ {
 			k := int(rng.SplitMix64(&s) % uint64(cfg.Records))
 			a := e.aRec + charm.Addr(k*8)
-			if int(rng.SplitMix64(&s)%100) < cfg.ReadPct {
+			if int(rng.SplitMix64(&s)%100) < ycsbReadPercent {
 				e.records[k].Load()
 				ctx.Read(a, 8)
 			} else {

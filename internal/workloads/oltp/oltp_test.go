@@ -35,7 +35,7 @@ func TestYCSBCommitsAll(t *testing.T) {
 
 func TestYCSBRecordInvariant(t *testing.T) {
 	rt := rtWith(t, 2)
-	e := New(rt, Config{Records: 256, TxPerWorker: 500, ReadPct: 45, Seed: 3})
+	e := New(rt, Config{Records: 256, TxPerWorker: 500, Seed: 3})
 	e.RunYCSB()
 	// Every RMW added exactly 1; the sum equals the RMW count, which must
 	// be roughly 55% of transactions.
@@ -91,8 +91,7 @@ func TestCommitBoundInsensitivity(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	var c Config
 	c.defaults()
-	if c.Records == 0 || c.Warehouses == 0 || c.Items == 0 || c.TxPerWorker == 0 ||
-		c.ReadPct != 45 || c.CommitCost == 0 {
+	if c.Records == 0 || c.Warehouses == 0 || c.Items == 0 || c.TxPerWorker == 0 {
 		t.Errorf("defaults incomplete: %+v", c)
 	}
 }

@@ -33,9 +33,6 @@ func New(rt *charm.Runtime, cfg Config, s Strategy) *Engine {
 	if cfg.Grain <= 0 {
 		cfg.Grain = 64
 	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 0.05
-	}
 	e := &Engine{rt: rt, cfg: cfg, ds: genDataset(cfg), strategy: s}
 	rowBytes := int64(cfg.Features) * 8
 	e.ax = rt.AllocPolicy(int64(cfg.Samples)*rowBytes, charm.FirstTouch, 0)
@@ -137,7 +134,6 @@ func logLoss(p, y float64) float64 {
 func (e *Engine) GradientEpoch() int64 {
 	d := e.cfg.Features
 	rowBytes := int64(d) * 8
-	lr := e.cfg.LearningRate
 	start := e.rt.Now()
 	e.rt.ParallelFor(0, e.cfg.Samples, e.cfg.Grain, func(ctx *charm.Ctx, i0, i1 int) {
 		m := e.replicaFor(ctx)
@@ -148,7 +144,7 @@ func (e *Engine) GradientEpoch() int64 {
 			ctx.Read(m.addr, int64(d)*8)
 			g := sigmoid(m.dot(row)) - e.ds.y[i]
 			for j, xj := range row {
-				m.add(j, -lr*g*xj)
+				m.add(j, -learningRate*g*xj)
 			}
 			ctx.Write(m.addr, int64(d)*8)
 			ctx.Compute(int64(d) * 4)

@@ -55,10 +55,11 @@ type Config struct {
 	// Grain is samples per task (0 selects 64; the paper's DimmWitted
 	// partitions work into hundreds of fine-grained chunks).
 	Grain int
-	// LearningRate for the gradient updates (0 selects 0.05).
-	LearningRate float64
-	Seed         uint64
+	Seed  uint64
 }
+
+// learningRate scales the gradient updates.
+const learningRate = 0.05
 
 // Result reports one run.
 type Result struct {

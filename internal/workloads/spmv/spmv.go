@@ -18,14 +18,17 @@ import (
 type Config struct {
 	// LogRows is log2 of the matrix dimension.
 	LogRows int
-	// NNZPerRow is the average nonzeros per row (0 selects 16).
-	NNZPerRow int
 	// Iters is the number of y = A·x iterations (0 selects 5).
 	Iters int
-	// Grain is rows per task (0 selects 128).
-	Grain int
 	Seed  uint64
 }
+
+const (
+	// nnzPerRow is the average nonzeros per row.
+	nnzPerRow = 16
+	// grain is rows per task.
+	grain = 128
+)
 
 // Result reports one run.
 type Result struct {
@@ -50,19 +53,13 @@ func Run(rt *charm.Runtime, cfg Config) Result {
 	if cfg.LogRows <= 0 {
 		panic("spmv: LogRows must be positive")
 	}
-	if cfg.NNZPerRow <= 0 {
-		cfg.NNZPerRow = 16
-	}
 	if cfg.Iters <= 0 {
 		cfg.Iters = 5
-	}
-	if cfg.Grain <= 0 {
-		cfg.Grain = 128
 	}
 	// A Kronecker graph's CSR is a Kronecker sparse matrix; edge weights
 	// become values.
 	g := graph.Kronecker(graph.GenConfig{
-		LogVertices: cfg.LogRows, EdgeFactor: cfg.NNZPerRow / 2, Seed: cfg.Seed,
+		LogVertices: cfg.LogRows, EdgeFactor: nnzPerRow / 2, Seed: cfg.Seed,
 	})
 	n := g.N
 	x := make([]float64, n)
@@ -75,7 +72,7 @@ func Run(rt *charm.Runtime, cfg Config) Result {
 	aIdx := rt.AllocPolicy(int64(g.M())*4, charm.FirstTouch, 0)
 	aX := rt.AllocPolicy(int64(n)*8, charm.FirstTouch, 0)
 	aY := rt.AllocPolicy(int64(n)*8, charm.FirstTouch, 0)
-	rt.ParallelFor(0, n, cfg.Grain, func(ctx *charm.Ctx, i0, i1 int) {
+	rt.ParallelFor(0, n, grain, func(ctx *charm.Ctx, i0, i1 int) {
 		e0, e1 := g.Offsets[i0], g.Offsets[i1]
 		if e1 > e0 {
 			ctx.Write(aVal+charm.Addr(e0*8), (e1-e0)*8)
@@ -89,7 +86,7 @@ func Run(rt *charm.Runtime, cfg Config) Result {
 	start := rt.Now()
 	for it := 0; it < cfg.Iters; it++ {
 		var norm2 atomic.Uint64 // float bits accumulated via CAS
-		rt.ParallelFor(0, n, cfg.Grain, func(ctx *charm.Ctx, i0, i1 int) {
+		rt.ParallelFor(0, n, grain, func(ctx *charm.Ctx, i0, i1 int) {
 			e0, e1 := g.Offsets[i0], g.Offsets[i1]
 			if e1 > e0 {
 				ctx.Read(aVal+charm.Addr(e0*8), (e1-e0)*8)

@@ -24,7 +24,7 @@ func testRT(t *testing.T, workers int) *charm.Runtime {
 
 func TestRunBasics(t *testing.T) {
 	rt := testRT(t, 4)
-	res := Run(rt, Config{LogRows: 9, NNZPerRow: 8, Iters: 3, Seed: 7})
+	res := Run(rt, Config{LogRows: 9, Iters: 3, Seed: 7})
 	if res.Makespan <= 0 || res.NNZ == 0 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
@@ -41,9 +41,9 @@ func TestPowerIterationConverges(t *testing.T) {
 	// norms approach the dominant eigenvalue: the norm ratio between the
 	// last two iterations must stabilize.
 	rt := testRT(t, 4)
-	shallow := Run(rt, Config{LogRows: 8, NNZPerRow: 8, Iters: 2, Seed: 3})
+	shallow := Run(rt, Config{LogRows: 8, Iters: 2, Seed: 3})
 	rt2 := testRT(t, 4)
-	deep := Run(rt2, Config{LogRows: 8, NNZPerRow: 8, Iters: 10, Seed: 3})
+	deep := Run(rt2, Config{LogRows: 8, Iters: 10, Seed: 3})
 	if math.IsNaN(deep.Norm) || deep.Norm <= 0 {
 		t.Fatalf("deep norm %f", deep.Norm)
 	}
@@ -56,8 +56,8 @@ func TestPowerIterationConverges(t *testing.T) {
 }
 
 func TestDeterministicAcrossParallelism(t *testing.T) {
-	a := Run(testRT(t, 2), Config{LogRows: 7, NNZPerRow: 6, Iters: 3, Seed: 5})
-	b := Run(testRT(t, 4), Config{LogRows: 7, NNZPerRow: 6, Iters: 3, Seed: 5})
+	a := Run(testRT(t, 2), Config{LogRows: 7, Iters: 3, Seed: 5})
+	b := Run(testRT(t, 4), Config{LogRows: 7, Iters: 3, Seed: 5})
 	// Per-row sums are computed identically; only the norm reduction's
 	// float order differs. Tolerate tiny drift.
 	if math.Abs(a.Norm-b.Norm)/a.Norm > 1e-9 {
