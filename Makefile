@@ -20,8 +20,10 @@ STATICCHECK_VERSION ?= 2025.1.1
 # reachability check (make deadcode), full build,
 # the full test suite, the race detector on the concurrency-heavy
 # packages (the sharded metrics registry, the runtime core, the per-link
-# fabric charging, the lock-free task queues and the placement views the
-# workers build), the simulator, cache and memory packages
+# fabric charging, the lock-free task queues, the placement views the
+# workers build, the power plane's snapshot publish that obs gauges,
+# placement and admission read lock-free while a tick replaces it, and the
+# fault overlay the governor appends to), the simulator, cache and memory packages
 # under -race too (~40 s: the stress tests that hammer Machine.Access from
 # one goroutine per core over the coherence directory and the lock-free
 # tag arrays, and the streamed access path against its reference), the
@@ -58,7 +60,7 @@ verify:
 	$(MAKE) deadcode
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/task/... ./internal/place/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/fabric/... ./internal/task/... ./internal/place/... ./internal/power/... ./internal/fault/...
 	$(GO) test -race ./internal/sim/... ./internal/cache/... ./internal/mem/...
 	$(GO) test -race -run TestFreeRunningSmoke .
 	$(GO) test -race ./cmd/charm-bench/

@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"charm/internal/admit"
 	"charm/internal/fault"
+	"charm/internal/power"
 	"charm/internal/sim"
 	"charm/internal/tenant"
 	"charm/internal/topology"
@@ -175,5 +177,81 @@ func TestDispatchPrefersKind(t *testing.T) {
 		if got, _ := place(homo, nil, k, 16); !reflect.DeepEqual(got, anyHomo) {
 			t.Errorf("all-fast machine: Prefer %v placed %v, KindAny %v", k, got, anyHomo)
 		}
+	}
+}
+
+// jobAllocBudget is the ceiling TestJobServiceAllocs holds the job service
+// to, in heap allocations per submitted job; the run measures 1.54.
+const jobAllocBudget = 1.65
+
+// TestJobServiceAllocs pins the job service's allocation budget end to
+// end: a lockstep two-tenant service with the power plane, metrics and
+// tracing on serves compute-only 4-task jobs, over half of them shed by
+// tenant B's token bucket, and the heap allocations of the whole run (from
+// installing the service to Drain) divided by the jobs submitted stay
+// under jobAllocBudget. Every spec shares one stage, so the count is the
+// runtime's own. A job costs no allocation of its own: its Job and its
+// stage group are carved from the service's slabs, its stage tasks are
+// recycled through the workers' free lists and the service's spare tasks,
+// and its Done channel is made only if someone asks. What is left is paced
+// by virtual time or paid once, in this run's shares per job:
+//   - 0.60: the fault overlay's copy of a chiplet's thermal steps on each
+//     governor append (fault.Overlay.AppendThermal, four per tick here);
+//   - 0.30: the power plane's published snapshot and its one backing
+//     array, two per governor tick;
+//   - 0.30: the metrics registry's traced-series snapshot, per sample;
+//   - 0.20: the tasks allocated until the free lists hold enough to
+//     recycle (about 800 here, however many jobs follow);
+//   - the rest, about 0.14: ServeJobs's queues, tenants and metric series,
+//     the slab chunks (8 to 256 values each), the growth of the service's
+//     job list and of the workers' free lists, and the tracer's span
+//     chunks.
+func TestJobServiceAllocs(t *testing.T) {
+	rt := startedRuntime(t, Options{SchedulerTimer: 50_000, Power: &power.Config{}})
+	rt.EnableMetrics(true)
+	rt.EnableTracing(true)
+	stage := computeJob(4, 10_000, nil).Stages
+	gen := func(i int) JobSpec {
+		return JobSpec{Deadline: 200_000, Cost: 40_000, Stages: stage}
+	}
+	const aJobs, bJobs = 1200, 3000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	svc := lsServe(t, rt, JobServiceOptions{
+		MaxInFlight:  256,
+		EvalInterval: 50_000,
+		Tenants: []TenantConfig{
+			{
+				Spec: tenant.Spec{Name: "A", Weight: 1, Quota: 2,
+					Policy: admit.Shed, QueueCap: 64},
+				Source: &SpecSource{Arrivals: admit.NewPoisson(5, 26_000, aJobs), Gen: gen},
+			},
+			{
+				Spec: tenant.Spec{Name: "B", Weight: 1, Quota: 2,
+					GapNS: 10_000, Burst: 4, Policy: admit.Shed, QueueCap: 64},
+				Source: &SpecSource{
+					Arrivals: admit.NewFlashCrowd(5, 10_000, 400_000, 200_000, 10, bJobs),
+					Gen:      gen,
+				},
+			},
+		},
+	})
+	svc.Drain()
+	runtime.ReadMemStats(&after)
+	checkLedger(t, svc)
+
+	st := svc.Stats()
+	var limited int64
+	for _, ts := range svc.TenantStats() {
+		limited += ts.RateLimited
+	}
+	if st.Submitted != aJobs+bJobs || st.Completed == 0 || limited == 0 {
+		t.Fatalf("the run misses its mix: %+v, %d rate-limited", st, limited)
+	}
+	perJob := float64(after.Mallocs-before.Mallocs) / float64(st.Submitted)
+	t.Logf("%.3f allocations per job (%d jobs: %d completed, %d rate-limited)",
+		perJob, st.Submitted, st.Completed, limited)
+	if perJob > jobAllocBudget {
+		t.Errorf("the job service allocates %.3f objects per job, budget %.2f", perJob, jobAllocBudget)
 	}
 }

@@ -148,7 +148,16 @@ type Job struct {
 	curStage   int32
 	stageTasks int64
 
-	err  atomic.Pointer[TaskError]
+	// grp counts the running stage's tasks (guarded by svc.mu). It is
+	// carved at the first dispatch, so a job refused at admission has none,
+	// and serves every stage: the stage that released it has no task left
+	// to read it when dispatchStageLocked rearms it for the next.
+	grp *group
+
+	err atomic.Pointer[TaskError]
+	// done is made by the first Done call and closed by finalizeLocked, or
+	// at once when the job had already ended; nil while nobody has asked
+	// (guarded by svc.mu).
 	done chan struct{}
 }
 
@@ -199,7 +208,21 @@ func (j *Job) MetDeadline() bool {
 }
 
 // Done returns a channel closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
+// The channel is made on the first call, so a job nobody waits on never
+// has one; made for a job already terminal, it comes back closed.
+func (j *Job) Done() <-chan struct{} {
+	s := j.svc
+	s.mu.Lock()
+	if j.done == nil {
+		j.done = make(chan struct{})
+		if JobState(j.state.Load()).terminal() {
+			close(j.done)
+		}
+	}
+	ch := j.done
+	s.mu.Unlock()
+	return ch
+}
 
 // Err returns the task failure that terminated the job (nil otherwise).
 func (j *Job) Err() error {
@@ -348,6 +371,14 @@ type JobService struct {
 	stats     JobStats
 	maxDepth  []int64 // per-chiplet queue-depth high-water mark
 	jobs      []*Job
+	// Service-owned storage (see slab): every Job, and the stage group of
+	// every dispatched one.
+	jobSlab slab[Job]
+	grpSlab slab[group]
+	// spare holds finished tasks spilled from the free lists of workers
+	// that finish stages (spillLocked), for dispatchers whose lists run dry.
+	spare []*Task
+
 	latByPrio map[int]*obs.Histogram
 	qwByPrio  map[int]*obs.Histogram // charm_admit_queue_wait_ns{priority}
 	// SLO burn-rate state (nil without declared objectives). Driven
@@ -374,6 +405,11 @@ type JobService struct {
 	view          place.View
 	chs           []topology.ChipletID
 	cand, targets []int
+	// Evaluation scratch, sized by ServeJobs and rewritten under mu at every
+	// evaluation tick: evalLocked's per-chiplet queue depths and thermal
+	// forecast, and evalLeasesLocked's live chiplets and demanding tenants.
+	depth, forecast []int64
+	live, demand    []bool
 
 	// Tenants, in configuration order, and the dispatch mux over their
 	// queues (immutable after ServeJobs, contents guarded by mu). tenIdx
@@ -432,6 +468,9 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 		chExecCnt: make([]atomic.Int64, nch),
 		lastChSum: make([]int64, nch),
 		lastChCnt: make([]int64, nch),
+		depth:     make([]int64, nch),
+		forecast:  make([]int64, nch),
+		live:      make([]bool, nch),
 		trShard:   rt.trShard(),
 	}
 	if opts.Breakers {
@@ -458,6 +497,7 @@ func (rt *Runtime) ServeJobs(opts JobServiceOptions) (*JobService, error) {
 	if err := s.setupTenants(opts.Tenants); err != nil {
 		return nil, err
 	}
+	s.demand = make([]bool, len(s.tens))
 	s.updateNextWorkLocked()
 	if !rt.svc.CompareAndSwap(nil, s) {
 		return nil, fmt.Errorf("core: runtime already serves jobs")
@@ -608,14 +648,12 @@ func (s *JobService) Drain() {
 // newJobLocked registers the handle of tenant ten's arrival.
 func (s *JobService) newJobLocked(arrival int64, spec JobSpec, ten int) *Job {
 	s.seq++
-	j := &Job{
-		id:      s.seq,
-		spec:    spec,
-		svc:     s,
-		arrival: arrival,
-		ten:     ten,
-		done:    make(chan struct{}),
-	}
+	j := s.jobSlab.get()
+	j.id = s.seq
+	j.spec = spec
+	j.svc = s
+	j.arrival = arrival
+	j.ten = ten
 	if spec.Deadline > 0 {
 		j.deadline = arrival + spec.Deadline
 	}
@@ -715,7 +753,9 @@ func (s *JobService) finalizeLocked(j *Job, st JobState, now int64) {
 	}
 	j.finished.Store(now)
 	j.state.Store(int32(st))
-	close(j.done)
+	if j.done != nil {
+		close(j.done)
+	}
 
 	met := st == JobCompleted && (j.deadline == 0 || now <= j.deadline)
 	if tr := s.rt.tracer; tr.Enabled() {
@@ -901,7 +941,7 @@ func (s *JobService) evalLocked(now int64) {
 	topo := s.rt.M.Topo
 	// Queue-depth high-water marks per chiplet (telemetry for the
 	// breaker-capping acceptance check).
-	depth := make([]int64, len(s.maxDepth))
+	depth := s.depth // zero between evaluations
 	for _, w := range s.rt.workers {
 		ch := topo.ChipletOf(w.Core())
 		depth[ch] += w.inbox.Len() + int64(w.deque.Len())
@@ -910,6 +950,7 @@ func (s *JobService) evalLocked(now int64) {
 		if d > s.maxDepth[ch] {
 			s.maxDepth[ch] = d
 		}
+		depth[ch] = 0
 	}
 	// Pre-cliff shedding pressure from the thermal forecast (a no-op
 	// without a power plane), then lease arbitration.
@@ -1022,7 +1063,8 @@ func (s *JobService) startLocked(w *Worker, j *Job, now int64) {
 
 // dispatchStageLocked launches j's next non-empty stage, or completes the
 // job when none remain. The stage's tasks come from the free list of w,
-// the worker running the dispatch. Caller holds mu.
+// the worker running the dispatch, topped up from the service's spare
+// tasks. Caller holds mu.
 func (s *JobService) dispatchStageLocked(w *Worker, j *Job, now int64) {
 	for j.stage < len(j.spec.Stages) && len(j.spec.Stages[j.stage]) == 0 {
 		j.stage++
@@ -1036,9 +1078,16 @@ func (s *JobService) dispatchStageLocked(w *Worker, j *Job, now int64) {
 	j.stageStart = now
 	j.stageTasks = int64(len(stage))
 	j.stage++
-	g := &group{job: j}
+	g := j.grp
+	if g == nil {
+		g = s.grpSlab.get()
+		g.job = j
+		j.grp = g
+	}
+	g.bar.Reset()
 	g.add(int64(len(stage)))
 	wids := s.placeStageLocked(now, len(stage), j.ten, j.spec.Prefer)
+	s.refillLocked(w, len(stage))
 	for i, fn := range stage {
 		wid := wids[i]
 		t := w.newTask(fn, g, now, j.spec.Coro, wid)
@@ -1046,6 +1095,43 @@ func (s *JobService) dispatchStageLocked(w *Worker, j *Job, now int64) {
 		t.stage = j.curStage
 		s.rt.workers[wid].inbox.Put(t)
 	}
+}
+
+// spillLocked moves the free tasks w holds past half its list's capacity
+// into the spare tasks, or drops them to the collector once spareCap is
+// reached. Caller holds mu and runs on w. Workers return finished tasks to
+// their own free lists, so the workers that run job tasks fill theirs
+// while the workers that dispatch them drain theirs: stageDone spills the
+// list of the worker that finished a stage and refillLocked tops up a
+// dispatcher's, so a steady job stream reuses its tasks instead of
+// allocating one for every task a dispatcher's list cannot supply.
+func (s *JobService) spillLocked(w *Worker) {
+	const keep = taskPoolCap / 2
+	if len(w.taskPool) <= keep {
+		return
+	}
+	if len(s.spare) < spareCap {
+		s.spare = append(s.spare, w.taskPool[keep:]...)
+	}
+	clear(w.taskPool[keep:])
+	w.taskPool = w.taskPool[:keep]
+}
+
+// spareCap bounds the service's spare tasks, as taskPoolCap bounds a
+// worker's free list.
+const spareCap = 4 * taskPoolCap
+
+// refillLocked moves spare tasks onto w's free list until it holds n or
+// the spare tasks run out. Caller holds mu and runs on w.
+func (s *JobService) refillLocked(w *Worker, n int) {
+	k := min(n-len(w.taskPool), len(s.spare))
+	if k <= 0 {
+		return
+	}
+	rest := len(s.spare) - k
+	w.taskPool = append(w.taskPool, s.spare[rest:]...)
+	clear(s.spare[rest:])
+	s.spare = s.spare[:rest]
 }
 
 // placeStageLocked picks dispatch targets for a stage's n tasks from a
@@ -1223,6 +1309,7 @@ func (s *JobService) stageDone(w *Worker, j *Job, g *group) {
 	end := g.bar.Release(s.rt.barrierCost)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.spillLocked(w)
 	if tr := s.rt.tracer; tr.Enabled() {
 		// The stage window closes here: dispatch → barrier release.
 		// Windows are contiguous (the next stage dispatches at end), so a

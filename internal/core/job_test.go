@@ -13,6 +13,7 @@ import (
 	"charm/internal/fault"
 	"charm/internal/obs"
 	"charm/internal/sim"
+	"charm/internal/tenant"
 	"charm/internal/topology"
 )
 
@@ -499,5 +500,136 @@ func TestImplicitTenantInvisible(t *testing.T) {
 		if strings.HasPrefix(sm.Name, "charm_tenant_") {
 			t.Errorf("registry holds %s without tenants", sm.Key())
 		}
+	}
+}
+
+// TestJobDoneContract pins Job.Done for every way a job ends — completed,
+// shed, rate-limited, cancelled and failed — through the service's own
+// funnels: a channel obtained before finalisation is closed by it (and two
+// calls share it), finalising a job nobody asked makes no channel, a
+// channel obtained afterwards is already closed, and finalising a terminal
+// job again closes nothing twice and changes nothing. The runtime is never
+// started: admission, dispatch and the stage barrier run synchronously on
+// the test goroutine, so "before" is before.
+func TestJobDoneContract(t *testing.T) {
+	rt := NewRuntime(sim.New(sim.Config{Topo: topology.Synthetic(4, 2)}),
+		Options{Workers: 8, Deterministic: true})
+	defer rt.Stop()
+	src := func(n int, spec JobSpec) *SpecSource {
+		at := make([]int64, n)
+		for i := range at {
+			at[i] = 100
+		}
+		return &SpecSource{Arrivals: admit.NewTrace(at), Gen: func(int) JobSpec { return spec }}
+	}
+	hopeless := computeJob(1, 1_000, nil)
+	hopeless.Deadline, hopeless.Cost = 10_000, 50_000
+	s, err := rt.ServeJobs(JobServiceOptions{Tenants: []TenantConfig{
+		{Spec: tenant.Spec{Name: "run", Weight: 1, Policy: admit.Shed},
+			Source: src(3, computeJob(2, 1_000, nil))},
+		{Spec: tenant.Spec{Name: "hopeless", Weight: 1, Policy: admit.Shed},
+			Source: src(1, hopeless)},
+		{Spec: tenant.Spec{Name: "limited", Weight: 1, Policy: admit.Shed,
+			GapNS: 1 << 40, Burst: 1},
+			Source: src(2, computeJob(1, 1_000, nil))},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	const now = 1_000
+	w := rt.workers[0]
+	before := map[*Job]<-chan struct{}{}
+	ask := func(j *Job) {
+		ch := j.Done()
+		if closed(ch) {
+			t.Fatalf("job %d (%v): Done closed before the job ended", j.ID(), j.State())
+		}
+		if again := j.Done(); again != ch {
+			t.Fatalf("job %d: a second Done call made a second channel", j.ID())
+		}
+		before[j] = ch
+	}
+
+	// The first arrival of each tenant sits in its pending cursor; the
+	// limited tenant's one token is spent, so both its arrivals are shed by
+	// the bucket, the second without anyone having asked for its channel.
+	s.mu.Lock()
+	pending := []*Job{s.tens[0].pending, s.tens[1].pending, s.tens[2].pending}
+	s.tens[2].bucket.Take(0)
+	s.mu.Unlock()
+	for _, j := range pending {
+		ask(j)
+	}
+	s.mu.Lock()
+	s.admitDueLocked(now)
+	s.mu.Unlock()
+	jobs := s.Jobs()
+	var run, limited []*Job
+	for _, j := range jobs {
+		switch j.Tenant() {
+		case "run":
+			run = append(run, j)
+		case "limited":
+			limited = append(limited, j)
+		}
+	}
+	if len(jobs) != 6 || len(run) != 3 || len(limited) != 2 {
+		t.Fatalf("%d jobs admitted or refused, want 6: 3 run, 1 hopeless, 2 limited", len(jobs))
+	}
+	for _, j := range run[1:] {
+		ask(j) // queued: admitted, not yet ended
+	}
+
+	// Dispatch the three queued jobs, then end their stages: one fails, one
+	// is cancelled, one completes.
+	s.pump(w, now)
+	run[0].grp.fail(&TaskError{TaskID: 1, Val: "boom"})
+	run[1].Cancel()
+	for _, j := range run {
+		if j.State() != JobRunning {
+			t.Fatalf("job %d: %v after dispatch, want running", j.ID(), j.State())
+		}
+		for n := j.grp.pending.Load(); n > 0; n-- {
+			j.grp.taskDone(w, now)
+		}
+	}
+
+	if limited[1].done != nil {
+		t.Fatal("finalising a job nobody asked made it a Done channel")
+	}
+
+	want := map[*Job]JobState{run[0]: JobFailed, run[1]: JobCancelled, run[2]: JobCompleted,
+		pending[1]: JobShed, limited[0]: JobShed, limited[1]: JobShed}
+	for _, j := range jobs {
+		if j.State() != want[j] {
+			t.Fatalf("job %d ended %v, want %v", j.ID(), j.State(), want[j])
+		}
+		if ch, ok := before[j]; ok && !closed(ch) {
+			t.Errorf("job %d (%v): the channel obtained before it ended is still open", j.ID(), j.State())
+		}
+		if !closed(j.Done()) {
+			t.Errorf("job %d (%v): Done after it ended is open", j.ID(), j.State())
+		}
+		end := j.Finished()
+		s.mu.Lock()
+		s.finalizeLocked(j, JobCancelled, 2*end) // a second close would panic
+		s.mu.Unlock()
+		if j.State() != want[j] || j.Finished() != end {
+			t.Errorf("job %d: finalising again moved it to %v at %d", j.ID(), j.State(), j.Finished())
+		}
+	}
+	if st := s.TenantStats()[2]; st.RateLimited != 2 {
+		t.Errorf("limited tenant: %d rate-limited, want 2", st.RateLimited)
+	}
+	if err := s.ledgerErr(); err != nil {
+		t.Error(err)
 	}
 }

@@ -327,7 +327,8 @@ func (s *JobService) backlogLocked() int {
 // re-homes instead of starving. Emits a SpanLease per ownership change.
 func (s *JobService) evalLeasesLocked(now int64) {
 	topo := s.rt.M.Topo
-	live := make([]bool, topo.NumChiplets())
+	live := s.live
+	clear(live)
 	plan := s.rt.opts.Faults
 	for _, w := range s.rt.workers {
 		c := w.Core()
@@ -335,7 +336,7 @@ func (s *JobService) evalLeasesLocked(now int64) {
 			live[topo.ChipletOf(c)] = true
 		}
 	}
-	demand := make([]bool, len(s.tens))
+	demand := s.demand
 	for i, tr := range s.tens {
 		demand[i] = tr.q.Len() > 0 || tr.inflight > 0 ||
 			(tr.pending != nil && tr.pending.arrival <= now)
@@ -456,7 +457,8 @@ func (s *JobService) updateThermLocked() {
 		s.thermMilli = 1000
 		return
 	}
-	fc := pw.ForecastMilliC(4 * pw.Tick())
+	fc := pw.ForecastMilliC(s.forecast, 4*pw.Tick())
+	s.forecast = fc
 	soft := pw.SoftMilliC()
 	over := 0
 	for _, f := range fc {

@@ -324,20 +324,29 @@ func (p *Plane) parkAllowed(ch int, t int64) bool {
 	return false
 }
 
-// publishLocked snapshots the governor state for lock-free readers.
+// publishLocked snapshots the governor state for lock-free readers. The
+// six per-chiplet slices are copied into one backing array, so a tick
+// publishes in two allocations; each slice is capped at its own chiplets.
 // Callers hold p.mu (or are inside NewPlane).
 func (p *Plane) publishLocked() {
-	s := &Snapshot{
-		At:            p.done,
-		TempMilliC:    append([]int64(nil), p.tempMilli...),
-		WattsMilli:    append([]int64(nil), p.wattsMill...),
-		EnergyPJ:      append([]int64(nil), p.energyPJ...),
-		SoftEvents:    append([]int64(nil), p.soft...),
-		HardEvents:    append([]int64(nil), p.hard...),
-		ParkEvents:    append([]int64(nil), p.park...),
-		MaxTempMilliC: p.maxTempMilli,
+	src := [...][]int64{p.tempMilli, p.wattsMill, p.energyPJ, p.soft, p.hard, p.park}
+	n := len(p.tempMilli)
+	buf := make([]int64, len(src)*n)
+	var part [len(src)][]int64
+	for i, s := range src {
+		part[i] = buf[i*n : (i+1)*n : (i+1)*n]
+		copy(part[i], s)
 	}
-	p.pub.Store(s)
+	p.pub.Store(&Snapshot{
+		At:            p.done,
+		TempMilliC:    part[0],
+		WattsMilli:    part[1],
+		EnergyPJ:      part[2],
+		SoftEvents:    part[3],
+		HardEvents:    part[4],
+		ParkEvents:    part[5],
+		MaxTempMilliC: p.maxTempMilli,
+	})
 }
 
 // Stats returns the latest published snapshot. The result is immutable.
@@ -354,17 +363,18 @@ func (p *Plane) TempsMilliC() []int64 { return p.pub.Load().TempMilliC }
 // model constants, so deterministic replays forecast identically. This is
 // the admission plane's pre-cliff signal: a chiplet whose forecast crosses
 // the soft setpoint will be throttled soon even though its current
-// temperature still looks healthy.
-func (p *Plane) ForecastMilliC(horizonNS int64) []int64 {
+// temperature still looks healthy. The forecast is written over dst's
+// elements (dst grows when too short) and returned, so a caller that keeps
+// the result forecasts without allocating.
+func (p *Plane) ForecastMilliC(dst []int64, horizonNS int64) []int64 {
 	s := p.pub.Load()
-	out := make([]int64, len(s.TempMilliC))
-	for ch := range out {
+	out := append(dst[:0], s.TempMilliC...)
+	for ch, t := range out {
 		powerMW := s.WattsMilli[ch]
 		if powerMW > p.tdpMilliW {
 			powerMW = p.tdpMilliW
 		}
 		tss := ambientMilliC + powerMW*p.rMilli[ch]/1000
-		t := s.TempMilliC[ch]
 		f := 1 - math.Exp(-float64(horizonNS)/float64(p.tauNS[ch]))
 		out[ch] = t + int64(float64(tss-t)*f)
 	}

@@ -2,8 +2,11 @@ package power
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"charm/internal/fault"
@@ -339,5 +342,80 @@ func TestCatchUpWindows(t *testing.T) {
 	}
 	if a, b := st.TempMilliC[0], q.Stats().TempMilliC[0]; a != b {
 		t.Fatalf("catch-up temp %d != stepped temp %d", a, b)
+	}
+}
+
+// TestPublishConcurrentReaders races lock-free readers of the published
+// snapshot — Stats, TempsMilliC and ForecastMilliC, the paths obs gauges,
+// placement and the admission plane take — against workers that record
+// PMU events and tick the governor. Run under -race it checks that a tick
+// publishes a fresh snapshot instead of writing one a reader may hold;
+// without it, that every snapshot a reader sees is whole (each per-chiplet
+// slice exactly one chiplet long, capped so an append cannot run into its
+// neighbour in the shared backing array) and that a reader never sees
+// integrated time or an energy ledger go backwards.
+func TestPublishConcurrentReaders(t *testing.T) {
+	topo := topology.Synthetic(4, 2)
+	nch := topo.NumChiplets()
+	p, pm, _ := testPlane(t, topo, Config{TickNS: 1000, Models: []Model{instantModel()}})
+	const ticks = 2000
+	var stop atomic.Bool
+	var tickers, readers sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		tickers.Add(1)
+		go func(core int) {
+			defer tickers.Done()
+			for now := int64(1); now <= ticks; now++ {
+				pm.Add(core, pmu.ComputeNS, 500)
+				p.MaybeTick(now * 1000)
+			}
+		}(c)
+	}
+	errs := make(chan error, 4)
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var at, energy int64
+			var fc []int64
+			for !stop.Load() {
+				st := p.Stats()
+				parts := [][]int64{st.TempMilliC, st.WattsMilli, st.EnergyPJ,
+					st.SoftEvents, st.HardEvents, st.ParkEvents}
+				for _, s := range parts {
+					if len(s) != nch || cap(s) != nch {
+						errs <- fmt.Errorf("snapshot slice len %d cap %d, want %d", len(s), cap(s), nch)
+						return
+					}
+				}
+				var e int64
+				for _, v := range st.EnergyPJ {
+					e += v
+				}
+				if st.At < at || e < energy {
+					errs <- fmt.Errorf("snapshot went backwards: at %d after %d, energy %d after %d", st.At, at, e, energy)
+					return
+				}
+				at, energy = st.At, e
+				if temps := p.TempsMilliC(); len(temps) != nch {
+					errs <- fmt.Errorf("TempsMilliC has %d chiplets, want %d", len(temps), nch)
+					return
+				}
+				if fc = p.ForecastMilliC(fc, 4000); len(fc) != nch {
+					errs <- fmt.Errorf("forecast has %d chiplets, want %d", len(fc), nch)
+					return
+				}
+			}
+		}()
+	}
+	tickers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := p.Stats(); st.At != ticks*1000 || st.EnergyPJ[0] == 0 {
+		t.Fatalf("the tickers integrated to %d (want %d) with %d pJ on chiplet 0", st.At, ticks*1000, st.EnergyPJ[0])
 	}
 }
