@@ -21,9 +21,9 @@ STATICCHECK_VERSION ?= 2025.1.1
 # the full test suite, the race detector on the concurrency-heavy
 # packages (the sharded metrics registry, the runtime core, the per-link
 # fabric charging, the lock-free task queues, the placement views the
-# workers build, the power plane's snapshot publish that obs gauges,
-# placement and admission read lock-free while a tick replaces it, and the
-# fault overlay the governor appends to), the simulator, cache and memory packages
+# workers build, the power plane's state that obs gauges, placement and
+# admission read while a tick advances it, and the fault overlay's
+# lock-free readers while the governor appends), the simulator, cache and memory packages
 # under -race too (~40 s: the stress tests that hammer Machine.Access from
 # one goroutine per core over the coherence directory and the lock-free
 # tag arrays, and the streamed access path against its reference), the
@@ -94,7 +94,7 @@ bench-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -bench BenchmarkFabric -benchtime 10x -benchmem
 	$(GO) test ./internal/obs/ -run xxx -bench BenchmarkTracer -benchtime 10x -benchmem
 
-# FUZZTIME bounds each fuzz-smoke target; 15s x 15 targets keeps the CI
+# FUZZTIME bounds each fuzz-smoke target; 15s x 16 targets keeps the CI
 # step near 4 minutes while still churning fresh inputs past the
 # saved corpus.
 FUZZTIME ?= 15s
@@ -107,7 +107,8 @@ FUZZTIME ?= 15s
 # metrics document writer against encoding/json, the star
 # fabric's hub link graph against the hand-written Star model, the
 # lockstep engine's idle runs against its one-turn-per-grant engine, the
-# fault plan's up-until horizon against CoreDown, and the spec-grammar
+# fault plan's up-until horizon against CoreDown, the fault overlay's
+# append-only logs against the copy-on-append reference, and the spec-grammar
 # parsers (fault schedules, tenant shares and topo specs).
 fuzz-smoke:
 	$(GO) test ./internal/task/ -run xxx -fuzz '^FuzzDequeSequential$$' -fuzztime $(FUZZTIME)
@@ -122,6 +123,7 @@ fuzz-smoke:
 	$(GO) test ./internal/fabric/ -run xxx -fuzz '^FuzzHubMatchesStar$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run xxx -fuzz '^FuzzIdleRun$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzCoreUpUntil$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzOverlayAppend$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault/ -run xxx -fuzz '^FuzzFaultSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tenant/ -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/topology/ -run xxx -fuzz '^FuzzParseTopoSpec$$' -fuzztime $(FUZZTIME)

@@ -130,8 +130,8 @@ type (
 	// PowerModel is one chiplet type's energy/thermal coefficients (the
 	// per-chiplet-type energy table; PowerConfig.Models cycles them).
 	PowerModel = power.Model
-	// PowerSnapshot is a point-in-time copy of the power plane's published
-	// state: per-chiplet temperatures, watts, energy ledgers, and governor
+	// PowerSnapshot is a copy of the power plane's state at one governor
+	// tick: per-chiplet temperatures, watts, energy ledgers, and governor
 	// tier-entry counts.
 	PowerSnapshot = power.Snapshot
 	// PowerPlane is the live closed-loop governor (Runtime.Power).

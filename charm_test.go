@@ -135,7 +135,7 @@ func TestFaultInjectionPublicAPI(t *testing.T) {
 
 // TestPowerPublicAPI: the closed-loop plane end to end through the
 // facade — Init with Config.Power, a compute-heavy run warming the
-// chiplets, and the published snapshot visible via Runtime.Power(). Also
+// chiplets, and the plane's snapshot visible via Runtime.Power(). Also
 // pins the typed conflict error for static-thermal + plane.
 func TestPowerPublicAPI(t *testing.T) {
 	rt, err := Init(Config{

@@ -181,8 +181,9 @@ func TestDispatchPrefersKind(t *testing.T) {
 }
 
 // jobAllocBudget is the ceiling TestJobServiceAllocs holds the job service
-// to, in heap allocations per submitted job; the run measures 1.54.
-const jobAllocBudget = 1.65
+// to, in heap allocations per submitted job; the run measures 0.475, and
+// 0.49 in a -race build.
+const jobAllocBudget = 0.52
 
 // TestJobServiceAllocs pins the job service's allocation budget end to
 // end: a lockstep two-tenant service with the power plane, metrics and
@@ -193,16 +194,15 @@ const jobAllocBudget = 1.65
 // runtime's own. A job costs no allocation of its own: its Job and its
 // stage group are carved from the service's slabs, its stage tasks are
 // recycled through the workers' free lists and the service's spare tasks,
-// and its Done channel is made only if someone asks. What is left is paced
-// by virtual time or paid once, in this run's shares per job:
-//   - 0.60: the fault overlay's copy of a chiplet's thermal steps on each
-//     governor append (fault.Overlay.AppendThermal, four per tick here);
-//   - 0.30: the power plane's published snapshot and its one backing
-//     array, two per governor tick;
-//   - 0.30: the metrics registry's traced-series snapshot, per sample;
+// and its Done channel is made only if someone asks. A governor tick costs
+// none either: the fault overlay appends in place and the power plane
+// builds a snapshot only when one is read. What is left is paced by
+// virtual time or paid once, in this run's shares per job:
 //   - 0.20: the tasks allocated until the free lists hold enough to
 //     recycle (about 800 here, however many jobs follow);
-//   - the rest, about 0.14: ServeJobs's queues, tenants and metric series,
+//   - 0.15: the Samples slice of each periodic metrics sample, which the
+//     registry's history keeps;
+//   - the rest, about 0.12: ServeJobs's queues, tenants and metric series,
 //     the slab chunks (8 to 256 values each), the growth of the service's
 //     job list and of the workers' free lists, and the tracer's span
 //     chunks.

@@ -19,7 +19,7 @@ import (
 // placeSnapshot captures the engine's placement state at virtual time
 // now into snap, reusing its slices: per-core liveness from the fault
 // plan, occupancy, the worker-on-core map, each worker's core and queue
-// depth, the published thermal state and the fabric's link occupancy.
+// depth, the governor's temperatures and the fabric's link occupancy.
 func (rt *Runtime) placeSnapshot(snap *place.Snapshot, now int64) {
 	n := rt.M.Topo.NumCores()
 	snap.Occ = resize(snap.Occ, n)
@@ -41,9 +41,7 @@ func (rt *Runtime) placeSnapshot(snap *place.Snapshot, now int64) {
 		snap.QueueDepth[i] = w.inbox.Len() + int64(w.deque.Len())
 	}
 	if pw := rt.power; pw != nil {
-		// Published thermal state: the governor replaces the snapshot slice
-		// wholesale, so handing it to the view preserves immutability.
-		snap.TempMilliC = pw.TempsMilliC()
+		snap.TempMilliC = pw.TempsMilliC(snap.TempMilliC)
 		snap.TempSoftMilliC = pw.SoftMilliC()
 	}
 	if f := rt.M.Fabric; f != nil {

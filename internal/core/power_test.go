@@ -219,7 +219,7 @@ func TestPowerPlaneOffUnchanged(t *testing.T) {
 //     absent (one nil pointer check at each hook site) and present but
 //     between governor windows (one extra atomic load of the claim gate).
 //   - tick: one full governor window per op — PMU delta, RC integration,
-//     tier decision, and snapshot publish for every chiplet.
+//     and tier decision for every chiplet.
 func BenchmarkPower(b *testing.B) {
 	access := func(b *testing.B, pcfg *power.Config) {
 		m := sim.New(sim.Config{Topo: topology.AMDMilan7713x2().Scaled(256)})

@@ -449,8 +449,8 @@ func (s *JobService) stealAllowed(ch int, t *Task) bool {
 // ticks out, the fraction of chiplets forecast to cross the soft
 // setpoint scales Shed-policy service estimates toward the soft-throttle
 // slowdown — so deadline-hopeless jobs are shed before the throttle
-// cliff, not discovered after it. A pure function of the published
-// snapshot, so deterministic replays recompute it identically.
+// cliff, not discovered after it. A pure function of the governor state
+// at its last tick, so deterministic replays recompute it identically.
 func (s *JobService) updateThermLocked() {
 	pw := s.rt.power
 	if pw == nil {

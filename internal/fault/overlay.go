@@ -10,9 +10,9 @@ import (
 // Overlay is the dynamic layer of a Plan: runtime-appended throttle steps
 // and park spans the closed-loop power governor (internal/power) lays over
 // the compiled static schedule. The static Plan stays immutable; the
-// overlay holds per-chiplet copy-on-append lists behind atomic pointers,
-// so queries stay lock-free (one atomic load) and a plan without an
-// overlay costs a single nil check.
+// overlay holds one append-only log per chiplet for each kind of state, so
+// queries stay lock-free (two atomic loads) and a plan without an overlay
+// costs a single nil check.
 //
 // Two invariants make the overlay safe for the engine's cached queries
 // (core/fastpath.go caches ThermalSegment results until their boundary):
@@ -27,10 +27,47 @@ type Overlay struct {
 	topo *topology.Topology
 	tick int64
 
-	// therm[ch] / park[ch] are copy-on-append: the governor builds a new
-	// slice and stores the pointer; readers load and binary-search.
-	therm []atomic.Pointer[[]step]
-	park  []atomic.Pointer[[]span]
+	therm []appendLog[step]
+	park  []appendLog[span]
+}
+
+// appendLog is an append-only list with one writer and lock-free readers.
+// The writer puts an element in the backing array's spare capacity and
+// only then publishes the new length with an atomic store; when the
+// capacity runs out it copies the list into a new array twice the size
+// and publishes that array before the length. A reader loads the length
+// first and the array second, so the array it gets holds at least that
+// many published elements, and the writer never writes below a published
+// length: a list a reader holds never changes under it.
+type appendLog[T any] struct {
+	arr atomic.Pointer[[]T] // the whole backing array, len == cap
+	n   atomic.Int64        // published length
+}
+
+// load returns the published elements.
+func (l *appendLog[T]) load() []T {
+	n := l.n.Load()
+	if n == 0 {
+		return nil
+	}
+	return (*l.arr.Load())[:n]
+}
+
+// push appends v. Only the log's one writer may call it.
+func (l *appendLog[T]) push(v T) {
+	n := l.n.Load()
+	var arr []T
+	if p := l.arr.Load(); p != nil {
+		arr = *p
+	}
+	if n == int64(len(arr)) {
+		grown := make([]T, max(8, 2*len(arr)))
+		copy(grown, arr)
+		l.arr.Store(&grown)
+		arr = grown
+	}
+	arr[n] = v
+	l.n.Store(n + 1)
 }
 
 // NewOverlay builds an empty overlay for topo with governor tick period
@@ -45,8 +82,8 @@ func NewOverlay(topo *topology.Topology, tickNS int64) (*Overlay, error) {
 	return &Overlay{
 		topo:  topo,
 		tick:  tickNS,
-		therm: make([]atomic.Pointer[[]step], topo.NumChiplets()),
-		park:  make([]atomic.Pointer[[]span], topo.NumChiplets()),
+		therm: make([]appendLog[step], topo.NumChiplets()),
+		park:  make([]appendLog[span], topo.NumChiplets()),
 	}, nil
 }
 
@@ -65,31 +102,22 @@ func (o *Overlay) nextBoundary(t int64) int64 {
 // AppendThermal records that chiplet ch runs at milli/1000 of its healthy
 // cost from virtual time t onward (until a later append changes it).
 // Appends must be monotone in t per chiplet; an append at the same t as
-// the last step replaces it. Only the governor goroutine-of-the-moment may
-// call this (the power plane serializes claims under its mutex).
+// the last step supersedes it (segmentAt resolves equal times to the last
+// step), and one that repeats the last factor is skipped. Only the
+// governor goroutine-of-the-moment may call this (the power plane
+// serializes claims under its mutex).
 func (o *Overlay) AppendThermal(ch topology.ChipletID, t, milli int64) {
 	if milli < 1000 {
 		milli = 1000
 	}
-	cur := o.therm[ch].Load()
-	var steps []step
-	if cur != nil {
-		n := len(*cur)
-		if n > 0 {
-			if last := (*cur)[n-1]; last.t > t {
-				panic(fmt.Sprintf("fault: overlay thermal append at t=%d before last step t=%d (chiplet %d)", t, last.t, ch))
-			} else if last.t == t {
-				steps = append(append([]step(nil), (*cur)[:n-1]...), step{t, milli})
-				o.therm[ch].Store(&steps)
-				return
-			} else if last.milli == milli {
-				return // no change; skip the redundant step
-			}
+	if steps := o.therm[ch].load(); len(steps) > 0 {
+		if last := steps[len(steps)-1]; last.t > t {
+			panic(fmt.Sprintf("fault: overlay thermal append at t=%d before last step t=%d (chiplet %d)", t, last.t, ch))
+		} else if last.milli == milli {
+			return // no change; skip the redundant step
 		}
-		steps = append([]step(nil), *cur...)
 	}
-	steps = append(steps, step{t, milli})
-	o.therm[ch].Store(&steps)
+	o.therm[ch].push(step{t, milli})
 }
 
 // AppendPark takes every core of chiplet ch offline for [from, to) —
@@ -100,16 +128,10 @@ func (o *Overlay) AppendPark(ch topology.ChipletID, from, to int64) {
 	if to <= from {
 		return
 	}
-	cur := o.park[ch].Load()
-	var spans []span
-	if cur != nil {
-		if n := len(*cur); n > 0 && (*cur)[n-1].to > from {
-			panic(fmt.Sprintf("fault: overlay park append [%d,%d) overlaps last span ending %d (chiplet %d)", from, to, (*cur)[n-1].to, ch))
-		}
-		spans = append([]span(nil), *cur...)
+	if spans := o.park[ch].load(); len(spans) > 0 && spans[len(spans)-1].to > from {
+		panic(fmt.Sprintf("fault: overlay park append [%d,%d) overlaps last span ending %d (chiplet %d)", from, to, spans[len(spans)-1].to, ch))
 	}
-	spans = append(spans, span{from, to})
-	o.park[ch].Store(&spans)
+	o.park[ch].push(span{from, to})
 }
 
 // thermalSegment evaluates the overlay's step function for chiplet ch at
@@ -117,26 +139,15 @@ func (o *Overlay) AppendPark(ch topology.ChipletID, from, to int64) {
 // not, until is the first overlay step time > t (Forever when none), which
 // bounds how long the static plan's answer stays authoritative.
 func (o *Overlay) thermalSegment(ch topology.ChipletID, t int64) (milli, until int64, active bool) {
-	cur := o.therm[ch].Load()
-	if cur == nil {
-		return 1000, Forever, false
-	}
-	m, u := segmentAt(*cur, t)
-	steps := *cur
-	if len(steps) == 0 || steps[0].t > t {
-		return 1000, u, false
-	}
-	return m, u, true
+	steps := o.therm[ch].load()
+	milli, until = segmentAt(steps, t) // 1000 while no step is in effect
+	return milli, until, len(steps) > 0 && steps[0].t <= t
 }
 
 // parked reports whether chiplet ch is inside an overlay park span at t,
 // and when it is, the span's end.
 func (o *Overlay) parked(ch topology.ChipletID, t int64) (int64, bool) {
-	cur := o.park[ch].Load()
-	if cur == nil {
-		return 0, false
-	}
-	if s, down := spanAt(*cur, t); down {
+	if s, down := spanAt(o.park[ch].load(), t); down {
 		return s.to, true
 	}
 	return 0, false

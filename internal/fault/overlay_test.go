@@ -165,13 +165,14 @@ func TestOverlayAppendRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov.AppendThermal(0, 100, 1500)
-	ov.AppendThermal(0, 100, 3000) // same t: replace
+	ov.AppendThermal(0, 100, 3000) // same t: supersedes
 	if m, _, active := ov.thermalSegment(0, 100); !active || m != 3000 {
 		t.Fatalf("same-t replace: got (%d, %v), want (3000, true)", m, active)
 	}
+	n := len(ov.therm[0].load())
 	ov.AppendThermal(0, 150, 3000) // same milli: elided
-	if cur := ov.therm[0].Load(); len(*cur) != 1 {
-		t.Fatalf("redundant step not elided: %d steps", len(*cur))
+	if got := len(ov.therm[0].load()); got != n {
+		t.Fatalf("redundant step not elided: %d steps, want %d", got, n)
 	}
 	ov.AppendThermal(0, 200, 500) // floors at 1000
 	if m, _, active := ov.thermalSegment(0, 250); !active || m != 1000 {
@@ -188,8 +189,8 @@ func TestOverlayAppendRules(t *testing.T) {
 
 	ov.AppendPark(1, 100, 200)
 	ov.AppendPark(1, 200, 200) // to <= from: no-op
-	if cur := ov.park[1].Load(); len(*cur) != 1 {
-		t.Fatalf("empty park span appended: %d spans", len(*cur))
+	if got := len(ov.park[1].load()); got != 1 {
+		t.Fatalf("empty park span appended: %d spans", got)
 	}
 	func() {
 		defer func() {

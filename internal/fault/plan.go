@@ -372,9 +372,7 @@ func (p *Plan) CoreUpUntil(c topology.CoreID, t int64) (up bool, until int64) {
 		until = min(until, nextSpan(p.coreDown[c], t))
 	}
 	if o := p.ov; o != nil {
-		if cur := o.park[o.topo.ChipletOf(c)].Load(); cur != nil {
-			until = min(until, nextSpan(*cur, t))
-		}
+		until = min(until, nextSpan(o.park[o.topo.ChipletOf(c)].load(), t))
 	}
 	return true, until
 }

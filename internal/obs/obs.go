@@ -21,6 +21,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -55,17 +56,27 @@ func (k Kind) String() string {
 // Labels attaches dimensions (chiplet, link, channel, worker) to a metric.
 type Labels map[string]string
 
-// labelKey renders labels canonically (sorted) for dedup and ordering.
+// labelKey renders labels canonically (sorted) for dedup and ordering, in
+// one allocation: the key string itself (none for no labels).
 func labelKey(l Labels) string {
-	if len(l) == 0 {
+	switch len(l) {
+	case 0:
 		return ""
+	case 1:
+		for k, v := range l {
+			return k + "=" + v
+		}
 	}
-	keys := make([]string, 0, len(l))
-	for k := range l {
+	var buf [8]string
+	keys := buf[:0]
+	size := len(l) - 1 // the commas
+	for k, v := range l {
 		keys = append(keys, k)
+		size += len(k) + 1 + len(v)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	var b strings.Builder
+	b.Grow(size)
 	for i, k := range keys {
 		if i > 0 {
 			b.WriteByte(',')
@@ -125,6 +136,11 @@ type Registry struct {
 	mu      sync.Mutex
 	metrics []metric
 	byKey   map[string]metric
+	// traced is the Traced, non-histogram subsequence of metrics, in
+	// registration order: what a periodic sample collects. It only grows
+	// by append, or is replaced whole, so a copy of the header taken under
+	// mu stays valid after mu is released.
+	traced []metric
 
 	histMu    sync.Mutex
 	history   []Snapshot // ring buffer when full
@@ -152,18 +168,27 @@ func (r *Registry) register(d Desc, mk func() metric) metric {
 	key := d.Name + "{" + labelKey(d.Labels) + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
-		if m.describe().Kind != d.Kind {
-			panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", key, d.Kind, m.describe().Kind))
+	m, ok := r.byKey[key]
+	switch {
+	case !ok:
+		m = mk()
+		r.byKey[key] = m
+		r.metrics = append(r.metrics, m)
+		if d.Traced && d.Kind != KindHistogram {
+			r.traced = append(r.traced, m)
 		}
-		if d.Traced {
-			m.describe().Traced = true
+	case m.describe().Kind != d.Kind:
+		panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", key, d.Kind, m.describe().Kind))
+	case d.Traced && !m.describe().Traced:
+		// Rebuilt, not inserted into, so a sample's copy stays valid.
+		m.describe().Traced = true
+		r.traced = nil
+		for _, m := range r.metrics {
+			if d := m.describe(); d.Traced && d.Kind != KindHistogram {
+				r.traced = append(r.traced, m)
+			}
 		}
-		return m
 	}
-	m := mk()
-	r.byKey[key] = m
-	r.metrics = append(r.metrics, m)
 	return m
 }
 
@@ -519,15 +544,11 @@ func (r *Registry) Snapshot(now int64) Snapshot {
 }
 
 // snapshotTraced collects only Traced, non-histogram metrics — the cheap
-// periodic sample the trace counter tracks are built from.
+// periodic sample the trace counter tracks are built from. Its one
+// allocation is the Samples slice it returns.
 func (r *Registry) snapshotTraced(now int64) Snapshot {
 	r.mu.Lock()
-	metrics := make([]metric, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		if d := m.describe(); d.Traced && d.Kind != KindHistogram {
-			metrics = append(metrics, m)
-		}
-	}
+	metrics := r.traced
 	r.mu.Unlock()
 	snap := Snapshot{T: now, Samples: make([]Sample, 0, len(metrics))}
 	for _, m := range metrics {

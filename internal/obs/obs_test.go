@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -49,6 +50,57 @@ func TestRegistrationDedup(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "x", Labels{"k": "1"})
+}
+
+// TestLabelKey pins the canonical series key: labels sorted by name,
+// joined as k=v with commas, "" for none, and built in at most one
+// allocation (the key string).
+func TestLabelKey(t *testing.T) {
+	for _, tc := range []struct {
+		l      Labels
+		want   string
+		allocs float64
+	}{
+		{nil, "", 0},
+		{Labels{}, "", 0},
+		{Labels{"chiplet": "3"}, "chiplet=3", 1},
+		{Labels{"tenant": "B", "chiplet": "12", "link": "ccd0"}, "chiplet=12,link=ccd0,tenant=B", 1},
+	} {
+		if got := labelKey(tc.l); got != tc.want {
+			t.Errorf("labelKey(%v) = %q, want %q", tc.l, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { labelKey(tc.l) }); n > tc.allocs {
+			t.Errorf("labelKey(%v) makes %.0f allocations, want at most %.0f", tc.l, n, tc.allocs)
+		}
+	}
+}
+
+// TestTracedSeriesList: the traced series a periodic sample collects are
+// the Traced, non-histogram metrics in registration order, including one
+// re-registered as Traced after later series, and a sample allocates only
+// the Samples slice it stores.
+func TestTracedSeriesList(t *testing.T) {
+	r := NewRegistry(2)
+	r.SetEnabled(true)
+	r.Counter("a_total", "a", nil)
+	r.Gauge("b", "b", Labels{"chiplet": "0"}, Traced())
+	r.Histogram("c_ns", "c", nil, []int64{10, 100}, Traced())
+	r.Func("d", "d", KindGauge, nil, func(now int64) float64 { return float64(now) }, Traced())
+	r.Counter("e_total", "e", nil)
+	r.Counter("a_total", "a", nil, Traced()) // now traced, ahead of b
+	r.Histogram("c_ns", "c", nil, []int64{10, 100}, Traced())
+	r.Counter("e_total", "e", nil, Traced())
+	r.Gauge("b", "b", Labels{"chiplet": "0"}, Traced()) // already traced
+	var got []string
+	for _, s := range r.snapshotTraced(7).Samples {
+		got = append(got, s.Key())
+	}
+	if want := []string{"a_total", "b{chiplet=0}", "d", "e_total"}; !slices.Equal(got, want) {
+		t.Fatalf("traced samples %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.snapshotTraced(7) }); n != 1 {
+		t.Errorf("a traced sample makes %.0f allocations, want 1", n)
+	}
 }
 
 // TestConcurrentRecord hammers sharded handles from N goroutines under

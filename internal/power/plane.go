@@ -21,9 +21,12 @@ import (
 //
 // Concurrency contract: MaybeTick is safe from any worker — a lock-free
 // nextAt gate keeps the common case (no boundary crossed) to one atomic
-// load, and claims serialize under a mutex. Published state (temperatures,
-// watts, energy, stats) is read through an atomic snapshot pointer so obs
-// gauges and the placement snapshot never take the governor lock.
+// load, and claims serialize under a mutex. Readers of the governor state
+// (temperatures, watts, energy, stats) take the same mutex. It is a leaf
+// lock: while it is held the plane calls only the overlay, the plan and
+// the PMU, which take no lock. Obs gauges read one value, placement and
+// the admission plane copy into buffers they own, and Stats builds an
+// immutable Snapshot only when one is asked for, at most one per tick.
 type Plane struct {
 	topo *topology.Topology
 	pm   *pmu.PMU
@@ -62,10 +65,10 @@ type Plane struct {
 	soft, hard, park []int64 // per chiplet tier-entry event counts
 	maxTempMilli     int64
 
-	pub atomic.Pointer[Snapshot]
+	snap *Snapshot // the state at `done`, built by Stats; nil until asked
 }
 
-// Snapshot is an immutable copy of the plane's published state. Slices are
+// Snapshot is an immutable copy of the governor state at one tick. Slices are
 // indexed by chiplet and must not be mutated by callers.
 type Snapshot struct {
 	// At is the virtual time the governor last integrated up to.
@@ -163,7 +166,6 @@ func NewPlane(topo *topology.Topology, pm *pmu.PMU, plan *fault.Plan, cfg Config
 	}
 	p.maxTempMilli = ambientMilliC
 	p.nextAt.Store(p.tick)
-	p.publishLocked()
 	return p, nil
 }
 
@@ -215,7 +217,7 @@ func (p *Plane) MaybeTick(now int64) {
 		p.govern(ch, tEff)
 	}
 	p.done = tEff
-	p.publishLocked()
+	p.snap = nil
 	p.nextAt.Store(tEff + p.tick)
 }
 
@@ -324,42 +326,56 @@ func (p *Plane) parkAllowed(ch int, t int64) bool {
 	return false
 }
 
-// publishLocked snapshots the governor state for lock-free readers. The
-// six per-chiplet slices are copied into one backing array, so a tick
-// publishes in two allocations; each slice is capped at its own chiplets.
-// Callers hold p.mu (or are inside NewPlane).
-func (p *Plane) publishLocked() {
-	src := [...][]int64{p.tempMilli, p.wattsMill, p.energyPJ, p.soft, p.hard, p.park}
-	n := len(p.tempMilli)
-	buf := make([]int64, len(src)*n)
-	var part [len(src)][]int64
-	for i, s := range src {
-		part[i] = buf[i*n : (i+1)*n : (i+1)*n]
-		copy(part[i], s)
+// Stats returns an immutable snapshot of the governor state as of the
+// last tick. Calls between two ticks return the same snapshot; the six
+// per-chiplet slices share one backing array, each capped at its own
+// chiplets.
+func (p *Plane) Stats() *Snapshot {
+	p.mu.Lock()
+	if p.snap == nil {
+		n := len(p.tempMilli)
+		buf := make([]int64, 0, 6*n)
+		for _, s := range [...][]int64{p.tempMilli, p.wattsMill, p.energyPJ, p.soft, p.hard, p.park} {
+			buf = append(buf, s...)
+		}
+		p.snap = &Snapshot{
+			At:            p.done,
+			TempMilliC:    buf[:n:n],
+			WattsMilli:    buf[n : 2*n : 2*n],
+			EnergyPJ:      buf[2*n : 3*n : 3*n],
+			SoftEvents:    buf[3*n : 4*n : 4*n],
+			HardEvents:    buf[4*n : 5*n : 5*n],
+			ParkEvents:    buf[5*n : 6*n : 6*n],
+			MaxTempMilliC: p.maxTempMilli,
+		}
 	}
-	p.pub.Store(&Snapshot{
-		At:            p.done,
-		TempMilliC:    part[0],
-		WattsMilli:    part[1],
-		EnergyPJ:      part[2],
-		SoftEvents:    part[3],
-		HardEvents:    part[4],
-		ParkEvents:    part[5],
-		MaxTempMilliC: p.maxTempMilli,
-	})
+	s := p.snap
+	p.mu.Unlock()
+	return s
 }
 
-// Stats returns the latest published snapshot. The result is immutable.
-func (p *Plane) Stats() *Snapshot { return p.pub.Load() }
+// TempsMilliC writes the per-chiplet junction temperatures in milli-°C
+// over dst's elements (dst grows when too short) and returns them.
+func (p *Plane) TempsMilliC(dst []int64) []int64 {
+	p.mu.Lock()
+	dst = append(dst[:0], p.tempMilli...)
+	p.mu.Unlock()
+	return dst
+}
 
-// TempsMilliC returns the latest per-chiplet junction temperatures in
-// milli-°C. Read-only.
-func (p *Plane) TempsMilliC() []int64 { return p.pub.Load().TempMilliC }
+// read returns chiplet ch's entry of one of the governor's per-chiplet
+// slices, for a gauge.
+func (p *Plane) read(s []int64, ch int) float64 {
+	p.mu.Lock()
+	v := s[ch]
+	p.mu.Unlock()
+	return float64(v)
+}
 
 // ForecastMilliC projects each chiplet's junction temperature horizonNS of
 // virtual time into the future, assuming the last window's power holds:
 // the RC trajectory T + (Tss − T)·(1 − e^(−h/τ)) toward the steady state
-// that power implies. A pure function of the published snapshot and the
+// that power implies. A pure function of the state at the last tick and the
 // model constants, so deterministic replays forecast identically. This is
 // the admission plane's pre-cliff signal: a chiplet whose forecast crosses
 // the soft setpoint will be throttled soon even though its current
@@ -367,10 +383,10 @@ func (p *Plane) TempsMilliC() []int64 { return p.pub.Load().TempMilliC }
 // elements (dst grows when too short) and returned, so a caller that keeps
 // the result forecasts without allocating.
 func (p *Plane) ForecastMilliC(dst []int64, horizonNS int64) []int64 {
-	s := p.pub.Load()
-	out := append(dst[:0], s.TempMilliC...)
+	p.mu.Lock()
+	out := append(dst[:0], p.tempMilli...)
 	for ch, t := range out {
-		powerMW := s.WattsMilli[ch]
+		powerMW := p.wattsMill[ch]
 		if powerMW > p.tdpMilliW {
 			powerMW = p.tdpMilliW
 		}
@@ -378,6 +394,7 @@ func (p *Plane) ForecastMilliC(dst []int64, horizonNS int64) []int64 {
 		f := 1 - math.Exp(-float64(horizonNS)/float64(p.tauNS[ch]))
 		out[ch] = t + int64(float64(tss-t)*f)
 	}
+	p.mu.Unlock()
 	return out
 }
 
@@ -397,17 +414,17 @@ func (p *Plane) Instrument(reg *obs.Registry) {
 		reg.Func("charm_power_temp_millic",
 			"Chiplet junction temperature from the RC thermal model, milli-degC.",
 			obs.KindGauge, l, func(int64) float64 {
-				return float64(p.pub.Load().TempMilliC[ch])
+				return p.read(p.tempMilli, ch)
 			}, obs.Traced())
 		reg.Func("charm_power_watts_milli",
 			"Chiplet power over the last governor window, milliwatts.",
 			obs.KindGauge, l, func(int64) float64 {
-				return float64(p.pub.Load().WattsMilli[ch])
+				return p.read(p.wattsMill, ch)
 			}, obs.Traced())
 		reg.Func("charm_power_energy_pj_total",
 			"Chiplet lifetime energy ledger (dynamic + idle), picojoules.",
 			obs.KindCounter, l, func(int64) float64 {
-				return float64(p.pub.Load().EnergyPJ[ch])
+				return p.read(p.energyPJ, ch)
 			})
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -345,15 +347,15 @@ func TestCatchUpWindows(t *testing.T) {
 	}
 }
 
-// TestPublishConcurrentReaders races lock-free readers of the published
-// snapshot — Stats, TempsMilliC and ForecastMilliC, the paths obs gauges,
-// placement and the admission plane take — against workers that record
-// PMU events and tick the governor. Run under -race it checks that a tick
-// publishes a fresh snapshot instead of writing one a reader may hold;
-// without it, that every snapshot a reader sees is whole (each per-chiplet
-// slice exactly one chiplet long, capped so an append cannot run into its
-// neighbour in the shared backing array) and that a reader never sees
-// integrated time or an energy ledger go backwards.
+// TestPublishConcurrentReaders races readers of the governor state —
+// Stats, TempsMilliC and ForecastMilliC, the paths obs gauges, placement
+// and the admission plane take — against workers that record PMU events
+// and tick the governor. Run under -race it checks that a tick never
+// writes a snapshot a reader may hold; without it, that every snapshot a
+// reader sees is whole (each per-chiplet slice exactly one chiplet long,
+// capped so an append cannot run into its neighbour in the shared backing
+// array) and that a reader never sees integrated time or an energy ledger
+// go backwards.
 func TestPublishConcurrentReaders(t *testing.T) {
 	topo := topology.Synthetic(4, 2)
 	nch := topo.NumChiplets()
@@ -377,7 +379,7 @@ func TestPublishConcurrentReaders(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			var at, energy int64
-			var fc []int64
+			var fc, temps []int64
 			for !stop.Load() {
 				st := p.Stats()
 				parts := [][]int64{st.TempMilliC, st.WattsMilli, st.EnergyPJ,
@@ -397,7 +399,7 @@ func TestPublishConcurrentReaders(t *testing.T) {
 					return
 				}
 				at, energy = st.At, e
-				if temps := p.TempsMilliC(); len(temps) != nch {
+				if temps = p.TempsMilliC(temps); len(temps) != nch {
 					errs <- fmt.Errorf("TempsMilliC has %d chiplets, want %d", len(temps), nch)
 					return
 				}
@@ -417,5 +419,51 @@ func TestPublishConcurrentReaders(t *testing.T) {
 	}
 	if st := p.Stats(); st.At != ticks*1000 || st.EnergyPJ[0] == 0 {
 		t.Fatalf("the tickers integrated to %d (want %d) with %d pJ on chiplet 0", st.At, ticks*1000, st.EnergyPJ[0])
+	}
+}
+
+// TestSnapshotContract: a snapshot is built on demand, once per tick that
+// someone reads, and never changes afterwards. Stats twice between two
+// ticks returns the same snapshot; one taken at tick k still reads tick
+// k's state after later ticks, while a new Stats call reads the new
+// state; the copying readers agree with the snapshot of the same tick.
+func TestSnapshotContract(t *testing.T) {
+	topo := topology.Synthetic(2, 2)
+	p, pm, _ := testPlane(t, topo, Config{TickNS: 1000, Models: []Model{instantModel()}})
+	pm.Add(0, pmu.ComputeNS, 2000)
+	p.MaybeTick(1000)
+	k := p.Stats()
+	if again := p.Stats(); again != k {
+		t.Fatal("two Stats calls within one tick built two snapshots")
+	}
+	p.MaybeTick(1500) // below the next boundary: no tick
+	if again := p.Stats(); again != k {
+		t.Fatal("a call that did not tick replaced the snapshot")
+	}
+	if temps := p.TempsMilliC(nil); !slices.Equal(temps, k.TempMilliC) {
+		t.Fatalf("TempsMilliC = %v, snapshot %v", temps, k.TempMilliC)
+	}
+	want := *k
+	want.TempMilliC = slices.Clone(k.TempMilliC)
+	want.WattsMilli = slices.Clone(k.WattsMilli)
+	want.EnergyPJ = slices.Clone(k.EnergyPJ)
+	want.SoftEvents = slices.Clone(k.SoftEvents)
+	want.HardEvents = slices.Clone(k.HardEvents)
+	want.ParkEvents = slices.Clone(k.ParkEvents)
+
+	for now := int64(2000); now <= 6000; now += 1000 {
+		pm.Add(1, pmu.ComputeNS, 1000)
+		pm.Add(2, pmu.ComputeNS, 500)
+		p.MaybeTick(now)
+	}
+	if !reflect.DeepEqual(*k, want) {
+		t.Fatalf("snapshot of tick 1 changed after later ticks:\n got %+v\nwant %+v", *k, want)
+	}
+	later := p.Stats()
+	if later == k || later.At != 6000 || slices.Equal(later.EnergyPJ, k.EnergyPJ) {
+		t.Fatalf("Stats after five ticks = %+v, still tick 1's %+v", *later, *k)
+	}
+	if temps := p.TempsMilliC(make([]int64, 1, 8)); !slices.Equal(temps, later.TempMilliC) {
+		t.Fatalf("TempsMilliC = %v, snapshot %v", temps, later.TempMilliC)
 	}
 }
